@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-fork bench-snap bench-query bench-vector bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
+.PHONY: all build test race bench bench-fork bench-pool bench-live bench-snap bench-query bench-vector bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
 
 all: build test
 
@@ -25,6 +25,21 @@ bench:
 # session. Watch ns/op and allocs/op — fork must stay O(catalog).
 bench-fork:
 	$(GO) test -run 'TestNothing^' -bench BenchmarkSessionFork -benchmem ./internal/session
+
+# Buffer-pool layer benchmarks: what Handle.Get costs on a resident page
+# (one reader, and every CPU through one shared handle) and on a miss.
+# Watch ns/op and allocs/op — a hit must stay 0 allocs (EXPERIMENTS.md
+# records before/after the lock-free hit path).
+bench-pool:
+	$(GO) test -run 'TestNothing^' -bench 'BenchmarkGet(Hit|HitParallel|Miss)$$' -benchmem ./internal/bufpool
+
+# The live query path, end to end and per layer: bench/ builds treebenchd,
+# drives the four BENCHMARK.json workloads over the real client and checks
+# every answer (~2.5 min; bench/README.md). bench/ is its own module, so
+# its unit tests run here too rather than under `make test`.
+bench-live:
+	$(GO) test -C bench ./...
+	$(GO) run -C bench .
 
 # Warm boot vs cold boot: loading the paper-scale 2000×1000 Derby snapshot
 # from disk against generating it from scratch (EXPERIMENTS.md records the

@@ -9,23 +9,46 @@
 // at every pool size and readahead setting; only wall clock and RSS
 // move.
 //
+// Residency has one index: each Handle owns a page table, one atomic
+// frame pointer per page of its file (8 bytes a page). A Get of a
+// resident page is a load from that table — no mutex, no map probe, no
+// allocation — so a warm-booted daemon pays for a pool hit what an
+// eager in-memory base pays for a slice index. Everything that changes
+// residency (fault, prefetch admit, evict, pin) still runs under one of
+// 16 shard mutexes and publishes to or clears the table slot from
+// there; a frame carries a pointer back to its slot so eviction can
+// clear it.
+//
 // Eviction is sharded 2Q (a scan-resistant LRU variant): a page's first
 // touch admits it to a probationary queue, a second touch promotes it to
 // the protected queue, and eviction drains probation first. A cold
 // sequential scan therefore streams through probation without displacing
 // the hot index/root pages that earned protection, which is exactly the
 // drift between scan-heavy and point-heavy phases that makes plain LRU
-// thrash.
+// thrash. The touch is deferred: a hit only sets a reference bit on the
+// frame (test-then-set, so a page that stays hot is never written), and
+// the eviction scan — the only reader of queue order — turns a set bit
+// into the touch it stands for (probation → protected, protected → MRU)
+// before it accepts a frame as victim. Promotion therefore happens when
+// the scan reaches a frame, not when the hit happens; which frames
+// survive is unchanged, the order inside the protected queue follows
+// scan order rather than hit order.
 //
 // Frames are not recycled: evicting a frame drops the pool's reference
 // and the garbage collector reclaims the buffer once the last reader's
 // alias dies. That is what makes eviction safe under the engine's
 // pervasive buffer aliasing (record slices, simulated cache entries, COW
 // copies all alias page buffers) — an evicted frame's content can never
-// be scribbled over. Pin/Unpin refcounts additionally exempt a frame
-// from eviction entirely, so repeat Gets of a pinned page are guaranteed
-// pool hits (the WAL-replay warm set and the snap tool's page sweep pin
-// their working set this way).
+// be scribbled over — and what makes the lock-free hit safe: a reader
+// that loaded a frame pointer just before its eviction still holds a
+// valid immutable buffer. Pin/Unpin refcounts additionally exempt a
+// frame from eviction entirely, so repeat Gets of a pinned page are
+// guaranteed pool hits (the WAL-replay warm set and the snap tool's page
+// sweep pin their working set this way).
+//
+// Hits are counted in cache-line-padded stripes summed by Stats, so
+// parallel query chunks reading one handle do not bounce a shared
+// counter.
 package bufpool
 
 import (
@@ -89,6 +112,11 @@ func (s Stats) HitRate() float64 {
 const (
 	numShards = 16
 
+	// numStripes is how many cache lines the hit counter is spread over.
+	// A Get picks its stripe from the page number, so two query chunks
+	// working different pages of one file rarely write the same line.
+	numStripes = 64
+
 	// seqThreshold is how many consecutive page accesses a handle must
 	// see before the readahead pipeline engages. Below it, point lookups
 	// and tree descents never trigger speculative I/O.
@@ -101,23 +129,30 @@ const (
 	minShardFrames = 8
 )
 
-// key identifies one page of one registered source.
+// key identifies one page of one registered source in a shard's
+// in-flight table.
 type key struct {
 	src  uint64
 	page uint32
 }
 
-// frame is one resident page.
+// frame is one resident page. buf and slot are immutable once the frame
+// is published; ref and prefetched are the only fields touched outside
+// the shard mutex.
 type frame struct {
-	key key
-	buf []byte
+	buf  []byte
+	slot *atomic.Pointer[frame] // the owning handle's page-table entry
 
-	pins int32 // eviction exemption refcount; guarded by the shard mutex
+	// ref is the reference bit: set by a hit, cleared by the eviction
+	// scan when it applies the deferred 2Q touch the bit stands for.
+	ref atomic.Bool
 
 	// prefetched marks a frame admitted by the readahead pipeline and
-	// not yet consumed; the first Get clears it (readahead used), an
-	// eviction while still set counts as readahead wasted.
-	prefetched bool
+	// not yet consumed. Whoever swaps it to false accounts for it: the
+	// first Get (readahead used) or the eviction (readahead wasted).
+	prefetched atomic.Bool
+
+	pins int32 // eviction exemption refcount; guarded by the shard mutex
 
 	hot        bool // protected (true) or probationary (false) queue
 	prev, next *frame
@@ -163,14 +198,34 @@ type inflight struct {
 	err  error
 }
 
-// shard is one lock domain of the pool.
+// shard is one lock domain of the pool: the frames whose (source, page)
+// hash here, their 2Q queues and the reads in flight for them. Which
+// pages are resident is recorded in the handles' page tables, written
+// only under this mutex.
 type shard struct {
 	mu        sync.Mutex
-	frames    map[key]*frame
 	inflight  map[key]*inflight
 	probation list // first-touch pages; evicted first (scan resistance)
 	protected list // pages touched at least twice
 	capFrames int  // 0 = unbounded
+}
+
+func (sh *shard) resident() int { return sh.probation.n + sh.protected.n }
+
+// stripedCounter is a counter spread over numStripes cache lines.
+type stripedCounter [numStripes]struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+func (c *stripedCounter) add(stripe int) { c[stripe&(numStripes-1)].n.Add(1) }
+
+func (c *stripedCounter) sum() int64 {
+	var t int64
+	for i := range c {
+		t += c[i].n.Load()
+	}
+	return t
 }
 
 // Pool is the shared buffer pool. Construct with New; the process-wide
@@ -181,7 +236,8 @@ type Pool struct {
 	shards    [numShards]shard
 	nextSrc   atomic.Uint64
 
-	hits, misses, evictions    atomic.Int64
+	hits                       stripedCounter
+	misses, evictions          atomic.Int64
 	raIssued, raUsed, raWasted atomic.Int64
 
 	fetchOnce sync.Once
@@ -218,21 +274,12 @@ func New(capacityBytes int64, pageSize, readahead int) *Pool {
 	}
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sizeHint := 0
 		if capFrames > 0 {
 			sh.capFrames = capFrames / numShards
 			if sh.capFrames < minShardFrames {
 				sh.capFrames = minShardFrames
 			}
-			// Pre-size toward capacity so a filling scan doesn't pay
-			// incremental map rehashes on the fault path (capped: a large
-			// pool may never fill).
-			sizeHint = sh.capFrames
-			if sizeHint > 1024 {
-				sizeHint = 1024
-			}
 		}
-		sh.frames = make(map[key]*frame, sizeHint)
 		sh.inflight = make(map[key]*inflight)
 	}
 	return p
@@ -253,28 +300,33 @@ func (p *Pool) Register(src Source, numPages int) *Handle {
 		id:       p.nextSrc.Add(1),
 		src:      src,
 		numPages: numPages,
+		table:    make([]atomic.Pointer[frame], numPages),
 	}
 	h.rs, _ = src.(RangeSource)
 	h.vec, _ = src.(VectorSource)
-	h.ra.last = -2 // so page 0 never looks like the successor of a previous access
+	h.raLast.Store(-2) // so page 0 never looks like the successor of a previous access
+	h.raStreak.Store(1)
 	return h
 }
 
 // Stats snapshots the pool's counters.
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Hits:            p.hits.Load(),
-		Misses:          p.misses.Load(),
-		Evictions:       p.evictions.Load(),
-		ReadaheadIssued: p.raIssued.Load(),
-		ReadaheadUsed:   p.raUsed.Load(),
-		ReadaheadWasted: p.raWasted.Load(),
-		Sources:         int64(p.nextSrc.Load()),
+		Hits:      p.hits.sum(),
+		Misses:    p.misses.Load(),
+		Evictions: p.evictions.Load(),
+		Sources:   int64(p.nextSrc.Load()),
 	}
+	// Outcomes before issues: a prefetch is issued before it can be used
+	// or wasted, so this order keeps used + wasted <= issued in a snapshot
+	// taken while fetchers run.
+	s.ReadaheadUsed = p.raUsed.Load()
+	s.ReadaheadWasted = p.raWasted.Load()
+	s.ReadaheadIssued = p.raIssued.Load()
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		s.ResidentPages += int64(len(sh.frames))
+		s.ResidentPages += int64(sh.resident())
 		s.CapacityPages += int64(sh.capFrames)
 		sh.mu.Unlock()
 	}
@@ -302,47 +354,62 @@ func (p *Pool) shardFor(k key) *shard {
 	return &p.shards[(h^(h>>29))%numShards]
 }
 
-// touchLocked records a hit on f: probation promotes to protected,
-// protected moves to MRU, and a prefetched frame graduates to consumed.
-// Caller holds the shard mutex.
-func (sh *shard) touchLocked(p *Pool, f *frame) {
-	if f.prefetched {
-		f.prefetched = false
+// hit records a Get (or Pin) of resident frame f: it leaves the
+// reference bit set for the eviction scan and graduates a prefetched
+// frame to consumed. It takes no lock and, on a frame that is already
+// referenced and consumed, writes nothing.
+func (p *Pool) hit(f *frame) {
+	if !f.ref.Load() {
+		f.ref.Store(true)
+	}
+	if f.prefetched.Load() && f.prefetched.CompareAndSwap(true, false) {
 		p.raUsed.Add(1)
-	}
-	if f.hot {
-		sh.protected.remove(f)
-		sh.protected.pushMRU(f)
-		return
-	}
-	sh.probation.remove(f)
-	f.hot = true
-	sh.protected.pushMRU(f)
-	// Keep the protected queue from monopolizing the shard: demote its
-	// LRU back to probation-MRU past 3/4 of capacity, where eviction can
-	// reach it if it stays cold.
-	if sh.capFrames > 0 {
-		protCap := sh.capFrames * 3 / 4
-		if protCap < 1 {
-			protCap = 1
-		}
-		for sh.protected.n > protCap && sh.protected.head != nil {
-			d := sh.protected.head
-			sh.protected.remove(d)
-			d.hot = false
-			sh.probation.pushMRU(d)
-		}
 	}
 }
 
-// admitLocked inserts a new frame in probation and evicts past capacity.
-// Caller holds the shard mutex; the key must not be resident.
-func (sh *shard) admitLocked(p *Pool, k key, buf []byte, prefetched bool) *frame {
-	f := &frame{key: k, buf: buf, prefetched: prefetched}
-	sh.frames[k] = f
+// protCap is the protected queue's share of a bounded shard: 3/4 of
+// capacity, so probation always has room for a scan to stream through.
+func (sh *shard) protCap() int {
+	if c := sh.capFrames * 3 / 4; c > 1 {
+		return c
+	}
+	return 1
+}
+
+// demoteLocked moves protected's coldest frame back to probation-MRU,
+// where eviction can reach it if it stays cold. Coldest honours the
+// deferred touch: while the LRU frame has its reference bit set, the bit
+// is cleared and the frame moves to MRU — where an immediate touch would
+// have put it — for at most one turn of the queue. Caller holds the shard
+// mutex; protected must not be empty.
+func (sh *shard) demoteLocked() {
+	l := &sh.protected
+	for turn := l.n; turn > 0 && l.head.ref.Load(); turn-- {
+		f := l.head
+		f.ref.Store(false)
+		l.remove(f)
+		l.pushMRU(f)
+	}
+	d := l.head
+	l.remove(d)
+	d.hot = false
+	sh.probation.pushMRU(d)
+}
+
+// admitLocked publishes a new frame for page of h in probation and evicts
+// past capacity. Caller holds the shard mutex; the page must not be
+// resident.
+func (sh *shard) admitLocked(h *Handle, page int, buf []byte, prefetched bool) {
+	f := &frame{buf: buf, slot: &h.table[page]}
+	if prefetched {
+		// Issued is counted before the frame is visible, so that used +
+		// wasted can never be seen ahead of it.
+		f.prefetched.Store(true)
+		h.pool.raIssued.Add(1)
+	}
 	sh.probation.pushMRU(f)
-	sh.evictLocked(p)
-	return f
+	f.slot.Store(f)
+	sh.evictLocked(h.pool)
 }
 
 // evictLocked drops frames until the shard is within capacity, draining
@@ -352,11 +419,8 @@ func (sh *shard) evictLocked(p *Pool) {
 	if sh.capFrames == 0 {
 		return
 	}
-	for len(sh.frames) > sh.capFrames {
-		v := victim(&sh.probation)
-		if v == nil {
-			v = victim(&sh.protected)
-		}
+	for sh.resident() > sh.capFrames {
+		v := sh.victimLocked()
 		if v == nil {
 			return // everything pinned
 		}
@@ -365,19 +429,61 @@ func (sh *shard) evictLocked(p *Pool) {
 		} else {
 			sh.probation.remove(v)
 		}
-		delete(sh.frames, v.key)
+		v.slot.Store(nil)
 		p.evictions.Add(1)
-		if v.prefetched {
+		if v.prefetched.CompareAndSwap(true, false) {
 			p.raWasted.Add(1)
 		}
 	}
 }
 
-// victim returns the least-recently-used unpinned frame of l, nil if all
-// are pinned (or the list is empty).
-func victim(l *list) *frame {
-	for f := l.head; f != nil; f = f.next {
-		if f.pins == 0 {
+// victimLocked picks the frame to evict: the least-recently-used frame
+// of probation, then of protected, that is neither pinned nor referenced
+// since the scan last saw it. A referenced frame is not a victim — its
+// bit is the touch the lock-free Get did not splice, and the scan
+// splices it now: a probationary frame is promoted to protected-MRU
+// (the second touch of 2Q), a protected one moves to MRU. Returns nil if
+// every frame is pinned.
+func (sh *shard) victimLocked() *frame {
+	// Every step below retires a reference bit or passes a pinned frame;
+	// the budget only matters if readers keep re-referencing frames as
+	// fast as the scan clears them, and then recency is ignored.
+	budget := 2 * sh.resident()
+	for f := sh.probation.head; f != nil; {
+		switch {
+		case f.pins > 0:
+			f = f.next
+		case budget > 0 && f.ref.Load():
+			budget--
+			f.ref.Store(false)
+			// Keep the protected queue from monopolizing the shard: past
+			// 3/4 of capacity its coldest frames go back to probation,
+			// behind f, so this walk reaches them.
+			for sh.protected.n >= sh.protCap() {
+				sh.demoteLocked()
+			}
+			next := f.next
+			sh.probation.remove(f)
+			f.hot = true
+			sh.protected.pushMRU(f)
+			f = next
+		default:
+			return f
+		}
+	}
+	for f := sh.protected.head; f != nil; {
+		switch {
+		case f.pins > 0:
+			f = f.next
+		case budget > 0 && f.ref.Load():
+			budget--
+			f.ref.Store(false)
+			if next := f.next; next != nil {
+				sh.protected.remove(f)
+				sh.protected.pushMRU(f)
+				f = next
+			} // else f is already MRU: look at it again, unreferenced now
+		default:
 			return f
 		}
 	}
@@ -396,16 +502,24 @@ type Handle struct {
 	vec      VectorSource
 	numPages int
 
-	ra struct {
-		sync.Mutex
-		last   int // last page accessed
-		streak int // consecutive sequential accesses
-		next   int // first page not yet scheduled for prefetch
-	}
+	// table is the residency index: table[i] is page i's resident frame,
+	// nil when the page is not in memory. Loaded without a lock by Get;
+	// stored only under the page's shard mutex.
+	table []atomic.Pointer[frame]
 
-	// raNext mirrors ra.next so the hit path can skip the ra mutex
-	// entirely while deep inside a scheduled window (see noteAccess).
+	// raNext is the first page not yet scheduled for prefetch, 0 when no
+	// window is scheduled. Written under ra, read by every Get.
 	raNext atomic.Int64
+
+	// The sequential detector's cursor is written by every random Get, so
+	// it lives on its own cache line, away from the read-only fields
+	// above that every Get loads.
+	_        [64]byte
+	raLast   atomic.Int64 // last page accessed
+	raStreak atomic.Int32 // consecutive sequential accesses ending at raLast
+	_        [64]byte
+
+	ra sync.Mutex // serializes window scheduling (read-modify-write of raNext)
 }
 
 // NumPages returns the registered page count.
@@ -414,28 +528,29 @@ func (h *Handle) NumPages() int { return h.numPages }
 // Pool returns the pool this handle belongs to.
 func (h *Handle) Pool() *Pool { return h.pool }
 
+// inRange reports whether page indexes the handle's page table.
+func (h *Handle) inRange(page int) bool { return uint(page) < uint(len(h.table)) }
+
+func (h *Handle) errRange(page int) error {
+	return fmt.Errorf("bufpool: page %d out of range (%d pages)", page, h.numPages)
+}
+
 // Get returns page's content, from a resident frame or by faulting it
 // in. The returned buffer is the shared resident copy — callers must
 // not mutate it. Concurrent Gets of one page share a single backing
-// read.
+// read. A Get of a resident page takes no lock and allocates nothing.
 func (h *Handle) Get(page int) ([]byte, error) {
-	if page < 0 || page >= h.numPages {
-		return nil, fmt.Errorf("bufpool: page %d out of range (%d pages)", page, h.numPages)
+	if !h.inRange(page) {
+		return nil, h.errRange(page)
 	}
-	k := key{h.id, uint32(page)}
-	sh := h.pool.shardFor(k)
-	sh.mu.Lock()
-	if f := sh.frames[k]; f != nil {
-		sh.touchLocked(h.pool, f)
-		buf := f.buf
-		sh.mu.Unlock()
-		h.pool.hits.Add(1)
+	if f := h.table[page].Load(); f != nil {
+		h.pool.hit(f)
+		h.pool.hits.add(page)
 		h.noteAccess(page)
-		return buf, nil
+		return f.buf, nil
 	}
-	sh.mu.Unlock()
 	h.pool.misses.Add(1)
-	buf, err := h.fault(sh, k)
+	buf, err := h.fault(page)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +561,7 @@ func (h *Handle) Get(page int) ([]byte, error) {
 // GetPage implements storage.PageCache.
 func (h *Handle) GetPage(i int) ([]byte, error) { return h.Get(i) }
 
-// fault reads page k from the backing source, deduplicating concurrent
+// fault reads page from the backing source, deduplicating concurrent
 // faulters through the shard's in-flight table, and admits the result.
 //
 // When the miss continues an established sequential streak on a
@@ -456,13 +571,14 @@ func (h *Handle) GetPage(i int) ([]byte, error) { return h.Get(i) }
 // CPU — a cold sequential scan pays one syscall per window instead of
 // one per page — and it cannot fall behind the consumer, because the
 // consumer is the one doing it.
-func (h *Handle) fault(sh *shard, k key) ([]byte, error) {
+func (h *Handle) fault(page int) ([]byte, error) {
+	k := key{h.id, uint32(page)}
+	sh := h.pool.shardFor(k)
 	sh.mu.Lock()
-	if f := sh.frames[k]; f != nil { // raced in (another faulter or the prefetcher)
-		sh.touchLocked(h.pool, f)
-		buf := f.buf
+	if f := h.table[page].Load(); f != nil { // raced in (another faulter or the prefetcher)
+		h.pool.hit(f)
 		sh.mu.Unlock()
-		return buf, nil
+		return f.buf, nil
 	}
 	if c := sh.inflight[k]; c != nil {
 		sh.mu.Unlock()
@@ -475,18 +591,18 @@ func (h *Handle) fault(sh *shard, k key) ([]byte, error) {
 
 	var buf []byte
 	var err error
-	if hi := h.batchSpan(int(k.page)); hi > int(k.page)+1 {
-		buf, err = h.faultRange(k, hi)
+	if hi := h.batchSpan(page); hi > page+1 {
+		buf, err = h.faultRange(page, hi)
 	} else {
 		buf = make([]byte, h.pool.pageSize)
-		err = h.src.ReadPage(int(k.page), buf)
+		err = h.src.ReadPage(page, buf)
 	}
 
 	sh.mu.Lock()
 	delete(sh.inflight, k)
 	if err == nil {
-		if f := sh.frames[k]; f == nil {
-			sh.admitLocked(h.pool, k, buf, false)
+		if f := h.table[page].Load(); f == nil {
+			sh.admitLocked(h, page, buf, false)
 		} else {
 			buf = f.buf // a prefetch admitted it while we read; share its frame
 		}
@@ -505,31 +621,28 @@ func (h *Handle) fault(sh *shard, k key) ([]byte, error) {
 // batching — unless the handle has a RangeSource, readahead is on, and
 // this access continues a sequential streak past the threshold). The span
 // is clipped at the file end and at the first already-resident page, and
-// ra.next advances past it so the async scheduler doesn't re-request the
+// raNext advances past it so the async scheduler doesn't re-request the
 // same pages.
 func (h *Handle) batchSpan(page int) int {
 	p := h.pool
 	if (h.rs == nil && h.vec == nil) || p.readahead <= 0 {
 		return page + 1
 	}
-	hi := page + 1
+	if int64(page) != h.raLast.Load()+1 || h.raStreak.Load()+1 < seqThreshold {
+		return page + 1
+	}
+	hi := page + p.readahead
+	if hi > h.numPages {
+		hi = h.numPages
+	}
 	h.ra.Lock()
-	if page == h.ra.last+1 && h.ra.streak+1 >= seqThreshold {
-		hi = page + p.readahead
-		if hi > h.numPages {
-			hi = h.numPages
-		}
-		if h.ra.next < hi {
-			h.ra.next = hi
-			h.raNext.Store(int64(hi))
-		}
+	if h.raNext.Load() < int64(hi) {
+		h.raNext.Store(int64(hi))
 	}
 	h.ra.Unlock()
-	// Clip the span at resident pages, probing at a coarse stride: on a
-	// cold scan (nothing resident — the common case) this costs a few
-	// shard locks per window instead of one per page; on a half-warm
-	// pool a hit at a probe point narrows to a fine scan, bounding read
-	// amplification to one stride's worth of already-resident pages.
+	// Clip the span at resident pages, probing at a coarse stride: a hit
+	// at a probe point narrows to a fine scan, bounding read amplification
+	// to one stride's worth of already-resident pages.
 	const probeStride = 8
 	for j := page + probeStride; j < hi; j += probeStride {
 		if h.resident(j) {
@@ -543,22 +656,22 @@ func (h *Handle) batchSpan(page int) int {
 	return hi
 }
 
-// faultRange reads pages [k.page, hi) with one positioned read, admits
-// the tail pages as prefetched, and returns the demand page's buffer for
-// the caller (who holds the in-flight slot for it) to admit normally.
-// With a VectorSource the pages scatter straight into their frames; the
+// faultRange reads pages [page, hi) with one positioned read, admits the
+// tail pages as prefetched, and returns the demand page's buffer for the
+// caller (who holds the in-flight slot for it) to admit normally. With a
+// VectorSource the pages scatter straight into their frames; the
 // RangeSource fallback stages through recycled scratch and copies out.
-func (h *Handle) faultRange(k key, hi int) ([]byte, error) {
+func (h *Handle) faultRange(page, hi int) ([]byte, error) {
 	p := h.pool
-	n := hi - int(k.page)
+	n := hi - page
 	if h.vec != nil {
 		frames := make([][]byte, n)
 		for i := range frames {
 			frames[i] = make([]byte, p.pageSize)
 		}
-		if err := h.vec.ReadPageVec(int(k.page), frames); err == nil {
+		if err := h.vec.ReadPageVec(page, frames); err == nil {
 			for i := 1; i < n; i++ {
-				p.admitPrefetchedOwned(h, int(k.page)+i, frames[i])
+				h.admitPrefetched(page+i, frames[i], true)
 			}
 			return frames[0], nil
 		}
@@ -568,14 +681,14 @@ func (h *Handle) faultRange(k key, hi int) ([]byte, error) {
 	sp := p.rangeScratch.Get().(*[]byte)
 	defer p.rangeScratch.Put(sp)
 	big := (*sp)[:n*p.pageSize]
-	if err := h.rs.ReadPageRange(int(k.page), big); err != nil {
+	if err := h.rs.ReadPageRange(page, big); err != nil {
 		// Fall back to the single-page path: the range may fail (short
 		// file tail) where the demand page alone would not.
 		buf := make([]byte, p.pageSize)
-		return buf, h.src.ReadPage(int(k.page), buf)
+		return buf, h.src.ReadPage(page, buf)
 	}
 	for i := 1; i < n; i++ {
-		p.admitPrefetched(h, int(k.page)+i, big[i*p.pageSize:(i+1)*p.pageSize])
+		h.admitPrefetched(page+i, big[i*p.pageSize:(i+1)*p.pageSize], false)
 	}
 	buf := make([]byte, p.pageSize)
 	copy(buf, big[:p.pageSize])
@@ -587,16 +700,17 @@ func (h *Handle) faultRange(k key, hi int) ([]byte, error) {
 // that must stay resident under pressure — e.g. the WAL-replay page set
 // during a chain boot.
 func (h *Handle) Pin(page int) ([]byte, error) {
-	k := key{h.id, uint32(page)}
-	sh := h.pool.shardFor(k)
+	if !h.inRange(page) {
+		return nil, h.errRange(page)
+	}
+	sh := h.pool.shardFor(key{h.id, uint32(page)})
 	for {
 		sh.mu.Lock()
-		if f := sh.frames[k]; f != nil {
+		if f := h.table[page].Load(); f != nil {
 			f.pins++
-			sh.touchLocked(h.pool, f)
-			buf := f.buf
 			sh.mu.Unlock()
-			return buf, nil
+			h.pool.hit(f)
+			return f.buf, nil
 		}
 		sh.mu.Unlock()
 		if _, err := h.Get(page); err != nil {
@@ -608,14 +722,16 @@ func (h *Handle) Pin(page int) ([]byte, error) {
 	}
 }
 
-// Unpin releases one Pin of page. Unpinning a non-resident or unpinned
-// page is a no-op (the frame may have been evicted while pinned count
-// was zero — never while it was held).
+// Unpin releases one Pin of page. Unpinning a non-resident, unpinned or
+// out-of-range page is a no-op (the frame may have been evicted while
+// pinned count was zero — never while it was held).
 func (h *Handle) Unpin(page int) {
-	k := key{h.id, uint32(page)}
-	sh := h.pool.shardFor(k)
+	if !h.inRange(page) {
+		return
+	}
+	sh := h.pool.shardFor(key{h.id, uint32(page)})
 	sh.mu.Lock()
-	if f := sh.frames[k]; f != nil && f.pins > 0 {
+	if f := h.table[page].Load(); f != nil && f.pins > 0 {
 		f.pins--
 	}
 	sh.mu.Unlock()
@@ -623,10 +739,5 @@ func (h *Handle) Unpin(page int) {
 
 // resident reports whether page is resident, without touching recency.
 func (h *Handle) resident(page int) bool {
-	k := key{h.id, uint32(page)}
-	sh := h.pool.shardFor(k)
-	sh.mu.Lock()
-	_, ok := sh.frames[k]
-	sh.mu.Unlock()
-	return ok
+	return h.inRange(page) && h.table[page].Load() != nil
 }

@@ -1,0 +1,227 @@
+package bufpool
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// stampSource stamps each page with its number and nothing else, so a
+// backing read costs next to nothing and a reader can tell whose buffer
+// it was handed.
+type stampSource struct{ pageSize int }
+
+func (s stampSource) ReadPage(i int, dst []byte) error {
+	binary.LittleEndian.PutUint64(dst, uint64(i)+1)
+	return nil
+}
+
+func (s stampSource) ReadPageRange(lo int, dst []byte) error {
+	for i := 0; i*s.pageSize < len(dst); i++ {
+		binary.LittleEndian.PutUint64(dst[i*s.pageSize:], uint64(lo+i)+1)
+	}
+	return nil
+}
+
+func stampOf(buf []byte) int { return int(binary.LittleEndian.Uint64(buf)) - 1 }
+
+// scattered visits every page of [0, n) in an order with no two
+// consecutive page numbers adjacent, so the sequential detector never
+// sees a streak.
+func scattered(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = (i * 37) % n
+	}
+	return out
+}
+
+// TestGetHitTakesNoLock holds every mutex the pool has — all shards and
+// the handle's readahead scheduler — and requires Get of a resident page
+// to return anyway: the hit path is lock-free by construction.
+func TestGetHitTakesNoLock(t *testing.T) {
+	const numPages = 64
+	p := New(0, 4096, 32) // readahead on: the detector runs on every Get
+	defer p.Close()
+	h := p.Register(stampSource{4096}, numPages)
+	order := scattered(numPages)
+	for _, pg := range order {
+		if _, err := h.Get(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := range p.shards {
+		p.shards[i].mu.Lock()
+	}
+	h.ra.Lock()
+	done := make(chan error, 1)
+	go func() {
+		for _, pg := range append(order, order[len(order)-1]) { // and one same-page re-read
+			buf, err := h.Get(pg)
+			if err == nil && stampOf(buf) != pg {
+				err = errStamp(pg, buf)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("Get of a resident page blocked on a pool mutex")
+	}
+	h.ra.Unlock()
+	for i := range p.shards {
+		p.shards[i].mu.Unlock()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Hits != numPages+1 || st.Misses != numPages {
+		t.Fatalf("stats = %+v, want %d hits / %d misses", st, numPages+1, numPages)
+	}
+}
+
+func errStamp(page int, buf []byte) error {
+	return fmt.Errorf("page %d returned the buffer of page %d", page, stampOf(buf))
+}
+
+func TestGetHitAllocatesNothing(t *testing.T) {
+	const numPages = 256
+	p := New(0, 4096, 32)
+	defer p.Close()
+	h := p.Register(stampSource{4096}, numPages)
+	order := scattered(numPages)
+	for _, pg := range order {
+		if _, err := h.Get(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := h.Get(order[i%numPages]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Get of a resident page allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestPinRangeChecked: the page table is indexed by page number, so every
+// entry point that takes one must refuse a page outside the file.
+func TestPinRangeChecked(t *testing.T) {
+	p := New(0, 4096, 0)
+	h := p.Register(stampSource{4096}, 8)
+	for _, pg := range []int{-1, 8, 1 << 30} {
+		if _, err := h.Pin(pg); err == nil {
+			t.Errorf("Pin(%d) of an 8-page file succeeded", pg)
+		}
+		h.Unpin(pg)
+		if h.resident(pg) {
+			t.Errorf("resident(%d) of an 8-page file", pg)
+		}
+	}
+	_, want := h.Get(8)
+	if _, got := h.Pin(8); got == nil || got.Error() != want.Error() {
+		t.Errorf("Pin(8) error = %v, want Get's %v", got, want)
+	}
+}
+
+// TestLockFreeHitsUnderEviction runs the lock-free hit path against
+// everything that changes residency at once: four readers over a pool a
+// sixteenth of the file, so nearly every frame a reader loads is being
+// evicted, re-faulted or prefetched by someone else. Run under -race.
+// Every buffer must be the page asked for, and the counters must add up.
+func TestLockFreeHitsUnderEviction(t *testing.T) {
+	old := runtime.GOMAXPROCS(4) // background fetchers only run above one CPU
+	defer runtime.GOMAXPROCS(old)
+	const (
+		numPages = 4096
+		frames   = 256
+		readers  = 4
+		perRead  = 20000
+	)
+	p := New(frames*4096, 4096, 16)
+	defer p.Close()
+	h := p.Register(stampSource{4096}, numPages)
+
+	var gets atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g) + 1))
+			for n := 0; n < perRead; {
+				// Mostly points over a hot eighth of the file plus the odd
+				// cold page, and now and then a run long enough to arm
+				// readahead.
+				pg, run := rng.Intn(numPages/8), 1
+				switch r := rng.Intn(100); {
+				case r < 10:
+					pg = rng.Intn(numPages)
+				case r < 12:
+					pg, run = rng.Intn(numPages-64), 48
+				}
+				for i := 0; i < run; i++ {
+					buf, err := h.Get(pg + i)
+					n++
+					gets.Add(1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if stampOf(buf) != pg+i {
+						t.Error(errStamp(pg+i, buf))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := p.Stats()
+	if st.Hits+st.Misses != gets.Load() {
+		t.Errorf("hits %d + misses %d != %d Gets", st.Hits, st.Misses, gets.Load())
+	}
+	if st.ResidentPages > st.CapacityPages {
+		t.Errorf("resident %d exceeds capacity %d", st.ResidentPages, st.CapacityPages)
+	}
+	if st.ReadaheadUsed+st.ReadaheadWasted > st.ReadaheadIssued {
+		t.Errorf("readahead used %d + wasted %d exceeds issued %d", st.ReadaheadUsed, st.ReadaheadWasted, st.ReadaheadIssued)
+	}
+	if st.Hits == 0 || st.Evictions == 0 || st.ReadaheadIssued == 0 {
+		t.Errorf("stats = %+v: want hits, evictions and readahead all exercised", st)
+	}
+	// The page table and the queues must agree on what is resident
+	// (fetchers may still be admitting: compare under every shard mutex).
+	for i := range p.shards {
+		p.shards[i].mu.Lock()
+	}
+	inTable, inQueues := 0, 0
+	for i := range h.table {
+		if h.table[i].Load() != nil {
+			inTable++
+		}
+	}
+	for i := range p.shards {
+		inQueues += p.shards[i].resident()
+		p.shards[i].mu.Unlock()
+	}
+	if inTable != inQueues {
+		t.Errorf("page table holds %d frames, queues hold %d", inTable, inQueues)
+	}
+}

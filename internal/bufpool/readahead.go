@@ -46,61 +46,73 @@ type fetchReq struct {
 // noteAccess advances the handle's sequential detector and schedules
 // prefetch when a streak is established. Called on every Get, hit or
 // miss — a scan over a half-warm pool still wants the cold tail
-// prefetched.
+// prefetched. Below the threshold the detector is two atomics; the ra
+// mutex is taken only to schedule a window for a live streak or to
+// retire the window of a broken one.
 func (h *Handle) noteAccess(page int) {
 	p := h.pool
 	if p.readahead <= 0 {
 		return
 	}
-	// Fast path, no lock: deep inside an already-scheduled window there
-	// is nothing to schedule and re-arm is far away — skip the mutex the
-	// hit path would otherwise take on every sequential Get. ra.last
-	// goes stale while skipping; the streak simply re-establishes (four
-	// hits on resident pages) once the cursor nears the frontier.
-	if n := h.raNext.Load(); n > 0 && int64(page) < n-int64(p.readahead/2) {
+	// Deep inside an already-scheduled window there is nothing to
+	// schedule and re-arm is far away. raLast goes stale while skipping;
+	// the streak simply re-establishes (four hits on resident pages) once
+	// the cursor nears the frontier.
+	next := h.raNext.Load()
+	if next > 0 && int64(page) < next-int64(p.readahead/2) {
 		return
 	}
-	async := runtime.GOMAXPROCS(0) > 1
+	var streak int32
+	switch last := h.raLast.Load(); int64(page) {
+	case last + 1:
+		streak = h.raStreak.Add(1)
+		h.raLast.Store(int64(page))
+	case last:
+		// Re-read of the same page: neither extends nor breaks a streak.
+		streak = h.raStreak.Load()
+	default:
+		if next > 0 {
+			h.ra.Lock()
+			h.raNext.Store(0)
+			h.ra.Unlock()
+		}
+		// Test-then-store: random access leaves the streak at 1, and the
+		// cursor below is the only write two readers of one handle share.
+		if h.raStreak.Load() != 1 {
+			h.raStreak.Store(1)
+		}
+		h.raLast.Store(int64(page))
+		return
+	}
+	if streak < seqThreshold {
+		return
+	}
 	var req fetchReq
 	h.ra.Lock()
-	switch {
-	case page == h.ra.last+1:
-		h.ra.streak++
-	case page == h.ra.last:
-		// Re-read of the same page: neither extends nor breaks a streak.
-	default:
-		h.ra.streak = 1
-		h.ra.next = 0
-		h.raNext.Store(0)
+	start := page + 1
+	if next := int(h.raNext.Load()); start < next {
+		// Already scheduled ahead; re-arm only once the cursor is within
+		// half a window of the prefetch frontier.
+		if next-start >= p.readahead/2 {
+			h.ra.Unlock()
+			return
+		}
+		start = next
 	}
-	h.ra.last = page
-	if h.ra.streak >= seqThreshold {
-		start := page + 1
-		if start < h.ra.next {
-			// Already scheduled ahead; re-arm only once the cursor is
-			// within half a window of the prefetch frontier.
-			if h.ra.next-start >= p.readahead/2 {
-				h.ra.Unlock()
-				return
-			}
-			start = h.ra.next
-		}
-		end := start + p.readahead
-		if end > h.numPages {
-			end = h.numPages
-		}
-		if start < end {
-			h.ra.next = end
-			h.raNext.Store(int64(end))
-			req = fetchReq{h: h, lo: start, hi: end}
-		}
+	end := start + p.readahead
+	if end > h.numPages {
+		end = h.numPages
+	}
+	if start < end {
+		h.raNext.Store(int64(end))
+		req = fetchReq{h: h, lo: start, hi: end}
 	}
 	h.ra.Unlock()
 	// With a single CPU a background fetcher can never outrun the
 	// consumer — it would only re-read (or bookkeep) pages the batched
 	// demand fault is already bringing in. Streak tracking above still
 	// runs: it is what arms the batched fault.
-	if req.h != nil && async {
+	if req.h != nil && runtime.GOMAXPROCS(0) > 1 {
 		p.enqueue(req)
 	}
 }
@@ -206,7 +218,7 @@ func (p *Pool) prefetch(req fetchReq, scratch []byte) []byte {
 		k := key{h.id, uint32(pg)}
 		sh := p.shardFor(k)
 		sh.mu.Lock()
-		if sh.frames[k] == nil && sh.inflight[k] == nil {
+		if h.table[pg].Load() == nil && sh.inflight[k] == nil {
 			c := &inflight{done: done}
 			sh.inflight[k] = c
 			claims = append(claims, claim{pg, c})
@@ -285,9 +297,8 @@ func (p *Pool) completeClaim(h *Handle, page int, c *inflight, buf []byte, err e
 	sh.mu.Lock()
 	delete(sh.inflight, k)
 	if err == nil {
-		if f := sh.frames[k]; f == nil {
-			sh.admitLocked(p, k, buf, true)
-			p.raIssued.Add(1)
+		if f := h.table[page].Load(); f == nil {
+			sh.admitLocked(h, page, buf, true)
 		} else {
 			buf = f.buf
 		}
@@ -296,31 +307,20 @@ func (p *Pool) completeClaim(h *Handle, page int, c *inflight, buf []byte, err e
 	c.buf, c.err = buf, err
 }
 
-// admitPrefetched copies src into a fresh frame and admits it, unless
+// admitPrefetched admits one tail page of a batched demand fault, unless
 // the page is already resident or a demand fault for it is in flight.
-// Used by the batched demand-fault path for the window's tail pages.
-func (p *Pool) admitPrefetched(h *Handle, page int, src []byte) {
+// An owned buf becomes the frame (a vectored read already landed the
+// bytes in their final place); otherwise buf is a view of staging
+// scratch and is copied out.
+func (h *Handle) admitPrefetched(page int, buf []byte, owned bool) {
 	k := key{h.id, uint32(page)}
-	sh := p.shardFor(k)
+	sh := h.pool.shardFor(k)
 	sh.mu.Lock()
-	if sh.frames[k] == nil && sh.inflight[k] == nil {
-		fb := make([]byte, p.pageSize)
-		copy(fb, src)
-		sh.admitLocked(p, k, fb, true)
-		p.raIssued.Add(1)
-	}
-	sh.mu.Unlock()
-}
-
-// admitPrefetchedOwned admits buf directly (caller hands over ownership
-// — a vectored read already landed the bytes in their final frame).
-func (p *Pool) admitPrefetchedOwned(h *Handle, page int, buf []byte) {
-	k := key{h.id, uint32(page)}
-	sh := p.shardFor(k)
-	sh.mu.Lock()
-	if sh.frames[k] == nil && sh.inflight[k] == nil {
-		sh.admitLocked(p, k, buf, true)
-		p.raIssued.Add(1)
+	if h.table[page].Load() == nil && sh.inflight[k] == nil {
+		if !owned {
+			buf = append(make([]byte, 0, len(buf)), buf...)
+		}
+		sh.admitLocked(h, page, buf, true)
 	}
 	sh.mu.Unlock()
 }

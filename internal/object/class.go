@@ -83,14 +83,25 @@ func (c *Class) Width() int { return c.width }
 
 // Registry maps class IDs to classes for record decoding.
 type Registry struct {
-	byID   map[uint16]*Class
+	// byID is indexed by class ID; nil where no class has that ID. Register
+	// hands out 1, 2, 3…, so the slice is dense, and decoding a record's
+	// class — once per scanned or fetched object — is an index, not a hash.
+	byID   []*Class
 	byName map[string]*Class
 	nextID uint16
 }
 
 // NewRegistry returns an empty class registry.
 func NewRegistry() *Registry {
-	return &Registry{byID: make(map[uint16]*Class), byName: make(map[string]*Class), nextID: 1}
+	return &Registry{byName: make(map[string]*Class), nextID: 1}
+}
+
+// setID records c under c.ID, growing the table to reach it.
+func (r *Registry) setID(c *Class) {
+	if n := int(c.ID) + 1; n > len(r.byID) {
+		r.byID = append(r.byID, make([]*Class, n-len(r.byID))...)
+	}
+	r.byID[c.ID] = c
 }
 
 // Register assigns an ID to the class and records it. Registering two
@@ -101,13 +112,18 @@ func (r *Registry) Register(c *Class) error {
 	}
 	c.ID = r.nextID
 	r.nextID++
-	r.byID[c.ID] = c
+	r.setID(c)
 	r.byName[c.Name] = c
 	return nil
 }
 
 // ByID returns the class with the given ID, or nil.
-func (r *Registry) ByID(id uint16) *Class { return r.byID[id] }
+func (r *Registry) ByID(id uint16) *Class {
+	if int(id) < len(r.byID) {
+		return r.byID[id]
+	}
+	return nil
+}
 
 // ByName returns the class with the given name, or nil.
 func (r *Registry) ByName(name string) *Class { return r.byName[name] }
@@ -128,7 +144,7 @@ func (r *Registry) Names() []string {
 // pointer from the original graph to its clone (nil maps to nil). IDs,
 // layouts and the next-ID counter are preserved exactly.
 func (r *Registry) Clone() (*Registry, func(*Class) *Class) {
-	memo := make(map[*Class]*Class, len(r.byID))
+	memo := make(map[*Class]*Class, len(r.byName))
 	var cloneClass func(c *Class) *Class
 	cloneClass = func(c *Class) *Class {
 		if c == nil {
@@ -159,7 +175,7 @@ func (r *Registry) Clone() (*Registry, func(*Class) *Class) {
 		return cc
 	}
 	nr := &Registry{
-		byID:   make(map[uint16]*Class, len(r.byID)),
+		byID:   make([]*Class, len(r.byID)),
 		byName: make(map[string]*Class, len(r.byName)),
 		nextID: r.nextID,
 	}

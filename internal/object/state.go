@@ -1,9 +1,6 @@
 package object
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Serializable class-graph state. Class IDs are baked into every record
 // header on disk, so a restored Registry must reproduce IDs, layouts,
@@ -35,13 +32,10 @@ type RegistryState struct {
 // State exports the registry's whole class graph.
 func (r *Registry) State() *RegistryState {
 	st := &RegistryState{NextID: r.nextID}
-	ids := make([]int, 0, len(r.byID))
-	for id := range r.byID {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		c := r.byID[uint16(id)]
+	for _, c := range r.byID {
+		if c == nil {
+			continue
+		}
 		cs := ClassState{
 			ID:        c.ID,
 			Name:      c.Name,
@@ -104,7 +98,6 @@ func (cs *ClassState) validate() error {
 // malformed attribute lists fail with an error, never a panic.
 func RestoreRegistry(st *RegistryState) (*Registry, error) {
 	r := &Registry{
-		byID:   make(map[uint16]*Class, len(st.Classes)),
 		byName: make(map[string]*Class, len(st.Classes)),
 		nextID: st.NextID,
 	}
@@ -167,11 +160,11 @@ func RestoreRegistry(st *RegistryState) (*Registry, error) {
 				return nil, err
 			}
 		}
-		if _, dup := r.byID[cs.ID]; dup {
+		if r.ByID(cs.ID) != nil {
 			return nil, fmt.Errorf("object: duplicate class id %d in state", cs.ID)
 		}
 		c.ID = cs.ID
-		r.byID[c.ID] = c
+		r.setID(c)
 		r.byName[c.Name] = c
 		return c, nil
 	}

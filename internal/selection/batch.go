@@ -143,11 +143,11 @@ func runFullScanBatched(db *engine.Database, req Request, whereIdx int, filterId
 			return err
 		}
 		err := req.Extent.File.ScanRange(w.Client, ranges[c].From, ranges[c].To, func(rid storage.Rid, rec []byte) (bool, error) {
-			id := object.ClassID(rec)
-			if !w.Classes.Belongs(id, req.Extent.Class) {
+			cls := w.Classes.ByID(object.ClassID(rec))
+			if cls == nil || !cls.IsSubclassOf(req.Extent.Class) {
 				return true, nil // shared file: other classes' objects
 			}
-			b.Append(rid, rec, w.Classes.ByID(id))
+			b.Append(rid, rec, cls)
 			if b.Full() {
 				return true, flush()
 			}
