@@ -46,11 +46,8 @@ func sharedRunner() (*Runner, error) {
 	return benchRunner, benchRunnerErr
 }
 
-// simSeconds sums the simulated time column(s) of a table for the custom
-// metric. Tables differ in layout, so it just takes the experiment's total
-// recorded stats delta instead; here we approximate with wall-measured
-// runs: the metric reported is the experiment's wall time, and the table
-// itself carries the simulated numbers.
+// benchExperiment times one experiment's regeneration (ns/op is its wall
+// time) and prints its table, which carries the simulated numbers, once.
 func benchExperiment(b *testing.B, id string) {
 	r, err := sharedRunner()
 	if err != nil {
@@ -58,15 +55,12 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	var table *ResultTable
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		table, err = r.Run(id)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	wall := time.Since(start)
-	_ = wall
 	printedMu.Lock()
 	if !printed[id] {
 		printed[id] = true

@@ -15,37 +15,25 @@ import (
 	"os"
 
 	"treebench"
+	"treebench/internal/cli"
 	"treebench/internal/storage"
 	"treebench/internal/txn"
 )
 
 func main() {
 	var (
-		providers  = flag.Int("providers", 1000, "number of providers")
-		avg        = flag.Int("avg", 3, "average patients per provider")
-		clustering = flag.String("clustering", "class", "physical organization: class, random, composition")
+		shape      = cli.ShapeFlags(flag.CommandLine, 1000, 3)
 		txnMode    = flag.String("txn", "off", "loading transaction mode: off, standard")
 		indexAfter = flag.Bool("index-after", false, "create indexes after the load (§3.2's blunder)")
 		budget     = flag.Int("budget", 10000, "objects per transaction in standard mode")
-		seed       = flag.Int("seed", 1997, "generator seed")
 		verify     = flag.Bool("verify", false, "run integrity checks on the generated database")
 	)
 	flag.Parse()
 
-	var cl treebench.Clustering
-	switch *clustering {
-	case "class":
-		cl = treebench.ClassCluster
-	case "random":
-		cl = treebench.RandomOrg
-	case "composition":
-		cl = treebench.CompositionCluster
-	default:
-		fatal(fmt.Errorf("unknown clustering %q", *clustering))
+	cfg, err := shape.Config()
+	if err != nil {
+		fatal(err)
 	}
-
-	cfg := treebench.DerbyConfig(*providers, *avg, cl)
-	cfg.Seed = int32(*seed)
 	cfg.IndexBeforeLoad = !*indexAfter
 	cfg.CreateBudget = *budget
 	if *txnMode == "standard" {
@@ -60,7 +48,7 @@ func main() {
 	}
 
 	fmt.Printf("built %d providers × %d patients (%s), %s clustering, %s loading\n",
-		d.NumProviders, d.NumPatients, d.Relationship(), cl, cfg.TxnMode)
+		d.NumProviders, d.NumPatients, d.Relationship(), cfg.Clustering, cfg.TxnMode)
 	fmt.Printf("load time (simulated): %.2fs  commits: %d  relocations: %d\n",
 		d.Load.Elapsed.Seconds(), d.Load.Commits, d.Load.Relocations)
 	n := d.Load.Counters

@@ -44,8 +44,9 @@ import (
 	"strings"
 
 	"treebench"
-	"treebench/internal/bufpool"
+	"treebench/internal/cli"
 	"treebench/internal/client"
+	"treebench/internal/derby"
 	"treebench/internal/oql"
 	"treebench/internal/session"
 	"treebench/internal/shell"
@@ -62,14 +63,11 @@ func main() {
 		warm       = flag.Bool("warm", false, "keep caches warm between statements (like the .warm command)")
 		coord      = flag.String("coord", "", "run statements remotely against this treebench-coord (or treebenchd) address; requires -e or -f")
 		maxRows    = flag.Int("maxrows", 10, "sample rows printed per query in -coord mode")
-		qjobs      = flag.Int("qj", 0, "intra-query workers (default from TREEBENCH_QUERY_JOBS or min(NumCPU, 4); output identical at any setting)")
-		batch      = flag.Int("batch", 0, "vectorized-execution batch size (default from TREEBENCH_BATCH or 1024; 1 = scalar operators; output identical at any setting)")
-		ixBackend  = flag.String("index-backend", "", "index backend: btree, disk, or lsm (default from TREEBENCH_INDEX_BACKEND or btree; output identical across backends)")
-		poolMB     = flag.Int("bufpool-mb", bufpool.CapacityMBFromEnv(bufpool.DefaultCapacityMB), "shared buffer pool size in MB for snapshot-backed databases (also TREEBENCH_BUFPOOL_MB; 0 disables the pool; output identical at any setting)")
-		rahead     = flag.Int("readahead", bufpool.ReadaheadFromEnv(bufpool.DefaultReadahead), "buffer-pool readahead window in pages (also TREEBENCH_READAHEAD; 0 disables prefetch; output identical at any setting)")
+		exec       = cli.ExecFlags(flag.CommandLine)
+		pool       = cli.PoolFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	bufpool.Setup(*poolMB, *rahead)
+	pool.Setup()
 	scripted := *stmts != "" || *script != ""
 
 	if *coord != "" {
@@ -84,28 +82,15 @@ func main() {
 		return
 	}
 
-	var cl treebench.Clustering
-	switch *clustering {
-	case "class":
-		cl = treebench.ClassCluster
-	case "random":
-		cl = treebench.RandomOrg
-	case "composition":
-		cl = treebench.CompositionCluster
-	default:
-		fmt.Fprintf(os.Stderr, "oqlsh: unknown clustering %q\n", *clustering)
+	cl, err := derby.ParseClustering(*clustering)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "oqlsh:", err)
 		os.Exit(2)
 	}
-
-	kind := *ixBackend
-	if kind == "" {
-		kind = treebench.IndexBackendFromEnv("")
-	}
-	if kind != "" {
-		if err := treebench.CheckIndexBackend(kind); err != nil {
-			fmt.Fprintln(os.Stderr, "oqlsh:", err)
-			os.Exit(2)
-		}
+	qj, b, kind, err := exec.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "oqlsh:", err)
+		os.Exit(2)
 	}
 
 	// Progress stays off stdout in scripted mode so stdout is exactly the
@@ -122,14 +107,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oqlsh:", err)
 		os.Exit(1)
-	}
-	qj := *qjobs
-	if qj == 0 {
-		qj = treebench.QueryJobsFromEnv(0)
-	}
-	b := *batch
-	if b == 0 {
-		b = treebench.BatchFromEnv(0)
 	}
 	sh := shell.NewWith(d.DB, session.Config{
 		QueryJobs:    qj,

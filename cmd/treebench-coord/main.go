@@ -34,68 +34,49 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"treebench/internal/bufpool"
+	"treebench/internal/cli"
 	"treebench/internal/core"
-	"treebench/internal/derby"
 	"treebench/internal/dist"
 	"treebench/internal/persist"
+	"treebench/internal/server"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8629", "listen address")
 		shards     = flag.String("shards", "", "comma-separated shard addresses, in shard-index order (required)")
-		providers  = flag.Int("providers", 200, "number of providers (must match the shards)")
-		avg        = flag.Int("avg", 50, "average patients per provider (must match the shards)")
-		clustering = flag.String("clustering", "class", "class, random, composition (must match the shards)")
-		seed       = flag.Int("seed", 1997, "data generator seed (must match the shards)")
+		shape      = cli.ShapeFlags(flag.CommandLine, 200, 50) // must match the shards
+		pool       = cli.PoolFlags(flag.CommandLine)
 		timeout    = flag.Duration("query-timeout", 60*time.Second, "per-query budget across the whole scatter-gather")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight queries")
 		snapDir    = flag.String("snapshot-dir", os.Getenv(core.SnapshotDirEnvVar), "snapshot cache directory (also TREEBENCH_SNAPSHOT_DIR; empty disables)")
 		saveSnap   = flag.Bool("save-snapshot", false, "cache the planning snapshot even without -snapshot-dir")
-		bufpoolMB  = flag.Int("bufpool-mb", bufpool.CapacityMBFromEnv(bufpool.DefaultCapacityMB), "shared buffer pool size in MB (also TREEBENCH_BUFPOOL_MB; 0 disables the pool)")
-		readahead  = flag.Int("readahead", bufpool.ReadaheadFromEnv(bufpool.DefaultReadahead), "buffer-pool readahead window in pages (also TREEBENCH_READAHEAD; 0 disables prefetch)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6061; empty disables)")
 		verbose    = flag.Bool("v", false, "log shard dials and lifecycle to stderr")
 	)
 	flag.Parse()
-	bufpool.Setup(*bufpoolMB, *readahead)
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "treebench-coord: pprof: %v\n", err)
-			}
-		}()
-	}
+	pool.Setup()
+	server.ServePprof("treebench-coord", *pprofAddr)
 
 	addrs := splitAddrs(*shards)
 	if len(addrs) == 0 {
 		fatal(fmt.Errorf("-shards is required (comma-separated, shard-index order)"))
 	}
-
-	cl, err := parseClustering(*clustering)
+	cfg, err := shape.Config()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := derby.DefaultConfig(*providers, *avg, cl)
-	cfg.Seed = int32(*seed)
-	label := fmt.Sprintf("%dx%d %s × %d shards", *providers, (*providers)*(*avg), cl, len(addrs))
-
 	dcfg := dist.Config{
-		ShardAddrs:   addrs,
-		Source:       snapshotSource(cfg, *snapDir, *saveSnap),
-		Label:        label,
+		ShardAddrs: addrs,
+		Source:     server.SnapshotSource(cfg, *snapDir, *saveSnap),
+		Label: fmt.Sprintf("%dx%d %s × %d shards",
+			cfg.Providers, cfg.Providers*cfg.AvgPatients, cfg.Clustering, len(addrs)),
 		SnapshotKey:  persist.KeyFor(cfg),
 		QueryTimeout: *timeout,
 	}
@@ -108,30 +89,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("treebench-coord: preparing %s planning snapshot...\n", label)
+	fmt.Printf("treebench-coord: preparing %s planning snapshot...\n", dcfg.Label)
 	if err := co.Warm(); err != nil {
 		fatal(err)
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- co.ListenAndServe(*addr) }()
-	fmt.Printf("treebench-coord: serving %s on %s\n", label, *addr)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		if err != nil && err != dist.ErrCoordClosed {
-			fatal(err)
-		}
-	case sig := <-sigc:
-		fmt.Printf("treebench-coord: %s, draining...\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-		defer cancel()
-		if err := co.Shutdown(ctx); err != nil {
-			fatal(fmt.Errorf("drain: %w", err))
-		}
-		fmt.Println("treebench-coord: drained, bye")
+	if err := co.RunDaemon("treebench-coord", *addr, *drainGrace); err != nil {
+		fatal(err)
 	}
 }
 
@@ -143,49 +106,6 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// snapshotSource mirrors treebenchd's: straight generation when caching is
-// off, the content-addressed cache otherwise — so a coordinator co-located
-// with a shard shares its cached snapshot file.
-func snapshotSource(cfg derby.Config, dir string, save bool) func() (*derby.Snapshot, string, error) {
-	if dir == "" && !save {
-		return func() (*derby.Snapshot, string, error) {
-			d, err := derby.Generate(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			sn, err := d.Freeze()
-			if err != nil {
-				return nil, "", err
-			}
-			return sn, "generated", nil
-		}
-	}
-	return func() (*derby.Snapshot, string, error) {
-		cache, err := persist.Open(dir)
-		if err != nil {
-			return nil, "", err
-		}
-		sn, out, err := cache.GetOrGenerate(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return sn, fmt.Sprintf("%s (%s)", out.Source, out.Path), nil
-	}
-}
-
-func parseClustering(s string) (derby.Clustering, error) {
-	switch s {
-	case "class":
-		return derby.ClassCluster, nil
-	case "random":
-		return derby.RandomOrg, nil
-	case "composition":
-		return derby.CompositionCluster, nil
-	default:
-		return 0, fmt.Errorf("unknown clustering %q", s)
-	}
 }
 
 func fatal(err error) {

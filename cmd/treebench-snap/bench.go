@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"treebench/internal/bufpool"
+	"treebench/internal/cli"
 	"treebench/internal/derby"
 	"treebench/internal/persist"
 	"treebench/internal/session"
@@ -45,8 +46,8 @@ func cmdBench(args []string) error {
 	stmt := fs.String("stmt", "select count(*) from pa in Patients where pa.age < 40", "OQL statement for mode=query")
 	sessions := fs.Int("sessions", 1, "concurrent sessions per round (each forks privately and runs the statement once)")
 	rounds := fs.Int("rounds", 2, "measurement rounds; round 1 is cold, later rounds are pool-warm")
-	poolMB := fs.Int("bufpool-mb", bufpool.CapacityMBFromEnv(bufpool.DefaultCapacityMB), "shared buffer pool size in MB (0 disables the pool)")
-	readahead := fs.Int("readahead", bufpool.ReadaheadFromEnv(bufpool.DefaultReadahead), "readahead window in pages (0 disables prefetch)")
+	pool := cli.PoolFlags(fs)
+	poolMB, readahead := pool.MB, pool.Readahead
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured rounds to this file")
 	direct := fs.Bool("direct", false, "open the snapshot with O_DIRECT (Linux): misses bypass the OS page cache, so cold means cold storage; silently buffered where unsupported")
 	versus := fs.Bool("versus", false, "A/B the configured readahead against -readahead=0 within one process: each round reloads on a fresh pool (always cold) alternating configs, reporting per-config minima — immune to machine-speed drift between processes")
@@ -67,7 +68,7 @@ func cmdBench(args []string) error {
 		return benchVersus(*file, *mode, *stmt, *sessions, *rounds, *poolMB, *readahead)
 	}
 
-	bufpool.Setup(*poolMB, *readahead)
+	pool.Setup()
 	snap, err := persist.Load(*file)
 	if err != nil {
 		return err

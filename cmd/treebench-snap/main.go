@@ -44,8 +44,7 @@ import (
 	"sort"
 	"strings"
 
-	"treebench/internal/backend"
-	"treebench/internal/core"
+	"treebench/internal/cli"
 	"treebench/internal/derby"
 	"treebench/internal/persist"
 	"treebench/internal/session"
@@ -111,31 +110,19 @@ func resolveDir(dir string) (string, error) {
 
 func cmdSave(args []string) error {
 	fs := flag.NewFlagSet("save", flag.ExitOnError)
-	providers := fs.Int("providers", 200, "number of providers")
-	avg := fs.Int("avg", 50, "average patients per provider")
-	clustering := fs.String("clustering", "class", "class, random, composition")
-	seed := fs.Int("seed", 1997, "data generator seed")
-	ixBackend := fs.String("index-backend", "", "index backend: btree, disk, or lsm (default from TREEBENCH_INDEX_BACKEND or btree)")
+	shape := cli.ShapeFlags(fs, 200, 50)
+	ixBackend := cli.BackendFlag(fs)
 	out := fs.String("o", "", "output file (default: cache dir under the content address)")
 	dir := dirFlag(fs)
 	fs.Parse(args)
 
-	cl, err := parseClustering(*clustering)
+	cfg, err := shape.Config()
 	if err != nil {
 		return err
 	}
-	kind := *ixBackend
-	if kind == "" {
-		kind = core.IndexBackendFromEnv("")
+	if cfg.IndexBackend, err = cli.Backend(*ixBackend); err != nil {
+		return err
 	}
-	if kind != "" {
-		if err := backend.CheckKind(kind); err != nil {
-			return err
-		}
-	}
-	cfg := derby.DefaultConfig(*providers, *avg, cl)
-	cfg.Seed = int32(*seed)
-	cfg.IndexBackend = kind
 
 	path := *out
 	if path == "" {
@@ -145,7 +132,7 @@ func cmdSave(args []string) error {
 		}
 		path = filepath.Join(d, persist.KeyFor(cfg)+".tbsp")
 	}
-	fmt.Printf("generating %d×%d %s database...\n", *providers, (*providers)*(*avg), cl)
+	fmt.Printf("generating %d×%d %s database...\n", cfg.Providers, cfg.Providers*cfg.AvgPatients, cfg.Clustering)
 	ds, err := derby.Generate(cfg)
 	if err != nil {
 		return err
@@ -344,17 +331,4 @@ func cmdRm(args []string) error {
 		fmt.Printf("removed %s\n", path)
 	}
 	return nil
-}
-
-func parseClustering(s string) (derby.Clustering, error) {
-	switch s {
-	case "class":
-		return derby.ClassCluster, nil
-	case "random":
-		return derby.RandomOrg, nil
-	case "composition":
-		return derby.CompositionCluster, nil
-	default:
-		return 0, fmt.Errorf("unknown clustering %q", s)
-	}
 }

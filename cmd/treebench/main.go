@@ -26,7 +26,7 @@ import (
 	"strings"
 
 	"treebench"
-	"treebench/internal/bufpool"
+	"treebench/internal/cli"
 )
 
 func main() {
@@ -36,20 +36,17 @@ func main() {
 		all     = flag.Bool("all", false, "run every experiment")
 		sf      = flag.Int("sf", 0, "scale factor (default from TREEBENCH_SF or 10; 1 = paper scale)")
 		jobs    = flag.Int("j", 0, "concurrent experiments (default from TREEBENCH_JOBS or min(NumCPU, 8))")
-		qjobs   = flag.Int("qj", 0, "intra-query workers per experiment (default from TREEBENCH_QUERY_JOBS or min(NumCPU, 4); results identical at any setting)")
-		batch   = flag.Int("batch", 0, "vectorized-execution batch size (default from TREEBENCH_BATCH or 1024; 1 = scalar operators; results identical at any setting)")
+		exec    = cli.ExecFlags(flag.CommandLine)
+		pool    = cli.PoolFlags(flag.CommandLine)
 		seed    = flag.Int("seed", 1997, "data generator seed")
 		verbose = flag.Bool("v", false, "stream per-run progress")
 		hhj     = flag.Bool("hhj", false, "include the hybrid-hash extension in the join experiments")
-		ixBack  = flag.String("index-backend", "", "index backend: btree, disk, or lsm (default from TREEBENCH_INDEX_BACKEND or btree; results identical across backends)")
 		snapDir = flag.String("snapshot-dir", "", "cache generated databases as snapshots in this directory (default from TREEBENCH_SNAPSHOT_DIR; empty disables)")
 		csvPath = flag.String("csv", "", "export the results database as CSV to this file")
 		gnuplot = flag.String("gnuplot", "", "write <id>.dat and <id>.gp gnuplot files for each experiment into this directory")
-		poolMB  = flag.Int("bufpool-mb", bufpool.CapacityMBFromEnv(bufpool.DefaultCapacityMB), "shared buffer pool size in MB for snapshot-backed runs (also TREEBENCH_BUFPOOL_MB; 0 disables the pool; results identical at any setting)")
-		rahead  = flag.Int("readahead", bufpool.ReadaheadFromEnv(bufpool.DefaultReadahead), "buffer-pool readahead window in pages (also TREEBENCH_READAHEAD; 0 disables prefetch; results identical at any setting)")
 	)
 	flag.Parse()
-	bufpool.Setup(*poolMB, *rahead)
+	pool.Setup()
 
 	if *list {
 		fmt.Println("experiments:")
@@ -75,25 +72,9 @@ func main() {
 		}
 		cfg.Jobs = *jobs
 	}
-	if *qjobs != 0 {
-		if *qjobs < 1 {
-			fatal(fmt.Errorf("-qj %d: must be at least 1", *qjobs))
-		}
-		cfg.QueryJobs = *qjobs
-	}
-	if *batch != 0 {
-		if *batch < 1 {
-			fatal(fmt.Errorf("-batch %d: must be at least 1", *batch))
-		}
-		cfg.Batch = *batch
-	}
-	if *ixBack != "" {
-		cfg.IndexBackend = *ixBack
-	}
-	if cfg.IndexBackend != "" {
-		if err := treebench.CheckIndexBackend(cfg.IndexBackend); err != nil {
-			fatal(err)
-		}
+	var err error
+	if cfg.QueryJobs, cfg.Batch, cfg.IndexBackend, err = exec.Resolve(); err != nil {
+		fatal(err)
 	}
 	cfg.Seed = int32(*seed)
 	cfg.EnableHHJ = *hhj

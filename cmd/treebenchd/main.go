@@ -76,19 +76,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
-	"treebench"
-	"treebench/internal/bufpool"
+	"treebench/internal/cli"
 	"treebench/internal/core"
 	"treebench/internal/derby"
 	"treebench/internal/persist"
@@ -98,20 +92,13 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8629", "listen address")
-		providers  = flag.Int("providers", 200, "number of providers")
-		avg        = flag.Int("avg", 50, "average patients per provider")
-		clustering = flag.String("clustering", "class", "class, random, composition")
-		seed       = flag.Int("seed", 1997, "data generator seed")
+		shape      = cli.ShapeFlags(flag.CommandLine, 200, 50)
+		exec       = cli.ExecFlags(flag.CommandLine)
+		pool       = cli.PoolFlags(flag.CommandLine)
 		sessions   = flag.Int("sessions", 0, "concurrently executing sessions (default from TREEBENCH_JOBS or min(NumCPU, 8))")
-		replicas   = flag.Int("replicas", 0, "removed; use -sessions")
 		shard      = flag.String("shard", "", "run as shard i/N of a treebench-coord cluster (e.g. -shard 0/3)")
 		maxConc    = flag.Int("max-concurrent", 0, "admission limit on executing queries (default sessions)")
 		maxQueue   = flag.Int("max-queue", 64, "queries allowed to wait for admission before rejection")
-		qjobs      = flag.Int("qj", 0, "intra-query workers per session (default from TREEBENCH_QUERY_JOBS or min(NumCPU, 4); results identical at any setting)")
-		batch      = flag.Int("batch", 0, "vectorized-execution batch size per session (default from TREEBENCH_BATCH or 1024; 1 = scalar operators; results identical at any setting)")
-		ixBackend  = flag.String("index-backend", "", "index backend: btree, disk, or lsm (default from TREEBENCH_INDEX_BACKEND or btree; results identical across backends)")
-		bufpoolMB  = flag.Int("bufpool-mb", bufpool.CapacityMBFromEnv(bufpool.DefaultCapacityMB), "shared buffer pool size in MB (also TREEBENCH_BUFPOOL_MB; 0 disables the pool; results identical at any setting)")
-		readahead  = flag.Int("readahead", bufpool.ReadaheadFromEnv(bufpool.DefaultReadahead), "buffer-pool readahead window in pages (also TREEBENCH_READAHEAD; 0 disables prefetch; results identical at any setting)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 		timeout    = flag.Duration("query-timeout", 30*time.Second, "per-query wall-clock budget (queue wait + execution)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight queries")
@@ -126,57 +113,30 @@ func main() {
 		verbose    = flag.Bool("v", false, "log sessions and lifecycle to stderr")
 	)
 	flag.Parse()
-	if *replicas != 0 {
-		fatal(fmt.Errorf("-replicas was removed after its deprecation cycle; " +
-			"replace it with -sessions (same meaning, same value)"))
-	}
 	// Configure the shared buffer pool before anything loads a snapshot.
-	bufpool.Setup(*bufpoolMB, *readahead)
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "treebenchd: pprof: %v\n", err)
-			}
-		}()
-	}
+	pool.Setup()
+	server.ServePprof("treebenchd", *pprofAddr)
 
-	cl, err := parseClustering(*clustering)
+	cfg, err := shape.Config()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := derby.DefaultConfig(*providers, *avg, cl)
-	cfg.Seed = int32(*seed)
-	kind := *ixBackend
-	if kind == "" {
-		kind = core.IndexBackendFromEnv("")
+	qj, batch, kind, err := exec.Resolve()
+	if err != nil {
+		fatal(err)
 	}
-	if kind != "" {
-		if err := treebench.CheckIndexBackend(kind); err != nil {
-			fatal(err)
-		}
-		cfg.IndexBackend = kind
-	}
-	label := fmt.Sprintf("%dx%d %s", *providers, (*providers)*(*avg), cl)
-
+	cfg.IndexBackend = kind
 	n := *sessions
 	if n == 0 {
 		n = core.JobsFromEnv(core.DefaultJobs())
 	}
-	qj := *qjobs
-	if qj == 0 {
-		qj = core.QueryJobsFromEnv(0)
-	}
-	b := *batch
-	if b == 0 {
-		b = core.BatchFromEnv(0)
-	}
 	scfg := server.Config{
-		Label:         label,
+		Label:         fmt.Sprintf("%dx%d %s", cfg.Providers, cfg.Providers*cfg.AvgPatients, cfg.Clustering),
 		Sessions:      n,
 		MaxConcurrent: *maxConc,
 		MaxQueue:      *maxQueue,
 		QueryJobs:     qj,
-		Batch:         b,
+		Batch:         batch,
 		QueryTimeout:  *timeout,
 	}
 	var store *persist.ChainStore
@@ -194,10 +154,9 @@ func main() {
 			fatal(err)
 		}
 		scfg.Store = store
-		label += " writable"
-		scfg.Label = label
+		scfg.Label += " writable"
 	} else {
-		scfg.Source = snapshotSource(cfg, *snapDir, *saveSnap)
+		scfg.Source = server.SnapshotSource(cfg, *snapDir, *saveSnap)
 	}
 	if *shard != "" {
 		idx, cnt, err := parseShard(*shard)
@@ -211,8 +170,7 @@ func main() {
 		// so mismatched -providers/-avg/-seed across shards fail fast
 		// instead of silently merging results over different data.
 		scfg.SnapshotKey = persist.KeyFor(cfg)
-		label = fmt.Sprintf("%s shard %d/%d", label, idx, cnt)
-		scfg.Label = label
+		scfg.Label = fmt.Sprintf("%s shard %d/%d", scfg.Label, idx, cnt)
 	}
 	if *verbose {
 		scfg.Logf = func(format string, args ...any) {
@@ -223,7 +181,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("treebenchd: preparing %s snapshot (%d sessions fork from it)...\n", label, n)
+	fmt.Printf("treebenchd: preparing %s snapshot (%d sessions fork from it)...\n", scfg.Label, n)
 	if err := srv.Warm(); err != nil {
 		fatal(err)
 	}
@@ -231,28 +189,8 @@ func main() {
 	if store != nil && *compactN > 0 {
 		go compactor(store, *compactN, *verbose)
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(*addr) }()
-	// The listener line comes from the server's log; print a stable ready
-	// line on stdout for scripts to wait on.
-	fmt.Printf("treebenchd: serving %s on %s\n", label, *addr)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		if err != nil && err != server.ErrServerClosed {
-			fatal(err)
-		}
-	case sig := <-sigc:
-		fmt.Printf("treebenchd: %s, draining...\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fatal(fmt.Errorf("drain: %w", err))
-		}
-		fmt.Println("treebenchd: drained, bye")
+	if err := srv.RunDaemon("treebenchd", *addr, *drainGrace); err != nil {
+		fatal(err)
 	}
 }
 
@@ -317,37 +255,6 @@ func compactor(store *persist.ChainStore, n int, verbose bool) {
 	}
 }
 
-// snapshotSource builds the server's snapshot source: straight generation
-// when caching is off, the content-addressed cache otherwise. With a
-// warm cache the daemon boots without generating anything; the returned
-// provenance string surfaces in Stats.
-func snapshotSource(cfg derby.Config, dir string, save bool) func() (*derby.Snapshot, string, error) {
-	if dir == "" && !save {
-		return func() (*derby.Snapshot, string, error) {
-			d, err := derby.Generate(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			sn, err := d.Freeze()
-			if err != nil {
-				return nil, "", err
-			}
-			return sn, "generated", nil
-		}
-	}
-	return func() (*derby.Snapshot, string, error) {
-		cache, err := persist.Open(dir) // "" selects the default directory
-		if err != nil {
-			return nil, "", err
-		}
-		sn, out, err := cache.GetOrGenerate(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return sn, fmt.Sprintf("%s (%s)", out.Source, out.Path), nil
-	}
-}
-
 // parseShard parses the -shard value, "i/N" with 0 <= i < N.
 func parseShard(s string) (idx, cnt int, err error) {
 	if _, err := fmt.Sscanf(s, "%d/%d", &idx, &cnt); err != nil {
@@ -357,19 +264,6 @@ func parseShard(s string) (idx, cnt int, err error) {
 		return 0, 0, fmt.Errorf("-shard %q: index must be in [0,%d)", s, cnt)
 	}
 	return idx, cnt, nil
-}
-
-func parseClustering(s string) (derby.Clustering, error) {
-	switch s {
-	case "class":
-		return derby.ClassCluster, nil
-	case "random":
-		return derby.RandomOrg, nil
-	case "composition":
-		return derby.CompositionCluster, nil
-	default:
-		return 0, fmt.Errorf("unknown clustering %q", s)
-	}
 }
 
 func fatal(err error) {

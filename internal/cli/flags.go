@@ -1,0 +1,123 @@
+// Package cli is the one place the flag groups shared by the cmd mains are
+// declared: the Derby shape (-providers -avg -clustering -seed), the shared
+// buffer pool (-bufpool-mb -readahead) and the executor (-qj -batch
+// -index-backend). Each group registers on a FlagSet and resolves, after
+// Parse, to the values the main runs with — flag first, then the group's
+// TREEBENCH_* variable, then the built-in default.
+package cli
+
+import (
+	"flag"
+	"fmt"
+
+	"treebench/internal/backend"
+	"treebench/internal/bufpool"
+	"treebench/internal/core"
+	"treebench/internal/derby"
+)
+
+// Shape is the Derby database a main generates, loads or serves.
+type Shape struct {
+	providers, avg, seed *int
+	clustering           *string
+}
+
+// ShapeFlags registers -providers, -avg, -clustering and -seed on fs with
+// the given scale defaults.
+func ShapeFlags(fs *flag.FlagSet, providers, avg int) *Shape {
+	return &Shape{
+		providers:  fs.Int("providers", providers, "number of providers"),
+		avg:        fs.Int("avg", avg, "average patients per provider"),
+		clustering: fs.String("clustering", "class", "physical organization: class, random, composition"),
+		seed:       fs.Int("seed", 1997, "data generator seed"),
+	}
+}
+
+// Config returns the generator configuration the parsed flags describe.
+func (s *Shape) Config() (derby.Config, error) {
+	cl, err := derby.ParseClustering(*s.clustering)
+	if err != nil {
+		return derby.Config{}, err
+	}
+	cfg := derby.DefaultConfig(*s.providers, *s.avg, cl)
+	cfg.Seed = int32(*s.seed)
+	return cfg, nil
+}
+
+// Pool is the process-wide buffer pool's sizing. Both knobs change real
+// wall clock and real RSS only; results are identical at any setting.
+type Pool struct {
+	MB, Readahead *int
+}
+
+// PoolFlags registers -bufpool-mb and -readahead on fs, defaulting to
+// TREEBENCH_BUFPOOL_MB and TREEBENCH_READAHEAD.
+func PoolFlags(fs *flag.FlagSet) Pool {
+	return Pool{
+		MB: fs.Int("bufpool-mb", bufpool.CapacityMBFromEnv(bufpool.DefaultCapacityMB),
+			"shared buffer pool size in MB (also TREEBENCH_BUFPOOL_MB; 0 disables the pool; results identical at any setting)"),
+		Readahead: fs.Int("readahead", bufpool.ReadaheadFromEnv(bufpool.DefaultReadahead),
+			"buffer-pool readahead window in pages (also TREEBENCH_READAHEAD; 0 disables prefetch; results identical at any setting)"),
+	}
+}
+
+// Setup configures the shared pool from the parsed flags. Call it before
+// anything loads a snapshot.
+func (p Pool) Setup() { bufpool.Setup(*p.MB, *p.Readahead) }
+
+// BackendFlag registers -index-backend on fs; resolve it with Backend.
+func BackendFlag(fs *flag.FlagSet) *string {
+	return fs.String("index-backend", "",
+		"index backend: btree, disk, or lsm (default from TREEBENCH_INDEX_BACKEND or btree; results identical across backends)")
+}
+
+// Backend resolves a parsed -index-backend value: empty falls back to
+// TREEBENCH_INDEX_BACKEND, and an unknown kind is an error that lists the
+// valid ones. "" means the default backend.
+func Backend(kind string) (string, error) {
+	if kind == "" {
+		kind = core.IndexBackendFromEnv("")
+	}
+	if kind == "" {
+		return "", nil
+	}
+	return kind, backend.CheckKind(kind)
+}
+
+// Exec is how queries execute: intra-query workers, vectorized batch size
+// and index backend. None of the three changes a reported number.
+type Exec struct {
+	qj, batch *int
+	backend   *string
+}
+
+// ExecFlags registers -qj, -batch and -index-backend on fs.
+func ExecFlags(fs *flag.FlagSet) *Exec {
+	return &Exec{
+		qj: fs.Int("qj", 0,
+			"intra-query workers (default from TREEBENCH_QUERY_JOBS or min(NumCPU, 4); results identical at any setting)"),
+		batch: fs.Int("batch", 0,
+			"vectorized-execution batch size (default from TREEBENCH_BATCH or 1024; 1 = scalar operators; results identical at any setting)"),
+		backend: BackendFlag(fs),
+	}
+}
+
+// Resolve returns the parsed values, each falling back to its TREEBENCH_*
+// variable when the flag was left unset; 0 and "" select the engine
+// defaults.
+func (e *Exec) Resolve() (qj, batch int, kind string, err error) {
+	if *e.qj < 0 {
+		return 0, 0, "", fmt.Errorf("-qj %d: must be at least 1", *e.qj)
+	}
+	if *e.batch < 0 {
+		return 0, 0, "", fmt.Errorf("-batch %d: must be at least 1", *e.batch)
+	}
+	if qj = *e.qj; qj == 0 {
+		qj = core.QueryJobsFromEnv(0)
+	}
+	if batch = *e.batch; batch == 0 {
+		batch = core.BatchFromEnv(0)
+	}
+	kind, err = Backend(*e.backend)
+	return qj, batch, kind, err
+}

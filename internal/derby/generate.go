@@ -48,6 +48,17 @@ func (c Clustering) String() string {
 	}
 }
 
+// ParseClustering is String's inverse: the one place the -clustering flag
+// values ("class", "random", "composition") are interpreted.
+func ParseClustering(s string) (Clustering, error) {
+	for c := ClassCluster; c <= CompositionCluster; c++ {
+		if c.String() == s {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown clustering %q (want class, random or composition)", s)
+}
+
 // Config parameterizes a database build.
 type Config struct {
 	// Providers and AvgPatients set the scale: the paper's two databases

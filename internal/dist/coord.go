@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -16,6 +13,7 @@ import (
 	"treebench/internal/derby"
 	"treebench/internal/object"
 	"treebench/internal/oql"
+	"treebench/internal/server"
 	"treebench/internal/session"
 	"treebench/internal/sim"
 	"treebench/internal/wire"
@@ -49,28 +47,25 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Coordinator is a treebench-coord instance: it speaks the same wire
-// protocol as treebenchd (so oqlsh/oqlload point at it unchanged), plans
-// each statement locally, and either scatters it across every shard
-// (distributable operators) or routes it whole to one shard (the
-// deliberately sequential ones).
+// Coordinator is a treebench-coord instance: the same frame server
+// treebenchd runs on (so oqlsh/oqlload point at it unchanged) with a
+// handler that plans each statement locally and either scatters it across
+// every shard (distributable operators) or routes it whole to one shard
+// (the deliberately sequential ones).
 type Coordinator struct {
-	cfg   Config
-	stats coordStats
+	server.Frames
+	cfg Config
 
 	// planMu serializes planning on the shared local session (the planner
 	// is not concurrency-safe; planning is cheap and plan-cached).
 	planMu sync.Mutex
 
 	snapFlight core.Flight[struct{}, *session.Session]
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*coordConn]struct{}
-	draining bool
-
-	wg sync.WaitGroup
 }
+
+// ErrCoordClosed is what Serve returns after Shutdown: the frame server's
+// sentinel under the coordinator's name.
+var ErrCoordClosed = server.ErrServerClosed
 
 // New validates cfg and returns an unstarted coordinator.
 func New(cfg Config) (*Coordinator, error) {
@@ -86,16 +81,14 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Dial.IOTimeout == 0 {
 		cfg.Dial.IOTimeout = cfg.QueryTimeout
 	}
-	return &Coordinator{
-		cfg:   cfg,
-		conns: make(map[*coordConn]struct{}),
-	}, nil
-}
-
-func (co *Coordinator) logf(format string, args ...any) {
-	if co.cfg.Logf != nil {
-		co.cfg.Logf(format, args...)
+	co := &Coordinator{cfg: cfg}
+	co.Hello = wire.ServerHello{Label: cfg.Label, SnapshotKey: cfg.SnapshotKey}
+	co.Open = func(fc *server.Conn) (func(byte, []byte) bool, func()) {
+		c := &coordConn{Conn: fc, co: co, shards: make([]*client.Client, len(cfg.ShardAddrs))}
+		return c.handle, c.closeShards
 	}
+	co.Logf = cfg.Logf
+	return co, nil
 }
 
 // planSession returns the coordinator's local planning session, building it
@@ -111,7 +104,9 @@ func (co *Coordinator) planSession() (*session.Session, error) {
 		if err := sn.Engine.PrimeStats(); err != nil {
 			return nil, err
 		}
-		co.logf("planning snapshot ready (%s)", source)
+		if co.Logf != nil {
+			co.Logf("planning snapshot ready (%s)", source)
+		}
 		return session.NewWith(sn.Fork().DB, session.Config{
 			PlanCache: oql.NewPlanCache(0),
 		}), nil
@@ -128,214 +123,42 @@ func (co *Coordinator) Warm() error {
 // Shards returns the cluster width.
 func (co *Coordinator) Shards() int { return len(co.cfg.ShardAddrs) }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (co *Coordinator) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return co.Serve(ln)
-}
-
-// ErrCoordClosed is returned by Serve after Shutdown.
-var ErrCoordClosed = errors.New("dist: coordinator closed")
-
-// Serve accepts sessions on ln until Shutdown.
-func (co *Coordinator) Serve(ln net.Listener) error {
-	co.mu.Lock()
-	if co.draining {
-		co.mu.Unlock()
-		ln.Close()
-		return ErrCoordClosed
-	}
-	co.ln = ln
-	co.mu.Unlock()
-	co.logf("coordinating %d shards on %s (db %s)", len(co.cfg.ShardAddrs), ln.Addr(), co.cfg.Label)
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if co.isDraining() {
-				return ErrCoordClosed
-			}
-			return err
-		}
-		c := &coordConn{co: co, c: nc, shards: make([]*client.Client, len(co.cfg.ShardAddrs))}
-		co.mu.Lock()
-		if co.draining {
-			co.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		co.conns[c] = struct{}{}
-		co.mu.Unlock()
-		co.wg.Add(1)
-		go c.serve()
-	}
-}
-
-func (co *Coordinator) isDraining() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.draining
-}
-
-// Shutdown drains: stop accepting, disconnect idle sessions, let in-flight
-// queries flush, and return when done (or ctx expires).
-func (co *Coordinator) Shutdown(ctx context.Context) error {
-	co.mu.Lock()
-	if !co.draining {
-		co.draining = true
-		if co.ln != nil {
-			co.ln.Close()
-		}
-		for c := range co.conns {
-			if !c.busy {
-				c.c.Close()
-			}
-		}
-	}
-	co.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		co.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		co.logf("drained")
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// coordConn is one accepted session plus its lazily dialed shard
-// connections. Requests are handled strictly in order; only the session
-// goroutine (and, during one scatter, its per-shard workers on distinct
-// slots) touches the shard slice.
+// coordConn is one accepted connection plus its lazily dialed shard
+// connections. Requests are handled strictly in order; only the
+// connection's goroutine (and, during one scatter, its per-shard workers on
+// distinct slots) touches the shard slice.
 type coordConn struct {
-	co *Coordinator
-	c  net.Conn
-	bw *bufio.Writer
-
-	// busy (guarded by co.mu) marks a request in flight; Shutdown only
-	// force-closes idle connections.
-	busy bool
-
+	*server.Conn
+	co     *Coordinator
 	shards []*client.Client
 }
 
-const handshakeTimeout = 10 * time.Second
-
-func (c *coordConn) serve() {
-	co := c.co
-	defer co.wg.Done()
-	defer func() {
-		co.mu.Lock()
-		delete(co.conns, c)
-		co.mu.Unlock()
-		c.c.Close()
-		for _, cl := range c.shards {
-			if cl != nil {
-				cl.Close()
-			}
-		}
-	}()
-	co.stats.sessionOpened()
-	defer co.stats.sessionClosed()
-
-	c.bw = bufio.NewWriter(c.c)
-	if !c.handshake() {
-		return
+// closeShards is the connection's close hook.
+func (c *coordConn) closeShards() {
+	for i := range c.shards {
+		c.dropShard(i)
 	}
-	for {
-		typ, payload, err := wire.ReadFrame(c.c)
-		if err != nil {
-			return
-		}
-		if !c.beginRequest() {
-			c.send(wire.TypeError, (&wire.Error{Code: wire.CodeShutdown, Msg: "coordinator is draining"}).Encode())
-			return
-		}
-		ok := c.handle(typ, payload)
-		if !c.endRequest() || !ok {
-			return
-		}
-	}
-}
-
-func (c *coordConn) beginRequest() bool {
-	co := c.co
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.draining {
-		return false
-	}
-	c.busy = true
-	return true
-}
-
-func (c *coordConn) endRequest() bool {
-	co := c.co
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	c.busy = false
-	return !co.draining
-}
-
-func (c *coordConn) handshake() bool {
-	c.c.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, payload, err := wire.ReadFrame(c.c)
-	if err != nil {
-		return false
-	}
-	c.c.SetReadDeadline(time.Time{})
-	if typ != wire.TypeHello {
-		c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: "expected hello"}).Encode())
-		return false
-	}
-	h, err := wire.DecodeHello(payload)
-	if err != nil || h.Version != wire.Version {
-		c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: "unsupported protocol version"}).Encode())
-		return false
-	}
-	return c.send(wire.TypeServerHello, (&wire.ServerHello{
-		Version:     wire.Version,
-		Label:       c.co.cfg.Label,
-		SnapshotKey: c.co.cfg.SnapshotKey,
-	}).Encode())
 }
 
 func (c *coordConn) handle(typ byte, payload []byte) bool {
 	switch typ {
 	case wire.TypePing:
-		return c.send(wire.TypePong, nil)
+		return c.Send(wire.TypePong, nil)
 	case wire.TypeStatsReq:
-		return c.send(wire.TypeStats, c.co.Stats().Encode())
+		return c.Send(wire.TypeStats, c.co.Stats().Encode())
 	case wire.TypeClusterStatsReq:
 		return c.clusterStats()
 	case wire.TypeQuery:
 		q, err := wire.DecodeQuery(payload)
 		if err != nil {
-			c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: err.Error()}).Encode())
+			c.SendError(wire.CodeProto, err)
 			return false
 		}
 		return c.query(q)
 	default:
-		c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: "unknown frame type"}).Encode())
+		c.SendError(wire.CodeProto, errors.New("unknown frame type"))
 		return false
 	}
-}
-
-func (c *coordConn) send(typ byte, payload []byte) bool {
-	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
-		return false
-	}
-	return c.bw.Flush() == nil
-}
-
-func (c *coordConn) sendError(code byte, err error) bool {
-	return c.send(wire.TypeError, (&wire.Error{Code: code, Msg: err.Error()}).Encode())
 }
 
 // shard returns the connection's client for shard i, dialing (with the
@@ -395,17 +218,17 @@ func (c *coordConn) query(q *wire.Query) bool {
 		// Distributed execution is cold-only: a warm sequence's numbers
 		// depend on one session's private cache history, which has no
 		// byte-identical decomposition across shards.
-		return c.sendError(wire.CodeQuery, fmt.Errorf("dist: warm queries are not distributable; use a direct shard connection"))
+		return c.SendError(wire.CodeQuery, fmt.Errorf("dist: warm queries are not distributable; use a direct shard connection"))
 	}
 	sess, err := co.planSession()
 	if err != nil {
-		return c.sendError(wire.CodeQuery, err)
+		return c.SendError(wire.CodeQuery, err)
 	}
 	start := time.Now()
 	plan, err := co.plan(sess, q)
 	if err != nil {
-		co.stats.record(time.Since(start), 0, true)
-		return c.sendError(wire.CodeQuery, err)
+		co.Metrics.Failed()
+		return c.SendError(wire.CodeQuery, err)
 	}
 
 	var res *wire.Result
@@ -416,19 +239,14 @@ func (c *coordConn) query(q *wire.Query) bool {
 		res, code, err = c.route(q)
 	}
 	if err != nil {
-		co.stats.record(time.Since(start), 0, true)
-		return c.sendError(code, err)
+		co.Metrics.Failed()
+		return c.SendError(code, err)
 	}
-	operator := string(plan.Access)
-	if plan.Kind == oql.PlanTreeJoin {
-		operator = string(plan.Algorithm)
-	}
-	co.stats.recordPlan(plan.Strategy == oql.Heuristic, operator)
-	co.stats.record(time.Since(start), res.Elapsed, false)
+	co.Metrics.Served(plan, time.Since(start), res.Elapsed)
 	if max := int(q.MaxRows); len(res.Sample) > max {
 		res.Sample = res.Sample[:max]
 	}
-	return c.send(wire.TypeResult, res.Encode())
+	return c.Send(wire.TypeResult, res.Encode())
 }
 
 // plan compiles the statement on the coordinator's local session under the
@@ -598,11 +416,18 @@ func (c *coordConn) clusterStats() bool {
 		}
 		msg.Shards = append(msg.Shards, st)
 	}
-	return c.send(wire.TypeClusterStats, msg.Encode())
+	return c.Send(wire.TypeClusterStats, msg.Encode())
 }
 
 // Stats snapshots the coordinator's own counters (the shards' are behind
-// ClusterStats).
+// ClusterStats): served and failed queries, plan provenance, and end-to-end
+// latencies — wall clock across the whole scatter-gather plus the merged
+// simulated time. Sessions reports the cluster width (the coordinator
+// itself has no execution slots); SnapshotSource names the role.
 func (co *Coordinator) Stats() *wire.Stats {
-	return co.stats.snapshot(int64(len(co.cfg.ShardAddrs)))
+	st := co.Metrics.Stats()
+	st.Sessions = int64(len(co.cfg.ShardAddrs))
+	st.ShardCnt = st.Sessions
+	st.SnapshotSource = "coordinator"
+	return st
 }

@@ -34,7 +34,7 @@ func startChainServer(t *testing.T) (*Server, string, *persist.ChainStore) {
 	}
 	t.Cleanup(func() { store.Close() })
 	srv, addr := startServer(t, func(cfg *Config) {
-		cfg.Generate = nil
+		cfg.Source = nil
 		cfg.Store = store
 	}, nil)
 	return srv, addr, store

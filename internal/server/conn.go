@@ -1,162 +1,71 @@
 package server
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"net"
 	"time"
 
+	"treebench/internal/index"
 	"treebench/internal/oql"
 	"treebench/internal/session"
 	"treebench/internal/wire"
 )
 
-// handshakeTimeout bounds how long a fresh connection may take to say
-// Hello before it is dropped.
-const handshakeTimeout = 10 * time.Second
-
-// conn is one session: a connection plus its protocol state. Requests are
-// handled strictly in order, and only the session goroutine writes to the
-// socket, so responses need no write lock.
+// conn is one connection's protocol state over the frame server's Conn.
 type conn struct {
+	*Conn
 	srv *Server
-	c   net.Conn
-	bw  *bufio.Writer
-
-	// busy (guarded by srv.mu) marks a request in flight; Shutdown only
-	// force-closes idle connections.
-	busy bool
 
 	// sess is the connection's engine session, forked lazily from the
 	// shared snapshot on the first query. warmed reports whether the
 	// session's caches are in the state the connection's own warm queries
 	// left them (a cold query or a timeout invalidates that). Only the
-	// session goroutine touches either.
+	// connection's goroutine touches either.
 	sess   *session.Session
 	warmed bool
 }
 
-func (c *conn) serve() {
-	s := c.srv
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.c.Close()
-	}()
-	s.metrics.sessionOpened()
-	defer s.metrics.sessionClosed()
-
-	c.bw = bufio.NewWriter(c.c)
-	if !c.handshake() {
-		return
-	}
-	for {
-		typ, payload, err := wire.ReadFrame(c.c)
-		if err != nil {
-			return // disconnect (or force-close during drain)
-		}
-		if !c.beginRequest() {
-			c.send(wire.TypeError, (&wire.Error{Code: wire.CodeShutdown, Msg: "server is draining"}).Encode())
-			return
-		}
-		ok := c.handle(typ, payload)
-		if !c.endRequest() || !ok {
-			return
-		}
-	}
+// reply is the answer frame one execution produced.
+type reply struct {
+	typ     byte
+	payload []byte
 }
 
-// beginRequest marks the session busy, refusing new work while draining.
-func (c *conn) beginRequest() bool {
-	s := c.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	c.busy = true
-	return true
-}
-
-// endRequest clears busy, reporting whether the session should continue
-// (false during drain: the response is flushed, then the session closes).
-func (c *conn) endRequest() bool {
-	s := c.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c.busy = false
-	return !s.draining
-}
-
-func (c *conn) handshake() bool {
-	c.c.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, payload, err := wire.ReadFrame(c.c)
-	if err != nil {
-		return false
-	}
-	c.c.SetReadDeadline(time.Time{})
-	if typ != wire.TypeHello {
-		c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: "expected hello"}).Encode())
-		return false
-	}
-	h, err := wire.DecodeHello(payload)
-	if err != nil || h.Version != wire.Version {
-		c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: "unsupported protocol version"}).Encode())
-		return false
-	}
-	return c.send(wire.TypeServerHello, (&wire.ServerHello{
-		Version:     wire.Version,
-		Label:       c.srv.cfg.Label,
-		ShardIdx:    uint32(c.srv.cfg.ShardIdx),
-		ShardCnt:    uint32(c.srv.cfg.ShardCnt),
-		SnapshotKey: c.srv.cfg.SnapshotKey,
-	}).Encode())
+func errorReply(code byte, err error) reply {
+	return reply{wire.TypeError, (&wire.Error{Code: code, Msg: err.Error()}).Encode()}
 }
 
 // handle dispatches one request, reporting whether the session survives it.
 func (c *conn) handle(typ byte, payload []byte) bool {
 	switch typ {
 	case wire.TypePing:
-		return c.send(wire.TypePong, nil)
+		return c.Send(wire.TypePong, nil)
 	case wire.TypeStatsReq:
-		return c.send(wire.TypeStats, c.srv.Stats().Encode())
+		return c.Send(wire.TypeStats, c.srv.Stats().Encode())
 	case wire.TypeQuery:
 		q, err := wire.DecodeQuery(payload)
 		if err != nil {
-			c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: err.Error()}).Encode())
+			c.SendError(wire.CodeProto, err)
 			return false
 		}
 		return c.query(q)
 	case wire.TypeScatter:
 		sc, err := wire.DecodeScatter(payload)
 		if err != nil {
-			c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: err.Error()}).Encode())
+			c.SendError(wire.CodeProto, err)
 			return false
 		}
 		return c.scatter(sc)
 	case wire.TypeCommit:
 		if len(payload) != 0 {
-			c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: "commit payload must be empty"}).Encode())
+			c.SendError(wire.CodeProto, errors.New("commit payload must be empty"))
 			return false
 		}
 		return c.commit()
 	default:
-		c.send(wire.TypeError, (&wire.Error{Code: wire.CodeProto, Msg: "unknown frame type"}).Encode())
+		c.SendError(wire.CodeProto, errors.New("unknown frame type"))
 		return false
 	}
-}
-
-func (c *conn) send(typ byte, payload []byte) bool {
-	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
-		return false
-	}
-	return c.bw.Flush() == nil
-}
-
-func (c *conn) sendError(code byte, err error) bool {
-	return c.send(wire.TypeError, (&wire.Error{Code: code, Msg: err.Error()}).Encode())
 }
 
 // session returns the connection's engine session, forking it from the
@@ -182,21 +91,94 @@ func (c *conn) session() (*session.Session, error) {
 	return c.sess, nil
 }
 
-// query admits, executes and answers one Query request.
+// run is the one path of every request that occupies an admission slot:
+// admit within the deadline, execute on a goroutine of its own, and return
+// the reply to send — exec's, or an error reply when admission failed or
+// the deadline passed first.
+func (c *conn) run(deadline time.Time, exec func() reply) reply {
+	s := c.srv
+	release, code, err := s.admit(deadline)
+	if err != nil {
+		return errorReply(code, err)
+	}
+	done := make(chan reply, 1)
+	s.execWg.Add(1)
+	s.busy.Add(1)
+	go func() {
+		defer s.execWg.Done()
+		defer s.busy.Add(-1)
+		if s.beforeExecute != nil {
+			s.beforeExecute()
+		}
+		done <- exec()
+	}()
+
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case rep := <-done:
+		release()
+		return rep
+	case <-t.C:
+		// The engine cannot be interrupted mid-request: answer the client
+		// now and abandon the session to the stray execution — the next
+		// query forks a fresh one (cheap, thanks to the snapshot), so the
+		// connection never observes the abandoned run's cache state. A
+		// reaper frees the admission slot when the execution finishes. (An
+		// abandoned commit still completes durably — the store serializes
+		// it; only this client stops waiting.)
+		c.sess = nil
+		c.warmed = false
+		s.Metrics.timeout()
+		s.execWg.Add(1)
+		go func() {
+			defer s.execWg.Done()
+			<-done
+			release()
+		}()
+		return errorReply(wire.CodeTimeout,
+			fmt.Errorf("server: query exceeded its %s budget", s.cfg.QueryTimeout))
+	}
+}
+
+// measure runs one statement's execution on sess under the requested
+// optimizer strategy and records what it cost: both latencies, the plan's
+// provenance, and what it added to the session's plan-cache and
+// index-backend counters.
+func (s *Server) measure(sess *session.Session, strategy byte, exec func() (*oql.Result, error)) (*oql.Result, error) {
+	start := time.Now()
+	sess.Planner.Strategy = oql.CostBased
+	if strategy == wire.StrategyHeuristic {
+		sess.Planner.Strategy = oql.Heuristic
+	}
+	hits0, misses0 := sess.Planner.Cache.Stats()
+	backend0 := sess.DB.BackendCounters()
+	res, err := exec()
+	hits, misses := sess.Planner.Cache.Stats()
+	backend := sess.DB.BackendCounters()
+	s.Metrics.recordDeltas(hits-hits0, misses-misses0, index.BackendCounters{
+		BloomHits:    backend.BloomHits - backend0.BloomHits,
+		BloomMisses:  backend.BloomMisses - backend0.BloomMisses,
+		SSTablesRead: backend.SSTablesRead - backend0.SSTablesRead,
+		Compactions:  backend.Compactions - backend0.Compactions,
+		PagesWritten: backend.PagesWritten - backend0.PagesWritten,
+	})
+	if err != nil {
+		s.Metrics.Failed()
+		return nil, err
+	}
+	s.Metrics.Served(res.Plan, time.Since(start), res.Elapsed)
+	return res, nil
+}
+
+// query executes and answers one Query request.
 func (c *conn) query(q *wire.Query) bool {
 	s := c.srv
 	deadline := time.Now().Add(s.cfg.QueryTimeout)
-
-	release, code, err := s.admit(deadline)
-	if err != nil {
-		return c.sendError(code, err)
-	}
-
 	sess, err := c.session()
 	if err != nil {
-		release()
-		s.metrics.reject()
-		return c.sendError(wire.CodeBusy, err)
+		s.Metrics.reject()
+		return c.SendError(wire.CodeBusy, err)
 	}
 	// A connection's first warm query starts from a cold restart: the warm
 	// sequence is then a deterministic function of the connection's own
@@ -206,266 +188,86 @@ func (c *conn) query(q *wire.Query) bool {
 		sess.DB.ColdRestart()
 	}
 	c.warmed = q.Warm
-
-	type reply struct {
-		typ     byte
-		payload []byte
-	}
-	done := make(chan reply, 1)
-	s.execWg.Add(1)
-	s.busy.Add(1)
-	go func() {
-		defer s.execWg.Done()
-		defer s.busy.Add(-1)
-		if s.beforeExecute != nil {
-			s.beforeExecute()
-		}
-		start := time.Now()
+	rep := c.run(deadline, func() reply {
 		sess.Cold = !q.Warm
-		if q.Strategy == wire.StrategyHeuristic {
-			sess.Planner.Strategy = oql.Heuristic
-		} else {
-			sess.Planner.Strategy = oql.CostBased
-		}
-		var planHits0, planMisses0 int64
-		if pc := sess.Planner.Cache; pc != nil {
-			planHits0, planMisses0 = pc.Stats()
-		}
-		backend0 := sess.DB.BackendCounters()
-		res, err := sess.Execute(q.Stmt)
-		if pc := sess.Planner.Cache; pc != nil {
-			h, m := pc.Stats()
-			s.metrics.recordPlanCache(h-planHits0, m-planMisses0)
-		}
-		s.metrics.recordBackend(backendDelta(backend0, sess.DB.BackendCounters()))
+		res, err := s.measure(sess, q.Strategy, func() (*oql.Result, error) { return sess.Execute(q.Stmt) })
 		if err != nil {
-			s.metrics.record(time.Since(start), 0, true)
-			done <- reply{wire.TypeError, (&wire.Error{Code: wire.CodeQuery, Msg: err.Error()}).Encode()}
-			return
+			return errorReply(wire.CodeQuery, err)
 		}
-		operator := string(res.Plan.Access)
-		if res.Plan.Kind == oql.PlanTreeJoin {
-			operator = string(res.Plan.Algorithm)
-		}
-		s.metrics.recordPlan(res.Plan.Strategy == oql.Heuristic, operator)
-		s.metrics.record(time.Since(start), res.Elapsed, false)
-		wr := session.ToWire(res, int(q.MaxRows))
-		done <- reply{wire.TypeResult, wr.Encode()}
-	}()
-
-	t := time.NewTimer(time.Until(deadline))
-	defer t.Stop()
-	select {
-	case rep := <-done:
-		release()
-		return c.send(rep.typ, rep.payload)
-	case <-t.C:
-		// The engine cannot be interrupted mid-query: answer the client
-		// now and abandon the session to the stray execution — the next
-		// query forks a fresh one (cheap, thanks to the snapshot), so the
-		// connection never observes the abandoned run's cache state. A
-		// reaper frees the admission slot when the execution finishes.
-		c.sess = nil
-		c.warmed = false
-		s.metrics.timeout()
-		s.execWg.Add(1)
-		go func() {
-			defer s.execWg.Done()
-			<-done
-			release()
-		}()
-		return c.sendError(wire.CodeTimeout, errQueryTimeout(s.cfg.QueryTimeout))
-	}
+		return reply{wire.TypeResult, session.ToWire(res, int(q.MaxRows)).Encode()}
+	})
+	return c.Send(rep.typ, rep.payload)
 }
 
-// scatter admits, executes and answers one shard-slice request. The slice
-// always runs cold under the chunk-ownership mask (ExecutePartial installs
-// and clears it around exactly this execution), so an interleaved plain
-// Query on the same connection still sees single-node behavior.
+// scatter executes and answers one shard-slice request. The slice always
+// runs cold under the chunk-ownership mask (ExecutePartial installs and
+// clears it around exactly this execution), so an interleaved plain Query
+// on the same connection still sees single-node behavior.
 func (c *conn) scatter(sc *wire.Scatter) bool {
 	s := c.srv
 	if int(sc.ShardIdx) != s.cfg.ShardIdx || int(sc.ShardCnt) != s.cfg.ShardCnt {
-		return c.send(wire.TypeError, (&wire.Error{
-			Code: wire.CodeShard,
-			Msg: fmt.Sprintf("server: scatter addressed to shard %d/%d but this is shard %d/%d",
-				sc.ShardIdx, sc.ShardCnt, s.cfg.ShardIdx, s.cfg.ShardCnt),
-		}).Encode())
+		return c.SendError(wire.CodeShard, fmt.Errorf("server: scatter addressed to shard %d/%d but this is shard %d/%d",
+			sc.ShardIdx, sc.ShardCnt, s.cfg.ShardIdx, s.cfg.ShardCnt))
 	}
 	deadline := time.Now().Add(s.cfg.QueryTimeout)
-
-	release, code, err := s.admit(deadline)
-	if err != nil {
-		return c.sendError(code, err)
-	}
-
 	sess, err := c.session()
 	if err != nil {
-		release()
-		s.metrics.reject()
-		return c.sendError(wire.CodeBusy, err)
+		s.Metrics.reject()
+		return c.SendError(wire.CodeBusy, err)
 	}
 	// A scatter cold-restarts, which invalidates any warm sequence the
 	// connection had going.
 	c.warmed = false
-
-	type reply struct {
-		typ     byte
-		payload []byte
-	}
-	done := make(chan reply, 1)
-	s.execWg.Add(1)
-	s.busy.Add(1)
-	go func() {
-		defer s.execWg.Done()
-		defer s.busy.Add(-1)
-		if s.beforeExecute != nil {
-			s.beforeExecute()
-		}
-		start := time.Now()
-		if sc.Strategy == wire.StrategyHeuristic {
-			sess.Planner.Strategy = oql.Heuristic
-		} else {
-			sess.Planner.Strategy = oql.CostBased
-		}
-		var planHits0, planMisses0 int64
-		if pc := sess.Planner.Cache; pc != nil {
-			planHits0, planMisses0 = pc.Stats()
-		}
-		backend0 := sess.DB.BackendCounters()
-		res, err := sess.ExecutePartial(sc.Stmt, int(sc.ShardIdx), int(sc.ShardCnt))
-		if pc := sess.Planner.Cache; pc != nil {
-			h, m := pc.Stats()
-			s.metrics.recordPlanCache(h-planHits0, m-planMisses0)
-		}
-		s.metrics.recordBackend(backendDelta(backend0, sess.DB.BackendCounters()))
+	rep := c.run(deadline, func() reply {
+		res, err := s.measure(sess, sc.Strategy, func() (*oql.Result, error) {
+			return sess.ExecutePartial(sc.Stmt, int(sc.ShardIdx), int(sc.ShardCnt))
+		})
 		if err != nil {
-			s.metrics.record(time.Since(start), 0, true)
-			done <- reply{wire.TypeError, (&wire.Error{Code: wire.CodeQuery, Msg: err.Error()}).Encode()}
-			return
+			return errorReply(wire.CodeQuery, err)
 		}
-		operator := string(res.Plan.Access)
-		if res.Plan.Kind == oql.PlanTreeJoin {
-			operator = string(res.Plan.Algorithm)
-		}
-		s.metrics.recordPlan(res.Plan.Strategy == oql.Heuristic, operator)
-		s.metrics.record(time.Since(start), res.Elapsed, false)
-		done <- reply{wire.TypePartial, session.ToPartial(res).Encode()}
-	}()
-
-	t := time.NewTimer(time.Until(deadline))
-	defer t.Stop()
-	select {
-	case rep := <-done:
-		release()
-		return c.send(rep.typ, rep.payload)
-	case <-t.C:
-		// Same abandonment discipline as query(): answer now, let a reaper
-		// free the slot when the stray execution finishes.
-		c.sess = nil
-		c.warmed = false
-		s.metrics.timeout()
-		s.execWg.Add(1)
-		go func() {
-			defer s.execWg.Done()
-			<-done
-			release()
-		}()
-		return c.sendError(wire.CodeTimeout, errQueryTimeout(s.cfg.QueryTimeout))
-	}
+		return reply{wire.TypePartial, session.ToPartial(res).Encode()}
+	})
+	return c.Send(rep.typ, rep.payload)
 }
 
-// commit admits, applies and durably logs the next update wave on the
-// chain store, then answers with the new version's lineage. Commits go
-// through the same admission gate as queries (a commit occupies one
-// slot) but are not recorded in the query latency metrics — the chain
-// store keeps its own counters, surfaced through Stats.
+// commit applies and durably logs the next update wave on the chain store,
+// then answers with the new version's lineage. Commits go through the same
+// admission gate as queries (a commit occupies one slot) but are not
+// recorded in the query latency metrics — the chain store keeps its own
+// counters, surfaced through Stats.
 func (c *conn) commit() bool {
 	s := c.srv
 	if s.cfg.Store == nil {
-		return c.send(wire.TypeError, (&wire.Error{
-			Code: wire.CodeReadOnly,
-			Msg:  "server: read-only: no WAL-backed chain store configured",
-		}).Encode())
+		return c.SendError(wire.CodeReadOnly, errors.New("server: read-only: no WAL-backed chain store configured"))
 	}
-	deadline := time.Now().Add(s.cfg.QueryTimeout)
-
-	release, code, err := s.admit(deadline)
-	if err != nil {
-		return c.sendError(code, err)
-	}
-
-	type reply struct {
-		typ     byte
-		payload []byte
-	}
-	done := make(chan reply, 1)
-	s.execWg.Add(1)
-	s.busy.Add(1)
-	go func() {
-		defer s.execWg.Done()
-		defer s.busy.Add(-1)
-		if s.beforeExecute != nil {
-			s.beforeExecute()
-		}
+	rep := c.run(time.Now().Add(s.cfg.QueryTimeout), func() reply {
 		start := time.Now()
-		rep, sn, err := s.cfg.Store.Update()
+		wave, sn, err := s.cfg.Store.Update()
 		if err != nil {
-			done <- reply{wire.TypeError, (&wire.Error{Code: wire.CodeQuery, Msg: err.Error()}).Encode()}
-			return
+			return errorReply(wire.CodeQuery, err)
 		}
 		// Clone zeroes backend counters, so the new head carries exactly
 		// this wave's flushes, compactions and probes.
-		s.metrics.recordBackend(sn.Engine.BackendCounters())
-		done <- reply{wire.TypeCommitResult, (&wire.CommitResult{
+		s.Metrics.recordDeltas(0, 0, sn.Engine.BackendCounters())
+		return reply{wire.TypeCommitResult, (&wire.CommitResult{
 			Version:    sn.Engine.Version(),
-			Wave:       rep.Wave,
-			Reassigned: int64(rep.Reassigned),
-			Scalars:    int64(rep.Scalars),
-			Evolved:    rep.Evolved,
-			Upgraded:   int64(rep.Upgraded),
-			Relocated:  int64(rep.Relocated),
+			Wave:       wave.Wave,
+			Reassigned: int64(wave.Reassigned),
+			Scalars:    int64(wave.Scalars),
+			Evolved:    wave.Evolved,
+			Upgraded:   int64(wave.Upgraded),
+			Relocated:  int64(wave.Relocated),
 			DeltaPages: int64(sn.Engine.DeltaPages()),
 			WalOff:     sn.Engine.WalOff(),
 			WallUs:     time.Since(start).Microseconds(),
 		}).Encode()}
-	}()
-
-	t := time.NewTimer(time.Until(deadline))
-	defer t.Stop()
-	select {
-	case rep := <-done:
-		release()
-		if rep.typ == wire.TypeCommitResult {
-			// Drop the cached session so this connection's next query
-			// forks from the head it just committed. Other connections
-			// keep the version they pinned — that is the MVCC contract.
-			c.sess = nil
-			c.warmed = false
-		}
-		return c.send(rep.typ, rep.payload)
-	case <-t.C:
-		// Same abandonment discipline as query(): the commit itself still
-		// completes durably (the store serializes it); only this client
-		// stops waiting. A reaper frees the admission slot.
+	})
+	if rep.typ == wire.TypeCommitResult {
+		// Drop the cached session so this connection's next query forks
+		// from the head it just committed. Other connections keep the
+		// version they pinned — that is the MVCC contract.
 		c.sess = nil
 		c.warmed = false
-		s.metrics.timeout()
-		s.execWg.Add(1)
-		go func() {
-			defer s.execWg.Done()
-			<-done
-			release()
-		}()
-		return c.sendError(wire.CodeTimeout, errQueryTimeout(s.cfg.QueryTimeout))
 	}
-}
-
-func errQueryTimeout(d time.Duration) error {
-	return &timeoutError{d}
-}
-
-type timeoutError struct{ d time.Duration }
-
-func (e *timeoutError) Error() string {
-	return "server: query exceeded its " + e.d.String() + " budget"
+	return c.Send(rep.typ, rep.payload)
 }

@@ -1,0 +1,243 @@
+package server
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"net"
+	"sync"
+	"time"
+
+	"treebench/internal/wire"
+)
+
+// ErrServerClosed is returned by Serve after Shutdown.
+var ErrServerClosed = errors.New("server: closed")
+
+// handshakeTimeout bounds how long a fresh connection may take to say
+// Hello before it is dropped.
+const handshakeTimeout = 10 * time.Second
+
+// Frames is the frame server both daemons run on: the listener, the accept
+// loop, the connection registry, the Hello handshake, the in-order request
+// loop and the graceful drain. What a request means is the handler's
+// business; Server and dist.Coordinator embed a Frames and differ only in
+// the handler they install. Set the exported fields before Serve.
+type Frames struct {
+	// Hello is announced to every client that completes the handshake
+	// (Version is filled in).
+	Hello wire.ServerHello
+	// Open runs once per connection, after its handshake, on the
+	// connection's goroutine. It returns the connection's request handler —
+	// called for each frame in arrival order, reporting whether the
+	// connection survives it — and an optional hook run when the connection
+	// closes.
+	Open func(c *Conn) (handle func(typ byte, payload []byte) bool, closed func())
+	// Drain, when non-nil, is waited for by Shutdown after every connection
+	// has closed: work that outlives the connection that started it.
+	Drain func()
+	// Logf, when non-nil, receives progress lines.
+	Logf func(format string, args ...any)
+	// Metrics counts connections here and whatever the handlers record.
+	Metrics Metrics
+
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[*Conn]struct{}
+	draining bool
+	wg       sync.WaitGroup // connections
+}
+
+// Conn is one accepted connection. Requests are handled strictly in order
+// and only the connection's goroutine writes to the socket, so responses
+// need no write lock.
+type Conn struct {
+	f  *Frames
+	c  net.Conn
+	bw *bufio.Writer
+	// busy (guarded by f.mu) marks a request in flight; Shutdown only
+	// force-closes idle connections.
+	busy bool
+}
+
+func (f *Frames) logf(format string, args ...any) {
+	if f.Logf != nil {
+		f.Logf(format, args...)
+	}
+}
+
+// ListenAndServe listens on addr and serves until Shutdown.
+func (f *Frames) ListenAndServe(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return f.Serve(ln)
+}
+
+// Serve accepts connections on ln until Shutdown, which closes ln and makes
+// Serve return ErrServerClosed once the listener unblocks.
+func (f *Frames) Serve(ln net.Listener) error {
+	f.mu.Lock()
+	if f.draining {
+		f.mu.Unlock()
+		ln.Close()
+		return ErrServerClosed
+	}
+	f.ln = ln
+	if f.conns == nil {
+		f.conns = make(map[*Conn]struct{})
+	}
+	f.mu.Unlock()
+	f.logf("listening on %s (db %s)", ln.Addr(), f.Hello.Label)
+	for {
+		nc, err := ln.Accept()
+		if err != nil {
+			if f.isDraining() {
+				return ErrServerClosed
+			}
+			return err
+		}
+		c := &Conn{f: f, c: nc, bw: bufio.NewWriter(nc)}
+		f.mu.Lock()
+		if f.draining {
+			f.mu.Unlock()
+			nc.Close()
+			continue
+		}
+		f.conns[c] = struct{}{}
+		f.mu.Unlock()
+		f.wg.Add(1)
+		go c.serve()
+	}
+}
+
+func (f *Frames) isDraining() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.draining
+}
+
+// Shutdown drains: it stops accepting, disconnects idle connections, lets
+// in-flight requests finish and flush their responses, and returns when
+// everything is done (or ctx expires first).
+func (f *Frames) Shutdown(ctx context.Context) error {
+	f.mu.Lock()
+	if !f.draining {
+		f.draining = true
+		if f.ln != nil {
+			f.ln.Close()
+		}
+		for c := range f.conns {
+			if !c.busy {
+				c.c.Close()
+			}
+		}
+	}
+	f.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		f.wg.Wait()
+		if f.Drain != nil {
+			f.Drain()
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+		f.logf("drained")
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (c *Conn) serve() {
+	f := c.f
+	defer f.wg.Done()
+	defer func() {
+		f.mu.Lock()
+		delete(f.conns, c)
+		f.mu.Unlock()
+		c.c.Close()
+	}()
+	f.Metrics.sessionOpened()
+	defer f.Metrics.sessionClosed()
+
+	if !c.handshake() {
+		return
+	}
+	handle, closed := f.Open(c)
+	if closed != nil {
+		defer closed()
+	}
+	for {
+		typ, payload, err := wire.ReadFrame(c.c)
+		if err != nil {
+			return // disconnect (or force-close during drain)
+		}
+		if !c.beginRequest() {
+			c.SendError(wire.CodeShutdown, errors.New("server is draining"))
+			return
+		}
+		ok := handle(typ, payload)
+		if !c.endRequest() || !ok {
+			return
+		}
+	}
+}
+
+// beginRequest marks the connection busy, refusing new work while draining.
+func (c *Conn) beginRequest() bool {
+	c.f.mu.Lock()
+	defer c.f.mu.Unlock()
+	if c.f.draining {
+		return false
+	}
+	c.busy = true
+	return true
+}
+
+// endRequest clears busy, reporting whether the connection should continue
+// (false during drain: the response is flushed, then the connection closes).
+func (c *Conn) endRequest() bool {
+	c.f.mu.Lock()
+	defer c.f.mu.Unlock()
+	c.busy = false
+	return !c.f.draining
+}
+
+func (c *Conn) handshake() bool {
+	c.c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	typ, payload, err := wire.ReadFrame(c.c)
+	if err != nil {
+		return false
+	}
+	c.c.SetReadDeadline(time.Time{})
+	if typ != wire.TypeHello {
+		c.SendError(wire.CodeProto, errors.New("expected hello"))
+		return false
+	}
+	h, err := wire.DecodeHello(payload)
+	if err != nil || h.Version != wire.Version {
+		c.SendError(wire.CodeProto, errors.New("unsupported protocol version"))
+		return false
+	}
+	hello := c.f.Hello
+	hello.Version = wire.Version
+	return c.Send(wire.TypeServerHello, hello.Encode())
+}
+
+// Send writes and flushes one frame, reporting whether the connection is
+// still writable.
+func (c *Conn) Send(typ byte, payload []byte) bool {
+	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
+		return false
+	}
+	return c.bw.Flush() == nil
+}
+
+// SendError answers with a TypeError frame carrying code and err's text.
+func (c *Conn) SendError(code byte, err error) bool {
+	return c.Send(wire.TypeError, (&wire.Error{Code: code, Msg: err.Error()}).Encode())
+}

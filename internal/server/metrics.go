@@ -1,142 +1,135 @@
 package server
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"treebench/internal/histogram"
 	"treebench/internal/index"
+	"treebench/internal/oql"
 	"treebench/internal/wire"
 )
 
-// metrics is the server's counters snapshot source: lifecycle and admission
-// counters plus the two latency populations (wall-clock and simulated) that
-// back the .metrics-style Stats response. The simulated population is the
-// interesting one for the paper's methodology — it is deterministic per
-// query mix — while the wall population shows what the host actually did.
-type metrics struct {
+// latencyWindow is how many of the most recent served queries the latency
+// percentiles and histograms are computed over. Below it the populations
+// are exact over the daemon's whole life; past it memory stays flat.
+const latencyWindow = 1 << 16
+
+// Metrics is the counters snapshot source of both daemons: lifecycle and
+// admission counters plus the two latency populations (wall-clock and
+// simulated) that back the .metrics-style Stats response. The simulated
+// population is the interesting one for the paper's methodology — it is
+// deterministic per query mix — while the wall population shows what the
+// host actually did. The zero value is ready to use.
+type Metrics struct {
 	mu          sync.Mutex
 	served      int64
 	queryErrors int64
 	rejected    int64
 	timedOut    int64
 	sessions    int64
-	planHits    int64   // plan-cache hits across all sessions
-	planMisses  int64   // plan-cache misses (compiles) across all sessions
-	plansCost   int64   // executed queries planned cost-based
-	plansHeur   int64   // executed queries planned heuristically
-	lastOp      string  // operator of the most recently executed query
-	wallUs      []int64 // wall latency per served query, microseconds
-	simMs       []int64 // simulated latency per served query, milliseconds
+	planHits    int64  // plan-cache hits across all sessions
+	planMisses  int64  // plan-cache misses (compiles) across all sessions
+	plansCost   int64  // executed queries planned cost-based
+	plansHeur   int64  // executed queries planned heuristically
+	lastOp      string // operator of the most recently executed query
+
+	// wallUs (microseconds) and simMs (milliseconds) hold one sample per
+	// served query, the most recent latencyWindow of them: next is the slot
+	// the following sample takes, growing the slices until they are full
+	// and overwriting the oldest sample from then on.
+	wallUs, simMs []int64
+	next          int
 
 	// backend accumulates per-query index-backend counter deltas (bloom
 	// probes, SSTables read, compactions, pages written) across sessions.
 	backend index.BackendCounters
 }
 
-func (m *metrics) sessionOpened() {
+func (m *Metrics) sessionOpened() {
 	m.mu.Lock()
 	m.sessions++
 	m.mu.Unlock()
 }
 
-func (m *metrics) sessionClosed() {
+func (m *Metrics) sessionClosed() {
 	m.mu.Lock()
 	m.sessions--
 	m.mu.Unlock()
 }
 
-func (m *metrics) reject() {
+func (m *Metrics) reject() {
 	m.mu.Lock()
 	m.rejected++
 	m.mu.Unlock()
 }
 
-func (m *metrics) timeout() {
+func (m *Metrics) timeout() {
 	m.mu.Lock()
 	m.timedOut++
 	m.mu.Unlock()
 }
 
-// recordPlanCache rolls one query's plan-cache hit/miss delta into the
-// server totals.
-func (m *metrics) recordPlanCache(hits, misses int64) {
+// recordDeltas rolls what one execution added to its session's plan-cache
+// and index-backend counters into the totals.
+func (m *Metrics) recordDeltas(planHits, planMisses int64, backend index.BackendCounters) {
 	m.mu.Lock()
-	m.planHits += hits
-	m.planMisses += misses
+	m.planHits += planHits
+	m.planMisses += planMisses
+	m.backend.Add(backend)
 	m.mu.Unlock()
 }
 
-// recordPlan notes one executed query's chosen-plan provenance: which
-// optimizer strategy picked the plan and which operator ran (an access
-// path for selections, an algorithm for joins).
-func (m *metrics) recordPlan(heuristic bool, operator string) {
+// Failed notes one query that was answered with an error.
+func (m *Metrics) Failed() {
 	m.mu.Lock()
-	if heuristic {
+	m.served++
+	m.queryErrors++
+	m.mu.Unlock()
+}
+
+// Served notes one executed query: its two latencies and its plan's
+// provenance — which optimizer strategy picked the plan and which operator
+// ran (an access path for selections, an algorithm for joins).
+func (m *Metrics) Served(plan *oql.Plan, wall, simulated time.Duration) {
+	operator := string(plan.Access)
+	if plan.Kind == oql.PlanTreeJoin {
+		operator = string(plan.Algorithm)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.served++
+	if plan.Strategy == oql.Heuristic {
 		m.plansHeur++
 	} else {
 		m.plansCost++
 	}
 	m.lastOp = operator
-	m.mu.Unlock()
-}
-
-// recordBackend rolls one query's index-backend counter delta into the
-// server totals.
-func (m *metrics) recordBackend(delta index.BackendCounters) {
-	m.mu.Lock()
-	m.backend.Add(delta)
-	m.mu.Unlock()
-}
-
-// backendDelta computes what one execution added to the session's
-// index-backend counters.
-func backendDelta(before, after index.BackendCounters) index.BackendCounters {
-	return index.BackendCounters{
-		BloomHits:    after.BloomHits - before.BloomHits,
-		BloomMisses:  after.BloomMisses - before.BloomMisses,
-		SSTablesRead: after.SSTablesRead - before.SSTablesRead,
-		Compactions:  after.Compactions - before.Compactions,
-		PagesWritten: after.PagesWritten - before.PagesWritten,
+	if len(m.wallUs) < latencyWindow {
+		m.wallUs = append(m.wallUs, 0)
+		m.simMs = append(m.simMs, 0)
 	}
+	m.wallUs[m.next] = wall.Microseconds()
+	m.simMs[m.next] = simulated.Milliseconds()
+	m.next = (m.next + 1) % latencyWindow
 }
 
-// record notes one completed query execution.
-func (m *metrics) record(wall, simulated time.Duration, queryErr bool) {
+// Stats renders the counters and latency summaries. The gauges a daemon
+// reads off its own state (queue depth, session occupancy, snapshot
+// memory, shard identity) are the caller's to fill in.
+func (m *Metrics) Stats() *wire.Stats {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.served++
-	if queryErr {
-		m.queryErrors++
-		return
-	}
-	m.wallUs = append(m.wallUs, wall.Microseconds())
-	m.simMs = append(m.simMs, simulated.Milliseconds())
-}
-
-// snapshot renders the current state. Queue depth, session occupancy and
-// snapshot memory are read from the server's live gauges by the caller.
-func (m *metrics) snapshot(queueDepth, sessions, busySessions, snapshotPages, snapshotBytes, batchSize int64, snapshotSource string) *wire.Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := &wire.Stats{
 		Served:          m.served,
 		QueryErrors:     m.queryErrors,
 		Rejected:        m.rejected,
 		TimedOut:        m.timedOut,
 		ActiveSessions:  m.sessions,
-		QueueDepth:      queueDepth,
-		Sessions:        sessions,
-		BusySessions:    busySessions,
-		SnapshotPages:   snapshotPages,
-		SnapshotBytes:   snapshotBytes,
-		SnapshotSource:  snapshotSource,
 		PlanCacheHits:   m.planHits,
 		PlanCacheMisses: m.planMisses,
 		PlansCost:       m.plansCost,
 		PlansHeuristic:  m.plansHeur,
-		BatchSize:       batchSize,
 		LastOperator:    m.lastOp,
 
 		BackendBloomHits:    m.backend.BloomHits,
@@ -145,28 +138,23 @@ func (m *metrics) snapshot(queueDepth, sessions, busySessions, snapshotPages, sn
 		BackendCompactions:  m.backend.Compactions,
 		BackendPagesWritten: m.backend.PagesWritten,
 	}
-	s.WallP50us, s.WallP95us, s.WallP99us, s.WallHist = summarize(m.wallUs)
-	s.SimP50ms, s.SimP95ms, s.SimP99ms, s.SimHist = summarize(m.simMs)
+	// Copy under the lock, sort outside it: recording never waits on a
+	// Stats request's sort.
+	wall, sim := slices.Clone(m.wallUs), slices.Clone(m.simMs)
+	m.mu.Unlock()
+	s.WallP50us, s.WallP95us, s.WallP99us, s.WallHist = summarize(wall)
+	s.SimP50ms, s.SimP95ms, s.SimP99ms, s.SimHist = summarize(sim)
 	return s
 }
 
 // summarize computes p50/p95/p99 and an equi-depth histogram over one
-// latency population. The input is copied: histogram.Build sorts in place
-// and the recorder keeps appending.
+// latency population, sorting it in place.
 func summarize(pop []int64) (p50, p95, p99 int64, hist string) {
 	if len(pop) == 0 {
 		return 0, 0, 0, ""
 	}
-	keys := make([]int64, len(pop))
-	copy(keys, pop)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	p50 = percentile(keys, 50)
-	p95 = percentile(keys, 95)
-	p99 = percentile(keys, 99)
-	if h := histogram.Build(keys, 8); h != nil {
-		hist = h.String()
-	}
-	return p50, p95, p99, hist
+	slices.Sort(pop)
+	return percentile(pop, 50), percentile(pop, 95), percentile(pop, 99), histogram.Build(pop, 8).String()
 }
 
 // percentile reads the nearest-rank percentile from sorted keys.

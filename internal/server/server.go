@@ -7,17 +7,21 @@
 // Architecture:
 //
 //   - Each accepted connection is one session. A session speaks the
-//     internal/wire protocol: Hello handshake, then Query/Ping/StatsReq
-//     requests answered in order.
+//     internal/wire protocol: Hello handshake, then Query, Scatter, Commit,
+//     Ping and StatsReq requests answered in order. The listener, the
+//     handshake, the request loop and the drain are the Frames core
+//     (frame.go), which dist.Coordinator runs on too; this package adds
+//     the handler.
 //   - The database is generated exactly once (singleflight) and frozen
 //     into an immutable engine snapshot. Each connection's queries run on
 //     a private session forked from that snapshot in O(1): fresh caches,
 //     meter and handle table over the one shared page image. N sessions
 //     therefore cost one generation and one copy of the data, not N.
-//   - Admission control bounds concurrently executing queries at
+//   - Admission control bounds concurrently executing requests at
 //     MaxConcurrent, queues at most MaxQueue waiters, and rejects beyond
-//     that; every admitted query gets a wall-clock budget of QueryTimeout
-//     covering queue wait and execution.
+//     that; every request gets a wall-clock budget of QueryTimeout covering
+//     queue wait and execution. Query, Scatter and Commit all take the one
+//     admit → execute → answer-or-abandon path in conn.run.
 //   - Cold queries (the default) cold-restart the session first, so every
 //     result is byte-identical to a local oqlsh run. A session's first
 //     warm query also starts from a cold restart: the warm sequence is
@@ -28,10 +32,7 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,26 +45,17 @@ import (
 	"treebench/internal/wire"
 )
 
-// ErrServerClosed is returned by Serve after Shutdown.
-var ErrServerClosed = errors.New("server: closed")
-
 // Config parameterizes a Server.
 type Config struct {
 	// Source produces the frozen database snapshot plus a provenance
 	// label ("generated", or "cache (path)" when loaded from a persisted
-	// snapshot). It runs exactly once; every session forks from the
-	// result. Exactly one of Source and Generate is required; Source wins
-	// when both are set.
+	// snapshot; see SnapshotSource). It runs exactly once; every session
+	// forks from the result. Required unless Store is set.
 	Source func() (*derby.Snapshot, string, error)
-	// Generate builds the database (deterministic). It runs exactly once;
-	// every session forks from the frozen result. Superseded by Source,
-	// kept for callers that always generate.
-	Generate func() (*derby.Dataset, error)
 	// Store, when non-nil, makes the server writable: queries fork from
 	// the MVCC chain's current head instead of one frozen snapshot, and
 	// Commit frames apply+durably log the next update wave through it.
-	// Supersedes Source and Generate. A nil Store rejects commits with
-	// CodeReadOnly.
+	// Supersedes Source. A nil Store rejects commits with CodeReadOnly.
 	Store *persist.ChainStore
 	// Label names the served database in the handshake.
 	Label string
@@ -104,12 +96,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server is a treebenchd instance.
+// Server is a treebenchd instance: the frame server plus the query handler.
 type Server struct {
+	Frames
 	cfg     Config
 	sem     chan struct{}
 	waiters atomic.Int64
-	metrics metrics
 
 	// snapFlight generates-and-freezes the database exactly once, however
 	// many sessions race to first use — the same singleflight discipline
@@ -119,19 +111,14 @@ type Server struct {
 	// snapSource publishes its provenance alongside.
 	snap       atomic.Pointer[derby.Snapshot]
 	snapSource atomic.Pointer[string]
-	// busy counts currently executing queries.
+	// busy counts currently executing requests.
 	busy atomic.Int64
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*conn]struct{}
-	draining bool
-	drainCh  chan struct{}
+	// execWg counts in-flight executions and the reapers of abandoned
+	// ones, which outlive their connection; Shutdown waits for it.
+	execWg sync.WaitGroup
 
-	wg     sync.WaitGroup // sessions
-	execWg sync.WaitGroup // in-flight query executions
-
-	// beforeExecute, when non-nil, runs inside each admitted query's
+	// beforeExecute, when non-nil, runs inside each admitted request's
 	// execution goroutine before the engine is invoked (test
 	// instrumentation for admission and drain behavior).
 	beforeExecute func()
@@ -139,8 +126,8 @@ type Server struct {
 
 // New validates cfg and returns an unstarted server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Source == nil && cfg.Generate == nil && cfg.Store == nil {
-		return nil, fmt.Errorf("server: Config.Source, Config.Generate or Config.Store is required")
+	if cfg.Source == nil && cfg.Store == nil {
+		return nil, fmt.Errorf("server: Config.Source or Config.Store is required")
 	}
 	if cfg.Sessions == 0 {
 		cfg.Sessions = core.JobsFromEnv(core.DefaultJobs())
@@ -166,18 +153,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ShardCnt > 0 && cfg.ShardIdx >= cfg.ShardCnt {
 		return nil, fmt.Errorf("server: shard %d out of range of %d", cfg.ShardIdx, cfg.ShardCnt)
 	}
-	return &Server{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		conns:   make(map[*conn]struct{}),
-		drainCh: make(chan struct{}),
-	}, nil
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.MaxConcurrent)}
+	s.Hello = wire.ServerHello{
+		Label:       cfg.Label,
+		ShardIdx:    uint32(cfg.ShardIdx),
+		ShardCnt:    uint32(cfg.ShardCnt),
+		SnapshotKey: cfg.SnapshotKey,
 	}
+	s.Open = func(fc *Conn) (func(byte, []byte) bool, func()) {
+		return (&conn{Conn: fc, srv: s}).handle, nil
+	}
+	s.Drain = s.execWg.Wait
+	s.Logf = cfg.Logf
+	return s, nil
 }
 
 // snapshot returns the shared database snapshot, generating and freezing
@@ -199,25 +187,9 @@ func (s *Server) snapshot() (*derby.Snapshot, error) {
 		return sn, nil
 	}
 	return s.snapFlight.Do(struct{}{}, func() (*derby.Snapshot, error) {
-		var (
-			sn     *derby.Snapshot
-			source string
-			err    error
-		)
-		if s.cfg.Source != nil {
-			sn, source, err = s.cfg.Source()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			source = "generated"
-			d, err := s.cfg.Generate()
-			if err != nil {
-				return nil, err
-			}
-			if sn, err = d.Freeze(); err != nil {
-				return nil, err
-			}
+		sn, source, err := s.cfg.Source()
+		if err != nil {
+			return nil, err
 		}
 		// Snapshots arrive unprimed whichever path produced them (the
 		// cache stores them straight after Freeze); prime once here.
@@ -237,108 +209,25 @@ func (s *Server) Warm() error {
 	return err
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts sessions on ln until Shutdown, which closes ln and makes
-// Serve return ErrServerClosed once the listener unblocks.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return ErrServerClosed
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	s.logf("listening on %s (db %s, %d sessions, %d concurrent, queue %d)",
-		ln.Addr(), s.cfg.Label, s.cfg.Sessions, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() {
-				return ErrServerClosed
-			}
-			return err
-		}
-		c := &conn{srv: s, c: nc}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go c.serve()
-	}
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Shutdown drains the server: it stops accepting, disconnects idle
-// sessions, lets in-flight queries finish and flush their responses, and
-// returns when everything is done (or ctx expires first).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.drainCh)
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		for c := range s.conns {
-			if !c.busy {
-				c.c.Close()
-			}
-		}
-	}
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		s.execWg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.logf("drained")
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Stats snapshots the server's counters. Snapshot memory is reported once
 // the database has been generated (zero before).
 func (s *Server) Stats() *wire.Stats {
-	var pages, bytes int64
-	var source, ixBackend string
+	st := s.Metrics.Stats()
+	st.QueueDepth = s.waiters.Load()
+	st.Sessions = int64(s.cfg.Sessions)
+	st.BusySessions = s.busy.Load()
 	if sn := s.snap.Load(); sn != nil {
-		pages = int64(sn.Engine.Pages())
-		bytes = sn.Engine.Bytes()
-		ixBackend = sn.Engine.IndexBackend()
+		st.SnapshotPages = int64(sn.Engine.Pages())
+		st.SnapshotBytes = sn.Engine.Bytes()
+		st.IndexBackend = sn.Engine.IndexBackend()
 		if p := s.snapSource.Load(); p != nil {
-			source = *p
+			st.SnapshotSource = *p
 		}
 	}
-	batch := int64(s.cfg.Batch)
-	if batch < 1 {
-		batch = engine.DefaultBatch
+	st.BatchSize = int64(s.cfg.Batch)
+	if st.BatchSize < 1 {
+		st.BatchSize = engine.DefaultBatch
 	}
-	st := s.metrics.snapshot(s.waiters.Load(), int64(s.cfg.Sessions), s.busy.Load(), pages, bytes, batch, source)
-	st.IndexBackend = ixBackend
 	st.ShardIdx = int64(s.cfg.ShardIdx)
 	st.ShardCnt = int64(s.cfg.ShardCnt)
 	if s.cfg.Store != nil {
@@ -378,7 +267,7 @@ func (s *Server) admit(deadline time.Time) (release func(), code byte, err error
 	}
 	if s.waiters.Add(1) > int64(s.cfg.MaxQueue) {
 		s.waiters.Add(-1)
-		s.metrics.reject()
+		s.Metrics.reject()
 		return nil, wire.CodeBusy, fmt.Errorf("server: admission queue full (%d executing, %d queued)",
 			s.cfg.MaxConcurrent, s.cfg.MaxQueue)
 	}
@@ -389,7 +278,7 @@ func (s *Server) admit(deadline time.Time) (release func(), code byte, err error
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, 0, nil
 	case <-t.C:
-		s.metrics.timeout()
+		s.Metrics.timeout()
 		return nil, wire.CodeTimeout, fmt.Errorf("server: query timed out after %s in admission queue", s.cfg.QueryTimeout)
 	}
 }

@@ -18,13 +18,18 @@ func testDBConfig() derby.Config {
 	return derby.DefaultConfig(20, 20, derby.ClassCluster)
 }
 
+// testSource generates the test database afresh, uncached.
+func testSource() (*derby.Snapshot, string, error) {
+	return SnapshotSource(testDBConfig(), "", false)()
+}
+
 // startServer builds a server over a small deterministic database, installs
 // the optional beforeExecute hook, and serves on a loopback listener. The
 // cleanup drains the server and checks Serve returned ErrServerClosed.
 func startServer(t *testing.T, mut func(*Config), hook func()) (*Server, string) {
 	t.Helper()
 	cfg := Config{
-		Generate: func() (*derby.Dataset, error) { return derby.Generate(testDBConfig()) },
+		Source:   testSource,
 		Label:    "test db",
 		Sessions: 2,
 		MaxQueue: 16,
@@ -345,7 +350,7 @@ func TestGracefulDrain(t *testing.T) {
 // immediately instead of accepting sessions it cannot serve.
 func TestServeAfterShutdown(t *testing.T) {
 	srv, err := New(Config{
-		Generate: func() (*derby.Dataset, error) { return derby.Generate(testDBConfig()) },
+		Source: testSource,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,17 +372,16 @@ func TestServeAfterShutdown(t *testing.T) {
 // TestConfigValidation spot-checks New's rejection of broken configs and its
 // defaulting of the permissive zero values.
 func TestConfigValidation(t *testing.T) {
-	gen := func() (*derby.Dataset, error) { return derby.Generate(testDBConfig()) }
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("missing Generate accepted")
+		t.Fatal("missing Source accepted")
 	}
-	if _, err := New(Config{Generate: gen, Sessions: -1}); err == nil {
+	if _, err := New(Config{Source: testSource, Sessions: -1}); err == nil {
 		t.Fatal("negative sessions accepted")
 	}
-	if _, err := New(Config{Generate: gen, MaxQueue: -1}); err == nil {
+	if _, err := New(Config{Source: testSource, MaxQueue: -1}); err == nil {
 		t.Fatal("negative queue accepted")
 	}
-	srv, err := New(Config{Generate: gen, Sessions: 2, MaxConcurrent: 99})
+	srv, err := New(Config{Source: testSource, Sessions: 2, MaxConcurrent: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

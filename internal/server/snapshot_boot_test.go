@@ -54,7 +54,6 @@ func TestSecondBootFromCacheGeneratesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv1, addr1 := startServer(t, func(c *Config) {
-		c.Generate = nil
 		c.Source = cacheSource(cache1, dbCfg)
 	}, nil)
 	out1, src1 := query(srv1, addr1)
@@ -72,7 +71,6 @@ func TestSecondBootFromCacheGeneratesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2, addr2 := startServer(t, func(c *Config) {
-		c.Generate = nil
 		c.Source = cacheSource(cache2, dbCfg)
 	}, nil)
 	out2, src2 := query(srv2, addr2)

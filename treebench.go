@@ -345,26 +345,6 @@ func DefaultJobs() int { return core.DefaultJobs() }
 // back to def when unset or invalid.
 func JobsFromEnv(def int) int { return core.JobsFromEnv(def) }
 
-// QueryJobsFromEnv resolves an intra-query worker count from
-// TREEBENCH_QUERY_JOBS, falling back to def. Worker counts change
-// wall-clock speed only; simulated results are identical at any setting.
-func QueryJobsFromEnv(def int) int { return core.QueryJobsFromEnv(def) }
-
-// BatchFromEnv resolves a vectorized-execution batch size from
-// TREEBENCH_BATCH, falling back to def (0 picks the engine default, 1024;
-// 1 runs the legacy scalar operators). Batch sizes change wall-clock speed
-// only; simulated results are identical at any setting.
-func BatchFromEnv(def int) int { return core.BatchFromEnv(def) }
-
-// IndexBackendFromEnv resolves an index-backend kind from
-// TREEBENCH_INDEX_BACKEND, falling back to def. Backends change physical
-// layout and cost accounting, never query results.
-func IndexBackendFromEnv(def string) string { return core.IndexBackendFromEnv(def) }
-
-// CheckIndexBackend validates an index-backend kind, returning an error
-// that lists the valid kinds for an unknown one.
-func CheckIndexBackend(kind string) error { return backend.CheckKind(kind) }
-
 // IndexBackends lists the registered index backend kinds.
 func IndexBackends() []string { return backend.Kinds() }
 
