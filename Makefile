@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-fork bench-pool bench-live bench-snap bench-query bench-vector bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
+.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-live bench-snap bench-query bench-vector bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
 
 all: build test
 
@@ -30,6 +30,16 @@ bench:
 # session. Watch ns/op and allocs/op — fork must stay O(catalog).
 bench-fork:
 	$(GO) test -run 'TestNothing^' -bench BenchmarkSessionFork -benchmem ./internal/session
+
+# The write path per commit, at the live benchmark's scale: what
+# ChainStore.Update costs the writer (ns, B, allocs, WAL bytes) and what
+# the first session forked from the new head costs a reader. Watch
+# wal-bytes/commit and the fork's allocs/op — a head must stay born primed
+# (EXPERIMENTS.md records before/after). A fixed 200 commits each: the
+# fork benchmark pays an untimed commit per iteration, so letting b.N
+# chase a second of timed forks would take minutes.
+bench-commit:
+	$(GO) test -run 'TestNothing^' -bench 'Benchmark(ChainCommit|ForkAfterCommit)$$' -benchtime 200x -benchmem ./internal/persist
 
 # Buffer-pool layer benchmarks: what Handle.Get costs on a resident page
 # (one reader, and every CPU through one shared handle) and on a miss.
@@ -124,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPageOps -fuzztime 30s ./internal/storage
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/wire
 	$(GO) test -fuzz FuzzLoadSnapshot -fuzztime 30s ./internal/persist
+	$(GO) test -fuzz FuzzDecodeCommit -fuzztime 30s ./internal/persist
 
 # End-to-end query-server smoke: treebenchd + oqlload vs oqlsh.
 smoke:

@@ -24,8 +24,17 @@ import (
 // — becomes the new version's catalog. The returned Delta is what the
 // commit writes to the WAL.
 //
+// The snapshot is born primed: an index the session never updated still
+// holds the histogram pointer its fork inherited from the parent version,
+// and the ones its updates invalidated are rebuilt here, once, by the
+// writer (PrimeStats) — so no reader of the new version ever pays an
+// ANALYZE scan for a commit that did not touch the index. Priming runs
+// after the overlay is promoted, so an error from it (an index of the new
+// version that cannot be scanned) leaves the session spent: the wave is
+// lost, nothing was appended or logged, and the caller's head is unchanged.
+//
 // Publish does not link the snapshot into any chain or assign a version;
-// Chain.Commit does both, in commit order.
+// SetLineage and Chain.Append do, in commit order.
 func (db *Session) Publish() (*Snapshot, *storage.Delta, error) {
 	if db.readOnly {
 		return nil, nil, ErrReadOnlySession
@@ -38,7 +47,7 @@ func (db *Session) Publish() (*Snapshot, *storage.Delta, error) {
 		return nil, nil, err
 	}
 	db.readOnly = true
-	return &Snapshot{
+	sn := &Snapshot{
 		base:    base,
 		store:   db.Store,
 		machine: db.Machine,
@@ -50,7 +59,11 @@ func (db *Session) Publish() (*Snapshot, *storage.Delta, error) {
 		nextIdx: db.nextIdx,
 		roots:   db.roots,
 		rels:    db.relationships,
-	}, delta, nil
+	}
+	if err := sn.PrimeStats(); err != nil {
+		return nil, nil, err
+	}
+	return sn, delta, nil
 }
 
 // Version returns the snapshot's position in its chain (0 for a root or
@@ -144,33 +157,13 @@ func (c *Chain) Unpin(sn *Snapshot) {
 	}
 }
 
-// Commit publishes a mutable session — which must have been forked from
-// the chain's current head — as the next version and installs it as the
-// new head. walOff is the commit record's WAL offset, recorded for
-// lineage. The caller serializes fork-apply-commit sequences (the chain
-// store's apply lock); Commit itself rejects a stale parent rather than
-// silently losing the head it would overwrite.
-func (c *Chain) Commit(db *Session, parent *Snapshot, walOff int64) (*Snapshot, *storage.Delta, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if parent != c.head {
-		return nil, nil, fmt.Errorf("engine: commit against version %d but head is %d", parent.version, c.head.version)
-	}
-	sn, delta, err := db.Publish()
-	if err != nil {
-		return nil, nil, err
-	}
-	sn.version = parent.version + 1
-	sn.parent = parent
-	sn.deltaPages = delta.Pages()
-	sn.walOff = walOff
-	c.versions[sn.version] = sn
-	c.head = sn
-	return sn, delta, nil
-}
-
-// Append links an already-built snapshot (WAL replay) as the next
-// version. The snapshot's lineage must already be stamped.
+// Append links an already-built snapshot — published by a commit or
+// rebuilt by WAL replay — as the next version and installs it as the new
+// head: the one way a version enters a chain. The snapshot's lineage must
+// already be stamped; a version that does not follow the head (a commit
+// built on a stale parent) is rejected rather than silently replacing the
+// head it would overwrite. The caller serializes fork-apply-publish-append
+// sequences (the chain store's apply lock).
 func (c *Chain) Append(sn *Snapshot) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -29,6 +29,17 @@ func scanScores(t *testing.T, sn *Snapshot, rids []storage.Rid) []int64 {
 	return out
 }
 
+// commit enters db, a mutable fork of parent, into the chain the way
+// persist.ChainStore.Update does: Publish, SetLineage, Append.
+func commit(c *Chain, db *Session, parent *Snapshot) (*Snapshot, *storage.Delta, error) {
+	sn, d, err := db.Publish()
+	if err != nil {
+		return nil, nil, err
+	}
+	sn.SetLineage(parent.Version()+1, d.Pages(), 0)
+	return sn, d, c.Append(sn)
+}
+
 // commitBump forks the chain head mutably, adds delta to every item's
 // score, and commits it as the next version.
 func commitBump(t *testing.T, c *Chain, rids []storage.Rid, delta int64) *Snapshot {
@@ -52,9 +63,9 @@ func commitBump(t *testing.T, c *Chain, rids []storage.Rid, delta int64) *Snapsh
 			t.Fatal(err)
 		}
 	}
-	sn, d, err := c.Commit(db, parent, 0)
+	sn, d, err := commit(c, db, parent)
 	if err != nil {
-		t.Fatalf("Commit: %v", err)
+		t.Fatalf("commit: %v", err)
 	}
 	if d.Pages() == 0 {
 		t.Fatal("commit carried no pages")
@@ -94,8 +105,11 @@ func TestChainCommit(t *testing.T) {
 	if err := stale.UpdateAttr(nil, e, rids[0], "score", object.IntValue(-1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Commit(stale, root, 0); err == nil {
+	if _, _, err := commit(c, stale, root); err == nil {
 		t.Fatal("stale-parent commit accepted")
+	}
+	if c.Head() != v1 {
+		t.Fatal("rejected commit replaced the head")
 	}
 
 	// Publishing a read-only fork is rejected.

@@ -210,6 +210,9 @@ func (db *Session) deleteObject(e *Extent, rid storage.Rid) (indexEntries int, e
 		}
 		if ok {
 			indexEntries++
+			// A version published from this session inherits every
+			// histogram still cached, so a changed index must drop its own.
+			ix.InvalidateStats()
 		}
 	}
 	return indexEntries, storage.Delete(db.Client, rid)

@@ -17,8 +17,9 @@ import (
 // the Sessions forked from it.
 //
 // A Snapshot is safe for concurrent use: Fork and ForkMutable only read
-// it, and nothing mutates it after Freeze except PrimeStats (which callers
-// run once, before sharing).
+// it, and nothing mutates it once it is shared. Before that, PrimeStats
+// fills in the histograms it lacks — Publish does so for every version a
+// commit creates, and whoever freezes or loads a root does so once.
 type Snapshot struct {
 	base    *storage.Base
 	store   *storage.Store
@@ -201,18 +202,27 @@ func (sn *Snapshot) fork(readOnly bool) *Session {
 	return db
 }
 
-// PrimeStats builds every index's equi-depth histogram on a throwaway fork
-// and installs the results in the snapshot, so sessions forked afterwards
-// inherit planner statistics instead of each paying the lazy ANALYZE scan.
-// Call it once, before the snapshot is shared. It never changes what a
-// session reports: histogram priming already happens (per session) in
-// session.New, followed by a ColdRestart that discards its cost.
+// PrimeStats builds the equi-depth histogram of every index that has none
+// on a throwaway fork and installs the results in the snapshot, so sessions
+// forked afterwards inherit planner statistics instead of each paying the
+// lazy ANALYZE scan. Indexes that are already primed are left alone: a
+// version published by a commit rebuilds only what the commit invalidated,
+// and a fully primed snapshot costs a catalog walk — no fork, no write.
+// Call it before the snapshot is shared. It never changes what a session
+// reports: histogram priming already happens (per session) in session.New,
+// followed by a ColdRestart that discards its cost.
 func (sn *Snapshot) PrimeStats() error {
-	f := sn.fork(true)
+	var f *Session
 	for name, e := range sn.extents {
-		fe := f.extents[name]
 		for i, ix := range e.indexes {
-			h, err := fe.indexes[i].Stats(f.Client)
+			if ix.stats != nil {
+				continue
+			}
+			if f == nil {
+				f = sn.fork(true)
+			}
+			// The fork copied the nil, so this scans and builds.
+			h, err := f.extents[name].indexes[i].Stats(f.Client)
 			if err != nil {
 				return err
 			}

@@ -7,7 +7,7 @@ package histogram
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -28,9 +28,10 @@ type Histogram struct {
 }
 
 // Build constructs a histogram with up to buckets buckets from keys. The
-// slice is sorted in place. An empty input yields a well-defined empty
-// histogram — zero buckets, zero total, zero Min/Max — not nil, so
-// callers may chain accessors without a guard.
+// slice is sorted in place unless it already is: an index scan delivers
+// keys ascending, and that is the caller every commit pays for. An empty
+// input yields a well-defined empty histogram — zero buckets, zero total,
+// zero Min/Max — not nil, so callers may chain accessors without a guard.
 func Build(keys []int64, buckets int) *Histogram {
 	if len(keys) == 0 {
 		return &Histogram{}
@@ -41,7 +42,9 @@ func Build(keys []int64, buckets int) *Histogram {
 	if buckets > len(keys) {
 		buckets = len(keys)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	if !slices.IsSorted(keys) {
+		slices.Sort(keys)
+	}
 	h := &Histogram{total: int64(len(keys))}
 	per := len(keys) / buckets
 	if per < 1 {

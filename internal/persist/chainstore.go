@@ -70,6 +70,12 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 	if err != nil {
 		return nil, nil, err
 	}
+	// Every version Publish creates inherits its parent's histograms, so
+	// priming the root here (a base saved straight after Freeze has none;
+	// one Compact wrote has them all) means no reader ever runs ANALYZE.
+	if err := root.Engine.PrimeStats(); err != nil {
+		return nil, nil, err
+	}
 	chain := engine.NewChain(root.Engine)
 	cur := root
 	// Track the WAL-replay page set for the pool warm-up below: base
@@ -98,6 +104,11 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 		}
 		next, err := r.Apply(cur, off)
 		if err != nil {
+			return err
+		}
+		// A no-op for a record Update wrote from a primed head; a log
+		// from before heads were born primed carries no histograms.
+		if err := next.Engine.PrimeStats(); err != nil {
 			return err
 		}
 		if err := chain.Append(next.Engine); err != nil {
@@ -229,7 +240,12 @@ func (s *ChainStore) Compact() (uint64, error) {
 	}
 	// Commits already durable are folded into the base; drain any batch
 	// in flight, then checkpoint the log. applyMu keeps new enqueues out.
-	s.log.Sync()
+	// A batch that failed to reach the disk must not be truncated away as
+	// if it had: the new base plus the whole log is the state replay
+	// already handles (it skips the records the base folded in).
+	if err := s.log.Sync(); err != nil {
+		return 0, fmt.Errorf("persist: compact: wal sync: %w", err)
+	}
 	if err := s.log.Reset(); err != nil {
 		return 0, err
 	}

@@ -2,20 +2,30 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"treebench/internal/bufpool"
 	"treebench/internal/derby"
+	"treebench/internal/engine"
+	"treebench/internal/session"
+	"treebench/internal/storage"
 	"treebench/internal/wal"
 )
 
 // newChainFixture generates a small dataset, saves it as a chain base,
 // and returns the store paths plus the in-memory root snapshot.
-func newChainFixture(t *testing.T) (snapPath, walPath string, root *derby.Snapshot) {
+func newChainFixture(t testing.TB) (snapPath, walPath string, root *derby.Snapshot) {
+	return newChainFixtureAt(t, 40, 15)
+}
+
+func newChainFixtureAt(t testing.TB, providers, avg int) (snapPath, walPath string, root *derby.Snapshot) {
 	t.Helper()
 	dir := t.TempDir()
-	ds, err := derby.Generate(derby.DefaultConfig(40, 15, derby.ClassCluster))
+	ds, err := derby.Generate(derby.DefaultConfig(providers, avg, derby.ClassCluster))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +90,15 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	committed := root.WithEngine(es)
 
 	payload := EncodeCommit(1, 4, delta, committed.State())
+	if len(payload) != cap(payload) {
+		t.Fatalf("record of %d bytes built in a %d-byte buffer", len(payload), cap(payload))
+	}
+	var book enc
+	encodeDerby(&book, committed.State())
+	if full := encodeCommitFull(1, 4, delta, committed.State()); len(full)-len(payload) != len(book.b) {
+		t.Fatalf("record is %d bytes, %d with the derby section, which weighs %d",
+			len(payload), len(full), len(book.b))
+	}
 	rec, err := DecodeCommit(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -381,4 +400,348 @@ func TestChainStoreConcurrentWriters(t *testing.T) {
 		t.Fatalf("more syncs (%d) than records (%d)", st.Wal.Syncs, st.Wal.Records)
 	}
 	mustPageEqual(t, s.Head(), referenceHead(t, root, spec, total), "racing writers vs single-writer replay")
+}
+
+// dropStats strips every histogram from an exported catalog: the state of
+// a version nobody primed.
+func dropStats(st *engine.SnapshotState) {
+	for i := range st.Extents {
+		for j := range st.Extents[i].Indexes {
+			st.Extents[i].Indexes[j].Stats = nil
+		}
+	}
+}
+
+// analyzed returns the catalog of sn with every histogram rebuilt from
+// nothing: the state is restored over sn's own pages without statistics
+// and primed there, so each histogram is histogram.Build over a fresh
+// full scan of its index as that version's pages hold it.
+func analyzed(t *testing.T, sn *engine.Snapshot) *engine.SnapshotState {
+	t.Helper()
+	st := sn.State()
+	dropStats(st)
+	fresh, err := engine.RestoreSnapshot(sn.Base(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.PrimeStats(); err != nil {
+		t.Fatal(err)
+	}
+	return fresh.State()
+}
+
+// poolGets is how many page reads the shared buffer pool has served.
+func poolGets() int64 {
+	st := bufpool.Active().Stats()
+	return st.Hits + st.Misses
+}
+
+// TestChainHeadsBornPrimed: after every commit — growth waves and a
+// compaction included — each index of the head carries a histogram, the
+// inherited and the rebuilt ones alike equal to a from-scratch ANALYZE of
+// that version, and a session forked from the head reads no page to get
+// its statistics.
+func TestChainHeadsBornPrimed(t *testing.T) {
+	snapPath, walPath, _ := newChainFixture(t)
+	spec := derby.DefaultWaveSpec() // waves 4 and 8 grow the schema
+	s, _, err := OpenChainStore(snapPath, walPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	check := func(what string) {
+		t.Helper()
+		head := s.Head().Engine
+		got, want := head.State(), analyzed(t, head)
+		indexes := 0
+		for i, ex := range got.Extents {
+			for j, ix := range ex.Indexes {
+				indexes++
+				if len(ix.Stats) == 0 {
+					t.Fatalf("%s: index %s.%s is unprimed", what, ex.Name, ix.Attr)
+				}
+				if !reflect.DeepEqual(ix.Stats, want.Extents[i].Indexes[j].Stats) {
+					t.Fatalf("%s: histogram of %s.%s differs from a fresh ANALYZE", what, ex.Name, ix.Attr)
+				}
+			}
+		}
+		if indexes < 3 {
+			t.Fatalf("%s: only %d indexes checked", what, indexes)
+		}
+		before := poolGets()
+		session.NewWith(head.Fork(), session.Config{})
+		if n := poolGets() - before; n != 0 {
+			t.Fatalf("%s: forking a session read %d pages; a primed head needs none", what, n)
+		}
+	}
+
+	// The probe sees an ANALYZE when there is one: the root as loaded,
+	// before OpenChainStore primed it, has no statistics.
+	unprimed, err := Load(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := poolGets()
+	session.NewWith(unprimed.Engine.Fork(), session.Config{})
+	if poolGets() == before {
+		t.Fatal("an unprimed fork read no pages: the probe is blind")
+	}
+
+	check("root")
+	for w := 1; w <= 9; w++ {
+		rep, _, err := s.Update()
+		if err != nil {
+			t.Fatalf("update %d: %v", w, err)
+		}
+		if rep.Evolved != (w%4 == 0) {
+			t.Fatalf("wave %d: evolved = %v", w, rep.Evolved)
+		}
+		check(fmt.Sprintf("v%d", w))
+		if w == 6 {
+			if _, err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			check("compacted v6")
+		}
+	}
+}
+
+// encodeCommitFull is EncodeCommit as it was before the derby section
+// was dropped from the record: every catalog section in a buffer of its
+// own, the derby bookkeeping (scale, rid maps, load report) in full. It
+// is the fixture writer for logs older than the slim record.
+func encodeCommitFull(version, wave uint64, delta *storage.Delta, st *derby.SnapshotState) []byte {
+	var e enc
+	e.u64(version)
+	e.u64(wave)
+	e.u32(uint32(delta.Parent().NumPages()))
+	ids := delta.OverlayIDs()
+	e.u32(uint32(len(ids)))
+	for _, id := range ids {
+		e.u32(uint32(id))
+		e.b = append(e.b, delta.OverlayPage(id)...)
+	}
+	app := delta.Appended()
+	e.u32(uint32(len(app)))
+	for _, pg := range app {
+		e.b = append(e.b, pg...)
+	}
+	sub := func(fill func(*enc)) {
+		var t enc
+		fill(&t)
+		e.u32(uint32(len(t.b)))
+		e.b = append(e.b, t.b...)
+	}
+	sub(func(t *enc) { encodeMeta(t, st.Engine) })
+	sub(func(t *enc) { encodeCatalog(t, st.Engine.Files) })
+	sub(func(t *enc) { encodeRegistry(t, st.Engine.Classes) })
+	sub(func(t *enc) { encodeExtents(t, st.Engine) })
+	sub(func(t *enc) { encodeTrees(t, st.Engine) })
+	sub(func(t *enc) { encodeHistograms(t, st.Engine) })
+	sub(func(t *enc) { encodeDerby(t, st) })
+	sub(func(t *enc) { encodeBackends(t, st.Engine) })
+	return e.b
+}
+
+// oldFormatCommit applies wave `version` to parent and returns the
+// record the pre-slim writer logged for it — full derby section, no
+// histograms, as that writer's heads were never primed — and the version.
+func oldFormatCommit(t testing.TB, parent *derby.Snapshot, version uint64, spec derby.WaveSpec) ([]byte, *derby.Snapshot) {
+	t.Helper()
+	d := parent.ForkMutable()
+	if _, err := derby.ApplyWave(d, version, spec); err != nil {
+		t.Fatal(err)
+	}
+	es, delta, err := d.DB.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := parent.WithEngine(es)
+	st := next.State()
+	dropStats(st.Engine)
+	return encodeCommitFull(version, version, delta, st), next
+}
+
+// TestOldFormatLogReplays: a log written before the record went slim —
+// full derby section, unprimed catalog — decodes, applies and replays to
+// a head whose whole state equals the head the current writer reaches,
+// and the store goes on committing over it.
+func TestOldFormatLogReplays(t *testing.T) {
+	snapPath, walPath, root := newChainFixture(t)
+	spec := derby.DefaultWaveSpec()
+	const waves = 5 // wave 4 grows the schema
+
+	log, _, err := wal.Open(walPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := root
+	for v := uint64(1); v <= waves; v++ {
+		var payload []byte
+		payload, cur = oldFormatCommit(t, cur, v, spec)
+		if _, err := log.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	old, rec, err := OpenChainStore(snapPath, walPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if rec.Records != waves || rec.Torn != nil {
+		t.Fatalf("recovery of the old-format log = %+v", rec)
+	}
+
+	livePath, liveWal, _ := newChainFixture(t)
+	live, _, err := OpenChainStore(livePath, liveWal, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for i := 0; i < waves; i++ {
+		if _, _, err := live.Update(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(what string) {
+		t.Helper()
+		mustPageEqual(t, old.Head(), live.Head(), what)
+		if !reflect.DeepEqual(old.Head().State(), live.Head().State()) {
+			t.Fatalf("%s: catalog state differs", what)
+		}
+	}
+	same("old-format replay vs live head")
+	for _, s := range []*ChainStore{old, live} {
+		if _, _, err := s.Update(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("one more commit over each")
+}
+
+// TestSlimLogRecoversBookkeeping: the current record carries no derby
+// section, so a head recovered from the log after a crash (the store is
+// dropped, never closed) must get scale, rid maps and load report from
+// the base it replays over.
+func TestSlimLogRecoversBookkeeping(t *testing.T) {
+	snapPath, walPath, root := newChainFixture(t)
+	spec := derby.DefaultWaveSpec()
+	s, _, err := OpenChainStore(snapPath, walPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := s.Update(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, rec, err := OpenChainStore(snapPath, walPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	defer s.Close()
+	if rec.Records != 5 {
+		t.Fatalf("replayed %d records, want 5", rec.Records)
+	}
+	got, want := s2.Head().State(), root.State()
+	if got.NumPatients != want.NumPatients || got.NumProviders != want.NumProviders ||
+		got.Clustering != want.Clustering || got.Load != want.Load {
+		t.Fatalf("recovered scale = %d×%d %v, base %d×%d %v",
+			got.NumProviders, got.NumPatients, got.Clustering, want.NumProviders, want.NumPatients, want.Clustering)
+	}
+	if !reflect.DeepEqual(got.PatientRids, want.PatientRids) || !reflect.DeepEqual(got.ProviderRids, want.ProviderRids) {
+		t.Fatal("recovered rid maps differ from the base's")
+	}
+	mustPageEqual(t, s2.Head(), s.Head(), "recovered head vs the head that crashed")
+}
+
+// faultyFile is an *os.File whose writes and fsyncs fail on demand.
+type faultyFile struct {
+	*os.File
+	writeErr, syncErr error
+}
+
+func (f *faultyFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.writeErr != nil {
+		return 0, f.writeErr
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	return f.File.Sync()
+}
+
+// TestCompactKeepsLogItCouldNotFlush: Compact drains the batch in flight
+// before it truncates the log; when that flush fails, Compact reports
+// the failure and leaves the log as it was instead of checkpointing over
+// records that never reached the disk.
+func TestCompactKeepsLogItCouldNotFlush(t *testing.T) {
+	errWrite, errSync := errors.New("disk full"), errors.New("fsync lost")
+	for _, c := range []struct {
+		name              string
+		writeErr, syncErr error
+		want              error
+	}{
+		{"healthy", nil, nil, nil},
+		{"write fails", errWrite, nil, errWrite},
+		{"fsync fails", nil, errSync, errSync},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snapPath, walPath, _ := newChainFixture(t)
+			s, _, err := OpenChainStore(snapPath, walPath, derby.DefaultWaveSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Reopen the store's log over a file that can be made to fail.
+			if err := s.log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(walPath, os.O_RDWR, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff := &faultyFile{File: f}
+			if s.log, _, err = wal.OpenFile(walPath, ff, nil); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < 2; i++ {
+				if _, _, err := s.Update(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A commit whose writer has enqueued but not yet flushed when
+			// Compact takes the apply lock.
+			if _, err := s.log.Enqueue([]byte("in flight")); err != nil {
+				t.Fatal(err)
+			}
+			tail := s.log.Tail()
+			ff.writeErr, ff.syncErr = c.writeErr, c.syncErr
+
+			_, err = s.Compact()
+			if !errors.Is(err, c.want) {
+				t.Fatalf("Compact = %v, want %v", err, c.want)
+			}
+			wantTail, wantCompactions := tail, 0
+			if c.want == nil {
+				wantTail, wantCompactions = wal.HeaderLen, 1
+			}
+			if got := s.log.Tail(); got != wantTail {
+				t.Fatalf("log tail after Compact = %d, want %d", got, wantTail)
+			}
+			if got := s.Stats().Compactions; got != wantCompactions {
+				t.Fatalf("%d compactions recorded, want %d", got, wantCompactions)
+			}
+		})
+	}
 }

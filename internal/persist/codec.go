@@ -34,6 +34,16 @@ func (e *enc) rid(r storage.Rid) {
 	e.u16(r.Slot)
 }
 
+// sub writes one u32-length-prefixed sub-section: fill appends the body
+// straight into e and the length is patched in afterwards, so a
+// sub-section costs no buffer of its own.
+func (e *enc) sub(fill func(*enc)) {
+	e.u32(0)
+	at := len(e.b)
+	fill(e)
+	binary.BigEndian.PutUint32(e.b[at-4:], uint32(len(e.b)-at))
+}
+
 // dec decodes a section payload. The first failed read latches err and
 // turns every later read into a zero value, so decode functions read a
 // whole section and check finish once. All errors wrap ErrFormat: a

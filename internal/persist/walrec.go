@@ -8,12 +8,18 @@ import (
 	"treebench/internal/storage"
 )
 
-// WAL commit records. A commit ships everything needed to rebuild the
+// WAL commit records. A commit ships what is needed to rebuild the
 // version it created over its parent: the copy-on-write delta (overlaid
-// and appended pages) plus the full post-commit catalog. The catalog is
-// O(classes + files + indexes) — a few KB — so carrying it whole keeps
-// replay a pure RestoreSnapshot instead of a catalog-patching protocol,
-// and reuses the snapshot file's section codecs byte for byte.
+// and appended pages) plus the post-commit engine catalog, which reuses
+// the snapshot file's section codecs byte for byte and keeps replay a
+// pure RestoreSnapshot instead of a catalog-patching protocol. The
+// catalog is O(pages + classes + indexes): the file page lists weigh 4
+// bytes a data page and the histograms 1.5 KB an index, 28 KB in all at
+// 200 000 patients — 4 % of a record whose other 96 % is page images
+// (EXPERIMENTS.md has the table). The derby bookkeeping is not shipped:
+// scale and rid maps never change after generation (rids are stable
+// across commits), they weigh 6 bytes an object — 1.2 MB at that scale —
+// and Apply takes them from the parent version.
 //
 // Payload layout (big-endian, inside one wal record whose length and
 // CRC-32C the log itself frames):
@@ -23,7 +29,9 @@ import (
 //	u32 appendedCount, appendedCount × 4 KB page
 //	8 × (u32 len + body): meta, catalog, registry, extents, trees,
 //	                      histograms, derby, backends — the snapshot-file
-//	                      sections
+//	                      sections; derby has len 0 (records written
+//	                      before that carry the full section: it is
+//	                      checked and ignored, and they still replay)
 
 // CommitRecord is one decoded WAL commit.
 type CommitRecord struct {
@@ -35,41 +43,47 @@ type CommitRecord struct {
 	OverlayPages  [][]byte // aligned with OverlayIDs
 	AppendedPages [][]byte
 
-	State *derby.SnapshotState
+	// State is the version's engine catalog. The derby bookkeeping is not
+	// part of a record (an old record's copy is checked and dropped):
+	// Apply inherits it from the parent.
+	State *engine.SnapshotState
 }
 
 // EncodeCommit serializes a commit: the published delta plus the new
-// version's catalog state.
+// version's engine catalog (st.Engine; the rest of st is not logged).
+// The catalog sections are built aside first — they are the only part
+// whose length is not known up front, and 28 KB at 200 000 patients (the
+// scratch starts at 32 KB and grows past that) — so the payload itself is
+// one buffer of exactly its final length.
 func EncodeCommit(version, wave uint64, delta *storage.Delta, st *derby.SnapshotState) []byte {
-	var e enc
+	es := st.Engine
+	cat := enc{b: make([]byte, 0, 32<<10)}
+	cat.sub(func(e *enc) { encodeMeta(e, es) })
+	cat.sub(func(e *enc) { encodeCatalog(e, es.Files) })
+	cat.sub(func(e *enc) { encodeRegistry(e, es.Classes) })
+	cat.sub(func(e *enc) { encodeExtents(e, es) })
+	cat.sub(func(e *enc) { encodeTrees(e, es) })
+	cat.sub(func(e *enc) { encodeHistograms(e, es) })
+	cat.u32(0) // derby: empty, Apply inherits the bookkeeping from the parent
+	cat.sub(func(e *enc) { encodeBackends(e, es) })
+
+	ids := delta.OverlayIDs()
+	app := delta.Appended()
+	size := 8 + 8 + 4 + 4 + len(ids)*(4+storage.PageSize) + 4 + len(app)*storage.PageSize + len(cat.b)
+	e := enc{b: make([]byte, 0, size)}
 	e.u64(version)
 	e.u64(wave)
 	e.u32(uint32(delta.Parent().NumPages()))
-	ids := delta.OverlayIDs()
 	e.u32(uint32(len(ids)))
 	for _, id := range ids {
 		e.u32(uint32(id))
 		e.b = append(e.b, delta.OverlayPage(id)...)
 	}
-	app := delta.Appended()
 	e.u32(uint32(len(app)))
 	for _, pg := range app {
 		e.b = append(e.b, pg...)
 	}
-	sub := func(fill func(*enc)) {
-		var t enc
-		fill(&t)
-		e.u32(uint32(len(t.b)))
-		e.b = append(e.b, t.b...)
-	}
-	sub(func(t *enc) { encodeMeta(t, st.Engine) })
-	sub(func(t *enc) { encodeCatalog(t, st.Engine.Files) })
-	sub(func(t *enc) { encodeRegistry(t, st.Engine.Classes) })
-	sub(func(t *enc) { encodeExtents(t, st.Engine) })
-	sub(func(t *enc) { encodeTrees(t, st.Engine) })
-	sub(func(t *enc) { encodeHistograms(t, st.Engine) })
-	sub(func(t *enc) { encodeDerby(t, st) })
-	sub(func(t *enc) { encodeBackends(t, st.Engine) })
+	e.b = append(e.b, cat.b...)
 	return e.b
 }
 
@@ -119,9 +133,10 @@ func DecodeCommit(b []byte) (*CommitRecord, error) {
 	if err := decodeHistograms(sub("histograms"), est); err != nil {
 		return nil, err
 	}
-	dst, err := decodeDerby(sub("derby"))
-	if err != nil {
-		return nil, err
+	if book := sub("derby"); len(book) > 0 {
+		if _, err := decodeDerby(book); err != nil {
+			return nil, err
+		}
 	}
 	if err := decodeBackends(sub("backends"), est); err != nil {
 		return nil, err
@@ -129,17 +144,16 @@ func DecodeCommit(b []byte) (*CommitRecord, error) {
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	dst.Engine = est
-	r.State = dst
+	r.State = est
 	return r, nil
 }
 
 // Apply rebuilds the version a commit record describes over its parent
 // snapshot: the record's pages become a storage.Delta layered on the
 // parent's base, and the record's catalog is restored over the resulting
-// DeltaBase. The returned snapshot has its lineage stamped (walOff is
-// the record's offset in the log) and shares every untouched page with
-// the parent.
+// DeltaBase, with the derby bookkeeping rebound from the parent. The
+// returned snapshot has its lineage stamped (walOff is the record's
+// offset in the log) and shares every untouched page with the parent.
 func (r *CommitRecord) Apply(parent *derby.Snapshot, walOff int64) (*derby.Snapshot, error) {
 	base := parent.Engine.Base()
 	if base.NumPages() != r.ParentPages {
@@ -154,10 +168,10 @@ func (r *CommitRecord) Apply(parent *derby.Snapshot, walOff int64) (*derby.Snaps
 	if err != nil {
 		return nil, err
 	}
-	snap, err := derby.RestoreSnapshot(storage.NewDeltaBase(delta), r.State)
+	es, err := engine.RestoreSnapshot(storage.NewDeltaBase(delta), r.State)
 	if err != nil {
 		return nil, err
 	}
-	snap.Engine.SetLineage(r.Version, delta.Pages(), walOff)
-	return snap, nil
+	es.SetLineage(r.Version, delta.Pages(), walOff)
+	return parent.WithEngine(es), nil
 }

@@ -80,13 +80,25 @@ type Stats struct {
 	Syncs   uint64 // fsync batches issued — Records/Syncs is the group-commit ratio
 }
 
+// File is what a Log needs of the file under it. *os.File is the one
+// production implementation; tests wrap one to make writes and fsyncs
+// fail.
+type File interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Seeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // Log is an open write-ahead log. All methods are safe for concurrent
 // use.
 type Log struct {
 	path string
 
 	mu     sync.Mutex // guards queue, buf, tail, closed
-	f      *os.File
+	f      File
 	tail   int64 // durable + enqueued end offset; next record lands here
 	flush  int64 // durable end offset; buf holds [flush, tail)
 	buf    []byte
@@ -94,6 +106,11 @@ type Log struct {
 	closed bool
 
 	flushMu sync.Mutex // held by the group-commit leader
+	// spare is the batch buffer not in use: each flush hands it to the
+	// enqueuers and keeps the one it stole, so a steady commit stream
+	// reuses two buffers instead of growing a fresh one per flush.
+	// Guarded by flushMu.
+	spare []byte
 
 	records atomic.Uint64
 	bytes   atomic.Uint64
@@ -121,6 +138,13 @@ func Open(path string, fn func(off int64, payload []byte) error) (*Log, *Recover
 	if err != nil {
 		return nil, nil, err
 	}
+	return OpenFile(path, f, fn)
+}
+
+// OpenFile is Open over a file the caller already opened read-write at
+// path; the log owns f from here on and closes it, also when OpenFile
+// fails.
+func OpenFile(path string, f File, fn func(off int64, payload []byte) error) (*Log, *Recovery, error) {
 	rec, err := replay(f, fn)
 	if err != nil {
 		f.Close()
@@ -159,7 +183,7 @@ func Scan(path string, fn func(off int64, payload []byte) error) (*Recovery, err
 
 // replay validates the header (writing a fresh one into an empty file)
 // and scans records, returning the valid tail offset.
-func replay(f *os.File, fn func(off int64, payload []byte) error) (*Recovery, error) {
+func replay(f File, fn func(off int64, payload []byte) error) (*Recovery, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, err
@@ -299,15 +323,19 @@ func (l *Log) Append(payload []byte) (*Pending, error) {
 }
 
 // flushBatch steals the current batch and makes it durable with one
-// write + one fsync. Called with flushMu held.
-func (l *Log) flushBatch() {
+// write + one fsync, returning the error every record of the batch was
+// completed with (nil for an empty batch). Called with flushMu held.
+func (l *Log) flushBatch() error {
 	l.mu.Lock()
 	buf, queue, off := l.buf, l.queue, l.flush
-	l.buf, l.queue = nil, nil
+	l.buf, l.queue = l.spare[:0], nil
 	l.flush = l.tail
 	l.mu.Unlock()
+	// The stolen buffer is the next flush's spare; flushMu keeps that
+	// flush out until this one has written it.
+	l.spare = buf
 	if len(queue) == 0 {
-		return
+		return nil
 	}
 	var err error
 	if _, werr := l.f.WriteAt(buf, off); werr != nil {
@@ -320,14 +348,17 @@ func (l *Log) flushBatch() {
 		p.err = err
 		close(p.done)
 	}
+	return err
 }
 
-// Sync flushes any enqueued-but-unflushed records (a convenience for
-// shutdown paths that enqueued without waiting).
-func (l *Log) Sync() {
+// Sync flushes any enqueued-but-unflushed records (for shutdown and
+// checkpoint paths that enqueued without waiting) and returns that
+// batch's write or fsync error. A batch another leader already flushed
+// reported its error to its own waiters.
+func (l *Log) Sync() error {
 	l.flushMu.Lock()
-	l.flushBatch()
-	l.flushMu.Unlock()
+	defer l.flushMu.Unlock()
+	return l.flushBatch()
 }
 
 // Reset truncates the log back to an empty header — the checkpoint step
@@ -351,7 +382,7 @@ func (l *Log) Reset() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.tail, l.flush, l.buf = HeaderLen, HeaderLen, nil
+	l.tail, l.flush = HeaderLen, HeaderLen
 	return nil
 }
 
@@ -370,14 +401,18 @@ func (l *Log) Stats() Stats {
 	return Stats{Records: l.records.Load(), Bytes: l.bytes.Load(), Syncs: l.syncs.Load()}
 }
 
-// Close flushes pending records and closes the file.
+// Close flushes pending records and closes the file, returning the
+// flush's error ahead of the close's.
 func (l *Log) Close() error {
-	l.Sync()
+	serr := l.Sync()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil
+		return serr
 	}
 	l.closed = true
-	return l.f.Close()
+	if err := l.f.Close(); serr == nil {
+		serr = err
+	}
+	return serr
 }

@@ -336,3 +336,113 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// faultyFile is an *os.File whose writes and fsyncs fail on demand.
+type faultyFile struct {
+	*os.File
+	writeErr, syncErr error
+}
+
+func (f *faultyFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.writeErr != nil {
+		return 0, f.writeErr
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	return f.File.Sync()
+}
+
+// TestSyncReportsBatchError: Sync returns exactly what the batch it
+// flushed was completed with — the write's error, else the fsync's, else
+// nil — and the records' own waiters see the same.
+func TestSyncReportsBatchError(t *testing.T) {
+	errWrite, errSync := errors.New("disk full"), errors.New("fsync lost")
+	for _, c := range []struct {
+		name              string
+		writeErr, syncErr error
+		enqueue           int
+		want              error
+	}{
+		{"healthy", nil, nil, 2, nil},
+		{"nothing enqueued", errWrite, errSync, 0, nil},
+		{"write fails", errWrite, nil, 2, errWrite},
+		{"fsync fails", nil, errSync, 2, errSync},
+		{"write error wins", errWrite, errSync, 1, errWrite},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "commit.wal")
+			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff := &faultyFile{File: f}
+			l, _, err := OpenFile(path, ff, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			ff.writeErr, ff.syncErr = c.writeErr, c.syncErr
+			var pending []*Pending
+			for i := 0; i < c.enqueue; i++ {
+				p, err := l.Enqueue([]byte(fmt.Sprintf("record %d", i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending = append(pending, p)
+			}
+			if err := l.Sync(); err != c.want {
+				t.Fatalf("Sync = %v, want %v", err, c.want)
+			}
+			for i, p := range pending {
+				if err := p.Wait(); err != c.want {
+					t.Fatalf("record %d completed with %v, want %v", i, err, c.want)
+				}
+			}
+			// The batch is spent either way: a second Sync has nothing
+			// to flush and nothing to report.
+			if err := l.Sync(); err != nil {
+				t.Fatalf("second Sync = %v", err)
+			}
+		})
+	}
+}
+
+// TestBatchBuffersReused: flushes alternate between two retained batch
+// buffers; records of every size, larger and smaller than what a buffer
+// last held, must still reach the file intact and in order.
+func TestBatchBuffersReused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "commit.wal")
+	l, _, _ := openCollect(t, path)
+	var want [][]byte
+	for i, n := range []int{10, 5000, 3, 70000, 0, 4096, 1, 70001, 12} {
+		p := bytes.Repeat([]byte{byte('a' + i)}, n)
+		want = append(want, p)
+		if i%3 == 2 { // every third record shares its flush with the next
+			if _, err := l.Enqueue(p); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, got := openCollect(t, path)
+	defer l2.Close()
+	if rec.Records != len(want) || rec.Torn != nil {
+		t.Fatalf("recovery = %+v, want %d records", rec, len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d: %d bytes read back, %d written", i, len(got[i]), len(want[i]))
+		}
+	}
+}
