@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-live bench-snap bench-query bench-vector bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
+.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap bench-query bench-vector bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
 
 all: build test
 
@@ -27,7 +27,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Snapshot-fork cost: generation happens once, each iteration forks a full
-# session. Watch ns/op and allocs/op — fork must stay O(catalog).
+# session. Watch ns/op, B/op and allocs/op — fork must stay O(catalog):
+# ~3 KB and ~45 objects, since nothing in a fork is sized to the capacity
+# of its page caches (two pre-sized LRU maps used to be 330 KB of it).
 bench-fork:
 	$(GO) test -run 'TestNothing^' -bench BenchmarkSessionFork -benchmem ./internal/session
 
@@ -47,6 +49,19 @@ bench-commit:
 # records before/after the lock-free hit path).
 bench-pool:
 	$(GO) test -run 'TestNothing^' -bench 'BenchmarkGet(Hit|HitParallel|Miss)$$' -benchmem ./internal/bufpool
+
+# What one measured query costs the Go program below the wire: the
+# simulated page caches (hit, miss with eviction, cold-restart drain and
+# refill — all 0 allocs/op) and one cold execution of each `analytic`
+# statement class on a long-lived session over the live benchmark's
+# database. Watch allocs/op and B/op — a query allocates by the query, not
+# by the page, the row or the chunk (EXPERIMENTS.md records before/after;
+# TestColdQueryAllocBudget and TestPageLRUSteadyStateAllocatesNothing
+# enforce it). A fixed 20 queries per class: the database takes longer to
+# generate than they take to run.
+bench-exec:
+	$(GO) test -run 'TestNothing^' -bench 'BenchmarkPageLRU' -benchmem ./internal/cache
+	$(GO) test -run 'TestNothing^' -bench 'BenchmarkColdQuery' -benchtime 20x -benchmem ./internal/session
 
 # The live query path, end to end and per layer: bench/ builds treebenchd,
 # drives the four BENCHMARK.json workloads over the real client and checks

@@ -1,3 +1,25 @@
+// Package cache implements O2's two-level buffer management: a server page
+// cache in front of the disk and a client page cache in front of the
+// server, talking over a metered RPC boundary (§2 runs both on one
+// machine, so an RPC is cheap but counted).
+//
+// The caches simulate traffic, not buffer copies: the meter records the
+// events the paper's Figure 3 schema reports (client faults, RPC count
+// and volume, server-to-client and disk-to-server page movements, miss
+// rates). Entries hold no buffers at all — they are pure
+// residency/recency bookkeeping; a hit re-fetches the canonical buffer
+// from the storage layer below, meter-free. Keeping the entries
+// bufferless is what lets the process-wide buffer pool (internal/bufpool)
+// actually bound RSS: if every session's simulated LRU aliased page
+// buffers, an evicted pool frame would stay referenced and the GC could
+// never reclaim it. Eviction of a dirty page charges the write path
+// below it.
+//
+// An entry is 16 bytes in the slab of one LRU (lru.go): admitting a page
+// is not an allocation, and a cold restart (Shutdown) empties both levels
+// but keeps their memory, because the paper's discipline restarts before
+// every measured query and the next query refills what this one drained.
+// The same LRU type serves oql.PlanCache.
 package cache
 
 import (
@@ -6,6 +28,13 @@ import (
 	"treebench/internal/sim"
 	"treebench/internal/storage"
 )
+
+// pageLRU is the residency index of one cache level: page id → dirty bit.
+type pageLRU = LRU[storage.PageID, bool]
+
+func newPageLRU(capacityBytes int64) *pageLRU {
+	return NewLRU[storage.PageID, bool](int(capacityBytes / storage.PageSize))
+}
 
 // Server is the server-side page cache in front of the disk. It implements
 // storage.Pager.
@@ -19,7 +48,7 @@ type Server struct {
 	disk  *storage.Disk
 	meter *sim.Meter
 	mu    sync.Mutex
-	lru   *lru
+	lru   *pageLRU
 }
 
 // NewServer returns a server cache of capacityBytes over disk, charging
@@ -28,7 +57,7 @@ func NewServer(disk *storage.Disk, meter *sim.Meter, capacityBytes int64) *Serve
 	return &Server{
 		disk:  disk,
 		meter: meter,
-		lru:   newLRU(int(capacityBytes / storage.PageSize)),
+		lru:   newPageLRU(capacityBytes),
 	}
 }
 
@@ -40,7 +69,7 @@ func NewServer(disk *storage.Disk, meter *sim.Meter, capacityBytes int64) *Serve
 func (s *Server) Read(id storage.PageID) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.lru.get(id); e != nil {
+	if _, ok := s.lru.Get(id); ok {
 		s.meter.ServerHit()
 		return s.disk.Read(id)
 	}
@@ -67,8 +96,8 @@ func (s *Server) Buffer(id storage.PageID) ([]byte, error) {
 func (s *Server) Write(id storage.PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.lru.peek(id); e != nil {
-		e.dirty = true
+	if dirty := s.lru.Peek(id); dirty != nil {
+		*dirty = true
 		return nil
 	}
 	// Page not resident (e.g. handed straight down from a client
@@ -93,7 +122,7 @@ func (s *Server) Alloc() (storage.PageID, []byte, error) {
 }
 
 func (s *Server) admit(id storage.PageID, dirty bool) {
-	if evicted := s.lru.put(id, dirty); evicted != nil && evicted.dirty {
+	if _, evDirty, _ := s.lru.Put(id, dirty); evDirty {
 		s.meter.DiskWrite()
 	}
 }
@@ -102,12 +131,7 @@ func (s *Server) admit(id storage.PageID, dirty bool) {
 func (s *Server) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lru.each(func(e *lruEntry) {
-		if e.dirty {
-			e.dirty = false
-			s.meter.DiskWrite()
-		}
-	})
+	s.lru.Each(s.writeOut)
 }
 
 // Shutdown flushes and empties the cache (the paper's cold restart between
@@ -115,10 +139,15 @@ func (s *Server) Flush() {
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.lru.drain() {
-		if e.dirty {
-			s.meter.DiskWrite()
-		}
+	s.lru.Drain(s.writeOut)
+}
+
+// writeOut charges the disk write of a dirty resident page and marks it
+// clean.
+func (s *Server) writeOut(_ storage.PageID, dirty *bool) {
+	if *dirty {
+		*dirty = false
+		s.meter.DiskWrite()
 	}
 }
 
@@ -126,7 +155,7 @@ func (s *Server) Shutdown() {
 func (s *Server) Resident() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.len()
+	return s.lru.Len()
 }
 
 // Client is the client-side page cache. Every miss is one RPC to the
@@ -136,7 +165,7 @@ func (s *Server) Resident() int {
 type Client struct {
 	server *Server
 	meter  *sim.Meter
-	lru    *lru
+	lru    *pageLRU
 
 	// readAhead is the batch size Prefetch-aware scans use; 1 disables
 	// prefetching.
@@ -148,7 +177,7 @@ func NewClient(srv *Server, meter *sim.Meter, capacityBytes int64) *Client {
 	return &Client{
 		server:    srv,
 		meter:     meter,
-		lru:       newLRU(int(capacityBytes / storage.PageSize)),
+		lru:       newPageLRU(capacityBytes),
 		readAhead: 1,
 	}
 }
@@ -175,7 +204,7 @@ func (c *Client) ReadAheadBatch() int { return c.readAhead }
 func (c *Client) Prefetch(ids []storage.PageID) {
 	fetched := 0
 	for _, id := range ids {
-		if c.lru.peek(id) != nil {
+		if c.lru.Peek(id) != nil {
 			continue
 		}
 		if _, err := c.server.Read(id); err != nil {
@@ -200,7 +229,7 @@ func (c *Client) Costs() *sim.Meter { return c.meter }
 // canonical storage-layer buffer fetched meter-free; only the simulated
 // traffic differs between hit and miss.
 func (c *Client) Read(id storage.PageID) ([]byte, error) {
-	if e := c.lru.get(id); e != nil {
+	if _, ok := c.lru.Get(id); ok {
 		c.meter.ClientHit()
 		return c.server.Buffer(id)
 	}
@@ -218,15 +247,15 @@ func (c *Client) Read(id storage.PageID) ([]byte, error) {
 // Write implements storage.Pager: marks the page dirty client-side. The
 // write travels to the server when the page is evicted or flushed.
 func (c *Client) Write(id storage.PageID) error {
-	if e := c.lru.peek(id); e != nil {
-		e.dirty = true
+	if dirty := c.lru.Peek(id); dirty != nil {
+		*dirty = true
 		return nil
 	}
 	// Not resident: fetch, then dirty.
 	if _, err := c.Read(id); err != nil {
 		return err
 	}
-	c.lru.peek(id).dirty = true
+	*c.lru.Peek(id) = true
 	return nil
 }
 
@@ -242,42 +271,41 @@ func (c *Client) Alloc() (storage.PageID, []byte, error) {
 }
 
 func (c *Client) admit(id storage.PageID, dirty bool) {
-	if evicted := c.lru.put(id, dirty); evicted != nil && evicted.dirty {
+	if evicted, evDirty, _ := c.lru.Put(id, dirty); evDirty {
 		c.writeBack(evicted)
 	}
 }
 
-func (c *Client) writeBack(e *lruEntry) {
+func (c *Client) writeBack(id storage.PageID) {
 	c.meter.RPC(storage.PageSize)
 	// Data is shared in-process; only the traffic is simulated. The
 	// server's Write pulls the page into its cache dirty if needed.
-	_ = c.server.Write(e.id)
+	_ = c.server.Write(id)
+}
+
+// writeOut sends a dirty resident page to the server and marks it clean.
+func (c *Client) writeOut(id storage.PageID, dirty *bool) {
+	if *dirty {
+		*dirty = false
+		c.writeBack(id)
+	}
 }
 
 // Flush pushes every dirty client page to the server and flushes the
 // server to disk.
 func (c *Client) Flush() {
-	c.lru.each(func(e *lruEntry) {
-		if e.dirty {
-			e.dirty = false
-			c.writeBack(e)
-		}
-	})
+	c.lru.Each(c.writeOut)
 	c.server.Flush()
 }
 
 // Shutdown flushes and empties both cache levels (cold restart).
 func (c *Client) Shutdown() {
-	for _, e := range c.lru.drain() {
-		if e.dirty {
-			c.writeBack(e)
-		}
-	}
+	c.lru.Drain(c.writeOut)
 	c.server.Shutdown()
 }
 
 // Resident returns the number of client-resident pages.
-func (c *Client) Resident() int { return c.lru.len() }
+func (c *Client) Resident() int { return c.lru.Len() }
 
 // Hierarchy builds the standard disk→server→client stack for one session.
 func Hierarchy(disk *storage.Disk, meter *sim.Meter, machine sim.Machine) (*Server, *Client) {

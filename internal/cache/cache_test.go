@@ -143,30 +143,31 @@ func TestDataSurvivesEvictionChurn(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	l := newLRU(2)
-	l.put(1, false)
-	l.put(2, false)
-	l.get(1) // 2 is now LRU
-	if ev := l.put(3, false); ev == nil || ev.id != 2 {
-		t.Fatalf("evicted %v, want page 2", ev)
+	l := newPageLRU(2 * storage.PageSize)
+	l.Put(1, false)
+	l.Put(2, false)
+	l.Get(1) // 2 is now LRU
+	if ev, _, ok := l.Put(3, false); !ok || ev != 2 {
+		t.Fatalf("evicted %v (%v), want page 2", ev, ok)
 	}
-	if l.peek(1) == nil || l.peek(3) == nil || l.peek(2) != nil {
+	if l.Peek(1) == nil || l.Peek(3) == nil || l.Peek(2) != nil {
 		t.Fatal("wrong residency after eviction")
 	}
 }
 
 func TestLRUDrainOrder(t *testing.T) {
-	l := newLRU(3)
-	l.put(1, false)
-	l.put(2, false)
-	l.put(3, false)
-	l.get(1)
-	got := l.drain()
-	if len(got) != 3 || got[0].id != 2 || got[1].id != 3 || got[2].id != 1 {
-		t.Fatalf("drain order: %v,%v,%v", got[0].id, got[1].id, got[2].id)
+	l := newPageLRU(3 * storage.PageSize)
+	l.Put(1, false)
+	l.Put(2, false)
+	l.Put(3, false)
+	l.Get(1)
+	var got []storage.PageID
+	l.Drain(func(id storage.PageID, _ *bool) { got = append(got, id) })
+	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 1 {
+		t.Fatalf("drain order: %v", got)
 	}
-	if l.len() != 0 {
-		t.Fatalf("len after drain = %d", l.len())
+	if l.Len() != 0 {
+		t.Fatalf("len after drain = %d", l.Len())
 	}
 }
 
@@ -200,11 +201,11 @@ func TestHierarchyGeometry(t *testing.T) {
 	disk := storage.NewDisk(0)
 	meter := sim.NewMeter(sim.DefaultCostModel())
 	srv, cli := Hierarchy(disk, meter, sim.DefaultMachine())
-	if srv.lru.capacity != 1024 {
-		t.Fatalf("server capacity = %d pages, want 1024 (4MB)", srv.lru.capacity)
+	if srv.lru.Cap() != 1024 {
+		t.Fatalf("server capacity = %d pages, want 1024 (4MB)", srv.lru.Cap())
 	}
-	if cli.lru.capacity != 8192 {
-		t.Fatalf("client capacity = %d pages, want 8192 (32MB: 'it can hold 8000 pages')", cli.lru.capacity)
+	if cli.lru.Cap() != 8192 {
+		t.Fatalf("client capacity = %d pages, want 8192 (32MB: 'it can hold 8000 pages')", cli.lru.Cap())
 	}
 }
 

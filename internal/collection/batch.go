@@ -3,16 +3,18 @@ package collection
 import "treebench/internal/storage"
 
 // ScanBatched visits the collection's elements in insertion order,
-// delivered in slices of at most capacity rids. Page traffic is identical
-// to Scan: one record read per chunk, and a sub-batch never spans a chunk
-// boundary, so each delivery happens with no pager activity since its
-// chunk's read. The slice passed to fn is reused between calls; fn
-// returning false stops the scan.
-func ScanBatched(p storage.Pager, head storage.Rid, capacity int, fn func([]storage.Rid) (bool, error)) error {
-	if capacity < 1 {
-		capacity = 1
+// delivered in slices of at most cap(scratch) rids (minimum 1). Page
+// traffic is identical to Scan: one record read per chunk, and a sub-batch
+// never spans a chunk boundary, so each delivery happens with no pager
+// activity since its chunk's read. The slice passed to fn is scratch,
+// reused between calls — an operator that walks one collection per parent
+// object passes the same scratch to every walk; fn returning false stops
+// the scan.
+func ScanBatched(p storage.Pager, head storage.Rid, scratch []storage.Rid, fn func([]storage.Rid) (bool, error)) error {
+	if cap(scratch) < 1 {
+		scratch = make([]storage.Rid, 0, 1)
 	}
-	batch := make([]storage.Rid, 0, capacity)
+	capacity, batch := cap(scratch), scratch[:0]
 	for cur := head; !cur.IsNil(); {
 		rec, err := storage.Get(p, cur)
 		if err != nil {

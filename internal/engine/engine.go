@@ -120,7 +120,8 @@ type Session struct {
 	// queryJobs is the intra-query worker count (0 = DefaultQueryJobs);
 	// chunkForks are the persistent per-chunk execution contexts RunChunks
 	// lazily creates — chunk i always runs on fork i, so warm-cache state
-	// evolves deterministically. See parallel.go.
+	// evolves deterministically. ColdRestart empties them and keeps them.
+	// See parallel.go.
 	queryJobs  int
 	chunkForks []*Session
 
@@ -196,12 +197,28 @@ func (db *Session) Pager() storage.Pager { return db.Client }
 // ColdRestart empties both caches and the handle-sharing table, simulating
 // the paper's server shutdown between measured queries, and resets the
 // meter so the next query is measured from zero on a cold system.
+//
+// Chunk forks hold warm caches of their own and a cold system has none, so
+// each retained fork is emptied the same way and kept: an emptied fork
+// that runChunks re-binds is indistinguishable from a new ReadFork, and
+// the next query does not rebuild eight cache hierarchies to find that out.
 func (db *Session) ColdRestart() {
+	db.shutdown()
+	db.Meter.Reset()
+	for _, f := range db.chunkForks {
+		if f != nil {
+			f.shutdown()
+		}
+	}
+}
+
+// shutdown empties the session's two cache levels (keeping their memory)
+// and gives it a fresh handle table. What it charges a fork's meter — the
+// write-back of dirty pages, of which a read fork has none — is discarded
+// by the Reset every use of a chunk fork starts with.
+func (db *Session) shutdown() {
 	db.Client.Shutdown()
 	db.Handles = object.NewTable(db.Meter, db.Client, db.Classes)
-	db.Meter.Reset()
-	// Chunk forks hold warm caches of their own; a cold system has none.
-	db.chunkForks = nil
 }
 
 // CreateExtent registers a class and creates its extent backed by the named

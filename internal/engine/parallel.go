@@ -135,41 +135,56 @@ func (e *Extent) Partition(n int) []PageRange {
 // charges its private meter, and the results merge deterministically.
 func (db *Session) ReadFork() *Session {
 	meter := sim.NewMeter(db.Meter.Model)
-	meter.SetSlimHandles(db.Meter.SlimHandles())
 	srv, cli := cache.Hierarchy(db.Store.Disk, meter, db.Machine)
-	return &Session{
-		Store:         db.Store,
-		Meter:         meter,
-		Machine:       db.Machine,
-		Server:        srv,
-		Client:        cli,
-		Classes:       db.Classes,
-		Handles:       object.NewTable(meter, cli, db.Classes),
-		Txns:          txn.NewManager(meter, cli, db.Txns.Mode()),
-		extents:       db.extents,
-		indexes:       db.indexes,
-		nextIdx:       db.nextIdx,
-		roots:         db.roots,
-		relationships: db.relationships,
-		batch:         db.batch,
-		indexBackend:  db.indexBackend,
-		readOnly:      true,
+	f := &Session{
+		Store:    db.Store,
+		Meter:    meter,
+		Machine:  db.Machine,
+		Server:   srv,
+		Client:   cli,
+		Txns:     txn.NewManager(meter, cli, db.Txns.Mode()),
+		readOnly: true,
 	}
+	f.bind(db)
+	f.Handles = object.NewTable(meter, cli, f.Classes)
+	return f
+}
+
+// bind points fork f at everything it takes from its parent db by value —
+// catalog maps and slices (a mutable parent may have appended a
+// relationship, created its roots map or an index since f last ran), the
+// class registry, and the settings that shape execution but no simulated
+// number. ReadFork binds a new fork; runChunks re-binds a retained one
+// before every use, which is all that separates the two: what a fork owns
+// (meter, caches, handle table) ColdRestart has already emptied.
+func (f *Session) bind(db *Session) {
+	f.Classes = db.Classes
+	f.extents, f.indexes, f.nextIdx = db.extents, db.indexes, db.nextIdx
+	f.roots, f.relationships = db.roots, db.relationships
+	f.indexBackend, f.batch = db.indexBackend, db.batch
+	f.Meter.SetSlimHandles(db.Meter.SlimHandles())
+	f.Client.SetReadAhead(db.Client.ReadAheadBatch())
 }
 
 // chunkFork returns the session's persistent execution context for chunk i,
-// creating it on first use. Chunk i always runs on fork i, so a fork's cache
-// state is a deterministic function of the session's own query history —
-// warm-mode sequences stay byte-identical at any worker count. ColdRestart
-// drops the forks along with the caches they hold.
+// creating it on first use and re-binding it to db on every later one.
+// Chunk i always runs on fork i, so a fork's cache state is a deterministic
+// function of the session's own query history — warm-mode sequences stay
+// byte-identical at any worker count. The forks outlive ColdRestart, which
+// empties them exactly as it empties db.
 func (db *Session) chunkFork(i int) *Session {
 	for len(db.chunkForks) <= i {
 		db.chunkForks = append(db.chunkForks, nil)
 	}
-	if db.chunkForks[i] == nil {
-		db.chunkForks[i] = db.ReadFork()
+	f := db.chunkForks[i]
+	if f == nil {
+		f = db.ReadFork()
+		db.chunkForks[i] = f
+	} else {
+		f.bind(db)
 	}
-	return db.chunkForks[i]
+	f.Meter.Reset()
+	return f
 }
 
 // ShardChunks returns the chunk-index range [lo, hi) that shard s of N owns
@@ -267,27 +282,17 @@ func (db *Session) runChunks(n int, all bool, fn func(w *Session, chunk int) err
 	if workers > n {
 		workers = n
 	}
-	readAhead := db.Client.ReadAheadBatch()
-	slim := db.Meter.SlimHandles()
 	forks := make([]*Session, n)
 	for i := range forks {
-		if i < lo || i >= hi {
-			if !all {
-				continue // unowned and side-effect-free: does not run
-			}
+		switch {
+		case lo <= i && i < hi:
+			forks[i] = db.chunkFork(i)
+		case all:
 			// Unowned but required for its side effects: a throwaway fork
 			// whose meter is never merged.
-			f := db.ReadFork()
-			f.Client.SetReadAhead(readAhead)
-			forks[i] = f
-			continue
+			forks[i] = db.ReadFork()
 		}
-		f := db.chunkFork(i)
-		f.Meter.Reset()
-		f.Meter.SetSlimHandles(slim)
-		f.Client.SetReadAhead(readAhead)
-		f.batch = db.batch
-		forks[i] = f
+		// Otherwise unowned and side-effect-free: does not run.
 	}
 	errs := make([]error, n)
 	if workers <= 1 {

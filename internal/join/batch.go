@@ -50,6 +50,7 @@ func runNLBatched(env *Env, q Query) (*Result, error) {
 		parts[c] = part
 		pf := w.Handles.Fetcher() // providers
 		cf := w.Handles.Fetcher() // patients
+		prids := make([]storage.Rid, 0, bsize)
 		return upinIdx.Backend.ScanBatched(w.Client, ranges[c].Lo, ranges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
 			var ch sim.BatchCharges
 			for _, e := range entries {
@@ -67,7 +68,7 @@ func runNLBatched(env *Env, q Query) (*Result, error) {
 					return false, err
 				}
 				ch.AttrGets += 2
-				err = collection.ScanBatched(w.Client, clientsV.Ref, bsize, func(prids []storage.Rid) (bool, error) {
+				err = collection.ScanBatched(w.Client, clientsV.Ref, prids, func(prids []storage.Rid) (bool, error) {
 					cf.Invalidate() // the chunk's record read intervened
 					for _, prid := range prids {
 						rec, cls, err := cf.Fetch(prid)

@@ -78,10 +78,12 @@ func (b *Batch) SetCols(n int) {
 			b.Sel[i] = false
 		}
 	}
+	// Reset truncated Cols to zero length; the columns of earlier batches
+	// are still in its backing array, so re-slice before growing.
+	b.Cols = b.Cols[:min(n, cap(b.Cols))]
 	for len(b.Cols) < n {
 		b.Cols = append(b.Cols, nil)
 	}
-	b.Cols = b.Cols[:n]
 	for j := range b.Cols {
 		if cap(b.Cols[j]) < rows {
 			b.Cols[j] = make([]Value, rows)

@@ -406,3 +406,31 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetColsReusesColumns pins the batch's column reuse: once a batch has
+// sized its value columns, the Reset → Append → SetCols cycle every later
+// batch of the scan goes through allocates nothing (Reset used to truncate
+// Cols and SetCols then appended nil over the retained columns, so every
+// batch paid rows × 40 B per projected attribute).
+func TestSetColsReusesColumns(t *testing.T) {
+	const rows, cols = 64, 3
+	b := NewBatch(rows)
+	cycle := func() {
+		b.Reset()
+		for i := 0; i < rows; i++ {
+			b.Append(storage.Rid{Page: 1, Slot: uint16(i)}, nil, nil)
+		}
+		b.SetCols(cols)
+		// Operators compact the columns to the selected rows.
+		for j := range b.Cols {
+			b.Cols[j] = b.Cols[j][:rows/2]
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(10, cycle); got != 0 {
+		t.Fatalf("a warmed batch allocated %v objects per Reset+Append+SetCols, want 0", got)
+	}
+	if len(b.Cols) != cols || len(b.Sel) != rows {
+		t.Fatalf("SetCols sized %d columns / %d sel, want %d / %d", len(b.Cols), len(b.Sel), cols, rows)
+	}
+}

@@ -94,8 +94,7 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 		// row as chunk 0.
 		nc := len(selection.ScanChunks(p.Extent))
 		var aggChunks [][]*aggState
-		var sampleChunks [][]Row
-		truncChunks := make([]bool, nc)
+		var sampleChunks []rowSlab
 		switch {
 		case hasAgg(p.Aggregates):
 			aggChunks = make([][]*aggState, nc)
@@ -125,14 +124,10 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 				return nil
 			}
 		case len(p.Projects) > 0:
-			sampleChunks = make([][]Row, nc)
+			sampleChunks = make([]rowSlab, nc)
 			req.OnRowChunk = func(chunk int, vals []object.Value) error {
-				if len(sampleChunks[chunk]) < SampleLimit {
-					row := make(Row, len(vals))
+				if row := sampleChunks[chunk].add(len(vals), 1); row != nil {
 					copy(row, vals)
-					sampleChunks[chunk] = append(sampleChunks[chunk], row)
-				} else {
-					truncChunks[chunk] = true
 				}
 				return nil
 			}
@@ -140,15 +135,13 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 			// its value columns) up to the per-chunk cap in one call.
 			req.OnBatch = func(chunk int, cols [][]object.Value, n int) error {
 				for r := 0; r < n; r++ {
-					if len(sampleChunks[chunk]) >= SampleLimit {
-						truncChunks[chunk] = true
+					row := sampleChunks[chunk].add(len(cols), n-r)
+					if row == nil {
 						return nil
 					}
-					row := make(Row, len(cols))
 					for j := range cols {
 						row[j] = cols[j][r]
 					}
-					sampleChunks[chunk] = append(sampleChunks[chunk], row)
 				}
 				return nil
 			}
@@ -166,18 +159,24 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 				}
 			}
 		}
-		var sample []Row
-		truncated := false
-		for c, part := range sampleChunks {
-			// Every chunk keeps its first SampleLimit rows, which is a
-			// superset of its contribution to the global first SampleLimit,
-			// so the concatenation's prefix matches the sequential sample.
-			sample = append(sample, part...)
-			truncated = truncated || truncChunks[c]
+		// Every chunk keeps its first SampleLimit rows, which is a superset
+		// of its contribution to the global first SampleLimit, so the first
+		// SampleLimit rows of the concatenation are the sequential sample.
+		total, truncated := 0, false
+		for c := range sampleChunks {
+			total += len(sampleChunks[c].rows)
+			truncated = truncated || sampleChunks[c].truncated
 		}
-		if len(sample) > SampleLimit {
-			sample = sample[:SampleLimit]
-			truncated = true
+		if total > SampleLimit {
+			total, truncated = SampleLimit, true
+		}
+		var sample []Row
+		if total > 0 {
+			sample = make([]Row, 0, total)
+		}
+		for c := range sampleChunks {
+			part := sampleChunks[c].rows
+			sample = append(sample, part[:min(len(part), total-len(sample))]...)
 		}
 		res := &Result{
 			Plan: p, Rows: sres.Rows,
@@ -226,6 +225,40 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("oql: unknown plan kind %d", p.Kind)
 	}
+}
+
+// rowSlab is one chunk's sample: up to SampleLimit rows, cut from shared
+// blocks of values instead of made one by one. A new block holds the rows
+// the caller says are coming or twice the previous block, whichever is
+// more, up to slabMaxRows: a result that arrives in one batch gets one
+// block of exactly its size (a 500-row point selection allocates what its
+// rows need, not the next power of two), and a selective scan that trickles
+// a few rows per batch still allocates by the block, not by the batch.
+type rowSlab struct {
+	rows      []Row
+	free      []object.Value // the newest block's unused tail
+	blockRows int
+	truncated bool // rows were refused at the limit
+}
+
+const slabMaxRows = 1024
+
+// add returns the chunk's next sample row, width values wide, for the
+// caller to fill — or nil once the chunk holds SampleLimit rows. coming is
+// how many rows the caller is about to add, this one included.
+func (s *rowSlab) add(width, coming int) Row {
+	if len(s.rows) >= SampleLimit {
+		s.truncated = true
+		return nil
+	}
+	if len(s.free) < width {
+		s.blockRows = min(max(2*s.blockRows, coming), slabMaxRows)
+		s.free = make([]object.Value, s.blockRows*width)
+	}
+	row := Row(s.free[:width:width])
+	s.free = s.free[width:]
+	s.rows = append(s.rows, row)
+	return row
 }
 
 // Query parses, plans and executes OQL text in one call, going through the
