@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap bench-query bench-vector bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
+.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap bench-query bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
 
 all: build test
 
@@ -84,15 +84,6 @@ bench-snap:
 # both settings inside the benchmark itself.
 bench-query:
 	./scripts/bench_query.sh
-
-# Vectorization speedup: the identical cold PHJ tree query at batch size 1
-# (legacy scalar operators) vs the engine default 1024, both single-
-# threaded. Writes BENCH_vector.json; fails below MIN_SPEEDUP (default
-# 1.3×) on every machine — the gain is per-batch amortization, not
-# parallelism, so even a 1-CPU runner must show it. Simulated numbers are
-# asserted identical at both settings inside the benchmark itself.
-bench-vector:
-	./scripts/bench_vector.sh
 
 # Sharded scatter-gather speedup: the identical cold PHJ tree query through
 # treebench-coord over 1, 2 and 4 single-worker treebenchd shards, all

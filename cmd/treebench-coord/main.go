@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"treebench/internal/cli"
-	"treebench/internal/core"
 	"treebench/internal/dist"
 	"treebench/internal/persist"
 	"treebench/internal/server"
@@ -55,7 +54,7 @@ func main() {
 		pool       = cli.PoolFlags(flag.CommandLine)
 		timeout    = flag.Duration("query-timeout", 60*time.Second, "per-query budget across the whole scatter-gather")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight queries")
-		snapDir    = flag.String("snapshot-dir", os.Getenv(core.SnapshotDirEnvVar), "snapshot cache directory (also TREEBENCH_SNAPSHOT_DIR; empty disables)")
+		snapDir    = cli.SnapshotDirFlag(flag.CommandLine)
 		saveSnap   = flag.Bool("save-snapshot", false, "cache the planning snapshot even without -snapshot-dir")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6061; empty disables)")
 		verbose    = flag.Bool("v", false, "log shard dials and lifecycle to stderr")

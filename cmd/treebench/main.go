@@ -41,7 +41,7 @@ func main() {
 		seed    = flag.Int("seed", 1997, "data generator seed")
 		verbose = flag.Bool("v", false, "stream per-run progress")
 		hhj     = flag.Bool("hhj", false, "include the hybrid-hash extension in the join experiments")
-		snapDir = flag.String("snapshot-dir", "", "cache generated databases as snapshots in this directory (default from TREEBENCH_SNAPSHOT_DIR; empty disables)")
+		snapDir = cli.SnapshotDirFlag(flag.CommandLine)
 		csvPath = flag.String("csv", "", "export the results database as CSV to this file")
 		gnuplot = flag.String("gnuplot", "", "write <id>.dat and <id>.gp gnuplot files for each experiment into this directory")
 	)
@@ -78,9 +78,7 @@ func main() {
 	}
 	cfg.Seed = int32(*seed)
 	cfg.EnableHHJ = *hhj
-	if *snapDir != "" {
-		cfg.SnapshotDir = *snapDir
-	}
+	cfg.SnapshotDir = *snapDir
 	if *verbose {
 		cfg.Verbose = os.Stderr
 	}

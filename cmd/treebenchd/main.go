@@ -102,7 +102,7 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 		timeout    = flag.Duration("query-timeout", 30*time.Second, "per-query wall-clock budget (queue wait + execution)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight queries")
-		snapDir    = flag.String("snapshot-dir", os.Getenv(core.SnapshotDirEnvVar), "snapshot cache directory for instant warm boots (also TREEBENCH_SNAPSHOT_DIR; empty disables)")
+		snapDir    = cli.SnapshotDirFlag(flag.CommandLine)
 		saveSnap   = flag.Bool("save-snapshot", false, "cache the generated snapshot even without -snapshot-dir (uses the default cache directory)")
 		walDir     = flag.String("wal", "", "writable mode: directory holding the chain base snapshot and write-ahead log (empty = read-only)")
 		compactN   = flag.Int("compact-every", 0, "fold the chain into a fresh base whenever the head is this many commits ahead (0 disables)")

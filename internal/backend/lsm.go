@@ -340,7 +340,7 @@ var errStopScan = errors.New("backend: stop scan")
 // order over [lo, hi). Table cursors load pages lazily through the
 // pager, calling beforeLoad first — that is the hook ScanBatched uses
 // to flush a pending batch before any component page read, which keeps
-// the scalar and batched charge sequences identical.
+// the Scan and ScanBatched charge sequences identical.
 type lsmCursor struct {
 	lo, hi int64
 	cur    sstEntry

@@ -1,14 +1,16 @@
 // Package cli is the one place the flag groups shared by the cmd mains are
 // declared: the Derby shape (-providers -avg -clustering -seed), the shared
-// buffer pool (-bufpool-mb -readahead) and the executor (-qj -batch
-// -index-backend). Each group registers on a FlagSet and resolves, after
-// Parse, to the values the main runs with — flag first, then the group's
-// TREEBENCH_* variable, then the built-in default.
+// buffer pool (-bufpool-mb -readahead), the executor (-qj -batch
+// -index-backend) and the snapshot cache (-snapshot-dir). Each group
+// registers on a FlagSet and resolves, after Parse, to the values the main
+// runs with — flag first, then the group's TREEBENCH_* variable, then the
+// built-in default.
 package cli
 
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"treebench/internal/backend"
 	"treebench/internal/bufpool"
@@ -65,6 +67,13 @@ func PoolFlags(fs *flag.FlagSet) Pool {
 // anything loads a snapshot.
 func (p Pool) Setup() { bufpool.Setup(*p.MB, *p.Readahead) }
 
+// SnapshotDirFlag registers -snapshot-dir on fs, defaulting to
+// TREEBENCH_SNAPSHOT_DIR.
+func SnapshotDirFlag(fs *flag.FlagSet) *string {
+	return fs.String("snapshot-dir", os.Getenv(core.SnapshotDirEnvVar),
+		"snapshot cache directory: a generated database is saved there once and loaded on every later boot (also TREEBENCH_SNAPSHOT_DIR; empty disables)")
+}
+
 // BackendFlag registers -index-backend on fs; resolve it with Backend.
 func BackendFlag(fs *flag.FlagSet) *string {
 	return fs.String("index-backend", "",
@@ -97,7 +106,7 @@ func ExecFlags(fs *flag.FlagSet) *Exec {
 		qj: fs.Int("qj", 0,
 			"intra-query workers (default from TREEBENCH_QUERY_JOBS or min(NumCPU, 4); results identical at any setting)"),
 		batch: fs.Int("batch", 0,
-			"vectorized-execution batch size (default from TREEBENCH_BATCH or 1024; 1 = scalar operators; results identical at any setting)"),
+			"vectorized-execution batch size (default from TREEBENCH_BATCH or 1024; 1 = one record per batch; results identical at any setting)"),
 		backend: BackendFlag(fs),
 	}
 }
@@ -109,8 +118,8 @@ func (e *Exec) Resolve() (qj, batch int, kind string, err error) {
 	if *e.qj < 0 {
 		return 0, 0, "", fmt.Errorf("-qj %d: must be at least 1", *e.qj)
 	}
-	if *e.batch < 0 {
-		return 0, 0, "", fmt.Errorf("-batch %d: must be at least 1", *e.batch)
+	if *e.batch < 0 || *e.batch > core.MaxBatch {
+		return 0, 0, "", fmt.Errorf("-batch %d: must be between 1 and %d", *e.batch, core.MaxBatch)
 	}
 	if qj = *e.qj; qj == 0 {
 		qj = core.QueryJobsFromEnv(0)

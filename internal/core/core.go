@@ -46,9 +46,9 @@ type Config struct {
 	// Simulated numbers are identical at any setting.
 	QueryJobs int
 	// Batch sets the vectorized-execution batch size. Zero means the
-	// engine default (1024); 1 runs the legacy scalar operators. Like
-	// QueryJobs it changes wall-clock time only — simulated numbers are
-	// identical at any setting.
+	// engine default (1024); 1 means one record per batch. Like QueryJobs
+	// it changes wall-clock time only — simulated numbers are identical at
+	// any setting.
 	Batch int
 	// IndexBackend selects the pluggable index structure ("btree", "disk",
 	// "lsm"; empty means the in-memory B+-tree default). It changes
@@ -83,9 +83,14 @@ const JobsEnvVar = "TREEBENCH_JOBS"
 const QueryJobsEnvVar = "TREEBENCH_QUERY_JOBS"
 
 // BatchEnvVar overrides the vectorized-execution batch size
-// (TREEBENCH_BATCH=1 forces the legacy scalar operators; results are
+// (TREEBENCH_BATCH=1 runs batches of one record; results are
 // byte-identical at any setting).
 const BatchEnvVar = "TREEBENCH_BATCH"
+
+// MaxBatch bounds a batch size arriving from outside the program (-batch,
+// TREEBENCH_BATCH): every scan chunk pre-sizes its batch to the capacity,
+// so an unbounded value is an out-of-memory crash on the first query.
+const MaxBatch = 1 << 20
 
 // IndexBackendEnvVar overrides the index backend
 // (TREEBENCH_INDEX_BACKEND=lsm; results are byte-identical across
@@ -133,11 +138,11 @@ func QueryJobsFromEnv(def int) int {
 }
 
 // BatchFromEnv resolves a vectorized-execution batch size from
-// BatchEnvVar, returning def when the variable is unset, non-numeric, or
-// below 1.
+// BatchEnvVar, returning def when the variable is unset, non-numeric,
+// below 1 or above MaxBatch.
 func BatchFromEnv(def int) int {
 	if v := os.Getenv(BatchEnvVar); v != "" {
-		if b, err := strconv.Atoi(v); err == nil && b >= 1 {
+		if b, err := strconv.Atoi(v); err == nil && b >= 1 && b <= MaxBatch {
 			return b
 		}
 	}

@@ -125,10 +125,10 @@ type Session struct {
 	queryJobs  int
 	chunkForks []*Session
 
-	// batch is the vectorized-execution batch size (0 = DefaultBatch,
-	// 1 = the legacy scalar path kept as the differential-testing
-	// oracle). Like queryJobs it shapes wall-clock only — simulated
-	// accounting is independent of it — and it survives ColdRestart.
+	// batch is the vectorized-execution batch size: records per batch
+	// (0 = DefaultBatch, 1 = batches of one through the same operators).
+	// Like queryJobs it shapes wall-clock only — simulated accounting is
+	// independent of it — and it survives ColdRestart.
 	batch int
 
 	// shardIdx/shardCnt are the session's chunk-ownership mask for

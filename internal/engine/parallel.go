@@ -79,11 +79,10 @@ func (db *Session) QueryJobs() int {
 // noise, small enough that a batch's value columns stay cache-resident.
 const DefaultBatch = 1024
 
-// SetBatch sets the vectorized-execution batch size (n < 1 selects the
-// default; 1 runs the legacy one-object-at-a-time operators, kept as the
-// differential-testing oracle). Like SetQueryJobs it changes wall-clock
-// time only: simulated counters, tables, and meters are byte-identical at
-// every batch size.
+// SetBatch sets the vectorized-execution batch size, in records per batch
+// (n < 1 selects the default; 1 runs the same operators over batches of
+// one). Like SetQueryJobs it changes wall-clock time only: simulated
+// counters, tables, and meters are byte-identical at every batch size.
 func (db *Session) SetBatch(n int) {
 	if n < 1 {
 		n = 0

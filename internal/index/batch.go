@@ -7,7 +7,7 @@ import "treebench/internal/storage"
 // reads Scan performs, in the same order: a sub-batch never spans a leaf
 // boundary, so every delivery happens while the leaf that produced it is
 // the most recently read page — batched consumers rely on that to keep
-// their record-fetch traffic identical to the scalar path. The slice passed
+// their record-fetch traffic identical to a per-entry Scan's. The slice passed
 // to fn is reused between calls; fn returning false stops the scan.
 func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, capacity int, fn func([]Entry) (bool, error)) error {
 	if lo >= hi {

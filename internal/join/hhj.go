@@ -144,12 +144,11 @@ func runHHJ(env *Env, q Query) (*Result, error) {
 		if p == 0 {
 			meter.HashProbe()
 			region0.RandomRead()
-			if info, ok := table0[pcpV.Ref]; ok {
-				ageV, err := db.Handles.Attr(pa, ai.patAge)
-				if err != nil {
+			if _, ok := table0[pcpV.Ref]; ok {
+				if _, err := db.Handles.Attr(pa, ai.patAge); err != nil {
 					return false, err
 				}
-				emit(meter, res, info.name, ageV.Int)
+				emit(meter, res)
 			}
 			return true, nil
 		}
@@ -179,8 +178,8 @@ func runHHJ(env *Env, q Query) (*Result, error) {
 		spillReader(patTupleBytes, len(patParts[p]))
 		for _, t := range patParts[p] {
 			meter.HashProbe()
-			if info, ok := table[t.pcp]; ok {
-				emit(meter, res, info.name, t.age)
+			if _, ok := table[t.pcp]; ok {
+				emit(meter, res)
 			}
 		}
 	}

@@ -15,6 +15,20 @@
 // index leaves, navigation faults on the cache according to the physical
 // clustering, handles charge their §4 management cost, and hash tables
 // larger than the machine's memory budget swap via sim.Region.
+//
+// The chunked strategies (NL, PHJ, CHJ, SMJ) run over batches of
+// db.Batch() records: index scans deliver leaf-bounded entry batches,
+// record fetches go through run-reusing object.Fetchers instead of
+// materializing a handle per object, and the per-object CPU charges
+// accumulate into one sim.BatchCharges delta merged per batch. The
+// hash-region traffic (Grow/RandomWrite/RandomRead) stays per entry, in
+// entry order, inside the batch loops — a region's swap arithmetic depends
+// on its size at each call, so batching may not reorder it — which keeps
+// every simulated number byte-identical at any batch size, 1 included, and
+// to the handle-at-a-time loops kept as the reference in scalar_test.go.
+//
+// NOJOIN, VNOJOIN and HHJ navigate record-at-a-time through the shared
+// handle table on purpose: its cache-hit profile is their experiment.
 package join
 
 import (
@@ -24,6 +38,7 @@ import (
 	"treebench/internal/collection"
 	"treebench/internal/engine"
 	"treebench/internal/index"
+	"treebench/internal/object"
 	"treebench/internal/sim"
 	"treebench/internal/storage"
 )
@@ -111,12 +126,6 @@ func (env *Env) BySelectivity(selChildren, selParents int) Query {
 		SelChildren: selChildren,
 		SelParents:  selParents,
 	}
-}
-
-// Tuple is one f(p,pa) result.
-type Tuple struct {
-	ProviderName string
-	PatientAge   int64
 }
 
 // Result reports one algorithm run.
@@ -229,10 +238,12 @@ func indexOrErr(env *Env, extent, attr string) (*engine.Index, error) {
 // Parallelism: the provider key range is chunked; each chunk navigates its
 // providers' whole client sets, so every (p, pa) pair belongs to exactly one
 // chunk.
+//
+// Provider fetches always re-read (collection chunks and patient pages
+// intervene between providers); patient fetches reuse page runs within one
+// collection chunk's delivery — under composition clustering that is where
+// almost all of NL's per-object pager work collapses.
 func runNL(env *Env, q Query) (*Result, error) {
-	if env.DB.Batch() > 1 {
-		return runNLBatched(env, q)
-	}
 	db := env.DB
 	ai, err := attrs(env)
 	if err != nil {
@@ -248,46 +259,65 @@ func runNL(env *Env, q Query) (*Result, error) {
 	if env.NumParents > 0 && env.NumChildren > env.NumParents {
 		fanout = int64(env.NumChildren / env.NumParents)
 	}
+	bsize := db.Batch()
 	ranges := chunkScan(1, q.K2, fanout)
 	parts := make([]*Result, len(ranges))
 	err = db.RunChunks(len(ranges), func(w *engine.Session, c int) error {
-		meter := w.Meter
 		part := &Result{}
 		parts[c] = part
-		return upinIdx.Backend.Scan(w.Client, ranges[c].Lo, ranges[c].Hi, func(e index.Entry) (bool, error) {
-			ph, err := w.Handles.Get(e.Rid)
-			if err != nil {
-				return false, err
-			}
-			defer w.Handles.Unref(ph)
-			nameV, err := w.Handles.Attr(ph, ai.provName)
-			if err != nil {
-				return false, err
-			}
-			clientsV, err := w.Handles.Attr(ph, ai.provClients)
-			if err != nil {
-				return false, err
-			}
-			return true, collection.Scan(w.Client, clientsV.Ref, func(prid storage.Rid) (bool, error) {
-				pa, err := w.Handles.Get(prid)
+		pf := w.Handles.Fetcher() // providers
+		cf := w.Handles.Fetcher() // patients
+		prids := make([]storage.Rid, 0, bsize)
+		return upinIdx.Backend.ScanBatched(w.Client, ranges[c].Lo, ranges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+			var ch sim.BatchCharges
+			for _, e := range entries {
+				pf.Invalidate() // chunk/patient reads intervened
+				prec, pcls, err := pf.Fetch(e.Rid)
 				if err != nil {
 					return false, err
 				}
-				defer w.Handles.Unref(pa)
-				mrnV, err := w.Handles.Attr(pa, ai.patMrn)
+				ch.HandleGets++
+				if _, err := object.DecodeAttr(pcls, prec, ai.provName); err != nil {
+					return false, err
+				}
+				clientsV, err := object.DecodeAttr(pcls, prec, ai.provClients)
 				if err != nil {
 					return false, err
 				}
-				meter.Compare()
-				if mrnV.Int < k1 {
-					ageV, err := w.Handles.Attr(pa, ai.patAge)
-					if err != nil {
-						return false, err
+				ch.AttrGets += 2
+				err = collection.ScanBatched(w.Client, clientsV.Ref, prids, func(prids []storage.Rid) (bool, error) {
+					cf.Invalidate() // the chunk's record read intervened
+					for _, prid := range prids {
+						rec, cls, err := cf.Fetch(prid)
+						if err != nil {
+							return false, err
+						}
+						ch.HandleGets++
+						mrnV, err := object.DecodeAttr(cls, rec, ai.patMrn)
+						if err != nil {
+							return false, err
+						}
+						ch.AttrGets++
+						ch.Compares++
+						if mrnV.Int < k1 {
+							if _, err := object.DecodeAttr(cls, rec, ai.patAge); err != nil {
+								return false, err
+							}
+							ch.AttrGets++
+							ch.ResultAppends++
+							part.Tuples++
+						}
+						ch.HandleUnrefs++
 					}
-					emit(meter, part, nameV.Str, ageV.Int)
+					return true, nil
+				})
+				if err != nil {
+					return false, err
 				}
-				return true, nil
-			})
+				ch.HandleUnrefs++ // the provider
+			}
+			w.Meter.ChargeBatch(ch)
+			return true, nil
 		})
 	})
 	sumTuples(res, parts)
@@ -346,22 +376,20 @@ func runNOJOIN(env *Env, q Query) (*Result, error) {
 		}
 		meter.Compare()
 		if upinV.Int < k2 {
-			nameV, err := db.Handles.Attr(ph, ai.provName)
-			if err != nil {
+			if _, err := db.Handles.Attr(ph, ai.provName); err != nil {
 				return false, err
 			}
-			ageV, err := db.Handles.Attr(pa, ai.patAge)
-			if err != nil {
+			if _, err := db.Handles.Attr(pa, ai.patAge); err != nil {
 				return false, err
 			}
-			emit(meter, res, nameV.Str, ageV.Int)
+			emit(meter, res)
 		}
 		return true, nil
 	})
 	return res, err
 }
 
-func emit(meter *sim.Meter, res *Result, name string, age int64) {
+func emit(meter *sim.Meter, res *Result) {
 	meter.ResultAppend()
 	res.Tuples++
 }
@@ -386,10 +414,11 @@ type providerInfo struct {
 // one read-only table and the probe fans out over patient key chunks with no
 // merge step — each probe chunk's region is preset to the full table size so
 // its resident fraction matches the sequential probe.
+//
+// Build and probe each fetch records through a fetcher, invalidated at every
+// delivery (a leaf read may have intervened), and merge one charge delta per
+// batch; the region traffic stays per entry.
 func runPHJ(env *Env, q Query) (*Result, error) {
-	if env.DB.Batch() > 1 {
-		return runPHJBatched(env, q)
-	}
 	db := env.DB
 	ai, err := attrs(env)
 	if err != nil {
@@ -404,6 +433,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
+	bsize := db.Batch()
 
 	// Build: index scan over providers in upin (physical) order; the hash
 	// function scatters the writes across the table.
@@ -416,25 +446,31 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 	// under a shard mask every participant builds every chunk (build-side
 	// broadcast) while only the owned chunks' charges are merged.
 	err = db.RunChunksAll(nb, func(w *engine.Session, c int) error {
-		meter := w.Meter
-		region := sim.NewRegion(meter, buildBudget)
+		region := sim.NewRegion(w.Meter, buildBudget)
 		table := make(map[storage.Rid]providerInfo)
 		tables[c] = table
-		err := upinIdx.Backend.Scan(w.Client, buildRanges[c].Lo, buildRanges[c].Hi, func(e index.Entry) (bool, error) {
-			ph, err := w.Handles.Get(e.Rid)
-			if err != nil {
-				return false, err
+		f := w.Handles.Fetcher()
+		err := upinIdx.Backend.ScanBatched(w.Client, buildRanges[c].Lo, buildRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+			f.Invalidate()
+			var ch sim.BatchCharges
+			for _, e := range entries {
+				rec, cls, err := f.Fetch(e.Rid)
+				if err != nil {
+					return false, err
+				}
+				nameV, err := object.DecodeAttr(cls, rec, ai.provName)
+				if err != nil {
+					return false, err
+				}
+				ch.HandleGets++
+				ch.AttrGets++
+				ch.HandleUnrefs++
+				ch.HashInserts++
+				region.Grow(parentEntryBytes)
+				region.RandomWrite()
+				table[e.Rid] = providerInfo{name: nameV.Str}
 			}
-			nameV, err := w.Handles.Attr(ph, ai.provName)
-			if err != nil {
-				w.Handles.Unref(ph)
-				return false, err
-			}
-			w.Handles.Unref(ph)
-			meter.HashInsert()
-			region.Grow(parentEntryBytes)
-			region.RandomWrite()
-			table[e.Rid] = providerInfo{name: nameV.Str}
+			w.Meter.ChargeBatch(ch)
 			return true, nil
 		})
 		sizes[c] = region.Size()
@@ -463,31 +499,38 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 	probeRanges := chunkScan(1, q.K1, 1)
 	parts := make([]*Result, len(probeRanges))
 	err = db.RunChunks(len(probeRanges), func(w *engine.Session, c int) error {
-		meter := w.Meter
 		part := &Result{}
 		parts[c] = part
-		region := sim.NewRegion(meter, db.Machine.HashBudget)
+		region := sim.NewRegion(w.Meter, db.Machine.HashBudget)
 		region.Grow(totalSize)
-		return mrnIdx.Backend.Scan(w.Client, probeRanges[c].Lo, probeRanges[c].Hi, func(e index.Entry) (bool, error) {
-			pa, err := w.Handles.Get(e.Rid)
-			if err != nil {
-				return false, err
-			}
-			defer w.Handles.Unref(pa)
-			pcpV, err := w.Handles.Attr(pa, ai.patPcp)
-			if err != nil {
-				return false, err
-			}
-			meter.HashProbe()
-			region.RandomRead()
-			info, ok := table[pcpV.Ref]
-			if ok {
-				ageV, err := w.Handles.Attr(pa, ai.patAge)
+		f := w.Handles.Fetcher()
+		return mrnIdx.Backend.ScanBatched(w.Client, probeRanges[c].Lo, probeRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+			f.Invalidate()
+			var ch sim.BatchCharges
+			for _, e := range entries {
+				rec, cls, err := f.Fetch(e.Rid)
 				if err != nil {
 					return false, err
 				}
-				emit(meter, part, info.name, ageV.Int)
+				ch.HandleGets++
+				pcpV, err := object.DecodeAttr(cls, rec, ai.patPcp)
+				if err != nil {
+					return false, err
+				}
+				ch.AttrGets++
+				ch.HashProbes++
+				region.RandomRead()
+				if _, ok := table[pcpV.Ref]; ok {
+					if _, err := object.DecodeAttr(cls, rec, ai.patAge); err != nil {
+						return false, err
+					}
+					ch.AttrGets++
+					ch.ResultAppends++
+					part.Tuples++
+				}
+				ch.HandleUnrefs++
 			}
+			w.Meter.ChargeBatch(ch)
 			return true, nil
 		})
 	})
@@ -510,11 +553,9 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 // one group entry per chunk it appears in), the partitions merge by
 // concatenating each provider's ages in chunk order — which is mrn order,
 // exactly what the sequential build produces — and the probe fans out over
-// provider key chunks against the merged read-only table.
+// provider key chunks against the merged read-only table. An empty group
+// skips the provider fetch entirely.
 func runCHJ(env *Env, q Query) (*Result, error) {
-	if env.DB.Batch() > 1 {
-		return runCHJBatched(env, q)
-	}
 	db := env.DB
 	ai, err := attrs(env)
 	if err != nil {
@@ -529,6 +570,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
+	bsize := db.Batch()
 
 	// Build: one group entry per provider present, one child entry per
 	// selected patient; the groups' chunks scatter as patients arrive in
@@ -539,35 +581,41 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 	tables := make([]map[storage.Rid][]int64, nb)
 	// Build-side broadcast under a shard mask; see the PHJ build above.
 	err = db.RunChunksAll(nb, func(w *engine.Session, c int) error {
-		meter := w.Meter
-		region := sim.NewRegion(meter, buildBudget)
+		region := sim.NewRegion(w.Meter, buildBudget)
 		table := make(map[storage.Rid][]int64) // provider rid → patient ages
 		tables[c] = table
-		err := mrnIdx.Backend.Scan(w.Client, buildRanges[c].Lo, buildRanges[c].Hi, func(e index.Entry) (bool, error) {
-			pa, err := w.Handles.Get(e.Rid)
-			if err != nil {
-				return false, err
+		f := w.Handles.Fetcher()
+		return mrnIdx.Backend.ScanBatched(w.Client, buildRanges[c].Lo, buildRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+			f.Invalidate()
+			var ch sim.BatchCharges
+			for _, e := range entries {
+				rec, cls, err := f.Fetch(e.Rid)
+				if err != nil {
+					return false, err
+				}
+				ch.HandleGets++
+				pcpV, err := object.DecodeAttr(cls, rec, ai.patPcp)
+				if err != nil {
+					return false, err
+				}
+				ageV, err := object.DecodeAttr(cls, rec, ai.patAge)
+				if err != nil {
+					return false, err
+				}
+				ch.AttrGets += 2
+				ch.HashInserts++
+				group, ok := table[pcpV.Ref]
+				if !ok {
+					region.Grow(groupEntryBytes)
+				}
+				region.Grow(childEntryBytes)
+				region.RandomWrite()
+				table[pcpV.Ref] = append(group, ageV.Int)
+				ch.HandleUnrefs++
 			}
-			defer w.Handles.Unref(pa)
-			pcpV, err := w.Handles.Attr(pa, ai.patPcp)
-			if err != nil {
-				return false, err
-			}
-			ageV, err := w.Handles.Attr(pa, ai.patAge)
-			if err != nil {
-				return false, err
-			}
-			meter.HashInsert()
-			group, ok := table[pcpV.Ref]
-			if !ok {
-				region.Grow(groupEntryBytes)
-			}
-			region.Grow(childEntryBytes)
-			region.RandomWrite()
-			table[pcpV.Ref] = append(group, ageV.Int)
+			w.Meter.ChargeBatch(ch)
 			return true, nil
 		})
-		return err
 	})
 	if err != nil {
 		return nil, err
@@ -596,31 +644,38 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 	probeRanges := chunkScan(1, q.K2, 1)
 	parts := make([]*Result, len(probeRanges))
 	err = db.RunChunks(len(probeRanges), func(w *engine.Session, c int) error {
-		meter := w.Meter
 		part := &Result{}
 		parts[c] = part
-		region := sim.NewRegion(meter, db.Machine.HashBudget)
+		region := sim.NewRegion(w.Meter, db.Machine.HashBudget)
 		region.Grow(totalSize)
-		return upinIdx.Backend.Scan(w.Client, probeRanges[c].Lo, probeRanges[c].Hi, func(e index.Entry) (bool, error) {
-			meter.HashProbe()
-			region.RandomRead()
-			group := table[e.Rid]
-			if len(group) == 0 {
-				return true, nil
-			}
-			ph, err := w.Handles.Get(e.Rid)
-			if err != nil {
-				return false, err
-			}
-			defer w.Handles.Unref(ph)
-			nameV, err := w.Handles.Attr(ph, ai.provName)
-			if err != nil {
-				return false, err
-			}
-			for _, age := range group {
+		f := w.Handles.Fetcher()
+		return upinIdx.Backend.ScanBatched(w.Client, probeRanges[c].Lo, probeRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+			f.Invalidate()
+			var ch sim.BatchCharges
+			for _, e := range entries {
+				ch.HashProbes++
 				region.RandomRead()
-				emit(meter, part, nameV.Str, age)
+				group := table[e.Rid]
+				if len(group) == 0 {
+					continue
+				}
+				rec, cls, err := f.Fetch(e.Rid)
+				if err != nil {
+					return false, err
+				}
+				ch.HandleGets++
+				if _, err := object.DecodeAttr(cls, rec, ai.provName); err != nil {
+					return false, err
+				}
+				ch.AttrGets++
+				for range group {
+					region.RandomRead()
+					ch.ResultAppends++
+					part.Tuples++
+				}
+				ch.HandleUnrefs++
 			}
+			w.Meter.ChargeBatch(ch)
 			return true, nil
 		})
 	})

@@ -5,6 +5,8 @@ import (
 
 	"treebench/internal/engine"
 	"treebench/internal/index"
+	"treebench/internal/object"
+	"treebench/internal/sim"
 	"treebench/internal/storage"
 )
 
@@ -34,9 +36,6 @@ type patTuple struct {
 // tuples are written out and read back once, sequentially (charged as
 // temp-file I/O), before merging.
 func runSMJ(env *Env, q Query) (*Result, error) {
-	if env.DB.Batch() > 1 {
-		return runSMJBatched(env, q)
-	}
 	db := env.DB
 	ai, err := attrs(env)
 	if err != nil {
@@ -50,26 +49,34 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	k1, k2 := q.K1, q.K2
 	res := &Result{}
+	bsize := db.Batch()
 
 	// Build the provider run: the key range is chunked, and concatenating
 	// the chunks' partial runs in chunk order reproduces the sequential
 	// scan's key order exactly (the sort below re-orders on rid anyway).
-	provRanges := chunkScan(1, k2, 1)
+	provRanges := chunkScan(1, q.K2, 1)
 	provParts := make([][]provTuple, len(provRanges))
 	err = db.RunChunks(len(provRanges), func(w *engine.Session, c int) error {
-		return upinIdx.Backend.Scan(w.Client, provRanges[c].Lo, provRanges[c].Hi, func(e index.Entry) (bool, error) {
-			ph, err := w.Handles.Get(e.Rid)
-			if err != nil {
-				return false, err
+		f := w.Handles.Fetcher()
+		return upinIdx.Backend.ScanBatched(w.Client, provRanges[c].Lo, provRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+			f.Invalidate()
+			var ch sim.BatchCharges
+			for _, e := range entries {
+				rec, cls, err := f.Fetch(e.Rid)
+				if err != nil {
+					return false, err
+				}
+				nameV, err := object.DecodeAttr(cls, rec, ai.provName)
+				if err != nil {
+					return false, err
+				}
+				ch.HandleGets++
+				ch.AttrGets++
+				ch.HandleUnrefs++
+				provParts[c] = append(provParts[c], provTuple{e.Rid, nameV.Str})
 			}
-			nameV, err := w.Handles.Attr(ph, ai.provName)
-			w.Handles.Unref(ph)
-			if err != nil {
-				return false, err
-			}
-			provParts[c] = append(provParts[c], provTuple{e.Rid, nameV.Str})
+			w.Meter.ChargeBatch(ch)
 			return true, nil
 		})
 	})
@@ -82,24 +89,32 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	}
 
 	// Build the patient run, chunked the same way.
-	patRanges := chunkScan(1, k1, 1)
+	patRanges := chunkScan(1, q.K1, 1)
 	patParts := make([][]patTuple, len(patRanges))
 	err = db.RunChunks(len(patRanges), func(w *engine.Session, c int) error {
-		return mrnIdx.Backend.Scan(w.Client, patRanges[c].Lo, patRanges[c].Hi, func(e index.Entry) (bool, error) {
-			pa, err := w.Handles.Get(e.Rid)
-			if err != nil {
-				return false, err
+		f := w.Handles.Fetcher()
+		return mrnIdx.Backend.ScanBatched(w.Client, patRanges[c].Lo, patRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+			f.Invalidate()
+			var ch sim.BatchCharges
+			for _, e := range entries {
+				rec, cls, err := f.Fetch(e.Rid)
+				if err != nil {
+					return false, err
+				}
+				pcpV, err := object.DecodeAttr(cls, rec, ai.patPcp)
+				if err != nil {
+					return false, err
+				}
+				ageV, err := object.DecodeAttr(cls, rec, ai.patAge)
+				if err != nil {
+					return false, err
+				}
+				ch.HandleGets++
+				ch.AttrGets += 2
+				ch.HandleUnrefs++
+				patParts[c] = append(patParts[c], patTuple{pcpV.Ref, ageV.Int})
 			}
-			defer w.Handles.Unref(pa)
-			pcpV, err := w.Handles.Attr(pa, ai.patPcp)
-			if err != nil {
-				return false, err
-			}
-			ageV, err := w.Handles.Attr(pa, ai.patAge)
-			if err != nil {
-				return false, err
-			}
-			patParts[c] = append(patParts[c], patTuple{pcpV.Ref, ageV.Int})
+			w.Meter.ChargeBatch(ch)
 			return true, nil
 		})
 	})
@@ -117,7 +132,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 
 // smjMerge is the single sequential tail of the SMJ pipeline — sort, spill
 // and merge — charged to the session meter after the chunk meters merged
-// into it. It is shared verbatim by the scalar and batched run formations.
+// into it (the scalar reference in scalar_test.go shares it verbatim).
 func smjMerge(db *engine.Database, res *Result, provRun []provTuple, patRun []patTuple) {
 	meter := db.Meter
 
@@ -158,7 +173,7 @@ func smjMerge(db *engine.Database, res *Result, provRun []provTuple, patRun []pa
 		}
 		meter.Compare()
 		if pi < len(provRun) && provRun[pi].rid == pt.pcp {
-			emit(meter, res, provRun[pi].name, pt.age)
+			emit(meter, res)
 		}
 	}
 }

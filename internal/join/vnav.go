@@ -62,17 +62,15 @@ func runVNOJOIN(env *Env, q Query) (*Result, error) {
 			if err != nil {
 				return false, err
 			}
-			nameV, err := db.Handles.Attr(ph, ai.provName)
-			if err != nil {
+			if _, err := db.Handles.Attr(ph, ai.provName); err != nil {
 				db.Handles.Unref(ph)
 				return false, err
 			}
 			db.Handles.Unref(ph)
-			ageV, err := db.Handles.Attr(pa, ai.patAge)
-			if err != nil {
+			if _, err := db.Handles.Attr(pa, ai.patAge); err != nil {
 				return false, err
 			}
-			emit(meter, res, nameV.Str, ageV.Int)
+			emit(meter, res)
 		}
 		return true, nil
 	})

@@ -58,8 +58,7 @@ func (b *Batch) Reset() {
 
 // Append buffers one scanned row. Record buffers are sub-slices of page
 // buffers and stay valid across cache eviction, so holding them for the
-// batch's lifetime is safe (the scalar path pins them in handles the same
-// way).
+// batch's lifetime is safe (handles pin them the same way).
 func (b *Batch) Append(rid storage.Rid, rec []byte, cls *Class) {
 	b.Rids = append(b.Rids, rid)
 	b.Recs = append(b.Recs, rec)
@@ -95,8 +94,8 @@ func (b *Batch) SetCols(n int) {
 
 // Fetcher is the bulk record-materialization path of the vectorized
 // operators (§4.4's bulk allocation, taken to its logical end): it reads
-// records through the table's pager with exactly the page traffic the
-// scalar Table.Get path generates, but materializes no shared handles.
+// records through the table's pager with exactly the page traffic a
+// Table.Get per object generates, but materializes no shared handles.
 //
 // Run reuse: consecutive fetches from one page skip the redundant pager
 // read. The skipped read is a guaranteed client-cache hit on the LRU front
@@ -106,8 +105,8 @@ func (b *Batch) SetCols(n int) {
 // front changes nothing. Callers MUST call Invalidate after any pager
 // activity outside this fetcher (a prefetch, an index-leaf or collection
 // chunk read): invalidating is always exact — the next fetch then performs
-// the real read, just like the scalar path — while reusing across foreign
-// reads would not be.
+// the real read, just like Table.Get — while reusing across foreign reads
+// would not be.
 type Fetcher struct {
 	t        *Table
 	lastPage storage.PageID

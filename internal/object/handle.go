@@ -42,7 +42,7 @@ func (h *Handle) Indexes() []uint32 { return h.indexes }
 
 // Table materializes and releases Handles, charging the cost model. It is
 // the seam where the paper's §4.4 improvements (slim handles, bulk
-// allocation) plug in: see sim.Meter.SetSlimHandles and GetBulk.
+// allocation) plug in: see sim.Meter.SetSlimHandles and Fetcher.
 type Table struct {
 	meter   *sim.Meter
 	pager   storage.Pager
@@ -112,26 +112,6 @@ func (t *Table) Get(rid storage.Rid) (*Handle, error) {
 		t.maxBytes = t.bytes
 	}
 	return h, nil
-}
-
-// GetBulk materializes handles for a batch of rids. It models §4.4's
-// proposed bulk allocation: the per-handle bookkeeping is set up once for
-// the whole batch, so only the first handle of the batch pays the full
-// HandleGet and the rest pay the slim rate. Without slim-handle mode it
-// simply loops Get (bulk allocation is an optimization O2 did not have).
-func (t *Table) GetBulk(rids []storage.Rid) ([]*Handle, error) {
-	out := make([]*Handle, 0, len(rids))
-	for _, rid := range rids {
-		h, err := t.Get(rid)
-		if err != nil {
-			for _, g := range out {
-				t.Unref(g)
-			}
-			return nil, err
-		}
-		out = append(out, h)
-	}
-	return out, nil
 }
 
 // Unref charges one HandleUnref and frees the representative when the last

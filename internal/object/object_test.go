@@ -338,31 +338,6 @@ func TestSetAttr(t *testing.T) {
 	tbl.Unref(h2)
 }
 
-func TestGetBulk(t *testing.T) {
-	tbl, store, f, c, _ := newHandleEnv(t)
-	var rids []storage.Rid
-	for i := 0; i < 5; i++ {
-		rec, _ := Encode(c, patientValues("x", int64(i), 2, 'M', 3, 4, storage.NilRid), 0)
-		rid, _ := f.Append(store.Disk, rec)
-		rids = append(rids, rid)
-	}
-	hs, err := tbl.GetBulk(rids)
-	if err != nil || len(hs) != 5 {
-		t.Fatalf("GetBulk: %v", err)
-	}
-	for _, h := range hs {
-		tbl.Unref(h)
-	}
-	// Bulk with a bad rid cleans up after itself.
-	bad := append(append([]storage.Rid{}, rids...), storage.Rid{Page: 9999, Slot: 0})
-	if _, err := tbl.GetBulk(bad); err == nil {
-		t.Fatal("bad rid accepted")
-	}
-	if tbl.Live() != 0 {
-		t.Fatalf("GetBulk leak: %d live", tbl.Live())
-	}
-}
-
 func TestValueStrings(t *testing.T) {
 	cases := map[string]Value{
 		"7":       IntValue(7),

@@ -105,15 +105,7 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 				}
 				aggChunks[c] = states
 			}
-			req.OnRowChunk = func(chunk int, vals []object.Value) error {
-				for i, st := range aggChunks[chunk] {
-					st.add(vals[i].Int)
-				}
-				return nil
-			}
-			// Vectorized delivery: fold each batch column-at-a-time into
-			// the chunk's states — same rows, same order, one call per
-			// batch instead of one per row.
+			// Fold each batch column-at-a-time into the chunk's states.
 			req.OnBatch = func(chunk int, cols [][]object.Value, n int) error {
 				for i, st := range aggChunks[chunk] {
 					col := cols[i]
@@ -125,14 +117,8 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 			}
 		case len(p.Projects) > 0:
 			sampleChunks = make([]rowSlab, nc)
-			req.OnRowChunk = func(chunk int, vals []object.Value) error {
-				if row := sampleChunks[chunk].add(len(vals), 1); row != nil {
-					copy(row, vals)
-				}
-				return nil
-			}
-			// Vectorized delivery: append a batch's rows (transposed from
-			// its value columns) up to the per-chunk cap in one call.
+			// Append a batch's rows (transposed from its value columns) up
+			// to the per-chunk cap.
 			req.OnBatch = func(chunk int, cols [][]object.Value, n int) error {
 				for r := 0; r < n; r++ {
 					row := sampleChunks[chunk].add(len(cols), n-r)

@@ -88,7 +88,7 @@ func TestPoolConfigEquivalence(t *testing.T) {
 		}
 
 		// Baseline: pool disabled (legacy unbounded per-base cells),
-		// scalar single-worker execution.
+		// batch-of-one single-worker execution.
 		bufpool.Setup(0, 0)
 		base, err := Load(path)
 		if err != nil {

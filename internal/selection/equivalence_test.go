@@ -53,7 +53,7 @@ func TestBackendEquivalence(t *testing.T) {
 							Extent:   f.Patients,
 							Where:    Pred{Attr: "num", Op: Gt, K: k},
 							Projects: []string{"age", "mrn"},
-							OnRowChunk: func(chunk int, vals []object.Value) error {
+							OnBatch: rowsOf(func(chunk int, vals []object.Value) error {
 								b := chunks[chunk]
 								if b == nil {
 									b = &strings.Builder{}
@@ -61,7 +61,7 @@ func TestBackendEquivalence(t *testing.T) {
 								}
 								fmt.Fprintf(b, "%v\n", vals)
 								return nil
-							},
+							}),
 						}, access)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)

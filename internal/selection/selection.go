@@ -105,26 +105,16 @@ type Request struct {
 	Where    Pred
 	Filters  []Pred
 	Projects []string
-	// OnRow, when set, receives the projected values of every matching
-	// object (the executor's hook for aggregation). A request with only
-	// OnRow runs full scans sequentially, so rows arrive in file order.
-	OnRow func(vals []object.Value) error
-	// OnRowChunk is the parallel-aware row callback: rows arrive tagged
-	// with the scan chunk that produced them (chunks cover the file in
-	// order, so concatenating per-chunk buffers in chunk-index order
-	// reproduces the sequential row order). It may be called from multiple
-	// goroutines, one per chunk; keep state per chunk. When set, it
-	// replaces OnRow and full scans may fan out over ScanChunks(extent)
-	// page ranges.
-	OnRowChunk func(chunk int, vals []object.Value) error
-	// OnBatch is the vectorized row callback: cols[j][0:n] are the
-	// projected value columns of one batch's n selected rows, in row
-	// order within the batch (batches within one chunk arrive in scan
-	// order, so chunk-order concatenation still reproduces the
-	// sequential row order). Like OnRowChunk it may run concurrently,
-	// one goroutine per chunk, and the columns are reused after it
-	// returns. Set it alongside OnRowChunk/OnRow: the batched operators
-	// prefer it, the scalar oracle (batch size 1) ignores it.
+	// OnBatch, when set, receives every matching object's projected values
+	// (the executor's hook for aggregation and sampling): cols[j][0:n] are
+	// the value columns of one batch's n selected rows, in row order within
+	// the batch. Full scans fan out over ScanChunks(extent) page ranges and
+	// tag each delivery with its chunk; chunks cover the file in order and
+	// batches within one chunk arrive in scan order, so concatenating
+	// per-chunk state in chunk-index order reproduces the sequential row
+	// order. Index scans deliver every row as chunk 0. It may be called
+	// from multiple goroutines, one per chunk — keep state per chunk — and
+	// the columns are reused after it returns.
 	OnBatch func(chunk int, cols [][]object.Value, n int) error
 }
 
@@ -179,65 +169,87 @@ func Run(db *engine.Database, req Request, access Access) (*Result, error) {
 		if req.Where.IsAlways() {
 			return nil, fmt.Errorf("selection: index scan needs a predicate")
 		}
-		return runIndexScan(db, req, whereIdx, filterIdxs, projIdxs, access == SortedIndexScan)
+		return runIndexScan(db, req, filterIdxs, projIdxs, access == SortedIndexScan)
 	default:
 		return nil, fmt.Errorf("selection: unknown access path %q", access)
 	}
 }
 
-// match evaluates the where (if any) and filter predicates against a handle.
-func match(db *engine.Database, h *object.Handle, req Request, whereIdx int, filterIdxs []int) (bool, error) {
-	if whereIdx >= 0 {
-		v, err := db.Handles.Attr(h, whereIdx)
-		if err != nil {
-			return false, err
+// evalBatch runs the predicate and projection phases over one filled batch:
+// Sel[i] is set for surviving rows, Cols holds the projected value columns
+// compacted to the selected rows (in selection order), and every AttrGet /
+// Compare / ResultAppend a handle-at-a-time loop would charge is accumulated
+// into ch. It returns the number of selected rows.
+func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, ch *sim.BatchCharges) (int, error) {
+	n := b.Len()
+	b.SetCols(len(projIdxs))
+	selected := 0
+	for i := 0; i < n; i++ {
+		cls, rec := b.Classes[i], b.Recs[i]
+		// Predicates short-circuit: one AttrGet+Compare per predicate
+		// actually evaluated.
+		if whereIdx >= 0 {
+			v, err := object.DecodeAttr(cls, rec, whereIdx)
+			if err != nil {
+				return 0, err
+			}
+			ch.AttrGets++
+			ch.Compares++
+			if !req.Where.Eval(v.Int) {
+				continue
+			}
 		}
-		db.Meter.Compare()
-		if !req.Where.Eval(v.Int) {
-			return false, nil
+		ok := true
+		for fi, f := range req.Filters {
+			v, err := object.DecodeAttr(cls, rec, filterIdxs[fi])
+			if err != nil {
+				return 0, err
+			}
+			ch.AttrGets++
+			ch.Compares++
+			if !f.Eval(v.Int) {
+				ok = false
+				break
+			}
 		}
-	}
-	for i, f := range req.Filters {
-		v, err := db.Handles.Attr(h, filterIdxs[i])
-		if err != nil {
-			return false, err
+		if !ok {
+			continue
 		}
-		db.Meter.Compare()
-		if !f.Eval(v.Int) {
-			return false, nil
+		b.Sel[i] = true
+		for j, pi := range projIdxs {
+			v, err := object.DecodeAttr(cls, rec, pi)
+			if err != nil {
+				return 0, err
+			}
+			ch.AttrGets++
+			b.Cols[j][selected] = v
 		}
-	}
-	return true, nil
-}
-
-// project reads the projected attributes, charges the result append, and
-// hands the values to the row callback if one is set. chunk identifies the
-// scan chunk that produced the row (0 on every sequential path).
-func project(db *engine.Database, h *object.Handle, req Request, projIdxs []int, chunk int) error {
-	want := req.OnRowChunk != nil || req.OnRow != nil
-	var vals []object.Value
-	if want {
-		vals = make([]object.Value, 0, len(projIdxs))
-	}
-	for _, pi := range projIdxs {
-		v, err := db.Handles.Attr(h, pi)
-		if err != nil {
-			return err
-		}
-		if want {
-			vals = append(vals, v)
-		}
+		selected++
 	}
 	if len(projIdxs) > 0 {
-		db.Meter.ResultAppend()
+		ch.ResultAppends += int64(selected)
 	}
-	if req.OnRowChunk != nil {
-		return req.OnRowChunk(chunk, vals)
+	for j := range b.Cols {
+		b.Cols[j] = b.Cols[j][:selected]
 	}
-	if req.OnRow != nil {
-		return req.OnRow(vals)
+	return selected, nil
+}
+
+// flushBatch evaluates one filled batch, merges ch — the caller's per-record
+// charges plus what evalBatch adds — into the meter as ONE delta, hands the
+// selected rows to the request's callback and empties the batch. It returns
+// the number of selected rows.
+func flushBatch(m *sim.Meter, b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, ch sim.BatchCharges, chunk int) (int, error) {
+	selected, err := evalBatch(b, req, whereIdx, filterIdxs, projIdxs, &ch)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	m.ChargeBatch(ch)
+	if selected > 0 && req.OnBatch != nil {
+		err = req.OnBatch(chunk, b.Cols, selected)
+	}
+	b.Reset()
+	return selected, err
 }
 
 // runFullScan is Figure 8's left column:
@@ -248,45 +260,51 @@ func project(db *engine.Database, h *object.Handle, req Request, projIdxs []int,
 //	  if get_att(h, num) > k add get_att(h, age) to the result
 //	  unreference h
 //
-// The scan creates and unreferences a Handle for every object in the
-// collection — the §4.3 cost the sorted index scan avoids.
+// The scan pays for a Handle got and unreferenced for every object in the
+// collection — the §4.3 cost the sorted index scan avoids — and fans out
+// over the ScanChunks page ranges.
 //
-// With a chunk-aware row callback (or none at all) the scan fans out over
-// the ScanChunks page ranges; a request carrying only the order-sensitive
-// OnRow runs the whole file as one chunk.
+// It runs over batches of db.Batch() records. Member records are captured
+// straight from the scan callback (record buffers outlive their page's cache
+// residency), so a batch performs zero page re-reads; materializing a handle
+// per object would re-read the page the scan is already holding — a
+// guaranteed client-cache hit — which the batch accounts as ClientHits in
+// its merged delta. Per member object the charge multiset is that of the
+// pseudo-code: ScanNext, the re-read hit, HandleGet, short-circuited
+// AttrGet+Compare per predicate, AttrGet per projection plus ResultAppend
+// for matches, HandleUnref.
 func runFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, projIdxs []int) (*Result, error) {
 	ranges := ScanChunks(req.Extent)
-	if len(ranges) > 1 && req.OnRow != nil && req.OnRowChunk == nil {
-		ranges = []engine.PageRange{{From: 0, To: req.Extent.File.NumPages()}}
-	}
-	if db.Batch() > 1 {
-		return runFullScanBatched(db, req, whereIdx, filterIdxs, projIdxs, ranges)
-	}
 	res := &Result{Access: FullScan}
 	rows := make([]int, len(ranges))
+	bsize := db.Batch()
 	err := db.RunChunks(len(ranges), func(w *engine.Session, c int) error {
-		return req.Extent.File.ScanRange(w.Client, ranges[c].From, ranges[c].To, func(rid storage.Rid, rec []byte) (bool, error) {
-			if !w.Classes.Belongs(object.ClassID(rec), req.Extent.Class) {
+		b := object.NewBatch(bsize)
+		flush := func() error {
+			n := int64(b.Len())
+			if n == 0 {
+				return nil
+			}
+			ch := sim.BatchCharges{ScanNexts: n, ClientHits: n, HandleGets: n, HandleUnrefs: n}
+			selected, err := flushBatch(w.Meter, b, req, whereIdx, filterIdxs, projIdxs, ch, c)
+			rows[c] += selected
+			return err
+		}
+		err := req.Extent.File.ScanRange(w.Client, ranges[c].From, ranges[c].To, func(rid storage.Rid, rec []byte) (bool, error) {
+			cls := w.Classes.ByID(object.ClassID(rec))
+			if cls == nil || !cls.IsSubclassOf(req.Extent.Class) {
 				return true, nil // shared file: other classes' objects
 			}
-			w.Meter.ScanNext()
-			h, err := w.Handles.Get(rid)
-			if err != nil {
-				return false, err
-			}
-			defer w.Handles.Unref(h)
-			ok, err := match(w, h, req, whereIdx, filterIdxs)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				if err := project(w, h, req, projIdxs, c); err != nil {
-					return false, err
-				}
-				rows[c]++
+			b.Append(rid, rec, cls)
+			if b.Full() {
+				return true, flush()
 			}
 			return true, nil
 		})
+		if err != nil {
+			return err
+		}
+		return flush()
 	})
 	if err != nil {
 		return nil, err
@@ -308,8 +326,11 @@ func runFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pro
 //	for each r in T
 //	  get Handle h; add get_att(h, age) to the result; unreference h
 //
-// Handles are created only for the selected elements.
-func runIndexScan(db *engine.Database, req Request, whereIdx int, filterIdxs, projIdxs []int, sorted bool) (*Result, error) {
+// Handles are paid for only for the selected elements. Record fetches go
+// through an object.Fetcher whose page-run reuse charges the client-cache
+// hits per-object reads would produce; the fetcher is invalidated whenever a
+// prefetch touches the pager in between.
+func runIndexScan(db *engine.Database, req Request, filterIdxs, projIdxs []int, sorted bool) (*Result, error) {
 	ix := db.IndexOn(req.Extent.Name, req.Where.Attr)
 	if ix == nil {
 		return nil, fmt.Errorf("selection: no index on %s.%s", req.Extent.Name, req.Where.Attr)
@@ -332,9 +353,6 @@ func runIndexScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pr
 	if err != nil {
 		return nil, err
 	}
-	if db.Batch() > 1 {
-		return runIndexScanBatched(db, req, filterIdxs, projIdxs, sorted, res, rids)
-	}
 	if sorted {
 		db.Meter.Sort(int64(len(rids)))
 		sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
@@ -343,20 +361,32 @@ func runIndexScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pr
 	// With sorted Rids the upcoming pages are known ahead of time: batch
 	// their fetches into fewer RPCs when the pager supports it.
 	var pf storage.Prefetcher
-	batch := 1
-	if sorted {
-		if p, ok := storage.Pager(db.Client).(storage.Prefetcher); ok && p.ReadAheadBatch() > 1 {
-			pf = p
-			batch = p.ReadAheadBatch()
-		}
-	}
 	var pages []storage.PageID
-	if pf != nil {
-		for _, rid := range rids {
-			if len(pages) == 0 || pages[len(pages)-1] != rid.Page {
-				pages = append(pages, rid.Page)
+	window := 0
+	if sorted {
+		if p, ok := storage.Pager(db.Client).(storage.Prefetcher); ok && p.ReadAheadBatch() >= 2 {
+			pf, window = p, p.ReadAheadBatch()
+			for _, rid := range rids {
+				if len(pages) == 0 || pages[len(pages)-1] != rid.Page {
+					pages = append(pages, rid.Page)
+				}
 			}
 		}
+	}
+
+	b := object.NewBatch(db.Batch())
+	f := db.Handles.Fetcher()
+	flush := func() error {
+		n := int64(b.Len())
+		if n == 0 {
+			return nil
+		}
+		// The index already enforced Where (whereIdx -1): only the filters
+		// run per fetched record.
+		ch := sim.BatchCharges{HandleGets: n, HandleUnrefs: n}
+		selected, err := flushBatch(db.Meter, b, req, -1, filterIdxs, projIdxs, ch, 0)
+		res.Rows += selected
+		return err
 	}
 	pageIdx, nextPrefetch := 0, 0
 	for _, rid := range rids {
@@ -365,52 +395,29 @@ func runIndexScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pr
 				pageIdx++
 			}
 			if pageIdx >= nextPrefetch {
-				hi := pageIdx + batch
-				if hi > len(pages) {
-					hi = len(pages)
-				}
+				hi := min(pageIdx+window, len(pages))
 				pf.Prefetch(pages[pageIdx:hi])
 				nextPrefetch = hi
+				// The prefetch read pages through the pager: the held
+				// page is no longer the last one read.
+				f.Invalidate()
 			}
 		}
-		h, err := db.Handles.Get(rid)
+		rec, cls, err := f.Fetch(rid)
 		if err != nil {
 			return nil, err
 		}
-		ok := true
-		if len(req.Filters) > 0 {
-			ok, err = matchFilters(db, h, req, filterIdxs)
-			if err != nil {
-				db.Handles.Unref(h)
+		b.Append(rid, rec, cls)
+		if b.Full() {
+			if err := flush(); err != nil {
 				return nil, err
 			}
 		}
-		if ok {
-			if err := project(db, h, req, projIdxs, 0); err != nil {
-				db.Handles.Unref(h)
-				return nil, err
-			}
-			res.Rows++
-		}
-		db.Handles.Unref(h)
+	}
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	res.Elapsed = db.Meter.Elapsed()
 	res.Counters = db.Meter.Snapshot()
 	return res, nil
-}
-
-// matchFilters evaluates only the filter predicates (the index already
-// enforced Where).
-func matchFilters(db *engine.Database, h *object.Handle, req Request, filterIdxs []int) (bool, error) {
-	for i, f := range req.Filters {
-		v, err := db.Handles.Attr(h, filterIdxs[i])
-		if err != nil {
-			return false, err
-		}
-		db.Meter.Compare()
-		if !f.Eval(v.Int) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

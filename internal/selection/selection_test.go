@@ -269,22 +269,22 @@ func TestOnRowReceivesValues(t *testing.T) {
 		Extent:   d.Patients,
 		Where:    Pred{Attr: "mrn", Op: Lt, K: 6},
 		Projects: []string{"mrn"},
-		OnRow: func(vals []object.Value) error {
+		OnBatch: rowsOf(func(_ int, vals []object.Value) error {
 			got = append(got, vals[0].Int)
 			return nil
-		},
+		}),
 	}
 	if _, err := Run(db, req, SortedIndexScan); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 {
-		t.Fatalf("OnRow saw %d rows", len(got))
+		t.Fatalf("OnBatch saw %d rows", len(got))
 	}
-	// OnRow errors propagate.
-	req.OnRow = func([]object.Value) error { return errStop }
+	// Callback errors propagate.
+	req.OnBatch = rowsOf(func(int, []object.Value) error { return errStop })
 	db.ColdRestart()
 	if _, err := Run(db, req, FullScan); err == nil {
-		t.Fatal("OnRow error swallowed")
+		t.Fatal("OnBatch error swallowed")
 	}
 }
 

@@ -75,8 +75,8 @@ type Config struct {
 	// byte-identical.
 	QueryJobs int
 	// Batch is the vectorized-execution batch size each session runs with
-	// (0 means the engine default, 1024; 1 runs the legacy scalar
-	// operators). Like QueryJobs it changes wall-clock latency only.
+	// (0 means the engine default, 1024; 1 = one record per batch). Like
+	// QueryJobs it changes wall-clock latency only.
 	Batch int
 	// QueryTimeout is each query's wall-clock budget, covering queue wait
 	// and execution; 0 means 30 seconds.

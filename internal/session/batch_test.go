@@ -41,10 +41,11 @@ func renderAtBatch(t *testing.T, sn *derby.Snapshot, jobs, batch int) (string, s
 // TestBatchScalarEquivalence is the vectorization invariant: the rendered
 // output (plan, rows, aggregates, simulated elapsed time, Figure 3
 // counters) and the raw meter totals must be byte-identical whether the
-// operators run one handle at a time (batch 1, the legacy scalar oracle)
-// or in batches of any size, at any intra-query worker count. Batched
-// execution amortizes real work per batch but merges its simulated charges
-// exactly where the scalar loop charged them.
+// operators run over batches of one record or of any size, at any
+// intra-query worker count. Batched execution amortizes real work per
+// batch but merges its simulated charges exactly where a handle-at-a-time
+// loop charges them (the join and selection packages compare against that
+// loop itself, kept in their scalar_test.go).
 func TestBatchScalarEquivalence(t *testing.T) {
 	d, err := derby.Generate(derby.DefaultConfig(200, 100, derby.ClassCluster))
 	if err != nil {

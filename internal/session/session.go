@@ -34,9 +34,8 @@ type Config struct {
 	// speed only, never a simulated number.
 	QueryJobs int
 	// Batch sets the database's vectorized-execution batch size (0 keeps
-	// the engine default, 1024; 1 runs the legacy scalar operators). Like
-	// QueryJobs it changes wall-clock speed only, never a simulated
-	// number.
+	// the engine default, 1024; 1 = one record per batch). Like QueryJobs
+	// it changes wall-clock speed only, never a simulated number.
 	Batch int
 	// PlanCache, when non-nil, memoizes compiled plans by query source for
 	// the session's planner. Plans hold references into the session's

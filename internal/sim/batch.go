@@ -20,9 +20,10 @@ type BatchCharges struct {
 	HashProbes    int64
 	ResultAppends int64
 	// ClientHits stands in for page re-reads the batched path skips: a
-	// scalar operator re-reads the page it is already holding (a guaranteed
-	// client-cache hit on the LRU front, which charges the hit counter and
-	// moves nothing), so skipping the read and counting the hit is exact.
+	// handle-at-a-time loop re-reads the page it is already holding (a
+	// guaranteed client-cache hit on the LRU front, which charges the hit
+	// counter and moves nothing), so skipping the read and counting the hit
+	// is exact.
 	ClientHits int64
 }
 

@@ -217,7 +217,7 @@ type Stats struct {
 
 	// Chosen-plan provenance (v4): how many executed queries ran under
 	// each optimizer strategy, the vectorized-execution batch size the
-	// server's sessions run with (1 = scalar operators), and the access
+	// server's sessions run with (1 = one record per batch), and the access
 	// path or join algorithm of the most recently executed query.
 	PlansCost      int64
 	PlansHeuristic int64
