@@ -113,10 +113,11 @@ bench-index:
 	./scripts/bench_index.sh
 
 # Shared buffer pool: cold vs warm repeated work, readahead vs none on
-# cold sequential scans (direct I/O where the filesystem supports it),
-# and 8-session RSS under a bounded pool vs the legacy unbounded cache.
-# Writes BENCH_cache.json and enforces the three gates (warm >= 2x,
-# readahead >= 1.3x on true-cold scans, pooled RSS below unbounded).
+# cold sequential scans (direct I/O where the filesystem supports it,
+# the buffered figure recorded beside it), and 8-session RSS under a
+# pool smaller than the page image. Writes BENCH_cache.json and enforces
+# the three gates (warm >= 2x, readahead >= 1.3x on true-cold scans,
+# RSS below the image size).
 bench-cache:
 	./scripts/bench_cache.sh
 

@@ -67,7 +67,10 @@ func main() {
 		pool       = cli.PoolFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	pool.Setup()
+	if err := pool.Setup(); err != nil {
+		fmt.Fprintln(os.Stderr, "oqlsh:", err)
+		os.Exit(2)
+	}
 	scripted := *stmts != "" || *script != ""
 
 	if *coord != "" {

@@ -17,9 +17,10 @@
 //	                [-query-timeout 60s] [-v]
 //
 // -bufpool-mb/-readahead size the coordinator's own shared buffer pool
-// (its planning snapshot reads through it; also TREEBENCH_BUFPOOL_MB /
-// TREEBENCH_READAHEAD; 0 disables). -pprof ADDR serves net/http/pprof
-// on ADDR for profiling the scatter-gather and pool hot paths.
+// (its planning snapshot reads through it; -bufpool-mb is at least 1,
+// -readahead 0 reads one page per miss). -pprof ADDR serves
+// net/http/pprof on ADDR for profiling the scatter-gather and pool hot
+// paths.
 //
 // The shard list is positional: the i-th address must be a treebenchd
 // started with -shard i/N over the SAME -providers/-avg/-clustering/-seed.
@@ -60,7 +61,9 @@ func main() {
 		verbose    = flag.Bool("v", false, "log shard dials and lifecycle to stderr")
 	)
 	flag.Parse()
-	pool.Setup()
+	if err := pool.Setup(); err != nil {
+		fatal(err)
+	}
 	server.ServePprof("treebench-coord", *pprofAddr)
 
 	addrs := splitAddrs(*shards)

@@ -30,7 +30,10 @@ import (
 // an empty pool (cold), later rounds against whatever the earlier rounds
 // left resident (warm), so one invocation yields a cold/warm pair; the
 // readahead and RSS comparisons come from separate invocations with
-// different knobs (each process gets a fresh pool).
+// different knobs (each process gets a fresh pool). With -direct the page
+// image is opened O_DIRECT (persist.LoadDirect), so a miss is a device
+// read rather than a copy out of the OS page cache — a mode no daemon
+// runs in; the script records the buffered figure beside it.
 //
 // Output is one key=value record per line, consumed by the script:
 //
@@ -59,17 +62,20 @@ func cmdBench(args []string) error {
 		return fmt.Errorf("bench wants -sessions ≥ 1 and -rounds ≥ 1")
 	}
 
+	if err := pool.Setup(); err != nil {
+		return err
+	}
+	load := persist.Load
 	if *direct {
-		os.Setenv(persist.DirectIOEnvVar, "1")
+		load = persist.LoadDirect
 	}
 	fmt.Printf("direct=%v\n", *direct && persist.DirectIOSupported(*file))
 
 	if *versus {
-		return benchVersus(*file, *mode, *stmt, *sessions, *rounds, *poolMB, *readahead)
+		return benchVersus(load, *file, *mode, *stmt, *sessions, *rounds, *poolMB, *readahead)
 	}
 
-	pool.Setup()
-	snap, err := persist.Load(*file)
+	snap, err := load(*file)
 	if err != nil {
 		return err
 	}
@@ -104,20 +110,15 @@ func cmdBench(args []string) error {
 	}
 	fmt.Printf("result_crc=%08x\n", resultCRC)
 
-	if p := bufpool.Active(); p != nil {
-		st := p.Stats()
-		fmt.Printf("pool hits=%d misses=%d evictions=%d ra_issued=%d ra_used=%d ra_wasted=%d resident=%d capacity=%d\n",
-			st.Hits, st.Misses, st.Evictions, st.ReadaheadIssued, st.ReadaheadUsed,
-			st.ReadaheadWasted, st.ResidentPages, st.CapacityPages)
-	} else {
-		fmt.Println("pool disabled")
-	}
+	st := bufpool.Active().Stats()
+	fmt.Printf("pool hits=%d misses=%d evictions=%d ra_issued=%d ra_used=%d ra_wasted=%d resident=%d capacity=%d\n",
+		st.Hits, st.Misses, st.Evictions, st.ReadaheadIssued, st.ReadaheadUsed,
+		st.ReadaheadWasted, st.ResidentPages, st.CapacityPages)
 	// Release all garbage to the OS, then read RSS with the snapshot still
 	// live: what remains is the steady-state working set — the bounded
-	// pool, or (pool disabled) every page the legacy per-snapshot cache
-	// materialized. KeepAlive pins the snapshot past the reading; without
-	// it liveness analysis would let the collector free the caches being
-	// measured.
+	// pool plus every session's private state. KeepAlive pins the snapshot
+	// past the reading; without it liveness analysis would let the
+	// collector free the pool being measured.
 	debug.FreeOSMemory()
 	rss, hwm := readRSS()
 	fmt.Printf("vm_rss_kb=%d vm_hwm_kb=%d\n", rss, hwm)
@@ -142,7 +143,7 @@ func runRound(snap *derby.Snapshot, mode, stmt string, sessions int) (uint32, er
 // snapshot is reloaded so every round faults from scratch. Machine-speed
 // drift (a noisy neighbor, thermal throttling) hits both configs
 // equally; the per-config minimum estimates the undisturbed cost.
-func benchVersus(file, mode, stmt string, sessions, rounds, poolMB, readahead int) error {
+func benchVersus(load func(string) (*derby.Snapshot, error), file, mode, stmt string, sessions, rounds, poolMB, readahead int) error {
 	if readahead <= 0 {
 		return fmt.Errorf("-versus wants -readahead > 0 (it compares against 0 itself)")
 	}
@@ -152,7 +153,7 @@ func benchVersus(file, mode, stmt string, sessions, rounds, poolMB, readahead in
 	for r := 1; r <= rounds; r++ {
 		for _, cfg := range []int{readahead, 0} {
 			bufpool.Setup(poolMB, cfg)
-			snap, err := persist.Load(file)
+			snap, err := load(file)
 			if err != nil {
 				return err
 			}

@@ -46,7 +46,9 @@ func main() {
 		gnuplot = flag.String("gnuplot", "", "write <id>.dat and <id>.gp gnuplot files for each experiment into this directory")
 	)
 	flag.Parse()
-	pool.Setup()
+	if err := pool.Setup(); err != nil {
+		fatal(err)
+	}
 
 	if *list {
 		fmt.Println("experiments:")

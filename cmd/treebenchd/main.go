@@ -36,11 +36,10 @@
 // physical layout and page-granular cost accounting, never query results.
 //
 // -bufpool-mb sizes the process-wide shared buffer pool every session and
-// chain store reads snapshot-file pages through (default 256, also
-// TREEBENCH_BUFPOOL_MB; 0 disables the pool and falls back to unbounded
-// per-snapshot page caching). -readahead sets the pool's asynchronous
-// prefetch window in pages for sequential scans (default 32, also
-// TREEBENCH_READAHEAD; 0 disables prefetch). Both change real wall clock
+// chain store reads snapshot-file pages through (default 256, at least 1:
+// a loaded snapshot has no other way to read a page). -readahead sets how
+// many pages a miss that continues a sequential scan reads at once
+// (default 32; 0 reads one page per miss). Both change real wall clock
 // and real RSS only — simulated meters and query tables are byte-identical
 // at every setting.
 //
@@ -114,7 +113,9 @@ func main() {
 	)
 	flag.Parse()
 	// Configure the shared buffer pool before anything loads a snapshot.
-	pool.Setup()
+	if err := pool.Setup(); err != nil {
+		fatal(err)
+	}
 	server.ServePprof("treebenchd", *pprofAddr)
 
 	cfg, err := shape.Config()

@@ -28,7 +28,6 @@ func benchOrder() []int {
 
 func residentHandle(b *testing.B) *Handle {
 	p := New(0, 4096, DefaultReadahead)
-	b.Cleanup(p.Close)
 	h := p.Register(stampSource{4096}, benchPages)
 	for pg := 0; pg < benchPages; pg++ {
 		if _, err := h.Get(pg); err != nil {
@@ -66,7 +65,6 @@ func BenchmarkGetHitParallel(b *testing.B) {
 // defeats readahead, so every Get faults, admits and evicts.
 func BenchmarkGetMiss(b *testing.B) {
 	p := New(128*4096, 4096, DefaultReadahead)
-	b.Cleanup(p.Close)
 	h := p.Register(stampSource{4096}, benchPages)
 	b.ReportAllocs()
 	b.ResetTimer()

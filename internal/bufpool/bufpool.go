@@ -1,8 +1,9 @@
 // Package bufpool implements the process-wide shared page buffer pool:
 // one bounded, concurrency-safe cache of backing-file pages shared by
-// every session, fork, and shard in the process. It sits under the
-// *real* I/O path — storage.Base faulting pages out of a persisted
-// snapshot file — and is invisible to the simulated meters: the paper's
+// every session, fork, and shard in the process. It is the one way a
+// page of a loaded snapshot becomes resident — every storage.Base that
+// persist.Load builds reads through a Handle — and is invisible to the
+// simulated meters: the paper's
 // two-level client/server caches in internal/cache keep deciding what is
 // a simulated hit or miss, while the pool decides what is physically
 // resident. Simulated tables and counters are therefore byte-identical
@@ -14,10 +15,15 @@
 // resident page is a load from that table — no mutex, no map probe, no
 // allocation — so a warm-booted daemon pays for a pool hit what an
 // eager in-memory base pays for a slice index. Everything that changes
-// residency (fault, prefetch admit, evict, pin) still runs under one of
-// 16 shard mutexes and publishes to or clears the table slot from
-// there; a frame carries a pointer back to its slot so eviction can
-// clear it.
+// residency (fault, readahead admit, evict) still runs under one of 16
+// shard mutexes and publishes to or clears the table slot from there; a
+// frame carries a pointer back to its slot so eviction can clear it.
+//
+// A page becomes resident in exactly one way: the reader that misses
+// reads it. A miss that continues a sequential streak reads the whole
+// readahead window with one Source.ReadPages call and admits the tail
+// as prefetched (readahead.go); any other miss reads its one page. The
+// pool starts no goroutine.
 //
 // Eviction is sharded 2Q (a scan-resistant LRU variant): a page's first
 // touch admits it to a probationary queue, a second touch promotes it to
@@ -41,10 +47,7 @@
 // copies all alias page buffers) — an evicted frame's content can never
 // be scribbled over — and what makes the lock-free hit safe: a reader
 // that loaded a frame pointer just before its eviction still holds a
-// valid immutable buffer. Pin/Unpin refcounts additionally exempt a
-// frame from eviction entirely, so repeat Gets of a pinned page are
-// guaranteed pool hits (the WAL-replay warm set and the snap tool's page
-// sweep pin their working set this way).
+// valid immutable buffer.
 //
 // Hits are counted in cache-line-padded stripes summed by Stats, so
 // parallel query chunks reading one handle do not bounce a shared
@@ -57,33 +60,17 @@ import (
 	"sync/atomic"
 )
 
-// Source supplies page contents for one registered backing file.
-// ReadPage fills dst (one page) with page i's content; it must be safe
-// for concurrent use. It mirrors storage.PageSource so a snapshot file's
-// reader plugs in unchanged.
+// Source supplies page contents for one registered backing file; both
+// methods must be safe for concurrent use. ReadPage fills dst (one page)
+// with page i's content. ReadPages fills bufs (one page each) with the
+// len(bufs) consecutive pages starting at lo — one window of readahead;
+// how that becomes one system call is the source's business (a snapshot
+// file uses preadv(2), or one staged read and a copy per page). A failed
+// ReadPages costs only the readahead: the pool falls back to ReadPage
+// for the page that was asked for.
 type Source interface {
 	ReadPage(i int, dst []byte) error
-}
-
-// RangeSource is the optional Source capability the readahead pipeline
-// prefers: one positioned read covering len(dst)/pageSize consecutive
-// pages starting at lo. A snapshot file implements it with a single
-// ReadAt, which is what turns a cold scan's page-per-syscall faulting
-// into one syscall per readahead window.
-type RangeSource interface {
-	Source
-	ReadPageRange(lo int, dst []byte) error
-}
-
-// VectorSource is the strongest Source capability: one positioned
-// vectored read scattering consecutive pages starting at lo into the
-// caller's separate buffers. The readahead paths use it to fill page
-// frames DIRECTLY — one syscall per window and no staging copy, where
-// the RangeSource path reads into scratch and pays a memmove per page.
-// A snapshot file implements it with preadv(2) on Linux.
-type VectorSource interface {
-	Source
-	ReadPageVec(lo int, bufs [][]byte) error
+	ReadPages(lo int, bufs [][]byte) error
 }
 
 // Stats is a point-in-time snapshot of the pool's counters.
@@ -92,7 +79,7 @@ type Stats struct {
 	Misses    int64 // Gets that faulted from the backing source
 	Evictions int64 // frames dropped by capacity pressure
 
-	ReadaheadIssued int64 // pages prefetched by the background fetchers
+	ReadaheadIssued int64 // tail pages admitted by batched demand faults
 	ReadaheadUsed   int64 // prefetched pages later consumed by a Get
 	ReadaheadWasted int64 // prefetched pages evicted before any Get
 
@@ -118,9 +105,13 @@ const (
 	numStripes = 64
 
 	// seqThreshold is how many consecutive page accesses a handle must
-	// see before the readahead pipeline engages. Below it, point lookups
-	// and tree descents never trigger speculative I/O.
-	seqThreshold = 4
+	// see before a miss faults a whole readahead window. Point lookups and
+	// tree descents never get there, and neither must a scan of one class
+	// file in an image that interleaves several: at the live benchmark's
+	// scale the Patients file lies in runs of one to four consecutive page
+	// numbers, and a window armed by a run of four is one third another
+	// file's pages (EXPERIMENTS.md, "What the background fetchers bought").
+	seqThreshold = 8
 
 	// minShardFrames keeps a tiny pool functional: each shard can always
 	// hold a few frames, so even -bufpool-mb 1 makes progress (just with
@@ -147,12 +138,10 @@ type frame struct {
 	// scan when it applies the deferred 2Q touch the bit stands for.
 	ref atomic.Bool
 
-	// prefetched marks a frame admitted by the readahead pipeline and
-	// not yet consumed. Whoever swaps it to false accounts for it: the
+	// prefetched marks a frame admitted as the tail of a batched demand
+	// fault and not yet consumed. Whoever swaps it to false accounts for it: the
 	// first Get (readahead used) or the eviction (readahead wasted).
 	prefetched atomic.Bool
-
-	pins int32 // eviction exemption refcount; guarded by the shard mutex
 
 	hot        bool // protected (true) or probationary (false) queue
 	prev, next *frame
@@ -239,21 +228,11 @@ type Pool struct {
 	hits                       stripedCounter
 	misses, evictions          atomic.Int64
 	raIssued, raUsed, raWasted atomic.Int64
-
-	fetchOnce sync.Once
-	fetchQ    chan fetchReq
-	qmu       sync.RWMutex
-	closed    bool
-
-	// rangeScratch recycles the window-sized staging buffers of batched
-	// demand faults; without it a long cold scan churns one readahead
-	// window of garbage per window of progress.
-	rangeScratch sync.Pool
 }
 
 // New returns a pool of capacityBytes (0 = unbounded) over pageSize
-// frames. readahead is the prefetch window in pages (0 disables the
-// readahead pipeline; detection and fetchers then never run).
+// frames. readahead is the window in pages a sequential miss faults at
+// once (0 disables readahead; the streak detector then never runs).
 func New(capacityBytes int64, pageSize, readahead int) *Pool {
 	if pageSize < 1 {
 		panic("bufpool: page size < 1")
@@ -262,12 +241,6 @@ func New(capacityBytes int64, pageSize, readahead int) *Pool {
 		readahead = 0
 	}
 	p := &Pool{pageSize: pageSize, readahead: readahead}
-	if readahead > 0 {
-		p.rangeScratch.New = func() any {
-			b := make([]byte, readahead*pageSize)
-			return &b
-		}
-	}
 	capFrames := 0
 	if capacityBytes > 0 {
 		capFrames = int(capacityBytes) / pageSize
@@ -285,15 +258,7 @@ func New(capacityBytes int64, pageSize, readahead int) *Pool {
 	return p
 }
 
-// PageSize returns the pool's frame size.
-func (p *Pool) PageSize() int { return p.pageSize }
-
-// Readahead returns the configured prefetch window in pages.
-func (p *Pool) Readahead() int { return p.readahead }
-
 // Register adds a backing file of numPages pages and returns its handle.
-// If src also implements RangeSource the readahead pipeline batches its
-// prefetches into single range reads.
 func (p *Pool) Register(src Source, numPages int) *Handle {
 	h := &Handle{
 		pool:     p,
@@ -302,8 +267,6 @@ func (p *Pool) Register(src Source, numPages int) *Handle {
 		numPages: numPages,
 		table:    make([]atomic.Pointer[frame], numPages),
 	}
-	h.rs, _ = src.(RangeSource)
-	h.vec, _ = src.(VectorSource)
 	h.raLast.Store(-2) // so page 0 never looks like the successor of a previous access
 	h.raStreak.Store(1)
 	return h
@@ -319,7 +282,7 @@ func (p *Pool) Stats() Stats {
 	}
 	// Outcomes before issues: a prefetch is issued before it can be used
 	// or wasted, so this order keeps used + wasted <= issued in a snapshot
-	// taken while fetchers run.
+	// taken while readers fault.
 	s.ReadaheadUsed = p.raUsed.Load()
 	s.ReadaheadWasted = p.raWasted.Load()
 	s.ReadaheadIssued = p.raIssued.Load()
@@ -333,20 +296,6 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// Close stops the background fetchers. Handles stay usable (fault paths
-// are synchronous); further prefetch requests are dropped. It exists so
-// tests can reconfigure the global pool without leaking goroutines.
-func (p *Pool) Close() {
-	p.qmu.Lock()
-	defer p.qmu.Unlock()
-	if !p.closed {
-		p.closed = true
-		if p.fetchQ != nil {
-			close(p.fetchQ)
-		}
-	}
-}
-
 func (p *Pool) shardFor(k key) *shard {
 	// Mix source and page so consecutive pages of one file spread over
 	// shards (a sequential scan would otherwise convoy on one mutex).
@@ -354,7 +303,7 @@ func (p *Pool) shardFor(k key) *shard {
 	return &p.shards[(h^(h>>29))%numShards]
 }
 
-// hit records a Get (or Pin) of resident frame f: it leaves the
+// hit records a Get of resident frame f: it leaves the
 // reference bit set for the eviction scan and graduates a prefetched
 // frame to consumed. It takes no lock and, on a frame that is already
 // referenced and consumed, writes nothing.
@@ -413,17 +362,13 @@ func (sh *shard) admitLocked(h *Handle, page int, buf []byte, prefetched bool) {
 }
 
 // evictLocked drops frames until the shard is within capacity, draining
-// probation before protected and skipping pinned frames. If every frame
-// is pinned the shard runs over capacity rather than blocking.
+// probation before protected.
 func (sh *shard) evictLocked(p *Pool) {
 	if sh.capFrames == 0 {
 		return
 	}
 	for sh.resident() > sh.capFrames {
 		v := sh.victimLocked()
-		if v == nil {
-			return // everything pinned
-		}
 		if v.hot {
 			sh.protected.remove(v)
 		} else {
@@ -438,56 +383,46 @@ func (sh *shard) evictLocked(p *Pool) {
 }
 
 // victimLocked picks the frame to evict: the least-recently-used frame
-// of probation, then of protected, that is neither pinned nor referenced
-// since the scan last saw it. A referenced frame is not a victim — its
-// bit is the touch the lock-free Get did not splice, and the scan
-// splices it now: a probationary frame is promoted to protected-MRU
-// (the second touch of 2Q), a protected one moves to MRU. Returns nil if
-// every frame is pinned.
+// of probation, then of protected, that has not been referenced since
+// the scan last saw it. A referenced frame is not a victim — its bit is
+// the touch the lock-free Get did not splice, and the scan splices it
+// now: a probationary frame is promoted to protected-MRU (the second
+// touch of 2Q), a protected one moves to MRU. The shard must hold at
+// least one frame.
 func (sh *shard) victimLocked() *frame {
-	// Every step below retires a reference bit or passes a pinned frame;
-	// the budget only matters if readers keep re-referencing frames as
-	// fast as the scan clears them, and then recency is ignored.
+	// Every step below retires a reference bit; the budget only matters if
+	// readers keep re-referencing frames as fast as the scan clears them,
+	// and then recency is ignored.
 	budget := 2 * sh.resident()
 	for f := sh.probation.head; f != nil; {
-		switch {
-		case f.pins > 0:
-			f = f.next
-		case budget > 0 && f.ref.Load():
-			budget--
-			f.ref.Store(false)
-			// Keep the protected queue from monopolizing the shard: past
-			// 3/4 of capacity its coldest frames go back to probation,
-			// behind f, so this walk reaches them.
-			for sh.protected.n >= sh.protCap() {
-				sh.demoteLocked()
-			}
-			next := f.next
-			sh.probation.remove(f)
-			f.hot = true
+		if budget == 0 || !f.ref.Load() {
+			return f
+		}
+		budget--
+		f.ref.Store(false)
+		// Keep the protected queue from monopolizing the shard: past 3/4 of
+		// capacity its coldest frames go back to probation, behind f, so
+		// this walk reaches them.
+		for sh.protected.n >= sh.protCap() {
+			sh.demoteLocked()
+		}
+		next := f.next
+		sh.probation.remove(f)
+		f.hot = true
+		sh.protected.pushMRU(f)
+		f = next
+	}
+	f := sh.protected.head
+	for budget > 0 && f.ref.Load() {
+		budget--
+		f.ref.Store(false)
+		if next := f.next; next != nil {
+			sh.protected.remove(f)
 			sh.protected.pushMRU(f)
 			f = next
-		default:
-			return f
-		}
+		} // else f is already MRU: look at it again, unreferenced now
 	}
-	for f := sh.protected.head; f != nil; {
-		switch {
-		case f.pins > 0:
-			f = f.next
-		case budget > 0 && f.ref.Load():
-			budget--
-			f.ref.Store(false)
-			if next := f.next; next != nil {
-				sh.protected.remove(f)
-				sh.protected.pushMRU(f)
-				f = next
-			} // else f is already MRU: look at it again, unreferenced now
-		default:
-			return f
-		}
-	}
-	return nil
+	return f
 }
 
 // Handle is one registered backing file's view of the pool. It is safe
@@ -498,8 +433,6 @@ type Handle struct {
 	pool     *Pool
 	id       uint64
 	src      Source
-	rs       RangeSource
-	vec      VectorSource
 	numPages int
 
 	// table is the residency index: table[i] is page i's resident frame,
@@ -507,26 +440,14 @@ type Handle struct {
 	// stored only under the page's shard mutex.
 	table []atomic.Pointer[frame]
 
-	// raNext is the first page not yet scheduled for prefetch, 0 when no
-	// window is scheduled. Written under ra, read by every Get.
-	raNext atomic.Int64
-
 	// The sequential detector's cursor is written by every random Get, so
 	// it lives on its own cache line, away from the read-only fields
 	// above that every Get loads.
 	_        [64]byte
 	raLast   atomic.Int64 // last page accessed
-	raStreak atomic.Int32 // consecutive sequential accesses ending at raLast
+	raStreak atomic.Int32 // consecutive sequential accesses ending at raLast, counted up to seqThreshold
 	_        [64]byte
-
-	ra sync.Mutex // serializes window scheduling (read-modify-write of raNext)
 }
-
-// NumPages returns the registered page count.
-func (h *Handle) NumPages() int { return h.numPages }
-
-// Pool returns the pool this handle belongs to.
-func (h *Handle) Pool() *Pool { return h.pool }
 
 // inRange reports whether page indexes the handle's page table.
 func (h *Handle) inRange(page int) bool { return uint(page) < uint(len(h.table)) }
@@ -563,19 +484,13 @@ func (h *Handle) GetPage(i int) ([]byte, error) { return h.Get(i) }
 
 // fault reads page from the backing source, deduplicating concurrent
 // faulters through the shard's in-flight table, and admits the result.
-//
-// When the miss continues an established sequential streak on a
-// RangeSource-backed handle, the fault reads the whole readahead window
-// in ONE positioned read and admits every page of it (batched demand
-// fault). Unlike the asynchronous fetchers this helps even on a single
-// CPU — a cold sequential scan pays one syscall per window instead of
-// one per page — and it cannot fall behind the consumer, because the
-// consumer is the one doing it.
+// A miss that continues an established sequential streak reads its whole
+// readahead window instead (faultRange).
 func (h *Handle) fault(page int) ([]byte, error) {
 	k := key{h.id, uint32(page)}
 	sh := h.pool.shardFor(k)
 	sh.mu.Lock()
-	if f := h.table[page].Load(); f != nil { // raced in (another faulter or the prefetcher)
+	if f := h.table[page].Load(); f != nil { // raced in (another faulter, or the tail of its window)
 		h.pool.hit(f)
 		sh.mu.Unlock()
 		return f.buf, nil
@@ -604,7 +519,7 @@ func (h *Handle) fault(page int) ([]byte, error) {
 		if f := h.table[page].Load(); f == nil {
 			sh.admitLocked(h, page, buf, false)
 		} else {
-			buf = f.buf // a prefetch admitted it while we read; share its frame
+			buf = f.buf // admitted while we read; share its frame
 		}
 	}
 	sh.mu.Unlock()
@@ -614,127 +529,6 @@ func (h *Handle) fault(page int) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// batchSpan decides whether the miss on page should fault a whole window:
-// it returns the half-open end of the span to read (page+1 — i.e. no
-// batching — unless the handle has a RangeSource, readahead is on, and
-// this access continues a sequential streak past the threshold). The span
-// is clipped at the file end and at the first already-resident page, and
-// raNext advances past it so the async scheduler doesn't re-request the
-// same pages.
-func (h *Handle) batchSpan(page int) int {
-	p := h.pool
-	if (h.rs == nil && h.vec == nil) || p.readahead <= 0 {
-		return page + 1
-	}
-	if int64(page) != h.raLast.Load()+1 || h.raStreak.Load()+1 < seqThreshold {
-		return page + 1
-	}
-	hi := page + p.readahead
-	if hi > h.numPages {
-		hi = h.numPages
-	}
-	h.ra.Lock()
-	if h.raNext.Load() < int64(hi) {
-		h.raNext.Store(int64(hi))
-	}
-	h.ra.Unlock()
-	// Clip the span at resident pages, probing at a coarse stride: a hit
-	// at a probe point narrows to a fine scan, bounding read amplification
-	// to one stride's worth of already-resident pages.
-	const probeStride = 8
-	for j := page + probeStride; j < hi; j += probeStride {
-		if h.resident(j) {
-			for f := j - probeStride + 1; f <= j; f++ {
-				if h.resident(f) {
-					return f
-				}
-			}
-		}
-	}
-	return hi
-}
-
-// faultRange reads pages [page, hi) with one positioned read, admits the
-// tail pages as prefetched, and returns the demand page's buffer for the
-// caller (who holds the in-flight slot for it) to admit normally. With a
-// VectorSource the pages scatter straight into their frames; the
-// RangeSource fallback stages through recycled scratch and copies out.
-func (h *Handle) faultRange(page, hi int) ([]byte, error) {
-	p := h.pool
-	n := hi - page
-	if h.vec != nil {
-		frames := make([][]byte, n)
-		for i := range frames {
-			frames[i] = make([]byte, p.pageSize)
-		}
-		if err := h.vec.ReadPageVec(page, frames); err == nil {
-			for i := 1; i < n; i++ {
-				h.admitPrefetched(page+i, frames[i], true)
-			}
-			return frames[0], nil
-		}
-		// Fall through to the staged path (and ultimately the single-page
-		// path) rather than failing the demand read on a vec error.
-	}
-	sp := p.rangeScratch.Get().(*[]byte)
-	defer p.rangeScratch.Put(sp)
-	big := (*sp)[:n*p.pageSize]
-	if err := h.rs.ReadPageRange(page, big); err != nil {
-		// Fall back to the single-page path: the range may fail (short
-		// file tail) where the demand page alone would not.
-		buf := make([]byte, p.pageSize)
-		return buf, h.src.ReadPage(page, buf)
-	}
-	for i := 1; i < n; i++ {
-		h.admitPrefetched(page+i, big[i*p.pageSize:(i+1)*p.pageSize], false)
-	}
-	buf := make([]byte, p.pageSize)
-	copy(buf, big[:p.pageSize])
-	return buf, nil
-}
-
-// Pin returns page's content and exempts its frame from eviction until
-// a matching Unpin. Pins nest (refcounted). Use it for a working set
-// that must stay resident under pressure — e.g. the WAL-replay page set
-// during a chain boot.
-func (h *Handle) Pin(page int) ([]byte, error) {
-	if !h.inRange(page) {
-		return nil, h.errRange(page)
-	}
-	sh := h.pool.shardFor(key{h.id, uint32(page)})
-	for {
-		sh.mu.Lock()
-		if f := h.table[page].Load(); f != nil {
-			f.pins++
-			sh.mu.Unlock()
-			h.pool.hit(f)
-			return f.buf, nil
-		}
-		sh.mu.Unlock()
-		if _, err := h.Get(page); err != nil {
-			return nil, err
-		}
-		// Loop: the freshly admitted frame could in principle be evicted
-		// between Get and re-lock; the retry pins it before that window
-		// can recur.
-	}
-}
-
-// Unpin releases one Pin of page. Unpinning a non-resident, unpinned or
-// out-of-range page is a no-op (the frame may have been evicted while
-// pinned count was zero — never while it was held).
-func (h *Handle) Unpin(page int) {
-	if !h.inRange(page) {
-		return
-	}
-	sh := h.pool.shardFor(key{h.id, uint32(page)})
-	sh.mu.Lock()
-	if f := h.table[page].Load(); f != nil && f.pins > 0 {
-		f.pins--
-	}
-	sh.mu.Unlock()
 }
 
 // resident reports whether page is resident, without touching recency.

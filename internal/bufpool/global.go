@@ -1,9 +1,9 @@
 package bufpool
 
 import (
-	"os"
-	"strconv"
 	"sync"
+
+	"treebench/internal/storage"
 )
 
 // The process-wide pool. Every snapshot file opened by persist registers
@@ -11,91 +11,39 @@ import (
 // and shards in one process share frames — that is the whole point: a
 // page is resident once per machine, not once per session.
 
-// Defaults when neither Setup nor the environment configured the pool.
+// Defaults when Setup was never called.
 const (
 	DefaultCapacityMB = 256
 	DefaultReadahead  = 32
 )
 
-// Environment knobs, honored by the lazy default (flags override them
-// via Setup in every cmd main).
-const (
-	CapacityEnvVar  = "TREEBENCH_BUFPOOL_MB"
-	ReadaheadEnvVar = "TREEBENCH_READAHEAD"
-)
-
 var (
-	gmu         sync.Mutex
-	gpool       *Pool
-	gdisabled   bool
-	gconfigured bool
+	gmu   sync.Mutex
+	gpool *Pool
 )
 
-// Setup configures the process-wide pool: capacityMB of frames and a
-// readahead window in pages. capacityMB <= 0 disables the pool entirely
-// — lazy bases fall back to their legacy unbounded per-base cells (the
-// RSS baseline mode the cache benchmark compares against). Call it once
-// at process start, before snapshots load; a later call replaces the
-// pool for *new* registrations only (existing handles keep the old one).
+// Setup configures the process-wide pool: capacityMB (at least 1) of
+// frames and a readahead window in pages (0 = none). Call it once at
+// process start, before snapshots load; a later call replaces the pool
+// for *new* registrations only (existing handles keep the old one).
+// There is no disabled state: a loaded snapshot always reads through a
+// pool, and internal/cli rejects -bufpool-mb below 1 before it gets here.
 func Setup(capacityMB, readahead int) {
+	if capacityMB < 1 {
+		panic("bufpool: capacity < 1 MB")
+	}
 	gmu.Lock()
 	defer gmu.Unlock()
-	if gpool != nil {
-		gpool.Close()
-		gpool = nil
-	}
-	gconfigured = true
-	if capacityMB <= 0 {
-		gdisabled = true
-		return
-	}
-	gdisabled = false
-	gpool = New(int64(capacityMB)<<20, defaultPageSize, readahead)
+	gpool = New(int64(capacityMB)<<20, storage.PageSize, readahead)
 }
 
-// Active returns the process-wide pool, creating it on first use from
-// the environment (TREEBENCH_BUFPOOL_MB / TREEBENCH_READAHEAD) or the
-// defaults. Returns nil when the pool is disabled.
+// Active returns the process-wide pool, creating it with the defaults on
+// first use.
 func Active() *Pool {
 	gmu.Lock()
 	defer gmu.Unlock()
-	if gdisabled {
-		return nil
-	}
 	if gpool == nil {
-		capMB, ra := DefaultCapacityMB, DefaultReadahead
-		if !gconfigured {
-			capMB = envInt(CapacityEnvVar, capMB)
-			ra = envInt(ReadaheadEnvVar, ra)
-		}
-		gconfigured = true
-		if capMB <= 0 {
-			gdisabled = true
-			return nil
-		}
-		gpool = New(int64(capMB)<<20, defaultPageSize, ra)
+		gpool = New(DefaultCapacityMB<<20, storage.PageSize, DefaultReadahead)
 	}
 	return gpool
 }
-
-// CapacityMBFromEnv returns TREEBENCH_BUFPOOL_MB's value, or def when
-// unset or malformed. Used by cmd mains as the flag default.
-func CapacityMBFromEnv(def int) int { return envInt(CapacityEnvVar, def) }
-
-// ReadaheadFromEnv returns TREEBENCH_READAHEAD's value, or def when
-// unset or malformed.
-func ReadaheadFromEnv(def int) int { return envInt(ReadaheadEnvVar, def) }
-
-func envInt(name string, def int) int {
-	if v := os.Getenv(name); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-// defaultPageSize mirrors storage.PageSize; bufpool cannot import
-// storage (storage imports bufpool's consumers) so the constant is
-// duplicated and asserted equal by an equivalence test in persist.
-const defaultPageSize = 4096

@@ -21,9 +21,9 @@ func (s stampSource) ReadPage(i int, dst []byte) error {
 	return nil
 }
 
-func (s stampSource) ReadPageRange(lo int, dst []byte) error {
-	for i := 0; i*s.pageSize < len(dst); i++ {
-		binary.LittleEndian.PutUint64(dst[i*s.pageSize:], uint64(lo+i)+1)
+func (s stampSource) ReadPages(lo int, bufs [][]byte) error {
+	for i, b := range bufs {
+		binary.LittleEndian.PutUint64(b, uint64(lo+i)+1)
 	}
 	return nil
 }
@@ -41,13 +41,12 @@ func scattered(n int) []int {
 	return out
 }
 
-// TestGetHitTakesNoLock holds every mutex the pool has — all shards and
-// the handle's readahead scheduler — and requires Get of a resident page
-// to return anyway: the hit path is lock-free by construction.
+// TestGetHitTakesNoLock holds every mutex the pool has and requires Get
+// of a resident page to return anyway: the hit path is lock-free by
+// construction.
 func TestGetHitTakesNoLock(t *testing.T) {
 	const numPages = 64
 	p := New(0, 4096, 32) // readahead on: the detector runs on every Get
-	defer p.Close()
 	h := p.Register(stampSource{4096}, numPages)
 	order := scattered(numPages)
 	for _, pg := range order {
@@ -59,7 +58,6 @@ func TestGetHitTakesNoLock(t *testing.T) {
 	for i := range p.shards {
 		p.shards[i].mu.Lock()
 	}
-	h.ra.Lock()
 	done := make(chan error, 1)
 	go func() {
 		for _, pg := range append(order, order[len(order)-1]) { // and one same-page re-read
@@ -80,7 +78,6 @@ func TestGetHitTakesNoLock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Error("Get of a resident page blocked on a pool mutex")
 	}
-	h.ra.Unlock()
 	for i := range p.shards {
 		p.shards[i].mu.Unlock()
 	}
@@ -99,7 +96,6 @@ func errStamp(page int, buf []byte) error {
 func TestGetHitAllocatesNothing(t *testing.T) {
 	const numPages = 256
 	p := New(0, 4096, 32)
-	defer p.Close()
 	h := p.Register(stampSource{4096}, numPages)
 	order := scattered(numPages)
 	for _, pg := range order {
@@ -119,33 +115,13 @@ func TestGetHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPinRangeChecked: the page table is indexed by page number, so every
-// entry point that takes one must refuse a page outside the file.
-func TestPinRangeChecked(t *testing.T) {
-	p := New(0, 4096, 0)
-	h := p.Register(stampSource{4096}, 8)
-	for _, pg := range []int{-1, 8, 1 << 30} {
-		if _, err := h.Pin(pg); err == nil {
-			t.Errorf("Pin(%d) of an 8-page file succeeded", pg)
-		}
-		h.Unpin(pg)
-		if h.resident(pg) {
-			t.Errorf("resident(%d) of an 8-page file", pg)
-		}
-	}
-	_, want := h.Get(8)
-	if _, got := h.Pin(8); got == nil || got.Error() != want.Error() {
-		t.Errorf("Pin(8) error = %v, want Get's %v", got, want)
-	}
-}
-
 // TestLockFreeHitsUnderEviction runs the lock-free hit path against
 // everything that changes residency at once: four readers over a pool a
 // sixteenth of the file, so nearly every frame a reader loads is being
 // evicted, re-faulted or prefetched by someone else. Run under -race.
 // Every buffer must be the page asked for, and the counters must add up.
 func TestLockFreeHitsUnderEviction(t *testing.T) {
-	old := runtime.GOMAXPROCS(4) // background fetchers only run above one CPU
+	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	const (
 		numPages = 4096
@@ -154,7 +130,6 @@ func TestLockFreeHitsUnderEviction(t *testing.T) {
 		perRead  = 20000
 	)
 	p := New(frames*4096, 4096, 16)
-	defer p.Close()
 	h := p.Register(stampSource{4096}, numPages)
 
 	var gets atomic.Int64
@@ -207,7 +182,7 @@ func TestLockFreeHitsUnderEviction(t *testing.T) {
 		t.Errorf("stats = %+v: want hits, evictions and readahead all exercised", st)
 	}
 	// The page table and the queues must agree on what is resident
-	// (fetchers may still be admitting: compare under every shard mutex).
+	// (compare under every shard mutex).
 	for i := range p.shards {
 		p.shards[i].mu.Lock()
 	}

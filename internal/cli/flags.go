@@ -3,8 +3,8 @@
 // buffer pool (-bufpool-mb -readahead), the executor (-qj -batch
 // -index-backend) and the snapshot cache (-snapshot-dir). Each group
 // registers on a FlagSet and resolves, after Parse, to the values the main
-// runs with — flag first, then the group's TREEBENCH_* variable, then the
-// built-in default.
+// runs with — flag first, then the group's TREEBENCH_* variable where it
+// has one (the pool has none), then the built-in default.
 package cli
 
 import (
@@ -52,20 +52,26 @@ type Pool struct {
 	MB, Readahead *int
 }
 
-// PoolFlags registers -bufpool-mb and -readahead on fs, defaulting to
-// TREEBENCH_BUFPOOL_MB and TREEBENCH_READAHEAD.
+// PoolFlags registers -bufpool-mb and -readahead on fs.
 func PoolFlags(fs *flag.FlagSet) Pool {
 	return Pool{
-		MB: fs.Int("bufpool-mb", bufpool.CapacityMBFromEnv(bufpool.DefaultCapacityMB),
-			"shared buffer pool size in MB (also TREEBENCH_BUFPOOL_MB; 0 disables the pool; results identical at any setting)"),
-		Readahead: fs.Int("readahead", bufpool.ReadaheadFromEnv(bufpool.DefaultReadahead),
-			"buffer-pool readahead window in pages (also TREEBENCH_READAHEAD; 0 disables prefetch; results identical at any setting)"),
+		MB: fs.Int("bufpool-mb", bufpool.DefaultCapacityMB,
+			"shared buffer pool size in MB, at least 1: every page of a loaded snapshot is read through it (results identical at any setting)"),
+		Readahead: fs.Int("readahead", bufpool.DefaultReadahead,
+			"pages a sequential buffer-pool miss reads at once (0 = one page per miss; results identical at any setting)"),
 	}
 }
 
 // Setup configures the shared pool from the parsed flags. Call it before
-// anything loads a snapshot.
-func (p Pool) Setup() { bufpool.Setup(*p.MB, *p.Readahead) }
+// anything loads a snapshot. There is no running without a pool, so a
+// size below 1 MB is an error.
+func (p Pool) Setup() error {
+	if *p.MB < 1 {
+		return fmt.Errorf("-bufpool-mb %d: must be at least 1", *p.MB)
+	}
+	bufpool.Setup(*p.MB, *p.Readahead)
+	return nil
+}
 
 // SnapshotDirFlag registers -snapshot-dir on fs, defaulting to
 // TREEBENCH_SNAPSHOT_DIR.

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"treebench/internal/derby"
@@ -66,7 +65,7 @@ type ChainStats struct {
 // by Save-ing a frozen snapshot to snapPath first; the WAL is created on
 // demand.
 func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore, *wal.Recovery, error) {
-	root, handle, err := loadPath(snapPath)
+	root, err := Load(snapPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -78,13 +77,6 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 	}
 	chain := engine.NewChain(root.Engine)
 	cur := root
-	// Track the WAL-replay page set for the pool warm-up below: base
-	// pages folded-in records touched (they live in the base file and
-	// will be read hot) versus base pages replayed records shadow (their
-	// content is served by the in-memory delta chain, so warming the
-	// stale base copy would be wasted I/O).
-	folded := make(map[storage.PageID]struct{})
-	shadowed := make(map[storage.PageID]struct{})
 	log, rec, err := wal.Open(walPath, func(off int64, payload []byte) error {
 		r, err := DecodeCommit(payload)
 		if err != nil {
@@ -93,9 +85,6 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 		if r.Version <= cur.Engine.Version() {
 			// Already folded into the base by a compaction that crashed
 			// before it could reset the log.
-			for _, id := range r.OverlayIDs {
-				folded[id] = struct{}{}
-			}
 			return nil
 		}
 		if r.Version != cur.Engine.Version()+1 {
@@ -114,28 +103,11 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 		if err := chain.Append(next.Engine); err != nil {
 			return err
 		}
-		for _, id := range r.OverlayIDs {
-			shadowed[id] = struct{}{}
-		}
 		cur = next
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	// Warm the buffer pool with the recently written working set: the
-	// pages the WAL says the latest waves touched are the pages the next
-	// waves (and the queries behind them) will touch first. Asynchronous
-	// and advisory — boot latency is unaffected.
-	if handle != nil {
-		warm := make([]int, 0, len(folded))
-		for id := range folded {
-			if _, sh := shadowed[id]; !sh && int(id) < handle.NumPages() {
-				warm = append(warm, int(id))
-			}
-		}
-		sort.Ints(warm)
-		handle.Warm(warm)
 	}
 	return &ChainStore{
 		snapPath:    snapPath,

@@ -13,33 +13,6 @@ import (
 	"treebench/internal/storage"
 )
 
-// fileSource streams pages out of a snapshot file on demand. It is both
-// the storage.PageSource a legacy lazy Base faults through and the
-// bufpool.RangeSource the shared buffer pool prefetches from: one page
-// per positioned read on the demand path, a whole readahead window per
-// positioned read on the prefetch path. The file handle lives as long as
-// the snapshot (the OS reclaims it at exit; snapshots have no close
-// protocol, matching every other shareable object in the system).
-type fileSource struct {
-	f        *os.File
-	firstOff int64 // offset of the first raw page
-	numPages int
-	direct   bool // f was opened O_DIRECT; reads stage through aligned scratch
-}
-
-// DirectIOEnvVar, when set to 1/true, makes Load open the snapshot's
-// page source with O_DIRECT (Linux; silently ignored where unsupported,
-// e.g. other platforms or tmpfs). Reads then bypass the OS page cache —
-// every buffer-pool miss is a true device read. This is a measurement
-// mode: scripts/bench_cache.sh uses it so "cold" means cold storage,
-// not cold pool over a warm page cache.
-const DirectIOEnvVar = "TREEBENCH_DIRECT_IO"
-
-func directIORequested() bool {
-	v := os.Getenv(DirectIOEnvVar)
-	return v == "1" || v == "true" || v == "yes"
-}
-
 // DirectIOSupported reports whether path accepts O_DIRECT reads on this
 // platform and filesystem. Benchmark drivers use it to report whether a
 // requested direct-I/O run actually measured the device — gates that
@@ -53,78 +26,44 @@ func DirectIOSupported(path string) bool {
 	return true
 }
 
-func (s *fileSource) ReadPage(i int, dst []byte) error {
-	if i < 0 || i >= s.numPages {
-		return fmt.Errorf("persist: page %d out of range (%d pages)", i, s.numPages)
-	}
-	off := s.firstOff + int64(i)*storage.PageSize
-	var err error
-	if s.direct {
-		err = s.directRead(dst, off)
-	} else {
-		_, err = s.f.ReadAt(dst, off)
-	}
-	if err != nil {
-		return fmt.Errorf("persist: reading page %d: %w", i, err)
-	}
-	return nil
-}
-
-// ReadPageRange implements bufpool.RangeSource: one positioned read
-// covering len(dst)/PageSize consecutive pages starting at lo.
-func (s *fileSource) ReadPageRange(lo int, dst []byte) error {
-	n := len(dst) / storage.PageSize
-	if lo < 0 || n < 1 || lo+n > s.numPages {
-		return fmt.Errorf("persist: page range [%d,%d) out of range (%d pages)", lo, lo+n, s.numPages)
-	}
-	off := s.firstOff + int64(lo)*storage.PageSize
-	var err error
-	if s.direct {
-		err = s.directRead(dst[:n*storage.PageSize], off)
-	} else {
-		_, err = s.f.ReadAt(dst[:n*storage.PageSize], off)
-	}
-	if err != nil {
-		return fmt.Errorf("persist: reading pages [%d,%d): %w", lo, lo+n, err)
-	}
-	return nil
-}
-
 // Load opens a snapshot file, verifies every section checksum, and
-// rebuilds the derby snapshot over a lazily-backed page image. The
-// catalog is decoded eagerly (it is small); data pages stay on disk until
-// a session first touches them, which is what makes a warm boot O(catalog)
-// instead of O(dataset). The pages section's CRC is verified streaming —
-// nothing is retained — so even the integrity pass costs no memory.
+// rebuilds the derby snapshot over a page image that reads through the
+// process-wide buffer pool. The catalog is decoded eagerly (it is small);
+// data pages stay on disk until a session first touches them, which is
+// what makes a warm boot O(catalog) instead of O(dataset). The pages
+// section's CRC is verified streaming — nothing is retained — so even the
+// integrity pass costs no memory.
 //
 // A failure is always a typed error: ErrFormat, ErrVersion, or a
 // *ChecksumError naming the corrupt section. Load never panics on a
 // malformed file.
-func Load(path string) (*derby.Snapshot, error) {
-	snap, _, err := loadPath(path)
-	return snap, err
-}
+func Load(path string) (*derby.Snapshot, error) { return loadPath(path, false) }
 
-// loadPath is Load plus the snapshot's buffer-pool handle (nil when the
-// pool is disabled) — ChainStore boot uses the handle to warm the pool
-// with the WAL-replay page set.
-func loadPath(path string) (*derby.Snapshot, *bufpool.Handle, error) {
+// LoadDirect is Load with the page image opened O_DIRECT (Linux; quietly
+// buffered where the platform or filesystem refuses, e.g. tmpfs — ask
+// DirectIOSupported). Reads then bypass the OS page cache — every
+// buffer-pool miss is a true device read. This is a measurement mode:
+// scripts/bench_cache.sh uses it so "cold" means cold storage, not cold
+// pool over a warm page cache.
+func LoadDirect(path string) (*derby.Snapshot, error) { return loadPath(path, true) }
+
+func loadPath(path string, direct bool) (*derby.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	snap, h, err := load(f)
+	snap, err := load(f, direct)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return snap, h, nil
+	return snap, nil
 }
 
-func load(f *os.File) (*derby.Snapshot, *bufpool.Handle, error) {
+func load(f *os.File, direct bool) (*derby.Snapshot, error) {
 	table, _, err := readTable(f)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	byID := make(map[uint32]sectionEntry, len(table))
 	for _, e := range table {
@@ -139,78 +78,77 @@ func load(f *os.File) (*derby.Snapshot, *bufpool.Handle, error) {
 		if e.id == SectionPages {
 			pagesEntry = e
 			if err := crcStream(f, e); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			continue
 		}
 		body, err := readSection(f, e)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		bodies[e.id] = body
 	}
 
 	// Pages section header: page count and capacity.
 	if pagesEntry.length < 8 {
-		return nil, nil, fmt.Errorf("%w: pages section too short (%d bytes)", ErrFormat, pagesEntry.length)
+		return nil, fmt.Errorf("%w: pages section too short (%d bytes)", ErrFormat, pagesEntry.length)
 	}
 	var ph [8]byte
 	if _, err := f.ReadAt(ph[:], int64(pagesEntry.offset)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	numPages := int(binary.BigEndian.Uint32(ph[0:4]))
 	capPages := int(binary.BigEndian.Uint32(ph[4:8]))
 	if uint64(numPages)*storage.PageSize+8 != pagesEntry.length {
-		return nil, nil, fmt.Errorf("%w: pages section is %d bytes for %d pages",
+		return nil, fmt.Errorf("%w: pages section is %d bytes for %d pages",
 			ErrFormat, pagesEntry.length, numPages)
 	}
 	if capPages != 0 && capPages < numPages {
-		return nil, nil, fmt.Errorf("%w: capacity %d pages below image size %d",
+		return nil, fmt.Errorf("%w: capacity %d pages below image size %d",
 			ErrFormat, capPages, numPages)
 	}
 
 	// Decode the catalog sections into one state tree.
 	est := &engine.SnapshotState{}
 	if err := decodeMeta(bodies[SectionMeta], est); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if est.Files, err = decodeCatalog(bodies[SectionCatalog]); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if est.Classes, err = decodeRegistry(bodies[SectionRegistry]); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := decodeExtents(bodies[SectionExtents], est); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := decodeTrees(bodies[SectionTrees], est); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := decodeHistograms(bodies[SectionHistograms], est); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := decodeBackends(bodies[SectionBackends], est); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dst, err := decodeDerby(bodies[SectionDerby])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dst.Engine = est
 	ln, err := decodeLineage(bodies[SectionLineage])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// Page image: route reads through the process-wide buffer pool when
-	// it is enabled (bounded residency, shared frames, readahead); fall
-	// back to the legacy unbounded per-base cells otherwise.
+	// Page image: every read goes through the process-wide buffer pool
+	// (bounded residency, shared frames, readahead).
 	src := &fileSource{
 		f:        f,
 		firstOff: int64(pagesEntry.offset) + 8,
 		numPages: numPages,
 	}
-	if directIORequested() {
+	if direct {
 		// Reopen just the page source O_DIRECT (catalog and checksums were
 		// already read buffered above). Failure — unsupported platform or
 		// filesystem — quietly keeps the buffered handle.
@@ -219,21 +157,14 @@ func load(f *os.File) (*derby.Snapshot, *bufpool.Handle, error) {
 			src.direct = true
 		}
 	}
-	capBytes := int64(capPages) * storage.PageSize
-	var base *storage.Base
-	var h *bufpool.Handle
-	if p := bufpool.Active(); p != nil && p.PageSize() == storage.PageSize {
-		h = p.Register(src, numPages)
-		base = storage.NewCachedBase(numPages, capBytes, h)
-	} else {
-		base = storage.NewLazyBase(numPages, capBytes, src)
-	}
+	h := bufpool.Active().Register(src, numPages)
+	base := storage.NewCachedBase(numPages, int64(capPages)*storage.PageSize, h)
 	snap, err := derby.RestoreSnapshot(base, dst)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	snap.Engine.SetLineage(ln.Version, ln.DeltaPages, ln.WalOff)
-	return snap, h, nil
+	return snap, nil
 }
 
 // SectionInfo describes one section for manifests and the snap tool.

@@ -71,9 +71,11 @@ func renderPooled(t *testing.T, snap *derby.Snapshot, jobs, batch int) string {
 // pool is a residency optimization and nothing else. Rendered output —
 // simulated meters and tables — must be byte-identical across every
 // -bufpool-mb × -readahead × -qj × -batch combination and both index
-// backends, from the legacy no-pool mode through a 1 MB pool evicting on
-// every scan. Run under -race this also exercises fault/prefetch/evict
-// interleavings at the parallel worker counts.
+// backends, down to a 1 MB pool evicting on every scan, and identical to
+// what the generated snapshot rendered before it was ever saved: an
+// oracle with no file and no pool under it. Run under -race this also
+// exercises fault/readahead/evict interleavings at the parallel worker
+// counts.
 func TestPoolConfigEquivalence(t *testing.T) {
 	defer bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
 
@@ -82,21 +84,15 @@ func TestPoolConfigEquivalence(t *testing.T) {
 		snaps["lsm"] = lsmSnapshot(t)
 	}
 	for backend, snap := range snaps {
+		// Baseline: the eager in-memory image, batch-of-one single-worker
+		// execution.
+		want := renderPooled(t, snap, 1, 1)
+		if want == "" {
+			t.Fatal("baseline render empty")
+		}
 		path := filepath.Join(t.TempDir(), backend+".tbsp")
 		if err := Save(path, snap); err != nil {
 			t.Fatalf("save %s: %v", backend, err)
-		}
-
-		// Baseline: pool disabled (legacy unbounded per-base cells),
-		// batch-of-one single-worker execution.
-		bufpool.Setup(0, 0)
-		base, err := Load(path)
-		if err != nil {
-			t.Fatalf("load %s baseline: %v", backend, err)
-		}
-		want := renderPooled(t, base, 1, 1)
-		if want == "" {
-			t.Fatal("baseline render empty")
 		}
 
 		sawEviction := false
@@ -111,7 +107,7 @@ func TestPoolConfigEquivalence(t *testing.T) {
 				for _, batch := range []int{1, 1024} {
 					got := renderPooled(t, snapP, jobs, batch)
 					if got != want {
-						t.Errorf("%s pool=%dMB ra=%d qj=%d batch=%d: output diverged from no-pool baseline\n%s",
+						t.Errorf("%s pool=%dMB ra=%d qj=%d batch=%d: output diverged from the generated snapshot\n%s",
 							backend, poolMB, ra, jobs, batch, firstMismatch(got, want))
 					}
 				}
@@ -130,8 +126,8 @@ func TestPoolConfigEquivalence(t *testing.T) {
 // workload — half scanning, half doing point lookups — over ONE shared
 // 1 MB pool under heavy eviction, and requires every session to render
 // exactly the single-session baseline. With -race this is the pool's
-// concurrency proof: faults, prefetches, evictions and pin/unpin from
-// eight goroutines on shared frames, with byte-identity as the oracle.
+// concurrency proof: faults, window reads and evictions from eight
+// goroutines on shared frames, with byte-identity as the oracle.
 func TestPoolSharedConcurrentSessions(t *testing.T) {
 	defer bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
 

@@ -4,31 +4,35 @@ package persist
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"syscall"
 	"unsafe"
-
-	"treebench/internal/storage"
 )
 
-// ReadPageVec implements bufpool.VectorSource: one preadv(2) scatters
-// len(bufs) consecutive pages starting at lo into the caller's separate
-// buffers. The buffer pool uses it to read a whole readahead window
-// directly into page frames — a single system call and no staging copy,
-// which is what makes readahead pay off even when the file is already
-// in the OS page cache (the win is syscall and memmove amortization,
-// not disk latency). On other platforms the method simply doesn't
-// exist and the pool falls back to ReadPageRange.
-func (s *fileSource) ReadPageVec(lo int, bufs [][]byte) error {
-	if lo < 0 || lo+len(bufs) > s.numPages {
-		return fmt.Errorf("persist: page range [%d,%d) out of range (%d pages)",
-			lo, lo+len(bufs), s.numPages)
+// openDirect opens path read-only with O_DIRECT and verifies a probe
+// read succeeds — some filesystems (tmpfs) accept the flag at open and
+// only fail at read time.
+func openDirect(path string) (*os.File, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_DIRECT|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return nil, err
 	}
-	if len(bufs) == 0 {
-		return nil
+	f := os.NewFile(uintptr(fd), path)
+	probe := fileSource{f: f, direct: true}
+	if err := probe.readStaged(0, make([]byte, 1)); err != nil {
+		f.Close()
+		return nil, err
 	}
-	if s.direct {
-		return s.directReadVec(lo, bufs)
-	}
+	return f, nil
+}
+
+// readVec fills bufs with the contiguous file span starting at off in
+// one preadv(2): a whole readahead window lands directly in the pool's
+// page frames — a single system call and no staging copy, which is what
+// makes readahead pay off even when the file is already in the OS page
+// cache (the win is syscall and memmove amortization, not disk latency).
+func (s *fileSource) readVec(off int64, bufs [][]byte) error {
 	sc, err := s.f.SyscallConn()
 	if err != nil {
 		return err
@@ -36,12 +40,11 @@ func (s *fileSource) ReadPageVec(lo int, bufs [][]byte) error {
 	iov := make([]syscall.Iovec, len(bufs))
 	for i, b := range bufs {
 		if len(b) == 0 {
-			return fmt.Errorf("persist: preadv: empty buffer at index %d", i)
+			return fmt.Errorf("preadv: empty buffer at index %d", i)
 		}
 		iov[i].Base = &b[0]
 		iov[i].SetLen(len(b))
 	}
-	off := s.firstOff + int64(lo)*storage.PageSize
 	var rerr error
 	cerr := sc.Read(func(fd uintptr) bool {
 		for len(iov) > 0 {
@@ -56,7 +59,7 @@ func (s *fileSource) ReadPageVec(lo int, bufs [][]byte) error {
 				return true
 			}
 			if n == 0 {
-				rerr = fmt.Errorf("unexpected EOF")
+				rerr = io.ErrUnexpectedEOF
 				return true
 			}
 			off += int64(n)
@@ -79,10 +82,7 @@ func (s *fileSource) ReadPageVec(lo int, bufs [][]byte) error {
 	if cerr != nil {
 		return cerr
 	}
-	if rerr != nil {
-		return fmt.Errorf("persist: preadv pages [%d,%d): %w", lo, lo+len(bufs), rerr)
-	}
-	return nil
+	return rerr
 }
 
 // offsetSplit splits a file offset into the two unsigned-long halves

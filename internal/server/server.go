@@ -241,17 +241,15 @@ func (s *Server) Stats() *wire.Stats {
 		st.WalSyncs = int64(cs.Wal.Syncs)
 		st.WalTail = cs.WalTail
 	}
-	if p := bufpool.Active(); p != nil {
-		ps := p.Stats()
-		st.PoolHits = ps.Hits
-		st.PoolMisses = ps.Misses
-		st.PoolEvictions = ps.Evictions
-		st.PoolReadaheadIssued = ps.ReadaheadIssued
-		st.PoolReadaheadUsed = ps.ReadaheadUsed
-		st.PoolReadaheadWasted = ps.ReadaheadWasted
-		st.PoolResidentPages = ps.ResidentPages
-		st.PoolCapacityPages = ps.CapacityPages
-	}
+	ps := bufpool.Active().Stats()
+	st.PoolHits = ps.Hits
+	st.PoolMisses = ps.Misses
+	st.PoolEvictions = ps.Evictions
+	st.PoolReadaheadIssued = ps.ReadaheadIssued
+	st.PoolReadaheadUsed = ps.ReadaheadUsed
+	st.PoolReadaheadWasted = ps.ReadaheadWasted
+	st.PoolResidentPages = ps.ResidentPages
+	st.PoolCapacityPages = ps.CapacityPages
 	return st
 }
 

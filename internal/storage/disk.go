@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // ErrNoPage is returned for reads of unallocated pages.
@@ -32,17 +31,8 @@ type Pager interface {
 	Alloc() (PageID, []byte, error)
 }
 
-// PageSource supplies page contents for a Base materialized lazily — the
-// hook a persisted snapshot file plugs in beneath the COW overlay, so a
-// loaded snapshot behaves exactly like a freshly frozen one without
-// reading the whole image up front. ReadPage fills dst (PageSize bytes)
-// with page i's content; it must be safe for concurrent use.
-type PageSource interface {
-	ReadPage(i int, dst []byte) error
-}
-
 // PageCache serves pages of one backing file from a shared, bounded,
-// possibly-evicting cache. It is how a lazy Base plugs into the
+// evicting cache. It is how the Base of a loaded snapshot plugs into the
 // process-wide buffer pool (internal/bufpool) without storage knowing
 // about pool mechanics: GetPage returns page i's canonical resident
 // buffer, faulting and evicting as the cache sees fit. The returned
@@ -57,22 +47,18 @@ type PageCache interface {
 // database snapshot. Any number of Disks can be forked from one Base and
 // share its page buffers physically; Base itself has no mutating methods.
 //
-// A Base is eager (all page buffers resident, the Freeze path), lazy
-// (pages faulted in one at a time from a PageSource on first access and
-// cached forever — the legacy snapshot-load path, unbounded RSS), or
-// cached (pages served by a shared PageCache that may evict under
-// pressure — the buffer-pool snapshot-load path). Forks cannot tell the
-// difference: every mode returns immutable canonical buffers, so the
-// shared-buffer discipline holds throughout.
+// A Base is eager (all page buffers resident: the Freeze path) or
+// pool-backed (pages served by a shared PageCache that faults them from
+// the snapshot file and may evict them under pressure: the persist.Load
+// path). There is no third kind. Forks cannot tell the difference: both
+// return immutable canonical buffers, so the shared-buffer discipline
+// holds throughout.
 type Base struct {
-	pages    [][]byte // eager image; nil for a lazy base
+	pages    [][]byte // eager image; nil for a pool-backed base
 	n        int      // page count
 	capacity int      // max pages; 0 means unbounded
 
-	src   PageSource               // lazy page supplier; nil for an eager base
-	cells []atomic.Pointer[[]byte] // lazily faulted pages, indexed by PageID
-
-	pcache PageCache // shared bounded page cache; nil unless pool-backed
+	pcache PageCache // shared bounded page cache; nil for an eager base
 
 	delta *Delta // chained base: a committed delta over delta.parent; nil for a flat base
 }
@@ -89,21 +75,11 @@ func NewBase(pages [][]byte, capacityBytes int64) *Base {
 	return b
 }
 
-// NewLazyBase builds a Base of numPages pages served on demand by src.
-// capacityBytes of 0 means unbounded.
-func NewLazyBase(numPages int, capacityBytes int64, src PageSource) *Base {
-	b := &Base{n: numPages, src: src, cells: make([]atomic.Pointer[[]byte], numPages)}
-	if capacityBytes > 0 {
-		b.capacity = int(capacityBytes / PageSize)
-	}
-	return b
-}
-
 // NewCachedBase builds a Base of numPages pages served by a shared page
-// cache (the process-wide buffer pool's per-file handle). Unlike a lazy
-// base, resident pages are bounded: the cache may evict cold pages and
-// re-fault them later. capacityBytes of 0 means unbounded simulated
-// capacity (unrelated to the cache's physical budget).
+// cache (the process-wide buffer pool's per-file handle). Resident pages
+// are bounded: the cache may evict cold pages and re-fault them later.
+// capacityBytes of 0 means unbounded simulated capacity (unrelated to
+// the cache's physical budget).
 func NewCachedBase(numPages int, capacityBytes int64, pc PageCache) *Base {
 	b := &Base{n: numPages, pcache: pc}
 	if capacityBytes > 0 {
@@ -122,9 +98,9 @@ func (b *Base) Bytes() int64 { return int64(b.n) * PageSize }
 // (0 = unbounded), so a persisted snapshot can restore it exactly.
 func (b *Base) CapacityBytes() int64 { return int64(b.capacity) * PageSize }
 
-// Page returns the shared buffer of page id, faulting it in from the
-// PageSource on a lazy base. The returned slice is the canonical resident
-// copy — callers must never mutate it. Safe for concurrent use.
+// Page returns the shared buffer of page id, through the page cache on
+// a pool-backed base. The returned slice is the canonical resident copy —
+// callers must never mutate it. Safe for concurrent use.
 func (b *Base) Page(id PageID) ([]byte, error) {
 	if int(id) >= b.n {
 		return nil, fmt.Errorf("%w: %d", ErrNoPage, id)
@@ -145,20 +121,7 @@ func (b *Base) Page(id PageID) ([]byte, error) {
 		}
 		return buf, nil
 	}
-	if b.src == nil {
-		return b.pages[id], nil
-	}
-	if p := b.cells[id].Load(); p != nil {
-		return *p, nil
-	}
-	buf := make([]byte, PageSize)
-	if err := b.src.ReadPage(int(id), buf); err != nil {
-		return nil, fmt.Errorf("storage: page %d: %w", id, err)
-	}
-	if !b.cells[id].CompareAndSwap(nil, &buf) {
-		return *b.cells[id].Load(), nil // another reader faulted it first
-	}
-	return buf, nil
+	return b.pages[id], nil
 }
 
 // Fork returns a read-only disk over the base: reads alias the shared
@@ -208,7 +171,7 @@ func NewDisk(capacityBytes int64) *Disk {
 // ConcurrentReads reports whether Read is safe to call from multiple
 // goroutines with no writer: true for an exclusive disk (reads index an
 // append-only slice) and a read-only fork (reads go to the immutable Base,
-// whose lazy faulting is lock-free); false for a mutable fork, whose reads
+// whose page cache is safe for concurrent use); false for a mutable fork, whose reads
 // populate the private copy-on-write overlay map.
 func (d *Disk) ConcurrentReads() bool { return d.overlay == nil }
 

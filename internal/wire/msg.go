@@ -272,16 +272,16 @@ type Stats struct {
 
 	// Buffer pool (v8): the process-wide shared page pool's counters —
 	// real I/O economics, entirely invisible to the simulated meters.
-	// All zero when the pool is disabled (-bufpool-mb 0) or the snapshot
-	// was generated in memory rather than loaded from a file.
+	// Only the capacity is non-zero when the snapshot was generated in
+	// memory rather than loaded from a file.
 	PoolHits            int64 // page reads served from resident frames
 	PoolMisses          int64 // page reads that faulted from the file
 	PoolEvictions       int64 // frames dropped under capacity pressure
-	PoolReadaheadIssued int64 // pages prefetched by the readahead pipeline
+	PoolReadaheadIssued int64 // tail pages admitted by sequential misses' window reads
 	PoolReadaheadUsed   int64 // prefetched pages later consumed
 	PoolReadaheadWasted int64 // prefetched pages evicted unconsumed
 	PoolResidentPages   int64 // frames resident at snapshot time
-	PoolCapacityPages   int64 // frame capacity (0 = unbounded)
+	PoolCapacityPages   int64 // frame capacity
 }
 
 func (m *Stats) Encode() []byte {

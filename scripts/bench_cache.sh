@@ -9,9 +9,9 @@
 #      beat -readahead=0 by >= MIN_RA_SPEEDUP (default 1.3), measured as
 #      an in-process A/B (bench -versus alternates the two configs round
 #      by round, so machine-speed drift hits both equally);
-#   3. bounded memory: 8 concurrent sessions over one bounded shared
-#      pool must end with LOWER RSS than the same 8 sessions over the
-#      legacy unbounded per-snapshot cache (-bufpool-mb 0).
+#   3. bounded memory: 8 concurrent sessions sweeping the whole image
+#      through a pool smaller than it (RSS_POOL_MB) must end with RSS
+#      BELOW the image size — the process never holds the file.
 #
 # Cold runs open the snapshot O_DIRECT (-direct) so a miss is a device
 # read, not a copy out of the OS page cache. Gates 1 and 3 hold either
@@ -19,6 +19,10 @@
 # is enforced only where direct I/O actually engages (the driver prints
 # direct=true/false) — a warm page cache serves 4 KB reads at memory
 # speed and the syscall-amortization win alone hovers near the gate.
+# No daemon can open O_DIRECT, so the same A/B is also run buffered and
+# recorded (not gated) as readahead_speedup_buffered: that is the number
+# a treebenchd over a warm page cache sees; readahead_speedup is the
+# number a cold device would give.
 # Byte-identity across all of these configs is pinned separately by
 # TestPoolConfigEquivalence; here every run's result_crc is compared as
 # a belt-and-suspenders check.
@@ -88,22 +92,25 @@ RA_SPEEDUP=$(echo "$RAW_RA" | grep -o 'ra_speedup=[0-9.]*' | cut -d= -f2)
 CRC_RA=$(echo "$RAW_RA" | awk -F= '/^result_crc=/ { print $2 }')
 bench_require "$RA_SPEEDUP" "could not parse ra_speedup"
 
-# --- gate 3: 8-session RSS, bounded pool vs legacy unbounded cache ---
+# The same A/B the way a daemon reads: buffered, over the OS page cache.
+RAW_RA_BUF=$("$BIN" bench -file "$SNAP" -mode sweep -rounds 3 -versus \
+  -bufpool-mb "$POOL_MB" -readahead 32)
+echo "$RAW_RA_BUF"
+RA_SPEEDUP_BUF=$(echo "$RAW_RA_BUF" | grep -o 'ra_speedup=[0-9.]*' | cut -d= -f2)
+CRC_RA_BUF=$(echo "$RAW_RA_BUF" | awk -F= '/^result_crc=/ { print $2 }')
+bench_require "$RA_SPEEDUP_BUF" "could not parse buffered ra_speedup"
+
+# --- gate 3: 8-session RSS under a pool smaller than the image -------
 RAW_POOL=$("$BIN" bench -file "$SNAP" -mode sweep -sessions 8 -rounds 1 \
   -bufpool-mb "$RSS_POOL_MB" -readahead 32)
 echo "$RAW_POOL"
-RAW_NOPOOL=$("$BIN" bench -file "$SNAP" -mode sweep -sessions 8 -rounds 1 \
-  -bufpool-mb 0)
-echo "$RAW_NOPOOL"
 POOL_RSS=$(echo "$RAW_POOL" | awk '/^vm_rss_kb=/ { split($1, a, "="); print a[2] }')
-NOPOOL_RSS=$(echo "$RAW_NOPOOL" | awk '/^vm_rss_kb=/ { split($1, a, "="); print a[2] }')
 CRC_POOL=$(echo "$RAW_POOL" | awk -F= '/^result_crc=/ { print $2 }')
-CRC_NOPOOL=$(echo "$RAW_NOPOOL" | awk -F= '/^result_crc=/ { print $2 }')
 bench_require "$POOL_RSS" "could not parse pooled RSS"
-bench_require "$NOPOOL_RSS" "could not parse baseline RSS"
+IMAGE_KB=$((PAGES / 1024))
 
 # Every configuration must have produced identical results.
-for crc in "$CRC_RA" "$CRC_POOL" "$CRC_NOPOOL"; do
+for crc in "$CRC_RA" "$CRC_RA_BUF" "$CRC_POOL"; do
   if [ "$crc" != "$CRC_WARM" ]; then
     bench_fail "result CRCs diverged across configs: $CRC_WARM vs $crc"
   fi
@@ -127,8 +134,8 @@ bench_emit_json <<EOF
   "warm_ms": $WARM_MS,
   "warm_speedup": $WARM_SPEEDUP,
   "readahead_speedup": $RA_SPEEDUP,
+  "readahead_speedup_buffered": $RA_SPEEDUP_BUF,
   "rss_pool_kb": $POOL_RSS,
-  "rss_nopool_kb": $NOPOOL_RSS,
   "result_crc": "$CRC_WARM",
   "cpus": $CPUS,
   "min_warm_speedup": $MIN_WARM_SPEEDUP,
@@ -138,7 +145,7 @@ bench_emit_json <<EOF
   "rss_gate_enforced": true
 }
 EOF
-bench_note "cold ${COLD_MS}ms, warm ${WARM_MS}ms (${WARM_SPEEDUP}x), readahead ${RA_SPEEDUP}x, RSS ${POOL_RSS}kB pooled vs ${NOPOOL_RSS}kB unbounded (direct=$DIRECT, ${CPUS} CPUs)"
+bench_note "cold ${COLD_MS}ms, warm ${WARM_MS}ms (${WARM_SPEEDUP}x), readahead ${RA_SPEEDUP}x (direct=$DIRECT) / ${RA_SPEEDUP_BUF}x buffered, RSS ${POOL_RSS}kB over a ${RSS_POOL_MB}MB pool vs ${IMAGE_KB}kB image (${CPUS} CPUs)"
 
 bench_gate_min "$WARM_SPEEDUP" "$MIN_WARM_SPEEDUP" \
   "warm speedup ${WARM_SPEEDUP}x below required ${MIN_WARM_SPEEDUP}x"
@@ -148,6 +155,6 @@ if [ "$RA_ENFORCED" = true ]; then
 else
   bench_note "direct I/O unavailable, readahead gate recorded but not enforced"
 fi
-bench_gate_max "$POOL_RSS" "$NOPOOL_RSS" \
-  "pooled RSS ${POOL_RSS}kB not below unbounded-cache RSS ${NOPOOL_RSS}kB"
-bench_note "gates passed (warm ${WARM_SPEEDUP}x>=${MIN_WARM_SPEEDUP}x, readahead ${RA_SPEEDUP}x, RSS ${POOL_RSS}<${NOPOOL_RSS}kB)"
+bench_gate_max "$POOL_RSS" "$IMAGE_KB" \
+  "RSS ${POOL_RSS}kB over a ${RSS_POOL_MB}MB pool not below the ${IMAGE_KB}kB image"
+bench_note "gates passed (warm ${WARM_SPEEDUP}x>=${MIN_WARM_SPEEDUP}x, readahead ${RA_SPEEDUP}x, RSS ${POOL_RSS}<${IMAGE_KB}kB)"
