@@ -7,8 +7,11 @@
 // Usage:
 //
 //	oqlload [-addr 127.0.0.1:8629] -c 8 -n 20 [-e '<stmt;>'] [-f queries.oql]
-//	        [-warm] [-heuristic] [-maxrows 10] [-retries 20] [-coord] [-mix F]
-//	oqlload -once -e '<stmt;> [<stmt;> ...]'   # run once, print like oqlsh -e
+//	        [-warm] [-heuristic] [-maxrows 10] [-retries 20] [-timeout 60s]
+//	        [-coord] [-mix F]
+//
+// To run statements once and print them like the local shell, use
+// `oqlsh -coord ADDR -e '<stmt;> ...'`.
 //
 // -mix F makes fraction F of each client's operations commits instead of
 // queries (the read/write workload axis): a commit asks the daemon to
@@ -21,10 +24,7 @@
 // flags always issue the same operation sequence.
 //
 // With -f, statements (semicolon-terminated) are read from the file and
-// issued round-robin. -once runs every statement sequentially on one
-// connection (so -warm exercises the session's warm-cache discipline) and
-// renders each result through the same renderer oqlsh uses — its output is
-// byte-identical to the local shell, and that equivalence is what CI diffs.
+// issued round-robin.
 //
 // With -coord, -addr names a treebench-coord instead of a treebenchd: the
 // post-run report additionally fetches the cluster view — the
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"treebench/internal/client"
-	"treebench/internal/session"
 	"treebench/internal/wire"
 )
 
@@ -54,10 +53,9 @@ func main() {
 		perClient = flag.Int("n", 20, "queries per client")
 		stmtFlag  = flag.String("e", "", "semicolon-terminated statement(s) to issue")
 		file      = flag.String("f", "", "file of semicolon-terminated statements, issued round-robin")
-		once      = flag.Bool("once", false, "run each statement once on one connection and print the results (for diffing against oqlsh -e)")
 		warm      = flag.Bool("warm", false, "keep each session's caches warm between its queries")
 		heuristic = flag.Bool("heuristic", false, "use the legacy heuristic optimizer")
-		maxRows   = flag.Int("maxrows", 10, "sample rows fetched and printed per query")
+		maxRows   = flag.Int("maxrows", 10, "sample rows fetched per query")
 		retries   = flag.Int("retries", 20, "connect retries (the daemon may still be generating)")
 		ioTimeout = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
 		coord     = flag.Bool("coord", false, "-addr is a treebench-coord: also report the shard map and per-shard stats")
@@ -74,22 +72,6 @@ func main() {
 	}
 	opts := client.Options{RetryAttempts: *retries, IOTimeout: *ioTimeout}
 	qopts := client.QueryOptions{Warm: *warm, Heuristic: *heuristic, MaxRows: *maxRows}
-
-	if *once {
-		c, err := client.Dial(*addr, opts)
-		if err != nil {
-			fatal(err)
-		}
-		defer c.Close()
-		for _, stmt := range stmts {
-			res, err := c.Query(stmt, qopts)
-			if err != nil {
-				fatal(err)
-			}
-			session.WriteResult(os.Stdout, res, *maxRows)
-		}
-		return
-	}
 
 	if *clients < 1 || *perClient < 1 {
 		fatal(fmt.Errorf("-c %d -n %d: both must be at least 1", *clients, *perClient))

@@ -6,22 +6,27 @@
 // Usage:
 //
 //	oqlsh [-providers 200] [-avg 50] [-clustering class] [-strategy cost]
-//	      [-index-backend btree|disk|lsm]   # falls back to TREEBENCH_INDEX_BACKEND
+//	      [-qj N] [-index-backend btree|disk|lsm]
 //	oqlsh -e 'select ... ;'   # non-interactive: run statements, then exit
 //	oqlsh -f script.oql       # non-interactive: run a script file
 //	oqlsh -warm -e '...'      # keep caches warm between statements
-//	oqlsh -coord ADDR -e '...' # run remotely against a treebench-coord
-//	                           # (or treebenchd) instead of in-process
+//	oqlsh -coord ADDR -e '...' # run remotely against a treebenchd or
+//	                           # treebench-coord instead of in-process
 //
 // In -e/-f mode only query output reaches stdout (progress goes to
 // stderr), the first failing statement stops the run, and the exit status
 // is non-zero on error — so shell output can be diffed against a
 // treebenchd server session in CI.
 //
-// With -coord the statements are sent over the wire instead of executed
-// in-process: results render through the same renderer, so a cluster's
-// output diffs byte-for-byte against the local shell (that equivalence is
-// what scripts/dist_smoke.sh pins). -coord requires -e or -f.
+// With -coord the statements are sent, in order, over one connection
+// instead of executed in-process: results render through the same
+// renderer, so a daemon's or a cluster's output diffs byte-for-byte
+// against the local shell (that equivalence is what the server, snap, wal
+// and dist smokes pin), and -warm exercises the remote session's
+// warm-cache discipline. The dial retries while the daemon is still
+// generating, and every request has an I/O deadline. -coord requires -e
+// or -f. The shell only generates databases in process, so it never reads
+// a page through the buffer pool and has no -bufpool-mb.
 //
 // Shell commands:
 //
@@ -42,6 +47,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"treebench"
 	"treebench/internal/cli"
@@ -61,16 +67,11 @@ func main() {
 		stmts      = flag.String("e", "", "run these semicolon-terminated statements and exit")
 		script     = flag.String("f", "", "run this script file and exit")
 		warm       = flag.Bool("warm", false, "keep caches warm between statements (like the .warm command)")
-		coord      = flag.String("coord", "", "run statements remotely against this treebench-coord (or treebenchd) address; requires -e or -f")
+		coord      = flag.String("coord", "", "run statements remotely against this treebenchd (or treebench-coord) address; requires -e or -f")
 		maxRows    = flag.Int("maxrows", 10, "sample rows printed per query in -coord mode")
 		exec       = cli.ExecFlags(flag.CommandLine)
-		pool       = cli.PoolFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	if err := pool.Setup(); err != nil {
-		fmt.Fprintln(os.Stderr, "oqlsh:", err)
-		os.Exit(2)
-	}
 	scripted := *stmts != "" || *script != ""
 
 	if *coord != "" {
@@ -90,7 +91,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "oqlsh:", err)
 		os.Exit(2)
 	}
-	qj, b, kind, err := exec.Resolve()
+	qj, kind, err := exec.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oqlsh:", err)
 		os.Exit(2)
@@ -113,7 +114,6 @@ func main() {
 	}
 	sh := shell.NewWith(d.DB, session.Config{
 		QueryJobs:    qj,
-		Batch:        b,
 		PlanCache:    oql.NewPlanCache(0),
 		IndexBackend: kind,
 	})
@@ -181,7 +181,7 @@ func runRemote(addr, inline, script, strategy string, warm bool, maxRows int) er
 	if len(stmtList) == 0 {
 		return fmt.Errorf("no statements to run")
 	}
-	c, err := client.Dial(addr, client.Options{})
+	c, err := client.Dial(addr, client.Options{RetryAttempts: 20, IOTimeout: 60 * time.Second})
 	if err != nil {
 		return err
 	}

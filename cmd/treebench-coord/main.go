@@ -12,13 +12,11 @@
 //	treebench-coord -shards 127.0.0.1:8630,127.0.0.1:8631,127.0.0.1:8632
 //	                [-addr 127.0.0.1:8629] [-providers 200] [-avg 50]
 //	                [-clustering class] [-seed 1997]
-//	                [-snapshot-dir DIR] [-save-snapshot]
-//	                [-bufpool-mb N] [-readahead N] [-pprof ADDR]
-//	                [-query-timeout 60s] [-v]
+//	                [-snapshot-dir DIR] [-bufpool-mb N] [-pprof ADDR]
+//	                [-query-timeout 60s] [-drain-grace 30s] [-v]
 //
-// -bufpool-mb/-readahead size the coordinator's own shared buffer pool
-// (its planning snapshot reads through it; -bufpool-mb is at least 1,
-// -readahead 0 reads one page per miss). -pprof ADDR serves
+// -bufpool-mb sizes the coordinator's own shared buffer pool (its
+// planning snapshot reads through it; at least 1). -pprof ADDR serves
 // net/http/pprof on ADDR for profiling the scatter-gather and pool hot
 // paths.
 //
@@ -56,7 +54,6 @@ func main() {
 		timeout    = flag.Duration("query-timeout", 60*time.Second, "per-query budget across the whole scatter-gather")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight queries")
 		snapDir    = cli.SnapshotDirFlag(flag.CommandLine)
-		saveSnap   = flag.Bool("save-snapshot", false, "cache the planning snapshot even without -snapshot-dir")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6061; empty disables)")
 		verbose    = flag.Bool("v", false, "log shard dials and lifecycle to stderr")
 	)
@@ -76,7 +73,7 @@ func main() {
 	}
 	dcfg := dist.Config{
 		ShardAddrs: addrs,
-		Source:     server.SnapshotSource(cfg, *snapDir, *saveSnap),
+		Source:     server.SnapshotSource(cfg, *snapDir),
 		Label: fmt.Sprintf("%dx%d %s × %d shards",
 			cfg.Providers, cfg.Providers*cfg.AvgPatients, cfg.Clustering, len(addrs)),
 		SnapshotKey:  persist.KeyFor(cfg),

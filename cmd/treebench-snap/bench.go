@@ -29,8 +29,8 @@ import (
 // sweep of the backing image (mode=sweep). Round 1 always runs against
 // an empty pool (cold), later rounds against whatever the earlier rounds
 // left resident (warm), so one invocation yields a cold/warm pair; the
-// readahead and RSS comparisons come from separate invocations with
-// different knobs (each process gets a fresh pool). With -direct the page
+// RSS comparison comes from a separate invocation with a smaller pool
+// (each process gets a fresh pool), the readahead one from -versus. With -direct the page
 // image is opened O_DIRECT (persist.LoadDirect), so a miss is a device
 // read rather than a copy out of the OS page cache — a mode no daemon
 // runs in; the script records the buffered figure beside it.
@@ -50,10 +50,9 @@ func cmdBench(args []string) error {
 	sessions := fs.Int("sessions", 1, "concurrent sessions per round (each forks privately and runs the statement once)")
 	rounds := fs.Int("rounds", 2, "measurement rounds; round 1 is cold, later rounds are pool-warm")
 	pool := cli.PoolFlags(fs)
-	poolMB, readahead := pool.MB, pool.Readahead
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured rounds to this file")
 	direct := fs.Bool("direct", false, "open the snapshot with O_DIRECT (Linux): misses bypass the OS page cache, so cold means cold storage; silently buffered where unsupported")
-	versus := fs.Bool("versus", false, "A/B the configured readahead against -readahead=0 within one process: each round reloads on a fresh pool (always cold) alternating configs, reporting per-config minima — immune to machine-speed drift between processes")
+	versus := fs.Bool("versus", false, "A/B the default readahead against none within one process: each round reloads on a fresh pool (always cold) alternating configs, reporting per-config minima — immune to machine-speed drift between processes")
 	fs.Parse(args)
 	if *file == "" {
 		return fmt.Errorf("bench wants -file FILE")
@@ -72,7 +71,7 @@ func cmdBench(args []string) error {
 	fmt.Printf("direct=%v\n", *direct && persist.DirectIOSupported(*file))
 
 	if *versus {
-		return benchVersus(load, *file, *mode, *stmt, *sessions, *rounds, *poolMB, *readahead)
+		return benchVersus(load, *file, *mode, *stmt, *sessions, *rounds, *pool.MB)
 	}
 
 	snap, err := load(*file)
@@ -80,7 +79,7 @@ func cmdBench(args []string) error {
 		return err
 	}
 	fmt.Printf("file=%s pages=%d bufpool_mb=%d readahead=%d mode=%s sessions=%d\n",
-		*file, snap.Engine.Pages(), *poolMB, *readahead, *mode, *sessions)
+		*file, snap.Engine.Pages(), *pool.MB, bufpool.DefaultReadahead, *mode, *sessions)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -138,15 +137,14 @@ func runRound(snap *derby.Snapshot, mode, stmt string, sessions int) (uint32, er
 	}
 }
 
-// benchVersus interleaves cold rounds of the two readahead configs in
-// one process: Setup replaces the global pool before each round, and the
-// snapshot is reloaded so every round faults from scratch. Machine-speed
-// drift (a noisy neighbor, thermal throttling) hits both configs
-// equally; the per-config minimum estimates the undisturbed cost.
-func benchVersus(load func(string) (*derby.Snapshot, error), file, mode, stmt string, sessions, rounds, poolMB, readahead int) error {
-	if readahead <= 0 {
-		return fmt.Errorf("-versus wants -readahead > 0 (it compares against 0 itself)")
-	}
+// benchVersus interleaves cold rounds of two readahead configs in one
+// process, bufpool.DefaultReadahead and none: Setup replaces the global
+// pool before each round, and the snapshot is reloaded so every round
+// faults from scratch. Machine-speed drift (a noisy neighbor, thermal
+// throttling) hits both configs equally; the per-config minimum estimates
+// the undisturbed cost.
+func benchVersus(load func(string) (*derby.Snapshot, error), file, mode, stmt string, sessions, rounds, poolMB int) error {
+	readahead := bufpool.DefaultReadahead
 	var raMS, noraMS []float64
 	var resultCRC uint32
 	first := true

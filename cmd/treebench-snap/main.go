@@ -9,7 +9,7 @@
 //	treebench-snap load   FILE
 //	treebench-snap verify FILE...
 //	treebench-snap chain  DIR
-//	treebench-snap bench  -file FILE [-mode query|sweep] [-sessions N] [-bufpool-mb N] [-readahead N] [-direct] [-versus]
+//	treebench-snap bench  -file FILE [-mode query|sweep] [-stmt OQL] [-sessions N] [-rounds N] [-bufpool-mb N] [-cpuprofile FILE] [-direct] [-versus]
 //	treebench-snap ls     [-dir DIR]
 //	treebench-snap rm     [-dir DIR] [-all] [KEY|FILE ...]
 //
@@ -92,7 +92,7 @@ func usage() {
   treebench-snap load   FILE
   treebench-snap verify FILE...
   treebench-snap chain  DIR
-  treebench-snap bench  -file FILE [-mode query|sweep] [-stmt OQL] [-sessions N] [-rounds N] [-bufpool-mb N] [-readahead N] [-direct] [-versus]
+  treebench-snap bench  -file FILE [-mode query|sweep] [-stmt OQL] [-sessions N] [-rounds N] [-bufpool-mb N] [-cpuprofile FILE] [-direct] [-versus]
   treebench-snap ls     [-dir DIR]
   treebench-snap rm     [-dir DIR] [-all] [KEY|FILE ...]`)
 }

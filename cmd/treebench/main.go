@@ -13,9 +13,8 @@
 // recorded in the Figure 3 results database; -csv exports it.
 //
 // Independent experiments run concurrently on -j workers (default
-// min(NumCPU, 8), overridable with TREEBENCH_JOBS). Elapsed time is
-// simulated per database, so the tables are byte-identical at any -j;
-// only the wall clock changes.
+// min(NumCPU, 8)). Elapsed time is simulated per database, so the tables
+// are byte-identical at any -j; only the wall clock changes.
 package main
 
 import (
@@ -35,7 +34,7 @@ func main() {
 		run     = flag.String("run", "", "comma-separated experiment ids to run")
 		all     = flag.Bool("all", false, "run every experiment")
 		sf      = flag.Int("sf", 0, "scale factor (default from TREEBENCH_SF or 10; 1 = paper scale)")
-		jobs    = flag.Int("j", 0, "concurrent experiments (default from TREEBENCH_JOBS or min(NumCPU, 8))")
+		jobs    = flag.Int("j", treebench.DefaultJobs(), "concurrent experiments, one per CPU up to 8 by default")
 		exec    = cli.ExecFlags(flag.CommandLine)
 		pool    = cli.PoolFlags(flag.CommandLine)
 		seed    = flag.Int("seed", 1997, "data generator seed")
@@ -62,20 +61,12 @@ func main() {
 	if *sf > 0 {
 		cfg.SF = *sf
 	}
-	jSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "j" {
-			jSet = true
-		}
-	})
-	if jSet {
-		if *jobs < 1 {
-			fatal(fmt.Errorf("-j %d: must be at least 1", *jobs))
-		}
-		cfg.Jobs = *jobs
+	if *jobs < 1 {
+		fatal(fmt.Errorf("-j %d: must be at least 1", *jobs))
 	}
+	cfg.Jobs = *jobs
 	var err error
-	if cfg.QueryJobs, cfg.Batch, cfg.IndexBackend, err = exec.Resolve(); err != nil {
+	if cfg.QueryJobs, cfg.IndexBackend, err = exec.Resolve(); err != nil {
 		fatal(err)
 	}
 	cfg.Seed = int32(*seed)

@@ -6,11 +6,10 @@
 // Usage:
 //
 //	treebenchd [-addr 127.0.0.1:8629] [-providers 200] [-avg 50]
-//	           [-clustering class] [-seed 1997] [-sessions N] [-qj N] [-batch N]
-//	           [-index-backend btree|disk|lsm]
-//	           [-bufpool-mb N] [-readahead N] [-pprof ADDR]
-//	           [-max-concurrent N] [-max-queue 64] [-query-timeout 30s]
-//	           [-snapshot-dir DIR] [-save-snapshot] [-shard i/N] [-v]
+//	           [-clustering class] [-seed 1997] [-sessions N] [-qj N]
+//	           [-index-backend btree|disk|lsm] [-bufpool-mb N] [-pprof ADDR]
+//	           [-max-queue 64] [-query-timeout 30s] [-drain-grace 30s]
+//	           [-snapshot-dir DIR] [-shard i/N] [-v]
 //	           [-wal DIR] [-compact-every N]
 //	           [-wave-reassign N] [-wave-scalar N] [-wave-grow-every N] [-wave-upgrades N]
 //
@@ -26,22 +25,23 @@
 // snapshot and truncates the WAL whenever the head runs N commits ahead
 // of the base (0 disables compaction).
 //
-// -sessions, -qj and -batch fall back to the TREEBENCH_JOBS,
-// TREEBENCH_QUERY_JOBS and TREEBENCH_BATCH environment variables when left
-// at 0; all three change wall-clock speed only, never a reported number.
+// -sessions is both the number of sessions sized for and the admission
+// width: at most that many queries execute at once (0 means min(NumCPU,
+// 8)); -max-queue more may wait. -qj sets each query's intra-query workers
+// (0 means min(NumCPU, 4)). Both change wall-clock speed only, never a
+// reported number; the vectorized batch size is engine.DefaultBatch.
 //
 // -index-backend selects the pluggable index structure ("btree", "disk",
-// "lsm"), falling back to TREEBENCH_INDEX_BACKEND when left empty; an
-// unknown kind is rejected at startup with the valid list. Backends change
-// physical layout and page-granular cost accounting, never query results.
+// "lsm"); an unknown kind is rejected at startup with the valid list.
+// Backends change physical layout and page-granular cost accounting, never
+// query results.
 //
 // -bufpool-mb sizes the process-wide shared buffer pool every session and
 // chain store reads snapshot-file pages through (default 256, at least 1:
-// a loaded snapshot has no other way to read a page). -readahead sets how
-// many pages a miss that continues a sequential scan reads at once
-// (default 32; 0 reads one page per miss). Both change real wall clock
-// and real RSS only — simulated meters and query tables are byte-identical
-// at every setting.
+// a loaded snapshot has no other way to read a page). A miss that
+// continues a sequential scan reads bufpool.DefaultReadahead pages at
+// once. The pool changes real wall clock and real RSS only — simulated
+// meters and query tables are byte-identical at every setting.
 //
 // -pprof ADDR serves net/http/pprof on ADDR (e.g. 127.0.0.1:6060) so the
 // buffer-pool and readahead hot paths can be profiled under oqlload.
@@ -69,9 +69,10 @@
 // from the snapshot file on first touch. The Stats response reports the
 // snapshot's provenance.
 //
-// Query it with cmd/oqlload, or any internal/client user. Cold queries
-// (the default) return byte-identical output to the same statement in
-// `oqlsh -e` over the same database configuration.
+// Query it with `oqlsh -coord ADDR -e`, load it with cmd/oqlload, or use
+// any internal/client user. Cold queries (the default) return
+// byte-identical output to the same statement in `oqlsh -e` over the same
+// database configuration.
 package main
 
 import (
@@ -79,6 +80,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"treebench/internal/cli"
@@ -94,15 +97,13 @@ func main() {
 		shape      = cli.ShapeFlags(flag.CommandLine, 200, 50)
 		exec       = cli.ExecFlags(flag.CommandLine)
 		pool       = cli.PoolFlags(flag.CommandLine)
-		sessions   = flag.Int("sessions", 0, "concurrently executing sessions (default from TREEBENCH_JOBS or min(NumCPU, 8))")
+		sessions   = flag.Int("sessions", 0, "concurrently executing queries, the admission width (0 = min(NumCPU, 8))")
 		shard      = flag.String("shard", "", "run as shard i/N of a treebench-coord cluster (e.g. -shard 0/3)")
-		maxConc    = flag.Int("max-concurrent", 0, "admission limit on executing queries (default sessions)")
 		maxQueue   = flag.Int("max-queue", 64, "queries allowed to wait for admission before rejection")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 		timeout    = flag.Duration("query-timeout", 30*time.Second, "per-query wall-clock budget (queue wait + execution)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight queries")
 		snapDir    = cli.SnapshotDirFlag(flag.CommandLine)
-		saveSnap   = flag.Bool("save-snapshot", false, "cache the generated snapshot even without -snapshot-dir (uses the default cache directory)")
 		walDir     = flag.String("wal", "", "writable mode: directory holding the chain base snapshot and write-ahead log (empty = read-only)")
 		compactN   = flag.Int("compact-every", 0, "fold the chain into a fresh base whenever the head is this many commits ahead (0 disables)")
 		wReassign  = flag.Int("wave-reassign", derby.DefaultWaveSpec().Reassign, "patient reassignments per update wave")
@@ -122,23 +123,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	qj, batch, kind, err := exec.Resolve()
+	qj, kind, err := exec.Resolve()
 	if err != nil {
 		fatal(err)
 	}
 	cfg.IndexBackend = kind
 	n := *sessions
 	if n == 0 {
-		n = core.JobsFromEnv(core.DefaultJobs())
+		n = core.DefaultJobs()
 	}
 	scfg := server.Config{
-		Label:         fmt.Sprintf("%dx%d %s", cfg.Providers, cfg.Providers*cfg.AvgPatients, cfg.Clustering),
-		Sessions:      n,
-		MaxConcurrent: *maxConc,
-		MaxQueue:      *maxQueue,
-		QueryJobs:     qj,
-		Batch:         batch,
-		QueryTimeout:  *timeout,
+		Label:        fmt.Sprintf("%dx%d %s", cfg.Providers, cfg.Providers*cfg.AvgPatients, cfg.Clustering),
+		Sessions:     n,
+		MaxQueue:     *maxQueue,
+		QueryJobs:    qj,
+		QueryTimeout: *timeout,
 	}
 	var store *persist.ChainStore
 	if *walDir != "" {
@@ -157,7 +156,7 @@ func main() {
 		scfg.Store = store
 		scfg.Label += " writable"
 	} else {
-		scfg.Source = server.SnapshotSource(cfg, *snapDir, *saveSnap)
+		scfg.Source = server.SnapshotSource(cfg, *snapDir)
 	}
 	if *shard != "" {
 		idx, cnt, err := parseShard(*shard)
@@ -256,9 +255,13 @@ func compactor(store *persist.ChainStore, n int, verbose bool) {
 	}
 }
 
-// parseShard parses the -shard value, "i/N" with 0 <= i < N.
+// parseShard parses the -shard value, exactly "i/N" with 0 <= i < N: no
+// spaces and no trailing input.
 func parseShard(s string) (idx, cnt int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &idx, &cnt); err != nil {
+	i, n, _ := strings.Cut(s, "/")
+	idx, err1 := strconv.Atoi(i)
+	cnt, err2 := strconv.Atoi(n)
+	if err1 != nil || err2 != nil {
 		return 0, 0, fmt.Errorf("-shard %q: want i/N, e.g. 0/3", s)
 	}
 	if cnt < 1 || idx < 0 || idx >= cnt {

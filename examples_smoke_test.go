@@ -1,19 +1,17 @@
 package treebench_test
 
-// Runtime smoke tests for the example programs, guarded behind an
-// environment variable because each example builds and runs a real
-// workload (`TREEBENCH_EXAMPLES=1 go test -run TestExamples .`).
+// Runtime smoke tests for the example programs: each one builds and runs a
+// real workload, so -short skips them.
 
 import (
-	"os"
 	"os/exec"
 	"strings"
 	"testing"
 )
 
 func TestExamplesRun(t *testing.T) {
-	if os.Getenv("TREEBENCH_EXAMPLES") == "" {
-		t.Skip("set TREEBENCH_EXAMPLES=1 to execute every example program")
+	if testing.Short() {
+		t.Skip("-short: not running the example programs")
 	}
 	cases := map[string]string{
 		"./examples/quickstart":     "forked from one",

@@ -91,7 +91,6 @@ func (r *Runner) backendRow(kind string) ([]any, error) {
 	// Fresh database: the §4.2 cold indexed selection at 5%.
 	d := sn.Fork()
 	d.DB.SetQueryJobs(r.queryJobs())
-	d.DB.SetBatch(r.Config.Batch)
 	sel, err := r.coldSelection(d, 50, selection.IndexScan)
 	if err != nil {
 		return nil, err
@@ -103,7 +102,6 @@ func (r *Runner) backendRow(kind string) ([]any, error) {
 	// wave that tripped them.
 	md := sn.ForkMutable()
 	md.DB.SetQueryJobs(r.queryJobs())
-	md.DB.SetBatch(r.Config.Batch)
 	spec := derby.DefaultWaveSpec()
 	before := md.DB.Meter.Snapshot()
 	bcBefore := md.DB.BackendCounters()

@@ -45,11 +45,6 @@ type Config struct {
 	// roughly Jobs×QueryJobs goroutines, never Jobs·QueryJobs each.
 	// Simulated numbers are identical at any setting.
 	QueryJobs int
-	// Batch sets the vectorized-execution batch size. Zero means the
-	// engine default (1024); 1 means one record per batch. Like QueryJobs
-	// it changes wall-clock time only — simulated numbers are identical at
-	// any setting.
-	Batch int
 	// IndexBackend selects the pluggable index structure ("btree", "disk",
 	// "lsm"; empty means the in-memory B+-tree default). It changes
 	// physical layout and page-granular cost accounting, never query
@@ -73,35 +68,6 @@ const DefaultSF = 10
 // scale).
 const ScaleEnvVar = "TREEBENCH_SF"
 
-// JobsEnvVar overrides the scheduler's worker count (TREEBENCH_JOBS=1
-// forces sequential execution).
-const JobsEnvVar = "TREEBENCH_JOBS"
-
-// QueryJobsEnvVar overrides the intra-query worker count
-// (TREEBENCH_QUERY_JOBS=1 forces sequential chunk execution; results are
-// byte-identical either way).
-const QueryJobsEnvVar = "TREEBENCH_QUERY_JOBS"
-
-// BatchEnvVar overrides the vectorized-execution batch size
-// (TREEBENCH_BATCH=1 runs batches of one record; results are
-// byte-identical at any setting).
-const BatchEnvVar = "TREEBENCH_BATCH"
-
-// MaxBatch bounds a batch size arriving from outside the program (-batch,
-// TREEBENCH_BATCH): every scan chunk pre-sizes its batch to the capacity,
-// so an unbounded value is an out-of-memory crash on the first query.
-const MaxBatch = 1 << 20
-
-// IndexBackendEnvVar overrides the index backend
-// (TREEBENCH_INDEX_BACKEND=lsm; results are byte-identical across
-// backends, only the cost accounting changes).
-const IndexBackendEnvVar = "TREEBENCH_INDEX_BACKEND"
-
-// SnapshotDirEnvVar enables the on-disk snapshot cache
-// (TREEBENCH_SNAPSHOT_DIR=~/.cache/treebench). persist.DefaultDir reads
-// the same variable, so every tool agrees on the directory.
-const SnapshotDirEnvVar = "TREEBENCH_SNAPSHOT_DIR"
-
 // DefaultJobs is the default scheduler width: one worker per CPU, capped
 // at 8 (diminishing returns: experiments share one generation per database
 // and fan out cheap session forks).
@@ -112,66 +78,15 @@ func DefaultJobs() int {
 	return 8
 }
 
-// JobsFromEnv resolves a worker/replica count from JobsEnvVar, returning
-// def when the variable is unset, non-numeric, or below 1. Every component
-// that sizes a concurrent pool (the experiment scheduler, treebenchd's
-// replica pool) resolves through this one helper.
-func JobsFromEnv(def int) int {
-	if v := os.Getenv(JobsEnvVar); v != "" {
-		if j, err := strconv.Atoi(v); err == nil && j >= 1 {
-			return j
-		}
-	}
-	return def
-}
-
-// QueryJobsFromEnv resolves an intra-query worker count from
-// QueryJobsEnvVar, returning def when the variable is unset, non-numeric,
-// or below 1.
-func QueryJobsFromEnv(def int) int {
-	if v := os.Getenv(QueryJobsEnvVar); v != "" {
-		if j, err := strconv.Atoi(v); err == nil && j >= 1 {
-			return j
-		}
-	}
-	return def
-}
-
-// BatchFromEnv resolves a vectorized-execution batch size from
-// BatchEnvVar, returning def when the variable is unset, non-numeric,
-// below 1 or above MaxBatch.
-func BatchFromEnv(def int) int {
-	if v := os.Getenv(BatchEnvVar); v != "" {
-		if b, err := strconv.Atoi(v); err == nil && b >= 1 && b <= MaxBatch {
-			return b
-		}
-	}
-	return def
-}
-
-// IndexBackendFromEnv resolves an index-backend kind from
-// IndexBackendEnvVar, returning def when the variable is unset. An
-// invalid value is returned as-is so the caller's CheckKind rejects it
-// with a hint instead of it being silently ignored.
-func IndexBackendFromEnv(def string) string {
-	if v := os.Getenv(IndexBackendEnvVar); v != "" {
-		return v
-	}
-	return def
-}
-
-// ConfigFromEnv builds the default config, honoring ScaleEnvVar,
-// JobsEnvVar, QueryJobsEnvVar and BatchEnvVar. Values below 1 (or
-// non-numeric) are rejected and the default kept.
+// ConfigFromEnv builds the default config, honoring ScaleEnvVar and
+// persist.SnapshotDirEnvVar. A scale below 1 (or non-numeric) is rejected
+// and the default kept.
 func ConfigFromEnv() Config {
 	cfg := Config{
-		SF:           DefaultSF,
-		Seed:         1997,
-		Jobs:         JobsFromEnv(DefaultJobs()),
-		QueryJobs:    QueryJobsFromEnv(0),
-		Batch:        BatchFromEnv(0),
-		IndexBackend: IndexBackendFromEnv(""),
-		SnapshotDir:  os.Getenv(SnapshotDirEnvVar),
+		SF:          DefaultSF,
+		Seed:        1997,
+		Jobs:        DefaultJobs(),
+		SnapshotDir: os.Getenv(persist.SnapshotDirEnvVar),
 	}
 	if v := os.Getenv(ScaleEnvVar); v != "" {
 		if sf, err := strconv.Atoi(v); err == nil && sf >= 1 {
@@ -448,7 +363,6 @@ func (r *Runner) dataset(providers, avg int, cl derby.Clustering) (*derby.Datase
 	}
 	d := sn.Fork()
 	d.DB.SetQueryJobs(r.queryJobs())
-	d.DB.SetBatch(r.Config.Batch)
 	return d, nil
 }
 
@@ -480,7 +394,6 @@ func (r *Runner) mutableDataset(providers, avg int, cl derby.Clustering) (*derby
 	}
 	d := sn.ForkMutable()
 	d.DB.SetQueryJobs(r.queryJobs())
-	d.DB.SetBatch(r.Config.Batch)
 	return d, nil
 }
 

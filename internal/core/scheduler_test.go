@@ -142,40 +142,10 @@ func TestSingleflightDatasetGeneration(t *testing.T) {
 	}
 }
 
-// TestJobsFromEnv checks the exported helper directly: it is the one
-// reading of TREEBENCH_JOBS shared by the scheduler and treebenchd's
-// replica-count default.
-func TestJobsFromEnv(t *testing.T) {
-	t.Setenv(JobsEnvVar, "")
-	if got := JobsFromEnv(7); got != 7 {
-		t.Errorf("unset: JobsFromEnv(7) = %d, want 7", got)
-	}
-	t.Setenv(JobsEnvVar, "5")
-	if got := JobsFromEnv(7); got != 5 {
-		t.Errorf("set to 5: JobsFromEnv(7) = %d, want 5", got)
-	}
-	t.Setenv(JobsEnvVar, "0")
-	if got := JobsFromEnv(7); got != 7 {
-		t.Errorf("invalid 0: JobsFromEnv(7) = %d, want 7", got)
-	}
-}
-
-// TestConfigFromEnvJobs checks the TREEBENCH_JOBS validation: values below
-// 1 (or garbage) keep the default.
+// TestConfigFromEnvJobs: the scheduler width is DefaultJobs unless the
+// -j flag says otherwise; no environment variable overrides it.
 func TestConfigFromEnvJobs(t *testing.T) {
-	for _, tc := range []struct {
-		env  string
-		want int
-	}{
-		{"3", 3},
-		{"1", 1},
-		{"0", DefaultJobs()},
-		{"-2", DefaultJobs()},
-		{"lots", DefaultJobs()},
-	} {
-		t.Setenv(JobsEnvVar, tc.env)
-		if got := ConfigFromEnv().Jobs; got != tc.want {
-			t.Errorf("TREEBENCH_JOBS=%q: Jobs = %d, want %d", tc.env, got, tc.want)
-		}
+	if got := ConfigFromEnv().Jobs; got != DefaultJobs() {
+		t.Errorf("Jobs = %d, want DefaultJobs() = %d", got, DefaultJobs())
 	}
 }

@@ -66,8 +66,9 @@ func sharedSnapshot(t *testing.T) *derby.Snapshot {
 const testKey = "test-snapshot-key"
 
 // startShard boots one in-process treebenchd as shard idx of cnt over the
-// shared snapshot.
-func startShard(t *testing.T, sn *derby.Snapshot, idx, cnt, qj, batch int) string {
+// shared snapshot. Shards run at engine.DefaultBatch, the only batch size a
+// daemon has.
+func startShard(t *testing.T, sn *derby.Snapshot, idx, cnt, qj int) string {
 	t.Helper()
 	srv, err := server.New(server.Config{
 		Source:      func() (*derby.Snapshot, string, error) { return sn, "shared", nil },
@@ -75,7 +76,6 @@ func startShard(t *testing.T, sn *derby.Snapshot, idx, cnt, qj, batch int) strin
 		Sessions:    4,
 		MaxQueue:    64,
 		QueryJobs:   qj,
-		Batch:       batch,
 		ShardIdx:    idx,
 		ShardCnt:    cnt,
 		SnapshotKey: testKey,
@@ -203,7 +203,9 @@ func treeJoin(sn *derby.Snapshot, k1pct, k2pct int) string {
 // TestDistributedDeterministic is the subsystem's acceptance gate: rendered
 // tables and meter totals from a 3-shard cluster must be byte-identical to
 // a single-node run, for full scans, index selections, and every
-// distributed join strategy, across -qj 1/4 × -batch 1/1024.
+// distributed join strategy, across -qj 1/4 on both sides × batch 1/1024 on
+// the local side (set through DB.SetBatch; the cluster runs at the
+// constant engine.DefaultBatch).
 func TestDistributedDeterministic(t *testing.T) {
 	sn := sharedSnapshot(t)
 	stmts := testStatements(t, sn)
@@ -214,7 +216,7 @@ func TestDistributedDeterministic(t *testing.T) {
 			const shards = 3
 			addrs := make([]string, shards)
 			for i := range addrs {
-				addrs[i] = startShard(t, sn, i, shards, cfg.qj, cfg.batch)
+				addrs[i] = startShard(t, sn, i, shards, cfg.qj)
 			}
 			coord := startCoord(t, sn, addrs)
 			cl, err := client.Dial(coord, client.Options{})
@@ -223,7 +225,8 @@ func TestDistributedDeterministic(t *testing.T) {
 			}
 			defer cl.Close()
 
-			local := session.NewWith(sn.Fork().DB, session.Config{QueryJobs: cfg.qj, Batch: cfg.batch})
+			local := session.NewWith(sn.Fork().DB, session.Config{QueryJobs: cfg.qj})
+			local.DB.SetBatch(cfg.batch)
 			covered := map[string]bool{}
 			for _, st := range stmts {
 				local.Planner.Strategy = oql.CostBased
@@ -305,7 +308,7 @@ func TestShardDownTyped(t *testing.T) {
 	const shards = 3
 	addrs := make([]string, shards)
 	for i := 0; i < shards-1; i++ {
-		addrs[i] = startShard(t, sn, i, shards, 1, 1024)
+		addrs[i] = startShard(t, sn, i, shards, 1)
 	}
 	// Shard 2 is a dead address: grab a listener and close it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -348,7 +351,7 @@ func TestShardDownError(t *testing.T) {
 // never silently executed with the wrong mask.
 func TestScatterIdentityValidated(t *testing.T) {
 	sn := sharedSnapshot(t)
-	addr := startShard(t, sn, 1, 3, 1, 1024)
+	addr := startShard(t, sn, 1, 3, 1)
 	cl, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +370,7 @@ func TestWarmRejected(t *testing.T) {
 	const shards = 2
 	addrs := make([]string, shards)
 	for i := range addrs {
-		addrs[i] = startShard(t, sn, i, shards, 1, 1024)
+		addrs[i] = startShard(t, sn, i, shards, 1)
 	}
 	coord := startCoord(t, sn, addrs)
 	cl, err := client.Dial(coord, client.Options{})
@@ -390,7 +393,7 @@ func TestClusterStats(t *testing.T) {
 	const shards = 2
 	addrs := make([]string, shards)
 	for i := range addrs {
-		addrs[i] = startShard(t, sn, i, shards, 1, 1024)
+		addrs[i] = startShard(t, sn, i, shards, 1)
 	}
 	coord := startCoord(t, sn, addrs)
 	cl, err := client.Dial(coord, client.Options{})

@@ -65,7 +65,7 @@ func TestCoordinatorGracefulDrain(t *testing.T) {
 	sn := sharedSnapshot(t)
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
-	shard := gatedShard(t, startShard(t, sn, 0, 1, 1, 1024), started, gate)
+	shard := gatedShard(t, startShard(t, sn, 0, 1, 1), started, gate)
 
 	co, err := New(Config{
 		ShardAddrs:  []string{shard},

@@ -14,11 +14,16 @@ import (
 	"treebench/internal/derby"
 )
 
+// SnapshotDirEnvVar names the snapshot cache directory for every tool
+// (TREEBENCH_SNAPSHOT_DIR=~/.cache/treebench): DefaultDir reads it, and so
+// do the -snapshot-dir default and core.ConfigFromEnv.
+const SnapshotDirEnvVar = "TREEBENCH_SNAPSHOT_DIR"
+
 // DefaultDir returns the snapshot cache directory: $TREEBENCH_SNAPSHOT_DIR
 // if set, else <user cache dir>/treebench. It does not create the
 // directory; Open does.
 func DefaultDir() (string, error) {
-	if dir := os.Getenv("TREEBENCH_SNAPSHOT_DIR"); dir != "" {
+	if dir := os.Getenv(SnapshotDirEnvVar); dir != "" {
 		return dir, nil
 	}
 	base, err := os.UserCacheDir()

@@ -129,7 +129,7 @@ func TestCacheCorruptEntryRegenerates(t *testing.T) {
 }
 
 func TestDefaultDirEnvOverride(t *testing.T) {
-	t.Setenv("TREEBENCH_SNAPSHOT_DIR", "/tmp/tb-test-snapdir")
+	t.Setenv(SnapshotDirEnvVar, "/tmp/tb-test-snapdir")
 	dir, err := DefaultDir()
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func renderPooled(t *testing.T, snap *derby.Snapshot, jobs, batch int) string {
 // TestPoolConfigEquivalence pins the pool's central invariant: the buffer
 // pool is a residency optimization and nothing else. Rendered output —
 // simulated meters and tables — must be byte-identical across every
-// -bufpool-mb × -readahead × -qj × -batch combination and both index
+// pool size × readahead × worker count × batch size combination and both index
 // backends, down to a 1 MB pool evicting on every scan, and identical to
 // what the generated snapshot rendered before it was ever saved: an
 // oracle with no file and no pool under it. Run under -race this also

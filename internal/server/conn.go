@@ -84,7 +84,6 @@ func (c *conn) session() (*session.Session, error) {
 	// metrics after each query.
 	c.sess = session.NewWith(sn.Fork().DB, session.Config{
 		QueryJobs: c.srv.cfg.QueryJobs,
-		Batch:     c.srv.cfg.Batch,
 		PlanCache: oql.NewPlanCache(0),
 	})
 	c.warmed = false

@@ -19,13 +19,12 @@ import (
 // signal, drain.
 
 // SnapshotSource builds a Config.Source for cfg: straight generation when
-// caching is off (dir empty and save false), the content-addressed cache
-// in dir otherwise ("" with save selects the default directory). With a
-// warm cache a daemon boots without generating anything, and a coordinator
+// dir is empty, the content-addressed cache in dir otherwise. With a warm
+// cache a daemon boots without generating anything, and a coordinator
 // co-located with a shard shares its cached file; the returned provenance
 // string surfaces in Stats.
-func SnapshotSource(cfg derby.Config, dir string, save bool) func() (*derby.Snapshot, string, error) {
-	if dir == "" && !save {
+func SnapshotSource(cfg derby.Config, dir string) func() (*derby.Snapshot, string, error) {
+	if dir == "" {
 		return func() (*derby.Snapshot, string, error) {
 			d, err := derby.Generate(cfg)
 			if err != nil {

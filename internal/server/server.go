@@ -18,7 +18,7 @@
 //     meter and handle table over the one shared page image. N sessions
 //     therefore cost one generation and one copy of the data, not N.
 //   - Admission control bounds concurrently executing requests at
-//     MaxConcurrent, queues at most MaxQueue waiters, and rejects beyond
+//     Sessions, queues at most MaxQueue waiters, and rejects beyond
 //     that; every request gets a wall-clock budget of QueryTimeout covering
 //     queue wait and execution. Query, Scatter and Commit all take the one
 //     admit → execute → answer-or-abandon path in conn.run.
@@ -59,13 +59,9 @@ type Config struct {
 	Store *persist.ChainStore
 	// Label names the served database in the handshake.
 	Label string
-	// Sessions sizes the server for that many concurrently executing
-	// sessions; 0 means the scheduler's worker default (TREEBENCH_JOBS or
-	// min(NumCPU, 8)). It is the default and the cap for MaxConcurrent.
+	// Sessions bounds concurrently executing queries (the admission
+	// width); 0 means core.DefaultJobs(), min(NumCPU, 8).
 	Sessions int
-	// MaxConcurrent bounds concurrently executing queries; 0 means
-	// Sessions. Values above Sessions are clamped.
-	MaxConcurrent int
 	// MaxQueue bounds queries waiting for an admission slot; beyond it
 	// queries are rejected immediately with CodeBusy. 0 means no queue.
 	MaxQueue int
@@ -74,10 +70,6 @@ type Config struct {
 	// query changes wall-clock latency only; every simulated number stays
 	// byte-identical.
 	QueryJobs int
-	// Batch is the vectorized-execution batch size each session runs with
-	// (0 means the engine default, 1024; 1 = one record per batch). Like
-	// QueryJobs it changes wall-clock latency only.
-	Batch int
 	// QueryTimeout is each query's wall-clock budget, covering queue wait
 	// and execution; 0 means 30 seconds.
 	QueryTimeout time.Duration
@@ -130,16 +122,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: Config.Source or Config.Store is required")
 	}
 	if cfg.Sessions == 0 {
-		cfg.Sessions = core.JobsFromEnv(core.DefaultJobs())
+		cfg.Sessions = core.DefaultJobs()
 	}
 	if cfg.Sessions < 1 {
 		return nil, fmt.Errorf("server: sessions %d < 1", cfg.Sessions)
-	}
-	if cfg.MaxConcurrent == 0 || cfg.MaxConcurrent > cfg.Sessions {
-		cfg.MaxConcurrent = cfg.Sessions
-	}
-	if cfg.MaxConcurrent < 1 {
-		return nil, fmt.Errorf("server: max concurrent %d < 1", cfg.MaxConcurrent)
 	}
 	if cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("server: max queue %d < 0", cfg.MaxQueue)
@@ -153,7 +139,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ShardCnt > 0 && cfg.ShardIdx >= cfg.ShardCnt {
 		return nil, fmt.Errorf("server: shard %d out of range of %d", cfg.ShardIdx, cfg.ShardCnt)
 	}
-	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.MaxConcurrent)}
+	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.Sessions)}
 	s.Hello = wire.ServerHello{
 		Label:       cfg.Label,
 		ShardIdx:    uint32(cfg.ShardIdx),
@@ -223,10 +209,7 @@ func (s *Server) Stats() *wire.Stats {
 			st.SnapshotSource = *p
 		}
 	}
-	st.BatchSize = int64(s.cfg.Batch)
-	if st.BatchSize < 1 {
-		st.BatchSize = engine.DefaultBatch
-	}
+	st.BatchSize = engine.DefaultBatch
 	st.ShardIdx = int64(s.cfg.ShardIdx)
 	st.ShardCnt = int64(s.cfg.ShardCnt)
 	if s.cfg.Store != nil {
@@ -266,7 +249,7 @@ func (s *Server) admit(deadline time.Time) (release func(), code byte, err error
 		s.waiters.Add(-1)
 		s.Metrics.reject()
 		return nil, wire.CodeBusy, fmt.Errorf("server: admission queue full (%d executing, %d queued)",
-			s.cfg.MaxConcurrent, s.cfg.MaxQueue)
+			s.cfg.Sessions, s.cfg.MaxQueue)
 	}
 	defer s.waiters.Add(-1)
 	t := time.NewTimer(time.Until(deadline))

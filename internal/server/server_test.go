@@ -20,7 +20,7 @@ func testDBConfig() derby.Config {
 
 // testSource generates the test database afresh, uncached.
 func testSource() (*derby.Snapshot, string, error) {
-	return SnapshotSource(testDBConfig(), "", false)()
+	return SnapshotSource(testDBConfig(), "")()
 }
 
 // startServer builds a server over a small deterministic database, installs
@@ -210,7 +210,6 @@ func TestAdmissionQueueRejects(t *testing.T) {
 	started := make(chan struct{}, 8)
 	srv, addr := startServer(t, func(c *Config) {
 		c.Sessions = 1
-		c.MaxConcurrent = 1
 		c.MaxQueue = 0
 	}, func() {
 		started <- struct{}{}
@@ -381,12 +380,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Source: testSource, MaxQueue: -1}); err == nil {
 		t.Fatal("negative queue accepted")
 	}
-	srv, err := New(Config{Source: testSource, Sessions: 2, MaxConcurrent: 99})
+	srv, err := New(Config{Source: testSource, Sessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.cfg.MaxConcurrent != 2 {
-		t.Fatalf("MaxConcurrent not clamped to sessions: %d", srv.cfg.MaxConcurrent)
+	if cap(srv.sem) != 2 {
+		t.Fatalf("admission width %d, want Sessions = 2", cap(srv.sem))
 	}
 	if srv.cfg.QueryTimeout != 30*time.Second {
 		t.Fatalf("QueryTimeout not defaulted: %v", srv.cfg.QueryTimeout)

@@ -33,10 +33,6 @@ type Config struct {
 	// engine default, min(NumCPU, 4)). Worker count changes wall-clock
 	// speed only, never a simulated number.
 	QueryJobs int
-	// Batch sets the database's vectorized-execution batch size (0 keeps
-	// the engine default, 1024; 1 = one record per batch). Like QueryJobs
-	// it changes wall-clock speed only, never a simulated number.
-	Batch int
 	// PlanCache, when non-nil, memoizes compiled plans by query source for
 	// the session's planner. Plans hold references into the session's
 	// database fork, so a cache must not be shared across forks.
@@ -73,9 +69,6 @@ func NewWith(db *engine.Database, cfg Config) *Session {
 	db.ColdRestart()
 	if cfg.QueryJobs != 0 {
 		db.SetQueryJobs(cfg.QueryJobs)
-	}
-	if cfg.Batch != 0 {
-		db.SetBatch(cfg.Batch)
 	}
 	if cfg.IndexBackend != "" {
 		// Callers validate the kind at flag-parse time (CheckKind); an

@@ -5,8 +5,9 @@
 #   1. warm-over-cold: repeated paper-scale work over one pool must run
 #      >= MIN_WARM_SPEEDUP (default 2.0) faster once the pool is warm
 #      than on the cold first pass;
-#   2. readahead-over-none: a cold sequential scan with readahead must
-#      beat -readahead=0 by >= MIN_RA_SPEEDUP (default 1.3), measured as
+#   2. readahead-over-none: a cold sequential scan with the default
+#      readahead (32 pages) must beat none by >= MIN_RA_SPEEDUP (default
+#      1.3), measured as
 #      an in-process A/B (bench -versus alternates the two configs round
 #      by round, so machine-speed drift hits both equally);
 #   3. bounded memory: 8 concurrent sessions sweeping the whole image
@@ -74,7 +75,7 @@ bench_note "snapshot $SNAP ($PAGES bytes)"
 # every page (cold), later rounds hit the pool. Warm cost is the minimum
 # of the warm rounds (noise can only slow a round down).
 RAW_WARM=$("$BIN" bench -file "$SNAP" -mode sweep -rounds 4 -direct \
-  -bufpool-mb "$POOL_MB" -readahead 32)
+  -bufpool-mb "$POOL_MB")
 echo "$RAW_WARM"
 DIRECT=$(echo "$RAW_WARM" | awk -F= '/^direct=/ { print $2 }')
 COLD_MS=$(echo "$RAW_WARM" | awk -F'wall_ms=' '/^round=1 /  { print $2 }')
@@ -86,7 +87,7 @@ WARM_SPEEDUP=$(bench_ratio "$COLD_MS" "$WARM_MS")
 
 # --- gate 2: readahead over none -------------------------------------
 RAW_RA=$("$BIN" bench -file "$SNAP" -mode sweep -rounds 3 -direct -versus \
-  -bufpool-mb "$POOL_MB" -readahead 32)
+  -bufpool-mb "$POOL_MB")
 echo "$RAW_RA"
 RA_SPEEDUP=$(echo "$RAW_RA" | grep -o 'ra_speedup=[0-9.]*' | cut -d= -f2)
 CRC_RA=$(echo "$RAW_RA" | awk -F= '/^result_crc=/ { print $2 }')
@@ -94,7 +95,7 @@ bench_require "$RA_SPEEDUP" "could not parse ra_speedup"
 
 # The same A/B the way a daemon reads: buffered, over the OS page cache.
 RAW_RA_BUF=$("$BIN" bench -file "$SNAP" -mode sweep -rounds 3 -versus \
-  -bufpool-mb "$POOL_MB" -readahead 32)
+  -bufpool-mb "$POOL_MB")
 echo "$RAW_RA_BUF"
 RA_SPEEDUP_BUF=$(echo "$RAW_RA_BUF" | grep -o 'ra_speedup=[0-9.]*' | cut -d= -f2)
 CRC_RA_BUF=$(echo "$RAW_RA_BUF" | awk -F= '/^result_crc=/ { print $2 }')
@@ -102,7 +103,7 @@ bench_require "$RA_SPEEDUP_BUF" "could not parse buffered ra_speedup"
 
 # --- gate 3: 8-session RSS under a pool smaller than the image -------
 RAW_POOL=$("$BIN" bench -file "$SNAP" -mode sweep -sessions 8 -rounds 1 \
-  -bufpool-mb "$RSS_POOL_MB" -readahead 32)
+  -bufpool-mb "$RSS_POOL_MB")
 echo "$RAW_POOL"
 POOL_RSS=$(echo "$RAW_POOL" | awk '/^vm_rss_kb=/ { split($1, a, "="); print a[2] }')
 CRC_POOL=$(echo "$RAW_POOL" | awk -F= '/^result_crc=/ { print $2 }')

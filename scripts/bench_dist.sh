@@ -51,6 +51,7 @@ export TREEBENCH_SNAPSHOT_DIR=${TREEBENCH_SNAPSHOT_DIR:-$WORK/snapcache}
 go build -o "$WORK/treebenchd" ./cmd/treebenchd
 go build -o "$WORK/treebench-coord" ./cmd/treebench-coord
 go build -o "$WORK/oqlload" ./cmd/oqlload
+go build -o "$WORK/oqlsh" ./cmd/oqlsh
 
 wait_ready() { # log-file name
   for _ in $(seq 1 600); do
@@ -94,7 +95,7 @@ measure() {
   wait_ready "$WORK/coord$n.log" "coordinator ($n shards)"
 
   # The measured statement must actually be the cost-planned PHJ.
-  "$WORK/oqlload" -addr "$COORD" -once -e "$Q" > "$WORK/plan$n.txt"
+  "$WORK/oqlsh" -coord "$COORD" -e "$Q" > "$WORK/plan$n.txt"
   grep -q "via PHJ" "$WORK/plan$n.txt" || {
     echo "bench-dist: query not planned as PHJ at $CONFIG:" >&2
     head -1 "$WORK/plan$n.txt" >&2

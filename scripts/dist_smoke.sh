@@ -94,7 +94,7 @@ echo "dist-smoke: oqlload -coord reports the shard map and per-shard stats"
 
 # Warm queries are not distributable; the coordinator must refuse, not
 # guess.
-if "$WORK/oqlload" -addr "$COORD" -once -warm \
+if "$WORK/oqlsh" -coord "$COORD" -warm \
     -e 'select count(*) from pa in Patients' >/dev/null 2>"$WORK/warm.err"; then
   echo "dist-smoke: warm query did not fail against the coordinator" >&2
   exit 1

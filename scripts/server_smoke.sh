@@ -31,8 +31,8 @@ go build -o "$WORK/oqlsh" ./cmd/oqlsh
 DPID=$!
 
 # Remote vs local: byte-identical output is the server's core guarantee.
-# (oqlload retries its dial while the daemon is still generating.)
-"$WORK/oqlload" -addr "$ADDR" -once -e "$Q" > "$WORK/remote.txt"
+# (oqlsh -coord retries its dial while the daemon is still generating.)
+"$WORK/oqlsh" -coord "$ADDR" -e "$Q" > "$WORK/remote.txt"
 "$WORK/oqlsh" "${DB[@]}" -e "$Q" > "$WORK/local.txt"
 cmp "$WORK/remote.txt" "$WORK/local.txt"
 echo "smoke: remote output is byte-identical to oqlsh -e"
@@ -40,9 +40,9 @@ echo "smoke: remote output is byte-identical to oqlsh -e"
 # Warm sequences: two concurrent server sessions each run the warm
 # sequence on their own fork of the shared snapshot; both must render
 # byte-identically to the local shell running the same sequence warm.
-"$WORK/oqlload" -addr "$ADDR" -once -warm -e "$WARMQ" > "$WORK/warm1.txt" &
+"$WORK/oqlsh" -coord "$ADDR" -warm -e "$WARMQ" > "$WORK/warm1.txt" &
 W1=$!
-"$WORK/oqlload" -addr "$ADDR" -once -warm -e "$WARMQ" > "$WORK/warm2.txt"
+"$WORK/oqlsh" -coord "$ADDR" -warm -e "$WARMQ" > "$WORK/warm2.txt"
 wait "$W1"
 "$WORK/oqlsh" "${DB[@]}" -warm -e "$WARMQ" > "$WORK/warmlocal.txt"
 cmp "$WORK/warm1.txt" "$WORK/warmlocal.txt"
@@ -54,8 +54,8 @@ echo "smoke: 2-session warm sequence is byte-identical to oqlsh -warm -e"
 "$WORK/oqlload" -addr "$ADDR" -c 8 -n 5 -e "$Q"
 
 # A failing statement must fail the client.
-if "$WORK/oqlload" -addr "$ADDR" -once -e 'select x.y from x in Nowhere;' >/dev/null 2>&1; then
-  echo "smoke: bad query did not fail oqlload" >&2
+if "$WORK/oqlsh" -coord "$ADDR" -e 'select x.y from x in Nowhere;' >/dev/null 2>&1; then
+  echo "smoke: bad query did not fail oqlsh -coord" >&2
   exit 1
 fi
 echo "smoke: bad query fails the client, as it should"

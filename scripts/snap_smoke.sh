@@ -22,6 +22,7 @@ trap cleanup EXIT
 go build -o "$WORK/treebench-snap" ./cmd/treebench-snap
 go build -o "$WORK/treebenchd" ./cmd/treebenchd
 go build -o "$WORK/oqlload" ./cmd/oqlload
+go build -o "$WORK/oqlsh" ./cmd/oqlsh
 
 # Save, then verify every section checksum.
 "$WORK/treebench-snap" save -providers 40 -avg 10 -clustering class -o "$WORK/db.tbsp"
@@ -86,7 +87,7 @@ echo "snap-smoke: lsm snapshot round-trips with byte-identical answers"
 boot() { # boot <out-prefix> <want-source>
   "$WORK/treebenchd" -addr "$ADDR" "${DB[@]}" -snapshot-dir "$WORK/cache" -sessions 2 &
   DPID=$!
-  "$WORK/oqlload" -addr "$ADDR" -once -e "$Q" > "$WORK/$1.txt"
+  "$WORK/oqlsh" -coord "$ADDR" -e "$Q" > "$WORK/$1.txt"
   "$WORK/oqlload" -addr "$ADDR" -c 1 -n 1 -e "$Q" > "$WORK/$1-stats.txt"
   grep -q "server snapshot source: $2" "$WORK/$1-stats.txt" || {
     echo "snap-smoke: boot $1: wanted snapshot source $2, got:" >&2

@@ -29,6 +29,7 @@ trap cleanup EXIT
 
 go build -o "$WORK/treebenchd" ./cmd/treebenchd
 go build -o "$WORK/oqlload" ./cmd/oqlload
+go build -o "$WORK/oqlsh" ./cmd/oqlsh
 go build -o "$WORK/treebench-snap" ./cmd/treebench-snap
 
 wait_ready() { # logfile
@@ -101,7 +102,7 @@ HEAD=$(sed -n 's/.*head v\([0-9]*\) over base.*/\1/p' "$WORK/d2.log" | head -1)
 }
 echo "wal-smoke: rebooted, recovered to head v$HEAD"
 
-"$WORK/oqlload" -addr "$ADDR" -once -e "$PROBE" > "$WORK/recovered.txt"
+"$WORK/oqlsh" -coord "$ADDR" -e "$PROBE" > "$WORK/recovered.txt"
 kill "$DPID" && wait "$DPID" 2>/dev/null || true
 DPID=
 
@@ -112,7 +113,7 @@ DPID=
 DPID=$!
 wait_ready "$WORK/d3.log"
 "$WORK/oqlload" -addr "$ADDR2" -c 1 -n "$HEAD" -mix 1 > /dev/null
-"$WORK/oqlload" -addr "$ADDR2" -once -e "$PROBE" > "$WORK/clean.txt"
+"$WORK/oqlsh" -coord "$ADDR2" -e "$PROBE" > "$WORK/clean.txt"
 cmp "$WORK/recovered.txt" "$WORK/clean.txt"
 echo "wal-smoke: recovered database is byte-identical to a clean $HEAD-commit run"
 

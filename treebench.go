@@ -335,15 +335,11 @@ type (
 func NewRunner(cfg RunnerConfig) (*Runner, error) { return core.NewRunner(cfg) }
 
 // RunnerConfigFromEnv builds the default runner configuration, honoring
-// TREEBENCH_SF and TREEBENCH_JOBS.
+// TREEBENCH_SF and TREEBENCH_SNAPSHOT_DIR.
 func RunnerConfigFromEnv() RunnerConfig { return core.ConfigFromEnv() }
 
 // DefaultJobs is the default experiment scheduler width: min(NumCPU, 8).
 func DefaultJobs() int { return core.DefaultJobs() }
-
-// JobsFromEnv resolves a worker/replica count from TREEBENCH_JOBS, falling
-// back to def when unset or invalid.
-func JobsFromEnv(def int) int { return core.JobsFromEnv(def) }
 
 // IndexBackends lists the registered index backend kinds.
 func IndexBackends() []string { return backend.Kinds() }
