@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,11 +13,21 @@ import (
 	"treebench/internal/derby"
 )
 
-// runAllBytes runs every registered experiment on a fresh runner with the
-// given worker count and returns the concatenated rendered tables.
+// update rewrites the answer key from the current code instead of checking
+// against it: go test ./internal/core -run TestParallelRunAllDeterministic -update.
+var update = flag.Bool("update", false, "rewrite testdata/answers from the current output")
+
+// allHHJAnswers is the answer key: every experiment's tables at SF 100 with
+// the hybrid-hash column, exactly as `treebench -all -hhj -sf 100` prints
+// them below its header line.
+const allHHJAnswers = "../../testdata/answers/all-hhj-sf100.txt"
+
+// runAllBytes runs every registered experiment, with the hybrid-hash
+// extension, on a fresh runner with the given worker count and returns the
+// concatenated rendered tables.
 func runAllBytes(t *testing.T, jobs int) []byte {
 	t.Helper()
-	r, err := NewRunner(Config{SF: 100, Seed: 1997, Jobs: jobs})
+	r, err := NewRunner(Config{SF: 100, Seed: 1997, Jobs: jobs, EnableHHJ: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,24 +38,48 @@ func runAllBytes(t *testing.T, jobs int) []byte {
 	return buf.Bytes()
 }
 
+// firstDiffLine returns the 1-based line at which a and b first differ.
+func firstDiffLine(a, b []byte) int {
+	line := 1
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			break
+		}
+		if a[i] == '\n' {
+			line++
+		}
+	}
+	return line
+}
+
 // TestParallelRunAllDeterministic is the regression gate for all
-// concurrency work: every experiment run once sequentially and once under
-// the parallel scheduler must render byte-identical tables, because
-// elapsed time is simulated per dataset and never touches the wall clock.
+// concurrency work and the answer key across commits: every experiment run
+// sequentially must render exactly the committed answer key, and run again
+// under the parallel scheduler must render the same bytes, because elapsed
+// time is simulated per dataset and never touches the wall clock. A change
+// that moves an answer rewrites the key with -update and says why.
 func TestParallelRunAllDeterministic(t *testing.T) {
 	seq := runAllBytes(t, 1)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(allHHJAnswers), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(allHHJAnswers, seq, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(allHHJAnswers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seq, want) {
+		t.Fatalf("sequential output diverges from the answer key %s at line %d\nsequential %d bytes, answer key %d bytes",
+			allHHJAnswers, firstDiffLine(seq, want), len(seq), len(want))
+	}
 	par := runAllBytes(t, 4)
 	if !bytes.Equal(seq, par) {
-		line := 1
-		for i := range seq {
-			if i >= len(par) || seq[i] != par[i] {
-				break
-			}
-			if seq[i] == '\n' {
-				line++
-			}
-		}
-		t.Fatalf("parallel (-j 4) output diverges from sequential at line %d\nsequential %d bytes, parallel %d bytes", line, len(seq), len(par))
+		t.Fatalf("parallel (-j 4) output diverges from sequential at line %d\nsequential %d bytes, parallel %d bytes",
+			firstDiffLine(seq, par), len(seq), len(par))
 	}
 	if len(seq) == 0 {
 		t.Fatal("RunAll produced no output")
