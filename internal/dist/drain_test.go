@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func gatedShard(t *testing.T, shardAddr string, started chan<- struct{}, gate <-
 
 // TestCoordinatorGracefulDrain mirrors the server's TestGracefulDrain on
 // the coordinator: during a drain new connections are refused, the idle
-// connection is disconnected and takes no more requests, the in-flight
+// connection refuses its next request with CodeShutdown, the in-flight
 // distributed query still delivers its full result, and a second Serve is
 // refused.
 func TestCoordinatorGracefulDrain(t *testing.T) {
@@ -118,10 +119,12 @@ func TestCoordinatorGracefulDrain(t *testing.T) {
 	if _, err := client.Dial(addr, client.Options{ConnectTimeout: 500 * time.Millisecond}); err == nil {
 		t.Fatal("dial succeeded during drain")
 	}
-	// A request arriving mid-drain is refused: the idle connection was
-	// force-closed (CodeShutdown is for one that slips in ahead of that).
-	if err := idle.Ping(); err == nil {
-		t.Fatal("idle connection survived drain")
+	// A request arriving mid-drain is refused, with the code that says
+	// why: the drain woke the idle connection, which answers CodeShutdown
+	// before it closes.
+	var se *client.ServerError
+	if err := idle.Ping(); !errors.As(err, &se) || se.Code != wire.CodeShutdown {
+		t.Fatalf("idle connection during drain: want CodeShutdown, got %v", err)
 	}
 
 	close(gate)

@@ -4,6 +4,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -139,6 +140,11 @@ type Session struct {
 	// behavior is unchanged. Both survive ColdRestart (the mask is part of
 	// the session's identity, not its cache state); see parallel.go.
 	shardIdx, shardCnt int
+
+	// ctx is the execution's deadline and done its cached Done channel
+	// (nil: none), installed like the shard mask; see SetContext.
+	ctx  context.Context
+	done <-chan struct{}
 
 	// readOnly marks a session that shares frozen pages it must never
 	// mutate: the builder after Freeze, and every Snapshot.Fork. The guard

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -161,6 +162,7 @@ func (f *Session) bind(db *Session) {
 	f.extents, f.indexes, f.nextIdx = db.extents, db.indexes, db.nextIdx
 	f.roots, f.relationships = db.roots, db.relationships
 	f.indexBackend, f.batch = db.indexBackend, db.batch
+	f.ctx, f.done = db.ctx, db.done
 	f.Meter.SetSlimHandles(db.Meter.SlimHandles())
 	f.Client.SetReadAhead(db.Client.ReadAheadBatch())
 }
@@ -218,6 +220,22 @@ func (db *Session) SetShard(s, N int) {
 // shards <= 1 means unmasked.
 func (db *Session) Shard() (int, int) { return db.shardIdx, db.shardCnt }
 
+// SetContext installs ctx as the deadline of the executions that follow
+// (context.Background clears it); RunChunks' forks inherit it.
+func (db *Session) SetContext(ctx context.Context) { db.ctx, db.done = ctx, ctx.Done() }
+
+// Err is the check operators make before each chunk, at each delivered
+// batch and per outer row of a handle-at-a-time join: nil while the context
+// is live (a non-blocking receive on its cached Done channel) or absent.
+func (db *Session) Err() error {
+	select {
+	case <-db.done:
+		return db.ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // ownedChunks returns the session's owned block of an n-chunk decomposition.
 func (db *Session) ownedChunks(n int) (lo, hi int) {
 	return ShardChunks(n, db.shardIdx, db.shardCnt)
@@ -244,7 +262,8 @@ func (db *Session) ownedChunks(n int) (lo, hi int) {
 // on one goroutine — same chunks, same forks, same numbers, no races.
 //
 // On error, the error of the lowest-indexed failed chunk is returned, so the
-// reported failure is deterministic too.
+// reported failure is deterministic too. A chunk whose turn comes after the
+// session's context is done does not run: it fails with Err.
 func (db *Session) RunChunks(n int, fn func(w *Session, chunk int) error) error {
 	return db.runChunks(n, false, fn)
 }
@@ -264,6 +283,9 @@ func (db *Session) RunChunksAll(n int, fn func(w *Session, chunk int) error) err
 func (db *Session) runChunks(n int, all bool, fn func(w *Session, chunk int) error) error {
 	lo, hi := db.ownedChunks(n)
 	if n <= 1 {
+		if err := db.Err(); err != nil {
+			return err
+		}
 		if lo < hi {
 			return fn(db, 0) // owner: the exact sequential path
 		}
@@ -294,33 +316,24 @@ func (db *Session) runChunks(n int, all bool, fn func(w *Session, chunk int) err
 		// Otherwise unowned and side-effect-free: does not run.
 	}
 	errs := make([]error, n)
-	if workers <= 1 {
-		for i := range forks {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			if forks[i] != nil {
-				errs[i] = fn(forks[i], i)
+				if errs[i] = db.Err(); errs[i] == nil {
+					errs[i] = fn(forks[i], i)
+				}
 			}
 		}
-	} else {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= n {
-						return
-					}
-					if forks[i] != nil {
-						errs[i] = fn(forks[i], i)
-					}
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	for w := 1; w < workers; w++ {
+		go work() // the calling goroutine is the last worker
+	}
+	work()
+	wg.Wait()
 	meters := make([]*sim.Meter, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		meters = append(meters, forks[i].Meter)

@@ -97,7 +97,7 @@ func runHHJ(env *Env, q Query) (*Result, error) {
 	region0 := sim.NewRegion(meter, db.Machine.HashBudget)
 	provParts := make([][]provTuple, parts)
 	provSpill := spillWriter(provTupleBytes)
-	err = upinIdx.Backend.Scan(db.Client, 1, k2, func(e index.Entry) (bool, error) {
+	err = scanRows(db, upinIdx, 1, k2, func(e index.Entry) (bool, error) {
 		ph, err := db.Handles.Get(e.Rid)
 		if err != nil {
 			return false, err
@@ -130,7 +130,7 @@ func runHHJ(env *Env, q Query) (*Result, error) {
 	// immediately, the rest spill.
 	patParts := make([][]patTuple, parts)
 	patSpill := spillWriter(patTupleBytes)
-	err = mrnIdx.Backend.Scan(db.Client, 1, k1, func(e index.Entry) (bool, error) {
+	err = scanRows(db, mrnIdx, 1, k1, func(e index.Entry) (bool, error) {
 		pa, err := db.Handles.Get(e.Rid)
 		if err != nil {
 			return false, err

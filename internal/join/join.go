@@ -268,7 +268,7 @@ func runNL(env *Env, q Query) (*Result, error) {
 		pf := w.Handles.Fetcher() // providers
 		cf := w.Handles.Fetcher() // patients
 		prids := make([]storage.Rid, 0, bsize)
-		return upinIdx.Backend.ScanBatched(w.Client, ranges[c].Lo, ranges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, upinIdx, ranges[c], func(entries []index.Entry) (bool, error) {
 			var ch sim.BatchCharges
 			for _, e := range entries {
 				pf.Invalidate() // chunk/patient reads intervened
@@ -355,7 +355,7 @@ func runNOJOIN(env *Env, q Query) (*Result, error) {
 	meter := db.Meter
 	k1, k2 := q.K1, q.K2
 	res := &Result{}
-	err = mrnIdx.Backend.Scan(db.Client, 1, k1, func(e index.Entry) (bool, error) {
+	err = scanRows(db, mrnIdx, 1, k1, func(e index.Entry) (bool, error) {
 		pa, err := db.Handles.Get(e.Rid)
 		if err != nil {
 			return false, err
@@ -433,7 +433,6 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	bsize := db.Batch()
 
 	// Build: index scan over providers in upin (physical) order; the hash
 	// function scatters the writes across the table.
@@ -450,7 +449,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 		table := make(map[storage.Rid]providerInfo)
 		tables[c] = table
 		f := w.Handles.Fetcher()
-		err := upinIdx.Backend.ScanBatched(w.Client, buildRanges[c].Lo, buildRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+		err := scanBatches(w, upinIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.BatchCharges
 			for _, e := range entries {
@@ -504,7 +503,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 		region := sim.NewRegion(w.Meter, db.Machine.HashBudget)
 		region.Grow(totalSize)
 		f := w.Handles.Fetcher()
-		return mrnIdx.Backend.ScanBatched(w.Client, probeRanges[c].Lo, probeRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, mrnIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.BatchCharges
 			for _, e := range entries {
@@ -570,7 +569,6 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	bsize := db.Batch()
 
 	// Build: one group entry per provider present, one child entry per
 	// selected patient; the groups' chunks scatter as patients arrive in
@@ -585,7 +583,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 		table := make(map[storage.Rid][]int64) // provider rid → patient ages
 		tables[c] = table
 		f := w.Handles.Fetcher()
-		return mrnIdx.Backend.ScanBatched(w.Client, buildRanges[c].Lo, buildRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, mrnIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.BatchCharges
 			for _, e := range entries {
@@ -649,7 +647,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 		region := sim.NewRegion(w.Meter, db.Machine.HashBudget)
 		region.Grow(totalSize)
 		f := w.Handles.Fetcher()
-		return upinIdx.Backend.ScanBatched(w.Client, probeRanges[c].Lo, probeRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, upinIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.BatchCharges
 			for _, e := range entries {

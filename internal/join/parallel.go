@@ -1,6 +1,9 @@
 package join
 
-import "treebench/internal/engine"
+import (
+	"treebench/internal/engine"
+	"treebench/internal/index"
+)
 
 // Chunked execution support. Every parallelized driver decomposes its index
 // scans into contiguous key subranges with chunkKeyRanges and runs them
@@ -43,6 +46,28 @@ func chunkScan(lo, hi, weight int64) []keyRange {
 		weight = 1
 	}
 	return chunkKeyRanges(lo, hi, engine.ChunksForWork((hi-lo)*weight))
+}
+
+// scanBatches runs ix's batched scan of r on w, w.Batch() entries at a
+// time, and stops at w's deadline before each delivered batch.
+func scanBatches(w *engine.Session, ix *engine.Index, r keyRange, fn func([]index.Entry) (bool, error)) error {
+	return ix.Backend.ScanBatched(w.Client, r.Lo, r.Hi, w.Batch(), func(entries []index.Entry) (bool, error) {
+		if err := w.Err(); err != nil {
+			return false, err
+		}
+		return fn(entries)
+	})
+}
+
+// scanRows runs ix's scan of [lo, hi) on db, one entry at a time, and stops
+// at db's deadline before each row.
+func scanRows(db *engine.Session, ix *engine.Index, lo, hi int64, fn func(index.Entry) (bool, error)) error {
+	return ix.Backend.Scan(db.Client, lo, hi, func(e index.Entry) (bool, error) {
+		if err := db.Err(); err != nil {
+			return false, err
+		}
+		return fn(e)
+	})
 }
 
 // sumTuples folds the chunks' partial results into res in chunk-index order.

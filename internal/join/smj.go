@@ -50,7 +50,6 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	bsize := db.Batch()
 
 	// Build the provider run: the key range is chunked, and concatenating
 	// the chunks' partial runs in chunk order reproduces the sequential
@@ -59,7 +58,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	provParts := make([][]provTuple, len(provRanges))
 	err = db.RunChunks(len(provRanges), func(w *engine.Session, c int) error {
 		f := w.Handles.Fetcher()
-		return upinIdx.Backend.ScanBatched(w.Client, provRanges[c].Lo, provRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, upinIdx, provRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.BatchCharges
 			for _, e := range entries {
@@ -93,7 +92,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	patParts := make([][]patTuple, len(patRanges))
 	err = db.RunChunks(len(patRanges), func(w *engine.Session, c int) error {
 		f := w.Handles.Fetcher()
-		return mrnIdx.Backend.ScanBatched(w.Client, patRanges[c].Lo, patRanges[c].Hi, bsize, func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, mrnIdx, patRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.BatchCharges
 			for _, e := range entries {

@@ -38,7 +38,7 @@ func runVNOJOIN(env *Env, q Query) (*Result, error) {
 	meter := db.Meter
 	k1, k2 := q.K1, q.K2
 	res := &Result{}
-	err = mrnIdx.Backend.Scan(db.Client, 1, k1, func(e index.Entry) (bool, error) {
+	err = scanRows(db, mrnIdx, 1, k1, func(e index.Entry) (bool, error) {
 		pa, err := db.Handles.Get(e.Rid)
 		if err != nil {
 			return false, err

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -19,8 +20,8 @@ import (
 //
 // Durability protocol per commit, serialized under applyMu:
 //
-//	fork head → apply wave → publish delta → enqueue WAL record →
-//	stamp lineage → append to chain
+//	fork head → apply wave → publish delta → check deadline →
+//	enqueue WAL record → stamp lineage → append to chain
 //
 // Wait happens outside the lock, so concurrent writers pile into the
 // log's group commit: N commits, one fsync. The wave applied at version
@@ -142,12 +143,21 @@ func (s *ChainStore) Pin() *derby.Snapshot {
 // Unpin releases a snapshot returned by Pin.
 func (s *ChainStore) Unpin(snap *derby.Snapshot) { s.chain.Unpin(snap.Engine) }
 
-// Update commits the next update wave: fork the head, apply wave
+// Update is UpdateContext with no deadline.
+func (s *ChainStore) Update() (*derby.WaveReport, *derby.Snapshot, error) {
+	return s.UpdateContext(context.Background())
+}
+
+// UpdateContext commits the next update wave: fork the head, apply wave
 // (head.version+1), publish the delta, log it, and install the result as
 // the new head. It returns once the commit record is durable (fsynced,
 // possibly sharing the sync with concurrent commits). The returned
 // snapshot is the newly committed version.
-func (s *ChainStore) Update() (*derby.WaveReport, *derby.Snapshot, error) {
+//
+// ctx's deadline is checked once, under applyMu just before the WAL
+// enqueue, never after: a commit that misses it leaves no version, and one
+// whose record got into the log returns its result.
+func (s *ChainStore) UpdateContext(ctx context.Context) (*derby.WaveReport, *derby.Snapshot, error) {
 	s.applyMu.Lock()
 	parent := s.chain.Head()
 	version := parent.Version() + 1
@@ -163,6 +173,10 @@ func (s *ChainStore) Update() (*derby.WaveReport, *derby.Snapshot, error) {
 		return nil, nil, err
 	}
 	payload := EncodeCommit(version, version, delta, s.book.WithEngine(sn).State())
+	if err := ctx.Err(); err != nil {
+		s.applyMu.Unlock()
+		return nil, nil, err
+	}
 	p, err := s.log.Enqueue(payload)
 	if err != nil {
 		s.applyMu.Unlock()

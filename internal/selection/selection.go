@@ -236,15 +236,18 @@ func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs 
 }
 
 // flushBatch evaluates one filled batch, merges ch — the caller's per-record
-// charges plus what evalBatch adds — into the meter as ONE delta, hands the
+// charges plus what evalBatch adds — into w's meter as ONE delta, hands the
 // selected rows to the request's callback and empties the batch. It returns
-// the number of selected rows.
-func flushBatch(m *sim.Meter, b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, ch sim.BatchCharges, chunk int) (int, error) {
+// the number of selected rows, or stops the scan at w's deadline.
+func flushBatch(w *engine.Session, b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, ch sim.BatchCharges, chunk int) (int, error) {
+	if err := w.Err(); err != nil {
+		return 0, err
+	}
 	selected, err := evalBatch(b, req, whereIdx, filterIdxs, projIdxs, &ch)
 	if err != nil {
 		return 0, err
 	}
-	m.ChargeBatch(ch)
+	w.Meter.ChargeBatch(ch)
 	if selected > 0 && req.OnBatch != nil {
 		err = req.OnBatch(chunk, b.Cols, selected)
 	}
@@ -286,7 +289,7 @@ func runFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pro
 				return nil
 			}
 			ch := sim.BatchCharges{ScanNexts: n, ClientHits: n, HandleGets: n, HandleUnrefs: n}
-			selected, err := flushBatch(w.Meter, b, req, whereIdx, filterIdxs, projIdxs, ch, c)
+			selected, err := flushBatch(w, b, req, whereIdx, filterIdxs, projIdxs, ch, c)
 			rows[c] += selected
 			return err
 		}
@@ -384,7 +387,7 @@ func runIndexScan(db *engine.Database, req Request, filterIdxs, projIdxs []int, 
 		// The index already enforced Where (whereIdx -1): only the filters
 		// run per fetched record.
 		ch := sim.BatchCharges{HandleGets: n, HandleUnrefs: n}
-		selected, err := flushBatch(db.Meter, b, req, -1, filterIdxs, projIdxs, ch, 0)
+		selected, err := flushBatch(db, b, req, -1, filterIdxs, projIdxs, ch, 0)
 		res.Rows += selected
 		return err
 	}

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
+	"treebench/internal/derby"
 	"treebench/internal/index"
 	"treebench/internal/oql"
 	"treebench/internal/session"
@@ -23,16 +25,6 @@ type conn struct {
 	// connection's goroutine touches either.
 	sess   *session.Session
 	warmed bool
-}
-
-// reply is the answer frame one execution produced.
-type reply struct {
-	typ     byte
-	payload []byte
-}
-
-func errorReply(code byte, err error) reply {
-	return reply{wire.TypeError, (&wire.Error{Code: code, Msg: err.Error()}).Encode()}
 }
 
 // handle dispatches one request, reporting whether the session survives it.
@@ -91,59 +83,45 @@ func (c *conn) session() (*session.Session, error) {
 }
 
 // run is the one path of every request that occupies an admission slot:
-// admit within the deadline, execute on a goroutine of its own, and return
-// the reply to send — exec's, or an error reply when admission failed or
-// the deadline passed first.
-func (c *conn) run(deadline time.Time, exec func() reply) reply {
+// admit within the request's QueryTimeout deadline, then run exec on this
+// goroutine under the same deadline, which the engine and the chain store
+// honour, and free the slot before the caller answers. A refused admission
+// returns its wire code and exec does not run; otherwise code is 0.
+func (c *conn) run(exec func(ctx context.Context) error) (code byte, err error) {
 	s := c.srv
-	release, code, err := s.admit(deadline)
-	if err != nil {
-		return errorReply(code, err)
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.QueryTimeout)
+	defer cancel()
+	if code, err := s.admit(ctx); err != nil {
+		return code, err
 	}
-	done := make(chan reply, 1)
-	s.execWg.Add(1)
-	s.busy.Add(1)
-	go func() {
-		defer s.execWg.Done()
-		defer s.busy.Add(-1)
-		if s.beforeExecute != nil {
-			s.beforeExecute()
-		}
-		done <- exec()
-	}()
+	defer func() { <-s.sem }()
+	if s.beforeExecute != nil {
+		s.beforeExecute(ctx)
+	}
+	return 0, exec(ctx)
+}
 
-	t := time.NewTimer(time.Until(deadline))
-	defer t.Stop()
-	select {
-	case rep := <-done:
-		release()
-		return rep
-	case <-t.C:
-		// The engine cannot be interrupted mid-request: answer the client
-		// now and abandon the session to the stray execution — the next
-		// query forks a fresh one (cheap, thanks to the snapshot), so the
-		// connection never observes the abandoned run's cache state. A
-		// reaper frees the admission slot when the execution finishes. (An
-		// abandoned commit still completes durably — the store serializes
-		// it; only this client stops waiting.)
+// fail answers a request run refused or whose execution failed. One its
+// deadline stopped answers CodeTimeout and drops the session it left
+// mid-query, so the connection's next request forks a fresh one.
+func (c *conn) fail(code byte, err error) bool {
+	switch {
+	case code != 0:
+		return c.SendError(code, err)
+	case errors.Is(err, context.DeadlineExceeded):
 		c.sess = nil
 		c.warmed = false
-		s.Metrics.timeout()
-		s.execWg.Add(1)
-		go func() {
-			defer s.execWg.Done()
-			<-done
-			release()
-		}()
-		return errorReply(wire.CodeTimeout,
-			fmt.Errorf("server: query exceeded its %s budget", s.cfg.QueryTimeout))
+		c.srv.Metrics.timedOut.Add(1)
+		return c.SendError(wire.CodeTimeout, fmt.Errorf("server: query exceeded its %s budget", c.srv.cfg.QueryTimeout))
+	default:
+		return c.SendError(wire.CodeQuery, err)
 	}
 }
 
 // measure runs one statement's execution on sess under the requested
 // optimizer strategy and records what it cost: both latencies, the plan's
 // provenance, and what it added to the session's plan-cache and
-// index-backend counters.
+// index-backend counters (a stopped statement counts as a timeout, in fail).
 func (s *Server) measure(sess *session.Session, strategy byte, exec func() (*oql.Result, error)) (*oql.Result, error) {
 	start := time.Now()
 	sess.Planner.Strategy = oql.CostBased
@@ -163,7 +141,9 @@ func (s *Server) measure(sess *session.Session, strategy byte, exec func() (*oql
 		PagesWritten: backend.PagesWritten - backend0.PagesWritten,
 	})
 	if err != nil {
-		s.Metrics.Failed()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			s.Metrics.Failed()
+		}
 		return nil, err
 	}
 	s.Metrics.Served(res.Plan, time.Since(start), res.Elapsed)
@@ -173,10 +153,9 @@ func (s *Server) measure(sess *session.Session, strategy byte, exec func() (*oql
 // query executes and answers one Query request.
 func (c *conn) query(q *wire.Query) bool {
 	s := c.srv
-	deadline := time.Now().Add(s.cfg.QueryTimeout)
 	sess, err := c.session()
 	if err != nil {
-		s.Metrics.reject()
+		s.Metrics.rejected.Add(1)
 		return c.SendError(wire.CodeBusy, err)
 	}
 	// A connection's first warm query starts from a cold restart: the warm
@@ -187,15 +166,16 @@ func (c *conn) query(q *wire.Query) bool {
 		sess.DB.ColdRestart()
 	}
 	c.warmed = q.Warm
-	rep := c.run(deadline, func() reply {
+	var res *oql.Result
+	code, err := c.run(func(ctx context.Context) (err error) {
 		sess.Cold = !q.Warm
-		res, err := s.measure(sess, q.Strategy, func() (*oql.Result, error) { return sess.Execute(q.Stmt) })
-		if err != nil {
-			return errorReply(wire.CodeQuery, err)
-		}
-		return reply{wire.TypeResult, session.ToWire(res, int(q.MaxRows)).Encode()}
+		res, err = s.measure(sess, q.Strategy, func() (*oql.Result, error) { return sess.ExecuteContext(ctx, q.Stmt) })
+		return err
 	})
-	return c.Send(rep.typ, rep.payload)
+	if err != nil {
+		return c.fail(code, err)
+	}
+	return c.Send(wire.TypeResult, session.ToWire(res, int(q.MaxRows)).Encode())
 }
 
 // scatter executes and answers one shard-slice request. The slice always
@@ -208,65 +188,70 @@ func (c *conn) scatter(sc *wire.Scatter) bool {
 		return c.SendError(wire.CodeShard, fmt.Errorf("server: scatter addressed to shard %d/%d but this is shard %d/%d",
 			sc.ShardIdx, sc.ShardCnt, s.cfg.ShardIdx, s.cfg.ShardCnt))
 	}
-	deadline := time.Now().Add(s.cfg.QueryTimeout)
 	sess, err := c.session()
 	if err != nil {
-		s.Metrics.reject()
+		s.Metrics.rejected.Add(1)
 		return c.SendError(wire.CodeBusy, err)
 	}
 	// A scatter cold-restarts, which invalidates any warm sequence the
 	// connection had going.
 	c.warmed = false
-	rep := c.run(deadline, func() reply {
-		res, err := s.measure(sess, sc.Strategy, func() (*oql.Result, error) {
-			return sess.ExecutePartial(sc.Stmt, int(sc.ShardIdx), int(sc.ShardCnt))
+	var res *oql.Result
+	code, err := c.run(func(ctx context.Context) (err error) {
+		res, err = s.measure(sess, sc.Strategy, func() (*oql.Result, error) {
+			return sess.ExecutePartial(ctx, sc.Stmt, int(sc.ShardIdx), int(sc.ShardCnt))
 		})
-		if err != nil {
-			return errorReply(wire.CodeQuery, err)
-		}
-		return reply{wire.TypePartial, session.ToPartial(res).Encode()}
+		return err
 	})
-	return c.Send(rep.typ, rep.payload)
+	if err != nil {
+		return c.fail(code, err)
+	}
+	return c.Send(wire.TypePartial, session.ToPartial(res).Encode())
 }
 
 // commit applies and durably logs the next update wave on the chain store,
 // then answers with the new version's lineage. Commits go through the same
 // admission gate as queries (a commit occupies one slot) but are not
 // recorded in the query latency metrics — the chain store keeps its own
-// counters, surfaced through Stats.
+// counters, surfaced through Stats. A commit its deadline stopped left no
+// version: the store checks the deadline before the record reaches the WAL.
 func (c *conn) commit() bool {
 	s := c.srv
 	if s.cfg.Store == nil {
 		return c.SendError(wire.CodeReadOnly, errors.New("server: read-only: no WAL-backed chain store configured"))
 	}
-	rep := c.run(time.Now().Add(s.cfg.QueryTimeout), func() reply {
+	var (
+		wave *derby.WaveReport
+		sn   *derby.Snapshot
+		wall time.Duration
+	)
+	code, err := c.run(func(ctx context.Context) (err error) {
 		start := time.Now()
-		wave, sn, err := s.cfg.Store.Update()
-		if err != nil {
-			return errorReply(wire.CodeQuery, err)
-		}
-		// Clone zeroes backend counters, so the new head carries exactly
-		// this wave's flushes, compactions and probes.
-		s.Metrics.recordDeltas(0, 0, sn.Engine.BackendCounters())
-		return reply{wire.TypeCommitResult, (&wire.CommitResult{
-			Version:    sn.Engine.Version(),
-			Wave:       wave.Wave,
-			Reassigned: int64(wave.Reassigned),
-			Scalars:    int64(wave.Scalars),
-			Evolved:    wave.Evolved,
-			Upgraded:   int64(wave.Upgraded),
-			Relocated:  int64(wave.Relocated),
-			DeltaPages: int64(sn.Engine.DeltaPages()),
-			WalOff:     sn.Engine.WalOff(),
-			WallUs:     time.Since(start).Microseconds(),
-		}).Encode()}
+		wave, sn, err = s.cfg.Store.UpdateContext(ctx)
+		wall = time.Since(start)
+		return err
 	})
-	if rep.typ == wire.TypeCommitResult {
-		// Drop the cached session so this connection's next query forks
-		// from the head it just committed. Other connections keep the
-		// version they pinned — that is the MVCC contract.
-		c.sess = nil
-		c.warmed = false
+	if err != nil {
+		return c.fail(code, err)
 	}
-	return c.Send(rep.typ, rep.payload)
+	// Clone zeroes backend counters, so the new head carries exactly this
+	// wave's flushes, compactions and probes.
+	s.Metrics.recordDeltas(0, 0, sn.Engine.BackendCounters())
+	// Drop the cached session so this connection's next query forks from
+	// the head it just committed. Other connections keep the version they
+	// pinned — that is the MVCC contract.
+	c.sess = nil
+	c.warmed = false
+	return c.Send(wire.TypeCommitResult, (&wire.CommitResult{
+		Version:    sn.Engine.Version(),
+		Wave:       wave.Wave,
+		Reassigned: int64(wave.Reassigned),
+		Scalars:    int64(wave.Scalars),
+		Evolved:    wave.Evolved,
+		Upgraded:   int64(wave.Upgraded),
+		Relocated:  int64(wave.Relocated),
+		DeltaPages: int64(sn.Engine.DeltaPages()),
+		WalOff:     sn.Engine.WalOff(),
+		WallUs:     wall.Microseconds(),
+	}).Encode())
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // ServePprof serves the default mux
 	"os"
@@ -56,38 +57,41 @@ func ServePprof(name, addr string) {
 	if addr == "" {
 		return
 	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: pprof: %v\n", name, err)
-		}
-	}()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: pprof: %v\n", name, err)
+		return
+	}
+	go http.Serve(ln, nil)
 }
 
 // RunDaemon serves on addr until the listener fails or SIGINT/SIGTERM
 // arrives, then drains within grace: in-flight requests finish and flush
 // before it returns. name prefixes the lifecycle lines on stdout — the
-// "serving" line is what scripts wait on.
+// "serving" line, printed once the address is bound, is what scripts wait
+// on.
 func (f *Frames) RunDaemon(name, addr string, grace time.Duration) error {
-	errc := make(chan error, 1)
-	go func() { errc <- f.ListenAndServe(addr) }()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%s: serving %s on %s\n", name, f.Hello.Label, addr)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		if err == ErrServerClosed {
-			return nil
-		}
-		return err
-	case sig := <-sigc:
-		fmt.Printf("%s: %s, draining...\n", name, sig)
+	sig, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	drained := make(chan error, 1)
+	defer context.AfterFunc(sig, func() {
+		fmt.Printf("%s: signalled, draining...\n", name)
 		ctx, cancel := context.WithTimeout(context.Background(), grace)
 		defer cancel()
-		if err := f.Shutdown(ctx); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		fmt.Printf("%s: drained, bye\n", name)
-		return nil
+		drained <- f.Shutdown(ctx)
+	})()
+	if err := f.Serve(ln); err != ErrServerClosed {
+		return err
 	}
+	if err := <-drained; err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	fmt.Printf("%s: drained, bye\n", name)
+	return nil
 }

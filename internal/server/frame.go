@@ -33,31 +33,24 @@ type Frames struct {
 	// connection survives it — and an optional hook run when the connection
 	// closes.
 	Open func(c *Conn) (handle func(typ byte, payload []byte) bool, closed func())
-	// Drain, when non-nil, is waited for by Shutdown after every connection
-	// has closed: work that outlives the connection that started it.
-	Drain func()
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 	// Metrics counts connections here and whatever the handlers record.
 	Metrics Metrics
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*Conn]struct{}
-	draining bool
-	wg       sync.WaitGroup // connections
+	mu      sync.Mutex
+	ln      net.Listener
+	conns   map[*Conn]struct{}
+	drained chan struct{} // made as the drain begins, closed as the last connection goes
 }
 
-// Conn is one accepted connection. Requests are handled strictly in order
-// and only the connection's goroutine writes to the socket, so responses
-// need no write lock.
+// Conn is one accepted connection. Requests are handled strictly in order,
+// each on the connection's goroutine, and only that goroutine writes to the
+// socket, so responses need no write lock.
 type Conn struct {
 	f  *Frames
 	c  net.Conn
 	bw *bufio.Writer
-	// busy (guarded by f.mu) marks a request in flight; Shutdown only
-	// force-closes idle connections.
-	busy bool
 }
 
 func (f *Frames) logf(format string, args ...any) {
@@ -66,20 +59,11 @@ func (f *Frames) logf(format string, args ...any) {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (f *Frames) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return f.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown, which closes ln and makes
 // Serve return ErrServerClosed once the listener unblocks.
 func (f *Frames) Serve(ln net.Listener) error {
 	f.mu.Lock()
-	if f.draining {
+	if f.drained != nil {
 		f.mu.Unlock()
 		ln.Close()
 		return ErrServerClosed
@@ -100,14 +84,13 @@ func (f *Frames) Serve(ln net.Listener) error {
 		}
 		c := &Conn{f: f, c: nc, bw: bufio.NewWriter(nc)}
 		f.mu.Lock()
-		if f.draining {
+		if f.drained != nil {
 			f.mu.Unlock()
 			nc.Close()
 			continue
 		}
 		f.conns[c] = struct{}{}
 		f.mu.Unlock()
-		f.wg.Add(1)
 		go c.serve()
 	}
 }
@@ -115,36 +98,32 @@ func (f *Frames) Serve(ln net.Listener) error {
 func (f *Frames) isDraining() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.draining
+	return f.drained != nil
 }
 
-// Shutdown drains: it stops accepting, disconnects idle connections, lets
-// in-flight requests finish and flush their responses, and returns when
-// everything is done (or ctx expires first).
+// Shutdown drains: it stops accepting, wakes every connection's pending
+// read with a deadline — not a close, so a woken connection still answers
+// CodeShutdown on its way out — lets in-flight requests finish and flush
+// their responses, and returns once every connection has closed (or ctx
+// expires first).
 func (f *Frames) Shutdown(ctx context.Context) error {
 	f.mu.Lock()
-	if !f.draining {
-		f.draining = true
+	if f.drained == nil {
+		f.drained = make(chan struct{})
 		if f.ln != nil {
 			f.ln.Close()
 		}
 		for c := range f.conns {
-			if !c.busy {
-				c.c.Close()
-			}
+			c.c.SetReadDeadline(time.Now())
+		}
+		if len(f.conns) == 0 {
+			close(f.drained)
 		}
 	}
+	drained := f.drained
 	f.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		f.wg.Wait()
-		if f.Drain != nil {
-			f.Drain()
-		}
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-drained:
 		f.logf("drained")
 		return nil
 	case <-ctx.Done():
@@ -154,15 +133,17 @@ func (f *Frames) Shutdown(ctx context.Context) error {
 
 func (c *Conn) serve() {
 	f := c.f
-	defer f.wg.Done()
 	defer func() {
+		c.c.Close()
 		f.mu.Lock()
 		delete(f.conns, c)
+		if f.drained != nil && len(f.conns) == 0 {
+			close(f.drained)
+		}
 		f.mu.Unlock()
-		c.c.Close()
 	}()
-	f.Metrics.sessionOpened()
-	defer f.Metrics.sessionClosed()
+	f.Metrics.sessions.Add(1)
+	defer f.Metrics.sessions.Add(-1)
 
 	if !c.handshake() {
 		return
@@ -171,40 +152,19 @@ func (c *Conn) serve() {
 	if closed != nil {
 		defer closed()
 	}
-	for {
+	// A drain wakes the pending read (or began during the handshake, which
+	// may have cleared the wake-up), or the frame just read arrived as it
+	// began: either way the client is told why before the connection closes.
+	for !f.isDraining() {
 		typ, payload, err := wire.ReadFrame(c.c)
-		if err != nil {
-			return // disconnect (or force-close during drain)
+		if f.isDraining() {
+			break
 		}
-		if !c.beginRequest() {
-			c.SendError(wire.CodeShutdown, errors.New("server is draining"))
-			return
-		}
-		ok := handle(typ, payload)
-		if !c.endRequest() || !ok {
-			return
+		if err != nil || !handle(typ, payload) {
+			return // disconnect, or a request the connection does not survive
 		}
 	}
-}
-
-// beginRequest marks the connection busy, refusing new work while draining.
-func (c *Conn) beginRequest() bool {
-	c.f.mu.Lock()
-	defer c.f.mu.Unlock()
-	if c.f.draining {
-		return false
-	}
-	c.busy = true
-	return true
-}
-
-// endRequest clears busy, reporting whether the connection should continue
-// (false during drain: the response is flushed, then the connection closes).
-func (c *Conn) endRequest() bool {
-	c.f.mu.Lock()
-	defer c.f.mu.Unlock()
-	c.busy = false
-	return !c.f.draining
+	c.SendError(wire.CodeShutdown, errors.New("server is draining"))
 }
 
 func (c *Conn) handshake() bool {

@@ -3,6 +3,7 @@ package server
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"treebench/internal/histogram"
@@ -23,12 +24,13 @@ const latencyWindow = 1 << 16
 // deterministic per query mix — while the wall population shows what the
 // host actually did. The zero value is ready to use.
 type Metrics struct {
+	// sessions counts open connections; rejected and timedOut count
+	// requests refused admission and stopped by their deadline.
+	sessions, rejected, timedOut atomic.Int64
+
 	mu          sync.Mutex
 	served      int64
 	queryErrors int64
-	rejected    int64
-	timedOut    int64
-	sessions    int64
 	planHits    int64  // plan-cache hits across all sessions
 	planMisses  int64  // plan-cache misses (compiles) across all sessions
 	plansCost   int64  // executed queries planned cost-based
@@ -45,30 +47,6 @@ type Metrics struct {
 	// backend accumulates per-query index-backend counter deltas (bloom
 	// probes, SSTables read, compactions, pages written) across sessions.
 	backend index.BackendCounters
-}
-
-func (m *Metrics) sessionOpened() {
-	m.mu.Lock()
-	m.sessions++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) sessionClosed() {
-	m.mu.Lock()
-	m.sessions--
-	m.mu.Unlock()
-}
-
-func (m *Metrics) reject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) timeout() {
-	m.mu.Lock()
-	m.timedOut++
-	m.mu.Unlock()
 }
 
 // recordDeltas rolls what one execution added to its session's plan-cache
@@ -123,9 +101,9 @@ func (m *Metrics) Stats() *wire.Stats {
 	s := &wire.Stats{
 		Served:          m.served,
 		QueryErrors:     m.queryErrors,
-		Rejected:        m.rejected,
-		TimedOut:        m.timedOut,
-		ActiveSessions:  m.sessions,
+		Rejected:        m.rejected.Load(),
+		TimedOut:        m.timedOut.Load(),
+		ActiveSessions:  m.sessions.Load(),
 		PlanCacheHits:   m.planHits,
 		PlanCacheMisses: m.planMisses,
 		PlansCost:       m.plansCost,

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,11 +16,14 @@ import (
 	"treebench/internal/wire"
 )
 
-// TestRunTimeout drives the one request path's deadline branch through each
-// of its three callers: the client gets CodeTimeout, the timeout is
-// counted, the admission slot stays held by the stray execution and comes
-// back when it ends, and the connection's next query runs on a fresh
-// session.
+// TestRunTimeout drives the one request path's deadline through each of
+// its three callers. The hook holds the request until its deadline, and the
+// engine — or, for a commit, the chain store before the WAL — stops it
+// there: the client gets CodeTimeout and the timeout is counted; the
+// admission slot came back with the answer, so a second connection is
+// served at once instead of being refused CodeBusy; a commit left no
+// version, no commit and no WAL record; and the connection's next query
+// runs on a fresh session.
 func TestRunTimeout(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -40,7 +45,6 @@ func TestRunTimeout(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var armed atomic.Bool
-			gate := make(chan struct{})
 			srv, addr := startServer(t, func(c *Config) {
 				c.Sessions = 1
 				c.MaxQueue = 0
@@ -50,9 +54,9 @@ func TestRunTimeout(t *testing.T) {
 					c.Source = nil
 					c.Store = testStore(t)
 				}
-			}, func() {
+			}, func(ctx context.Context) {
 				if armed.Load() {
-					<-gate
+					<-ctx.Done()
 				}
 			})
 			cl, err := client.Dial(addr, client.Options{})
@@ -67,6 +71,7 @@ func TestRunTimeout(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			before := srv.Stats()
 
 			armed.Store(true)
 			var se *client.ServerError
@@ -74,35 +79,73 @@ func TestRunTimeout(t *testing.T) {
 				t.Fatalf("want CodeTimeout, got %v", err)
 			}
 			armed.Store(false)
-			if got := srv.Stats().TimedOut; got != 1 {
-				t.Fatalf("timed-out counter = %d, want 1", got)
-			}
 
-			// The stray execution still holds the only slot.
 			other, err := client.Dial(addr, client.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer other.Close()
-			if _, err := other.Query(testStmt, client.QueryOptions{}); !errors.As(err, &se) || se.Code != wire.CodeBusy {
-				t.Fatalf("want CodeBusy while the stray execution holds the slot, got %v", err)
+			if _, err := other.Query(testStmt, client.QueryOptions{}); err != nil {
+				t.Fatalf("second connection not served right after the timeout: %v", err)
 			}
-
-			close(gate)
-			for deadline := time.Now().Add(10 * time.Second); len(srv.sem) != 0; {
-				if time.Now().After(deadline) {
-					t.Fatal("admission slot not released after the stray execution ended")
-				}
-				time.Sleep(time.Millisecond)
+			after := srv.Stats()
+			if after.TimedOut != 1 {
+				t.Fatalf("timed-out counter = %d, want 1", after.TimedOut)
 			}
-			misses := srv.Stats().PlanCacheMisses
+			if after.HeadVersion != before.HeadVersion || after.Commits != before.Commits || after.WalRecords != before.WalRecords {
+				t.Fatalf("the timed-out request moved the chain: head %d -> %d, commits %d -> %d, WAL records %d -> %d",
+					before.HeadVersion, after.HeadVersion, before.Commits, after.Commits, before.WalRecords, after.WalRecords)
+			}
 			if _, err := cl.Query(testStmt, client.QueryOptions{}); err != nil {
-				t.Fatalf("query after timeout recovery: %v", err)
+				t.Fatalf("query after timeout: %v", err)
 			}
-			if got := srv.Stats().PlanCacheMisses; got != misses+1 {
-				t.Fatalf("plan-cache misses went %d -> %d: the abandoned session was reused", misses, got)
+			if got := srv.Stats().PlanCacheMisses; got != after.PlanCacheMisses+1 {
+				t.Fatalf("plan-cache misses went %d -> %d: the stopped session was reused", after.PlanCacheMisses, got)
 			}
 		})
+	}
+}
+
+// TestRequestStartsNoGoroutine: a request runs on its connection's
+// goroutine, so one in flight adds no goroutine over an idle connection.
+func TestRequestStartsNoGoroutine(t *testing.T) {
+	var armed atomic.Bool
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	_, addr := startServer(t, func(c *Config) { c.Sessions = 1 }, func(context.Context) {
+		if armed.Load() {
+			started <- struct{}{}
+			<-gate
+		}
+	})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// Fork the session and compile the plan first: what is measured is a
+	// steady-state request.
+	if _, err := cl.Query(testStmt, client.QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	send := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		<-send
+		_, err := cl.Query(testStmt, client.QueryOptions{})
+		done <- err
+	}()
+	idle := runtime.NumGoroutine()
+	close(send)
+	<-started
+	inFlight := runtime.NumGoroutine()
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if inFlight > idle {
+		t.Fatalf("%d goroutines with a request in flight, %d with the connection idle", inFlight, idle)
 	}
 }
 

@@ -21,19 +21,25 @@
 //     Sessions, queues at most MaxQueue waiters, and rejects beyond
 //     that; every request gets a wall-clock budget of QueryTimeout covering
 //     queue wait and execution. Query, Scatter and Commit all take the one
-//     admit → execute → answer-or-abandon path in conn.run.
+//     admit → execute → answer path in conn.run. A request starts no
+//     goroutine: it runs on its connection's under a context with the
+//     deadline, which the engine checks before each chunk, at each batch
+//     and per outer row of a handle-at-a-time join, and the chain store
+//     checks before a commit reaches the WAL. A stopped request frees its
+//     slot as it answers CodeTimeout; a stopped commit leaves no version.
 //   - Cold queries (the default) cold-restart the session first, so every
 //     result is byte-identical to a local oqlsh run. A session's first
 //     warm query also starts from a cold restart: the warm sequence is
 //     then a deterministic function of the connection's own query history
 //     — forked sessions share no meter or cache state.
 //   - Shutdown drains gracefully: the listener closes, idle sessions are
-//     disconnected, in-flight queries finish and flush their responses.
+//     woken and answer CodeShutdown on their way out, in-flight queries
+//     finish and flush their responses.
 package server
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -103,17 +109,11 @@ type Server struct {
 	// snapSource publishes its provenance alongside.
 	snap       atomic.Pointer[derby.Snapshot]
 	snapSource atomic.Pointer[string]
-	// busy counts currently executing requests.
-	busy atomic.Int64
 
-	// execWg counts in-flight executions and the reapers of abandoned
-	// ones, which outlive their connection; Shutdown waits for it.
-	execWg sync.WaitGroup
-
-	// beforeExecute, when non-nil, runs inside each admitted request's
-	// execution goroutine before the engine is invoked (test
-	// instrumentation for admission and drain behavior).
-	beforeExecute func()
+	// beforeExecute, when non-nil, runs after admission with the request's
+	// context, before the engine is invoked (test instrumentation for
+	// admission, deadline and drain behavior).
+	beforeExecute func(ctx context.Context)
 }
 
 // New validates cfg and returns an unstarted server.
@@ -149,7 +149,6 @@ func New(cfg Config) (*Server, error) {
 	s.Open = func(fc *Conn) (func(byte, []byte) bool, func()) {
 		return (&conn{Conn: fc, srv: s}).handle, nil
 	}
-	s.Drain = s.execWg.Wait
 	s.Logf = cfg.Logf
 	return s, nil
 }
@@ -200,7 +199,7 @@ func (s *Server) Stats() *wire.Stats {
 	st := s.Metrics.Stats()
 	st.QueueDepth = s.waiters.Load()
 	st.Sessions = int64(s.cfg.Sessions)
-	st.BusySessions = s.busy.Load()
+	st.BusySessions = int64(len(s.sem))
 	if sn := s.snap.Load(); sn != nil {
 		st.SnapshotPages = int64(sn.Engine.Pages())
 		st.SnapshotBytes = sn.Engine.Bytes()
@@ -236,29 +235,28 @@ func (s *Server) Stats() *wire.Stats {
 	return st
 }
 
-// admit acquires an admission slot within the deadline. It returns a wire
-// error code on failure: CodeBusy when the bounded queue is full, and
-// CodeTimeout when the query's budget expired while queued.
-func (s *Server) admit(deadline time.Time) (release func(), code byte, err error) {
+// admit acquires an admission slot before ctx's deadline; the caller
+// releases it with <-s.sem. It returns a wire error code on failure:
+// CodeBusy when the bounded queue is full, and CodeTimeout when the
+// request's budget expired while queued.
+func (s *Server) admit(ctx context.Context) (code byte, err error) {
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, 0, nil
+		return 0, nil
 	default:
 	}
 	if s.waiters.Add(1) > int64(s.cfg.MaxQueue) {
 		s.waiters.Add(-1)
-		s.Metrics.reject()
-		return nil, wire.CodeBusy, fmt.Errorf("server: admission queue full (%d executing, %d queued)",
+		s.Metrics.rejected.Add(1)
+		return wire.CodeBusy, fmt.Errorf("server: admission queue full (%d executing, %d queued)",
 			s.cfg.Sessions, s.cfg.MaxQueue)
 	}
 	defer s.waiters.Add(-1)
-	t := time.NewTimer(time.Until(deadline))
-	defer t.Stop()
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, 0, nil
-	case <-t.C:
-		s.Metrics.timeout()
-		return nil, wire.CodeTimeout, fmt.Errorf("server: query timed out after %s in admission queue", s.cfg.QueryTimeout)
+		return 0, nil
+	case <-ctx.Done():
+		s.Metrics.timedOut.Add(1)
+		return wire.CodeTimeout, fmt.Errorf("server: query timed out after %s in admission queue", s.cfg.QueryTimeout)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -26,7 +27,7 @@ func testSource() (*derby.Snapshot, string, error) {
 // startServer builds a server over a small deterministic database, installs
 // the optional beforeExecute hook, and serves on a loopback listener. The
 // cleanup drains the server and checks Serve returned ErrServerClosed.
-func startServer(t *testing.T, mut func(*Config), hook func()) (*Server, string) {
+func startServer(t *testing.T, mut func(*Config), hook func(ctx context.Context)) (*Server, string) {
 	t.Helper()
 	cfg := Config{
 		Source:   testSource,
@@ -211,7 +212,7 @@ func TestAdmissionQueueRejects(t *testing.T) {
 	srv, addr := startServer(t, func(c *Config) {
 		c.Sessions = 1
 		c.MaxQueue = 0
-	}, func() {
+	}, func(context.Context) {
 		started <- struct{}{}
 		<-gate
 	})
@@ -247,32 +248,53 @@ func TestAdmissionQueueRejects(t *testing.T) {
 	}
 }
 
-// TestQueryTimeout checks an over-budget query answers CodeTimeout, and the
-// admission slot comes back once the abandoned execution ends.
+// TestQueryTimeout checks the admission queue's side of the deadline: a
+// request still queued when its budget runs out answers CodeTimeout without
+// ever running, and the request that held the only slot past its own
+// deadline is stopped by the engine as soon as it gets there.
 func TestQueryTimeout(t *testing.T) {
 	gate := make(chan struct{})
+	started := make(chan context.Context, 8)
 	srv, addr := startServer(t, func(c *Config) {
 		c.Sessions = 1
+		c.MaxQueue = 1
 		c.QueryTimeout = 150 * time.Millisecond
-	}, func() {
+	}, func(ctx context.Context) {
+		started <- ctx
 		<-gate
 	})
-	cl, err := client.Dial(addr, client.Options{})
+	clA, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	_, err = cl.Query(testStmt, client.QueryOptions{})
-	se, ok := err.(*client.ServerError)
-	if !ok || se.Code != wire.CodeTimeout {
-		t.Fatalf("want CodeTimeout, got %v", err)
+	defer clA.Close()
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := clA.Query(testStmt, client.QueryOptions{})
+		aDone <- err
+	}()
+	actx := <-started // A holds the only slot past its deadline
+
+	clB, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	close(gate) // let the abandoned execution finish; the reaper recycles
-	if _, err := cl.Query(testStmt, client.QueryOptions{}); err != nil {
-		t.Fatalf("query after timeout recovery: %v", err)
+	defer clB.Close()
+	_, err = clB.Query(testStmt, client.QueryOptions{})
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeTimeout || !strings.Contains(se.Msg, "admission queue") {
+		t.Fatalf("want CodeTimeout from the admission queue, got %v", err)
 	}
-	if got := srv.Stats().TimedOut; got != 1 {
-		t.Fatalf("timed-out counter = %d, want 1", got)
+	<-actx.Done()
+	close(gate)
+	if err := <-aDone; !errors.As(err, &se) || se.Code != wire.CodeTimeout {
+		t.Fatalf("want CodeTimeout for the executing query, got %v", err)
+	}
+	if got := srv.Stats().TimedOut; got != 2 {
+		t.Fatalf("timed-out counter = %d, want 2", got)
+	}
+	if len(started) != 0 {
+		t.Fatal("the queued query ran after its deadline")
 	}
 }
 
@@ -282,7 +304,7 @@ func TestQueryTimeout(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
-	srv, addr := startServer(t, func(c *Config) { c.Sessions = 1 }, func() {
+	srv, addr := startServer(t, func(c *Config) { c.Sessions = 1 }, func(context.Context) {
 		started <- struct{}{}
 		<-gate
 	})
@@ -323,9 +345,11 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := client.Dial(addr, client.Options{ConnectTimeout: 500 * time.Millisecond}); err == nil {
 		t.Fatal("dial succeeded during drain")
 	}
-	// The idle session was force-closed.
-	if err := idle.Ping(); err == nil {
-		t.Fatal("idle session survived drain")
+	// The idle session was woken and refuses its next request, with the
+	// code that says why.
+	var se *client.ServerError
+	if err := idle.Ping(); !errors.As(err, &se) || se.Code != wire.CodeShutdown {
+		t.Fatalf("idle session during drain: want CodeShutdown, got %v", err)
 	}
 
 	close(gate)

@@ -7,6 +7,7 @@
 package session
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -83,12 +84,21 @@ func NewWith(db *engine.Database, cfg Config) *Session {
 	}
 }
 
-// Execute parses, plans and runs one statement, honoring the session's
-// cache temperature. Warm queries keep the caches and handle table but
-// still measure from a zeroed meter, so every result reports that query's
-// own cost at the session's cache temperature (not a running session
-// total).
+// Execute is ExecuteContext with no deadline.
 func (s *Session) Execute(stmt string) (*oql.Result, error) {
+	return s.ExecuteContext(context.Background(), stmt)
+}
+
+// ExecuteContext parses, plans and runs one statement, honoring the
+// session's cache temperature. Warm queries keep the caches and handle
+// table but still measure from a zeroed meter, so every result reports that
+// query's own cost at the session's cache temperature (not a running
+// session total). At ctx's deadline the engine stops at its next chunk or
+// batch boundary and the statement returns ctx's error and no result; its
+// caches are then mid-query, so treebenchd drops a stopped session.
+func (s *Session) ExecuteContext(ctx context.Context, stmt string) (*oql.Result, error) {
+	s.DB.SetContext(ctx)
+	defer s.DB.SetContext(context.Background())
 	if s.Cold {
 		s.DB.ColdRestart()
 	} else {
@@ -107,8 +117,10 @@ func (s *Session) Execute(stmt string) (*oql.Result, error) {
 //
 // Scattered queries are always cold: the coordinator owns the measurement
 // discipline, and a warm masked session's fork caches would diverge from
-// the single-node session's.
-func (s *Session) ExecutePartial(stmt string, shardIdx, shardCnt int) (*oql.Result, error) {
+// the single-node session's. ctx is honoured as in ExecuteContext.
+func (s *Session) ExecutePartial(ctx context.Context, stmt string, shardIdx, shardCnt int) (*oql.Result, error) {
+	s.DB.SetContext(ctx)
+	defer s.DB.SetContext(context.Background())
 	s.DB.SetShard(shardIdx, shardCnt)
 	defer s.DB.SetShard(0, 0)
 	s.DB.ColdRestart()

@@ -2,12 +2,14 @@
 # End-to-end smoke for the query server: start treebenchd over a small
 # database, check a remote query renders byte-identically to the local
 # shell (cold and as a 2-session warm sequence), run a multi-client
-# closed-loop load, and drain on SIGTERM.
+# closed-loop load, drain on SIGTERM, and check a second daemon stops an
+# over-budget statement at its deadline.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 ADDR=${SMOKE_ADDR:-127.0.0.1:8630}
+TADDR=${SMOKE_TIMEOUT_ADDR:-127.0.0.1:8631}
 DB=(-providers 40 -avg 10 -clustering class)
 Q='select p.name, pa.age from p in Providers, pa in p.clients where pa.mrn < 100 and p.upin < 10;'
 # A warm sequence (one statement per line for oqlsh): the second
@@ -17,8 +19,10 @@ WARMQ=$'select pa.mrn, pa.age from pa in Patients where pa.mrn < 50;\nselect cou
 
 WORK=$(mktemp -d)
 DPID=
+TPID=
 cleanup() {
   [ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
+  [ -n "$TPID" ] && kill "$TPID" 2>/dev/null || true
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -65,3 +69,28 @@ kill -TERM "$DPID"
 wait "$DPID"
 DPID=
 echo "smoke: drained cleanly"
+
+# Deadlines on a real daemon: one slot, a 4 ms budget, and a statement
+# whose cold run takes ~115 ms on a 2-CPU box, 20-30x the budget (NL over
+# 400 000 randomly clustered patients). It must fail with the timeout, and
+# the engine must have stopped at the deadline: a cheap query sent right
+# after is served, where a stray execution would still hold the only slot
+# and the cheap query would time out in the admission queue behind it.
+TDB=(-providers 2000 -avg 200 -clustering random)
+SLOW='select p.name, pa.age from p in Providers, pa in p.clients where pa.mrn < 1000000 and p.upin < 100000;'
+"$WORK/treebenchd" -addr "$TADDR" "${TDB[@]}" -sessions 1 -qj 1 -query-timeout 4ms &
+TPID=$!
+if "$WORK/oqlsh" -coord "$TADDR" -strategy heuristic -e "$SLOW" >/dev/null 2>"$WORK/slow.err"; then
+  echo "smoke: a statement far over its budget succeeded" >&2
+  exit 1
+fi
+if ! grep -q "timeout" "$WORK/slow.err"; then
+  echo "smoke: the over-budget statement failed without the timeout message:" >&2
+  cat "$WORK/slow.err" >&2
+  exit 1
+fi
+"$WORK/oqlsh" -coord "$TADDR" -e 'select count(*) from pa in Patients where pa.mrn < 2;' >/dev/null
+echo "smoke: an over-budget statement times out and its slot is free at once"
+kill -TERM "$TPID"
+wait "$TPID"
+TPID=
