@@ -250,7 +250,9 @@ func compactor(store *persist.ChainStore, n int, verbose bool) {
 			return
 		}
 		if verbose {
-			fmt.Fprintf(os.Stderr, "treebenchd: compacted chain into base v%d (%d versions reclaimed)\n", v, store.GC())
+			// Every version before the head is now reachable only by the
+			// readers still holding it.
+			fmt.Fprintf(os.Stderr, "treebenchd: compacted chain into base v%d (%d versions reclaimed)\n", v, st.Versions-1)
 		}
 	}
 }

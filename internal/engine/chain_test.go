@@ -1,9 +1,10 @@
 package engine
 
 import (
-	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"treebench/internal/object"
 	"treebench/internal/storage"
@@ -120,20 +121,20 @@ func TestChainCommit(t *testing.T) {
 }
 
 // TestChainMVCCIsolation is the acceptance gate for reader isolation: a
-// reader pins a version and scans it repeatedly — byte-identical values
-// and byte-identical simulated meters every pass — while writers commit
-// new versions and GC runs concurrently. Run under -race.
+// reader holds the version it read and scans it repeatedly — byte-identical
+// values and byte-identical simulated meters every pass — while writers
+// commit new versions concurrently. Run under -race.
 func TestChainMVCCIsolation(t *testing.T) {
 	root, rids := buildSnapshot(t, 60)
 	c := NewChain(root)
-	commitBump(t, c, rids, 100) // v1: what readers will pin
+	commitBump(t, c, rids, 100) // v1: what readers will hold
 
-	pinned := c.Pin()
-	if pinned.Version() != 1 {
-		t.Fatalf("pinned version %d", pinned.Version())
+	held := c.Head()
+	if held.Version() != 1 {
+		t.Fatalf("held version %d", held.Version())
 	}
-	wantScores := scanScores(t, pinned, rids)
-	ref := pinned.Fork()
+	wantScores := scanScores(t, held, rids)
+	ref := held.Fork()
 	for _, rid := range rids {
 		h, err := ref.Handles.Get(rid)
 		if err != nil {
@@ -148,7 +149,7 @@ func TestChainMVCCIsolation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Readers: repeatedly cold-scan fresh forks of the pinned version.
+	// Readers: repeatedly cold-scan fresh forks of the held version.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
@@ -159,11 +160,11 @@ func TestChainMVCCIsolation(t *testing.T) {
 					return
 				default:
 				}
-				db := pinned.Fork()
+				db := held.Fork()
 				for i, rid := range rids {
 					h, err := db.Handles.Get(rid)
 					if err != nil {
-						t.Errorf("pinned read: %v", err)
+						t.Errorf("held read: %v", err)
 						return
 					}
 					v, err := db.Handles.AttrByName(h, "score")
@@ -179,27 +180,23 @@ func TestChainMVCCIsolation(t *testing.T) {
 			}
 		}()
 	}
-	// Writer: a stream of commits advancing the head past the pin.
+	// Writer: a stream of commits advancing the head past the held version.
 	for i := 0; i < 8; i++ {
 		commitBump(t, c, rids, 1)
-		c.GC()
 	}
 	close(stop)
 	wg.Wait()
 
-	// The pin kept v1 alive through GC; unpinning lets it go.
-	if _, ok := c.versions[1]; !ok {
-		t.Fatal("pinned version GC'd")
+	// The held version still reads as it did; a post-commit fork sees the
+	// accumulated updates.
+	for i, got := range scanScores(t, held, rids) {
+		if got != wantScores[i] {
+			t.Fatalf("held item %d = %d after the commits, want %d", i, got, wantScores[i])
+		}
 	}
-	c.Unpin(pinned)
-	c.GC()
-	if _, ok := c.versions[1]; ok {
-		t.Fatal("unpinned version survived GC")
-	}
-	// A post-commit fork sees the accumulated updates.
 	head := c.Head()
-	if head.Version() != 9 {
-		t.Fatalf("head version %d, want 9", head.Version())
+	if head.Version() != 9 || head.ParentVersion() != 8 {
+		t.Fatalf("head v%d over v%d, want v9 over v8", head.Version(), head.ParentVersion())
 	}
 	final := scanScores(t, head, rids)
 	for i := range wantScores {
@@ -207,6 +204,32 @@ func TestChainMVCCIsolation(t *testing.T) {
 			t.Fatalf("head item %d = %d, want %d", i, final[i], wantScores[i]+8)
 		}
 	}
+}
+
+// TestSupersededVersionIsCollected: the chain keeps only its head, so a
+// version that a commit superseded and no reader holds is garbage at once —
+// no compaction and no call into the chain.
+func TestSupersededVersionIsCollected(t *testing.T) {
+	root, rids := buildSnapshot(t, 20)
+	c := NewChain(root)
+	finalized := make(chan struct{})
+	func() {
+		v1 := commitBump(t, c, rids, 1)
+		runtime.SetFinalizer(v1, func(*Snapshot) { close(finalized) })
+	}()
+	commitBump(t, c, rids, 1) // v2 supersedes v1; the test drops v1
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-finalized:
+			if c.Head().Version() != 2 || c.Head().ParentVersion() != 1 {
+				t.Fatalf("head lineage v%d over v%d", c.Head().Version(), c.Head().ParentVersion())
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("superseded v1 is still reachable from the chain")
 }
 
 func TestChainReplaceHead(t *testing.T) {
@@ -253,34 +276,5 @@ func TestChainReplaceHead(t *testing.T) {
 	// A mismatched version is rejected.
 	if err := c.ReplaceHead(root); err == nil {
 		t.Fatal("ReplaceHead accepted a non-head version")
-	}
-}
-
-func TestChainVersionsReport(t *testing.T) {
-	root, rids := buildSnapshot(t, 10)
-	c := NewChain(root)
-	for i := 0; i < 3; i++ {
-		commitBump(t, c, rids, 1)
-	}
-	vs := c.Versions()
-	if len(vs) != 4 {
-		t.Fatalf("%d versions, want 4", len(vs))
-	}
-	for i, v := range vs {
-		if v.Version != uint64(i) {
-			t.Fatalf("version order: %+v", vs)
-		}
-		if i > 0 && (v.Parent != uint64(i-1) || v.DeltaPages == 0) {
-			t.Fatalf("lineage of v%d: %+v", i, v)
-		}
-		if v.Head != (i == 3) {
-			t.Fatalf("head flag of v%d: %+v", i, v)
-		}
-	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if got := fmt.Sprintf("v%d", vs[3].Version); got != "v3" {
-		t.Fatal(got)
 	}
 }

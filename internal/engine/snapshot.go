@@ -38,10 +38,10 @@ type Snapshot struct {
 	// Chain lineage (see chain.go): position in the MVCC version chain,
 	// the version committed over, and the commit's physical footprint.
 	// All zero for a plain frozen snapshot that was never committed.
-	version    uint64
-	parent     *Snapshot
-	deltaPages int
-	walOff     int64
+	version       uint64
+	parentVersion uint64
+	deltaPages    int
+	walOff        int64
 }
 
 // Freeze seals the session's database into an immutable Snapshot. The

@@ -50,7 +50,7 @@ func KeyFor(cfg derby.Config) string {
 		cfg.Machine.RAM, cfg.Machine.ServerCache, cfg.Machine.ClientCache, cfg.Machine.HashBudget)
 	b.WriteString("model=")
 	model := cfg.Model
-	for i, f := range modelFields(&model) {
+	for i, f := range model.Fields() {
 		if i > 0 {
 			b.WriteByte(',')
 		}

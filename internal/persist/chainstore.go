@@ -53,7 +53,7 @@ type ChainStore struct {
 type ChainStats struct {
 	HeadVersion uint64
 	BaseVersion uint64 // version of the on-disk base snapshot
-	Versions    int    // live (un-GC'd) chain length
+	Versions    int    // head − base + 1: the versions since the last compaction
 	Commits     uint64 // commits by this process (replayed ones excluded)
 	Compactions int
 	Wal         wal.Stats
@@ -123,25 +123,13 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 // Spec returns the store's wave spec.
 func (s *ChainStore) Spec() derby.WaveSpec { return s.spec }
 
-// Chain exposes the live version chain (for stats and tooling).
-func (s *ChainStore) Chain() *engine.Chain { return s.chain }
-
 // Head returns the current head bound to the derby bookkeeping. The
-// returned snapshot is immutable and safe to fork from any goroutine;
-// it is not pinned — a long-lived reader should Pin instead.
+// returned snapshot is immutable and safe to fork from any goroutine, and
+// holding it keeps the version alive — the MVCC reader contract: nothing
+// a writer commits can reach its pages.
 func (s *ChainStore) Head() *derby.Snapshot {
 	return s.book.WithEngine(s.chain.Head())
 }
-
-// Pin returns the current head and keeps its version alive until Unpin —
-// the MVCC reader contract: nothing a writer commits can reach a pinned
-// version's pages.
-func (s *ChainStore) Pin() *derby.Snapshot {
-	return s.book.WithEngine(s.chain.Pin())
-}
-
-// Unpin releases a snapshot returned by Pin.
-func (s *ChainStore) Unpin(snap *derby.Snapshot) { s.chain.Unpin(snap.Engine) }
 
 // Update is UpdateContext with no deadline.
 func (s *ChainStore) Update() (*derby.WaveReport, *derby.Snapshot, error) {
@@ -200,8 +188,8 @@ func (s *ChainStore) UpdateContext(ctx context.Context) (*derby.WaveReport, *der
 
 // Compact folds the current head into a fresh base snapshot file (saved
 // atomically over snapPath), swaps the head's delta chain for the flat
-// reloaded image, and resets the WAL. Readers pinned on old versions
-// keep them; a crash between the save and the reset is safe — replay
+// reloaded image, and resets the WAL. Readers holding old versions keep
+// them; a crash between the save and the reset is safe — replay
 // skips records the new base already contains. Returns the compacted
 // version.
 func (s *ChainStore) Compact() (uint64, error) {
@@ -235,7 +223,6 @@ func (s *ChainStore) Compact() (uint64, error) {
 	if err := s.log.Reset(); err != nil {
 		return 0, err
 	}
-	s.chain.GC()
 	s.mu.Lock()
 	s.baseVersion = head.Version()
 	s.compactions++
@@ -243,19 +230,16 @@ func (s *ChainStore) Compact() (uint64, error) {
 	return head.Version(), nil
 }
 
-// GC drops unpinned, non-head versions and returns how many were
-// dropped.
-func (s *ChainStore) GC() int { return s.chain.GC() }
-
 // Stats reports the store's counters.
 func (s *ChainStore) Stats() ChainStats {
 	s.mu.Lock()
 	base, commits, compactions := s.baseVersion, s.commits, s.compactions
 	s.mu.Unlock()
+	head := s.chain.Head().Version()
 	return ChainStats{
-		HeadVersion: s.chain.Head().Version(),
+		HeadVersion: head,
 		BaseVersion: base,
-		Versions:    s.chain.Len(),
+		Versions:    int(head-base) + 1,
 		Commits:     commits,
 		Compactions: compactions,
 		Wal:         s.log.Stats(),

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"treebench/internal/bufpool"
+	"treebench/internal/codec"
 	"treebench/internal/derby"
 	"treebench/internal/engine"
 	"treebench/internal/session"
@@ -93,11 +94,11 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	if len(payload) != cap(payload) {
 		t.Fatalf("record of %d bytes built in a %d-byte buffer", len(payload), cap(payload))
 	}
-	var book enc
+	var book codec.Enc
 	encodeDerby(&book, committed.State())
-	if full := encodeCommitFull(1, 4, delta, committed.State()); len(full)-len(payload) != len(book.b) {
+	if full := encodeCommitFull(1, 4, delta, committed.State()); len(full)-len(payload) != len(book.B) {
 		t.Fatalf("record is %d bytes, %d with the derby section, which weighs %d",
-			len(payload), len(full), len(book.b))
+			len(payload), len(full), len(book.B))
 	}
 	rec, err := DecodeCommit(payload)
 	if err != nil {
@@ -512,36 +513,36 @@ func TestChainHeadsBornPrimed(t *testing.T) {
 // own, the derby bookkeeping (scale, rid maps, load report) in full. It
 // is the fixture writer for logs older than the slim record.
 func encodeCommitFull(version, wave uint64, delta *storage.Delta, st *derby.SnapshotState) []byte {
-	var e enc
-	e.u64(version)
-	e.u64(wave)
-	e.u32(uint32(delta.Parent().NumPages()))
+	var e codec.Enc
+	e.U64(version)
+	e.U64(wave)
+	e.U32(uint32(delta.Parent().NumPages()))
 	ids := delta.OverlayIDs()
-	e.u32(uint32(len(ids)))
+	e.U32(uint32(len(ids)))
 	for _, id := range ids {
-		e.u32(uint32(id))
-		e.b = append(e.b, delta.OverlayPage(id)...)
+		e.U32(uint32(id))
+		e.Raw(delta.OverlayPage(id))
 	}
 	app := delta.Appended()
-	e.u32(uint32(len(app)))
+	e.U32(uint32(len(app)))
 	for _, pg := range app {
-		e.b = append(e.b, pg...)
+		e.Raw(pg)
 	}
-	sub := func(fill func(*enc)) {
-		var t enc
+	sub := func(fill func(*codec.Enc)) {
+		var t codec.Enc
 		fill(&t)
-		e.u32(uint32(len(t.b)))
-		e.b = append(e.b, t.b...)
+		e.U32(uint32(len(t.B)))
+		e.Raw(t.B)
 	}
-	sub(func(t *enc) { encodeMeta(t, st.Engine) })
-	sub(func(t *enc) { encodeCatalog(t, st.Engine.Files) })
-	sub(func(t *enc) { encodeRegistry(t, st.Engine.Classes) })
-	sub(func(t *enc) { encodeExtents(t, st.Engine) })
-	sub(func(t *enc) { encodeTrees(t, st.Engine) })
-	sub(func(t *enc) { encodeHistograms(t, st.Engine) })
-	sub(func(t *enc) { encodeDerby(t, st) })
-	sub(func(t *enc) { encodeBackends(t, st.Engine) })
-	return e.b
+	sub(func(t *codec.Enc) { encodeMeta(t, st.Engine) })
+	sub(func(t *codec.Enc) { encodeCatalog(t, st.Engine.Files) })
+	sub(func(t *codec.Enc) { encodeRegistry(t, st.Engine.Classes) })
+	sub(func(t *codec.Enc) { encodeExtents(t, st.Engine) })
+	sub(func(t *codec.Enc) { encodeTrees(t, st.Engine) })
+	sub(func(t *codec.Enc) { encodeHistograms(t, st.Engine) })
+	sub(func(t *codec.Enc) { encodeDerby(t, st) })
+	sub(func(t *codec.Enc) { encodeBackends(t, st.Engine) })
+	return e.B
 }
 
 // oldFormatCommit applies wave `version` to parent and returns the

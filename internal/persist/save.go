@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"treebench/internal/codec"
 	"treebench/internal/derby"
 	"treebench/internal/storage"
 )
@@ -23,7 +24,7 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 	// Encode every catalog section up front; only the page image is
 	// streamed. The catalog is O(classes + files + indexes) — a few KB
 	// even at the 1:3 million-patient scale.
-	var meta, catalog, registry, extents, trees, histograms, dby, lineage, backends enc
+	var meta, catalog, registry, extents, trees, histograms, dby, lineage, backends codec.Enc
 	encodeMeta(&meta, st.Engine)
 	encodeCatalog(&catalog, st.Engine.Files)
 	encodeRegistry(&registry, st.Engine.Classes)
@@ -37,31 +38,34 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 	numPages := base.NumPages()
 	capPages := base.CapacityBytes() / storage.PageSize
 	pagesLen := uint64(8 + numPages*storage.PageSize)
+	var ph codec.Enc // the pages section's own header
+	ph.U32(uint32(numPages))
+	ph.U32(uint32(capPages))
 
 	sections := []struct {
 		id   uint32
 		body []byte // nil for the streamed pages section
 		len  uint64
 	}{
-		{SectionMeta, meta.b, uint64(len(meta.b))},
+		{SectionMeta, meta.B, uint64(len(meta.B))},
 		{SectionPages, nil, pagesLen},
-		{SectionCatalog, catalog.b, uint64(len(catalog.b))},
-		{SectionRegistry, registry.b, uint64(len(registry.b))},
-		{SectionExtents, extents.b, uint64(len(extents.b))},
-		{SectionTrees, trees.b, uint64(len(trees.b))},
-		{SectionHistograms, histograms.b, uint64(len(histograms.b))},
-		{SectionDerby, dby.b, uint64(len(dby.b))},
-		{SectionLineage, lineage.b, uint64(len(lineage.b))},
-		{SectionBackends, backends.b, uint64(len(backends.b))},
+		{SectionCatalog, catalog.B, uint64(len(catalog.B))},
+		{SectionRegistry, registry.B, uint64(len(registry.B))},
+		{SectionExtents, extents.B, uint64(len(extents.B))},
+		{SectionTrees, trees.B, uint64(len(trees.B))},
+		{SectionHistograms, histograms.B, uint64(len(histograms.B))},
+		{SectionDerby, dby.B, uint64(len(dby.B))},
+		{SectionLineage, lineage.B, uint64(len(lineage.B))},
+		{SectionBackends, backends.B, uint64(len(backends.B))},
 	}
 
 	// All lengths are known, so the whole table is computable before a
 	// byte of payload is written — no seek-backs, one forward pass.
-	var hdr enc
-	hdr.u32(Magic)
-	hdr.u32(FormatVersion)
-	hdr.u32(uint32(len(sections)))
-	hdr.u32(0) // reserved
+	var hdr codec.Enc
+	hdr.U32(Magic)
+	hdr.U32(FormatVersion)
+	hdr.U32(uint32(len(sections)))
+	hdr.U32(0) // reserved
 	offset := uint64(headerLen + len(sections)*tableEntryLen)
 	table := make([]sectionEntry, len(sections))
 	for i, s := range sections {
@@ -76,10 +80,7 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 		// Pages section: CRC over the streamed payload (header + raw
 		// pages), computed in the same order it will be written.
 		h := crc32.New(crcTable)
-		var ph enc
-		ph.u32(uint32(numPages))
-		ph.u32(uint32(capPages))
-		h.Write(ph.b)
+		h.Write(ph.B)
 		for p := 0; p < numPages; p++ {
 			pg, err := base.Page(storage.PageID(p))
 			if err != nil {
@@ -90,10 +91,10 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 		table[i].crc = h.Sum32()
 	}
 	for _, t := range table {
-		hdr.u32(t.id)
-		hdr.u64(t.offset)
-		hdr.u64(t.length)
-		hdr.u32(t.crc)
+		hdr.U32(t.id)
+		hdr.U64(t.offset)
+		hdr.U64(t.length)
+		hdr.U32(t.crc)
 	}
 
 	dir := filepath.Dir(path)
@@ -111,7 +112,7 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 		}
 	}()
 	w := bufio.NewWriterSize(tmp, 1<<20)
-	if _, err = w.Write(hdr.b); err != nil {
+	if _, err = w.Write(hdr.B); err != nil {
 		return err
 	}
 	for _, s := range sections {
@@ -121,10 +122,7 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 			}
 			continue
 		}
-		var ph enc
-		ph.u32(uint32(numPages))
-		ph.u32(uint32(capPages))
-		if _, err = w.Write(ph.b); err != nil {
+		if _, err = w.Write(ph.B); err != nil {
 			return err
 		}
 		for p := 0; p < numPages; p++ {

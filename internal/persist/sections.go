@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"treebench/internal/backend"
+	"treebench/internal/codec"
 	"treebench/internal/derby"
 	"treebench/internal/engine"
 	"treebench/internal/histogram"
@@ -15,95 +16,88 @@ import (
 	"treebench/internal/txn"
 )
 
-// timeDuration keeps the field-list helpers readable.
-type timeDuration = time.Duration
-
-// Section payload codecs. Each encodeX must round-trip exactly through
-// its decodeX: the Cache's soundness rests on Save being deterministic
-// and Load(Save(snap)) reproducing snap bit-for-bit. The catalog is split
-// across sections so corruption localizes — a flipped byte in the
-// histograms section names "histograms", not "snapshot".
+// Section payload codecs, written with internal/codec. Each encodeX must
+// round-trip exactly through its decodeX: the Cache's soundness rests on
+// Save being deterministic and Load(Save(snap)) reproducing snap
+// bit-for-bit. The catalog is split across sections so corruption
+// localizes — a flipped byte in the histograms section names
+// "histograms", not "snapshot".
 //
 // The trees and histograms sections are positionally aligned with the
 // extents section: entry i describes the i-th index in extent-major
 // order. Load cross-checks the counts.
 
+// finish returns d's failure, if any, as an ErrFormat naming the section:
+// a payload that does not decode inside a CRC-valid section means writer
+// and reader disagree about the format, not that the disk lied.
+func finish(d *codec.Dec, section string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("%w: %s section: %v", ErrFormat, section, err)
+	}
+	return nil
+}
+
 // --- meta ---
 
-func encodeMeta(e *enc, st *engine.SnapshotState) {
-	e.i64(st.Machine.RAM)
-	e.i64(st.Machine.ServerCache)
-	e.i64(st.Machine.ClientCache)
-	e.i64(st.Machine.HashBudget)
-	m := &st.Model
-	for _, d := range modelFields(m) {
-		e.i64(int64(*d))
+func encodeMeta(e *codec.Enc, st *engine.SnapshotState) {
+	e.I64(st.Machine.RAM)
+	e.I64(st.Machine.ServerCache)
+	e.I64(st.Machine.ClientCache)
+	e.I64(st.Machine.HashBudget)
+	for _, d := range st.Model.Fields() {
+		e.I64(int64(*d))
 	}
-	e.u8(byte(st.Mode))
-	e.u32(st.NextIdx)
+	e.U8(byte(st.Mode))
+	e.U32(st.NextIdx)
 }
 
 func decodeMeta(b []byte, st *engine.SnapshotState) error {
-	d := newDec(b, "meta")
+	d := codec.NewDec(b)
 	st.Machine = sim.Machine{
-		RAM:         d.i64(),
-		ServerCache: d.i64(),
-		ClientCache: d.i64(),
-		HashBudget:  d.i64(),
+		RAM:         d.I64(),
+		ServerCache: d.I64(),
+		ClientCache: d.I64(),
+		HashBudget:  d.I64(),
 	}
-	for _, f := range modelFields(&st.Model) {
-		*f = timeDuration(d.i64())
+	for _, f := range st.Model.Fields() {
+		*f = time.Duration(d.I64())
 	}
-	st.Mode = txn.Mode(d.u8())
-	st.NextIdx = d.u32()
-	return d.finish()
-}
-
-// modelFields enumerates every CostModel field in declaration order. A
-// new field must be added here AND FormatVersion bumped, or saves would
-// silently drop it — TestMetaCoversCostModel pins the count.
-func modelFields(m *sim.CostModel) []*timeDuration {
-	return []*timeDuration{
-		&m.PageRead, &m.PageWrite, &m.RPC,
-		&m.ScanNext, &m.HandleGet, &m.HandleUnref,
-		&m.SlimScanNext, &m.SlimHandleGet, &m.SlimHandleUnref,
-		&m.AttrGet, &m.Compare, &m.HashInsert, &m.HashProbe,
-		&m.ResultAppend, &m.SlimResultAppend, &m.SortPerCompare,
-		&m.SwapRead, &m.SwapWrite, &m.LogWrite, &m.Lock,
-	}
+	st.Mode = txn.Mode(d.U8())
+	st.NextIdx = d.U32()
+	return finish(d, "meta")
 }
 
 // --- catalog ---
 
-func encodeCatalog(e *enc, files []storage.FileState) {
-	e.u32(uint32(len(files)))
+func encodeCatalog(e *codec.Enc, files []storage.FileState) {
+	e.U32(uint32(len(files)))
 	for _, f := range files {
-		e.str(f.Name)
-		e.u32(uint32(f.AppendPage))
-		e.u32(uint32(len(f.Pages)))
+		e.Str(f.Name)
+		e.U32(uint32(f.AppendPage))
+		e.U32(uint32(len(f.Pages)))
 		for _, id := range f.Pages {
-			e.u32(uint32(id))
+			e.U32(uint32(id))
 		}
 	}
 }
 
 func decodeCatalog(b []byte) ([]storage.FileState, error) {
-	d := newDec(b, "catalog")
-	n := d.count(9, "file")
+	d := codec.NewDec(b)
+	n := d.Count(9, "file")
 	files := make([]storage.FileState, 0, n)
 	for i := 0; i < n; i++ {
 		f := storage.FileState{
-			Name:       d.str(),
-			AppendPage: int(d.u32()),
+			Name:       d.Str(),
+			AppendPage: int(d.U32()),
 		}
-		np := d.count(4, "page list")
+		np := d.Count(4, "page list")
 		f.Pages = make([]storage.PageID, np)
 		for j := range f.Pages {
-			f.Pages[j] = storage.PageID(d.u32())
+			f.Pages[j] = storage.PageID(d.U32())
 		}
 		files = append(files, f)
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "catalog"); err != nil {
 		return nil, err
 	}
 	return files, nil
@@ -111,188 +105,149 @@ func decodeCatalog(b []byte) ([]storage.FileState, error) {
 
 // --- registry ---
 
-func encodeRegistry(e *enc, st *object.RegistryState) {
-	e.u16(st.NextID)
-	e.u32(uint32(len(st.Classes)))
+func encodeRegistry(e *codec.Enc, st *object.RegistryState) {
+	e.U16(st.NextID)
+	e.U32(uint32(len(st.Classes)))
 	for _, c := range st.Classes {
-		e.u16(c.ID)
-		e.str(c.Name)
-		e.str(c.Parent)
-		e.u32(uint32(c.OrigAttrs))
-		e.u32(uint32(len(c.Attrs)))
+		e.U16(c.ID)
+		e.Str(c.Name)
+		e.Str(c.Parent)
+		e.U32(uint32(c.OrigAttrs))
+		e.U32(uint32(len(c.Attrs)))
 		for _, a := range c.Attrs {
-			e.str(a.Name)
-			e.u8(byte(a.Kind))
-			e.u32(uint32(a.StrLen))
+			e.Str(a.Name)
+			e.U8(byte(a.Kind))
+			e.U32(uint32(a.StrLen))
 		}
-		e.u32(uint32(len(c.Defaults)))
+		e.U32(uint32(len(c.Defaults)))
 		for _, v := range c.Defaults {
-			encodeValue(e, v)
+			e.Value(v)
 		}
 	}
 }
 
 func decodeRegistry(b []byte) (*object.RegistryState, error) {
-	d := newDec(b, "registry")
-	st := &object.RegistryState{NextID: d.u16()}
-	n := d.count(15, "class")
+	d := codec.NewDec(b)
+	st := &object.RegistryState{NextID: d.U16()}
+	n := d.Count(15, "class")
 	for i := 0; i < n; i++ {
 		c := object.ClassState{
-			ID:     d.u16(),
-			Name:   d.str(),
-			Parent: d.str(),
+			ID:     d.U16(),
+			Name:   d.Str(),
+			Parent: d.Str(),
 		}
-		c.OrigAttrs = int(d.u32())
-		na := d.count(9, "attr")
+		c.OrigAttrs = int(d.U32())
+		na := d.Count(9, "attr")
 		c.Attrs = make([]object.Attr, na)
 		for j := range c.Attrs {
 			c.Attrs[j] = object.Attr{
-				Name:   d.str(),
-				Kind:   object.Kind(d.u8()),
-				StrLen: int(d.u32()),
+				Name:   d.Str(),
+				Kind:   object.Kind(d.U8()),
+				StrLen: int(d.U32()),
 			}
 		}
-		nd := d.count(1, "default")
+		nd := d.Count(1, "default")
 		c.Defaults = make([]object.Value, nd)
 		for j := range c.Defaults {
-			c.Defaults[j] = decodeValue(d)
+			c.Defaults[j] = d.Value()
 		}
 		st.Classes = append(st.Classes, c)
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "registry"); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-func encodeValue(e *enc, v object.Value) {
-	e.u8(byte(v.Kind))
-	switch v.Kind {
-	case object.KindInt, object.KindChar:
-		e.i64(v.Int)
-	case object.KindString:
-		e.str(v.Str)
-	case object.KindRef, object.KindSet:
-		e.rid(v.Ref)
-	}
-}
-
-func decodeValue(d *dec) object.Value {
-	v := object.Value{Kind: object.Kind(d.u8())}
-	switch v.Kind {
-	case object.KindInt, object.KindChar:
-		v.Int = d.i64()
-	case object.KindString:
-		v.Str = d.str()
-	case object.KindRef, object.KindSet:
-		v.Ref = d.rid()
-	default:
-		d.fail("value kind")
-	}
-	return v
-}
-
 // --- extents (plus roots and relationships) ---
 
-func encodeExtents(e *enc, st *engine.SnapshotState) {
-	e.u32(uint32(len(st.Extents)))
+func encodeExtents(e *codec.Enc, st *engine.SnapshotState) {
+	e.U32(uint32(len(st.Extents)))
 	for _, ex := range st.Extents {
-		e.str(ex.Name)
-		e.str(ex.Class)
-		e.str(ex.File)
-		e.bool(ex.IndexedAtCreation)
-		e.i64(int64(ex.Count))
-		e.u32(uint32(len(ex.Indexes)))
+		e.Str(ex.Name)
+		e.Str(ex.Class)
+		e.Str(ex.File)
+		e.Bool(ex.IndexedAtCreation)
+		e.I64(int64(ex.Count))
+		e.U32(uint32(len(ex.Indexes)))
 		for _, ix := range ex.Indexes {
-			e.str(ix.Attr)
-			e.bool(ix.Clustered)
+			e.Str(ix.Attr)
+			e.Bool(ix.Clustered)
 		}
 	}
-	e.u32(uint32(len(st.Roots)))
+	e.U32(uint32(len(st.Roots)))
 	for _, r := range st.Roots {
-		e.str(r.Name)
-		e.rid(r.Rid)
+		e.Str(r.Name)
+		e.Rid(r.Rid)
 	}
-	e.u32(uint32(len(st.Rels)))
+	e.U32(uint32(len(st.Rels)))
 	for _, r := range st.Rels {
-		e.str(r.Parent)
-		e.str(r.SetAttr)
-		e.str(r.Child)
-		e.str(r.RefAttr)
+		e.Str(r.Parent)
+		e.Str(r.SetAttr)
+		e.Str(r.Child)
+		e.Str(r.RefAttr)
 	}
 }
 
 func decodeExtents(b []byte, st *engine.SnapshotState) error {
-	d := newDec(b, "extents")
-	n := d.count(26, "extent")
+	d := codec.NewDec(b)
+	n := d.Count(26, "extent")
 	for i := 0; i < n; i++ {
 		ex := engine.ExtentState{
-			Name:              d.str(),
-			Class:             d.str(),
-			File:              d.str(),
-			IndexedAtCreation: d.boolv(),
-			Count:             int(d.i64()),
+			Name:              d.Str(),
+			Class:             d.Str(),
+			File:              d.Str(),
+			IndexedAtCreation: d.Bool(),
+			Count:             int(d.I64()),
 		}
-		ni := d.count(5, "index")
+		ni := d.Count(5, "index")
 		for j := 0; j < ni; j++ {
 			ex.Indexes = append(ex.Indexes, engine.IndexState{
-				Attr:      d.str(),
-				Clustered: d.boolv(),
+				Attr:      d.Str(),
+				Clustered: d.Bool(),
 			})
 		}
 		st.Extents = append(st.Extents, ex)
 	}
-	nr := d.count(10, "root")
+	nr := d.Count(10, "root")
 	for i := 0; i < nr; i++ {
-		st.Roots = append(st.Roots, engine.RootState{Name: d.str(), Rid: d.rid()})
+		st.Roots = append(st.Roots, engine.RootState{Name: d.Str(), Rid: d.Rid()})
 	}
-	nl := d.count(16, "relationship")
+	nl := d.Count(16, "relationship")
 	for i := 0; i < nl; i++ {
 		st.Rels = append(st.Rels, engine.RelationshipState{
-			Parent:  d.str(),
-			SetAttr: d.str(),
-			Child:   d.str(),
-			RefAttr: d.str(),
+			Parent:  d.Str(),
+			SetAttr: d.Str(),
+			Child:   d.Str(),
+			RefAttr: d.Str(),
 		})
 	}
-	return d.finish()
+	return finish(d, "extents")
 }
 
 // --- trees ---
 
-func encodeTrees(e *enc, st *engine.SnapshotState) {
+func encodeTrees(e *codec.Enc, st *engine.SnapshotState) {
 	var trees []index.TreeState
 	for _, ex := range st.Extents {
 		for _, ix := range ex.Indexes {
 			trees = append(trees, ix.Tree)
 		}
 	}
-	e.u32(uint32(len(trees)))
+	e.U32(uint32(len(trees)))
 	for _, t := range trees {
-		e.u32(t.ID)
-		e.str(t.Name)
-		e.u32(uint32(t.Root))
-		e.i64(int64(t.Height))
-		e.i64(int64(t.Pages))
-		e.i64(int64(t.Len))
+		encodeTree(e, t)
 	}
 }
 
 func decodeTrees(b []byte, st *engine.SnapshotState) error {
-	d := newDec(b, "trees")
-	n := d.count(36, "tree")
+	d := codec.NewDec(b)
+	n := d.Count(36, "tree")
 	trees := make([]index.TreeState, n)
 	for i := range trees {
-		trees[i] = index.TreeState{
-			ID:     d.u32(),
-			Name:   d.str(),
-			Root:   storage.PageID(d.u32()),
-			Height: int(d.i64()),
-			Pages:  int(d.i64()),
-			Len:    int(d.i64()),
-		}
+		trees[i] = decodeTree(d)
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "trees"); err != nil {
 		return err
 	}
 	return placeIndexes(st, len(trees), "trees", func(ix *engine.IndexState, i int) {
@@ -300,41 +255,63 @@ func decodeTrees(b []byte, st *engine.SnapshotState) error {
 	})
 }
 
+// encodeTree writes one B+-tree descriptor, the body of a trees entry and
+// the head of a backends entry.
+func encodeTree(e *codec.Enc, t index.TreeState) {
+	e.U32(t.ID)
+	e.Str(t.Name)
+	e.U32(uint32(t.Root))
+	e.I64(int64(t.Height))
+	e.I64(int64(t.Pages))
+	e.I64(int64(t.Len))
+}
+
+func decodeTree(d *codec.Dec) index.TreeState {
+	return index.TreeState{
+		ID:     d.U32(),
+		Name:   d.Str(),
+		Root:   storage.PageID(d.U32()),
+		Height: int(d.I64()),
+		Pages:  int(d.I64()),
+		Len:    int(d.I64()),
+	}
+}
+
 // --- histograms ---
 
-func encodeHistograms(e *enc, st *engine.SnapshotState) {
+func encodeHistograms(e *codec.Enc, st *engine.SnapshotState) {
 	var stats [][]histogram.BucketState
 	for _, ex := range st.Extents {
 		for _, ix := range ex.Indexes {
 			stats = append(stats, ix.Stats)
 		}
 	}
-	e.u32(uint32(len(stats)))
+	e.U32(uint32(len(stats)))
 	for _, s := range stats {
-		e.u32(uint32(len(s)))
+		e.U32(uint32(len(s)))
 		for _, b := range s {
-			e.i64(b.Lo)
-			e.i64(b.Hi)
-			e.i64(b.Count)
+			e.I64(b.Lo)
+			e.I64(b.Hi)
+			e.I64(b.Count)
 		}
 	}
 }
 
 func decodeHistograms(b []byte, st *engine.SnapshotState) error {
-	d := newDec(b, "histograms")
-	n := d.count(4, "histogram")
+	d := codec.NewDec(b)
+	n := d.Count(4, "histogram")
 	stats := make([][]histogram.BucketState, n)
 	for i := range stats {
-		nb := d.count(24, "bucket")
+		nb := d.Count(24, "bucket")
 		if nb == 0 {
 			continue
 		}
 		stats[i] = make([]histogram.BucketState, nb)
 		for j := range stats[i] {
-			stats[i][j] = histogram.BucketState{Lo: d.i64(), Hi: d.i64(), Count: d.i64()}
+			stats[i][j] = histogram.BucketState{Lo: d.I64(), Hi: d.I64(), Count: d.I64()}
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "histograms"); err != nil {
 		return err
 	}
 	return placeIndexes(st, len(stats), "histograms", func(ix *engine.IndexState, i int) {
@@ -370,7 +347,7 @@ func placeIndexes(st *engine.SnapshotState, have int, section string, fill func(
 // aligned with the trees section (extent-major order). A leading kind tag
 // (the first index's kind — engines keep it uniform) lets Inspect report
 // the backend column without decoding the whole section.
-func encodeBackends(e *enc, st *engine.SnapshotState) {
+func encodeBackends(e *codec.Enc, st *engine.SnapshotState) {
 	var bks []index.BackendState
 	for _, ex := range st.Extents {
 		for _, ix := range ex.Indexes {
@@ -381,45 +358,40 @@ func encodeBackends(e *enc, st *engine.SnapshotState) {
 	if len(bks) > 0 {
 		kind = bks[0].Kind
 	}
-	e.str(kind)
-	e.u32(uint32(len(bks)))
+	e.Str(kind)
+	e.U32(uint32(len(bks)))
 	for _, b := range bks {
-		e.str(b.Kind)
-		e.u32(b.Tree.ID)
-		e.str(b.Tree.Name)
-		e.u32(uint32(b.Tree.Root))
-		e.i64(int64(b.Tree.Height))
-		e.i64(int64(b.Tree.Pages))
-		e.i64(int64(b.Tree.Len))
-		e.u32(uint32(b.Meta))
-		e.bool(b.LSM != nil)
+		e.Str(b.Kind)
+		encodeTree(e, b.Tree)
+		e.U32(uint32(b.Meta))
+		e.Bool(b.LSM != nil)
 		if l := b.LSM; l != nil {
-			e.u32(l.ID)
-			e.str(l.Name)
-			e.i64(int64(l.Len))
-			e.u32(l.Seq)
-			e.u32(uint32(len(l.Mem)))
+			e.U32(l.ID)
+			e.Str(l.Name)
+			e.I64(int64(l.Len))
+			e.U32(l.Seq)
+			e.U32(uint32(len(l.Mem)))
 			for _, m := range l.Mem {
-				e.i64(m.Key)
-				e.rid(m.Rid)
-				e.bool(m.Tomb)
+				e.I64(m.Key)
+				e.Rid(m.Rid)
+				e.Bool(m.Tomb)
 			}
-			e.u32(uint32(len(l.Tabs)))
+			e.U32(uint32(len(l.Tabs)))
 			for _, t := range l.Tabs {
-				e.u32(t.Seq)
-				e.i64(int64(t.Tier))
-				e.u32(uint32(t.Start))
-				e.i64(int64(t.Pages))
-				e.i64(int64(t.Count))
-				e.i64(t.MinKey)
-				e.i64(t.MaxKey)
-				e.u32(uint32(len(t.Fences)))
+				e.U32(t.Seq)
+				e.I64(int64(t.Tier))
+				e.U32(uint32(t.Start))
+				e.I64(int64(t.Pages))
+				e.I64(int64(t.Count))
+				e.I64(t.MinKey)
+				e.I64(t.MaxKey)
+				e.U32(uint32(len(t.Fences)))
 				for _, f := range t.Fences {
-					e.i64(f)
+					e.I64(f)
 				}
-				e.u32(uint32(len(t.Bloom)))
+				e.U32(uint32(len(t.Bloom)))
 				for _, w := range t.Bloom {
-					e.u64(w)
+					e.U64(w)
 				}
 			}
 		}
@@ -428,52 +400,41 @@ func encodeBackends(e *enc, st *engine.SnapshotState) {
 
 // decodeBackendEntry reads one BackendState (the per-index body of the
 // backends section). Shared by decodeBackends and the WAL commit codec.
-func decodeBackendEntry(d *dec) index.BackendState {
-	b := index.BackendState{
-		Kind: d.str(),
-		Tree: index.TreeState{
-			ID:     d.u32(),
-			Name:   d.str(),
-			Root:   storage.PageID(d.u32()),
-			Height: int(d.i64()),
-			Pages:  int(d.i64()),
-			Len:    int(d.i64()),
-		},
-		Meta: storage.PageID(d.u32()),
-	}
-	if d.boolv() {
+func decodeBackendEntry(d *codec.Dec) index.BackendState {
+	b := index.BackendState{Kind: d.Str(), Tree: decodeTree(d), Meta: storage.PageID(d.U32())}
+	if d.Bool() {
 		l := &index.LSMState{
-			ID:   d.u32(),
-			Name: d.str(),
-			Len:  int(d.i64()),
-			Seq:  d.u32(),
+			ID:   d.U32(),
+			Name: d.Str(),
+			Len:  int(d.I64()),
+			Seq:  d.U32(),
 		}
-		nm := d.count(15, "memtable entry")
+		nm := d.Count(15, "memtable entry")
 		for i := 0; i < nm; i++ {
 			l.Mem = append(l.Mem, index.MemEntryState{
-				Key:  d.i64(),
-				Rid:  d.rid(),
-				Tomb: d.boolv(),
+				Key:  d.I64(),
+				Rid:  d.Rid(),
+				Tomb: d.Bool(),
 			})
 		}
-		nt := d.count(56, "sstable")
+		nt := d.Count(56, "sstable")
 		for i := 0; i < nt; i++ {
 			t := index.SSTableState{
-				Seq:    d.u32(),
-				Tier:   int(d.i64()),
-				Start:  storage.PageID(d.u32()),
-				Pages:  int(d.i64()),
-				Count:  int(d.i64()),
-				MinKey: d.i64(),
-				MaxKey: d.i64(),
+				Seq:    d.U32(),
+				Tier:   int(d.I64()),
+				Start:  storage.PageID(d.U32()),
+				Pages:  int(d.I64()),
+				Count:  int(d.I64()),
+				MinKey: d.I64(),
+				MaxKey: d.I64(),
 			}
-			nf := d.count(8, "fence")
+			nf := d.Count(8, "fence")
 			for j := 0; j < nf; j++ {
-				t.Fences = append(t.Fences, d.i64())
+				t.Fences = append(t.Fences, d.I64())
 			}
-			nw := d.count(8, "bloom word")
+			nw := d.Count(8, "bloom word")
 			for j := 0; j < nw; j++ {
-				t.Bloom = append(t.Bloom, d.u64())
+				t.Bloom = append(t.Bloom, d.U64())
 			}
 			l.Tabs = append(l.Tabs, t)
 		}
@@ -483,14 +444,14 @@ func decodeBackendEntry(d *dec) index.BackendState {
 }
 
 func decodeBackends(b []byte, st *engine.SnapshotState) error {
-	d := newDec(b, "backends")
-	d.str() // leading uniform kind tag, for cheap inspection only
-	n := d.count(49, "backend")
+	d := codec.NewDec(b)
+	d.Str() // leading uniform kind tag, for cheap inspection only
+	n := d.Count(49, "backend")
 	bks := make([]index.BackendState, n)
 	for i := range bks {
 		bks[i] = decodeBackendEntry(d)
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "backends"); err != nil {
 		return err
 	}
 	return placeIndexes(st, len(bks), "backends", func(ix *engine.IndexState, i int) {
@@ -502,10 +463,10 @@ func decodeBackends(b []byte, st *engine.SnapshotState) error {
 // decoding the entries — the cheap path Inspect's backend column uses.
 // An empty tag (a snapshot with no indexes) reports the default kind.
 func backendKindOf(b []byte) (string, error) {
-	d := newDec(b, "backends")
-	kind := d.str()
-	if d.err != nil {
-		return "", d.err
+	d := codec.NewDec(b)
+	kind := d.Str()
+	if err := d.Err(); err != nil {
+		return "", fmt.Errorf("%w: backends section: %v", ErrFormat, err)
 	}
 	if kind == "" {
 		kind = backend.DefaultKind
@@ -515,50 +476,50 @@ func backendKindOf(b []byte) (string, error) {
 
 // --- derby ---
 
-func encodeDerby(e *enc, st *derby.SnapshotState) {
-	e.i64(int64(st.NumProviders))
-	e.i64(int64(st.NumPatients))
-	e.u8(byte(st.Clustering))
-	e.u32(uint32(len(st.ProviderRids)))
+func encodeDerby(e *codec.Enc, st *derby.SnapshotState) {
+	e.I64(int64(st.NumProviders))
+	e.I64(int64(st.NumPatients))
+	e.U8(byte(st.Clustering))
+	e.U32(uint32(len(st.ProviderRids)))
 	for _, r := range st.ProviderRids {
-		e.rid(r)
+		e.Rid(r)
 	}
-	e.u32(uint32(len(st.PatientRids)))
+	e.U32(uint32(len(st.PatientRids)))
 	for _, r := range st.PatientRids {
-		e.rid(r)
+		e.Rid(r)
 	}
-	e.i64(int64(st.Load.Elapsed))
-	e.i64(int64(st.Load.Commits))
-	e.i64(int64(st.Load.Relocations))
-	for _, c := range counterFields(&st.Load.Counters) {
-		e.i64(*c)
+	e.I64(int64(st.Load.Elapsed))
+	e.I64(int64(st.Load.Commits))
+	e.I64(int64(st.Load.Relocations))
+	for _, c := range st.Load.Counters.Fields() {
+		e.I64(*c)
 	}
 }
 
 func decodeDerby(b []byte) (*derby.SnapshotState, error) {
-	d := newDec(b, "derby")
+	d := codec.NewDec(b)
 	st := &derby.SnapshotState{
-		NumProviders: int(d.i64()),
-		NumPatients:  int(d.i64()),
-		Clustering:   derby.Clustering(d.u8()),
+		NumProviders: int(d.I64()),
+		NumPatients:  int(d.I64()),
+		Clustering:   derby.Clustering(d.U8()),
 	}
-	np := d.count(6, "provider rid")
+	np := d.Count(6, "provider rid")
 	st.ProviderRids = make([]storage.Rid, np)
 	for i := range st.ProviderRids {
-		st.ProviderRids[i] = d.rid()
+		st.ProviderRids[i] = d.Rid()
 	}
-	nt := d.count(6, "patient rid")
+	nt := d.Count(6, "patient rid")
 	st.PatientRids = make([]storage.Rid, nt)
 	for i := range st.PatientRids {
-		st.PatientRids[i] = d.rid()
+		st.PatientRids[i] = d.Rid()
 	}
-	st.Load.Elapsed = timeDuration(d.i64())
-	st.Load.Commits = int(d.i64())
-	st.Load.Relocations = int(d.i64())
-	for _, c := range counterFields(&st.Load.Counters) {
-		*c = d.i64()
+	st.Load.Elapsed = time.Duration(d.I64())
+	st.Load.Commits = int(d.I64())
+	st.Load.Relocations = int(d.I64())
+	for _, c := range st.Load.Counters.Fields() {
+		*c = d.I64()
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "derby"); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -576,36 +537,23 @@ type Lineage struct {
 	WalOff     int64 // offset of the commit record in the WAL
 }
 
-func encodeLineage(e *enc, sn *engine.Snapshot) {
-	e.u64(sn.Version())
-	e.u64(sn.ParentVersion())
-	e.u32(uint32(sn.DeltaPages()))
-	e.i64(sn.WalOff())
+func encodeLineage(e *codec.Enc, sn *engine.Snapshot) {
+	e.U64(sn.Version())
+	e.U64(sn.ParentVersion())
+	e.U32(uint32(sn.DeltaPages()))
+	e.I64(sn.WalOff())
 }
 
 func decodeLineage(b []byte) (Lineage, error) {
-	d := newDec(b, "lineage")
+	d := codec.NewDec(b)
 	ln := Lineage{
-		Version:    d.u64(),
-		Parent:     d.u64(),
-		DeltaPages: int(d.u32()),
-		WalOff:     d.i64(),
+		Version:    d.U64(),
+		Parent:     d.U64(),
+		DeltaPages: int(d.U32()),
+		WalOff:     d.I64(),
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "lineage"); err != nil {
 		return Lineage{}, err
 	}
 	return ln, nil
-}
-
-// counterFields enumerates every sim.Counters field in declaration order;
-// like modelFields, additions require a FormatVersion bump.
-func counterFields(c *sim.Counters) []*int64 {
-	return []*int64{
-		&c.DiskReads, &c.DiskWrites, &c.RPCs, &c.RPCBytes,
-		&c.ServerHits, &c.ServerToClient, &c.ClientHits, &c.ClientFaults,
-		&c.LogPages, &c.Locks,
-		&c.ScanNexts, &c.HandleGets, &c.HandleUnrefs, &c.AttrGets,
-		&c.Compares, &c.HashInserts, &c.HashProbes, &c.ResultAppends,
-		&c.SortedElems, &c.SwapReads, &c.SwapWrites,
-	}
 }

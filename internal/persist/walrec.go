@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 
+	"treebench/internal/codec"
 	"treebench/internal/derby"
 	"treebench/internal/engine"
 	"treebench/internal/storage"
@@ -57,91 +58,87 @@ type CommitRecord struct {
 // one buffer of exactly its final length.
 func EncodeCommit(version, wave uint64, delta *storage.Delta, st *derby.SnapshotState) []byte {
 	es := st.Engine
-	cat := enc{b: make([]byte, 0, 32<<10)}
-	cat.sub(func(e *enc) { encodeMeta(e, es) })
-	cat.sub(func(e *enc) { encodeCatalog(e, es.Files) })
-	cat.sub(func(e *enc) { encodeRegistry(e, es.Classes) })
-	cat.sub(func(e *enc) { encodeExtents(e, es) })
-	cat.sub(func(e *enc) { encodeTrees(e, es) })
-	cat.sub(func(e *enc) { encodeHistograms(e, es) })
-	cat.u32(0) // derby: empty, Apply inherits the bookkeeping from the parent
-	cat.sub(func(e *enc) { encodeBackends(e, es) })
+	cat := codec.Enc{B: make([]byte, 0, 32<<10)}
+	cat.Sub(func(e *codec.Enc) { encodeMeta(e, es) })
+	cat.Sub(func(e *codec.Enc) { encodeCatalog(e, es.Files) })
+	cat.Sub(func(e *codec.Enc) { encodeRegistry(e, es.Classes) })
+	cat.Sub(func(e *codec.Enc) { encodeExtents(e, es) })
+	cat.Sub(func(e *codec.Enc) { encodeTrees(e, es) })
+	cat.Sub(func(e *codec.Enc) { encodeHistograms(e, es) })
+	cat.U32(0) // derby: empty, Apply inherits the bookkeeping from the parent
+	cat.Sub(func(e *codec.Enc) { encodeBackends(e, es) })
 
 	ids := delta.OverlayIDs()
 	app := delta.Appended()
-	size := 8 + 8 + 4 + 4 + len(ids)*(4+storage.PageSize) + 4 + len(app)*storage.PageSize + len(cat.b)
-	e := enc{b: make([]byte, 0, size)}
-	e.u64(version)
-	e.u64(wave)
-	e.u32(uint32(delta.Parent().NumPages()))
-	e.u32(uint32(len(ids)))
+	size := 8 + 8 + 4 + 4 + len(ids)*(4+storage.PageSize) + 4 + len(app)*storage.PageSize + len(cat.B)
+	e := codec.Enc{B: make([]byte, 0, size)}
+	e.U64(version)
+	e.U64(wave)
+	e.U32(uint32(delta.Parent().NumPages()))
+	e.U32(uint32(len(ids)))
 	for _, id := range ids {
-		e.u32(uint32(id))
-		e.b = append(e.b, delta.OverlayPage(id)...)
+		e.U32(uint32(id))
+		e.Raw(delta.OverlayPage(id))
 	}
-	e.u32(uint32(len(app)))
+	e.U32(uint32(len(app)))
 	for _, pg := range app {
-		e.b = append(e.b, pg...)
+		e.Raw(pg)
 	}
-	e.b = append(e.b, cat.b...)
-	return e.b
+	e.Raw(cat.B)
+	return e.B
 }
 
 // DecodeCommit parses a commit payload. Failures are typed ErrFormat
 // errors, never panics — the payload passed the log's CRC, so a parse
 // failure means writer/reader disagreement, not disk corruption.
 func DecodeCommit(b []byte) (*CommitRecord, error) {
-	d := newDec(b, "commit")
+	d := codec.NewDec(b)
 	r := &CommitRecord{
-		Version:     d.u64(),
-		Wave:        d.u64(),
-		ParentPages: int(d.u32()),
+		Version:     d.U64(),
+		Wave:        d.U64(),
+		ParentPages: int(d.U32()),
 	}
-	no := d.count(4+storage.PageSize, "overlay page")
+	no := d.Count(4+storage.PageSize, "overlay page")
 	r.OverlayIDs = make([]storage.PageID, 0, no)
 	r.OverlayPages = make([][]byte, 0, no)
 	for i := 0; i < no; i++ {
-		r.OverlayIDs = append(r.OverlayIDs, storage.PageID(d.u32()))
-		r.OverlayPages = append(r.OverlayPages, d.take(storage.PageSize, "overlay page"))
+		r.OverlayIDs = append(r.OverlayIDs, storage.PageID(d.U32()))
+		r.OverlayPages = append(r.OverlayPages, d.Take(storage.PageSize, "overlay page"))
 	}
-	na := d.count(storage.PageSize, "appended page")
+	na := d.Count(storage.PageSize, "appended page")
 	r.AppendedPages = make([][]byte, 0, na)
 	for i := 0; i < na; i++ {
-		r.AppendedPages = append(r.AppendedPages, d.take(storage.PageSize, "appended page"))
-	}
-	sub := func(what string) []byte {
-		n := d.u32()
-		return d.take(int(n), what)
+		r.AppendedPages = append(r.AppendedPages, d.Take(storage.PageSize, "appended page"))
 	}
 	est := &engine.SnapshotState{}
-	if err := decodeMeta(sub("meta"), est); err != nil {
+	if err := decodeMeta(d.Sub("meta"), est); err != nil {
 		return nil, err
 	}
 	var err error
-	if est.Files, err = decodeCatalog(sub("catalog")); err != nil {
+	if est.Files, err = decodeCatalog(d.Sub("catalog")); err != nil {
 		return nil, err
 	}
-	if est.Classes, err = decodeRegistry(sub("registry")); err != nil {
+	if est.Classes, err = decodeRegistry(d.Sub("registry")); err != nil {
 		return nil, err
 	}
-	if err := decodeExtents(sub("extents"), est); err != nil {
+	if err := decodeExtents(d.Sub("extents"), est); err != nil {
 		return nil, err
 	}
-	if err := decodeTrees(sub("trees"), est); err != nil {
+	if err := decodeTrees(d.Sub("trees"), est); err != nil {
 		return nil, err
 	}
-	if err := decodeHistograms(sub("histograms"), est); err != nil {
+	if err := decodeHistograms(d.Sub("histograms"), est); err != nil {
 		return nil, err
 	}
-	if book := sub("derby"); len(book) > 0 {
+	if book := d.Sub("derby"); len(book) > 0 {
 		if _, err := decodeDerby(book); err != nil {
 			return nil, err
 		}
 	}
-	if err := decodeBackends(sub("backends"), est); err != nil {
+	if err := decodeBackends(d.Sub("backends"), est); err != nil {
 		return nil, err
 	}
-	if err := d.finish(); err != nil {
+	if err := finish(d, "commit"); err != nil {
 		return nil, err
 	}
 	r.State = est

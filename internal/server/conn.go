@@ -239,7 +239,7 @@ func (c *conn) commit() bool {
 	s.Metrics.recordDeltas(0, 0, sn.Engine.BackendCounters())
 	// Drop the cached session so this connection's next query forks from
 	// the head it just committed. Other connections keep the version they
-	// pinned — that is the MVCC contract.
+	// forked, which their reference holds — that is the MVCC contract.
 	c.sess = nil
 	c.warmed = false
 	return c.Send(wire.TypeCommitResult, (&wire.CommitResult{

@@ -161,9 +161,9 @@ func (s *Server) snapshot() (*derby.Snapshot, error) {
 	if s.cfg.Store != nil {
 		// Store mode: every call reads the chain's current head, so a
 		// session forked after a commit sees the new version while earlier
-		// forks keep reading the version they pinned. Heads arrive primed:
-		// the store primes its root at open and Publish primes each
-		// version the writer creates.
+		// forks keep reading the version they forked — holding it is what
+		// keeps it alive. Heads arrive primed: the store primes its root
+		// at open and Publish primes each version the writer creates.
 		sn := s.cfg.Store.Head()
 		source := "chain"
 		s.snapSource.Store(&source)

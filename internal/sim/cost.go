@@ -97,6 +97,21 @@ type CostModel struct {
 	Lock time.Duration
 }
 
+// Fields lists every CostModel field in declaration order: the one list
+// the snapshot file's meta section and persist.KeyFor walk. A field added
+// to CostModel goes here too (TestFieldListsCoverStructs fails otherwise),
+// together with a persist.FormatVersion bump.
+func (m *CostModel) Fields() []*time.Duration {
+	return []*time.Duration{
+		&m.PageRead, &m.PageWrite, &m.RPC,
+		&m.ScanNext, &m.HandleGet, &m.HandleUnref,
+		&m.SlimScanNext, &m.SlimHandleGet, &m.SlimHandleUnref,
+		&m.AttrGet, &m.Compare, &m.HashInsert, &m.HashProbe,
+		&m.ResultAppend, &m.SlimResultAppend, &m.SortPerCompare,
+		&m.SwapRead, &m.SwapWrite, &m.LogWrite, &m.Lock,
+	}
+}
+
 // DefaultCostModel returns the calibrated Sparc 20 model described in the
 // type documentation. Callers mutate the returned copy for ablations.
 func DefaultCostModel() CostModel {

@@ -36,30 +36,29 @@ type Counters struct {
 	SwapWrites int64
 }
 
+// Fields lists every Counters field in declaration order: the one list
+// Add, the wire protocol's Result and Partial frames and the snapshot
+// file's derby section walk. A field added to Counters goes here too
+// (TestFieldListsCoverStructs fails otherwise), and since it changes both
+// byte formats, wire.Version and persist.FormatVersion move with it.
+func (c *Counters) Fields() []*int64 {
+	return []*int64{
+		&c.DiskReads, &c.DiskWrites, &c.RPCs, &c.RPCBytes,
+		&c.ServerHits, &c.ServerToClient, &c.ClientHits, &c.ClientFaults,
+		&c.LogPages, &c.Locks,
+		&c.ScanNexts, &c.HandleGets, &c.HandleUnrefs, &c.AttrGets,
+		&c.Compares, &c.HashInserts, &c.HashProbes, &c.ResultAppends,
+		&c.SortedElems, &c.SwapReads, &c.SwapWrites,
+	}
+}
+
 // Add folds o into c field by field. Addition is commutative, so the sum
 // over any set of worker counters is independent of merge order.
 func (c *Counters) Add(o Counters) {
-	c.DiskReads += o.DiskReads
-	c.DiskWrites += o.DiskWrites
-	c.RPCs += o.RPCs
-	c.RPCBytes += o.RPCBytes
-	c.ServerHits += o.ServerHits
-	c.ServerToClient += o.ServerToClient
-	c.ClientHits += o.ClientHits
-	c.ClientFaults += o.ClientFaults
-	c.LogPages += o.LogPages
-	c.Locks += o.Locks
-	c.ScanNexts += o.ScanNexts
-	c.HandleGets += o.HandleGets
-	c.HandleUnrefs += o.HandleUnrefs
-	c.AttrGets += o.AttrGets
-	c.Compares += o.Compares
-	c.HashInserts += o.HashInserts
-	c.HashProbes += o.HashProbes
-	c.ResultAppends += o.ResultAppends
-	c.SortedElems += o.SortedElems
-	c.SwapReads += o.SwapReads
-	c.SwapWrites += o.SwapWrites
+	src := o.Fields()
+	for i, p := range c.Fields() {
+		*p += *src[i]
+	}
 }
 
 // ClientMissRate returns the client-cache miss percentage, 0 if no accesses.

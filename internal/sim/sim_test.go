@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -305,4 +306,39 @@ func TestRegionGrowNegativePanics(t *testing.T) {
 		}
 	}()
 	NewRegion(NewMeter(DefaultCostModel()), 1).Grow(-1)
+}
+
+// TestFieldListsCoverStructs pins Counters.Fields and CostModel.Fields to
+// the struct definitions: entry i must be field i, so a field added to
+// either struct without its list fails here instead of decoding as zero on
+// the wire or silently dropping out of saved snapshots.
+func TestFieldListsCoverStructs(t *testing.T) {
+	var c Counters
+	cv := reflect.ValueOf(&c).Elem()
+	cf := c.Fields()
+	if len(cf) != cv.NumField() {
+		t.Fatalf("Counters.Fields lists %d of %d fields", len(cf), cv.NumField())
+	}
+	for i, p := range cf {
+		if p != cv.Field(i).Addr().Interface().(*int64) {
+			t.Errorf("Counters.Fields entry %d is not field %s", i, cv.Type().Field(i).Name)
+		}
+	}
+	var m CostModel
+	mv := reflect.ValueOf(&m).Elem()
+	mf := m.Fields()
+	if len(mf) != mv.NumField() {
+		t.Fatalf("CostModel.Fields lists %d of %d fields", len(mf), mv.NumField())
+	}
+	for i, p := range mf {
+		if p != mv.Field(i).Addr().Interface().(*time.Duration) {
+			t.Errorf("CostModel.Fields entry %d is not field %s", i, mv.Type().Field(i).Name)
+		}
+	}
+
+	a := Counters{DiskReads: 1, SwapWrites: 2}
+	a.Add(Counters{DiskReads: 10, Compares: 3, SwapWrites: 20})
+	if a != (Counters{DiskReads: 11, Compares: 3, SwapWrites: 22}) {
+		t.Fatalf("Add = %+v", a)
+	}
 }

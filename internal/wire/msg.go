@@ -2,11 +2,12 @@ package wire
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
+	"treebench/internal/codec"
 	"treebench/internal/object"
 	"treebench/internal/sim"
-	"treebench/internal/storage"
 )
 
 // Optimizer strategies on the wire (a session picks per query).
@@ -15,6 +16,14 @@ const (
 	StrategyHeuristic byte = 1
 )
 
+// finish returns d's failure, if any, as a wire error naming the message.
+func finish(d *codec.Dec, msg string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("wire: %s: %v", msg, err)
+	}
+	return nil
+}
+
 // Hello opens a connection.
 type Hello struct {
 	Version uint32
@@ -22,16 +31,16 @@ type Hello struct {
 
 // Encode serializes the message payload.
 func (m *Hello) Encode() []byte {
-	var e enc
-	e.u32(m.Version)
-	return e.b
+	var e codec.Enc
+	e.U32(m.Version)
+	return e.B
 }
 
 // DecodeHello parses a TypeHello payload.
 func DecodeHello(b []byte) (*Hello, error) {
-	d := newDec(b)
-	m := &Hello{Version: d.u32()}
-	return m, d.finish("hello")
+	d := codec.NewDec(b)
+	m := &Hello{Version: d.U32()}
+	return m, finish(d, "hello")
 }
 
 // ServerHello acknowledges the handshake.
@@ -52,21 +61,21 @@ type ServerHello struct {
 }
 
 func (m *ServerHello) Encode() []byte {
-	var e enc
-	e.u32(m.Version)
-	e.str(m.Label)
-	e.u32(m.ShardIdx)
-	e.u32(m.ShardCnt)
-	e.str(m.SnapshotKey)
-	return e.b
+	var e codec.Enc
+	e.U32(m.Version)
+	e.Str(m.Label)
+	e.U32(m.ShardIdx)
+	e.U32(m.ShardCnt)
+	e.Str(m.SnapshotKey)
+	return e.B
 }
 
 // DecodeServerHello parses a TypeServerHello payload.
 func DecodeServerHello(b []byte) (*ServerHello, error) {
-	d := newDec(b)
-	m := &ServerHello{Version: d.u32(), Label: d.str(),
-		ShardIdx: d.u32(), ShardCnt: d.u32(), SnapshotKey: d.str()}
-	return m, d.finish("server hello")
+	d := codec.NewDec(b)
+	m := &ServerHello{Version: d.U32(), Label: d.Str(),
+		ShardIdx: d.U32(), ShardCnt: d.U32(), SnapshotKey: d.Str()}
+	return m, finish(d, "server hello")
 }
 
 // Query asks for one OQL statement's execution.
@@ -83,19 +92,19 @@ type Query struct {
 }
 
 func (m *Query) Encode() []byte {
-	var e enc
-	e.str(m.Stmt)
-	e.bool(m.Warm)
-	e.u8(m.Strategy)
-	e.u32(m.MaxRows)
-	return e.b
+	var e codec.Enc
+	e.Str(m.Stmt)
+	e.Bool(m.Warm)
+	e.U8(m.Strategy)
+	e.U32(m.MaxRows)
+	return e.B
 }
 
 // DecodeQuery parses a TypeQuery payload.
 func DecodeQuery(b []byte) (*Query, error) {
-	d := newDec(b)
-	m := &Query{Stmt: d.str(), Warm: d.boolv(), Strategy: d.u8(), MaxRows: d.u32()}
-	if err := d.finish("query"); err != nil {
+	d := codec.NewDec(b)
+	m := &Query{Stmt: d.Str(), Warm: d.Bool(), Strategy: d.U8(), MaxRows: d.U32()}
+	if err := finish(d, "query"); err != nil {
 		return nil, err
 	}
 	if m.Strategy > StrategyHeuristic {
@@ -130,49 +139,33 @@ type Result struct {
 }
 
 func (m *Result) Encode() []byte {
-	var e enc
-	e.str(m.Plan)
-	e.i64(m.Rows)
-	e.i64(int64(m.Elapsed))
+	var e codec.Enc
+	e.Str(m.Plan)
+	e.I64(m.Rows)
+	e.I64(int64(m.Elapsed))
 	encodeCounters(&e, &m.Counters)
-	e.u32(uint32(len(m.Aggregates)))
+	e.U32(uint32(len(m.Aggregates)))
 	for _, a := range m.Aggregates {
-		e.str(a.Label)
-		e.f64(a.Value)
+		e.Str(a.Label)
+		e.F64(a.Value)
 	}
-	e.u32(uint32(len(m.Sample)))
-	for _, row := range m.Sample {
-		e.u32(uint32(len(row)))
-		for _, v := range row {
-			encodeValue(&e, v)
-		}
-	}
-	return e.b
+	encodeSample(&e, m.Sample)
+	return e.B
 }
 
 // DecodeResult parses a TypeResult payload.
 func DecodeResult(b []byte) (*Result, error) {
-	d := newDec(b)
-	m := &Result{Plan: d.str(), Rows: d.i64(), Elapsed: time.Duration(d.i64())}
+	d := codec.NewDec(b)
+	m := &Result{Plan: d.Str(), Rows: d.I64(), Elapsed: time.Duration(d.I64())}
 	decodeCounters(d, &m.Counters)
-	if n := d.count(12, "aggregate"); n > 0 {
+	if n := d.Count(12, "aggregate"); n > 0 {
 		m.Aggregates = make([]Agg, n)
 		for i := range m.Aggregates {
-			m.Aggregates[i] = Agg{Label: d.str(), Value: d.f64()}
+			m.Aggregates[i] = Agg{Label: d.Str(), Value: d.F64()}
 		}
 	}
-	if n := d.count(4, "row"); n > 0 {
-		m.Sample = make([][]object.Value, n)
-		for i := range m.Sample {
-			cols := d.count(1, "column")
-			row := make([]object.Value, cols)
-			for j := range row {
-				row[j] = decodeValue(d)
-			}
-			m.Sample[i] = row
-		}
-	}
-	if err := d.finish("result"); err != nil {
+	m.Sample = decodeSample(d)
+	if err := finish(d, "result"); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -185,17 +178,17 @@ type Error struct {
 }
 
 func (m *Error) Encode() []byte {
-	var e enc
-	e.u8(m.Code)
-	e.str(m.Msg)
-	return e.b
+	var e codec.Enc
+	e.U8(m.Code)
+	e.Str(m.Msg)
+	return e.B
 }
 
 // DecodeError parses a TypeError payload.
 func DecodeError(b []byte) (*Error, error) {
-	d := newDec(b)
-	m := &Error{Code: d.u8(), Msg: d.str()}
-	return m, d.finish("error")
+	d := codec.NewDec(b)
+	m := &Error{Code: d.U8(), Msg: d.Str()}
+	return m, finish(d, "error")
 }
 
 // Stats is the server's counters snapshot (the daemon's answer to the
@@ -251,7 +244,7 @@ type Stats struct {
 	// read-only server without a chain store.
 	HeadVersion int64 // current head version of the chain
 	BaseVersion int64 // version folded into the on-disk base snapshot
-	Versions    int64 // live (un-GC'd) versions in the chain
+	Versions    int64 // versions since the last compaction (head − base + 1)
 	Commits     int64 // commits performed by this server process
 	Compactions int64 // compactions performed by this server process
 	WalRecords  int64 // records appended to the WAL since boot
@@ -284,64 +277,95 @@ type Stats struct {
 	PoolCapacityPages   int64 // frame capacity
 }
 
-func (m *Stats) Encode() []byte {
-	var e enc
-	for _, v := range []int64{
-		m.Served, m.QueryErrors, m.Rejected, m.TimedOut,
-		m.ActiveSessions, m.QueueDepth, m.Sessions, m.BusySessions,
-		m.WallP50us, m.WallP95us, m.WallP99us,
-		m.SimP50ms, m.SimP95ms, m.SimP99ms,
-		m.SnapshotPages, m.SnapshotBytes,
-		m.PlanCacheHits, m.PlanCacheMisses,
-		m.PlansCost, m.PlansHeuristic, m.BatchSize,
-		m.ShardIdx, m.ShardCnt,
-		m.HeadVersion, m.BaseVersion, m.Versions, m.Commits, m.Compactions,
-		m.WalRecords, m.WalBytes, m.WalSyncs, m.WalTail,
-		m.BackendBloomHits, m.BackendBloomMisses, m.BackendSSTablesRead,
-		m.BackendCompactions, m.BackendPagesWritten,
-		m.PoolHits, m.PoolMisses, m.PoolEvictions,
-		m.PoolReadaheadIssued, m.PoolReadaheadUsed, m.PoolReadaheadWasted,
-		m.PoolResidentPages, m.PoolCapacityPages,
-	} {
-		e.i64(v)
+// A Stats payload describes itself (v9): a u32 field count, then per field
+// its name, a kind byte and the value. Encode walks the struct, so a new
+// counter is one struct field; a decoder skips names it does not know, so
+// peers of either age still read each other's payloads.
+const (
+	kindInt64  byte = 1 // i64
+	kindString byte = 2 // u32 length + bytes
+)
+
+// statsFields holds Stats's field names and kinds in declaration order, and
+// statsIndex maps a name to its position.
+var statsFields, statsIndex = func() ([]statField, map[string]int) {
+	t := reflect.TypeOf(Stats{})
+	fields := make([]statField, t.NumField())
+	index := make(map[string]int, len(fields))
+	for i := range fields {
+		f := t.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int64:
+			fields[i] = statField{f.Name, kindInt64}
+		case reflect.String:
+			fields[i] = statField{f.Name, kindString}
+		default:
+			panic("wire: Stats." + f.Name + " is neither int64 nor string")
+		}
+		index[f.Name] = i
 	}
-	e.str(m.WallHist)
-	e.str(m.SimHist)
-	e.str(m.SnapshotSource)
-	e.str(m.LastOperator)
-	e.str(m.IndexBackend)
-	return e.b
+	return fields, index
+}()
+
+type statField struct {
+	name string
+	kind byte
 }
 
-// DecodeStats parses a TypeStats payload.
-func DecodeStats(b []byte) (*Stats, error) {
-	d := newDec(b)
-	m := &Stats{}
-	for _, p := range []*int64{
-		&m.Served, &m.QueryErrors, &m.Rejected, &m.TimedOut,
-		&m.ActiveSessions, &m.QueueDepth, &m.Sessions, &m.BusySessions,
-		&m.WallP50us, &m.WallP95us, &m.WallP99us,
-		&m.SimP50ms, &m.SimP95ms, &m.SimP99ms,
-		&m.SnapshotPages, &m.SnapshotBytes,
-		&m.PlanCacheHits, &m.PlanCacheMisses,
-		&m.PlansCost, &m.PlansHeuristic, &m.BatchSize,
-		&m.ShardIdx, &m.ShardCnt,
-		&m.HeadVersion, &m.BaseVersion, &m.Versions, &m.Commits, &m.Compactions,
-		&m.WalRecords, &m.WalBytes, &m.WalSyncs, &m.WalTail,
-		&m.BackendBloomHits, &m.BackendBloomMisses, &m.BackendSSTablesRead,
-		&m.BackendCompactions, &m.BackendPagesWritten,
-		&m.PoolHits, &m.PoolMisses, &m.PoolEvictions,
-		&m.PoolReadaheadIssued, &m.PoolReadaheadUsed, &m.PoolReadaheadWasted,
-		&m.PoolResidentPages, &m.PoolCapacityPages,
-	} {
-		*p = d.i64()
+func (m *Stats) Encode() []byte {
+	var e codec.Enc
+	v := reflect.ValueOf(m).Elem()
+	e.U32(uint32(len(statsFields)))
+	for i, f := range statsFields {
+		e.Str(f.name)
+		e.U8(f.kind)
+		if f.kind == kindInt64 {
+			e.I64(v.Field(i).Int())
+		} else {
+			e.Str(v.Field(i).String())
+		}
 	}
-	m.WallHist = d.str()
-	m.SimHist = d.str()
-	m.SnapshotSource = d.str()
-	m.LastOperator = d.str()
-	m.IndexBackend = d.str()
-	return m, d.finish("stats")
+	return e.B
+}
+
+// DecodeStats parses a TypeStats payload. It rejects a known field sent
+// with the wrong kind or twice, and skips a field it does not know.
+func DecodeStats(b []byte) (*Stats, error) {
+	d := codec.NewDec(b)
+	m := &Stats{}
+	v := reflect.ValueOf(m).Elem()
+	seen := make([]bool, len(statsFields))
+	n := d.Count(9, "stats field")
+	for k := 0; k < n && d.Err() == nil; k++ {
+		name, kind := d.Str(), d.U8()
+		i, known := statsIndex[name]
+		if known && kind != statsFields[i].kind {
+			return nil, fmt.Errorf("wire: stats field %s has kind %d, want %d", name, kind, statsFields[i].kind)
+		}
+		if known && seen[i] {
+			return nil, fmt.Errorf("wire: stats field %s repeated", name)
+		}
+		switch kind {
+		case kindInt64:
+			x := d.I64()
+			if known {
+				v.Field(i).SetInt(x)
+			}
+		case kindString:
+			x := d.Str()
+			if known {
+				v.Field(i).SetString(x)
+			}
+		default:
+			if d.Err() == nil {
+				return nil, fmt.Errorf("wire: stats field %s has unknown kind %d", name, kind)
+			}
+		}
+		if known {
+			seen[i] = true
+		}
+	}
+	return m, finish(d, "stats")
 }
 
 // Scatter asks a shard to execute its slice of one OQL statement (v5).
@@ -360,19 +384,19 @@ type Scatter struct {
 }
 
 func (m *Scatter) Encode() []byte {
-	var e enc
-	e.str(m.Stmt)
-	e.u8(m.Strategy)
-	e.u32(m.ShardIdx)
-	e.u32(m.ShardCnt)
-	return e.b
+	var e codec.Enc
+	e.Str(m.Stmt)
+	e.U8(m.Strategy)
+	e.U32(m.ShardIdx)
+	e.U32(m.ShardCnt)
+	return e.B
 }
 
 // DecodeScatter parses a TypeScatter payload.
 func DecodeScatter(b []byte) (*Scatter, error) {
-	d := newDec(b)
-	m := &Scatter{Stmt: d.str(), Strategy: d.u8(), ShardIdx: d.u32(), ShardCnt: d.u32()}
-	if err := d.finish("scatter"); err != nil {
+	d := codec.NewDec(b)
+	m := &Scatter{Stmt: d.Str(), Strategy: d.U8(), ShardIdx: d.U32(), ShardCnt: d.U32()}
+	if err := finish(d, "scatter"); err != nil {
 		return nil, err
 	}
 	if m.Strategy > StrategyHeuristic {
@@ -416,57 +440,41 @@ type Partial struct {
 }
 
 func (m *Partial) Encode() []byte {
-	var e enc
-	e.i64(m.Rows)
-	e.i64(int64(m.Elapsed))
+	var e codec.Enc
+	e.I64(m.Rows)
+	e.I64(int64(m.Elapsed))
 	encodeCounters(&e, &m.Counters)
-	e.u32(uint32(len(m.Aggs)))
+	e.U32(uint32(len(m.Aggs)))
 	for _, a := range m.Aggs {
-		e.str(a.Agg)
-		e.str(a.Label)
-		e.i64(a.N)
-		e.i64(a.Sum)
-		e.i64(a.Min)
-		e.i64(a.Max)
+		e.Str(a.Agg)
+		e.Str(a.Label)
+		e.I64(a.N)
+		e.I64(a.Sum)
+		e.I64(a.Min)
+		e.I64(a.Max)
 	}
-	e.u32(uint32(len(m.Sample)))
-	for _, row := range m.Sample {
-		e.u32(uint32(len(row)))
-		for _, v := range row {
-			encodeValue(&e, v)
-		}
-	}
-	e.bool(m.Truncated)
-	return e.b
+	encodeSample(&e, m.Sample)
+	e.Bool(m.Truncated)
+	return e.B
 }
 
 // DecodePartial parses a TypePartial payload.
 func DecodePartial(b []byte) (*Partial, error) {
-	d := newDec(b)
-	m := &Partial{Rows: d.i64(), Elapsed: time.Duration(d.i64())}
+	d := codec.NewDec(b)
+	m := &Partial{Rows: d.I64(), Elapsed: time.Duration(d.I64())}
 	decodeCounters(d, &m.Counters)
-	if n := d.count(40, "partial aggregate"); n > 0 {
+	if n := d.Count(40, "partial aggregate"); n > 0 {
 		m.Aggs = make([]PartialAgg, n)
 		for i := range m.Aggs {
 			m.Aggs[i] = PartialAgg{
-				Agg: d.str(), Label: d.str(),
-				N: d.i64(), Sum: d.i64(), Min: d.i64(), Max: d.i64(),
+				Agg: d.Str(), Label: d.Str(),
+				N: d.I64(), Sum: d.I64(), Min: d.I64(), Max: d.I64(),
 			}
 		}
 	}
-	if n := d.count(4, "partial row"); n > 0 {
-		m.Sample = make([][]object.Value, n)
-		for i := range m.Sample {
-			cols := d.count(1, "partial column")
-			row := make([]object.Value, cols)
-			for j := range row {
-				row[j] = decodeValue(d)
-			}
-			m.Sample[i] = row
-		}
-	}
-	m.Truncated = d.boolv()
-	if err := d.finish("partial"); err != nil {
+	m.Sample = decodeSample(d)
+	m.Truncated = d.Bool()
+	if err := finish(d, "partial"); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -492,31 +500,31 @@ type ClusterStats struct {
 }
 
 func (m *ClusterStats) Encode() []byte {
-	var e enc
-	e.str(m.Map)
-	e.u32(uint32(len(m.Shards)))
+	var e codec.Enc
+	e.Str(m.Map)
+	e.U32(uint32(len(m.Shards)))
 	for _, s := range m.Shards {
-		e.u32(s.Idx)
-		e.str(s.Addr)
-		e.bool(s.Up)
+		e.U32(s.Idx)
+		e.Str(s.Addr)
+		e.Bool(s.Up)
 		if s.Stats != nil {
-			e.str(string(s.Stats.Encode()))
+			e.Str(string(s.Stats.Encode()))
 		} else {
-			e.str("")
+			e.Str("")
 		}
 	}
-	return e.b
+	return e.B
 }
 
 // DecodeClusterStats parses a TypeClusterStats payload.
 func DecodeClusterStats(b []byte) (*ClusterStats, error) {
-	d := newDec(b)
-	m := &ClusterStats{Map: d.str()}
-	if n := d.count(10, "shard stat"); n > 0 {
+	d := codec.NewDec(b)
+	m := &ClusterStats{Map: d.Str()}
+	if n := d.Count(10, "shard stat"); n > 0 {
 		m.Shards = make([]ShardStat, n)
 		for i := range m.Shards {
-			s := ShardStat{Idx: d.u32(), Addr: d.str(), Up: d.boolv()}
-			if raw := d.str(); raw != "" {
+			s := ShardStat{Idx: d.U32(), Addr: d.Str(), Up: d.Bool()}
+			if raw := d.Str(); raw != "" {
 				st, err := DecodeStats([]byte(raw))
 				if err != nil {
 					return nil, fmt.Errorf("wire: shard %d stats: %w", s.Idx, err)
@@ -526,7 +534,7 @@ func DecodeClusterStats(b []byte) (*ClusterStats, error) {
 			m.Shards[i] = s
 		}
 	}
-	if err := d.finish("cluster stats"); err != nil {
+	if err := finish(d, "cluster stats"); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -550,88 +558,71 @@ type CommitResult struct {
 }
 
 func (m *CommitResult) Encode() []byte {
-	var e enc
-	e.u64(m.Version)
-	e.u64(m.Wave)
-	e.i64(m.Reassigned)
-	e.i64(m.Scalars)
-	e.bool(m.Evolved)
-	e.i64(m.Upgraded)
-	e.i64(m.Relocated)
-	e.i64(m.DeltaPages)
-	e.i64(m.WalOff)
-	e.i64(m.WallUs)
-	return e.b
+	var e codec.Enc
+	e.U64(m.Version)
+	e.U64(m.Wave)
+	e.I64(m.Reassigned)
+	e.I64(m.Scalars)
+	e.Bool(m.Evolved)
+	e.I64(m.Upgraded)
+	e.I64(m.Relocated)
+	e.I64(m.DeltaPages)
+	e.I64(m.WalOff)
+	e.I64(m.WallUs)
+	return e.B
 }
 
 // DecodeCommitResult parses a TypeCommitResult payload.
 func DecodeCommitResult(b []byte) (*CommitResult, error) {
-	d := newDec(b)
-	m := &CommitResult{Version: d.u64(), Wave: d.u64()}
-	m.Reassigned = d.i64()
-	m.Scalars = d.i64()
-	m.Evolved = d.boolv()
-	m.Upgraded = d.i64()
-	m.Relocated = d.i64()
-	m.DeltaPages = d.i64()
-	m.WalOff = d.i64()
-	m.WallUs = d.i64()
-	return m, d.finish("commit result")
+	d := codec.NewDec(b)
+	m := &CommitResult{Version: d.U64(), Wave: d.U64()}
+	m.Reassigned = d.I64()
+	m.Scalars = d.I64()
+	m.Evolved = d.Bool()
+	m.Upgraded = d.I64()
+	m.Relocated = d.I64()
+	m.DeltaPages = d.I64()
+	m.WalOff = d.I64()
+	m.WallUs = d.I64()
+	return m, finish(d, "commit result")
 }
 
-// counterFields lists every sim.Counters field in wire order. Appending a
-// field to sim.Counters requires appending it here (and bumping Version if
-// old peers must be locked out).
-func counterFields(c *sim.Counters) []*int64 {
-	return []*int64{
-		&c.DiskReads, &c.DiskWrites, &c.RPCs, &c.RPCBytes,
-		&c.ServerHits, &c.ServerToClient, &c.ClientHits, &c.ClientFaults,
-		&c.LogPages, &c.Locks,
-		&c.ScanNexts, &c.HandleGets, &c.HandleUnrefs, &c.AttrGets,
-		&c.Compares, &c.HashInserts, &c.HashProbes, &c.ResultAppends,
-		&c.SortedElems, &c.SwapReads, &c.SwapWrites,
+func encodeCounters(e *codec.Enc, c *sim.Counters) {
+	for _, p := range c.Fields() {
+		e.I64(*p)
 	}
 }
 
-func encodeCounters(e *enc, c *sim.Counters) {
-	for _, p := range counterFields(c) {
-		e.i64(*p)
+func decodeCounters(d *codec.Dec, c *sim.Counters) {
+	for _, p := range c.Fields() {
+		*p = d.I64()
 	}
 }
 
-func decodeCounters(d *dec, c *sim.Counters) {
-	for _, p := range counterFields(c) {
-		*p = d.i64()
+// encodeSample writes sample rows: the row count, then per row its column
+// count and values.
+func encodeSample(e *codec.Enc, rows [][]object.Value) {
+	e.U32(uint32(len(rows)))
+	for _, row := range rows {
+		e.U32(uint32(len(row)))
+		for _, v := range row {
+			e.Value(v)
+		}
 	}
 }
 
-// encodeValue writes one object.Value. The kinds mirror the object layer:
-// ints and chars carry their integer, strings their bytes, refs and sets
-// their Rid.
-func encodeValue(e *enc, v object.Value) {
-	e.u8(byte(v.Kind))
-	switch v.Kind {
-	case object.KindInt, object.KindChar:
-		e.i64(v.Int)
-	case object.KindString:
-		e.str(v.Str)
-	case object.KindRef, object.KindSet:
-		e.u32(uint32(v.Ref.Page))
-		e.u16(v.Ref.Slot)
+func decodeSample(d *codec.Dec) [][]object.Value {
+	n := d.Count(4, "row")
+	if n == 0 {
+		return nil
 	}
-}
-
-func decodeValue(d *dec) object.Value {
-	v := object.Value{Kind: object.Kind(d.u8())}
-	switch v.Kind {
-	case object.KindInt, object.KindChar:
-		v.Int = d.i64()
-	case object.KindString:
-		v.Str = d.str()
-	case object.KindRef, object.KindSet:
-		v.Ref = storage.Rid{Page: storage.PageID(d.u32()), Slot: d.u16()}
-	default:
-		d.fail("value kind")
+	rows := make([][]object.Value, n)
+	for i := range rows {
+		row := make([]object.Value, d.Count(1, "column"))
+		for j := range row {
+			row[j] = d.Value()
+		}
+		rows[i] = row
 	}
-	return v
+	return rows
 }

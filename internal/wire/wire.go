@@ -4,11 +4,11 @@
 // this protocol restores that missing boundary around the simulated engine
 // so multi-client workloads can drive one daemon.
 //
-// A frame is [type:1][length:4 big-endian][payload]; payloads use the
-// fixed-width primitives in codec.go. A connection starts with a
-// Hello/ServerHello exchange pinning the protocol version, then carries any
-// number of request/response pairs (Query→Result|Error, Ping→Pong,
-// StatsReq→Stats). The Result message is the neutral form both the local
+// A frame is [type:1][length:4 big-endian][payload]; payloads are written
+// with internal/codec, the encoder the snapshot file and the WAL record
+// share. A connection starts with a Hello/ServerHello exchange pinning the
+// protocol version, then carries any number of request/response pairs
+// (Query→Result|Error, Ping→Pong, StatsReq→Stats). The Result message is the neutral form both the local
 // shell and the remote client render through session.WriteResult, which is
 // what makes remote output byte-identical to oqlsh.
 package wire
@@ -34,7 +34,9 @@ import (
 // SSTable / compaction / pages-written backend counters.
 // v8 added the shared buffer pool: Stats.Pool* counters (hits, misses,
 // evictions, readahead issued/used/wasted, resident/capacity frames).
-const Version uint32 = 8
+// v9 made the Stats payload self-describing (name, kind and value per
+// field): a new Stats counter no longer needs a version bump.
+const Version uint32 = 9
 
 // MaxPayload bounds a frame's payload; larger length prefixes are rejected
 // before any allocation (a malformed or hostile peer cannot make us
