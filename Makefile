@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap bench-query bench-dist bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke clean
+.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke wal-smoke clean
 
 all: build test
 
@@ -77,31 +77,6 @@ bench-live:
 bench-snap:
 	$(GO) test -run 'TestNothing^' -bench 'BenchmarkSnapshot(Generate|Load)' -benchmem ./internal/persist
 
-# Intra-query parallel speedup: the identical cold PHJ tree query at one
-# worker vs four over one shared snapshot. Writes BENCH_query.json; on a
-# machine with at least 4 CPUs the run fails if four workers buy less than
-# MIN_SPEEDUP (default 1.5×). Simulated numbers are asserted identical at
-# both settings inside the benchmark itself.
-bench-query:
-	./scripts/bench_query.sh
-
-# Sharded scatter-gather speedup: the identical cold PHJ tree query through
-# treebench-coord over 1, 2 and 4 single-worker treebenchd shards, all
-# warm-booting from one content-addressed snapshot cache. Writes
-# BENCH_dist.json; on a machine with at least 4 CPUs the run fails if four
-# shards buy less than MIN_SPEEDUP (default 1.3×). Rendered results are
-# byte-identical at every cluster size (dist-smoke pins that).
-bench-dist:
-	./scripts/bench_dist.sh
-
-# WAL group-commit throughput: durable update-wave commits through a
-# writable treebenchd at 1, 4 and 16 concurrent writers, fresh store per
-# writer count. Writes BENCH_wal.json with commits/s and the group-commit
-# ratio; on a machine with at least 4 CPUs the run fails if 16 writers buy
-# less than MIN_SPEEDUP (default 2.0×) over one.
-bench-wal:
-	./scripts/bench_wal.sh
-
 # Index-backend ablation: the B1 experiment (in-memory B+-tree vs paged
 # on-disk B+-tree vs LSM-tree with bloom filters) recorded as
 # BENCH_index.json. Enforced on every runner — the numbers are simulated
@@ -143,7 +118,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadSnapshot -fuzztime 30s ./internal/persist
 	$(GO) test -fuzz FuzzDecodeCommit -fuzztime 30s ./internal/persist
 
-# End-to-end query-server smoke: treebenchd + oqlload vs oqlsh.
+# End-to-end query-server smoke: treebenchd + oqlsh -coord vs oqlsh.
 smoke:
 	./scripts/server_smoke.sh
 

@@ -25,18 +25,24 @@
 // and dist smokes pin), and -warm exercises the remote session's
 // warm-cache discipline. The dial retries while the daemon is still
 // generating, and every request has an I/O deadline. -coord requires -e
-// or -f. The shell only generates databases in process, so it never reads
-// a page through the buffer pool and has no -bufpool-mb.
+// or -f. Concurrent clients are several oqlsh -coord processes; closed-loop
+// throughput and latency are the bench/ module's job. The shell only
+// generates databases in process, so it never reads a page through the
+// buffer pool and has no -bufpool-mb.
 //
 // Shell commands:
 //
-//	select ... ;         run an OQL query (newlines allowed, end with ';')
+//	select ... ;         run an OQL query (newlines allowed; ';' ends it,
+//	                     so one line may hold several)
 //	.explain select ...  plan a query without running it
 //	.cold                cold-restart the caches (default before each query)
 //	.warm                keep caches warm between queries
 //	.schema              show extents, attributes and indexes
 //	.stats               show index histograms
 //	.strategy cost|heur  switch optimizer strategy
+//	.commit              -coord: commit the daemon's next update wave
+//	.server              -coord: print the daemon's counters (and, from a
+//	                     coordinator, the shard map and per-shard stats)
 //	.help                this text
 //	.quit                exit
 package main
@@ -74,78 +80,66 @@ func main() {
 	flag.Parse()
 	scripted := *stmts != "" || *script != ""
 
+	var sh *shell.Shell
 	if *coord != "" {
 		if !scripted {
-			fmt.Fprintln(os.Stderr, "oqlsh: -coord requires -e or -f (no interactive remote mode)")
-			os.Exit(2)
+			fatal(2, fmt.Errorf("-coord requires -e or -f (no interactive remote mode)"))
 		}
-		if err := runRemote(*coord, *stmts, *script, *strategy, *warm, *maxRows); err != nil {
-			fmt.Fprintln(os.Stderr, "oqlsh:", err)
-			os.Exit(1)
+		c, err := client.Dial(*coord, client.Options{RetryAttempts: 20, IOTimeout: 60 * time.Second})
+		if err != nil {
+			fatal(1, err)
 		}
-		return
+		defer c.Close()
+		fmt.Fprintf(os.Stderr, "connected to %s (db %s)\n", *coord, c.Label())
+		sh = shell.NewRemote(c)
+		sh.MaxRows = *maxRows
+	} else {
+		cl, err := derby.ParseClustering(*clustering)
+		if err != nil {
+			fatal(2, err)
+		}
+		qj, kind, err := exec.Resolve()
+		if err != nil {
+			fatal(2, err)
+		}
+		// Progress stays off stdout in scripted mode so stdout is exactly
+		// the query output.
+		progress := io.Writer(os.Stdout)
+		if scripted {
+			progress = os.Stderr
+		}
+		fmt.Fprintf(progress, "generating %d providers × %d patients (%s clustering)...\n",
+			*providers, (*providers)*(*avg), cl)
+		dcfg := treebench.DerbyConfig(*providers, *avg, cl)
+		dcfg.IndexBackend = kind
+		d, err := treebench.GenerateDerby(dcfg)
+		if err != nil {
+			fatal(1, err)
+		}
+		sh = shell.NewWith(d.DB, session.Config{
+			QueryJobs:    qj,
+			PlanCache:    oql.NewPlanCache(0),
+			IndexBackend: kind,
+		})
 	}
-
-	cl, err := derby.ParseClustering(*clustering)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oqlsh:", err)
-		os.Exit(2)
-	}
-	qj, kind, err := exec.Resolve()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oqlsh:", err)
-		os.Exit(2)
-	}
-
-	// Progress stays off stdout in scripted mode so stdout is exactly the
-	// query output.
-	progress := io.Writer(os.Stdout)
-	if scripted {
-		progress = os.Stderr
-	}
-	fmt.Fprintf(progress, "generating %d providers × %d patients (%s clustering)...\n",
-		*providers, (*providers)*(*avg), cl)
-	dcfg := treebench.DerbyConfig(*providers, *avg, cl)
-	dcfg.IndexBackend = kind
-	d, err := treebench.GenerateDerby(dcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oqlsh:", err)
-		os.Exit(1)
-	}
-	sh := shell.NewWith(d.DB, session.Config{
-		QueryJobs:    qj,
-		PlanCache:    oql.NewPlanCache(0),
-		IndexBackend: kind,
-	})
-	if strings.HasPrefix(*strategy, "heur") {
-		sh.Planner.Strategy = oql.Heuristic
-	}
+	// -strategy and -warm are the shell's first dot-commands.
+	sh.Command(".strategy "+*strategy, io.Discard)
 	if *warm {
-		sh.Cold = false
+		sh.Command(".warm", io.Discard)
 	}
 
 	if scripted {
 		sh.Prompt = ""
-		if *stmts != "" {
-			src := *stmts
-			if !strings.HasSuffix(strings.TrimSpace(src), ";") {
-				src += ";"
-			}
-			if err := sh.Script(strings.NewReader(src), os.Stdout); err != nil {
-				os.Exit(1)
+		err := sh.Script(strings.NewReader(*stmts), os.Stdout)
+		if err == nil && *script != "" {
+			var f *os.File
+			if f, err = os.Open(*script); err == nil {
+				err = sh.Script(f, os.Stdout)
+				f.Close()
 			}
 		}
-		if *script != "" {
-			f, err := os.Open(*script)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "oqlsh:", err)
-				os.Exit(1)
-			}
-			err = sh.Script(f, os.Stdout)
-			f.Close()
-			if err != nil {
-				os.Exit(1)
-			}
+		if err != nil {
+			fatal(1, err)
 		}
 		return
 	}
@@ -153,51 +147,11 @@ func main() {
 	fmt.Println(`ready; try: select p.name, pa.age from p in Providers, pa in p.clients where pa.mrn < 100 and p.upin < 10;`)
 	fmt.Println(`type .help for commands`)
 	if err := sh.Run(os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "oqlsh:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 }
 
-// runRemote sends the scripted statements to a coordinator (or daemon) and
-// renders each result exactly as the local shell would.
-func runRemote(addr, inline, script, strategy string, warm bool, maxRows int) error {
-	text := inline
-	if script != "" {
-		b, err := os.ReadFile(script)
-		if err != nil {
-			return err
-		}
-		if text != "" {
-			text += ";"
-		}
-		text += string(b)
-	}
-	var stmtList []string
-	for _, s := range strings.Split(text, ";") {
-		if s = strings.TrimSpace(s); s != "" {
-			stmtList = append(stmtList, s)
-		}
-	}
-	if len(stmtList) == 0 {
-		return fmt.Errorf("no statements to run")
-	}
-	c, err := client.Dial(addr, client.Options{RetryAttempts: 20, IOTimeout: 60 * time.Second})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	fmt.Fprintf(os.Stderr, "connected to %s (db %s)\n", addr, c.Label())
-	opts := client.QueryOptions{
-		Warm:      warm,
-		Heuristic: strings.HasPrefix(strategy, "heur"),
-		MaxRows:   maxRows,
-	}
-	for _, stmt := range stmtList {
-		res, err := c.Query(stmt, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", stmt, err)
-		}
-		session.WriteResult(os.Stdout, res, maxRows)
-	}
-	return nil
+func fatal(code int, err error) {
+	fmt.Fprintln(os.Stderr, "oqlsh:", err)
+	os.Exit(code)
 }

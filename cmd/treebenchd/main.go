@@ -44,7 +44,8 @@
 // meters and query tables are byte-identical at every setting.
 //
 // -pprof ADDR serves net/http/pprof on ADDR (e.g. 127.0.0.1:6060) so the
-// buffer-pool and readahead hot paths can be profiled under oqlload.
+// buffer-pool and readahead hot paths can be profiled under load (the
+// bench/ module's workloads).
 //
 // -shard i/N runs the daemon as shard i of an N-shard cluster behind
 // cmd/treebench-coord: it still serves plain queries exactly as a
@@ -69,8 +70,9 @@
 // from the snapshot file on first touch. The Stats response reports the
 // snapshot's provenance.
 //
-// Query it with `oqlsh -coord ADDR -e`, load it with cmd/oqlload, or use
-// any internal/client user. Cold queries (the default) return
+// Query it with `oqlsh -coord ADDR -e` (`.commit` and `.server` included),
+// load it with the bench/ module, or use any internal/client user. Cold
+// queries (the default) return
 // byte-identical output to the same statement in `oqlsh -e` over the same
 // database configuration.
 package main

@@ -1,7 +1,7 @@
 // Package client is the Go client for treebenchd: connect (with retry),
 // speak the internal/wire protocol, and get back typed results, server
-// stats, and errors. cmd/oqlload drives it; tests use it to pin down
-// remote/local result equivalence.
+// stats, and errors. oqlsh -coord and the bench/ module drive it; tests use
+// it to pin down remote/local result equivalence.
 package client
 
 import (

@@ -44,7 +44,7 @@ type WaveSpec struct {
 	Seed int32
 }
 
-// DefaultWaveSpec returns the update-workload knobs oqlload and the
+// DefaultWaveSpec returns the update-workload knobs treebenchd and the
 // tooling default to.
 func DefaultWaveSpec() WaveSpec {
 	return WaveSpec{Reassign: 24, Scalar: 24, GrowEvery: 4, Upgrades: 48, Seed: 1997}

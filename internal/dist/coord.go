@@ -48,7 +48,7 @@ type Config struct {
 }
 
 // Coordinator is a treebench-coord instance: the same frame server
-// treebenchd runs on (so oqlsh/oqlload point at it unchanged) with a
+// treebenchd runs on (so oqlsh -coord points at it unchanged) with a
 // handler that plans each statement locally and either scatters it across
 // every shard (distributable operators) or routes it whole to one shard
 // (the deliberately sequential ones).

@@ -66,9 +66,9 @@ func sharedSnapshot(t *testing.T) *derby.Snapshot {
 const testKey = "test-snapshot-key"
 
 // startShard boots one in-process treebenchd as shard idx of cnt over the
-// shared snapshot. Shards run at engine.DefaultBatch, the only batch size a
-// daemon has.
-func startShard(t *testing.T, sn *derby.Snapshot, idx, cnt, qj int) string {
+// shared snapshot and returns its address and a func that stops it early.
+// Shards run at engine.DefaultBatch, the only batch size a daemon has.
+func startShard(t *testing.T, sn *derby.Snapshot, idx, cnt, qj int) (string, func()) {
 	t.Helper()
 	srv, err := server.New(server.Config{
 		Source:      func() (*derby.Snapshot, string, error) { return sn, "shared", nil },
@@ -92,7 +92,7 @@ func startShard(t *testing.T, sn *derby.Snapshot, idx, cnt, qj int) string {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
+	stop := sync.OnceFunc(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
@@ -100,7 +100,8 @@ func startShard(t *testing.T, sn *derby.Snapshot, idx, cnt, qj int) string {
 		}
 		<-done
 	})
-	return ln.Addr().String()
+	t.Cleanup(stop)
+	return ln.Addr().String(), stop
 }
 
 // startCoord boots a coordinator over the given shard addresses.
@@ -216,7 +217,7 @@ func TestDistributedDeterministic(t *testing.T) {
 			const shards = 3
 			addrs := make([]string, shards)
 			for i := range addrs {
-				addrs[i] = startShard(t, sn, i, shards, cfg.qj)
+				addrs[i], _ = startShard(t, sn, i, shards, cfg.qj)
 			}
 			coord := startCoord(t, sn, addrs)
 			cl, err := client.Dial(coord, client.Options{})
@@ -308,7 +309,7 @@ func TestShardDownTyped(t *testing.T) {
 	const shards = 3
 	addrs := make([]string, shards)
 	for i := 0; i < shards-1; i++ {
-		addrs[i] = startShard(t, sn, i, shards, 1)
+		addrs[i], _ = startShard(t, sn, i, shards, 1)
 	}
 	// Shard 2 is a dead address: grab a listener and close it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -351,7 +352,7 @@ func TestShardDownError(t *testing.T) {
 // never silently executed with the wrong mask.
 func TestScatterIdentityValidated(t *testing.T) {
 	sn := sharedSnapshot(t)
-	addr := startShard(t, sn, 1, 3, 1)
+	addr, _ := startShard(t, sn, 1, 3, 1)
 	cl, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +371,7 @@ func TestWarmRejected(t *testing.T) {
 	const shards = 2
 	addrs := make([]string, shards)
 	for i := range addrs {
-		addrs[i] = startShard(t, sn, i, shards, 1)
+		addrs[i], _ = startShard(t, sn, i, shards, 1)
 	}
 	coord := startCoord(t, sn, addrs)
 	cl, err := client.Dial(coord, client.Options{})
@@ -387,13 +388,15 @@ func TestWarmRejected(t *testing.T) {
 
 // TestClusterStats exercises the coordinator's per-shard stats view: the
 // shard map renders, every shard reports up with its identity, and the
-// coordinator's own stats count the served queries.
+// coordinator's own stats count the served queries. Once a shard's server
+// stops, exactly that shard reports down with no stats.
 func TestClusterStats(t *testing.T) {
 	sn := sharedSnapshot(t)
 	const shards = 2
 	addrs := make([]string, shards)
+	stops := make([]func(), shards)
 	for i := range addrs {
-		addrs[i] = startShard(t, sn, i, shards, 1)
+		addrs[i], stops[i] = startShard(t, sn, i, shards, 1)
 	}
 	coord := startCoord(t, sn, addrs)
 	cl, err := client.Dial(coord, client.Options{})
@@ -431,5 +434,17 @@ func TestClusterStats(t *testing.T) {
 	}
 	if st.Served != 1 || st.ShardCnt != shards || st.SnapshotSource != "coordinator" {
 		t.Fatalf("coordinator stats: %+v", st)
+	}
+
+	stops[1]()
+	cs, err = cl.ClusterStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := cs.Shards[1]; s.Up || s.Stats != nil || s.Addr != addrs[1] {
+		t.Fatalf("stopped shard 1 reported: %+v", s)
+	}
+	if s := cs.Shards[0]; !s.Up || s.Stats == nil || s.Stats.Served == 0 {
+		t.Fatalf("live shard 0 reported: %+v", s)
 	}
 }

@@ -66,7 +66,8 @@ func TestCoordinatorGracefulDrain(t *testing.T) {
 	sn := sharedSnapshot(t)
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
-	shard := gatedShard(t, startShard(t, sn, 0, 1, 1), started, gate)
+	shardAddr, _ := startShard(t, sn, 0, 1, 1)
+	shard := gatedShard(t, shardAddr, started, gate)
 
 	co, err := New(Config{
 		ShardAddrs:  []string{shard},

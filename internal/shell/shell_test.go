@@ -2,10 +2,12 @@ package shell
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"treebench/internal/derby"
+	"treebench/internal/session"
 )
 
 func newShell(t *testing.T) *Shell {
@@ -14,7 +16,7 @@ func newShell(t *testing.T) *Shell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := New(d.DB)
+	sh := NewWith(d.DB, session.Config{})
 	sh.Prompt = "" // scripted
 	return sh
 }
@@ -153,6 +155,46 @@ func TestShellScriptFailFast(t *testing.T) {
 	}
 	if strings.Count(out.String(), "rows in") != 2 {
 		t.Fatalf("interactive run did not continue past the error:\n%s", out.String())
+	}
+}
+
+// TestSplitStatements pins the one splitter both oqlsh modes read through:
+// ';' outside a quoted literal ends a statement wherever it falls, and EOF
+// ends the last one.
+func TestSplitStatements(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		want     []string
+	}{
+		{"two statements on one line", "select a; select b;",
+			[]string{"select a", "select b"}},
+		{"one statement over two lines", "select a\n  from b;\n",
+			[]string{"select a\n  from b"}},
+		{"last statement without ';'", "select a;\nselect b",
+			[]string{"select a", "select b"}},
+		{"';' inside quoted literals", `select a where x = "p;q" and y = 'r;"s'; select b;`,
+			[]string{`select a where x = "p;q" and y = 'r;"s'`, "select b"}},
+		{"dot-commands between statements", "select a;\n  .warm\n.explain select c; .cold\nselect b;",
+			[]string{"select a", ".warm", ".explain select c", ".cold", "select b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sp splitter
+			var got []string
+			for _, line := range strings.Split(tc.in, "\n") {
+				got = append(got, sp.line(line)...)
+			}
+			if got = sp.end(got); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("split %q:\n got %q\nwant %q", tc.in, got, tc.want)
+			}
+		})
+	}
+
+	// Both statements of one line run, in order.
+	sh := newShell(t)
+	var out bytes.Buffer
+	err := sh.Script(strings.NewReader("select count(*) from pa in Patients where pa.mrn < 5; select count(*) from pa in Patients where pa.mrn < 9;"), &out)
+	if err != nil || !strings.Contains(out.String(), "\n4 rows in") || !strings.Contains(out.String(), "\n8 rows in") {
+		t.Fatalf("two statements on one line: %v\n%s", err, out.String())
 	}
 }
 

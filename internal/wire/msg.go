@@ -542,8 +542,7 @@ func DecodeClusterStats(b []byte) (*ClusterStats, error) {
 
 // CommitResult answers a TypeCommit: the lineage of the version the
 // commit created plus the wave's physical effects (v6). WallUs is the
-// wall-clock commit latency including the shared fsync — the number the
-// oqlload -mix axis aggregates.
+// server's wall-clock commit latency, including the shared fsync.
 type CommitResult struct {
 	Version    uint64
 	Wave       uint64

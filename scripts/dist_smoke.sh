@@ -37,7 +37,6 @@ trap cleanup EXIT
 
 go build -o "$WORK/treebenchd" ./cmd/treebenchd
 go build -o "$WORK/treebench-coord" ./cmd/treebench-coord
-go build -o "$WORK/oqlload" ./cmd/oqlload
 go build -o "$WORK/oqlsh" ./cmd/oqlsh
 
 wait_ready() { # log-file name
@@ -83,14 +82,22 @@ NLQ='select p.name, pa.age from p in Providers, pa in p.clients where pa.mrn < 1
 cmp "$WORK/cluster_nl.txt" "$WORK/local_nl.txt"
 echo "dist-smoke: heuristic NL join is byte-identical too"
 
-# Multi-client closed loop through the coordinator, with the cluster view:
+# Four concurrent clients through the coordinator, then the cluster view:
 # the shard map and three per-shard stat blocks must render.
-"$WORK/oqlload" -addr "$COORD" -coord -c 4 -n 3 \
-  -e 'select count(*) from pa in Patients' > "$WORK/load.txt"
+CQ='select count(*) from pa in Patients;'
+CLIENTS=()
+for _ in 1 2 3 4; do
+  "$WORK/oqlsh" -coord "$COORD" -e "$CQ$CQ$CQ" > /dev/null 2>&1 &
+  CLIENTS+=($!)
+done
+for p in "${CLIENTS[@]}"; do
+  wait "$p" || { echo "dist-smoke: a concurrent client failed" >&2; exit 1; }
+done
+"$WORK/oqlsh" -coord "$COORD" -e .server > "$WORK/load.txt"
 grep -q "shard map (3 shards" "$WORK/load.txt"
 grep -q "shard 0 @ $S0" "$WORK/load.txt"
 grep -q "shard 2 @ $S2" "$WORK/load.txt"
-echo "dist-smoke: oqlload -coord reports the shard map and per-shard stats"
+echo "dist-smoke: oqlsh .server reports the shard map and per-shard stats"
 
 # Warm queries are not distributable; the coordinator must refuse, not
 # guess.
@@ -115,7 +122,6 @@ grep -q "shard" "$WORK/down.err"
 echo "dist-smoke: dead shard surfaces as a typed shard error"
 
 # The cluster view must now show shard 1 as down while the others report.
-"$WORK/oqlload" -addr "$COORD" -coord -c 1 -n 1 \
-  -e 'select pa.age from pa in Patients where pa.mrn < 500' > "$WORK/degraded.txt" || true
+"$WORK/oqlsh" -coord "$COORD" -e .server > "$WORK/degraded.txt"
 grep -q "shard 1 @ $S1: DOWN" "$WORK/degraded.txt"
 echo "dist-smoke: cluster stats report the dead shard as DOWN"

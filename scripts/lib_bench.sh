@@ -16,7 +16,6 @@
 #   bench_ratio A B [FMT]     print A/B formatted (default %.2f)
 #   bench_gate_min VAL MIN MSG...  bench_fail unless VAL >= MIN (numeric)
 #   bench_gate_max VAL MAX MSG...  bench_fail unless VAL <  MAX (numeric)
-#   bench_cpu_gate N          set ENFORCED=true/false by CPUS >= N
 #   bench_emit_json           write stdin to $OUT and note it
 #
 # Gates compare with awk so 1.30 vs 1.3 and scientific notation behave;
@@ -56,17 +55,6 @@ bench_gate_max() {
   local val=$1 max=$2
   shift 2
   awk -v v="$val" -v m="$max" 'BEGIN { exit !(v + 0 < m + 0) }' || bench_fail "$@"
-}
-
-# bench_cpu_gate N: many gates measure real concurrency and cannot hold
-# on fewer than N CPUs; they record the numbers everywhere but enforce
-# only where the measurement is meaningful.
-bench_cpu_gate() {
-  if [ "$CPUS" -ge "$1" ]; then
-    ENFORCED=true
-  else
-    ENFORCED=false
-  fi
 }
 
 bench_emit_json() {

@@ -21,7 +21,6 @@ trap cleanup EXIT
 
 go build -o "$WORK/treebench-snap" ./cmd/treebench-snap
 go build -o "$WORK/treebenchd" ./cmd/treebenchd
-go build -o "$WORK/oqlload" ./cmd/oqlload
 go build -o "$WORK/oqlsh" ./cmd/oqlsh
 
 # Save, then verify every section checksum.
@@ -88,10 +87,10 @@ boot() { # boot <out-prefix> <want-source>
   "$WORK/treebenchd" -addr "$ADDR" "${DB[@]}" -snapshot-dir "$WORK/cache" -sessions 2 &
   DPID=$!
   "$WORK/oqlsh" -coord "$ADDR" -e "$Q" > "$WORK/$1.txt"
-  "$WORK/oqlload" -addr "$ADDR" -c 1 -n 1 -e "$Q" > "$WORK/$1-stats.txt"
-  grep -q "server snapshot source: $2" "$WORK/$1-stats.txt" || {
+  "$WORK/oqlsh" -coord "$ADDR" -e .server > "$WORK/$1-stats.txt"
+  grep -q "^SnapshotSource $2" "$WORK/$1-stats.txt" || {
     echo "snap-smoke: boot $1: wanted snapshot source $2, got:" >&2
-    grep "snapshot source" "$WORK/$1-stats.txt" >&2 || true
+    grep "^SnapshotSource" "$WORK/$1-stats.txt" >&2 || true
     exit 1
   }
   kill -TERM "$DPID"

@@ -28,9 +28,12 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$WORK/treebenchd" ./cmd/treebenchd
-go build -o "$WORK/oqlload" ./cmd/oqlload
 go build -o "$WORK/oqlsh" ./cmd/oqlsh
 go build -o "$WORK/treebench-snap" ./cmd/treebench-snap
+
+commits() { # commits N: an oqlsh script of N .commit lines
+  printf '.commit\n%.0s' $(seq 1 "$1")
+}
 
 wait_ready() { # logfile
   for _ in $(seq 1 600); do
@@ -48,22 +51,39 @@ wait_ready() { # logfile
 DPID=$!
 wait_ready "$WORK/d1.log"
 
-"$WORK/oqlload" -addr "$ADDR" -c 4 -n 6 -mix 0.5 -e "$Q" > "$WORK/mixed.txt"
-grep -q "commits 12 ok 12 failed 0" "$WORK/mixed.txt" || {
+# Four concurrent clients, each alternating three commits with three
+# queries; a failed commit or query fails its client.
+CLIENTS=()
+for i in 1 2 3 4; do
+  "$WORK/oqlsh" -coord "$ADDR" -e "$(printf '.commit\n%s\n' "$Q" "$Q" "$Q")" \
+    > "$WORK/mixed$i.txt" 2>&1 &
+  CLIENTS[$i]=$!
+done
+for i in 1 2 3 4; do
+  wait "${CLIENTS[$i]}" || {
+    echo "wal-smoke: mixed client $i failed:" >&2
+    cat "$WORK/mixed$i.txt" >&2
+    exit 1
+  }
+done
+"$WORK/oqlsh" -coord "$ADDR" -e .server > "$WORK/mixed.txt"
+grep -q '^Commits 12$' "$WORK/mixed.txt" && grep -q '^HeadVersion 12$' "$WORK/mixed.txt" || {
   echo "wal-smoke: mixed load did not commit cleanly:" >&2
   cat "$WORK/mixed.txt" >&2
   exit 1
 }
-echo "wal-smoke: 12 commits interleaved with queries, none failed"
+echo "wal-smoke: 12 commits interleaved with queries, none failed, head v12"
 
 # --- Phase 2: kill -9 mid-commit-storm, then tear the WAL tail. ------------
-"$WORK/oqlload" -addr "$ADDR" -c 2 -n 50 -mix 1 > /dev/null 2>&1 &
-STORM=$!
+"$WORK/oqlsh" -coord "$ADDR" -e "$(commits 50)" > /dev/null 2>&1 &
+STORM1=$!
+"$WORK/oqlsh" -coord "$ADDR" -e "$(commits 50)" > /dev/null 2>&1 &
+STORM2=$!
 sleep 1
 kill -9 "$DPID" 2>/dev/null || true
 wait "$DPID" 2>/dev/null || true
 DPID=
-wait "$STORM" 2>/dev/null || true
+wait "$STORM1" "$STORM2" 2>/dev/null || true
 
 # Chop bytes off the WAL so the final record is torn even if the kill
 # landed between appends — the on-disk state a crash mid-write leaves.
@@ -112,7 +132,7 @@ DPID=
   > "$WORK/d3.log" 2>&1 &
 DPID=$!
 wait_ready "$WORK/d3.log"
-"$WORK/oqlload" -addr "$ADDR2" -c 1 -n "$HEAD" -mix 1 > /dev/null
+"$WORK/oqlsh" -coord "$ADDR2" -e "$(commits "$HEAD")" > /dev/null
 "$WORK/oqlsh" -coord "$ADDR2" -e "$PROBE" > "$WORK/clean.txt"
 cmp "$WORK/recovered.txt" "$WORK/clean.txt"
 echo "wal-smoke: recovered database is byte-identical to a clean $HEAD-commit run"
