@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap bench-index bench-cache experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke wal-smoke clean
+.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke wal-smoke clean
 
 all: build test
 
@@ -76,25 +76,6 @@ bench-live:
 # speedup).
 bench-snap:
 	$(GO) test -run 'TestNothing^' -bench 'BenchmarkSnapshot(Generate|Load)' -benchmem ./internal/persist
-
-# Index-backend ablation: the B1 experiment (in-memory B+-tree vs paged
-# on-disk B+-tree vs LSM-tree with bloom filters) recorded as
-# BENCH_index.json. Enforced on every runner — the numbers are simulated
-# page counts: LSM update waves must write fewer pages than the B+-tree's
-# (write absorption), LSM post-wave point scans must read more (read
-# amplification), and bloom probes must skip at least MIN_BLOOM_SKIP%
-# (default 50) of candidate SSTables.
-bench-index:
-	./scripts/bench_index.sh
-
-# Shared buffer pool: cold vs warm repeated work, readahead vs none on
-# cold sequential scans (direct I/O where the filesystem supports it,
-# the buffered figure recorded beside it), and 8-session RSS under a
-# pool smaller than the page image. Writes BENCH_cache.json and enforces
-# the three gates (warm >= 2x, readahead >= 1.3x on true-cold scans,
-# RSS below the image size).
-bench-cache:
-	./scripts/bench_cache.sh
 
 # The experiment CLI (scale factor 10 by default; SF=1 is paper scale).
 experiments:

@@ -9,7 +9,6 @@
 //	treebench-snap load   FILE
 //	treebench-snap verify FILE...
 //	treebench-snap chain  DIR
-//	treebench-snap bench  -file FILE [-mode query|sweep] [-stmt OQL] [-sessions N] [-rounds N] [-bufpool-mb N] [-cpuprofile FILE] [-direct] [-versus]
 //	treebench-snap ls     [-dir DIR]
 //	treebench-snap rm     [-dir DIR] [-all] [KEY|FILE ...]
 //
@@ -27,10 +26,6 @@
 // record — CRCs, version continuity from the base, decodable commit
 // bodies — printing one line per commit and reporting (without
 // truncating) a torn tail. It is the offline fsck for the write path.
-//
-// bench times repeated rounds of real work against a snapshot file under
-// a chosen buffer-pool configuration (see bench.go); it is the driver
-// behind scripts/bench_cache.sh.
 //
 // The cache directory is -dir, else $TREEBENCH_SNAPSHOT_DIR, else the
 // user cache directory (persist.DefaultDir).
@@ -66,8 +61,6 @@ func main() {
 		err = cmdVerify(os.Args[2:])
 	case "chain":
 		err = cmdChain(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "ls":
 		err = cmdLs(os.Args[2:])
 	case "rm":
@@ -92,7 +85,6 @@ func usage() {
   treebench-snap load   FILE
   treebench-snap verify FILE...
   treebench-snap chain  DIR
-  treebench-snap bench  -file FILE [-mode query|sweep] [-stmt OQL] [-sessions N] [-rounds N] [-bufpool-mb N] [-cpuprofile FILE] [-direct] [-versus]
   treebench-snap ls     [-dir DIR]
   treebench-snap rm     [-dir DIR] [-all] [KEY|FILE ...]`)
 }

@@ -648,3 +648,36 @@ func TestMeasureElapsed(t *testing.T) {
 		t.Fatalf("only %d swapped runs flagged", swapsFlagged)
 	}
 }
+
+// TestBackendCrossover pins B1's three claims at SF 100 by name, where an
+// answer-key rewrite cannot carry them away: the LSM's memtable absorbs
+// wave writes the B+-tree pays, its post-wave point scans merge SSTables
+// the B+-tree never has, and its bloom filters skip most of them.
+func TestBackendCrossover(t *testing.T) {
+	r, err := NewRunner(Config{SF: 100, Seed: 1997})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := r.Backends()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := map[string]int{}
+	for i, cells := range tab.Rows {
+		row[cells[0]] = i
+	}
+	bt, lsm := row["btree"], row["lsm"]
+	if tab.Rows[bt][0] != "btree" || tab.Rows[lsm][0] != "lsm" {
+		t.Fatalf("B1 rows: %v", tab.Rows)
+	}
+	if w, b := cell(t, tab, lsm, 3), cell(t, tab, bt, 3); w >= b {
+		t.Errorf("write absorption: LSM wave writes %v not below btree %v", w, b)
+	}
+	if s, b := cell(t, tab, lsm, 5), cell(t, tab, bt, 5); s <= b {
+		t.Errorf("read amplification: LSM point scans %v not above btree %v", s, b)
+	}
+	skip, err := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[lsm][7], "%"), 64)
+	if err != nil || skip < 50 {
+		t.Errorf("bloom savings: LSM skip %q below 50%%", tab.Rows[lsm][7])
+	}
+}

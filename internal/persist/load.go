@@ -13,19 +13,6 @@ import (
 	"treebench/internal/storage"
 )
 
-// DirectIOSupported reports whether path accepts O_DIRECT reads on this
-// platform and filesystem. Benchmark drivers use it to report whether a
-// requested direct-I/O run actually measured the device — gates that
-// assume cold storage are meaningless over a warm OS page cache.
-func DirectIOSupported(path string) bool {
-	f, err := openDirect(path)
-	if err != nil {
-		return false
-	}
-	f.Close()
-	return true
-}
-
 // Load opens a snapshot file, verifies every section checksum, and
 // rebuilds the derby snapshot over a page image that reads through the
 // process-wide buffer pool. The catalog is decoded eagerly (it is small);
@@ -37,22 +24,12 @@ func DirectIOSupported(path string) bool {
 // A failure is always a typed error: ErrFormat, ErrVersion, or a
 // *ChecksumError naming the corrupt section. Load never panics on a
 // malformed file.
-func Load(path string) (*derby.Snapshot, error) { return loadPath(path, false) }
-
-// LoadDirect is Load with the page image opened O_DIRECT (Linux; quietly
-// buffered where the platform or filesystem refuses, e.g. tmpfs — ask
-// DirectIOSupported). Reads then bypass the OS page cache — every
-// buffer-pool miss is a true device read. This is a measurement mode:
-// scripts/bench_cache.sh uses it so "cold" means cold storage, not cold
-// pool over a warm page cache.
-func LoadDirect(path string) (*derby.Snapshot, error) { return loadPath(path, true) }
-
-func loadPath(path string, direct bool) (*derby.Snapshot, error) {
+func Load(path string) (*derby.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := load(f, direct)
+	snap, err := load(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -60,7 +37,7 @@ func loadPath(path string, direct bool) (*derby.Snapshot, error) {
 	return snap, nil
 }
 
-func load(f *os.File, direct bool) (*derby.Snapshot, error) {
+func load(f *os.File) (*derby.Snapshot, error) {
 	table, _, err := readTable(f)
 	if err != nil {
 		return nil, err
@@ -147,15 +124,6 @@ func load(f *os.File, direct bool) (*derby.Snapshot, error) {
 		f:        f,
 		firstOff: int64(pagesEntry.offset) + 8,
 		numPages: numPages,
-	}
-	if direct {
-		// Reopen just the page source O_DIRECT (catalog and checksums were
-		// already read buffered above). Failure — unsupported platform or
-		// filesystem — quietly keeps the buffered handle.
-		if df, derr := openDirect(f.Name()); derr == nil {
-			src.f = df
-			src.direct = true
-		}
 	}
 	h := bufpool.Active().Register(src, numPages)
 	base := storage.NewCachedBase(numPages, int64(capPages)*storage.PageSize, h)

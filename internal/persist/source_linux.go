@@ -5,27 +5,9 @@ package persist
 import (
 	"fmt"
 	"io"
-	"os"
 	"syscall"
 	"unsafe"
 )
-
-// openDirect opens path read-only with O_DIRECT and verifies a probe
-// read succeeds — some filesystems (tmpfs) accept the flag at open and
-// only fail at read time.
-func openDirect(path string) (*os.File, error) {
-	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_DIRECT|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return nil, err
-	}
-	f := os.NewFile(uintptr(fd), path)
-	probe := fileSource{f: f, direct: true}
-	if err := probe.readStaged(0, make([]byte, 1)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
-}
 
 // readVec fills bufs with the contiguous file span starting at off in
 // one preadv(2): a whole readahead window lands directly in the pool's

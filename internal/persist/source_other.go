@@ -2,18 +2,14 @@
 
 package persist
 
-import (
-	"errors"
-	"os"
-)
-
-// Direct I/O is a Linux-only measurement aid; elsewhere LoadDirect
-// quietly keeps the buffered handle. Without preadv, a window is read
-// the staged way.
-func openDirect(path string) (*os.File, error) {
-	return nil, errors.New("persist: direct I/O unsupported on this platform")
-}
-
+// readVec reads a window one positioned read per page: without preadv
+// there is no single call that scatters a span into separate frames.
 func (s *fileSource) readVec(off int64, bufs [][]byte) error {
-	return s.readStaged(off, bufs...)
+	for _, b := range bufs {
+		if _, err := s.f.ReadAt(b, off); err != nil {
+			return err
+		}
+		off += int64(len(b))
+	}
+	return nil
 }

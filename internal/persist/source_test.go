@@ -10,12 +10,11 @@ import (
 	"treebench/internal/storage"
 )
 
-// TestStagedReadMatchesVectored: the two ways a fileSource reads a window
-// — scattered by the platform's readVec, or staged through aligned scratch
-// as under O_DIRECT and where there is no preadv — must fill the same
-// bytes, at a page image that starts off any alignment boundary and at the
-// short tail of the file.
-func TestStagedReadMatchesVectored(t *testing.T) {
+// TestWindowReadMatchesFile: a window read through the platform's readVec
+// and a single page read must both fill exactly the file's bytes, at a page
+// image that starts off any alignment boundary and at the tail of the file,
+// and a window past the last page must be refused.
+func TestWindowReadMatchesFile(t *testing.T) {
 	const firstOff, numPages = 1234, 40
 	image := make([]byte, firstOff+numPages*storage.PageSize)
 	rand.New(rand.NewSource(1997)).Read(image)
@@ -35,28 +34,24 @@ func TestStagedReadMatchesVectored(t *testing.T) {
 		}
 		return bufs
 	}
-	vectored := &fileSource{f: f, firstOff: firstOff, numPages: numPages}
-	staged := &fileSource{f: f, firstOff: firstOff, numPages: numPages, direct: true}
+	src := &fileSource{f: f, firstOff: firstOff, numPages: numPages}
 	for _, c := range []struct{ lo, n int }{{0, 32}, {7, 1}, {numPages - 5, 5}} {
-		a, b := window(c.n), window(c.n)
-		if err := vectored.ReadPages(c.lo, a); err != nil {
-			t.Fatal(err)
-		}
-		if err := staged.ReadPages(c.lo, b); err != nil {
+		bufs := window(c.n)
+		if err := src.ReadPages(c.lo, bufs); err != nil {
 			t.Fatal(err)
 		}
 		one := make([]byte, storage.PageSize)
-		for i := range a {
+		for i := range bufs {
 			want := image[firstOff+(c.lo+i)*storage.PageSize:][:storage.PageSize]
-			if err := staged.ReadPage(c.lo+i, one); err != nil {
+			if err := src.ReadPage(c.lo+i, one); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(a[i], want) || !bytes.Equal(b[i], want) || !bytes.Equal(one, want) {
+			if !bytes.Equal(bufs[i], want) || !bytes.Equal(one, want) {
 				t.Fatalf("window [%d,+%d): page %d differs from the file", c.lo, c.n, c.lo+i)
 			}
 		}
 	}
-	if err := staged.ReadPages(numPages-1, window(2)); err == nil {
+	if err := src.ReadPages(numPages-1, window(2)); err == nil {
 		t.Fatal("a window past the last page was read")
 	}
 }

@@ -97,13 +97,18 @@ type File interface {
 type Log struct {
 	path string
 
-	mu     sync.Mutex // guards queue, buf, tail, closed
+	mu     sync.Mutex // guards queue, buf, tail, closed, err
 	f      File
 	tail   int64 // durable + enqueued end offset; next record lands here
 	flush  int64 // durable end offset; buf holds [flush, tail)
 	buf    []byte
 	queue  []*Pending
 	closed bool
+	// err latches the first failed write or fsync. The failed batch left
+	// the file's end unknown, so anything written after it could land
+	// past a hole that replays as phantom records: every later call
+	// returns err and nothing more is written.
+	err error
 
 	flushMu sync.Mutex // held by the group-commit leader
 	// spare is the batch buffer not in use: each flush hands it to the
@@ -279,6 +284,10 @@ func (l *Log) Enqueue(payload []byte) (*Pending, error) {
 		l.mu.Unlock()
 		return nil, ErrClosed
 	}
+	if l.err != nil {
+		l.mu.Unlock()
+		return nil, l.err
+	}
 	p := &Pending{log: l, done: make(chan struct{}), Off: l.tail, Len: len(payload)}
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
@@ -324,10 +333,12 @@ func (l *Log) Append(payload []byte) (*Pending, error) {
 
 // flushBatch steals the current batch and makes it durable with one
 // write + one fsync, returning the error every record of the batch was
-// completed with (nil for an empty batch). Called with flushMu held.
+// completed with (for an empty batch, the latched error or nil). A batch
+// stolen after a failure is completed with the latched error unwritten.
+// Called with flushMu held.
 func (l *Log) flushBatch() error {
 	l.mu.Lock()
-	buf, queue, off := l.buf, l.queue, l.flush
+	buf, queue, off, err := l.buf, l.queue, l.flush, l.err
 	l.buf, l.queue = l.spare[:0], nil
 	l.flush = l.tail
 	l.mu.Unlock()
@@ -335,15 +346,21 @@ func (l *Log) flushBatch() error {
 	// flush out until this one has written it.
 	l.spare = buf
 	if len(queue) == 0 {
-		return nil
+		return err
 	}
-	var err error
-	if _, werr := l.f.WriteAt(buf, off); werr != nil {
-		err = werr
-	} else if serr := l.f.Sync(); serr != nil {
-		err = serr
+	if err == nil {
+		if _, werr := l.f.WriteAt(buf, off); werr != nil {
+			err = werr
+		} else if serr := l.f.Sync(); serr != nil {
+			err = serr
+		}
+		l.syncs.Add(1)
+		if err != nil {
+			l.mu.Lock()
+			l.err = fmt.Errorf("wal: log refuses writes after a failed batch at offset %d: %w", off, err)
+			l.mu.Unlock()
+		}
 	}
-	l.syncs.Add(1)
 	for _, p := range queue {
 		p.err = err
 		close(p.done)
@@ -353,8 +370,9 @@ func (l *Log) flushBatch() error {
 
 // Sync flushes any enqueued-but-unflushed records (for shutdown and
 // checkpoint paths that enqueued without waiting) and returns that
-// batch's write or fsync error. A batch another leader already flushed
-// reported its error to its own waiters.
+// batch's write or fsync error, or the error latched by an earlier
+// failed batch. A batch another leader already flushed reported its
+// error to its own waiters.
 func (l *Log) Sync() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -373,16 +391,20 @@ func (l *Log) Reset() error {
 	if l.closed {
 		return ErrClosed
 	}
+	if l.err != nil {
+		return l.err
+	}
 	if len(l.queue) > 0 {
 		return errors.New("wal: reset with enqueued records")
 	}
 	if err := l.f.Truncate(HeaderLen); err != nil {
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
 	l.tail, l.flush = HeaderLen, HeaderLen
+	if err := l.f.Sync(); err != nil {
+		l.err = fmt.Errorf("wal: log refuses writes after a failed reset: %w", err)
+		return l.err
+	}
 	return nil
 }
 

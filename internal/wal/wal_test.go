@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -403,10 +404,81 @@ func TestSyncReportsBatchError(t *testing.T) {
 					t.Fatalf("record %d completed with %v, want %v", i, err, c.want)
 				}
 			}
-			// The batch is spent either way: a second Sync has nothing
-			// to flush and nothing to report.
-			if err := l.Sync(); err != nil {
-				t.Fatalf("second Sync = %v", err)
+			// The batch is spent either way: a second Sync has nothing to
+			// flush and reports only the error a failed batch latched.
+			if err := l.Sync(); !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+				t.Fatalf("second Sync = %v, want the latched %v", err, c.want)
+			}
+		})
+	}
+}
+
+// TestFailedBatchPoisonsLog: once a batch's write or fsync fails, the file's
+// end is unknown, so the log must refuse every later write — an append
+// after the fault clears would otherwise land past a hole that replays as
+// phantom records, or truncate an acknowledged record as a torn tail.
+// Reopening replays exactly what reached the file before the fault.
+func TestFailedBatchPoisonsLog(t *testing.T) {
+	before, failed := []byte("before fault"), []byte("lost-13-bytes")
+	appendFailed := func(l *Log) error { _, err := l.Append(failed); return err }
+	for _, c := range []struct {
+		name          string
+		write, sync   bool
+		fault         func(l *Log) error
+		wantRecovered [][]byte
+	}{
+		{"write fails", true, false, appendFailed, [][]byte{before}},
+		// The write reached the file; only its durability is unknown.
+		{"fsync fails", false, true, appendFailed, [][]byte{before, failed}},
+		// The truncation reached the file; appends must not resume at the
+		// old tail past it.
+		{"reset fsync fails", false, true, (*Log).Reset, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "commit.wal")
+			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff := &faultyFile{File: f}
+			l, _, err := OpenFile(path, ff, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(before); err != nil {
+				t.Fatal(err)
+			}
+			if c.write {
+				ff.writeErr = syscall.EIO
+			}
+			if c.sync {
+				ff.syncErr = syscall.EIO
+			}
+			if err := c.fault(l); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("%s under the fault = %v, want EIO", c.name, err)
+			}
+			ff.writeErr, ff.syncErr = nil, nil
+			if _, err := l.Append([]byte("acknowledged")); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Append after the fault cleared = %v, want the latched EIO", err)
+			}
+			if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Sync = %v, want the latched EIO", err)
+			}
+			if err := l.Reset(); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Reset = %v, want the latched EIO", err)
+			}
+			if err := l.Close(); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Close = %v, want the latched EIO", err)
+			}
+			l2, rec, got := openCollect(t, path)
+			defer l2.Close()
+			if rec.Torn != nil || len(got) != len(c.wantRecovered) {
+				t.Fatalf("reopen replayed %d records (torn %v), want %d", len(got), rec.Torn, len(c.wantRecovered))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], c.wantRecovered[i]) {
+					t.Fatalf("record %d = %q, want %q", i, got[i], c.wantRecovered[i])
+				}
 			}
 		})
 	}
