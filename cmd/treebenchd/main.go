@@ -86,6 +86,7 @@ import (
 	"strings"
 	"time"
 
+	"treebench/internal/bufpool"
 	"treebench/internal/cli"
 	"treebench/internal/core"
 	"treebench/internal/derby"
@@ -246,6 +247,7 @@ func compactor(store *persist.ChainStore, n int, verbose bool) {
 		if st.HeadVersion-st.BaseVersion < uint64(n) {
 			continue
 		}
+		before := bufpool.Active().Stats()
 		v, err := store.Compact()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "treebenchd: compaction: %v\n", err)
@@ -253,8 +255,11 @@ func compactor(store *persist.ChainStore, n int, verbose bool) {
 		}
 		if verbose {
 			// Every version before the head is now reachable only by the
-			// readers still holding it.
-			fmt.Fprintf(os.Stderr, "treebenchd: compacted chain into base v%d (%d versions reclaimed)\n", v, st.Versions-1)
+			// readers still holding it. Only a compaction adopts or drops
+			// frames, so the pool's counters moved by this one alone.
+			after := bufpool.Active().Stats()
+			fmt.Fprintf(os.Stderr, "treebenchd: compacted chain into base v%d (%d versions reclaimed, %d pages adopted, %d dropped)\n",
+				v, st.Versions-1, after.Adopted-before.Adopted, after.Dropped-before.Dropped)
 		}
 	}
 }

@@ -19,11 +19,22 @@
 // shard mutexes and publishes to or clears the table slot from there; a
 // frame carries a pointer back to its slot so eviction can clear it.
 //
-// A page becomes resident in exactly one way: the reader that misses
-// reads it. A miss that continues a sequential streak reads the whole
-// readahead window with one Source.ReadPages call and admits the tail
-// as prefetched (readahead.go); any other miss reads its one page. The
-// pool starts no goroutine.
+// A page is read into the pool in exactly one way: the reader that
+// misses reads it. A miss that continues a sequential streak reads the
+// whole readahead window with one Source.ReadPages call and admits the
+// tail as prefetched (readahead.go); any other miss reads its one page.
+// The pool starts no goroutine.
+//
+// A file that replaces another hands residency over instead of reading
+// it again. Adopt admits a buffer the caller guarantees already holds a
+// page's bytes, as an ordinary probationary frame, with no source read;
+// Drop takes every frame of a handle out of the pool. A chain store's
+// compaction saves its head to a new file, adopts into the new file's
+// handle every page the head had resident, and drops the handle of the
+// base it replaced, so the pool holds one image of the store however
+// many compactions have run. Both change only the pool's references:
+// a reader of the replaced file that is still running keeps its buffers
+// and re-faults what it reads next from its still-open file.
 //
 // Eviction is sharded 2Q (a scan-resistant LRU variant): a page's first
 // touch admits it to a probationary queue, a second touch promotes it to
@@ -81,7 +92,10 @@ type Stats struct {
 
 	ReadaheadIssued int64 // tail pages admitted by batched demand faults
 	ReadaheadUsed   int64 // prefetched pages later consumed by a Get
-	ReadaheadWasted int64 // prefetched pages evicted before any Get
+	ReadaheadWasted int64 // prefetched pages evicted or dropped before any Get
+
+	Adopted int64 // frames admitted by Adopt, with no source read
+	Dropped int64 // frames taken out by Drop
 
 	ResidentPages int64 // frames resident right now
 	CapacityPages int64 // frame capacity (0 = unbounded)
@@ -228,6 +242,7 @@ type Pool struct {
 	hits                       stripedCounter
 	misses, evictions          atomic.Int64
 	raIssued, raUsed, raWasted atomic.Int64
+	adopted, dropped           atomic.Int64
 }
 
 // New returns a pool of capacityBytes (0 = unbounded) over pageSize
@@ -278,6 +293,8 @@ func (p *Pool) Stats() Stats {
 		Hits:      p.hits.sum(),
 		Misses:    p.misses.Load(),
 		Evictions: p.evictions.Load(),
+		Adopted:   p.adopted.Load(),
+		Dropped:   p.dropped.Load(),
 		Sources:   int64(p.nextSrc.Load()),
 	}
 	// Outcomes before issues: a prefetch is issued before it can be used
@@ -368,17 +385,23 @@ func (sh *shard) evictLocked(p *Pool) {
 		return
 	}
 	for sh.resident() > sh.capFrames {
-		v := sh.victimLocked()
-		if v.hot {
-			sh.protected.remove(v)
-		} else {
-			sh.probation.remove(v)
-		}
-		v.slot.Store(nil)
+		sh.removeLocked(p, sh.victimLocked())
 		p.evictions.Add(1)
-		if v.prefetched.CompareAndSwap(true, false) {
-			p.raWasted.Add(1)
-		}
+	}
+}
+
+// removeLocked takes resident frame f off its queue and out of its page
+// table slot. A prefetched frame no Get consumed counts as wasted
+// readahead. Caller holds the shard mutex.
+func (sh *shard) removeLocked(p *Pool, f *frame) {
+	if f.hot {
+		sh.protected.remove(f)
+	} else {
+		sh.probation.remove(f)
+	}
+	f.slot.Store(nil)
+	if f.prefetched.CompareAndSwap(true, false) {
+		p.raWasted.Add(1)
 	}
 }
 
@@ -531,7 +554,61 @@ func (h *Handle) fault(page int) ([]byte, error) {
 	return buf, nil
 }
 
-// resident reports whether page is resident, without touching recency.
-func (h *Handle) resident(page int) bool {
-	return h.inRange(page) && h.table[page].Load() != nil
+// Resident implements storage.PageCache: page i's buffer if it is
+// resident. It is a peek: it never faults, counts no hit, sets no
+// reference bit and does not move the streak cursor.
+func (h *Handle) Resident(i int) ([]byte, bool) {
+	if !h.inRange(i) {
+		return nil, false
+	}
+	if f := h.table[i].Load(); f != nil {
+		return f.buf, true
+	}
+	return nil, false
+}
+
+// Adopt admits buf as page's frame without reading the source. The
+// caller guarantees buf holds exactly the page's bytes and is never
+// written again. The frame is an ordinary probationary one, so capacity
+// pressure may evict it like any other. Adopt is a no-op when the page
+// is out of range, resident, or being faulted: the fault's own read wins,
+// as it does over a prefetched tail page.
+func (h *Handle) Adopt(page int, buf []byte) {
+	if h.inRange(page) && h.admitIfAbsent(page, buf, false) {
+		h.pool.adopted.Add(1)
+	}
+}
+
+// admitIfAbsent admits buf as page's frame unless the page is resident
+// or a fault of it is in flight, and reports whether it did.
+func (h *Handle) admitIfAbsent(page int, buf []byte, prefetched bool) bool {
+	k := key{h.id, uint32(page)}
+	sh := h.pool.shardFor(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if h.table[page].Load() != nil || sh.inflight[k] != nil {
+		return false
+	}
+	sh.admitLocked(h, page, buf, prefetched)
+	return true
+}
+
+// Drop takes every resident frame of the handle out of the pool: off its
+// 2Q queue and out of the page table, each under its page's shard mutex.
+// Like an eviction it drops only the pool's reference, so a reader that
+// holds a buffer keeps a valid one, and a later Get faults the page in
+// again. A fault in flight while Drop runs admits its page as usual.
+func (h *Handle) Drop() {
+	for page := range h.table {
+		if h.table[page].Load() == nil {
+			continue
+		}
+		sh := h.pool.shardFor(key{h.id, uint32(page)})
+		sh.mu.Lock()
+		if f := h.table[page].Load(); f != nil {
+			sh.removeLocked(h.pool, f)
+			h.pool.dropped.Add(1)
+		}
+		sh.mu.Unlock()
+	}
 }

@@ -61,6 +61,11 @@ func (s *fakeSource) ReadPages(lo int, bufs [][]byte) error {
 	return nil
 }
 
+func resident(h *Handle, page int) bool {
+	_, ok := h.Resident(page)
+	return ok
+}
+
 func wantPage(t *testing.T, buf []byte, page int) {
 	t.Helper()
 	want := make([]byte, len(buf))
@@ -101,6 +106,53 @@ func TestGetHitMiss(t *testing.T) {
 	}
 	if _, err := h.Get(-1); err == nil {
 		t.Fatal("negative Get succeeded")
+	}
+}
+
+// TestAdoptResidentDrop: Adopt admits a page without a source read and
+// is a no-op over a resident page; Resident peeks without a hit, a
+// reference bit or a streak step; Drop empties the handle, and the next
+// Get faults the page in again.
+func TestAdoptResidentDrop(t *testing.T) {
+	src := newFakeSource(16)
+	p := New(0, 4096, 32)
+	h := p.Register(src, 16)
+	buf := make([]byte, 4096)
+	fill(buf, 3)
+	h.Adopt(3, buf)
+	h.Adopt(3, make([]byte, 4096)) // resident: the first frame stays
+	h.Adopt(16, buf)               // out of range
+	if got, ok := h.Resident(3); !ok || &got[0] != &buf[0] {
+		t.Fatal("Resident does not return the adopted buffer")
+	}
+	if resident(h, 4) || resident(h, 16) || resident(h, -1) {
+		t.Fatal("Resident reports a page nobody read or adopted")
+	}
+	if h.table[3].Load().ref.Load() || h.raLast.Load() != -2 {
+		t.Fatal("Resident touched the reference bit or the streak cursor")
+	}
+	st := p.Stats()
+	if st.Adopted != 1 || st.ResidentPages != 1 || st.Hits != 0 || st.Misses != 0 || src.reads.Load() != 0 {
+		t.Fatalf("after one adoption: %+v, %d source reads", st, src.reads.Load())
+	}
+	if got, err := h.Get(3); err != nil || &got[0] != &buf[0] {
+		t.Fatalf("Get of an adopted page: %v", err)
+	}
+	if st := p.Stats(); st.Hits != 1 || src.reads.Load() != 0 {
+		t.Fatalf("Get of an adopted page was not a hit: %+v", st)
+	}
+
+	h.Drop()
+	if st := p.Stats(); st.Dropped != 1 || st.ResidentPages != 0 || resident(h, 3) {
+		t.Fatalf("after Drop: %+v", st)
+	}
+	got, err := h.Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPage(t, got, 3)
+	if src.reads.Load() != 1 {
+		t.Fatalf("Get after Drop read the source %d times, want 1", src.reads.Load())
 	}
 }
 
@@ -200,7 +252,7 @@ func TestReadaheadSequential(t *testing.T) {
 		}
 		wantPage(t, buf, pg)
 	}
-	if !h.resident(20) || !h.resident(34) {
+	if !resident(h, 20) || !resident(h, 34) {
 		t.Fatal("batched demand fault did not land the readahead window")
 	}
 	st := p.Stats()
@@ -287,14 +339,14 @@ func TestWindowReadFailure(t *testing.T) {
 				}
 			}
 			st := p.Stats()
-			if h.resident(demand+1) || st.ReadaheadIssued != 0 || src.windowReads.Load() != 0 {
+			if resident(h, demand+1) || st.ReadaheadIssued != 0 || src.windowReads.Load() != 0 {
 				t.Fatalf("a failed window admitted its tail: %+v", st)
 			}
 			wantResident := int64(demand + 1)
 			if tc.wantErr {
 				wantResident = demand
 			}
-			if st.ResidentPages != wantResident || h.resident(demand) == tc.wantErr {
+			if st.ResidentPages != wantResident || resident(h, demand) == tc.wantErr {
 				t.Fatalf("%d frames resident, want %d (the demand page only if it was read)", st.ResidentPages, wantResident)
 			}
 			if !tc.heal {
@@ -306,7 +358,7 @@ func TestWindowReadFailure(t *testing.T) {
 				t.Fatalf("Get after transient error: %v", err)
 			}
 			wantPage(t, buf, demand)
-			if st := p.Stats(); !h.resident(demand+31) || st.ReadaheadIssued != 31 || src.windowReads.Load() != 1 {
+			if st := p.Stats(); !resident(h, demand+31) || st.ReadaheadIssued != 31 || src.windowReads.Load() != 1 {
 				t.Fatalf("healed source did not read its window: %+v", st)
 			}
 		})

@@ -131,7 +131,103 @@ func TestLockFreeHitsUnderEviction(t *testing.T) {
 	)
 	p := New(frames*4096, 4096, 16)
 	h := p.Register(stampSource{4096}, numPages)
+	gets := readStamped(t, h, readers, perRead)
 
+	st := p.Stats()
+	if st.Hits+st.Misses != gets {
+		t.Errorf("hits %d + misses %d != %d Gets", st.Hits, st.Misses, gets)
+	}
+	checkBounds(t, p, h)
+	if st.Hits == 0 || st.Evictions == 0 || st.ReadaheadIssued == 0 {
+		t.Errorf("stats = %+v: want hits, evictions and readahead all exercised", st)
+	}
+}
+
+// TestDropUnderReaders runs Drop against every path that makes a page
+// resident: four readers Get a stamped file through a bounded pool while
+// another goroutine drops the handle over and over, and then Adopt races
+// a fault of the same page. Run under -race. Every buffer must be the
+// page asked for, the pool must stay within capacity, and an adopted
+// page and a faulted one must end as exactly one frame.
+func TestDropUnderReaders(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	const numPages = 4096
+	p := New(256*4096, 4096, 16)
+	h := p.Register(stampSource{4096}, numPages)
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Drop()
+			}
+		}
+	}()
+	readStamped(t, h, 4, 20000)
+	close(stop)
+	<-stopped
+	checkBounds(t, p, h)
+	if st := p.Stats(); st.Dropped == 0 || st.ReadaheadIssued == 0 {
+		t.Fatalf("stats = %+v: want drops and readahead both exercised", st)
+	}
+
+	h.Drop()
+	if st := p.Stats(); st.ResidentPages != 0 {
+		t.Fatalf("%d frames resident after Drop", st.ResidentPages)
+	}
+	const rounds = 500
+	for round := 0; round < rounds; round++ {
+		pg := round * 37 % numPages // no streak: a window would admit more than pg
+		buf := make([]byte, 4096)
+		stampSource{}.ReadPage(pg, buf)
+		var wg sync.WaitGroup
+		adopt := func() {
+			defer wg.Done()
+			h.Adopt(pg, buf)
+		}
+		get := func() {
+			defer wg.Done()
+			got, err := h.Get(pg)
+			if err == nil && stampOf(got) != pg {
+				err = errStamp(pg, got)
+			}
+			if err != nil {
+				t.Errorf("Get racing Adopt: %v", err)
+			}
+		}
+		// The goroutine started last tends to run first: alternate, so
+		// each side wins some rounds.
+		first, second := adopt, get
+		if round%2 == 1 {
+			first, second = get, adopt
+		}
+		wg.Add(2)
+		go first()
+		go second()
+		wg.Wait()
+		if st := p.Stats(); st.ResidentPages != 1 {
+			t.Fatalf("round %d: Adopt racing a fault left %d frames", round, st.ResidentPages)
+		}
+		h.Drop()
+	}
+	if st := p.Stats(); st.Adopted == 0 {
+		t.Fatalf("stats = %+v: no Adopt won a race, the test is vacuous", st)
+	}
+}
+
+// readStamped starts readers goroutines that each make perRead Gets of
+// h, which must read a stampSource, waits for them and returns how many
+// Gets they made. Each reader mostly reads points over a hot eighth of
+// the file plus the odd cold page, and now and then a run long enough to
+// arm readahead.
+func readStamped(t *testing.T, h *Handle, readers, perRead int) int64 {
+	t.Helper()
+	numPages := h.numPages
 	var gets atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
@@ -140,9 +236,6 @@ func TestLockFreeHitsUnderEviction(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g) + 1))
 			for n := 0; n < perRead; {
-				// Mostly points over a hot eighth of the file plus the odd
-				// cold page, and now and then a run long enough to arm
-				// readahead.
 				pg, run := rng.Intn(numPages/8), 1
 				switch r := rng.Intn(100); {
 				case r < 10:
@@ -167,22 +260,22 @@ func TestLockFreeHitsUnderEviction(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	return gets.Load()
+}
 
+// checkBounds checks what must hold once the pool is quiet: resident
+// within capacity, readahead outcomes within issues, and the page table
+// and the queues agreeing on what is resident.
+func checkBounds(t *testing.T, p *Pool, h *Handle) {
+	t.Helper()
 	st := p.Stats()
-	if st.Hits+st.Misses != gets.Load() {
-		t.Errorf("hits %d + misses %d != %d Gets", st.Hits, st.Misses, gets.Load())
-	}
 	if st.ResidentPages > st.CapacityPages {
 		t.Errorf("resident %d exceeds capacity %d", st.ResidentPages, st.CapacityPages)
 	}
 	if st.ReadaheadUsed+st.ReadaheadWasted > st.ReadaheadIssued {
 		t.Errorf("readahead used %d + wasted %d exceeds issued %d", st.ReadaheadUsed, st.ReadaheadWasted, st.ReadaheadIssued)
 	}
-	if st.Hits == 0 || st.Evictions == 0 || st.ReadaheadIssued == 0 {
-		t.Errorf("stats = %+v: want hits, evictions and readahead all exercised", st)
-	}
-	// The page table and the queues must agree on what is resident
-	// (compare under every shard mutex).
+	// Compare under every shard mutex.
 	for i := range p.shards {
 		p.shards[i].mu.Lock()
 	}

@@ -60,9 +60,9 @@ func (h *Handle) batchSpan(page int) int {
 	// to one stride's worth of already-resident pages.
 	const probeStride = 8
 	for j := page + probeStride; j < hi; j += probeStride {
-		if h.resident(j) {
+		if _, ok := h.Resident(j); ok {
 			for f := j - probeStride + 1; f <= j; f++ {
-				if h.resident(f) {
+				if _, ok := h.Resident(f); ok {
 					return f
 				}
 			}
@@ -85,20 +85,9 @@ func (h *Handle) faultRange(page, hi int) ([]byte, error) {
 	if err := h.src.ReadPages(page, frames); err != nil {
 		return frames[0], h.src.ReadPage(page, frames[0])
 	}
+	// A tail page already resident or in flight keeps the frame it has.
 	for i, buf := range frames[1:] {
-		h.admitPrefetched(page+1+i, buf)
+		h.admitIfAbsent(page+1+i, buf, true)
 	}
 	return frames[0], nil
-}
-
-// admitPrefetched admits one tail page of a batched demand fault, unless
-// the page is already resident or a demand fault for it is in flight.
-func (h *Handle) admitPrefetched(page int, buf []byte) {
-	k := key{h.id, uint32(page)}
-	sh := h.pool.shardFor(k)
-	sh.mu.Lock()
-	if h.table[page].Load() == nil && sh.inflight[k] == nil {
-		sh.admitLocked(h, page, buf, true)
-	}
-	sh.mu.Unlock()
 }

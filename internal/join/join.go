@@ -277,7 +277,7 @@ func runNL(env *Env, q Query) (*Result, error) {
 					return false, err
 				}
 				ch.HandleGets++
-				if _, err := object.DecodeAttr(pcls, prec, ai.provName); err != nil {
+				if err := object.CheckAttr(pcls, prec, ai.provName); err != nil {
 					return false, err
 				}
 				clientsV, err := object.DecodeAttr(pcls, prec, ai.provClients)

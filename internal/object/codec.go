@@ -93,22 +93,13 @@ func headerLenOf(rec []byte) int {
 // DecodeAttr extracts attribute i of class c from rec without touching the
 // others — the engine's get_att.
 func DecodeAttr(c *Class, rec []byte, i int) (Value, error) {
-	if i < 0 || i >= len(c.Attrs) {
-		return Value{}, fmt.Errorf("object: class %s has no attribute %d", c.Name, i)
+	if uint(i) >= uint(len(c.Attrs)) || !carriesAttr(c, rec, i) {
+		return absentAttr(c, i)
 	}
 	a := c.Attrs[i]
-	if !carriesAttr(c, rec, i) {
-		// The record predates this attribute (dynamic class evolution):
-		// read its registered default.
-		def, ok := c.defaultFor(i)
-		if !ok {
-			return Value{}, fmt.Errorf("object: record predates %s.%s and no default exists", c.Name, a.Name)
-		}
-		return def, nil
-	}
 	off := headerLenOf(rec) + c.offsets[i]
 	if off+a.size() > len(rec) {
-		return Value{}, fmt.Errorf("object: record too short for %s.%s", c.Name, a.Name)
+		return Value{}, errShortRecord(c, a)
 	}
 	switch a.Kind {
 	case KindInt:
@@ -137,6 +128,40 @@ func DecodeAttr(c *Class, rec []byte, i int) (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("object: unknown kind %v", a.Kind)
 	}
+}
+
+// CheckAttr runs DecodeAttr's checks on attribute i of rec — the index
+// bounds, the default of an attribute the record predates, the record's
+// length — without decoding the value, so a get_att whose value the
+// caller discards builds nothing. It returns the error DecodeAttr would,
+// except a reference's rid decode error.
+func CheckAttr(c *Class, rec []byte, i int) error {
+	if uint(i) >= uint(len(c.Attrs)) || !carriesAttr(c, rec, i) {
+		_, err := absentAttr(c, i)
+		return err
+	}
+	if a := c.Attrs[i]; headerLenOf(rec)+c.offsets[i]+a.size() > len(rec) {
+		return errShortRecord(c, a)
+	}
+	return nil
+}
+
+// absentAttr answers a get_att of an attribute rec does not carry: an
+// error when i is outside the class, else the default registered for
+// records that predate the attribute (dynamic class evolution).
+func absentAttr(c *Class, i int) (Value, error) {
+	if i < 0 || i >= len(c.Attrs) {
+		return Value{}, fmt.Errorf("object: class %s has no attribute %d", c.Name, i)
+	}
+	def, ok := c.defaultFor(i)
+	if !ok {
+		return Value{}, fmt.Errorf("object: record predates %s.%s and no default exists", c.Name, c.Attrs[i].Name)
+	}
+	return def, nil
+}
+
+func errShortRecord(c *Class, a Attr) error {
+	return fmt.Errorf("object: record too short for %s.%s", c.Name, a.Name)
 }
 
 // EncodeAttrInPlace overwrites attribute i inside rec. The record size does

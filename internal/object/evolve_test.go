@@ -2,6 +2,7 @@ package object
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"treebench/internal/sim"
@@ -14,6 +15,38 @@ func evolveClass(t *testing.T) *Class {
 		{Name: "a", Kind: KindInt},
 		{Name: "b", Kind: KindString, StrLen: 8},
 	})
+}
+
+// TestCheckAttrMatchesDecodeAttr: CheckAttr fails where DecodeAttr does,
+// with the same text, and a string attribute it checks builds nothing.
+func TestCheckAttrMatchesDecodeAttr(t *testing.T) {
+	c := evolveClass(t)
+	rec0, err := Encode(c, []Value{IntValue(1), StringValue("x")}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddAttr(Attr{Name: "c", Kind: KindInt}, IntValue(7)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+		i    int
+	}{
+		{"carried", rec0, 1},
+		{"defaulted", rec0, 2},
+		{"past the class", rec0, 3},
+		{"negative", rec0, -1},
+		{"record too short", rec0[:len(rec0)-2], 1},
+	} {
+		_, want := DecodeAttr(c, tc.rec, tc.i)
+		if got := CheckAttr(c, tc.rec, tc.i); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: CheckAttr = %v, DecodeAttr = %v", tc.name, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = CheckAttr(c, rec0, 1) }); n != 0 {
+		t.Fatalf("CheckAttr of a string attribute allocates %.0f objects", n)
+	}
 }
 
 func TestAddAttrAndEpochs(t *testing.T) {

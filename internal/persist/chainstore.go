@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"treebench/internal/bufpool"
 	"treebench/internal/derby"
 	"treebench/internal/engine"
 	"treebench/internal/storage"
@@ -40,7 +41,8 @@ type ChainStore struct {
 	applyMu sync.Mutex
 
 	// book is the derby bookkeeping template (scale, rid maps, load
-	// report) — identical across versions, rebound per snapshot.
+	// report) — identical across versions, rebound per snapshot. It holds
+	// no engine, so no version outlives its last reader through it.
 	book *derby.Snapshot
 
 	mu          sync.Mutex
@@ -115,7 +117,7 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 		spec:        spec,
 		chain:       chain,
 		log:         log,
-		book:        root,
+		book:        root.WithEngine(nil),
 		baseVersion: root.Engine.Version(),
 	}, rec, nil
 }
@@ -192,6 +194,14 @@ func (s *ChainStore) UpdateContext(ctx context.Context) (*derby.WaveReport, *der
 // them; a crash between the save and the reset is safe — replay
 // skips records the new base already contains. Returns the compacted
 // version.
+//
+// Residency moves with the head: every page the head has resident — all
+// of them, unless the pool evicted some, since Save just read each one —
+// is adopted by the new base's pool handle before any reader can fork
+// it, so the new base starts warm without a read. Once the head is
+// replaced, the replaced base's frames are dropped, so the pool holds
+// one image of the store however many compactions have run. A failure
+// before the head is replaced drops the new handle instead.
 func (s *ChainStore) Compact() (uint64, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -209,9 +219,20 @@ func (s *ChainStore) Compact() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// Save streamed head.Base().Page(p) verbatim, so each resident buffer
+	// holds exactly the bytes of page p of the file just loaded.
+	fresh := poolHandle(loaded.Engine.Base())
+	hb := head.Base()
+	for p := 0; p < hb.NumPages(); p++ {
+		if buf, ok := hb.Resident(storage.PageID(p)); ok {
+			fresh.Adopt(p, buf)
+		}
+	}
 	if err := s.chain.ReplaceHead(loaded.Engine); err != nil {
+		fresh.Drop()
 		return 0, err
 	}
+	defer poolHandle(hb).Drop()
 	// Commits already durable are folded into the base; drain any batch
 	// in flight, then checkpoint the log. applyMu keeps new enqueues out.
 	// A batch that failed to reach the disk must not be truncated away as
@@ -228,6 +249,12 @@ func (s *ChainStore) Compact() (uint64, error) {
 	s.compactions++
 	s.mu.Unlock()
 	return head.Version(), nil
+}
+
+// poolHandle returns the buffer pool handle of the file under b's delta
+// chain. Every base of a chain store is rooted in a file Load opened.
+func poolHandle(b *storage.Base) *bufpool.Handle {
+	return b.Cache().(*bufpool.Handle)
 }
 
 // Stats reports the store's counters.

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"treebench/internal/bufpool"
 	"treebench/internal/codec"
@@ -315,6 +318,105 @@ func TestChainStoreCompaction(t *testing.T) {
 		t.Fatalf("rebooted head is v%d, want 5", got)
 	}
 	mustPageEqual(t, s2.Head(), referenceHead(t, root, spec, 5), "reboot after compaction vs straight replay")
+}
+
+// compactRounds runs rounds of Update, Update, Compact on s.
+func compactRounds(t *testing.T, s *ChainStore, rounds int) {
+	t.Helper()
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < 2; i++ {
+			if _, _, err := s.Update(); err != nil {
+				t.Fatalf("round %d: update: %v", r, err)
+			}
+		}
+		if _, err := s.Compact(); err != nil {
+			t.Fatalf("round %d: compact: %v", r, err)
+		}
+	}
+}
+
+// TestCompactKeepsOneImageResident: a compaction hands the head's
+// resident pages to the base it loads and drops the base it replaced, so
+// after ten compactions the pool holds one image of the store, the new
+// head reads without a miss, and the pages it serves are the file's.
+func TestCompactKeepsOneImageResident(t *testing.T) {
+	snapPath, walPath, _ := newChainFixtureAt(t, 200, 50)
+	bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead) // count this store's frames alone
+	s, _, err := OpenChainStore(snapPath, walPath, derby.DefaultWaveSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	compactRounds(t, s, 10)
+
+	head := s.Head()
+	pool := bufpool.Active()
+	n := head.Engine.Base().NumPages()
+	if st := pool.Stats(); st.ResidentPages > int64(n) {
+		t.Fatalf("%d frames resident for a %d-page head: %.1f images", st.ResidentPages, n, float64(st.ResidentPages)/float64(n))
+	}
+	before := pool.Stats().Misses
+	d := head.Engine.Base().Fork()
+	for p := 0; p < n; p++ {
+		if _, err := d.Read(storage.PageID(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pool.Stats().Misses - before; got != 0 {
+		t.Fatalf("reading the compacted head missed %d of %d pages", got, n)
+	}
+
+	bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
+	fresh, err := Load(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPageEqual(t, head, fresh, "adopted head vs the file read through a new pool")
+}
+
+// TestCompactReleasesReplacedDescriptors: once no reader holds a
+// replaced base, its file descriptor closes with it, so after ten
+// compactions the store has as many descriptors open as it had at open.
+func TestCompactReleasesReplacedDescriptors(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors in /proc/self/fd")
+	}
+	snapPath, walPath, _ := newChainFixture(t)
+	dir := filepath.Dir(snapPath)
+	// openInDir counts this process's descriptors on files in the store's
+	// directory, a base replaced by a rename included ("… (deleted)").
+	openInDir := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+				n++
+			}
+		}
+		return n
+	}
+	s, _, err := OpenChainStore(snapPath, walPath, derby.DefaultWaveSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := openInDir()
+	compactRounds(t, s, 10)
+
+	// A replaced base's file closes when the collector finalizes it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		got := openInDir()
+		if got <= want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d descriptors open in the store's directory after ten compactions, %d at open", got, want)
+		}
+	}
 }
 
 // TestChainStoreCompactionCrash: a crash between the base save and the

@@ -13,8 +13,9 @@ import (
 // decided here and nowhere else: preadv(2) scatters it straight into the
 // pool's frames on Linux (source_linux.go); elsewhere each page of the
 // window is one positioned read. The file handle lives as long as the
-// snapshot (the OS reclaims it at exit; snapshots have no close protocol,
-// matching every other shareable object in the system).
+// snapshot: there is no close protocol, and the descriptor closes when
+// the collector finalizes the file once no version over it is reachable —
+// a base a compaction replaced closes after its last reader lets go.
 type fileSource struct {
 	f        *os.File
 	firstOff int64 // offset of the first raw page

@@ -230,6 +230,8 @@ func (s *Server) Stats() *wire.Stats {
 	st.PoolReadaheadIssued = ps.ReadaheadIssued
 	st.PoolReadaheadUsed = ps.ReadaheadUsed
 	st.PoolReadaheadWasted = ps.ReadaheadWasted
+	st.PoolAdopted = ps.Adopted
+	st.PoolDropped = ps.Dropped
 	st.PoolResidentPages = ps.ResidentPages
 	st.PoolCapacityPages = ps.CapacityPages
 	return st

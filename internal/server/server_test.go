@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"treebench/internal/bufpool"
 	"treebench/internal/client"
 	"treebench/internal/derby"
 	"treebench/internal/session"
@@ -63,6 +65,28 @@ func startServer(t *testing.T, mut func(*Config), hook func(ctx context.Context)
 }
 
 const testStmt = "select pa.mrn, pa.age from pa in Patients where pa.mrn < 40"
+
+// TestStatsReportEveryPoolCounter: every buffer pool counter but the
+// registration count reaches wire.Stats as Pool<name>, with its value.
+func TestStatsReportEveryPoolCounter(t *testing.T) {
+	srv, err := New(Config{Source: testSource})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reflect.ValueOf(srv.Stats()).Elem()
+	want := reflect.ValueOf(bufpool.Active().Stats())
+	for i := 0; i < want.NumField(); i++ {
+		name := want.Type().Field(i).Name
+		if name == "Sources" {
+			continue
+		}
+		if f := got.FieldByName("Pool" + name); !f.IsValid() {
+			t.Errorf("wire.Stats has no Pool%s", name)
+		} else if f.Int() != want.Field(i).Int() {
+			t.Errorf("Pool%s = %d, the pool says %d", name, f.Int(), want.Field(i).Int())
+		}
+	}
+}
 
 // TestConcurrentSessions runs 8 sessions against a smaller replica pool:
 // every session must be served, race-clean, and — because cold queries are

@@ -27,6 +27,60 @@ func mkBase(t *testing.T, n int) *Base {
 	return b
 }
 
+// partialCache is a PageCache holding some pages of a file.
+type partialCache map[int][]byte
+
+func (c partialCache) GetPage(i int) ([]byte, error) {
+	if buf, ok := c[i]; ok {
+		return buf, nil
+	}
+	return nil, ErrNoPage
+}
+
+func (c partialCache) Resident(i int) ([]byte, bool) {
+	buf, ok := c[i]
+	return buf, ok
+}
+
+// TestResidentThroughChain: Resident answers from every layer of a
+// chain without a read — a delta's overlay and appended pages, an eager
+// base's pages, the frames a page cache holds — and Cache finds the
+// cache under the chain.
+func TestResidentThroughChain(t *testing.T) {
+	held := make([]byte, PageSize)
+	cache := partialCache{1: held, 2: make([]byte, PageSize)}
+	root := NewCachedBase(4, 0, cache)
+	fork := root.ForkMutable()
+	overlay, err := fork.Read(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, appended, err := fork.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(cache, 2) // the overlay copy answers for page 2 from now on
+	top, _, err := fork.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id   PageID
+		want []byte // nil: not resident
+	}{{0, nil}, {1, held}, {2, overlay}, {3, nil}, {4, appended}, {5, nil}} {
+		got, ok := top.Resident(c.id)
+		if ok != (c.want != nil) || (ok && &got[0] != &c.want[0]) {
+			t.Errorf("Resident(%d) = %v, want resident %v", c.id, ok, c.want != nil)
+		}
+	}
+	if top.Cache() == nil || root.Cache() == nil || mkBase(t, 1).Cache() != nil {
+		t.Fatal("Cache does not find the page cache under a chain, or finds one under an eager base")
+	}
+	if buf, ok := mkBase(t, 2).Resident(1); !ok || buf[0] != 1 {
+		t.Fatal("an eager base's page is not resident")
+	}
+}
+
 func TestPromote(t *testing.T) {
 	base := mkBase(t, 4)
 	fork := base.ForkMutable()

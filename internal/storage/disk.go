@@ -39,8 +39,19 @@ type Pager interface {
 // buffer must stay immutable for its lifetime — evicting a page may drop
 // the cache's reference, but must never recycle the memory, so aliases
 // held by earlier readers stay valid (Go's GC enforces exactly this).
+//
+// Resident returns page i's buffer only if the cache holds it, and is a
+// pure peek: no fault, and nothing that counts or orders accesses moves.
+// It is how residency passes from one file to the next. A compaction
+// saves a version to a new file, and every page that version had
+// resident is adopted as a frame of the new file's cache, since the file
+// holds those exact bytes. The cache of the base the compaction replaced
+// is then dropped. Adopting and dropping, like evicting, only move the
+// cache's references; a reader of the replaced base that still runs
+// keeps its buffers and faults from its own file.
 type PageCache interface {
 	GetPage(i int) ([]byte, error)
+	Resident(i int) ([]byte, bool)
 }
 
 // Base is a frozen, immutable page image: the disk-resident half of a
@@ -105,23 +116,61 @@ func (b *Base) Page(id PageID) ([]byte, error) {
 	if int(id) >= b.n {
 		return nil, fmt.Errorf("%w: %d", ErrNoPage, id)
 	}
-	if b.delta != nil {
+	buf, flat := b.owner(id)
+	if flat == nil {
+		return buf, nil
+	}
+	if flat.pcache != nil {
+		buf, err := flat.pcache.GetPage(int(id))
+		if err != nil {
+			return nil, fmt.Errorf("storage: page %d: %w", id, err)
+		}
+		return buf, nil
+	}
+	return flat.pages[id], nil
+}
+
+// Resident returns page id's buffer if reading it needs no I/O — a delta
+// overlay or appended page, a page of an eager base, or a frame the page
+// cache holds — without faulting it and without touching the cache's
+// counters or recency. Safe for concurrent use.
+func (b *Base) Resident(id PageID) ([]byte, bool) {
+	if int(id) >= b.n {
+		return nil, false
+	}
+	buf, flat := b.owner(id)
+	switch {
+	case flat == nil:
+		return buf, true
+	case flat.pcache != nil:
+		return flat.pcache.Resident(int(id))
+	}
+	return flat.pages[id], true
+}
+
+// owner walks the delta chain down to the layer that holds page id,
+// which must be in range: it returns the page's buffer when a delta
+// overlays or appended it, and otherwise the flat base underneath.
+func (b *Base) owner(id PageID) ([]byte, *Base) {
+	for ; b.delta != nil; b = b.delta.parent {
 		if buf, ok := b.delta.overlay[id]; ok {
 			return buf, nil
 		}
 		if pn := b.delta.parent.n; int(id) >= pn {
 			return b.delta.appended[int(id)-pn], nil
 		}
-		return b.delta.parent.Page(id)
 	}
-	if b.pcache != nil {
-		buf, err := b.pcache.GetPage(int(id))
-		if err != nil {
-			return nil, fmt.Errorf("storage: page %d: %w", id, err)
-		}
-		return buf, nil
+	return nil, b
+}
+
+// Cache returns the page cache the base's flat root reads through: the
+// base's own for a loaded base, its chain's root's for a delta base, nil
+// when the root is eager.
+func (b *Base) Cache() PageCache {
+	for b.delta != nil {
+		b = b.delta.parent
 	}
-	return b.pages[id], nil
+	return b.pcache
 }
 
 // Fork returns a read-only disk over the base: reads alias the shared

@@ -272,7 +272,9 @@ type Stats struct {
 	PoolEvictions       int64 // frames dropped under capacity pressure
 	PoolReadaheadIssued int64 // tail pages admitted by sequential misses' window reads
 	PoolReadaheadUsed   int64 // prefetched pages later consumed
-	PoolReadaheadWasted int64 // prefetched pages evicted unconsumed
+	PoolReadaheadWasted int64 // prefetched pages evicted or dropped unconsumed
+	PoolAdopted         int64 // frames a compaction handed to the base it loaded, unread
+	PoolDropped         int64 // frames of bases a compaction replaced, taken out
 	PoolResidentPages   int64 // frames resident at snapshot time
 	PoolCapacityPages   int64 // frame capacity
 }

@@ -151,10 +151,17 @@ func TestMessageRoundTrips(t *testing.T) {
 	pst := &Stats{
 		PoolHits: 9000, PoolMisses: 1000, PoolEvictions: 250,
 		PoolReadaheadIssued: 512, PoolReadaheadUsed: 480, PoolReadaheadWasted: 12,
+		PoolAdopted: 8384, PoolDropped: 8200,
 		PoolResidentPages: 4096, PoolCapacityPages: 65536,
 	}
 	if got, err := DecodeStats(pst.Encode()); err != nil || *got != *pst {
 		t.Fatalf("buffer-pool stats round trip: %+v, %v", got, err)
+	}
+	pv := reflect.ValueOf(*pst)
+	for i := 0; i < pv.NumField(); i++ {
+		if name := pv.Type().Field(i).Name; strings.HasPrefix(name, "Pool") && pv.Field(i).Int() == 0 {
+			t.Errorf("the buffer-pool sample leaves %s zero", name)
+		}
 	}
 
 	cr := &CommitResult{

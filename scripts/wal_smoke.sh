@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end smoke for the write path: start a writable (-wal) treebenchd,
-# commit update waves under concurrent query load, kill -9 the daemon
+# End-to-end smoke for the write path: start a writable (-wal) treebenchd
+# with the background compactor, commit update waves under concurrent
+# query load, check the compacted store holds one image in the buffer
+# pool, reboot it without the compactor, kill -9 the daemon
 # mid-commit-storm, damage the WAL tail the way a torn write would, and
 # reboot. The offline fsck (treebench-snap chain) must walk the damaged
 # store without truncating it, recovery must replay the surviving commits,
@@ -45,9 +47,13 @@ wait_ready() { # logfile
   exit 1
 }
 
-# --- Phase 1: commits under concurrent query load. -------------------------
+counter() { # counter NAME: NAME's value in the last .server dump
+  awk -v k="$1" '$1 == k { print $2 }' "$WORK/server.txt"
+}
+
+# --- Phase 1: commits under concurrent query load, with the compactor. -----
 "$WORK/treebenchd" -addr "$ADDR" "${DB[@]}" -sessions 4 -wal "$WORK/db" \
-  > "$WORK/d1.log" 2>&1 &
+  -compact-every 4 > "$WORK/d1.log" 2>&1 &
 DPID=$!
 wait_ready "$WORK/d1.log"
 
@@ -73,6 +79,41 @@ grep -q '^Commits 12$' "$WORK/mixed.txt" && grep -q '^HeadVersion 12$' "$WORK/mi
   exit 1
 }
 echo "wal-smoke: 12 commits interleaved with queries, none failed, head v12"
+
+# The compactor folds the chain once a second when it is 4 commits long.
+# Once it has compacted and has nothing left to fold, read through the
+# compacted base: the pool must hold one image of the store, with the
+# replaced base's frames dropped, not one image per compaction.
+END=$((SECONDS + 5))
+while :; do
+  "$WORK/oqlsh" -coord "$ADDR" -e .server > "$WORK/server.txt"
+  [ "$(counter Compactions)" -ge 1 ] && [ $(($(counter HeadVersion) - $(counter BaseVersion))) -lt 4 ] && break
+  [ "$SECONDS" -lt "$END" ] || break
+  sleep 0.1
+done
+"$WORK/oqlsh" -coord "$ADDR" -e "$PROBE" > /dev/null
+"$WORK/oqlsh" -coord "$ADDR" -e .server > "$WORK/server.txt"
+[ "$(counter Compactions)" -ge 1 ] && [ "$(counter PoolDropped)" -gt 0 ] &&
+  [ "$(counter PoolResidentPages)" -le "$(counter SnapshotPages)" ] || {
+  echo "wal-smoke: the compacted store does not hold one image in the pool:" >&2
+  cat "$WORK/server.txt" >&2
+  exit 1
+}
+echo "wal-smoke: $(counter Compactions) compactions; $(counter PoolResidentPages) frames resident for a $(counter SnapshotPages)-page head, $(counter PoolDropped) dropped"
+
+# Reboot without the compactor: a storm of tiny commits outruns one
+# second, so a compaction could empty the log just before the kill below
+# and leave no tail to tear. The reboot replays over the compacted base.
+kill "$DPID" && wait "$DPID" 2>/dev/null || true
+"$WORK/treebenchd" -addr "$ADDR" "${DB[@]}" -sessions 4 -wal "$WORK/db" \
+  > "$WORK/d1b.log" 2>&1 &
+DPID=$!
+wait_ready "$WORK/d1b.log"
+grep -q "head v12 over base" "$WORK/d1b.log" || {
+  echo "wal-smoke: reboot over the compacted base lost the head:" >&2
+  head -3 "$WORK/d1b.log" >&2
+  exit 1
+}
 
 # --- Phase 2: kill -9 mid-commit-storm, then tear the WAL tail. ------------
 "$WORK/oqlsh" -coord "$ADDR" -e "$(commits 50)" > /dev/null 2>&1 &
