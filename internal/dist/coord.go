@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -336,7 +335,7 @@ func (c *coordConn) scatter(plan *oql.Plan, q *wire.Query) (*wire.Result, byte, 
 // (chunk-block concatenation IS chunk order), aggregate states merge then
 // finalize, samples concatenate then get the global order-by treatment —
 // the sort charge over all matching rows, the stable sort, the hidden
-// column strip — exactly once.
+// column strip — exactly once, and the result keeps SampleLimit rows.
 func MergePartials(plan *oql.Plan, model sim.CostModel, parts []*wire.Partial) *wire.Result {
 	out := &wire.Result{Plan: plan.Explain()}
 	var counters sim.Counters
@@ -359,16 +358,15 @@ func MergePartials(plan *oql.Plan, model sim.CostModel, parts []*wire.Partial) *
 		}
 		sample = append(sample, part.Sample...)
 	}
-	// Each shard keeps its first SampleLimit rows — a superset of its
-	// contribution to the global first SampleLimit — so the concatenation's
-	// prefix matches the single-node sample exactly.
-	if len(sample) > oql.SampleLimit {
-		sample = sample[:oql.SampleLimit]
-	}
 	for _, a := range aggs {
 		r := a.Finalize()
 		out.Aggregates = append(out.Aggregates, wire.Agg{Label: r.Label, Value: r.Value})
 	}
+	// Each shard keeps a superset of its share of the global first
+	// SampleLimit rows: its first SampleLimit in scan order, or under an
+	// order-by its SampleLimit best, ties in scan order. So the
+	// concatenation's prefix — after the stable sort, for an order-by — is
+	// the single-node sample exactly.
 	if plan.Kind == oql.PlanSelection && plan.OrderAttr != "" {
 		// The sort is charged over ALL matching rows, once, globally — the
 		// shards deliberately skipped it (oql.ExecutePartial).
@@ -376,17 +374,14 @@ func MergePartials(plan *oql.Plan, model sim.CostModel, parts []*wire.Partial) *
 		scratch.Sort(out.Rows)
 		counters.Add(scratch.Snapshot())
 		elapsed += scratch.Elapsed()
-		idx := plan.OrderIdx
-		sort.SliceStable(sample, func(i, j int) bool {
-			if plan.OrderDesc {
-				return sample[i][idx].Int > sample[j][idx].Int
-			}
-			return sample[i][idx].Int < sample[j][idx].Int
-		})
-		if plan.OrderHidden() {
-			for i := range sample {
-				sample[i] = sample[i][:len(sample[i])-1]
-			}
+		oql.SortRows(sample, plan.OrderIdx, plan.OrderDesc)
+	}
+	if len(sample) > oql.SampleLimit {
+		sample = sample[:oql.SampleLimit]
+	}
+	if plan.OrderHidden() {
+		for i := range sample {
+			sample[i] = sample[i][:len(sample[i])-1]
 		}
 	}
 	out.Elapsed = elapsed

@@ -52,25 +52,15 @@ func runHHJ(env *Env, q Query) (*Result, error) {
 	}
 	res.SpillPartitions = parts
 
-	// On-disk tuple widths for the spill files.
-	const provTupleBytes = 8 + 16 // rid + name
-	const patTupleBytes = 8 + 4   // pcp rid + age
-
+	// The spill files hold SMJ's run tuples (provTupleBytes, patTupleBytes):
+	// a provider tuple is accounted with the name nothing reads, and holds
+	// the rid alone.
 	partOf := func(r storage.Rid) int {
 		if parts == 1 {
 			return 0
 		}
 		h := uint64(r.Page)*0x9E3779B1 + uint64(r.Slot)*0x85EBCA77
 		return int(h % uint64(parts))
-	}
-
-	type provTuple struct {
-		rid  storage.Rid
-		name string
-	}
-	type patTuple struct {
-		pcp storage.Rid
-		age int64
 	}
 
 	// spill charges sequential temp-file I/O per page of tuples.
@@ -93,29 +83,28 @@ func runHHJ(env *Env, q Query) (*Result, error) {
 
 	// Build phase: partition the selected providers. Partition 0 builds
 	// its table in memory immediately.
-	table0 := make(map[storage.Rid]providerInfo)
+	table0 := make(providerSet)
 	region0 := sim.NewRegion(meter, db.Machine.HashBudget)
-	provParts := make([][]provTuple, parts)
+	provParts := make([][]storage.Rid, parts)
 	provSpill := spillWriter(provTupleBytes)
 	err = scanRows(db, upinIdx, 1, k2, func(e index.Entry) (bool, error) {
 		ph, err := db.Handles.Get(e.Rid)
 		if err != nil {
 			return false, err
 		}
-		nameV, err := db.Handles.Attr(ph, ai.provName)
+		err = db.Handles.CheckAttr(ph, ai.provName)
+		db.Handles.Unref(ph)
 		if err != nil {
-			db.Handles.Unref(ph)
 			return false, err
 		}
-		db.Handles.Unref(ph)
 		p := partOf(e.Rid)
 		if p == 0 {
 			meter.HashInsert()
 			region0.Grow(parentEntryBytes)
 			region0.RandomWrite()
-			table0[e.Rid] = providerInfo{name: nameV.Str}
+			table0[e.Rid] = struct{}{}
 		} else {
-			provParts[p] = append(provParts[p], provTuple{e.Rid, nameV.Str})
+			provParts[p] = append(provParts[p], e.Rid)
 			provSpill(1)
 		}
 		return true, nil
@@ -167,10 +156,10 @@ func runHHJ(env *Env, q Query) (*Result, error) {
 	// Join the spilled partitions one by one; each sub-table fits.
 	for p := 1; p < parts; p++ {
 		spillReader(provTupleBytes, len(provParts[p]))
-		table := make(map[storage.Rid]providerInfo, len(provParts[p]))
-		for _, t := range provParts[p] {
+		table := make(providerSet, len(provParts[p]))
+		for _, rid := range provParts[p] {
 			meter.HashInsert()
-			table[t.rid] = providerInfo{name: t.name}
+			table[rid] = struct{}{}
 		}
 		if sz := int64(len(provParts[p])) * parentEntryBytes; sz > res.HashTableBytes {
 			res.HashTableBytes = sz

@@ -376,7 +376,7 @@ func runNOJOIN(env *Env, q Query) (*Result, error) {
 		}
 		meter.Compare()
 		if upinV.Int < k2 {
-			if _, err := db.Handles.Attr(ph, ai.provName); err != nil {
+			if err := db.Handles.CheckAttr(ph, ai.provName); err != nil {
 				return false, err
 			}
 			if _, err := db.Handles.Attr(pa, ai.patAge); err != nil {
@@ -394,11 +394,12 @@ func emit(meter *sim.Meter, res *Result) {
 	res.Tuples++
 }
 
-// providerInfo is what the parent table stores: "the elements needed to
-// construct f(p,pa)" (§5), here the provider's name.
-type providerInfo struct {
-	name string
-}
+// providerSet is the parent table: the selected providers' identifiers.
+// Each entry is accounted as holding "the elements needed to construct
+// f(p,pa)" (§5), the provider's name (parentEntryBytes, provTupleBytes);
+// nothing reads the name, so the builds check it and charge its AttrGet
+// without decoding it.
+type providerSet = map[storage.Rid]struct{}
 
 // runPHJ hashes the parents and joins:
 //
@@ -439,14 +440,14 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 	buildRanges := chunkScan(1, q.K2, 1)
 	nb := len(buildRanges)
 	buildBudget := db.Machine.HashBudget / int64(nb)
-	tables := make([]map[storage.Rid]providerInfo, nb)
+	tables := make([]providerSet, nb)
 	sizes := make([]int64, nb)
 	// RunChunksAll, not RunChunks: the probe side needs the whole table, so
 	// under a shard mask every participant builds every chunk (build-side
 	// broadcast) while only the owned chunks' charges are merged.
 	err = db.RunChunksAll(nb, func(w *engine.Session, c int) error {
 		region := sim.NewRegion(w.Meter, buildBudget)
-		table := make(map[storage.Rid]providerInfo)
+		table := make(providerSet)
 		tables[c] = table
 		f := w.Handles.Fetcher()
 		err := scanBatches(w, upinIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
@@ -457,8 +458,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 				if err != nil {
 					return false, err
 				}
-				nameV, err := object.DecodeAttr(cls, rec, ai.provName)
-				if err != nil {
+				if err := object.CheckAttr(cls, rec, ai.provName); err != nil {
 					return false, err
 				}
 				ch.HandleGets++
@@ -467,7 +467,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 				ch.HashInserts++
 				region.Grow(parentEntryBytes)
 				region.RandomWrite()
-				table[e.Rid] = providerInfo{name: nameV.Str}
+				table[e.Rid] = struct{}{}
 			}
 			w.Meter.ChargeBatch(ch)
 			return true, nil
@@ -488,8 +488,8 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 	res.Swapped = totalSize > db.Machine.HashBudget
 	table := tables[0]
 	for _, t := range tables[1:] {
-		for rid, info := range t {
-			table[rid] = info
+		for rid := range t {
+			table[rid] = struct{}{}
 		}
 	}
 
@@ -662,7 +662,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 					return false, err
 				}
 				ch.HandleGets++
-				if _, err := object.DecodeAttr(cls, rec, ai.provName); err != nil {
+				if err := object.CheckAttr(cls, rec, ai.provName); err != nil {
 					return false, err
 				}
 				ch.AttrGets++

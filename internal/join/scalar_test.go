@@ -120,7 +120,7 @@ func scalarPHJ(env *Env, q Query) (*Result, error) {
 	buildRanges := chunkScan(1, q.K2, 1)
 	nb := len(buildRanges)
 	buildBudget := db.Machine.HashBudget / int64(nb)
-	tables := make([]map[storage.Rid]providerInfo, nb)
+	tables := make([]providerSet, nb)
 	sizes := make([]int64, nb)
 	// RunChunksAll, not RunChunks: the probe side needs the whole table, so
 	// under a shard mask every participant builds every chunk (build-side
@@ -128,15 +128,14 @@ func scalarPHJ(env *Env, q Query) (*Result, error) {
 	err = db.RunChunksAll(nb, func(w *engine.Session, c int) error {
 		meter := w.Meter
 		region := sim.NewRegion(meter, buildBudget)
-		table := make(map[storage.Rid]providerInfo)
+		table := make(providerSet)
 		tables[c] = table
 		err := upinIdx.Backend.Scan(w.Client, buildRanges[c].Lo, buildRanges[c].Hi, func(e index.Entry) (bool, error) {
 			ph, err := w.Handles.Get(e.Rid)
 			if err != nil {
 				return false, err
 			}
-			nameV, err := w.Handles.Attr(ph, ai.provName)
-			if err != nil {
+			if _, err := w.Handles.Attr(ph, ai.provName); err != nil {
 				w.Handles.Unref(ph)
 				return false, err
 			}
@@ -144,7 +143,7 @@ func scalarPHJ(env *Env, q Query) (*Result, error) {
 			meter.HashInsert()
 			region.Grow(parentEntryBytes)
 			region.RandomWrite()
-			table[e.Rid] = providerInfo{name: nameV.Str}
+			table[e.Rid] = struct{}{}
 			return true, nil
 		})
 		sizes[c] = region.Size()
@@ -337,26 +336,26 @@ func scalarSMJ(env *Env, q Query) (*Result, error) {
 	// the chunks' partial runs in chunk order reproduces the sequential
 	// scan's key order exactly (the sort below re-orders on rid anyway).
 	provRanges := chunkScan(1, k2, 1)
-	provParts := make([][]provTuple, len(provRanges))
+	provParts := make([][]storage.Rid, len(provRanges))
 	err = db.RunChunks(len(provRanges), func(w *engine.Session, c int) error {
 		return upinIdx.Backend.Scan(w.Client, provRanges[c].Lo, provRanges[c].Hi, func(e index.Entry) (bool, error) {
 			ph, err := w.Handles.Get(e.Rid)
 			if err != nil {
 				return false, err
 			}
-			nameV, err := w.Handles.Attr(ph, ai.provName)
+			_, err = w.Handles.Attr(ph, ai.provName)
 			w.Handles.Unref(ph)
 			if err != nil {
 				return false, err
 			}
-			provParts[c] = append(provParts[c], provTuple{e.Rid, nameV.Str})
+			provParts[c] = append(provParts[c], e.Rid)
 			return true, nil
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	var provRun []provTuple
+	var provRun []storage.Rid
 	for _, p := range provParts {
 		provRun = append(provRun, p...)
 	}

@@ -10,16 +10,13 @@ import (
 	"treebench/internal/storage"
 )
 
-// The (provider-id, payload) sort-run tuples and their accounted widths.
+// The (provider-id, payload) sort-run tuples and their accounted widths. A
+// provider tuple is accounted with its name, which nothing reads: the run
+// holds the rids alone.
 const (
 	provTupleBytes = 8 + 16 // rid + name
 	patTupleBytes  = 8 + 4  // pcp rid + age
 )
-
-type provTuple struct {
-	rid  storage.Rid
-	name string
-}
 
 type patTuple struct {
 	pcp storage.Rid
@@ -55,7 +52,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	// the chunks' partial runs in chunk order reproduces the sequential
 	// scan's key order exactly (the sort below re-orders on rid anyway).
 	provRanges := chunkScan(1, q.K2, 1)
-	provParts := make([][]provTuple, len(provRanges))
+	provParts := make([][]storage.Rid, len(provRanges))
 	err = db.RunChunks(len(provRanges), func(w *engine.Session, c int) error {
 		f := w.Handles.Fetcher()
 		return scanBatches(w, upinIdx, provRanges[c], func(entries []index.Entry) (bool, error) {
@@ -66,14 +63,13 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 				if err != nil {
 					return false, err
 				}
-				nameV, err := object.DecodeAttr(cls, rec, ai.provName)
-				if err != nil {
+				if err := object.CheckAttr(cls, rec, ai.provName); err != nil {
 					return false, err
 				}
 				ch.HandleGets++
 				ch.AttrGets++
 				ch.HandleUnrefs++
-				provParts[c] = append(provParts[c], provTuple{e.Rid, nameV.Str})
+				provParts[c] = append(provParts[c], e.Rid)
 			}
 			w.Meter.ChargeBatch(ch)
 			return true, nil
@@ -82,7 +78,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var provRun []provTuple
+	var provRun []storage.Rid
 	for _, p := range provParts {
 		provRun = append(provRun, p...)
 	}
@@ -132,7 +128,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 // smjMerge is the single sequential tail of the SMJ pipeline — sort, spill
 // and merge — charged to the session meter after the chunk meters merged
 // into it (the scalar reference in scalar_test.go shares it verbatim).
-func smjMerge(db *engine.Database, res *Result, provRun []provTuple, patRun []patTuple) {
+func smjMerge(db *engine.Database, res *Result, provRun []storage.Rid, patRun []patTuple) {
 	meter := db.Meter
 
 	// spillPass charges one external-sort pass (write + read back) for a
@@ -156,7 +152,7 @@ func smjMerge(db *engine.Database, res *Result, provRun []provTuple, patRun []pa
 	// plus the external pass when a run outgrows memory.
 	meter.Sort(int64(len(provRun)))
 	spilledProv := spillPass(len(provRun), provTupleBytes)
-	sort.Slice(provRun, func(i, j int) bool { return provRun[i].rid.Less(provRun[j].rid) })
+	sort.Slice(provRun, func(i, j int) bool { return provRun[i].Less(provRun[j]) })
 	meter.Sort(int64(len(patRun)))
 	spilledPat := spillPass(len(patRun), patTupleBytes)
 	sort.Slice(patRun, func(i, j int) bool { return patRun[i].pcp.Less(patRun[j].pcp) })
@@ -166,12 +162,12 @@ func smjMerge(db *engine.Database, res *Result, provRun []provTuple, patRun []pa
 	// Merge. Providers are unique on rid; patients may repeat one.
 	pi := 0
 	for _, pt := range patRun {
-		for pi < len(provRun) && provRun[pi].rid.Less(pt.pcp) {
+		for pi < len(provRun) && provRun[pi].Less(pt.pcp) {
 			meter.Compare()
 			pi++
 		}
 		meter.Compare()
-		if pi < len(provRun) && provRun[pi].rid == pt.pcp {
+		if pi < len(provRun) && provRun[pi] == pt.pcp {
 			emit(meter, res)
 		}
 	}

@@ -62,7 +62,7 @@ func runVNOJOIN(env *Env, q Query) (*Result, error) {
 			if err != nil {
 				return false, err
 			}
-			if _, err := db.Handles.Attr(ph, ai.provName); err != nil {
+			if err := db.Handles.CheckAttr(ph, ai.provName); err != nil {
 				db.Handles.Unref(ph)
 				return false, err
 			}

@@ -138,6 +138,13 @@ func (t *Table) Attr(h *Handle, i int) (Value, error) {
 	return DecodeAttr(h.class, h.rec, i)
 }
 
+// CheckAttr is Attr for a value nobody reads: it charges the AttrGet and
+// fails as Attr would, without decoding the value.
+func (t *Table) CheckAttr(h *Handle, i int) error {
+	t.meter.AttrGet()
+	return CheckAttr(h.class, h.rec, i)
+}
+
 // AttrByName reads the named attribute through the handle.
 func (t *Table) AttrByName(h *Handle, name string) (Value, error) {
 	i := h.class.AttrIndex(name)

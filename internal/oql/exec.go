@@ -1,8 +1,9 @@
 package oql
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"treebench/internal/join"
@@ -25,7 +26,8 @@ type AggResult struct {
 }
 
 // SampleLimit caps how many result rows the executor materializes for
-// display; the row count and costs always cover the full result.
+// display (ExecuteLimit takes a lower cap); the row count and costs always
+// cover the full result.
 const SampleLimit = 10000
 
 // Row is one materialized result row (projected values in select-list
@@ -46,9 +48,9 @@ type Result struct {
 	// Aggregates holds computed aggregate values, in projection order.
 	Aggregates []AggResult
 
-	// Sample holds up to SampleLimit materialized rows (in order-by order
-	// when the plan sorts). SampleTruncated reports that more rows
-	// matched than were kept.
+	// Sample holds the result's first rows, up to the execution's limit (in
+	// order-by order when the plan sorts). SampleTruncated reports that more
+	// rows matched than were kept.
 	Sample          []Row
 	SampleTruncated bool
 
@@ -59,11 +61,22 @@ type Result struct {
 	AggStates []AggPartial
 }
 
-// Execute runs the plan on the planner's database. The caller decides the
-// cache temperature (call db.ColdRestart() first for the paper's cold
-// methodology).
+// Execute runs the plan on the planner's database, materializing the first
+// SampleLimit result rows. The caller decides the cache temperature (call
+// db.ColdRestart() first for the paper's cold methodology).
 func (pl *Planner) Execute(p *Plan) (*Result, error) {
-	return pl.execute(p, false)
+	return pl.execute(p, SampleLimit, false)
+}
+
+// ExecuteLimit is Execute materializing only the first limit result rows
+// (in order-by order when the plan sorts) — what a client that shows limit
+// rows sees. A negative limit, or one above SampleLimit, means SampleLimit.
+// Rows, aggregates and every simulated charge are Execute's.
+func (pl *Planner) ExecuteLimit(p *Plan, limit int) (*Result, error) {
+	if limit < 0 || limit > SampleLimit {
+		limit = SampleLimit
+	}
+	return pl.execute(p, limit, false)
 }
 
 // ExecutePartial runs the plan as one shard's slice of a distributed query:
@@ -73,12 +86,15 @@ func (pl *Planner) Execute(p *Plan) (*Result, error) {
 // and so must be applied exactly once, over the merged total), the hidden
 // order-column strip, and aggregate finalization (AggStates carries the
 // mergeable states in place of Aggregates). Samples keep hidden order
-// columns so the coordinator can sort the concatenation.
+// columns so the coordinator can sort the concatenation: a shard's sample
+// is its first SampleLimit rows in scan order, or under an order-by its
+// SampleLimit best rows — in scan order when they are all it matched, else
+// sorted.
 func (pl *Planner) ExecutePartial(p *Plan) (*Result, error) {
-	return pl.execute(p, true)
+	return pl.execute(p, SampleLimit, true)
 }
 
-func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
+func (pl *Planner) execute(p *Plan, limit int, partial bool) (*Result, error) {
 	switch p.Kind {
 	case PlanSelection:
 		req := selection.Request{
@@ -94,7 +110,7 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 		// row as chunk 0.
 		nc := len(selection.ScanChunks(p.Extent))
 		var aggChunks [][]*aggState
-		var sampleChunks []rowSlab
+		var samples []sampler
 		switch {
 		case hasAgg(p.Aggregates):
 			aggChunks = make([][]*aggState, nc)
@@ -116,18 +132,18 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 				return nil
 			}
 		case len(p.Projects) > 0:
-			sampleChunks = make([]rowSlab, nc)
-			// Append a batch's rows (transposed from its value columns) up
-			// to the per-chunk cap.
+			samples = make([]sampler, nc)
+			req.Key = -1
+			if p.OrderAttr != "" {
+				req.Key = p.OrderIdx
+			}
+			for c := range samples {
+				samples[c] = sampler{limit: limit, key: req.Key, desc: p.OrderDesc}
+			}
+			req.Keep = func(chunk int, key object.Value) bool { return samples[chunk].wants(key) }
 			req.OnBatch = func(chunk int, cols [][]object.Value, n int) error {
 				for r := 0; r < n; r++ {
-					row := sampleChunks[chunk].add(len(cols), n-r)
-					if row == nil {
-						return nil
-					}
-					for j := range cols {
-						row[j] = cols[j][r]
-					}
+					samples[chunk].add(cols, r, n-r)
 				}
 				return nil
 			}
@@ -145,25 +161,15 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 				}
 			}
 		}
-		// Every chunk keeps its first SampleLimit rows, which is a superset
-		// of its contribution to the global first SampleLimit, so the first
-		// SampleLimit rows of the concatenation are the sequential sample.
-		total, truncated := 0, false
-		for c := range sampleChunks {
-			total += len(sampleChunks[c].rows)
-			truncated = truncated || sampleChunks[c].truncated
+		// Every chunk keeps a superset of its share of the result's first
+		// limit rows: without an order-by those are the concatenation's
+		// first limit rows; with one, the first limit after a stable sort
+		// by key. A shard sorts only when it must cut.
+		sample := gather(samples, limit, p.OrderAttr == "")
+		if p.OrderAttr != "" && (!partial || len(sample) > limit) {
+			SortRows(sample, p.OrderIdx, p.OrderDesc)
 		}
-		if total > SampleLimit {
-			total, truncated = SampleLimit, true
-		}
-		var sample []Row
-		if total > 0 {
-			sample = make([]Row, 0, total)
-		}
-		for c := range sampleChunks {
-			part := sampleChunks[c].rows
-			sample = append(sample, part[:min(len(part), total-len(sample))]...)
-		}
+		sample = sample[:min(len(sample), limit)]
 		res := &Result{
 			Plan: p, Rows: sres.Rows,
 			Elapsed: sres.Elapsed, Counters: sres.Counters,
@@ -180,13 +186,6 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 			// Sorting the result is charged over ALL matching rows, as
 			// the system would; the sample is what we can show.
 			pl.DB.Meter.Sort(int64(sres.Rows))
-			idx := p.OrderIdx
-			sort.SliceStable(sample, func(i, j int) bool {
-				if p.OrderDesc {
-					return sample[i][idx].Int > sample[j][idx].Int
-				}
-				return sample[i][idx].Int < sample[j][idx].Int
-			})
 			if p.orderHidden {
 				for i := range sample {
 					sample[i] = sample[i][:len(sample[i])-1]
@@ -196,7 +195,7 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 			res.Counters = pl.DB.Meter.Snapshot()
 		}
 		res.Sample = sample
-		res.SampleTruncated = truncated
+		res.SampleTruncated = samples != nil && sres.Rows > len(sample)
 		return res, nil
 	case PlanTreeJoin:
 		jres, err := join.Run(p.Env, p.Algorithm, p.JoinQuery)
@@ -213,37 +212,144 @@ func (pl *Planner) execute(p *Plan, partial bool) (*Result, error) {
 	}
 }
 
-// rowSlab is one chunk's sample: up to SampleLimit rows, cut from shared
-// blocks of values instead of made one by one. A new block holds the rows
-// the caller says are coming or twice the previous block, whichever is
-// more, up to slabMaxRows: a result that arrives in one batch gets one
-// block of exactly its size (a 500-row point selection allocates what its
-// rows need, not the next power of two), and a selective scan that trickles
-// a few rows per batch still allocates by the block, not by the batch.
+// sampler is one chunk's share of the sample. Without an order key (key
+// < 0) it keeps the chunk's first limit rows. With one it keeps the chunk's
+// limit best rows by (key, scan position): rows collect in a buffer of
+// twice the limit, and trim cuts a full buffer back to its best limit,
+// keeping the dropped rows' storage for the rows that follow. Once trimmed,
+// a row that cannot beat the limit-th best so far is refused before its
+// values are decoded (selection.Request.Keep). Either way the chunk holds a
+// superset of its share of the result's first limit rows, and only rows it
+// admits are decoded.
+type sampler struct {
+	rows    []Row
+	spare   []Row // storage of rows trim dropped
+	slab    rowSlab
+	limit   int
+	key     int
+	desc    bool
+	trimmed bool // rows[:limit] are the best rows so far, sorted
+	n       int  // rows wants promised (key < 0)
+}
+
+// wants reports whether the chunk admits its next selected row, whose
+// order key is k. Without a key it promises the row a place. With one it
+// refuses a row that cannot beat the worst row the last trim kept: every
+// kept row has a key at least as good and an earlier scan position.
+func (s *sampler) wants(k object.Value) bool {
+	switch {
+	case s.key < 0:
+		if s.n == s.limit {
+			return false
+		}
+		s.n++
+		return true
+	case s.trimmed:
+		worst := s.rows[s.limit-1][s.key].Int
+		if s.desc {
+			return k.Int > worst
+		}
+		return k.Int < worst
+	}
+	return s.limit > 0
+}
+
+// add appends row r of a delivered batch (cols transposed) to the chunk;
+// coming is how many rows the batch still delivers, this one included.
+func (s *sampler) add(cols [][]object.Value, r, coming int) {
+	var row Row
+	if n := len(s.spare); n > 0 {
+		row, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		room := s.limit - len(s.rows)
+		if s.key >= 0 {
+			room += s.limit
+		}
+		row = s.slab.next(len(cols), min(coming, room))
+	}
+	for j := range cols {
+		row[j] = cols[j][r]
+	}
+	s.rows = append(s.rows, row)
+	if s.key >= 0 && len(s.rows) == 2*s.limit {
+		s.trim()
+	}
+}
+
+// trim keeps the chunk's limit best rows, in (key, scan position) order.
+// Rows arrive in scan order behind the ones the last trim sorted, so a
+// stable sort by key is that order.
+func (s *sampler) trim() {
+	SortRows(s.rows, s.key, s.desc)
+	s.spare = append(s.spare, s.rows[s.limit:]...)
+	s.rows = s.rows[:s.limit]
+	s.trimmed = true
+}
+
+// gather concatenates the chunks' kept rows in chunk order. A chunk's rows
+// are in scan order, or in (key, scan position) order if it had to drop
+// some; either way a stable sort by key of the concatenation puts ties in
+// scan order. With prefix set only the first limit rows are wanted, and
+// only those are gathered.
+func gather(samples []sampler, limit int, prefix bool) []Row {
+	total := 0
+	for c := range samples {
+		s := &samples[c]
+		if s.key >= 0 && len(s.rows) > s.limit {
+			s.trim()
+		}
+		total += len(s.rows)
+	}
+	if prefix {
+		total = min(total, limit)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Row, 0, total)
+	for c := range samples {
+		part := samples[c].rows
+		out = append(out, part[:min(len(part), total-len(out))]...)
+	}
+	return out
+}
+
+// SortRows stably sorts rows by the integer value in column idx — the
+// order-by sort, shared by the executor and a coordinator merging shards.
+// Rows with equal keys keep their order, so rows in scan order come out in
+// (key, scan position) order.
+func SortRows[R ~[]object.Value](rows []R, idx int, desc bool) {
+	slices.SortStableFunc(rows, func(a, b R) int {
+		if desc {
+			return cmp.Compare(b[idx].Int, a[idx].Int)
+		}
+		return cmp.Compare(a[idx].Int, b[idx].Int)
+	})
+}
+
+// rowSlab cuts sample rows from shared blocks of values instead of making
+// them one by one. A new block holds the rows the caller says are coming or
+// twice the previous block, whichever is more, up to slabMaxRows: a result
+// that arrives in one batch gets one block of exactly its size (a 500-row
+// point selection allocates what its rows need, not the next power of two),
+// and a selective scan that trickles a few rows per batch still allocates
+// by the block, not by the batch.
 type rowSlab struct {
-	rows      []Row
 	free      []object.Value // the newest block's unused tail
 	blockRows int
-	truncated bool // rows were refused at the limit
 }
 
 const slabMaxRows = 1024
 
-// add returns the chunk's next sample row, width values wide, for the
-// caller to fill — or nil once the chunk holds SampleLimit rows. coming is
-// how many rows the caller is about to add, this one included.
-func (s *rowSlab) add(width, coming int) Row {
-	if len(s.rows) >= SampleLimit {
-		s.truncated = true
-		return nil
-	}
+// next returns a new row, width values wide, for the caller to fill. coming
+// is how many rows the caller is about to take, this one included.
+func (s *rowSlab) next(width, coming int) Row {
 	if len(s.free) < width {
 		s.blockRows = min(max(2*s.blockRows, coming), slabMaxRows)
 		s.free = make([]object.Value, s.blockRows*width)
 	}
 	row := Row(s.free[:width:width])
 	s.free = s.free[width:]
-	s.rows = append(s.rows, row)
 	return row
 }
 

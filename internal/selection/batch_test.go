@@ -224,3 +224,56 @@ func TestBatchedSelectionsMatchScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestKeepChargesLikeDecode pins Request.Keep: on every access path and at
+// any worker count, a run that keeps only some rows — by a key column Keep
+// is handed, or none at all — charges exactly what a run that keeps every
+// row charges, and OnBatch sees exactly the kept rows, whole.
+func TestKeepChargesLikeDecode(t *testing.T) {
+	const n = 13000 // 3 scan chunks
+	db, people := mixedPeople(t, n)
+	for _, access := range []Access{FullScan, IndexScan, SortedIndexScan} {
+		for _, qj := range []int{1, 8} {
+			label := fmt.Sprintf("%s qj=%d", access, qj)
+			db.SetQueryJobs(qj)
+			all, thirds := newChunkRows(people), newChunkRows(people)
+			req := Request{Extent: people, Where: Pred{Attr: "num", Op: Gt, K: n / 2}, Projects: []string{"name", "age"},
+				OnBatch: rowsOf(func(c int, vals []object.Value) error {
+					if vals[1].Int%3 == 0 {
+						thirds.add(c, vals)
+					}
+					return all.add(c, vals)
+				})}
+			db.ColdRestart()
+			want, err := Run(db, req, access)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := newChunkRows(people)
+			req.OnBatch = rowsOf(kept.add)
+			req.Key, req.Keep = 1, func(_ int, age object.Value) bool { return age.Int%3 == 0 }
+			db.ColdRestart()
+			got, err := Run(db, req, access)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameResult(got, want); diff != "" {
+				t.Errorf("%s keeping a third: %s", label, diff)
+			}
+			if kept.String() != thirds.String() || kept.String() == all.String() {
+				t.Errorf("%s: OnBatch saw other rows than the kept ones", label)
+			}
+			req.OnBatch = func(int, [][]object.Value, int) error {
+				return fmt.Errorf("%s: a row nobody kept was delivered", label)
+			}
+			req.Key, req.Keep = -1, func(int, object.Value) bool { return false }
+			db.ColdRestart()
+			if got, err = Run(db, req, access); err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameResult(got, want); diff != "" {
+				t.Errorf("%s keeping nothing: %s", label, diff)
+			}
+		}
+	}
+}

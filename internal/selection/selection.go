@@ -106,16 +106,25 @@ type Request struct {
 	Filters  []Pred
 	Projects []string
 	// OnBatch, when set, receives every matching object's projected values
-	// (the executor's hook for aggregation and sampling): cols[j][0:n] are
-	// the value columns of one batch's n selected rows, in row order within
-	// the batch. Full scans fan out over ScanChunks(extent) page ranges and
-	// tag each delivery with its chunk; chunks cover the file in order and
-	// batches within one chunk arrive in scan order, so concatenating
-	// per-chunk state in chunk-index order reproduces the sequential row
-	// order. Index scans deliver every row as chunk 0. It may be called
-	// from multiple goroutines, one per chunk — keep state per chunk — and
-	// the columns are reused after it returns.
+	// (under Keep, every kept one's; the executor's hook for aggregation and
+	// sampling): cols[j][0:n] are the value columns of one batch's n
+	// selected rows, in row order within the batch. Full scans fan out over
+	// ScanChunks(extent) page ranges and tag each delivery with its chunk;
+	// chunks cover the file in order and batches within one chunk arrive in
+	// scan order, so concatenating per-chunk state in chunk-index order
+	// reproduces the sequential row order. Index scans deliver every row as
+	// chunk 0. It may be called from multiple goroutines, one per chunk —
+	// keep state per chunk — and the columns are reused after it returns.
 	OnBatch func(chunk int, cols [][]object.Value, n int) error
+	// Keep, when set, is asked for every selected row, in scan order within
+	// its chunk, whether the consumer will keep it: OnBatch then receives
+	// only the kept rows, and the other rows' projected values are checked
+	// (object.CheckAttr) but never decoded. Key is the position within
+	// Projects of the value Keep is handed, decoded for every selected row
+	// (an order-by key); -1 hands it the zero Value. The simulated charges
+	// are those of a run without Keep.
+	Keep func(chunk int, key object.Value) bool
+	Key  int
 }
 
 // ScanChunks returns the page-range decomposition a parallel full scan of
@@ -177,13 +186,16 @@ func Run(db *engine.Database, req Request, access Access) (*Result, error) {
 
 // evalBatch runs the predicate and projection phases over one filled batch:
 // Sel[i] is set for surviving rows, Cols holds the projected value columns
-// compacted to the selected rows (in selection order), and every AttrGet /
-// Compare / ResultAppend a handle-at-a-time loop would charge is accumulated
-// into ch. It returns the number of selected rows.
-func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, ch *sim.BatchCharges) (int, error) {
+// compacted to the rows the request keeps (in selection order), and every
+// AttrGet / Compare / ResultAppend a handle-at-a-time loop would charge is
+// accumulated into ch. It returns the number of selected and of kept rows.
+func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, chunk int, ch *sim.BatchCharges) (selected, kept int, err error) {
 	n := b.Len()
 	b.SetCols(len(projIdxs))
-	selected := 0
+	key := -1
+	if req.Keep != nil {
+		key = req.Key
+	}
 	for i := 0; i < n; i++ {
 		cls, rec := b.Classes[i], b.Recs[i]
 		// Predicates short-circuit: one AttrGet+Compare per predicate
@@ -191,7 +203,7 @@ func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs 
 		if whereIdx >= 0 {
 			v, err := object.DecodeAttr(cls, rec, whereIdx)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			ch.AttrGets++
 			ch.Compares++
@@ -203,7 +215,7 @@ func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs 
 		for fi, f := range req.Filters {
 			v, err := object.DecodeAttr(cls, rec, filterIdxs[fi])
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			ch.AttrGets++
 			ch.Compares++
@@ -216,23 +228,40 @@ func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs 
 			continue
 		}
 		b.Sel[i] = true
-		for j, pi := range projIdxs {
-			v, err := object.DecodeAttr(cls, rec, pi)
-			if err != nil {
-				return 0, err
-			}
-			ch.AttrGets++
-			b.Cols[j][selected] = v
-		}
 		selected++
+		ch.AttrGets += int64(len(projIdxs))
+		var kv object.Value
+		if key >= 0 {
+			if kv, err = object.DecodeAttr(cls, rec, projIdxs[key]); err != nil {
+				return 0, 0, err
+			}
+		}
+		if req.Keep != nil && !req.Keep(chunk, kv) {
+			for _, pi := range projIdxs {
+				if err := object.CheckAttr(cls, rec, pi); err != nil {
+					return 0, 0, err
+				}
+			}
+			continue
+		}
+		for j, pi := range projIdxs {
+			v := kv
+			if j != key {
+				if v, err = object.DecodeAttr(cls, rec, pi); err != nil {
+					return 0, 0, err
+				}
+			}
+			b.Cols[j][kept] = v
+		}
+		kept++
 	}
 	if len(projIdxs) > 0 {
 		ch.ResultAppends += int64(selected)
 	}
 	for j := range b.Cols {
-		b.Cols[j] = b.Cols[j][:selected]
+		b.Cols[j] = b.Cols[j][:kept]
 	}
-	return selected, nil
+	return selected, kept, nil
 }
 
 // flushBatch evaluates one filled batch, merges ch — the caller's per-record
@@ -243,13 +272,13 @@ func flushBatch(w *engine.Session, b *object.Batch, req Request, whereIdx int, f
 	if err := w.Err(); err != nil {
 		return 0, err
 	}
-	selected, err := evalBatch(b, req, whereIdx, filterIdxs, projIdxs, &ch)
+	selected, kept, err := evalBatch(b, req, whereIdx, filterIdxs, projIdxs, chunk, &ch)
 	if err != nil {
 		return 0, err
 	}
 	w.Meter.ChargeBatch(ch)
-	if selected > 0 && req.OnBatch != nil {
-		err = req.OnBatch(chunk, b.Cols, selected)
+	if kept > 0 && req.OnBatch != nil {
+		err = req.OnBatch(chunk, b.Cols, kept)
 	}
 	b.Reset()
 	return selected, err

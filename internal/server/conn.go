@@ -169,7 +169,9 @@ func (c *conn) query(q *wire.Query) bool {
 	var res *oql.Result
 	code, err := c.run(func(ctx context.Context) (err error) {
 		sess.Cold = !q.Warm
-		res, err = s.measure(sess, q.Strategy, func() (*oql.Result, error) { return sess.ExecuteContext(ctx, q.Stmt) })
+		res, err = s.measure(sess, q.Strategy, func() (*oql.Result, error) {
+			return sess.ExecuteRows(ctx, q.Stmt, int(q.MaxRows))
+		})
 		return err
 	})
 	if err != nil {

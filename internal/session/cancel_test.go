@@ -45,7 +45,7 @@ type cancelCase struct {
 	run  func(ctx context.Context, jobs int) (string, error)
 }
 
-// cancelCases are batchStatements through ExecuteContext, and the paper's
+// cancelCases are batchStatements through ExecuteRows, and the paper's
 // tree query forced onto each of the seven join algorithms: the chunked
 // ones at 50/50, where every phase fans out, and the record-at-a-time ones
 // at 1/5, which they check once per outer row.
@@ -55,7 +55,7 @@ func cancelCases(sn *derby.Snapshot) []cancelCase {
 		cases = append(cases, cancelCase{stmt, func(ctx context.Context, jobs int) (string, error) {
 			f := sn.Fork()
 			f.DB.SetQueryJobs(jobs)
-			res, err := New(f.DB).ExecuteContext(ctx, stmt)
+			res, err := New(f.DB).ExecuteRows(ctx, stmt, 10)
 			if err != nil {
 				return fmt.Sprint(res), err
 			}

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // coldQueryStatements returns the six statement classes of the live
 // benchmark's `analytic` workload (bench/workload.go, analyticStatements)
 // for a providers×avg Derby database, one literal from the middle of each
-// class's band.
+// class's band, then the row selection of its `point` workload.
 func coldQueryStatements(providers, avg int) []struct{ name, stmt string } {
 	n := providers * avg
 	join := func(k int) string {
@@ -26,6 +27,7 @@ func coldQueryStatements(providers, avg int) []struct{ name, stmt string } {
 		{"range", fmt.Sprintf("select pa.mrn, pa.age from pa in Patients where pa.mrn < %d", n/10)},
 		{"phj", join(n / 2)},
 		{"nl", join(n * 95 / 100)},
+		{"point", "select pa.name, pa.age from pa in Patients where pa.mrn < 500"},
 	}
 }
 
@@ -35,8 +37,9 @@ func coldSession(sn *derby.Snapshot) *Session {
 	return NewWith(sn.Fork().DB, Config{PlanCache: oql.NewPlanCache(0)})
 }
 
-// BenchmarkColdQuery prices one cold execution of each analytic statement
-// class on a long-lived session, as a daemon connection runs it: the
+// BenchmarkColdQuery prices one cold execution of each statement class on a
+// long-lived session, as a daemon connection runs it for a client that
+// shows 10 rows (ExecuteRows, then ToWire): the
 // database is the live benchmark's (Derby 2000×100, loaded from a saved
 // file so pages come through the buffer pool), the plan is cached, and
 // every iteration cold-restarts first. Watch allocs/op and B/op — the
@@ -66,13 +69,13 @@ func BenchmarkColdQuery(b *testing.B) {
 	s := coldSession(sn)
 	for _, q := range coldQueryStatements(providers, avg) {
 		b.Run(q.name, func(b *testing.B) {
-			if _, err := s.Execute(q.stmt); err != nil { // plan, forks, slabs
+			if _, err := s.ExecuteRows(context.Background(), q.stmt, 10); err != nil { // plan, forks, slabs
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := s.Execute(q.stmt)
+				res, err := s.ExecuteRows(context.Background(), q.stmt, 10)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,7 +1,9 @@
 package session
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,28 +114,51 @@ func TestRetainedForksFollowWrites(t *testing.T) {
 	}
 }
 
-// TestColdQueryAllocBudget is the allocation budget of the analytic path:
-// on a long-lived session, the second cold run of each analytic statement
-// shape (the first builds chunk forks, cache slabs and the plan) stays
-// under a fixed number of heap objects. The budgets are ~2× what the
-// shapes cost on Derby 200×100 today (39, 99, 140, 62, 232, 225 — the joins'
-// remainder is one decoded name string per provider) and 4–60× under
-// what they cost with one object per admitted page, per sampled row and
-// per chunk cache (2 291, 2 399, 8 399, 2 327, 1 722, 9 055) — so the next
-// per-page or per-row make fails here, not in a benchmark.
+// TestColdQueryAllocBudget is the allocation budget of the query path: on
+// a long-lived session, the second cold run of each statement class (the
+// first builds chunk forks, cache slabs and the plan), executed for a
+// client that shows 10 rows as the daemon executes it, stays under a fixed
+// number of heap objects and kilobytes. The budgets are 1.25× what the
+// classes cost on Derby 200×100 at 4 workers today (47, 109, 107, 70, 72,
+// 66, 76 objects; 182, 664, 519, 189, 59, 100, 98 kB; -race adds up to
+// 11 %). Materializing every row up to SampleLimit and decoding every
+// projected value costs orderby 1 679 kB, range 549 kB and point 569
+// objects, and decoding each provider's name costs phj 251 objects — so
+// the next per-row make or decode fails here, not in a benchmark.
 func TestColdQueryAllocBudget(t *testing.T) {
 	sn := chunkedSnapshot(t)
-	budget := map[string]float64{"count": 100, "agg": 200, "orderby": 300, "range": 150, "phj": 500, "nl": 500}
+	budget := map[string]struct{ objects, kb float64 }{
+		"count": {58, 227}, "agg": {136, 829}, "orderby": {134, 648}, "range": {87, 235},
+		"phj": {90, 73}, "nl": {82, 125}, "point": {95, 122},
+	}
 	s := coldSession(sn)
+	s.DB.SetQueryJobs(4) // the default's ceiling: chunk workers allocate, so pin them
 	for _, q := range coldQueryStatements(chunkedProviders, chunkedAvg) {
 		run := func() {
-			if _, err := s.Execute(q.stmt); err != nil {
+			res, err := s.ExecuteRows(context.Background(), q.stmt, 10)
+			if err != nil {
 				t.Fatalf("%s: %v", q.stmt, err)
 			}
+			_ = ToWire(res, 10)
 		}
 		run()
-		if got := testing.AllocsPerRun(3, run); got > budget[q.name] {
-			t.Errorf("%s: a cold run allocated %v objects, budget %v (%s)", q.name, got, budget[q.name], q.stmt)
+		objects, bytes := allocsPerRun(5, run)
+		if b := budget[q.name]; objects > b.objects || bytes/1024 > b.kb {
+			t.Errorf("%s: a cold run allocated %.0f objects and %.0f kB, budget %.0f and %.0f kB (%s)",
+				q.name, objects, bytes/1024, b.objects, b.kb, q.stmt)
 		}
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports bytes: the heap
+// objects and bytes one call of f allocates, averaged over runs calls.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

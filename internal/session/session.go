@@ -84,19 +84,23 @@ func NewWith(db *engine.Database, cfg Config) *Session {
 	}
 }
 
-// Execute is ExecuteContext with no deadline.
+// Execute is ExecuteRows with no deadline, materializing up to
+// oql.SampleLimit rows.
 func (s *Session) Execute(stmt string) (*oql.Result, error) {
-	return s.ExecuteContext(context.Background(), stmt)
+	return s.ExecuteRows(context.Background(), stmt, oql.SampleLimit)
 }
 
-// ExecuteContext parses, plans and runs one statement, honoring the
-// session's cache temperature. Warm queries keep the caches and handle
-// table but still measure from a zeroed meter, so every result reports that
-// query's own cost at the session's cache temperature (not a running
-// session total). At ctx's deadline the engine stops at its next chunk or
-// batch boundary and the statement returns ctx's error and no result; its
-// caches are then mid-query, so treebenchd drops a stopped session.
-func (s *Session) ExecuteContext(ctx context.Context, stmt string) (*oql.Result, error) {
+// ExecuteRows parses, plans and runs one statement, honoring the session's
+// cache temperature, and materializes only the first maxRows result rows —
+// what a client showing maxRows rows sees (oql.Planner.ExecuteLimit; every
+// other number is the same at any maxRows). Warm queries keep the caches
+// and handle table but still measure from a zeroed meter, so every result
+// reports that query's own cost at the session's cache temperature (not a
+// running session total). At ctx's deadline the engine stops at its next
+// chunk or batch boundary and the statement returns ctx's error and no
+// result; its caches are then mid-query, so treebenchd drops a stopped
+// session.
+func (s *Session) ExecuteRows(ctx context.Context, stmt string, maxRows int) (*oql.Result, error) {
 	s.DB.SetContext(ctx)
 	defer s.DB.SetContext(context.Background())
 	if s.Cold {
@@ -104,7 +108,11 @@ func (s *Session) ExecuteContext(ctx context.Context, stmt string) (*oql.Result,
 	} else {
 		s.DB.Meter.Reset()
 	}
-	return s.Planner.Query(stmt)
+	plan, err := s.Planner.PlanSource(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return s.Planner.ExecuteLimit(plan, maxRows)
 }
 
 // ExecutePartial runs one statement as shard shardIdx of shardCnt: the
@@ -117,7 +125,7 @@ func (s *Session) ExecuteContext(ctx context.Context, stmt string) (*oql.Result,
 //
 // Scattered queries are always cold: the coordinator owns the measurement
 // discipline, and a warm masked session's fork caches would diverge from
-// the single-node session's. ctx is honoured as in ExecuteContext.
+// the single-node session's. ctx is honoured as in ExecuteRows.
 func (s *Session) ExecutePartial(ctx context.Context, stmt string, shardIdx, shardCnt int) (*oql.Result, error) {
 	s.DB.SetContext(ctx)
 	defer s.DB.SetContext(context.Background())
@@ -131,9 +139,9 @@ func (s *Session) ExecutePartial(ctx context.Context, stmt string, shardIdx, sha
 	return s.Planner.ExecutePartial(plan)
 }
 
-// ToPartial converts a shard's partial result into its wire form: full
-// sample (the coordinator trims after the global sort), meter readings, and
-// mergeable aggregate states.
+// ToPartial converts a shard's partial result into its wire form: its
+// sample of up to SampleLimit rows (the coordinator trims after the global
+// sort), meter readings, and mergeable aggregate states.
 func ToPartial(res *oql.Result) *wire.Partial {
 	out := &wire.Partial{
 		Rows:      int64(res.Rows),

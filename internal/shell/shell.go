@@ -13,6 +13,7 @@ package shell
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"reflect"
@@ -331,7 +332,7 @@ func (sh *Shell) execute(src string) (*wire.Result, error) {
 		opts.MaxRows = sh.MaxRows
 		return sh.remote.Query(src, opts)
 	}
-	res, err := sh.Execute(src)
+	res, err := sh.ExecuteRows(context.Background(), src, sh.MaxRows)
 	if err != nil {
 		return nil, err
 	}

@@ -425,17 +425,19 @@ type PartialAgg struct {
 }
 
 // Partial carries one shard's slice of a scattered query (v5): the rows it
-// owned, its meter readings, mergeable aggregate states, and its unsorted
-// sample (hidden order-by columns intact — the coordinator sorts and strips
-// after merging).
+// owned, its meter readings, mergeable aggregate states, and its sample
+// (hidden order-by columns intact — the coordinator sorts and strips after
+// merging).
 type Partial struct {
 	Rows     int64
 	Elapsed  time.Duration
 	Counters sim.Counters
 	Aggs     []PartialAgg
-	// Sample holds the shard's materialized rows, up to the executor's
-	// SampleLimit (not the client's MaxRows — the coordinator needs the
-	// full sample to sort and trim globally).
+	// Sample holds the shard's share of the global first SampleLimit rows
+	// (the executor's SampleLimit, not the client's MaxRows — the
+	// coordinator sorts and trims globally): its first SampleLimit rows in
+	// scan order, or under an order-by its SampleLimit best by key — in scan
+	// order when those are all it matched, else sorted, ties in scan order.
 	Sample [][]object.Value
 	// Truncated reports the shard kept fewer rows than matched.
 	Truncated bool
