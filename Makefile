@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap experiments experiments-full plots cover fuzz smoke snap-smoke dist-smoke wal-smoke clean
+.PHONY: all build loc test race bench bench-fork bench-commit bench-pool bench-exec bench-live bench-snap experiments experiments-full plots cover fuzz smoke snap-smoke wal-smoke clean
 
 all: build test
 
@@ -107,12 +107,6 @@ smoke:
 # treebenchd warm start from one snapshot directory.
 snap-smoke:
 	./scripts/snap_smoke.sh
-
-# Distributed smoke: 3 treebenchd shards + treebench-coord from one shared
-# snapshot cache, byte-diffed against the local shell, cluster stats, and a
-# mid-run shard kill surfacing the typed shard error.
-dist-smoke:
-	./scripts/dist_smoke.sh
 
 # Write-path smoke: writable treebenchd, commits under query load, kill -9
 # mid-storm, torn WAL tail, offline fsck, reboot recovery byte-diffed

@@ -10,8 +10,8 @@
 //	oqlsh -e 'select ... ;'   # non-interactive: run statements, then exit
 //	oqlsh -f script.oql       # non-interactive: run a script file
 //	oqlsh -warm -e '...'      # keep caches warm between statements
-//	oqlsh -coord ADDR -e '...' # run remotely against a treebenchd or
-//	                           # treebench-coord instead of in-process
+//	oqlsh -coord ADDR -e '...' # run remotely against a treebenchd
+//	                           # instead of in-process
 //
 // In -e/-f mode only query output reaches stdout (progress goes to
 // stderr), the first failing statement stops the run, and the exit status
@@ -20,12 +20,11 @@
 //
 // With -coord the statements are sent, in order, over one connection
 // instead of executed in-process: results render through the same
-// renderer, so a daemon's or a cluster's output diffs byte-for-byte
-// against the local shell (that equivalence is what the server, snap, wal
-// and dist smokes pin), and -warm exercises the remote session's
-// warm-cache discipline. The dial retries while the daemon is still
-// generating, and every request has an I/O deadline. -coord requires -e
-// or -f. Concurrent clients are several oqlsh -coord processes; closed-loop
+// renderer, so a daemon's output diffs byte-for-byte against the local
+// shell (that equivalence is what the server, snap and wal smokes pin),
+// and -warm exercises the remote session's warm-cache discipline. The
+// dial retries while the daemon is still generating, and every request
+// has an I/O deadline. -coord requires -e or -f. Concurrent clients are several oqlsh -coord processes; closed-loop
 // throughput and latency are the bench/ module's job. The shell only
 // generates databases in process, so it never reads a page through the
 // buffer pool and has no -bufpool-mb.
@@ -41,8 +40,7 @@
 //	.stats               show index histograms
 //	.strategy cost|heur  switch optimizer strategy
 //	.commit              -coord: commit the daemon's next update wave
-//	.server              -coord: print the daemon's counters (and, from a
-//	                     coordinator, the shard map and per-shard stats)
+//	.server              -coord: print the daemon's counters
 //	.help                this text
 //	.quit                exit
 package main
@@ -73,7 +71,7 @@ func main() {
 		stmts      = flag.String("e", "", "run these semicolon-terminated statements and exit")
 		script     = flag.String("f", "", "run this script file and exit")
 		warm       = flag.Bool("warm", false, "keep caches warm between statements (like the .warm command)")
-		coord      = flag.String("coord", "", "run statements remotely against this treebenchd (or treebench-coord) address; requires -e or -f")
+		coord      = flag.String("coord", "", "run statements remotely against this treebenchd address; requires -e or -f")
 		maxRows    = flag.Int("maxrows", 10, "sample rows printed per query in -coord mode")
 		exec       = cli.ExecFlags(flag.CommandLine)
 	)

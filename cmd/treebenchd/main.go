@@ -9,7 +9,7 @@
 //	           [-clustering class] [-seed 1997] [-sessions N] [-qj N]
 //	           [-index-backend btree|disk|lsm] [-bufpool-mb N] [-pprof ADDR]
 //	           [-max-queue 64] [-query-timeout 30s] [-drain-grace 30s]
-//	           [-snapshot-dir DIR] [-shard i/N] [-v]
+//	           [-snapshot-dir DIR] [-v]
 //	           [-wal DIR] [-compact-every N]
 //	           [-wave-reassign N] [-wave-scalar N] [-wave-grow-every N] [-wave-upgrades N]
 //
@@ -47,14 +47,6 @@
 // buffer-pool and readahead hot paths can be profiled under load (the
 // bench/ module's workloads).
 //
-// -shard i/N runs the daemon as shard i of an N-shard cluster behind
-// cmd/treebench-coord: it still serves plain queries exactly as a
-// standalone daemon would, and additionally accepts Scatter requests
-// addressed to shard i/N, executing them under the chunk-ownership mask.
-// Every shard of a cluster must be started with the same -providers/-avg/
-// -clustering/-seed; the coordinator verifies that via the snapshot's
-// content-addressed key, which the daemon announces in its handshake.
-//
 // The daemon obtains the configured database once — loading it from the
 // snapshot cache when -snapshot-dir (or TREEBENCH_SNAPSHOT_DIR) has a
 // matching entry, generating and caching it otherwise — freezes it into an
@@ -82,8 +74,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"treebench/internal/bufpool"
@@ -101,7 +91,6 @@ func main() {
 		exec       = cli.ExecFlags(flag.CommandLine)
 		pool       = cli.PoolFlags(flag.CommandLine)
 		sessions   = flag.Int("sessions", 0, "concurrently executing queries, the admission width (0 = min(NumCPU, 8))")
-		shard      = flag.String("shard", "", "run as shard i/N of a treebench-coord cluster (e.g. -shard 0/3)")
 		maxQueue   = flag.Int("max-queue", 64, "queries allowed to wait for admission before rejection")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 		timeout    = flag.Duration("query-timeout", 30*time.Second, "per-query wall-clock budget (queue wait + execution)")
@@ -144,9 +133,6 @@ func main() {
 	}
 	var store *persist.ChainStore
 	if *walDir != "" {
-		if *shard != "" {
-			fatal(fmt.Errorf("-wal and -shard are mutually exclusive: the write path is single-node"))
-		}
 		spec := derby.WaveSpec{
 			Reassign: *wReassign, Scalar: *wScalar,
 			GrowEvery: *wGrowEvery, Upgrades: *wUpgrades,
@@ -160,20 +146,6 @@ func main() {
 		scfg.Label += " writable"
 	} else {
 		scfg.Source = server.SnapshotSource(cfg, *snapDir)
-	}
-	if *shard != "" {
-		idx, cnt, err := parseShard(*shard)
-		if err != nil {
-			fatal(err)
-		}
-		scfg.ShardIdx = idx
-		scfg.ShardCnt = cnt
-		// The content-addressed snapshot key doubles as the cluster's
-		// identity check: the coordinator refuses a shard whose key differs,
-		// so mismatched -providers/-avg/-seed across shards fail fast
-		// instead of silently merging results over different data.
-		scfg.SnapshotKey = persist.KeyFor(cfg)
-		scfg.Label = fmt.Sprintf("%s shard %d/%d", scfg.Label, idx, cnt)
 	}
 	if *verbose {
 		scfg.Logf = func(format string, args ...any) {
@@ -262,21 +234,6 @@ func compactor(store *persist.ChainStore, n int, verbose bool) {
 				v, st.Versions-1, after.Adopted-before.Adopted, after.Dropped-before.Dropped)
 		}
 	}
-}
-
-// parseShard parses the -shard value, exactly "i/N" with 0 <= i < N: no
-// spaces and no trailing input.
-func parseShard(s string) (idx, cnt int, err error) {
-	i, n, _ := strings.Cut(s, "/")
-	idx, err1 := strconv.Atoi(i)
-	cnt, err2 := strconv.Atoi(n)
-	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("-shard %q: want i/N, e.g. 0/3", s)
-	}
-	if cnt < 1 || idx < 0 || idx >= cnt {
-		return 0, 0, fmt.Errorf("-shard %q: index must be in [0,%d)", s, cnt)
-	}
-	return idx, cnt, nil
 }
 
 func fatal(err error) {

@@ -72,8 +72,6 @@ func codeName(c byte) string {
 		return "shutdown"
 	case wire.CodeProto:
 		return "protocol"
-	case wire.CodeShard:
-		return "shard"
 	case wire.CodeReadOnly:
 		return "read-only"
 	default:
@@ -83,13 +81,10 @@ func codeName(c byte) string {
 
 // Client is one connection to a treebenchd.
 type Client struct {
-	conn     net.Conn
-	bw       *bufio.Writer
-	opts     Options
-	label    string
-	shardIdx uint32
-	shardCnt uint32
-	snapKey  string
+	conn  net.Conn
+	bw    *bufio.Writer
+	opts  Options
+	label string
 }
 
 // Dial connects and handshakes, retrying per opts.
@@ -132,21 +127,11 @@ func dialOnce(addr string, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c.label = h.Label
-	c.shardIdx, c.shardCnt = h.ShardIdx, h.ShardCnt
-	c.snapKey = h.SnapshotKey
 	return c, nil
 }
 
 // Label names the database the server serves.
 func (c *Client) Label() string { return c.label }
-
-// Shard returns the server's shard identity from the handshake;
-// (0, 0) for a standalone single-node server.
-func (c *Client) Shard() (idx, cnt uint32) { return c.shardIdx, c.shardCnt }
-
-// SnapshotKey returns the content-addressed key of the snapshot
-// configuration the server serves ("" when unknown).
-func (c *Client) SnapshotKey() string { return c.snapKey }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
@@ -202,19 +187,6 @@ func (c *Client) Query(stmt string, opts QueryOptions) (*wire.Result, error) {
 	return wire.DecodeResult(payload)
 }
 
-// Scatter asks a shard to execute its slice of one OQL statement and
-// returns the mergeable partial result. Failures surface like Query's.
-func (c *Client) Scatter(s *wire.Scatter) (*wire.Partial, error) {
-	typ, payload, err := c.request(wire.TypeScatter, s.Encode())
-	if err != nil {
-		return nil, err
-	}
-	if typ != wire.TypePartial {
-		return nil, asServerError(typ, payload)
-	}
-	return wire.DecodePartial(payload)
-}
-
 // Commit asks the server to apply and durably commit the next update
 // wave on its MVCC chain. The frame carries no payload: which wave runs
 // is the server's decision (always head.version+1), which is what keeps
@@ -228,19 +200,6 @@ func (c *Client) Commit() (*wire.CommitResult, error) {
 		return nil, asServerError(typ, payload)
 	}
 	return wire.DecodeCommitResult(payload)
-}
-
-// ClusterStats fetches a coordinator's per-shard stats view. Against a
-// plain treebenchd the server answers with a protocol error.
-func (c *Client) ClusterStats() (*wire.ClusterStats, error) {
-	typ, payload, err := c.request(wire.TypeClusterStatsReq, nil)
-	if err != nil {
-		return nil, err
-	}
-	if typ != wire.TypeClusterStats {
-		return nil, asServerError(typ, payload)
-	}
-	return wire.DecodeClusterStats(payload)
 }
 
 // Stats fetches the server's counters snapshot.

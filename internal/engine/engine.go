@@ -132,17 +132,8 @@ type Session struct {
 	// independent of it — and it survives ColdRestart.
 	batch int
 
-	// shardIdx/shardCnt are the session's chunk-ownership mask for
-	// distributed execution: when shardCnt > 1, RunChunks executes and
-	// charges only the chunks ShardChunks assigns to shardIdx, and
-	// RunChunksAll executes every chunk but charges only the owned ones.
-	// The default (0, 0) — like (0, 1) — owns everything: single-node
-	// behavior is unchanged. Both survive ColdRestart (the mask is part of
-	// the session's identity, not its cache state); see parallel.go.
-	shardIdx, shardCnt int
-
 	// ctx is the execution's deadline and done its cached Done channel
-	// (nil: none), installed like the shard mask; see SetContext.
+	// (nil: none); see SetContext.
 	ctx  context.Context
 	done <-chan struct{}
 

@@ -188,38 +188,6 @@ func (db *Session) chunkFork(i int) *Session {
 	return f
 }
 
-// ShardChunks returns the chunk-index range [lo, hi) that shard s of N owns
-// in an n-chunk decomposition: the same floor arithmetic Extent.Partition
-// applies to pages, applied to chunk-index space. Ownership is therefore a
-// pure function of (n, s, N) — contiguous blocks, never node-count-mod
-// placement — so a shard-order concatenation of per-shard blocks is exactly
-// the chunk-index order a single node merges in. Out-of-range or degenerate
-// shard configurations own everything.
-func ShardChunks(n, s, N int) (lo, hi int) {
-	if N <= 1 || s < 0 || s >= N {
-		return 0, n
-	}
-	return n * s / N, n * (s + 1) / N
-}
-
-// SetShard installs the session's chunk-ownership mask for distributed
-// execution: shard s of N owns the ShardChunks block of every chunk
-// decomposition. (0, 0) or (0, 1) clears the mask (the single-node default).
-// The mask must only be used on cold runs: owned chunks still execute on
-// their canonical fork indices, but a masked session never executes the
-// other chunks, so warm cross-query fork state would diverge from the
-// single-node session's.
-func (db *Session) SetShard(s, N int) {
-	if N <= 1 {
-		s, N = 0, 0
-	}
-	db.shardIdx, db.shardCnt = s, N
-}
-
-// Shard returns the session's chunk-ownership mask (shard, shards);
-// shards <= 1 means unmasked.
-func (db *Session) Shard() (int, int) { return db.shardIdx, db.shardCnt }
-
 // SetContext installs ctx as the deadline of the executions that follow
 // (context.Background clears it); RunChunks' forks inherit it.
 func (db *Session) SetContext(ctx context.Context) { db.ctx, db.done = ctx, ctx.Done() }
@@ -236,26 +204,15 @@ func (db *Session) Err() error {
 	}
 }
 
-// ownedChunks returns the session's owned block of an n-chunk decomposition.
-func (db *Session) ownedChunks(n int) (lo, hi int) {
-	return ShardChunks(n, db.shardIdx, db.shardCnt)
-}
-
-// RunChunks executes fn once per owned chunk over up to QueryJobs goroutines
-// and merges the chunks' private meters into db.Meter in chunk-index order.
-// An unmasked session (the default) owns every chunk; a session masked with
-// SetShard executes and charges only its ShardChunks block, and chunks
-// outside it do not run at all — their work, rows and charges belong to the
-// shards that own them.
+// RunChunks executes fn once per chunk over up to QueryJobs goroutines and
+// merges the chunks' private meters into db.Meter in chunk-index order.
 //
 // With n == 1 fn runs directly on db itself — the degenerate case is the
-// legacy sequential path, bit for bit (masked sessions run it only when they
-// own chunk 0). With n > 1 each owned chunk runs on its persistent read-fork
-// (private meter and caches, shared pages), so nothing about scheduling can
-// leak into the accounting; a chunk's fork index stays canonical under a
-// mask, so per-chunk charges are identical to the single-node run's.
-// Chunks are claimed from an atomic counter in index order; completion order
-// is irrelevant because the merge walks the owned forks in index order.
+// legacy sequential path, bit for bit. With n > 1 each chunk runs on its
+// persistent read-fork (private meter and caches, shared pages), so nothing
+// about scheduling can leak into the accounting. Chunks are claimed from an
+// atomic counter in index order; completion order is irrelevant because the
+// merge walks the forks in index order.
 //
 // A session whose disk cannot serve concurrent readers (a copy-on-write
 // mutable fork faults base pages into a private overlay map) runs its chunks
@@ -265,36 +222,11 @@ func (db *Session) ownedChunks(n int) (lo, hi int) {
 // reported failure is deterministic too. A chunk whose turn comes after the
 // session's context is done does not run: it fails with Err.
 func (db *Session) RunChunks(n int, fn func(w *Session, chunk int) error) error {
-	return db.runChunks(n, false, fn)
-}
-
-// RunChunksAll is RunChunks for operators whose chunks have side effects
-// every shard needs (a partitioned hash-join build: every participant must
-// materialize the full table before probing its owned probe chunks). Every
-// chunk executes on every session, but a masked session merges only its
-// owned chunks' meters — unowned chunks run on throwaway forks whose charges
-// are discarded, so the work happens everywhere and is charged exactly once
-// across the cluster (build-side broadcast). Unmasked sessions behave
-// exactly like RunChunks.
-func (db *Session) RunChunksAll(n int, fn func(w *Session, chunk int) error) error {
-	return db.runChunks(n, true, fn)
-}
-
-func (db *Session) runChunks(n int, all bool, fn func(w *Session, chunk int) error) error {
-	lo, hi := db.ownedChunks(n)
 	if n <= 1 {
 		if err := db.Err(); err != nil {
 			return err
 		}
-		if lo < hi {
-			return fn(db, 0) // owner: the exact sequential path
-		}
-		if !all {
-			return nil
-		}
-		// Side effects without charges: run on a throwaway fork and drop
-		// its meter.
-		return fn(db.ReadFork(), 0)
+		return fn(db, 0) // the exact sequential path
 	}
 	workers := db.QueryJobs()
 	if !db.Store.Disk.ConcurrentReads() {
@@ -305,15 +237,7 @@ func (db *Session) runChunks(n int, all bool, fn func(w *Session, chunk int) err
 	}
 	forks := make([]*Session, n)
 	for i := range forks {
-		switch {
-		case lo <= i && i < hi:
-			forks[i] = db.chunkFork(i)
-		case all:
-			// Unowned but required for its side effects: a throwaway fork
-			// whose meter is never merged.
-			forks[i] = db.ReadFork()
-		}
-		// Otherwise unowned and side-effect-free: does not run.
+		forks[i] = db.chunkFork(i)
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -322,10 +246,8 @@ func (db *Session) runChunks(n int, all bool, fn func(w *Session, chunk int) err
 	work := func() {
 		defer wg.Done()
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if forks[i] != nil {
-				if errs[i] = db.Err(); errs[i] == nil {
-					errs[i] = fn(forks[i], i)
-				}
+			if errs[i] = db.Err(); errs[i] == nil {
+				errs[i] = fn(forks[i], i)
 			}
 		}
 	}
@@ -334,9 +256,9 @@ func (db *Session) runChunks(n int, all bool, fn func(w *Session, chunk int) err
 	}
 	work()
 	wg.Wait()
-	meters := make([]*sim.Meter, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		meters = append(meters, forks[i].Meter)
+	meters := make([]*sim.Meter, n)
+	for i, f := range forks {
+		meters[i] = f.Meter
 	}
 	db.Meter.Merge(meters...)
 	for _, err := range errs {

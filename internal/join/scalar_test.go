@@ -122,10 +122,7 @@ func scalarPHJ(env *Env, q Query) (*Result, error) {
 	buildBudget := db.Machine.HashBudget / int64(nb)
 	tables := make([]providerSet, nb)
 	sizes := make([]int64, nb)
-	// RunChunksAll, not RunChunks: the probe side needs the whole table, so
-	// under a shard mask every participant builds every chunk (build-side
-	// broadcast) while only the owned chunks' charges are merged.
-	err = db.RunChunksAll(nb, func(w *engine.Session, c int) error {
+	err = db.RunChunks(nb, func(w *engine.Session, c int) error {
 		meter := w.Meter
 		region := sim.NewRegion(meter, buildBudget)
 		table := make(providerSet)
@@ -225,8 +222,7 @@ func scalarCHJ(env *Env, q Query) (*Result, error) {
 	nb := len(buildRanges)
 	buildBudget := db.Machine.HashBudget / int64(nb)
 	tables := make([]map[storage.Rid][]int64, nb)
-	// Build-side broadcast under a shard mask; see the PHJ build above.
-	err = db.RunChunksAll(nb, func(w *engine.Session, c int) error {
+	err = db.RunChunks(nb, func(w *engine.Session, c int) error {
 		meter := w.Meter
 		region := sim.NewRegion(meter, buildBudget)
 		table := make(map[storage.Rid][]int64) // provider rid → patient ages

@@ -53,19 +53,13 @@ type Result struct {
 	// rows matched than were kept.
 	Sample          []Row
 	SampleTruncated bool
-
-	// AggStates holds mergeable aggregate states instead of Aggregates
-	// when the plan ran through ExecutePartial: an avg cannot be merged
-	// from finals, so shards ship {n, sum, min, max} and the coordinator
-	// finalizes after MergeAggPartials.
-	AggStates []AggPartial
 }
 
 // Execute runs the plan on the planner's database, materializing the first
 // SampleLimit result rows. The caller decides the cache temperature (call
 // db.ColdRestart() first for the paper's cold methodology).
 func (pl *Planner) Execute(p *Plan) (*Result, error) {
-	return pl.execute(p, SampleLimit, false)
+	return pl.execute(p, SampleLimit)
 }
 
 // ExecuteLimit is Execute materializing only the first limit result rows
@@ -76,25 +70,10 @@ func (pl *Planner) ExecuteLimit(p *Plan, limit int) (*Result, error) {
 	if limit < 0 || limit > SampleLimit {
 		limit = SampleLimit
 	}
-	return pl.execute(p, limit, false)
+	return pl.execute(p, limit)
 }
 
-// ExecutePartial runs the plan as one shard's slice of a distributed query:
-// the database's shard mask (engine.SetShard) decides which chunks execute
-// and charge. Global post-processing is left to the coordinator — the
-// order-by sort (and its Meter.Sort charge, which covers ALL matching rows
-// and so must be applied exactly once, over the merged total), the hidden
-// order-column strip, and aggregate finalization (AggStates carries the
-// mergeable states in place of Aggregates). Samples keep hidden order
-// columns so the coordinator can sort the concatenation: a shard's sample
-// is its first SampleLimit rows in scan order, or under an order-by its
-// SampleLimit best rows — in scan order when they are all it matched, else
-// sorted.
-func (pl *Planner) ExecutePartial(p *Plan) (*Result, error) {
-	return pl.execute(p, SampleLimit, true)
-}
-
-func (pl *Planner) execute(p *Plan, limit int, partial bool) (*Result, error) {
+func (pl *Planner) execute(p *Plan, limit int) (*Result, error) {
 	switch p.Kind {
 	case PlanSelection:
 		req := selection.Request{
@@ -164,10 +143,10 @@ func (pl *Planner) execute(p *Plan, limit int, partial bool) (*Result, error) {
 		// Every chunk keeps a superset of its share of the result's first
 		// limit rows: without an order-by those are the concatenation's
 		// first limit rows; with one, the first limit after a stable sort
-		// by key. A shard sorts only when it must cut.
+		// by key.
 		sample := gather(samples, limit, p.OrderAttr == "")
-		if p.OrderAttr != "" && (!partial || len(sample) > limit) {
-			SortRows(sample, p.OrderIdx, p.OrderDesc)
+		if p.OrderAttr != "" {
+			sortRows(sample, p.OrderIdx, p.OrderDesc)
 		}
 		sample = sample[:min(len(sample), limit)]
 		res := &Result{
@@ -176,13 +155,9 @@ func (pl *Planner) execute(p *Plan, limit int, partial bool) (*Result, error) {
 			Selection: sres,
 		}
 		for _, st := range aggs {
-			if partial {
-				res.AggStates = append(res.AggStates, st.partial())
-			} else {
-				res.Aggregates = append(res.Aggregates, st.result())
-			}
+			res.Aggregates = append(res.Aggregates, st.result())
 		}
-		if p.OrderAttr != "" && !partial {
+		if p.OrderAttr != "" {
 			// Sorting the result is charged over ALL matching rows, as
 			// the system would; the sample is what we can show.
 			pl.DB.Meter.Sort(int64(sres.Rows))
@@ -280,7 +255,7 @@ func (s *sampler) add(cols [][]object.Value, r, coming int) {
 // Rows arrive in scan order behind the ones the last trim sorted, so a
 // stable sort by key is that order.
 func (s *sampler) trim() {
-	SortRows(s.rows, s.key, s.desc)
+	sortRows(s.rows, s.key, s.desc)
 	s.spare = append(s.spare, s.rows[s.limit:]...)
 	s.rows = s.rows[:s.limit]
 	s.trimmed = true
@@ -314,12 +289,11 @@ func gather(samples []sampler, limit int, prefix bool) []Row {
 	return out
 }
 
-// SortRows stably sorts rows by the integer value in column idx — the
-// order-by sort, shared by the executor and a coordinator merging shards.
-// Rows with equal keys keep their order, so rows in scan order come out in
-// (key, scan position) order.
-func SortRows[R ~[]object.Value](rows []R, idx int, desc bool) {
-	slices.SortStableFunc(rows, func(a, b R) int {
+// sortRows stably sorts rows by the integer value in column idx — the
+// order-by sort. Rows with equal keys keep their order, so rows in scan
+// order come out in (key, scan position) order.
+func sortRows(rows []Row, idx int, desc bool) {
+	slices.SortStableFunc(rows, func(a, b Row) int {
 		if desc {
 			return cmp.Compare(b[idx].Int, a[idx].Int)
 		}
@@ -410,67 +384,26 @@ func (s *aggState) merge(o *aggState) {
 	s.sum += o.sum
 }
 
-func (s *aggState) partial() AggPartial {
-	return AggPartial{Agg: s.agg, Label: s.label, N: s.n, Sum: s.sum, Min: s.min, Max: s.max}
-}
-
-func (s *aggState) result() AggResult { return s.partial().Finalize() }
-
-// AggPartial is one aggregate's mergeable intermediate state: everything a
-// coordinator needs to combine per-shard slices of count/sum/min/max/avg
-// without losing information (an avg, in particular, cannot be merged from
-// finalized values).
-type AggPartial struct {
-	Agg   Aggregate
-	Label string
-	N     int64
-	Sum   int64
-	Min   int64
-	Max   int64
-}
-
-// Finalize computes the aggregate's value from the accumulated state.
-func (p AggPartial) Finalize() AggResult {
-	out := AggResult{Label: p.Label}
-	switch p.Agg {
+// result computes the aggregate's value from the accumulated state.
+func (s *aggState) result() AggResult {
+	out := AggResult{Label: s.label}
+	switch s.agg {
 	case AggCount:
-		out.Value = float64(p.N)
+		out.Value = float64(s.n)
 	case AggSum:
-		out.Value = float64(p.Sum)
+		out.Value = float64(s.sum)
 	case AggMin:
-		if p.N > 0 {
-			out.Value = float64(p.Min)
+		if s.n > 0 {
+			out.Value = float64(s.min)
 		}
 	case AggMax:
-		if p.N > 0 {
-			out.Value = float64(p.Max)
+		if s.n > 0 {
+			out.Value = float64(s.max)
 		}
 	case AggAvg:
-		if p.N > 0 {
-			out.Value = float64(p.Sum) / float64(p.N)
+		if s.n > 0 {
+			out.Value = float64(s.sum) / float64(s.n)
 		}
 	}
 	return out
-}
-
-// MergeAggPartials folds src into dst index-by-index (the slices must come
-// from the same plan, so they line up). Merging is commutative, but callers
-// fold shards in shard-index order — the same discipline chunk merges follow
-// — so intermediate states are deterministic too.
-func MergeAggPartials(dst, src []AggPartial) []AggPartial {
-	for i := range dst {
-		if i >= len(src) || src[i].N == 0 {
-			continue
-		}
-		o := src[i]
-		if dst[i].N == 0 || o.Min < dst[i].Min {
-			dst[i].Min = o.Min
-		}
-		if dst[i].N == 0 || o.Max > dst[i].Max {
-			dst[i].Max = o.Max
-		}
-		dst[i].N += o.N
-		dst[i].Sum += o.Sum
-	}
-	return dst
 }

@@ -88,9 +88,8 @@ type Plan struct {
 }
 
 // OrderHidden reports whether the order-by column was appended as a hidden
-// projection (not asked for by the query) and so must be stripped from
-// sorted rows — by the executor locally, or by a coordinator after it sorts
-// the merged partial samples.
+// projection (not asked for by the query) and so is stripped from the
+// sorted rows.
 func (p *Plan) OrderHidden() bool { return p.orderHidden }
 
 // Explain renders the plan and its costed alternatives.

@@ -41,13 +41,6 @@ func (c *conn) handle(typ byte, payload []byte) bool {
 			return false
 		}
 		return c.query(q)
-	case wire.TypeScatter:
-		sc, err := wire.DecodeScatter(payload)
-		if err != nil {
-			c.SendError(wire.CodeProto, err)
-			return false
-		}
-		return c.scatter(sc)
 	case wire.TypeCommit:
 		if len(payload) != 0 {
 			c.SendError(wire.CodeProto, errors.New("commit payload must be empty"))
@@ -178,37 +171,6 @@ func (c *conn) query(q *wire.Query) bool {
 		return c.fail(code, err)
 	}
 	return c.Send(wire.TypeResult, session.ToWire(res, int(q.MaxRows)).Encode())
-}
-
-// scatter executes and answers one shard-slice request. The slice always
-// runs cold under the chunk-ownership mask (ExecutePartial installs and
-// clears it around exactly this execution), so an interleaved plain Query
-// on the same connection still sees single-node behavior.
-func (c *conn) scatter(sc *wire.Scatter) bool {
-	s := c.srv
-	if int(sc.ShardIdx) != s.cfg.ShardIdx || int(sc.ShardCnt) != s.cfg.ShardCnt {
-		return c.SendError(wire.CodeShard, fmt.Errorf("server: scatter addressed to shard %d/%d but this is shard %d/%d",
-			sc.ShardIdx, sc.ShardCnt, s.cfg.ShardIdx, s.cfg.ShardCnt))
-	}
-	sess, err := c.session()
-	if err != nil {
-		s.Metrics.rejected.Add(1)
-		return c.SendError(wire.CodeBusy, err)
-	}
-	// A scatter cold-restarts, which invalidates any warm sequence the
-	// connection had going.
-	c.warmed = false
-	var res *oql.Result
-	code, err := c.run(func(ctx context.Context) (err error) {
-		res, err = s.measure(sess, sc.Strategy, func() (*oql.Result, error) {
-			return sess.ExecutePartial(ctx, sc.Stmt, int(sc.ShardIdx), int(sc.ShardCnt))
-		})
-		return err
-	})
-	if err != nil {
-		return c.fail(code, err)
-	}
-	return c.Send(wire.TypePartial, session.ToPartial(res).Encode())
 }
 
 // commit applies and durably logs the next update wave on the chain store,

@@ -15,15 +15,13 @@ import (
 	"treebench/internal/persist"
 )
 
-// What a daemon's main does around its frame server, shared by treebenchd
-// and treebench-coord: obtain the snapshot, expose pprof, serve until a
-// signal, drain.
+// What treebenchd's main does around its frame server: obtain the snapshot,
+// expose pprof, serve until a signal, drain.
 
 // SnapshotSource builds a Config.Source for cfg: straight generation when
 // dir is empty, the content-addressed cache in dir otherwise. With a warm
-// cache a daemon boots without generating anything, and a coordinator
-// co-located with a shard shares its cached file; the returned provenance
-// string surfaces in Stats.
+// cache a daemon boots without generating anything; the returned
+// provenance string surfaces in Stats.
 func SnapshotSource(cfg derby.Config, dir string) func() (*derby.Snapshot, string, error) {
 	if dir == "" {
 		return func() (*derby.Snapshot, string, error) {

@@ -18,11 +18,11 @@ var ErrServerClosed = errors.New("server: closed")
 // Hello before it is dropped.
 const handshakeTimeout = 10 * time.Second
 
-// Frames is the frame server both daemons run on: the listener, the accept
+// Frames is the frame server treebenchd runs on: the listener, the accept
 // loop, the connection registry, the Hello handshake, the in-order request
 // loop and the graceful drain. What a request means is the handler's
-// business; Server and dist.Coordinator embed a Frames and differ only in
-// the handler they install. Set the exported fields before Serve.
+// business; Server embeds a Frames and installs its handler. Set the
+// exported fields before Serve.
 type Frames struct {
 	// Hello is announced to every client that completes the handshake
 	// (Version is filled in).

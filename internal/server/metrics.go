@@ -17,7 +17,7 @@ import (
 // are exact over the daemon's whole life; past it memory stays flat.
 const latencyWindow = 1 << 16
 
-// Metrics is the counters snapshot source of both daemons: lifecycle and
+// Metrics is the daemon's counters snapshot source: lifecycle and
 // admission counters plus the two latency populations (wall-clock and
 // simulated) that back the .metrics-style Stats response. The simulated
 // population is the interesting one for the paper's methodology — it is
@@ -95,7 +95,7 @@ func (m *Metrics) Served(plan *oql.Plan, wall, simulated time.Duration) {
 
 // Stats renders the counters and latency summaries. The gauges a daemon
 // reads off its own state (queue depth, session occupancy, snapshot
-// memory, shard identity) are the caller's to fill in.
+// memory) are the caller's to fill in.
 func (m *Metrics) Stats() *wire.Stats {
 	m.mu.Lock()
 	s := &wire.Stats{

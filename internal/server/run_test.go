@@ -17,7 +17,7 @@ import (
 )
 
 // TestRunTimeout drives the one request path's deadline through each of
-// its three callers. The hook holds the request until its deadline, and the
+// its two callers. The hook holds the request until its deadline, and the
 // engine — or, for a commit, the chain store before the WAL — stops it
 // there: the client gets CodeTimeout and the timeout is counted; the
 // admission slot came back with the answer, so a second connection is
@@ -34,10 +34,6 @@ func TestRunTimeout(t *testing.T) {
 			_, err := cl.Query(testStmt, client.QueryOptions{})
 			return err
 		}},
-		{"scatter", false, func(cl *client.Client) error {
-			_, err := cl.Scatter(&wire.Scatter{Stmt: testStmt, ShardIdx: 0, ShardCnt: 1})
-			return err
-		}},
 		{"commit", true, func(cl *client.Client) error {
 			_, err := cl.Commit()
 			return err
@@ -49,7 +45,6 @@ func TestRunTimeout(t *testing.T) {
 				c.Sessions = 1
 				c.MaxQueue = 0
 				c.QueryTimeout = 150 * time.Millisecond
-				c.ShardCnt = 1
 				if tc.writable {
 					c.Source = nil
 					c.Store = testStore(t)

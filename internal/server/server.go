@@ -7,11 +7,10 @@
 // Architecture:
 //
 //   - Each accepted connection is one session. A session speaks the
-//     internal/wire protocol: Hello handshake, then Query, Scatter, Commit,
-//     Ping and StatsReq requests answered in order. The listener, the
-//     handshake, the request loop and the drain are the Frames core
-//     (frame.go), which dist.Coordinator runs on too; this package adds
-//     the handler.
+//     internal/wire protocol: Hello handshake, then Query, Commit, Ping and
+//     StatsReq requests answered in order. The listener, the handshake,
+//     the request loop and the drain are the Frames core (frame.go); conn
+//     (conn.go) is the handler it runs.
 //   - The database is generated exactly once (singleflight) and frozen
 //     into an immutable engine snapshot. Each connection's queries run on
 //     a private session forked from that snapshot in O(1): fresh caches,
@@ -20,7 +19,7 @@
 //   - Admission control bounds concurrently executing requests at
 //     Sessions, queues at most MaxQueue waiters, and rejects beyond
 //     that; every request gets a wall-clock budget of QueryTimeout covering
-//     queue wait and execution. Query, Scatter and Commit all take the one
+//     queue wait and execution. Query and Commit both take the one
 //     admit → execute → answer path in conn.run. A request starts no
 //     goroutine: it runs on its connection's under a context with the
 //     deadline, which the engine checks before each chunk, at each batch
@@ -79,17 +78,6 @@ type Config struct {
 	// QueryTimeout is each query's wall-clock budget, covering queue wait
 	// and execution; 0 means 30 seconds.
 	QueryTimeout time.Duration
-	// ShardIdx/ShardCnt make the server shard ShardIdx of a ShardCnt-node
-	// cluster: it announces the identity in its handshake and accepts
-	// Scatter requests addressed to exactly that identity. (0, 0) — the
-	// default — is a standalone single-node server; plain Query requests
-	// work identically either way.
-	ShardIdx int
-	ShardCnt int
-	// SnapshotKey is the content-addressed persist key of the served
-	// snapshot configuration, announced in the handshake so a coordinator
-	// can prove all shards serve the same data ("" disables the check).
-	SnapshotKey string
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -133,19 +121,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueryTimeout == 0 {
 		cfg.QueryTimeout = 30 * time.Second
 	}
-	if cfg.ShardCnt < 0 || cfg.ShardIdx < 0 {
-		return nil, fmt.Errorf("server: negative shard identity %d/%d", cfg.ShardIdx, cfg.ShardCnt)
-	}
-	if cfg.ShardCnt > 0 && cfg.ShardIdx >= cfg.ShardCnt {
-		return nil, fmt.Errorf("server: shard %d out of range of %d", cfg.ShardIdx, cfg.ShardCnt)
-	}
 	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.Sessions)}
-	s.Hello = wire.ServerHello{
-		Label:       cfg.Label,
-		ShardIdx:    uint32(cfg.ShardIdx),
-		ShardCnt:    uint32(cfg.ShardCnt),
-		SnapshotKey: cfg.SnapshotKey,
-	}
+	s.Hello = wire.ServerHello{Label: cfg.Label}
 	s.Open = func(fc *Conn) (func(byte, []byte) bool, func()) {
 		return (&conn{Conn: fc, srv: s}).handle, nil
 	}
@@ -209,8 +186,6 @@ func (s *Server) Stats() *wire.Stats {
 		}
 	}
 	st.BatchSize = engine.DefaultBatch
-	st.ShardIdx = int64(s.cfg.ShardIdx)
-	st.ShardCnt = int64(s.cfg.ShardCnt)
 	if s.cfg.Store != nil {
 		cs := s.cfg.Store.Stats()
 		st.HeadVersion = int64(cs.HeadVersion)

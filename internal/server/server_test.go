@@ -199,6 +199,50 @@ func TestQueryErrorKeepsSession(t *testing.T) {
 	}
 }
 
+// TestRetiredFrameTypesRefused sends each frame type the protocol retired
+// with distributed execution (0x0A–0x0D) after a completed handshake: each
+// is answered CodeProto "unknown frame type" and the connection is closed,
+// and the server still serves a second connection.
+func TestRetiredFrameTypesRefused(t *testing.T) {
+	_, addr := startServer(t, nil, nil)
+	for typ := byte(0x0A); typ <= 0x0D; typ++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.WriteFrame(nc, wire.TypeHello, (&wire.Hello{Version: wire.Version}).Encode()); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := wire.ReadFrame(nc); err != nil || got != wire.TypeServerHello {
+			t.Fatalf("handshake: frame type %#x, %v", got, err)
+		}
+		if err := wire.WriteFrame(nc, typ, nil); err != nil {
+			t.Fatal(err)
+		}
+		got, payload, err := wire.ReadFrame(nc)
+		if err != nil || got != wire.TypeError {
+			t.Fatalf("type %#x: answered frame type %#x, %v", typ, got, err)
+		}
+		e, err := wire.DecodeError(payload)
+		if err != nil || e.Code != wire.CodeProto || e.Msg != "unknown frame type" {
+			t.Fatalf("type %#x: answered %+v, %v", typ, e, err)
+		}
+		if _, _, err := wire.ReadFrame(nc); err == nil {
+			t.Fatalf("type %#x: connection still open after the protocol error", typ)
+		}
+		cl, err := client.Dial(addr, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.Query(testStmt, client.QueryOptions{}); err != nil {
+			t.Fatalf("after type %#x: second connection not served: %v", typ, err)
+		}
+	}
+}
+
 // TestWarmSessionPinsReplica checks warm semantics: a session's second warm
 // query runs against the caches its first one populated (zero page reads on
 // this fully cacheable database), and per-query metering still holds.

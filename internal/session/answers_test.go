@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -23,10 +22,9 @@ var update = flag.Bool("update", false, "rewrite testdata/answers from the curre
 const frameAnswers = "../../testdata/answers/wire-bytes.sha256"
 
 // TestFrameAnswerKey pins, for every statement of batchStatements over a
-// 200×100 Derby database, the encoded Result frame, the encoded Partial
-// frame of shard 0 of 2, and the text WriteResult renders. A change to the
-// wire codec or the renderer moves a line; one that means to rewrites the
-// key with -update and says why.
+// 200×100 Derby database, the encoded Result frame and the text
+// WriteResult renders. A change to the wire codec or the renderer moves a
+// line; one that means to rewrites the key with -update and says why.
 func TestFrameAnswerKey(t *testing.T) {
 	d, err := derby.Generate(derby.DefaultConfig(200, 100, derby.ClassCluster))
 	if err != nil {
@@ -50,12 +48,7 @@ func TestFrameAnswerKey(t *testing.T) {
 		w := ToWire(res, 10)
 		var text bytes.Buffer
 		WriteResult(&text, w, 10)
-		part, err := s.ExecutePartial(context.Background(), stmt, 0, 2)
-		if err != nil {
-			t.Fatalf("%s shard 0/2: %v", stmt, err)
-		}
 		add(fmt.Sprintf("statement %d result", i), w.Encode())
-		add(fmt.Sprintf("statement %d partial 0/2", i), ToPartial(part).Encode())
 		add(fmt.Sprintf("statement %d text", i), text.Bytes())
 	}
 

@@ -115,52 +115,6 @@ func (s *Session) ExecuteRows(ctx context.Context, stmt string, maxRows int) (*o
 	return s.Planner.ExecuteLimit(plan, maxRows)
 }
 
-// ExecutePartial runs one statement as shard shardIdx of shardCnt: the
-// database's chunk-ownership mask is installed for exactly this execution,
-// so the shard executes and charges only its ShardChunks block (hash-join
-// builds broadcast; see engine.RunChunksAll) and global post-processing —
-// the order-by sort charge, hidden-column strip, aggregate finalization —
-// is left to the coordinator. The mask is always cleared afterwards, so a
-// plain Query on the same session stays an exact single-node execution.
-//
-// Scattered queries are always cold: the coordinator owns the measurement
-// discipline, and a warm masked session's fork caches would diverge from
-// the single-node session's. ctx is honoured as in ExecuteRows.
-func (s *Session) ExecutePartial(ctx context.Context, stmt string, shardIdx, shardCnt int) (*oql.Result, error) {
-	s.DB.SetContext(ctx)
-	defer s.DB.SetContext(context.Background())
-	s.DB.SetShard(shardIdx, shardCnt)
-	defer s.DB.SetShard(0, 0)
-	s.DB.ColdRestart()
-	plan, err := s.Planner.PlanSource(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Planner.ExecutePartial(plan)
-}
-
-// ToPartial converts a shard's partial result into its wire form: its
-// sample of up to SampleLimit rows (the coordinator trims after the global
-// sort), meter readings, and mergeable aggregate states.
-func ToPartial(res *oql.Result) *wire.Partial {
-	out := &wire.Partial{
-		Rows:      int64(res.Rows),
-		Elapsed:   res.Elapsed,
-		Counters:  res.Counters,
-		Truncated: res.SampleTruncated,
-	}
-	for _, a := range res.AggStates {
-		out.Aggs = append(out.Aggs, wire.PartialAgg{
-			Agg: string(a.Agg), Label: a.Label,
-			N: a.N, Sum: a.Sum, Min: a.Min, Max: a.Max,
-		})
-	}
-	for _, row := range res.Sample {
-		out.Sample = append(out.Sample, row)
-	}
-	return out
-}
-
 // ToWire converts an executed result into its neutral wire form, keeping at
 // most maxSample materialized rows (the full row count survives in Rows).
 func ToWire(res *oql.Result, maxSample int) *wire.Result {

@@ -7,8 +7,8 @@
 // entry point a treebenchd server session uses — so a statement typed here
 // and the same statement sent over the wire print byte-identical results.
 // A remote shell (NewRemote, oqlsh -coord) reads its input the same way and
-// sends each statement to a treebenchd or treebench-coord instead; it adds
-// .commit and .server, the two requests only a daemon can answer.
+// sends each statement to a treebenchd instead; it adds .commit and
+// .server, the two requests only a daemon can answer.
 package shell
 
 import (
@@ -51,8 +51,8 @@ func NewWith(db *engine.Database, cfg session.Config) *Shell {
 	}
 }
 
-// NewRemote returns a shell whose statements run on the treebenchd or
-// treebench-coord behind c, cold and cost-based until told otherwise.
+// NewRemote returns a shell whose statements run on the treebenchd behind
+// c, cold and cost-based until told otherwise.
 func NewRemote(c *client.Client) *Shell {
 	return &Shell{remote: c, Prompt: "oql> ", MaxRows: 10}
 }
@@ -237,7 +237,7 @@ func fail(w io.Writer, err error) error {
 
 // server prints the daemon's counters, one "Name value" line per wire.Stats
 // field in declaration order — the walk Stats.Encode makes, so a new
-// counter prints without a change here. A coordinator adds its cluster view.
+// counter prints without a change here.
 func (sh *Shell) server(w io.Writer) error {
 	st, err := sh.remote.Stats()
 	if err != nil {
@@ -247,35 +247,7 @@ func (sh *Shell) server(w io.Writer) error {
 	for i := 0; i < v.NumField(); i++ {
 		fmt.Fprintln(w, v.Type().Field(i).Name, v.Field(i).Interface())
 	}
-	if st.SnapshotSource != "coordinator" {
-		return nil
-	}
-	cs, err := sh.remote.ClusterStats()
-	if err == nil {
-		printCluster(w, cs)
-	}
-	return err
-}
-
-// printCluster renders the coordinator's per-shard view: the deterministic
-// shard map, then one block per shard with its own admission counters and
-// latency histograms (a down shard prints as such instead of numbers).
-func printCluster(w io.Writer, cs *wire.ClusterStats) {
-	fmt.Fprint(w, cs.Map)
-	for _, sh := range cs.Shards {
-		if !sh.Up || sh.Stats == nil {
-			fmt.Fprintf(w, "shard %d @ %s: DOWN\n", sh.Idx, sh.Addr)
-			continue
-		}
-		st := sh.Stats
-		fmt.Fprintf(w, "shard %d @ %s: served %d (errors %d) rejected %d timeouts %d, sessions %d, last operator %s\n",
-			sh.Idx, sh.Addr, st.Served, st.QueryErrors, st.Rejected, st.TimedOut,
-			st.ActiveSessions, st.LastOperator)
-		fmt.Fprintf(w, "  wall   p50 %dµs p95 %dµs p99 %dµs  hist %s\n",
-			st.WallP50us, st.WallP95us, st.WallP99us, st.WallHist)
-		fmt.Fprintf(w, "  simed  p50 %dms p95 %dms p99 %dms  hist %s\n",
-			st.SimP50ms, st.SimP95ms, st.SimP99ms, st.SimHist)
-	}
+	return nil
 }
 
 // schema prints extents, attributes and indexes.

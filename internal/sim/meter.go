@@ -37,8 +37,8 @@ type Counters struct {
 }
 
 // Fields lists every Counters field in declaration order: the one list
-// Add, the wire protocol's Result and Partial frames and the snapshot
-// file's derby section walk. A field added to Counters goes here too
+// Add, the wire protocol's Result frame and the snapshot file's derby
+// section walk. A field added to Counters goes here too
 // (TestFieldListsCoverStructs fails otherwise), and since it changes both
 // byte formats, wire.Version and persist.FormatVersion move with it.
 func (c *Counters) Fields() []*int64 {

@@ -48,33 +48,19 @@ type ServerHello struct {
 	Version uint32
 	// Label names the database the server serves ("200x10000 class").
 	Label string
-	// ShardIdx/ShardCnt identify the server's slice of a distributed
-	// cluster; (0, 0) — like (0, 1) — is a standalone single-node server
-	// (v5). A coordinator refuses to scatter to a shard whose identity
-	// does not match its cluster plan.
-	ShardIdx uint32
-	ShardCnt uint32
-	// SnapshotKey is the content-addressed persist key of the snapshot
-	// configuration the server serves ("" when unknown). Shards of one
-	// cluster must agree on it — it proves they serve the same data (v5).
-	SnapshotKey string
 }
 
 func (m *ServerHello) Encode() []byte {
 	var e codec.Enc
 	e.U32(m.Version)
 	e.Str(m.Label)
-	e.U32(m.ShardIdx)
-	e.U32(m.ShardCnt)
-	e.Str(m.SnapshotKey)
 	return e.B
 }
 
 // DecodeServerHello parses a TypeServerHello payload.
 func DecodeServerHello(b []byte) (*ServerHello, error) {
 	d := codec.NewDec(b)
-	m := &ServerHello{Version: d.U32(), Label: d.Str(),
-		ShardIdx: d.U32(), ShardCnt: d.U32(), SnapshotKey: d.Str()}
+	m := &ServerHello{Version: d.U32(), Label: d.Str()}
 	return m, finish(d, "server hello")
 }
 
@@ -235,11 +221,6 @@ type Stats struct {
 	// algorithm ("PHJ", ...), "" until a query ran (v4).
 	LastOperator string
 
-	// ShardIdx/ShardCnt are the server's shard identity; (0, 0) for a
-	// standalone single-node server (v5).
-	ShardIdx int64
-	ShardCnt int64
-
 	// Write path (v6): the MVCC chain and WAL counters, all zero on a
 	// read-only server without a chain store.
 	HeadVersion int64 // current head version of the chain
@@ -368,180 +349,6 @@ func DecodeStats(b []byte) (*Stats, error) {
 		}
 	}
 	return m, finish(d, "stats")
-}
-
-// Scatter asks a shard to execute its slice of one OQL statement (v5).
-// The shard plans the statement itself (planning is meter-free — histograms
-// are primed at boot) and executes under the chunk-ownership mask
-// (ShardIdx, ShardCnt); the coordinator cross-checks the identity against
-// the shard's handshake before trusting the reply.
-type Scatter struct {
-	Stmt string
-	// Strategy selects the optimizer (StrategyCost or StrategyHeuristic);
-	// every shard must plan identically, which identical snapshots and
-	// strategies guarantee.
-	Strategy byte
-	ShardIdx uint32
-	ShardCnt uint32
-}
-
-func (m *Scatter) Encode() []byte {
-	var e codec.Enc
-	e.Str(m.Stmt)
-	e.U8(m.Strategy)
-	e.U32(m.ShardIdx)
-	e.U32(m.ShardCnt)
-	return e.B
-}
-
-// DecodeScatter parses a TypeScatter payload.
-func DecodeScatter(b []byte) (*Scatter, error) {
-	d := codec.NewDec(b)
-	m := &Scatter{Stmt: d.Str(), Strategy: d.U8(), ShardIdx: d.U32(), ShardCnt: d.U32()}
-	if err := finish(d, "scatter"); err != nil {
-		return nil, err
-	}
-	if m.Strategy > StrategyHeuristic {
-		return nil, fmt.Errorf("wire: unknown strategy %d", m.Strategy)
-	}
-	if m.ShardCnt > 0 && m.ShardIdx >= m.ShardCnt {
-		return nil, fmt.Errorf("wire: shard %d out of range of %d", m.ShardIdx, m.ShardCnt)
-	}
-	return m, nil
-}
-
-// PartialAgg is one aggregate's mergeable intermediate state (mirrors
-// oql.AggPartial): a coordinator merges per-shard states in shard order
-// and finalizes once — an avg cannot be merged from finalized values.
-type PartialAgg struct {
-	// Agg is the aggregate function name ("count", "sum", "min", "max",
-	// "avg"); Label is its rendered header ("avg(age)").
-	Agg   string
-	Label string
-	N     int64
-	Sum   int64
-	Min   int64
-	Max   int64
-}
-
-// Partial carries one shard's slice of a scattered query (v5): the rows it
-// owned, its meter readings, mergeable aggregate states, and its sample
-// (hidden order-by columns intact — the coordinator sorts and strips after
-// merging).
-type Partial struct {
-	Rows     int64
-	Elapsed  time.Duration
-	Counters sim.Counters
-	Aggs     []PartialAgg
-	// Sample holds the shard's share of the global first SampleLimit rows
-	// (the executor's SampleLimit, not the client's MaxRows — the
-	// coordinator sorts and trims globally): its first SampleLimit rows in
-	// scan order, or under an order-by its SampleLimit best by key — in scan
-	// order when those are all it matched, else sorted, ties in scan order.
-	Sample [][]object.Value
-	// Truncated reports the shard kept fewer rows than matched.
-	Truncated bool
-}
-
-func (m *Partial) Encode() []byte {
-	var e codec.Enc
-	e.I64(m.Rows)
-	e.I64(int64(m.Elapsed))
-	encodeCounters(&e, &m.Counters)
-	e.U32(uint32(len(m.Aggs)))
-	for _, a := range m.Aggs {
-		e.Str(a.Agg)
-		e.Str(a.Label)
-		e.I64(a.N)
-		e.I64(a.Sum)
-		e.I64(a.Min)
-		e.I64(a.Max)
-	}
-	encodeSample(&e, m.Sample)
-	e.Bool(m.Truncated)
-	return e.B
-}
-
-// DecodePartial parses a TypePartial payload.
-func DecodePartial(b []byte) (*Partial, error) {
-	d := codec.NewDec(b)
-	m := &Partial{Rows: d.I64(), Elapsed: time.Duration(d.I64())}
-	decodeCounters(d, &m.Counters)
-	if n := d.Count(40, "partial aggregate"); n > 0 {
-		m.Aggs = make([]PartialAgg, n)
-		for i := range m.Aggs {
-			m.Aggs[i] = PartialAgg{
-				Agg: d.Str(), Label: d.Str(),
-				N: d.I64(), Sum: d.I64(), Min: d.I64(), Max: d.I64(),
-			}
-		}
-	}
-	m.Sample = decodeSample(d)
-	m.Truncated = d.Bool()
-	if err := finish(d, "partial"); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ShardStat is one shard's entry in a ClusterStats reply: its identity,
-// address, liveness, and — when reachable — its Stats snapshot.
-type ShardStat struct {
-	Idx  uint32
-	Addr string
-	Up   bool
-	// Stats is nil when the shard was unreachable.
-	Stats *Stats
-}
-
-// ClusterStats is the coordinator's per-shard stats view (v5): the rendered
-// shard map plus every shard's snapshot, in shard-index order.
-type ClusterStats struct {
-	// Map is the coordinator's rendered shard map (one line per shard's
-	// chunk-ownership block).
-	Map    string
-	Shards []ShardStat
-}
-
-func (m *ClusterStats) Encode() []byte {
-	var e codec.Enc
-	e.Str(m.Map)
-	e.U32(uint32(len(m.Shards)))
-	for _, s := range m.Shards {
-		e.U32(s.Idx)
-		e.Str(s.Addr)
-		e.Bool(s.Up)
-		if s.Stats != nil {
-			e.Str(string(s.Stats.Encode()))
-		} else {
-			e.Str("")
-		}
-	}
-	return e.B
-}
-
-// DecodeClusterStats parses a TypeClusterStats payload.
-func DecodeClusterStats(b []byte) (*ClusterStats, error) {
-	d := codec.NewDec(b)
-	m := &ClusterStats{Map: d.Str()}
-	if n := d.Count(10, "shard stat"); n > 0 {
-		m.Shards = make([]ShardStat, n)
-		for i := range m.Shards {
-			s := ShardStat{Idx: d.U32(), Addr: d.Str(), Up: d.Bool()}
-			if raw := d.Str(); raw != "" {
-				st, err := DecodeStats([]byte(raw))
-				if err != nil {
-					return nil, fmt.Errorf("wire: shard %d stats: %w", s.Idx, err)
-				}
-				s.Stats = st
-			}
-			m.Shards[i] = s
-		}
-	}
-	if err := finish(d, "cluster stats"); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // CommitResult answers a TypeCommit: the lineage of the version the

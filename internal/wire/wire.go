@@ -25,8 +25,8 @@ import (
 // v4 added chosen-plan provenance (Stats.PlansCost/PlansHeuristic/
 // BatchSize/LastOperator).
 // v5 added distributed execution: shard identity in ServerHello and Stats,
-// Scatter/Partial frames for shard-sliced queries, and ClusterStats for the
-// coordinator's per-shard view.
+// request/reply frames for shard-sliced queries, and the coordinator's
+// per-shard stats view.
 // v6 added the write path: Commit/CommitResult frames for update-wave
 // commits against a WAL-backed MVCC chain, chain + WAL counters in Stats,
 // and CodeReadOnly for commit attempts against a store-less server.
@@ -36,7 +36,10 @@ import (
 // evictions, readahead issued/used/wasted, resident/capacity frames).
 // v9 made the Stats payload self-describing (name, kind and value per
 // field): a new Stats counter no longer needs a version bump.
-const Version uint32 = 9
+// v10 retired distributed execution: its four frame types (0x0A–0x0D
+// stay unassigned), its error code (6, likewise), and the shard identity
+// and snapshot key in ServerHello and Stats.
+const Version uint32 = 10
 
 // MaxPayload bounds a frame's payload; larger length prefixes are rejected
 // before any allocation (a malformed or hostile peer cannot make us
@@ -62,19 +65,6 @@ const (
 	TypeStatsReq byte = 0x08
 	// TypeStats carries the snapshot.
 	TypeStats byte = 0x09
-	// TypeScatter asks a shard to execute its slice of one OQL statement
-	// (coordinator → shard, v5).
-	TypeScatter byte = 0x0A
-	// TypePartial carries a shard's slice of a scattered query: rows,
-	// meter readings, mergeable aggregate states and the unsorted sample
-	// (shard → coordinator, v5).
-	TypePartial byte = 0x0B
-	// TypeClusterStatsReq asks a coordinator for its per-shard stats view
-	// (client → coordinator, v5).
-	TypeClusterStatsReq byte = 0x0C
-	// TypeClusterStats carries the coordinator's shard map and each
-	// shard's Stats snapshot (coordinator → client, v5).
-	TypeClusterStats byte = 0x0D
 	// TypeCommit asks the server to apply and durably commit the next
 	// update wave on its MVCC chain (client → server, v6). The payload is
 	// empty: the wave applied is always head.version+1, a pure function of
@@ -98,10 +88,6 @@ const (
 	CodeShutdown byte = 4
 	// CodeProto is a protocol violation (bad frame, bad handshake).
 	CodeProto byte = 5
-	// CodeShard means a shard required by the query is unreachable or
-	// misconfigured (wrong shard identity, snapshot-key mismatch); the
-	// message names the shard (v5).
-	CodeShard byte = 6
 	// CodeReadOnly means the server has no WAL-backed chain store and
 	// rejects commits (v6).
 	CodeReadOnly byte = 7

@@ -133,7 +133,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		SimP50ms: 3100, SimP95ms: 3300, SimP99ms: 3400,
 		WallHist: "[1,10):5 [10,20):5", SimHist: "[3100,3400):10",
 		SnapshotSource: "cache (/tmp/cache/ab12.tbsp)",
-		ShardIdx:       2, ShardCnt: 3,
 	}
 	if got, err := DecodeStats(st.Encode()); err != nil || *got != *st {
 		t.Fatalf("stats round trip: %+v, %v", got, err)
@@ -177,68 +176,13 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
-func TestShardMessageRoundTrips(t *testing.T) {
-	sh := &ServerHello{
-		Version: Version, Label: "200x10000 class shard 1/3",
-		ShardIdx: 1, ShardCnt: 3, SnapshotKey: "ab12cd34",
-	}
+func TestServerHelloRoundTrip(t *testing.T) {
+	sh := &ServerHello{Version: Version, Label: "200x10000 class"}
 	if got, err := DecodeServerHello(sh.Encode()); err != nil || *got != *sh {
-		t.Fatalf("sharded server hello round trip: %+v, %v", got, err)
+		t.Fatalf("server hello round trip: %+v, %v", got, err)
 	}
-
-	sc := &Scatter{
-		Stmt:     "select pa.mrn, pa.age from pa in Patients where pa.age < 40",
-		Strategy: StrategyHeuristic, ShardIdx: 2, ShardCnt: 3,
-	}
-	if got, err := DecodeScatter(sc.Encode()); err != nil || *got != *sc {
-		t.Fatalf("scatter round trip: %+v, %v", got, err)
-	}
-	if _, err := DecodeScatter((&Scatter{Stmt: "s", ShardIdx: 3, ShardCnt: 3}).Encode()); err == nil {
-		t.Fatal("out-of-range shard index accepted")
-	}
-	if _, err := DecodeScatter((&Scatter{Stmt: "s", Strategy: 9}).Encode()); err == nil {
-		t.Fatal("bogus scatter strategy accepted")
-	}
-
-	p := &Partial{
-		Rows:     991,
-		Elapsed:  3140 * time.Millisecond,
-		Counters: sampleCounters(),
-		Aggs: []PartialAgg{
-			{Agg: "avg", Label: "avg(pa.age)", N: 991, Sum: 41000, Min: 1, Max: 99},
-			{Agg: "count", Label: "count(*)", N: 991},
-		},
-		Sample: [][]object.Value{
-			{object.StringValue("name0001"), object.IntValue(34)},
-			{object.IntValue(-7), object.IntValue(0)},
-		},
-		Truncated: true,
-	}
-	gotP, err := DecodePartial(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotP, p) {
-		t.Fatalf("partial round trip mismatch:\n got %+v\nwant %+v", gotP, p)
-	}
-	empty := &Partial{}
-	if gotP, err = DecodePartial(empty.Encode()); err != nil || !reflect.DeepEqual(gotP, empty) {
-		t.Fatalf("empty partial round trip: %+v, %v", gotP, err)
-	}
-
-	cs := &ClusterStats{
-		Map: "shard map (2 shards, chunk-block ownership):\n  Patients: 5 chunk(s)",
-		Shards: []ShardStat{
-			{Idx: 0, Addr: "127.0.0.1:8630", Up: true, Stats: &Stats{Served: 12, ShardIdx: 0, ShardCnt: 2, WallHist: "[1,2):3"}},
-			{Idx: 1, Addr: "127.0.0.1:8631", Up: false},
-		},
-	}
-	gotCS, err := DecodeClusterStats(cs.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotCS, cs) {
-		t.Fatalf("cluster stats round trip mismatch:\n got %+v\nwant %+v", gotCS, cs)
+	if _, err := DecodeServerHello(sh.Encode()[:6]); err == nil {
+		t.Fatal("truncated server hello accepted")
 	}
 }
 
