@@ -176,7 +176,7 @@ func BenchmarkRunAllSequential(b *testing.B) { runAllSeqSecs = benchRunAll(b, 1)
 // scheduler. When run together with BenchmarkRunAllSequential (any -bench
 // pattern matching both), it reports the wall-clock speedup as the custom
 // metric "speedup"; the tables themselves are byte-identical by
-// construction (simulated clocks).
+// construction (simulated time).
 func BenchmarkRunAllParallel(b *testing.B) {
 	jobs := DefaultJobs()
 	if jobs < 4 {

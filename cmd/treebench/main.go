@@ -97,7 +97,7 @@ func main() {
 		ids[i] = strings.TrimSpace(ids[i])
 	}
 	// Tables are emitted in the requested order as experiments complete on
-	// cfg.Jobs workers; the simulated clocks keep the output identical to a
+	// cfg.Jobs workers; simulated time keeps the output identical to a
 	// sequential run.
 	err = runner.RunMany(ids, cfg.Jobs, func(table *treebench.ResultTable) error {
 		table.Format(os.Stdout)

@@ -42,7 +42,7 @@ func Example() {
 }
 
 // ExampleGenerateDerby reproduces one cell of the paper's Figure 11 grid:
-// the deterministic generator and simulated clock make the comparison
+// the deterministic generator and simulated time make the comparison
 // exact on every machine.
 func ExampleGenerateDerby() {
 	d, err := treebench.GenerateDerby(

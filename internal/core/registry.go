@@ -87,8 +87,9 @@ func (r *Runner) Run(id string) (*Table, error) {
 
 // RunAll executes every experiment, formatting each table to w in
 // presentation order. Independent experiments run concurrently on up to
-// Config.Jobs workers (default DefaultJobs()); the simulated clocks make
-// the output byte-identical to a sequential run.
+// Config.Jobs workers (default DefaultJobs()); simulated time, priced from
+// each dataset's own counters, makes the output byte-identical to a
+// sequential run.
 func (r *Runner) RunAll(w io.Writer) error {
 	return r.RunMany(ExperimentIDs(), r.Config.jobs(), func(t *Table) error {
 		t.Format(w)

@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the parallel experiment scheduler. Elapsed time is
-// *simulated* — every Dataset carries its own deterministic clock
-// (internal/sim) charged per operation, never the wall clock — so running
+// *simulated* — every Dataset carries its own meter (internal/sim) whose
+// counters are priced under the cost model, never the wall clock — so running
 // experiments concurrently cannot change a single reported number: the
 // tables are bit-identical at any worker count. Concurrency is bounded by
 // three locks: dataset generation is singleflight per database, a

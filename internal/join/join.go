@@ -20,7 +20,7 @@
 // db.Batch() records: index scans deliver leaf-bounded entry batches,
 // record fetches go through run-reusing object.Fetchers instead of
 // materializing a handle per object, and the per-object CPU charges
-// accumulate into one sim.BatchCharges delta merged per batch. The
+// accumulate into one sim.Counters delta added per batch. The
 // hash-region traffic (Grow/RandomWrite/RandomRead) stays per entry, in
 // entry order, inside the batch loops — a region's swap arithmetic depends
 // on its size at each call, so batching may not reorder it — which keeps
@@ -269,7 +269,7 @@ func runNL(env *Env, q Query) (*Result, error) {
 		cf := w.Handles.Fetcher() // patients
 		prids := make([]storage.Rid, 0, bsize)
 		return scanBatches(w, upinIdx, ranges[c], func(entries []index.Entry) (bool, error) {
-			var ch sim.BatchCharges
+			var ch sim.Counters
 			for _, e := range entries {
 				pf.Invalidate() // chunk/patient reads intervened
 				prec, pcls, err := pf.Fetch(e.Rid)
@@ -316,7 +316,7 @@ func runNL(env *Env, q Query) (*Result, error) {
 				}
 				ch.HandleUnrefs++ // the provider
 			}
-			w.Meter.ChargeBatch(ch)
+			w.Meter.N.Add(ch)
 			return true, nil
 		})
 	})
@@ -449,7 +449,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 		f := w.Handles.Fetcher()
 		err := scanBatches(w, upinIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
-			var ch sim.BatchCharges
+			var ch sim.Counters
 			for _, e := range entries {
 				rec, cls, err := f.Fetch(e.Rid)
 				if err != nil {
@@ -466,7 +466,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 				region.RandomWrite()
 				table[e.Rid] = struct{}{}
 			}
-			w.Meter.ChargeBatch(ch)
+			w.Meter.N.Add(ch)
 			return true, nil
 		})
 		sizes[c] = region.Size()
@@ -502,7 +502,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 		f := w.Handles.Fetcher()
 		return scanBatches(w, mrnIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
-			var ch sim.BatchCharges
+			var ch sim.Counters
 			for _, e := range entries {
 				rec, cls, err := f.Fetch(e.Rid)
 				if err != nil {
@@ -526,7 +526,7 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 				}
 				ch.HandleUnrefs++
 			}
-			w.Meter.ChargeBatch(ch)
+			w.Meter.N.Add(ch)
 			return true, nil
 		})
 	})
@@ -581,7 +581,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 		f := w.Handles.Fetcher()
 		return scanBatches(w, mrnIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
-			var ch sim.BatchCharges
+			var ch sim.Counters
 			for _, e := range entries {
 				rec, cls, err := f.Fetch(e.Rid)
 				if err != nil {
@@ -607,7 +607,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 				table[pcpV.Ref] = append(group, ageV.Int)
 				ch.HandleUnrefs++
 			}
-			w.Meter.ChargeBatch(ch)
+			w.Meter.N.Add(ch)
 			return true, nil
 		})
 	})
@@ -645,7 +645,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 		f := w.Handles.Fetcher()
 		return scanBatches(w, upinIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
-			var ch sim.BatchCharges
+			var ch sim.Counters
 			for _, e := range entries {
 				ch.HashProbes++
 				region.RandomRead()
@@ -669,7 +669,7 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 				}
 				ch.HandleUnrefs++
 			}
-			w.Meter.ChargeBatch(ch)
+			w.Meter.N.Add(ch)
 			return true, nil
 		})
 	})

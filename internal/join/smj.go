@@ -57,7 +57,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 		f := w.Handles.Fetcher()
 		return scanBatches(w, upinIdx, provRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
-			var ch sim.BatchCharges
+			var ch sim.Counters
 			for _, e := range entries {
 				rec, cls, err := f.Fetch(e.Rid)
 				if err != nil {
@@ -71,7 +71,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 				ch.HandleUnrefs++
 				provParts[c] = append(provParts[c], e.Rid)
 			}
-			w.Meter.ChargeBatch(ch)
+			w.Meter.N.Add(ch)
 			return true, nil
 		})
 	})
@@ -90,7 +90,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 		f := w.Handles.Fetcher()
 		return scanBatches(w, mrnIdx, patRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
-			var ch sim.BatchCharges
+			var ch sim.Counters
 			for _, e := range entries {
 				rec, cls, err := f.Fetch(e.Rid)
 				if err != nil {
@@ -109,7 +109,7 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 				ch.HandleUnrefs++
 				patParts[c] = append(patParts[c], patTuple{pcpV.Ref, ageV.Int})
 			}
-			w.Meter.ChargeBatch(ch)
+			w.Meter.N.Add(ch)
 			return true, nil
 		})
 	})

@@ -9,8 +9,8 @@ import (
 // Batch is the carrier of the vectorized execution core: fixed-capacity,
 // column-oriented slices over one run of scanned objects. Operators fill
 // Rids/Recs/Classes while scanning, evaluate predicates into the Sel
-// validity vector, and extract projected attributes into Cols — then merge
-// one sim.BatchCharges delta covering the whole batch. The carrier never
+// validity vector, and extract projected attributes into Cols — then add
+// one sim.Counters delta covering the whole batch. The carrier never
 // touches the shared handle table: batches are private to one scan chunk,
 // so the "one structure per object in memory" discipline the table enforces
 // is irrelevant to them (each object appears in exactly one batch).

@@ -468,7 +468,7 @@ func TestOrderBy(t *testing.T) {
 		t.Fatalf("sample cell kind: %v", res.Sample[0][0].Kind)
 	}
 	// The sort is charged.
-	if res.Counters.SortedElems == 0 {
+	if res.Counters.SortSteps == 0 {
 		t.Fatal("order by charged no sort")
 	}
 	// Round trip the clause.

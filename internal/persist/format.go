@@ -33,8 +33,9 @@ const Magic uint32 = 0x54425350
 // readers reject newer files with ErrVersion rather than misparse them,
 // and the cache keys on it so stale files are regenerated, not misread.
 // v2 added the lineage section (MVCC chain provenance); v3 added the
-// backends section (pluggable index backend descriptors).
-const FormatVersion uint32 = 3
+// backends section (pluggable index backend descriptors); v4 changed the
+// derby section's sort counter from elements sorted to sort steps.
+const FormatVersion uint32 = 4
 
 // Section identifiers. The table may list them in any order; each id may
 // appear at most once, and all of them are required.

@@ -189,7 +189,7 @@ func Run(db *engine.Database, req Request, access Access) (*Result, error) {
 // compacted to the rows the request keeps (in selection order), and every
 // AttrGet / Compare / ResultAppend a handle-at-a-time loop would charge is
 // accumulated into ch. It returns the number of selected and of kept rows.
-func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, chunk int, ch *sim.BatchCharges) (selected, kept int, err error) {
+func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, chunk int, ch *sim.Counters) (selected, kept int, err error) {
 	n := b.Len()
 	b.SetCols(len(projIdxs))
 	key := -1
@@ -268,7 +268,7 @@ func evalBatch(b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs 
 // charges plus what evalBatch adds — into w's meter as ONE delta, hands the
 // selected rows to the request's callback and empties the batch. It returns
 // the number of selected rows, or stops the scan at w's deadline.
-func flushBatch(w *engine.Session, b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, ch sim.BatchCharges, chunk int) (int, error) {
+func flushBatch(w *engine.Session, b *object.Batch, req Request, whereIdx int, filterIdxs, projIdxs []int, ch sim.Counters, chunk int) (int, error) {
 	if err := w.Err(); err != nil {
 		return 0, err
 	}
@@ -276,7 +276,7 @@ func flushBatch(w *engine.Session, b *object.Batch, req Request, whereIdx int, f
 	if err != nil {
 		return 0, err
 	}
-	w.Meter.ChargeBatch(ch)
+	w.Meter.N.Add(ch)
 	if kept > 0 && req.OnBatch != nil {
 		err = req.OnBatch(chunk, b.Cols, kept)
 	}
@@ -317,7 +317,12 @@ func runFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pro
 			if n == 0 {
 				return nil
 			}
-			ch := sim.BatchCharges{ScanNexts: n, ClientHits: n, HandleGets: n, HandleUnrefs: n}
+			// ClientHits stands in for the page re-reads the batch skips: a
+			// handle-at-a-time loop re-reads the page it is already holding
+			// (a guaranteed client-cache hit on the LRU front, which counts
+			// the hit and moves nothing), so skipping the read and counting
+			// the hit is exact.
+			ch := sim.Counters{ScanNexts: n, ClientHits: n, HandleGets: n, HandleUnrefs: n}
 			selected, err := flushBatch(w, b, req, whereIdx, filterIdxs, projIdxs, ch, c)
 			rows[c] += selected
 			return err
@@ -415,7 +420,7 @@ func runIndexScan(db *engine.Database, req Request, filterIdxs, projIdxs []int, 
 		}
 		// The index already enforced Where (whereIdx -1): only the filters
 		// run per fetched record.
-		ch := sim.BatchCharges{HandleGets: n, HandleUnrefs: n}
+		ch := sim.Counters{HandleGets: n, HandleUnrefs: n}
 		selected, err := flushBatch(db, b, req, -1, filterIdxs, projIdxs, ch, 0)
 		res.Rows += selected
 		return err

@@ -1,3 +1,16 @@
+// Package sim provides the deterministic hardware model that stands in for
+// the paper's Sparc 20 testbed: counters of every charged event, a cost model
+// that prices them, and a memory budget with swap accounting.
+//
+// Nothing in the engine reads the wall clock. Every operation that the
+// paper's analysis charges for (page reads, RPCs, handle management, hash
+// probes, sorting, comparisons) bumps a counter through a Meter, and
+// reported "elapsed time" is those counters priced under the cost model
+// (Counters.Price): a pure function of the work done and the constants
+// below. The constants are calibrated so the paper's own arithmetic holds
+// (for example, §4.2's "802.15 seconds to scan the Patients collection" and
+// "about 250 seconds not spent on reads"), and any stored counter vector can
+// be re-priced under another model without a re-run.
 package sim
 
 import "time"

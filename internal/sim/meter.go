@@ -30,7 +30,7 @@ type Counters struct {
 	HashInserts   int64
 	HashProbes    int64
 	ResultAppends int64
-	SortedElems   int64 // elements passed through Sort
+	SortSteps     int64 // n·⌈log₂n⌉ per Sort of n elements
 	// Swap traffic on oversized in-memory structures.
 	SwapReads  int64
 	SwapWrites int64
@@ -48,7 +48,7 @@ func (c *Counters) Fields() []*int64 {
 		&c.LogPages, &c.Locks,
 		&c.ScanNexts, &c.HandleGets, &c.HandleUnrefs, &c.AttrGets,
 		&c.Compares, &c.HashInserts, &c.HashProbes, &c.ResultAppends,
-		&c.SortedElems, &c.SwapReads, &c.SwapWrites,
+		&c.SortSteps, &c.SwapReads, &c.SwapWrites,
 	}
 }
 
@@ -59,6 +59,35 @@ func (c *Counters) Add(o Counters) {
 	for i, p := range c.Fields() {
 		*p += *src[i]
 	}
+}
+
+// Price returns the simulated time the counters cost under model m: the
+// sum of each counter times its constant, the one place the cost model is
+// applied. Under slim, ScanNexts, HandleGets, HandleUnrefs and
+// ResultAppends take the §4.4 Slim* constants. ServerHits, ServerToClient,
+// ClientHits, ClientFaults and RPCBytes are counted but free: the paper
+// prices a page read and a message, not a cache hit or a byte.
+func (c *Counters) Price(m CostModel, slim bool) time.Duration {
+	scan, get, unref, appnd := m.ScanNext, m.HandleGet, m.HandleUnref, m.ResultAppend
+	if slim {
+		scan, get, unref, appnd = m.SlimScanNext, m.SlimHandleGet, m.SlimHandleUnref, m.SlimResultAppend
+	}
+	return time.Duration(c.DiskReads)*m.PageRead +
+		time.Duration(c.DiskWrites)*m.PageWrite +
+		time.Duration(c.RPCs)*m.RPC +
+		time.Duration(c.LogPages)*m.LogWrite +
+		time.Duration(c.Locks)*m.Lock +
+		time.Duration(c.ScanNexts)*scan +
+		time.Duration(c.HandleGets)*get +
+		time.Duration(c.HandleUnrefs)*unref +
+		time.Duration(c.AttrGets)*m.AttrGet +
+		time.Duration(c.Compares)*m.Compare +
+		time.Duration(c.HashInserts)*m.HashInsert +
+		time.Duration(c.HashProbes)*m.HashProbe +
+		time.Duration(c.ResultAppends)*appnd +
+		time.Duration(c.SortSteps)*m.SortPerCompare +
+		time.Duration(c.SwapReads)*m.SwapRead +
+		time.Duration(c.SwapWrites)*m.SwapWrite
 }
 
 // ClientMissRate returns the client-cache miss percentage, 0 if no accesses.
@@ -79,11 +108,10 @@ func (c *Counters) ServerMissRate() float64 {
 	return 100 * float64(c.DiskReads) / float64(total)
 }
 
-// Meter charges operations against a cost model, advancing a simulated clock
-// and maintaining counters. All engine layers share one Meter per session.
+// Meter counts the operations the engine charges and prices them under a
+// cost model. All engine layers share one Meter per session.
 type Meter struct {
 	Model CostModel
-	Clock Clock
 	N     Counters
 
 	slimHandles bool
@@ -94,53 +122,42 @@ func NewMeter(m CostModel) *Meter {
 	return &Meter{Model: m}
 }
 
-// SetSlimHandles switches handle charging to the §4.4 compact-handle costs.
+// SetSlimHandles switches handle pricing to the §4.4 compact-handle costs.
+// Elapsed prices every counted event at the current setting, so the setting
+// changes only between runs, after a Reset (ColdRestart does one).
 func (m *Meter) SetSlimHandles(on bool) { m.slimHandles = on }
 
-// SlimHandles reports whether slim-handle charging is active.
+// SlimHandles reports whether slim-handle pricing is active.
 func (m *Meter) SlimHandles() bool { return m.slimHandles }
 
 // Elapsed returns the simulated time consumed so far.
-func (m *Meter) Elapsed() time.Duration { return m.Clock.Now() }
+func (m *Meter) Elapsed() time.Duration { return m.N.Price(m.Model, m.slimHandles) }
 
-// Reset zeroes the clock and all counters, keeping the model.
-func (m *Meter) Reset() {
-	m.Clock.Reset()
-	m.N = Counters{}
-}
+// Reset zeroes all counters, keeping the model.
+func (m *Meter) Reset() { m.N = Counters{} }
 
 // Snapshot returns a copy of the current counters.
 func (m *Meter) Snapshot() Counters { return m.N }
 
-// Merge folds worker meters into m: counters sum and the simulated clock
-// advances by each worker's elapsed time. The simulated machine is the
-// paper's uniprocessor, so merged elapsed time is the total work done —
-// parallel chunk execution changes wall-clock time, never simulated time.
-// Every field operation is commutative, so the totals are independent of
+// Merge folds worker meters into m: the counters sum. The simulated
+// machine is the paper's uniprocessor, so merged elapsed time is the total
+// work done — parallel chunk execution changes wall-clock time, never
+// simulated time. Addition is commutative, so the totals are independent of
 // merge order; callers still merge in chunk-index order by convention so
 // that any future order-sensitive accounting stays deterministic.
 func (m *Meter) Merge(workers ...*Meter) {
 	for _, w := range workers {
 		m.N.Add(w.N)
-		m.Clock.Advance(w.Clock.Now())
 	}
 }
 
-func (m *Meter) DiskRead() {
-	m.N.DiskReads++
-	m.Clock.Advance(m.Model.PageRead)
-}
-
-func (m *Meter) DiskWrite() {
-	m.N.DiskWrites++
-	m.Clock.Advance(m.Model.PageWrite)
-}
+func (m *Meter) DiskRead()  { m.N.DiskReads++ }
+func (m *Meter) DiskWrite() { m.N.DiskWrites++ }
 
 // RPC charges one client↔server message carrying n bytes.
 func (m *Meter) RPC(n int) {
 	m.N.RPCs++
 	m.N.RPCBytes += int64(n)
-	m.Clock.Advance(m.Model.RPC)
 }
 
 func (m *Meter) ServerHit()      { m.N.ServerHits++ }
@@ -148,103 +165,40 @@ func (m *Meter) ServerToClient() { m.N.ServerToClient++ }
 func (m *Meter) ClientHit()      { m.N.ClientHits++ }
 func (m *Meter) ClientFault()    { m.N.ClientFaults++ }
 
-func (m *Meter) LogWrite() {
-	m.N.LogPages++
-	m.Clock.Advance(m.Model.LogWrite)
-}
+func (m *Meter) LogWrite() { m.N.LogPages++ }
 
 // Lock charges one lock-management operation (standard transaction mode).
-func (m *Meter) Lock() {
-	m.N.Locks++
-	m.Clock.Advance(m.Model.Lock)
-}
+func (m *Meter) Lock() { m.N.Locks++ }
 
 // ScanNext charges the generic scan operator's per-object overhead.
-func (m *Meter) ScanNext() {
-	m.N.ScanNexts++
-	if m.slimHandles {
-		m.Clock.Advance(m.Model.SlimScanNext)
-	} else {
-		m.Clock.Advance(m.Model.ScanNext)
-	}
-}
+func (m *Meter) ScanNext() { m.N.ScanNexts++ }
 
-func (m *Meter) HandleGet() {
-	m.N.HandleGets++
-	if m.slimHandles {
-		m.Clock.Advance(m.Model.SlimHandleGet)
-	} else {
-		m.Clock.Advance(m.Model.HandleGet)
-	}
-}
-
-func (m *Meter) HandleUnref() {
-	m.N.HandleUnrefs++
-	if m.slimHandles {
-		m.Clock.Advance(m.Model.SlimHandleUnref)
-	} else {
-		m.Clock.Advance(m.Model.HandleUnref)
-	}
-}
-
-func (m *Meter) AttrGet() {
-	m.N.AttrGets++
-	m.Clock.Advance(m.Model.AttrGet)
-}
-
-func (m *Meter) Compare() {
-	m.N.Compares++
-	m.Clock.Advance(m.Model.Compare)
-}
+func (m *Meter) HandleGet()   { m.N.HandleGets++ }
+func (m *Meter) HandleUnref() { m.N.HandleUnrefs++ }
+func (m *Meter) AttrGet()     { m.N.AttrGets++ }
+func (m *Meter) Compare()     { m.N.Compares++ }
 
 // Compares charges n comparisons in one step.
 func (m *Meter) Compares(n int64) {
-	if n <= 0 {
-		return
-	}
-	m.N.Compares += n
-	m.Clock.Advance(time.Duration(n) * m.Model.Compare)
-}
-
-func (m *Meter) HashInsert() {
-	m.N.HashInserts++
-	m.Clock.Advance(m.Model.HashInsert)
-}
-
-func (m *Meter) HashProbe() {
-	m.N.HashProbes++
-	m.Clock.Advance(m.Model.HashProbe)
-}
-
-func (m *Meter) ResultAppend() {
-	m.N.ResultAppends++
-	if m.slimHandles {
-		m.Clock.Advance(m.Model.SlimResultAppend)
-	} else {
-		m.Clock.Advance(m.Model.ResultAppend)
+	if n > 0 {
+		m.N.Compares += n
 	}
 }
 
-// Sort charges an in-memory sort of n elements: n·⌈log₂n⌉ comparisons at
-// the sort rate. This is the cost of §4.2's "sort 1.8M Rids" step.
+func (m *Meter) HashInsert()   { m.N.HashInserts++ }
+func (m *Meter) HashProbe()    { m.N.HashProbes++ }
+func (m *Meter) ResultAppend() { m.N.ResultAppends++ }
+
+// Sort charges an in-memory sort of n elements: n·⌈log₂n⌉ steps at the
+// sort rate. This is the cost of §4.2's "sort 1.8M Rids" step.
 func (m *Meter) Sort(n int64) {
-	if n <= 1 {
-		return
+	if n > 1 {
+		m.N.SortSteps += n * int64(bits.Len64(uint64(n-1)))
 	}
-	m.N.SortedElems += n
-	log2 := int64(bits.Len64(uint64(n - 1)))
-	m.Clock.Advance(time.Duration(n*log2) * m.Model.SortPerCompare)
 }
 
-func (m *Meter) SwapRead() {
-	m.N.SwapReads++
-	m.Clock.Advance(m.Model.SwapRead)
-}
-
-func (m *Meter) SwapWrite() {
-	m.N.SwapWrites++
-	m.Clock.Advance(m.Model.SwapWrite)
-}
+func (m *Meter) SwapRead()  { m.N.SwapReads++ }
+func (m *Meter) SwapWrite() { m.N.SwapWrites++ }
 
 // String formats the counters as a compact single-line report.
 func (m *Meter) String() string {

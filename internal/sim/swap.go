@@ -1,8 +1,5 @@
 package sim
 
-// SwapPageSize is the virtual-memory page size of the simulated OS.
-const SwapPageSize = 4096
-
 // Region models one large in-memory structure (a join hash table) competing
 // for the machine's free RAM. While the region fits in the budget, access is
 // free. Once it outgrows the budget, the OS keeps only Budget bytes
@@ -10,9 +7,7 @@ const SwapPageSize = 4096
 //
 //   - a faulting random read pays a synchronous SwapRead (seek + page-in);
 //   - a faulting random write only dirties a page; the OS writes it back
-//     asynchronously, so it pays the much smaller SwapWrite;
-//   - a sequential pass streams the non-resident bytes in once, paying one
-//     SwapRead per non-resident page.
+//     asynchronously, so it pays the much smaller SwapWrite.
 //
 // Fault charging is deterministic: rather than sampling, each access accrues
 // the expected fractional fault and the region charges the meter every time
@@ -73,17 +68,5 @@ func (r *Region) RandomWrite() {
 	for r.writeDebt >= 1 {
 		r.writeDebt--
 		r.meter.SwapWrite()
-	}
-}
-
-// SequentialPass charges one streaming pass over the whole region: the
-// non-resident portion is paged in once, sequentially.
-func (r *Region) SequentialPass() {
-	if !r.Swapping() {
-		return
-	}
-	pages := (r.size - r.budget + SwapPageSize - 1) / SwapPageSize
-	for i := int64(0); i < pages; i++ {
-		r.meter.SwapRead()
 	}
 }

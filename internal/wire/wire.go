@@ -39,7 +39,10 @@ import (
 // v10 retired distributed execution: its four frame types (0x0A–0x0D
 // stay unassigned), its error code (6, likewise), and the shard identity
 // and snapshot key in ServerHello and Stats.
-const Version uint32 = 10
+// v11 changed one Result counter's meaning: the sort counter, now
+// SortSteps, records n·⌈log₂n⌉ per sort of n elements instead of n, so
+// simulated time is the counters' price.
+const Version uint32 = 11
 
 // MaxPayload bounds a frame's payload; larger length prefixes are rejected
 // before any allocation (a malformed or hostile peer cannot make us

@@ -69,7 +69,7 @@ func sampleCounters() sim.Counters {
 		ServerHits: 5, ServerToClient: 6, ClientHits: 7, ClientFaults: 8,
 		LogPages: 9, Locks: 10, ScanNexts: 11, HandleGets: 12,
 		HandleUnrefs: 13, AttrGets: 14, Compares: 15, HashInserts: 16,
-		HashProbes: 17, ResultAppends: 18, SortedElems: 19,
+		HashProbes: 17, ResultAppends: 18, SortSteps: 19,
 		SwapReads: 20, SwapWrites: 21,
 	}
 }

@@ -58,13 +58,15 @@ echo "snap-smoke: intact snapshot reloads and answers queries"
 
 # Per-backend saves: verify and ls must name the backend, and a reloaded
 # LSM snapshot must answer the probe query byte-identically to the B+-tree
-# default (only the load line's page count may differ).
+# default (only the load line's page count may differ). The greps read
+# all of their input (no -q): under pipefail, a grep that quits at its
+# first match can fail the pipeline with SIGPIPE on the writer's next line.
 "$WORK/treebench-snap" save "${DB[@]}" -index-backend lsm -o "$WORK/lsm.tbsp"
-"$WORK/treebench-snap" verify "$WORK/lsm.tbsp" | grep -q "backend lsm" || {
+"$WORK/treebench-snap" verify "$WORK/lsm.tbsp" | grep "backend lsm" >/dev/null || {
   echo "snap-smoke: verify does not name the lsm backend" >&2
   exit 1
 }
-"$WORK/treebench-snap" ls -dir "$WORK" | grep '^db ' | grep -q 'btree' || {
+"$WORK/treebench-snap" ls -dir "$WORK" | grep '^db ' | grep 'btree' >/dev/null || {
   echo "snap-smoke: ls does not show the backend column" >&2
   exit 1
 }
