@@ -161,10 +161,26 @@ func main() {
 		fatal(err)
 	}
 
+	stop, stopped := make(chan struct{}), make(chan struct{})
 	if store != nil && *compactN > 0 {
-		go compactor(store, *compactN, *verbose)
+		go func() {
+			defer close(stopped)
+			compactor(store, *compactN, *verbose, stop)
+		}()
+	} else {
+		close(stopped)
 	}
-	if err := srv.RunDaemon("treebenchd", *addr, *drainGrace); err != nil {
+	err = srv.RunDaemon("treebenchd", *addr, *drainGrace)
+	// Release what the daemon opened: a compaction in flight finishes, then
+	// the WAL flushes and closes.
+	close(stop)
+	<-stopped
+	if store != nil {
+		if cerr := store.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("close chain store: %w", cerr)
+		}
+	}
+	if err != nil {
 		fatal(err)
 	}
 }
@@ -211,10 +227,18 @@ func openChainStore(cfg derby.Config, dir string, spec derby.WaveSpec) (*persist
 
 // compactor folds the chain into a fresh base whenever the head runs n
 // commits ahead, then truncates the WAL — the background compaction that
-// keeps recovery time bounded. It polls; compaction timing never affects
-// data (the head is a pure function of commit count).
-func compactor(store *persist.ChainStore, n int, verbose bool) {
-	for range time.Tick(time.Second) {
+// keeps recovery time bounded. It polls once a second until stop closes;
+// compaction timing never affects data (the head is a pure function of
+// commit count).
+func compactor(store *persist.ChainStore, n int, verbose bool, stop <-chan struct{}) {
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+		}
 		st := store.Stats()
 		if st.HeadVersion-st.BaseVersion < uint64(n) {
 			continue

@@ -18,7 +18,7 @@ func TestExamplesRun(t *testing.T) {
 		"./examples/sessions":       "identical",
 		"./examples/clustering":     "composition",
 		"./examples/resultsdb":      "recorded 8 measurements",
-		"./examples/evolution":      "reachability GC",
+		"./examples/evolution":      "forwarding stubs",
 		"./examples/odmg":           "relationship verified consistent",
 		"./examples/xmltree":        "associative",
 		"./examples/joinstrategies": "spill partitions",

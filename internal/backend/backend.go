@@ -70,19 +70,6 @@ func CheckKind(kind string) error {
 	return nil
 }
 
-// New creates an empty index of the given kind over p.
-func New(kind string, p storage.Pager, id uint32, name string) (index.Backend, error) {
-	switch Normalize(kind) {
-	case KindBTree:
-		return newBTree(p, id, name)
-	case KindDisk:
-		return newDisk(p, id, name)
-	case KindLSM:
-		return newLSM(id, name), nil
-	}
-	return nil, unknownKind(kind)
-}
-
 // Build bulk-loads an index of the given kind from entries (not
 // necessarily sorted).
 func Build(kind string, p storage.Pager, id uint32, name string, entries []index.Entry) (index.Backend, error) {

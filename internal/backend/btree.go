@@ -17,16 +17,6 @@ type btree struct {
 	ctr *counters
 }
 
-func newBTree(p storage.Pager, id uint32, name string) (*btree, error) {
-	b := &btree{ctr: &counters{}}
-	t, err := index.New(countingPager{p, &b.ctr.pagesWritten}, id, name)
-	if err != nil {
-		return nil, err
-	}
-	b.t = t
-	return b, nil
-}
-
 func buildBTree(p storage.Pager, id uint32, name string, entries []index.Entry) (*btree, error) {
 	b := &btree{ctr: &counters{}}
 	t, err := index.Build(countingPager{p, &b.ctr.pagesWritten}, id, name, entries)

@@ -38,15 +38,6 @@ type disk struct {
 //	20..28  entry count
 const diskMagic = 0x42545047 // "BTPG"
 
-func newDisk(p storage.Pager, id uint32, name string) (*disk, error) {
-	d := &disk{ctr: &counters{}}
-	t, err := index.New(countingPager{p, &d.ctr.pagesWritten}, id, name)
-	if err != nil {
-		return nil, err
-	}
-	return d.init(p, t)
-}
-
 func buildDisk(p storage.Pager, id uint32, name string, entries []index.Entry) (*disk, error) {
 	d := &disk{ctr: &counters{}}
 	t, err := index.Build(countingPager{p, &d.ctr.pagesWritten}, id, name, entries)

@@ -102,14 +102,6 @@ type Stats struct {
 	Sources       int64 // backing files registered
 }
 
-// HitRate returns hits/(hits+misses) in percent, 0 when idle.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return 100 * float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
 const (
 	numShards = 16
 

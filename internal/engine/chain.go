@@ -57,7 +57,6 @@ func (db *Session) Publish() (*Snapshot, *storage.Delta, error) {
 		extents: db.extents,
 		indexes: db.indexes,
 		nextIdx: db.nextIdx,
-		roots:   db.roots,
 		rels:    db.relationships,
 	}
 	if err := sn.PrimeStats(); err != nil {

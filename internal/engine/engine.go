@@ -93,7 +93,7 @@ func (ix *Index) InvalidateStats() { ix.stats = nil }
 
 // Session is one execution context over a database: the page caches, the
 // meter, the handle table and transaction state one client pays for, plus
-// its private view of the catalog (extents, indexes, roots). A Session
+// its private view of the catalog (extents, indexes). A Session
 // built by New owns its database exclusively (the paper's setup: a single
 // client and its server on one machine); Freeze turns that database into
 // an immutable Snapshot from which further Sessions fork in O(1).
@@ -110,7 +110,6 @@ type Session struct {
 	extents       map[string]*Extent
 	indexes       map[uint32]*Index
 	nextIdx       uint32
-	roots         map[string]storage.Rid
 	relationships []*Relationship
 
 	// indexBackend is the backend kind CreateIndex builds ("" = the

@@ -1,21 +1,16 @@
 package engine
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"treebench/internal/object"
 	"treebench/internal/storage"
 	"treebench/internal/txn"
 )
 
-// Dynamic class evolution and object versioning: the §4.4 features whose
-// bookkeeping O2 pays for in every Handle ("a pointer to some structure
-// representing the version to which the object belongs", "some information
-// about the schema update history of the object class"). Both are
-// implemented so their costs — lazy upgrades, relocation storms, version
-// snapshots — are measurable in the same simulated units as everything
-// else.
+// Dynamic class evolution: one of the §4.4 features whose bookkeeping O2
+// pays for in every Handle ("some information about the schema update
+// history of the object class"). The update waves use it, so its costs —
+// lazy upgrades and relocation storms — are measured in the same simulated
+// units as everything else.
 
 // EvolveClass appends an attribute to the extent's class with a default
 // for pre-existing objects. Nothing is rewritten: old records answer reads
@@ -52,155 +47,4 @@ func (db *Session) UpgradeObject(tx *txn.Txn, e *Extent, rid storage.Rid) (upgra
 	}
 	relocated, err = e.File.Update(db.Client, rid, out)
 	return true, relocated, err
-}
-
-// UpgradeExtent upgrades every object of the extent, returning how many
-// records changed and how many the growth relocated.
-func (db *Session) UpgradeExtent(tx *txn.Txn, e *Extent) (upgraded, relocated int, err error) {
-	if err := db.mutable(); err != nil {
-		return 0, 0, err
-	}
-	type pending struct{ rid storage.Rid }
-	var stale []pending
-	err = e.File.Scan(db.Client, func(rid storage.Rid, rec []byte) (bool, error) {
-		if !db.Classes.Belongs(object.ClassID(rec), e.Class) {
-			return true, nil
-		}
-		if object.RecordEpoch(rec) != e.Class.Epoch() {
-			stale = append(stale, pending{rid})
-		}
-		return true, nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, p := range stale {
-		up, rel, err := db.UpgradeObject(tx, e, p.rid)
-		if err != nil {
-			return upgraded, relocated, err
-		}
-		if up {
-			upgraded++
-		}
-		if rel {
-			relocated++
-		}
-	}
-	return upgraded, relocated, nil
-}
-
-// Version storage: snapshots and chain entries live in separate files so a
-// chain scan never confuses a coincidentally entry-sized snapshot record
-// for an entry.
-const (
-	versionChainFile = "_verchain"
-	versionSnapFile  = "_versnaps"
-)
-
-// versionEntryLen is a chain entry: object rid + version number + snapshot
-// rid.
-const versionEntryLen = storage.EncodedRidLen + 4 + storage.EncodedRidLen
-
-// VersionInfo describes one saved version of an object.
-type VersionInfo struct {
-	Number   uint32
-	Snapshot storage.Rid
-}
-
-func (db *Session) versionFile(name string) (*storage.File, error) {
-	f, err := db.Store.File(name)
-	if err == nil {
-		return f, nil
-	}
-	return db.Store.CreateFile(name)
-}
-
-// CreateVersion snapshots the current state of the object at rid and
-// returns the new version number (1 for the first snapshot). The live
-// record keeps evolving in place; snapshots are immutable full records
-// readable with the usual codec.
-func (db *Session) CreateVersion(tx *txn.Txn, e *Extent, rid storage.Rid) (uint32, error) {
-	if err := db.mutable(); err != nil {
-		return 0, err
-	}
-	rec, err := storage.Get(db.Client, rid)
-	if err != nil {
-		return 0, err
-	}
-	snaps, err := db.versionFile(versionSnapFile)
-	if err != nil {
-		return 0, err
-	}
-	chain, err := db.versionFile(versionChainFile)
-	if err != nil {
-		return 0, err
-	}
-	snapshot := make([]byte, len(rec))
-	copy(snapshot, rec)
-	snapRid, err := snaps.Append(db.Client, snapshot)
-	if err != nil {
-		return 0, err
-	}
-	// Bump the live record's version counter (header bytes 4..8).
-	n := binary.LittleEndian.Uint32(rec[4:8]) + 1
-	binary.LittleEndian.PutUint32(rec[4:8], n)
-	if err := db.Client.Write(rid.Page); err != nil {
-		return 0, err
-	}
-	// Chain entry.
-	entry := rid.Encode(nil)
-	var num [4]byte
-	binary.LittleEndian.PutUint32(num[:], n)
-	entry = append(entry, num[:]...)
-	entry = snapRid.Encode(entry)
-	if _, err := chain.Append(db.Client, entry); err != nil {
-		return 0, err
-	}
-	if tx != nil {
-		if err := tx.NoteUpdate(len(entry) + len(snapshot)); err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
-}
-
-// Versions lists the saved versions of the object at rid, oldest first.
-func (db *Session) Versions(rid storage.Rid) ([]VersionInfo, error) {
-	f, err := db.Store.File(versionChainFile)
-	if err != nil {
-		return nil, nil // no versions ever created
-	}
-	var out []VersionInfo
-	err = f.Scan(db.Client, func(_ storage.Rid, rec []byte) (bool, error) {
-		owner, err := storage.DecodeRid(rec)
-		if err != nil {
-			return false, err
-		}
-		if owner != rid {
-			return true, nil
-		}
-		snap, err := storage.DecodeRid(rec[storage.EncodedRidLen+4:])
-		if err != nil {
-			return false, err
-		}
-		out = append(out, VersionInfo{
-			Number:   binary.LittleEndian.Uint32(rec[storage.EncodedRidLen : storage.EncodedRidLen+4]),
-			Snapshot: snap,
-		})
-		return true, nil
-	})
-	return out, err
-}
-
-// ReadVersionAttr reads one attribute from a saved snapshot.
-func (db *Session) ReadVersionAttr(e *Extent, v VersionInfo, attr string) (object.Value, error) {
-	i := e.Class.AttrIndex(attr)
-	if i < 0 {
-		return object.Value{}, fmt.Errorf("%w attribute %s.%s", ErrUnknown, e.Class.Name, attr)
-	}
-	rec, err := storage.Get(db.Client, v.Snapshot)
-	if err != nil {
-		return object.Value{}, err
-	}
-	return object.DecodeAttr(e.Class, rec, i)
 }

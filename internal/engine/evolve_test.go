@@ -70,16 +70,39 @@ func TestEvolveDuplicateAndBadDefault(t *testing.T) {
 	}
 }
 
+// upgradeAll runs UpgradeObject over rids in order (the eager upgrade
+// the update waves apply), counting the records it rewrote and relocated.
+func upgradeAll(db *Session, e *Extent, rids []storage.Rid) (upgraded, relocated int, err error) {
+	for _, rid := range rids {
+		up, rel, err := db.UpgradeObject(nil, e, rid)
+		if err != nil {
+			return upgraded, relocated, err
+		}
+		if up {
+			upgraded++
+		}
+		if rel {
+			relocated++
+		}
+	}
+	return upgraded, relocated, nil
+}
+
 func TestUpgradeObjectAndExtent(t *testing.T) {
 	db := newDB(t)
 	e, _ := db.CreateExtent("Items", itemClass(), "items")
+	var rids []storage.Rid
 	for i := 0; i < 500; i++ {
-		db.Insert(nil, e, itemValues(int64(i), int64(i), "x"))
+		rid, err := db.Insert(nil, e, itemValues(int64(i), int64(i), "x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
 	}
 	db.EvolveClass(e, object.Attr{Name: "rating", Kind: object.KindInt}, object.IntValue(5))
 	db.EvolveClass(e, object.Attr{Name: "notes", Kind: object.KindString, StrLen: 32}, object.StringValue("n/a"))
 
-	upgraded, relocated, err := db.UpgradeExtent(nil, e)
+	upgraded, relocated, err := upgradeAll(db, e, rids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +122,7 @@ func TestUpgradeObjectAndExtent(t *testing.T) {
 			return true, nil
 		}
 		if object.RecordEpoch(rec) != e.Class.Epoch() {
-			return false, errors.New("stale record survived UpgradeExtent")
+			return false, errors.New("stale record survived the upgrade")
 		}
 		v, err := object.DecodeAttr(e.Class, rec, e.Class.AttrIndex("notes"))
 		if err != nil || v.Str != "n/a" {
@@ -115,7 +138,7 @@ func TestUpgradeObjectAndExtent(t *testing.T) {
 		t.Fatalf("scan saw %d records", count)
 	}
 	// Idempotent.
-	upgraded, _, err = db.UpgradeExtent(nil, e)
+	upgraded, _, err = upgradeAll(db, e, rids)
 	if err != nil || upgraded != 0 {
 		t.Fatalf("second upgrade: %d (%v)", upgraded, err)
 	}
@@ -128,20 +151,25 @@ func TestUpgradePreservesIndexMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rids []storage.Rid
 	for i := 0; i < 200; i++ {
-		db.Insert(nil, e, itemValues(int64(i), int64(i), "x"))
+		rid, err := db.Insert(nil, e, itemValues(int64(i), int64(i), "x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
 	}
 	db.EvolveClass(e, object.Attr{Name: "rating", Kind: object.KindInt}, object.IntValue(1))
-	if _, _, err := db.UpgradeExtent(nil, e); err != nil {
+	if _, _, err := upgradeAll(db, e, rids); err != nil {
 		t.Fatal(err)
 	}
 	// The index still resolves through the forwarding stubs, and the
 	// upgraded records still carry their membership.
-	rids, err := ix.Backend.Lookup(db.Client, 123)
-	if err != nil || len(rids) != 1 {
-		t.Fatalf("lookup after upgrade: %v %v", rids, err)
+	hits, err := ix.Backend.Lookup(db.Client, 123)
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("lookup after upgrade: %v %v", hits, err)
 	}
-	rec, err := storage.Get(db.Client, rids[0])
+	rec, err := storage.Get(db.Client, hits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,96 +180,5 @@ func TestUpgradePreservesIndexMembership(t *testing.T) {
 	v, _ := object.DecodeAttr(e.Class, rec, e.Class.AttrIndex("score"))
 	if v.Int != 123 {
 		t.Fatalf("score = %d", v.Int)
-	}
-}
-
-func TestVersioning(t *testing.T) {
-	db := newDB(t)
-	e, _ := db.CreateExtent("Items", itemClass(), "items")
-	rid, _ := db.Insert(nil, e, itemValues(1, 10, "v1"))
-
-	// No versions yet.
-	vs, err := db.Versions(rid)
-	if err != nil || len(vs) != 0 {
-		t.Fatalf("fresh object versions: %v (%v)", vs, err)
-	}
-
-	// Snapshot, mutate, snapshot, mutate.
-	n, err := db.CreateVersion(nil, e, rid)
-	if err != nil || n != 1 {
-		t.Fatalf("first version: %d (%v)", n, err)
-	}
-	if err := db.UpdateAttr(nil, e, rid, "label", object.StringValue("v2")); err != nil {
-		t.Fatal(err)
-	}
-	n, err = db.CreateVersion(nil, e, rid)
-	if err != nil || n != 2 {
-		t.Fatalf("second version: %d (%v)", n, err)
-	}
-	if err := db.UpdateAttr(nil, e, rid, "label", object.StringValue("v3")); err != nil {
-		t.Fatal(err)
-	}
-
-	vs, err = db.Versions(rid)
-	if err != nil || len(vs) != 2 {
-		t.Fatalf("versions: %v (%v)", vs, err)
-	}
-	for i, want := range []string{"v1", "v2"} {
-		if vs[i].Number != uint32(i+1) {
-			t.Fatalf("version %d numbered %d", i, vs[i].Number)
-		}
-		v, err := db.ReadVersionAttr(e, vs[i], "label")
-		if err != nil || v.Str != want {
-			t.Fatalf("version %d label = %v (%v), want %q", i+1, v, err, want)
-		}
-	}
-	// The live object carries the latest state.
-	h, _ := db.Handles.Get(rid)
-	v, _ := db.Handles.AttrByName(h, "label")
-	if v.Str != "v3" {
-		t.Fatalf("live label = %q", v.Str)
-	}
-	db.Handles.Unref(h)
-
-	// Versions of another object do not leak in.
-	rid2, _ := db.Insert(nil, e, itemValues(2, 20, "other"))
-	if _, err := db.CreateVersion(nil, e, rid2); err != nil {
-		t.Fatal(err)
-	}
-	vs, _ = db.Versions(rid)
-	if len(vs) != 2 {
-		t.Fatalf("cross-object leak: %v", vs)
-	}
-	if _, err := db.ReadVersionAttr(e, vs[0], "nope"); err == nil {
-		t.Fatal("bad attr accepted")
-	}
-}
-
-func TestVersionSurvivesEvolution(t *testing.T) {
-	db := newDB(t)
-	e, _ := db.CreateExtent("Items", itemClass(), "items")
-	rid, _ := db.Insert(nil, e, itemValues(1, 10, "before"))
-	if _, err := db.CreateVersion(nil, e, rid); err != nil {
-		t.Fatal(err)
-	}
-	db.EvolveClass(e, object.Attr{Name: "rating", Kind: object.KindInt}, object.IntValue(5))
-	vs, _ := db.Versions(rid)
-	// The snapshot predates the attribute: it reads the default.
-	v, err := db.ReadVersionAttr(e, vs[0], "rating")
-	if err != nil || v.Int != 5 {
-		t.Fatalf("snapshot rating = %v (%v)", v, err)
-	}
-	v, err = db.ReadVersionAttr(e, vs[0], "label")
-	if err != nil || v.Str != "before" {
-		t.Fatalf("snapshot label = %v (%v)", v, err)
-	}
-}
-
-func TestReadVersionAttrBadVersion(t *testing.T) {
-	db := newDB(t)
-	e, _ := db.CreateExtent("Items", itemClass(), "items")
-	bad := VersionInfo{Number: 1, Snapshot: storage.Rid{Page: 999, Slot: 0}}
-	if _, err := db.ReadVersionAttr(e, bad, "score"); err == nil {
-		t.Fatal("dangling snapshot accepted")
 	}
 }

@@ -129,7 +129,7 @@ func (e *Extent) Partition(n int) []PageRange {
 }
 
 // ReadFork returns a read-only execution context over the same database:
-// shared catalog (classes, extents, indexes, roots, relationships) and
+// shared catalog (classes, extents, indexes, relationships) and
 // shared pages, private meter, caches, handle table and transaction state.
 // It is the fork-per-worker read path of chunked execution — each chunk
 // charges its private meter, and the results merge deterministically.
@@ -152,7 +152,7 @@ func (db *Session) ReadFork() *Session {
 
 // bind points fork f at everything it takes from its parent db by value —
 // catalog maps and slices (a mutable parent may have appended a
-// relationship, created its roots map or an index since f last ran), the
+// relationship or created an index since f last ran), the
 // class registry, and the settings that shape execution but no simulated
 // number. ReadFork binds a new fork; runChunks re-binds a retained one
 // before every use, which is all that separates the two: what a fork owns
@@ -160,7 +160,7 @@ func (db *Session) ReadFork() *Session {
 func (f *Session) bind(db *Session) {
 	f.Classes = db.Classes
 	f.extents, f.indexes, f.nextIdx = db.extents, db.indexes, db.nextIdx
-	f.roots, f.relationships = db.roots, db.relationships
+	f.relationships = db.relationships
 	f.indexBackend, f.batch = db.indexBackend, db.batch
 	f.ctx, f.done = db.ctx, db.done
 	f.Meter.SetSlimHandles(db.Meter.SlimHandles())

@@ -72,10 +72,9 @@ func TestColdRestartKeepsNoWarmState(t *testing.T) {
 // TestChunkForkRebindsToParent pins the other half of fork reuse: what a
 // fork takes from its parent by value is taken again on every use, so a
 // retained fork sees the catalog and settings its parent has now — a new
-// index, a relationship, the roots map SetRoot creates lazily, batch size,
-// read-ahead, handle width — not those it was created under.
+// index, a relationship, batch size, read-ahead, handle width — not those it was created under.
 func TestChunkForkRebindsToParent(t *testing.T) {
-	sn, rids := buildSnapshot(t, 64)
+	sn, _ := buildSnapshot(t, 64)
 	db := sn.ForkMutable()
 	items, err := db.Extent("Items")
 	if err != nil {
@@ -88,7 +87,7 @@ func TestChunkForkRebindsToParent(t *testing.T) {
 				t.Errorf("%s: chunk %d ran on the parent", when, c)
 			}
 			if w.nextIdx != db.nextIdx || len(w.indexes) != len(db.indexes) || len(w.relationships) != len(db.relationships) ||
-				len(w.roots) != len(db.roots) || (w.roots == nil) != (db.roots == nil) || w.Classes != db.Classes {
+				w.Classes != db.Classes {
 				t.Errorf("%s: chunk %d sees a stale catalog", when, c)
 			}
 			if w.Batch() != db.Batch() || w.indexBackend != db.indexBackend ||
@@ -106,7 +105,6 @@ func TestChunkForkRebindsToParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.relationships = append(db.relationships, &Relationship{Parent: items, Child: items})
-	db.SetRoot("first", rids[0])
 	db.SetBatch(7)
 	db.Client.SetReadAhead(16)
 	db.Meter.SetSlimHandles(true)

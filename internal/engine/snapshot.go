@@ -11,7 +11,7 @@ import (
 
 // Snapshot is the immutable, shareable half of a database: the frozen page
 // image (data, collections, index nodes) plus the catalog that describes
-// it — classes, extents, indexes, roots, relationships, and any primed
+// it — classes, extents, indexes, relationships, and any primed
 // histograms. It is what the generator produces; everything a session pays
 // to *use* the database (caches, meter, handles, transactions) lives in
 // the Sessions forked from it.
@@ -31,7 +31,6 @@ type Snapshot struct {
 	extents      map[string]*Extent
 	indexes      map[uint32]*Index
 	nextIdx      uint32
-	roots        map[string]storage.Rid
 	rels         []*Relationship
 	indexBackend string
 
@@ -66,7 +65,6 @@ func (db *Session) Freeze() (*Snapshot, error) {
 		extents:      db.extents,
 		indexes:      db.indexes,
 		nextIdx:      db.nextIdx,
-		roots:        db.roots,
 		rels:         db.relationships,
 		indexBackend: db.IndexBackend(),
 	}, nil
@@ -181,12 +179,6 @@ func (sn *Snapshot) fork(readOnly bool) *Session {
 			}
 			ne.indexes = append(ne.indexes, nix)
 			db.indexes[nix.Backend.ID()] = nix
-		}
-	}
-	if len(sn.roots) > 0 {
-		db.roots = make(map[string]storage.Rid, len(sn.roots))
-		for k, v := range sn.roots {
-			db.roots[k] = v
 		}
 	}
 	for _, rel := range sn.rels {

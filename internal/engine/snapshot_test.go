@@ -63,10 +63,6 @@ func TestReadOnlySessionGuards(t *testing.T) {
 	check("EvolveClass", db.EvolveClass(e, object.Attr{Name: "z", Kind: object.KindInt}, object.IntValue(0)))
 	_, _, err = db.UpgradeObject(nil, e, rids[0])
 	check("UpgradeObject", err)
-	_, _, err = db.UpgradeExtent(nil, e)
-	check("UpgradeExtent", err)
-	_, err = db.CreateVersion(nil, e, rids[0])
-	check("CreateVersion", err)
 	_, err = db.DefineRelationship(e, "score", e, "id")
 	check("DefineRelationship", err)
 }

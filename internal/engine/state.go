@@ -46,12 +46,6 @@ type ExtentState struct {
 	Indexes           []IndexState
 }
 
-// RootState is one named root.
-type RootState struct {
-	Name string
-	Rid  storage.Rid
-}
-
 // RelationshipState describes one declared 1-n relationship.
 type RelationshipState struct {
 	Parent  string
@@ -74,7 +68,6 @@ type SnapshotState struct {
 	// builder's maintenance order.
 	Extents []ExtentState
 	NextIdx uint32
-	Roots   []RootState
 	Rels    []RelationshipState
 }
 
@@ -82,8 +75,8 @@ type SnapshotState struct {
 // disk. Callers must treat it as read-only.
 func (sn *Snapshot) Base() *storage.Base { return sn.base }
 
-// State exports the snapshot's catalog in a canonical order (extents and
-// roots sorted by name), so saving the same snapshot twice produces
+// State exports the snapshot's catalog in a canonical order (extents
+// sorted by name), so saving the same snapshot twice produces
 // byte-identical files.
 func (sn *Snapshot) State() *SnapshotState {
 	st := &SnapshotState{
@@ -119,14 +112,6 @@ func (sn *Snapshot) State() *SnapshotState {
 			})
 		}
 		st.Extents = append(st.Extents, es)
-	}
-	rootNames := make([]string, 0, len(sn.roots))
-	for name := range sn.roots {
-		rootNames = append(rootNames, name)
-	}
-	sort.Strings(rootNames)
-	for _, name := range rootNames {
-		st.Roots = append(st.Roots, RootState{Name: name, Rid: sn.roots[name]})
 	}
 	for _, rel := range sn.rels {
 		st.Rels = append(st.Rels, RelationshipState{
@@ -218,12 +203,6 @@ func RestoreSnapshot(base *storage.Base, st *SnapshotState) (*Snapshot, error) {
 			}
 		}
 		sn.extents[es.Name] = e
-	}
-	if len(st.Roots) > 0 {
-		sn.roots = make(map[string]storage.Rid, len(st.Roots))
-		for _, r := range st.Roots {
-			sn.roots[r.Name] = r.Rid
-		}
 	}
 	for _, rs := range st.Rels {
 		parent, ok := sn.extents[rs.Parent]

@@ -63,22 +63,6 @@ type Tree struct {
 	n      int // entry count
 }
 
-// New creates an empty tree (a single empty leaf).
-func New(p storage.Pager, id uint32, name string) (*Tree, error) {
-	rootID, buf, err := p.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	initNode(buf, true)
-	if err := p.Write(rootID); err != nil {
-		return nil, err
-	}
-	return &Tree{ID: id, Name: name, root: rootID, height: 1, pages: 1}, nil
-}
-
-// Root returns the root page id.
-func (t *Tree) Root() storage.PageID { return t.root }
-
 // Clone returns an independent copy of the tree's in-memory descriptor for
 // a forked session. The node pages themselves live on the session's disk
 // and are shared (or copied on write) there; only the root/size bookkeeping

@@ -14,6 +14,20 @@ func ridFor(i int) storage.Rid {
 	return storage.Rid{Page: storage.PageID(i / 50), Slot: uint16(i % 50)}
 }
 
+// New creates an empty tree (a single empty leaf) for the insert tests:
+// every product index is bulk-loaded by Build or restored from a file.
+func New(p storage.Pager, id uint32, name string) (*Tree, error) {
+	rootID, buf, err := p.Alloc()
+	if err != nil {
+		return nil, err
+	}
+	initNode(buf, true)
+	if err := p.Write(rootID); err != nil {
+		return nil, err
+	}
+	return &Tree{ID: id, Name: name, root: rootID, height: 1, pages: 1}, nil
+}
+
 func collect(t *testing.T, tr *Tree, p storage.Pager, lo, hi int64) []Entry {
 	t.Helper()
 	var out []Entry

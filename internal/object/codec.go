@@ -242,18 +242,3 @@ func AddIndexRef(rec []byte, id uint32) (out []byte, grown bool, err error) {
 	grownRec[3] = byte(count + 1)
 	return grownRec, true, nil
 }
-
-// RemoveIndexRef removes membership in index id, in place.
-func RemoveIndexRef(rec []byte, id uint32) bool {
-	count := int(rec[3])
-	for i := 0; i < count; i++ {
-		off := baseHeaderLen + i*indexSlotLen
-		if binary.LittleEndian.Uint32(rec[off:off+4]) == id {
-			last := baseHeaderLen + (count-1)*indexSlotLen
-			copy(rec[off:off+4], rec[last:last+4])
-			rec[3] = byte(count - 1)
-			return true
-		}
-	}
-	return false
-}

@@ -172,15 +172,6 @@ func TestIndexRefLifecycle(t *testing.T) {
 	if err != nil || v.Int != 4 {
 		t.Fatalf("num after growth = %v (%v)", v, err)
 	}
-	if !RemoveIndexRef(rec, 3) {
-		t.Fatal("remove failed")
-	}
-	if RemoveIndexRef(rec, 3) {
-		t.Fatal("double remove succeeded")
-	}
-	if len(IndexRefs(rec)) != 8 {
-		t.Fatalf("after remove: %v", IndexRefs(rec))
-	}
 }
 
 func TestUnindexedObjectGrowsOnFirstIndex(t *testing.T) {

@@ -110,14 +110,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir, calls: make(map[string]*cacheCall)}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
-// PathFor returns the file a Config's snapshot lives at (existing or not).
-func (c *Cache) PathFor(cfg derby.Config) string {
-	return filepath.Join(c.dir, KeyFor(cfg)+".tbsp")
-}
-
 // Generations counts fresh dataset generations this Cache has performed —
 // the number GetOrGenerate could not serve from disk or memory. A warm
 // second boot must leave it unchanged; tests assert exactly that.

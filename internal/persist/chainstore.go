@@ -122,9 +122,6 @@ func OpenChainStore(snapPath, walPath string, spec derby.WaveSpec) (*ChainStore,
 	}, rec, nil
 }
 
-// Spec returns the store's wave spec.
-func (s *ChainStore) Spec() derby.WaveSpec { return s.spec }
-
 // Head returns the current head bound to the derby bookkeeping. The
 // returned snapshot is immutable and safe to fork from any goroutine, and
 // holding it keeps the version alive — the MVCC reader contract: nothing
@@ -273,9 +270,6 @@ func (s *ChainStore) Stats() ChainStats {
 		WalTail:     s.log.Tail(),
 	}
 }
-
-// Wal exposes the store's log (for stats and the smoke tooling).
-func (s *ChainStore) Wal() *wal.Log { return s.log }
 
 // Close flushes and closes the WAL. The in-memory chain stays readable.
 func (s *ChainStore) Close() error { return s.log.Close() }

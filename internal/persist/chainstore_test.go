@@ -204,7 +204,7 @@ func TestChainStoreTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tail := s.Wal().Tail()
+	tail := s.log.Tail()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestChainStoreCompaction(t *testing.T) {
 	if v != 3 {
 		t.Fatalf("compacted at v%d, want 3", v)
 	}
-	if tail := s.Wal().Tail(); tail != wal.HeaderLen {
+	if tail := s.log.Tail(); tail != wal.HeaderLen {
 		t.Fatalf("wal not reset: tail %d", tail)
 	}
 	m, err := Inspect(snapPath)
@@ -814,7 +814,7 @@ func TestCompactKeepsLogItCouldNotFlush(t *testing.T) {
 				t.Fatal(err)
 			}
 			ff := &faultyFile{File: f}
-			if s.log, _, err = wal.OpenFile(walPath, ff, nil); err != nil {
+			if s.log, _, err = wal.OpenFile(ff, nil); err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
@@ -844,6 +844,94 @@ func TestCompactKeepsLogItCouldNotFlush(t *testing.T) {
 			}
 			if got := s.Stats().Compactions; got != wantCompactions {
 				t.Fatalf("%d compactions recorded, want %d", got, wantCompactions)
+			}
+		})
+	}
+}
+
+// effectFile is an *os.File that appends each truncate and fsync of the
+// log to a shared effect list.
+type effectFile struct {
+	*os.File
+	effects *[]string
+}
+
+func (f *effectFile) Truncate(size int64) error {
+	*f.effects = append(*f.effects, "truncate log")
+	return f.File.Truncate(size)
+}
+
+func (f *effectFile) Sync() error {
+	*f.effects = append(*f.effects, "fsync log")
+	return f.File.Sync()
+}
+
+// TestCompactSyncsDirBeforeTruncate records the order of Compact's
+// durable effects. The log may be truncated only once the base that folds
+// its records in is durable, name included: the rename of the new base is
+// made durable by fsyncing its directory, and a truncate that can come
+// first leaves a crash with the old base and an empty log — every folded
+// commit lost. A directory fsync that fails stops Compact before the log
+// is touched.
+func TestCompactSyncsDirBeforeTruncate(t *testing.T) {
+	errDir := errors.New("directory fsync lost")
+	for _, c := range []struct {
+		name    string
+		commits int
+		dirErr  error
+		want    []string
+	}{
+		{"nothing to fold", 0, nil, nil},
+		{"fold", 2, nil, []string{"fsync base dir", "truncate log", "fsync log"}},
+		{"directory fsync fails", 2, errDir, []string{"fsync base dir"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snapPath, walPath, _ := newChainFixture(t)
+			s, _, err := OpenChainStore(snapPath, walPath, derby.DefaultWaveSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(walPath, os.O_RDWR, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var effects []string
+			if s.log, _, err = wal.OpenFile(&effectFile{File: f, effects: &effects}, nil); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < c.commits; i++ {
+				if _, _, err := s.Update(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tail := s.log.Tail()
+			effects = nil
+			defer func(orig func(string) error) { syncDir = orig }(syncDir)
+			syncDir = func(dir string) error {
+				what := "fsync dir " + dir
+				if dir == filepath.Dir(snapPath) {
+					what = "fsync base dir"
+				}
+				effects = append(effects, what)
+				if c.dirErr != nil {
+					return c.dirErr
+				}
+				return wal.SyncDir(dir)
+			}
+
+			_, err = s.Compact()
+			if !errors.Is(err, c.dirErr) {
+				t.Fatalf("Compact = %v, want %v", err, c.dirErr)
+			}
+			if !reflect.DeepEqual(effects, c.want) {
+				t.Fatalf("Compact's effects: %q, want %q", effects, c.want)
+			}
+			if c.dirErr != nil && s.log.Tail() != tail {
+				t.Fatalf("log tail %d after a failed directory fsync, want %d", s.log.Tail(), tail)
 			}
 		})
 	}

@@ -53,7 +53,7 @@ const (
 	// and evolution epochs.
 	SectionRegistry uint32 = 4
 	// SectionExtents: extents with their per-index attribute metadata,
-	// plus named roots and declared relationships.
+	// an always-empty named-roots list, and declared relationships.
 	SectionExtents uint32 = 5
 	// SectionTrees: B+-tree descriptors, one per index, in extent order.
 	SectionTrees uint32 = 6

@@ -15,6 +15,7 @@ import (
 	"treebench/internal/derby"
 	"treebench/internal/engine"
 	"treebench/internal/session"
+	"treebench/internal/storage"
 )
 
 // testSnapshot generates and freezes a small Derby database once per test
@@ -212,6 +213,36 @@ func TestBadHeader(t *testing.T) {
 				t.Fatalf("got %v, want ErrFormat", err)
 			}
 		})
+	}
+}
+
+// TestNamedRootsRefused: the extents section still carries a named-roots
+// count, always written as zero. A section that names roots, or claims
+// more than it holds, is refused with ErrFormat, never a panic.
+func TestNamedRootsRefused(t *testing.T) {
+	st := testSnapshot(t).State().Engine
+	var e codec.Enc
+	encodeExtents(&e, &engine.SnapshotState{Extents: st.Extents})
+	// With no relationships the section ends in the roots and
+	// relationships counts, both zero.
+	extents := e.B[:len(e.B)-8]
+	var oneRoot, huge codec.Enc
+	oneRoot.Raw(extents)
+	oneRoot.U32(1)
+	oneRoot.Str("archive")
+	oneRoot.Rid(storage.Rid{Page: 1, Slot: 2})
+	oneRoot.U32(0)
+	huge.Raw(extents)
+	huge.U32(^uint32(0))
+	for name, b := range map[string][]byte{"one root": oneRoot.B, "count past the end": huge.B} {
+		t.Run(name, func(t *testing.T) {
+			if err := decodeExtents(b, &engine.SnapshotState{}); !errors.Is(err, ErrFormat) {
+				t.Fatalf("decodeExtents = %v, want ErrFormat", err)
+			}
+		})
+	}
+	if err := decodeExtents(e.B, &engine.SnapshotState{}); err != nil {
+		t.Fatalf("zero roots refused: %v", err)
 	}
 }
 

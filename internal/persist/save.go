@@ -10,11 +10,19 @@ import (
 	"treebench/internal/codec"
 	"treebench/internal/derby"
 	"treebench/internal/storage"
+	"treebench/internal/wal"
 )
 
+// syncDir makes a rename into dir durable (wal.SyncDir). It is a variable
+// so a test can record when Save syncs, the way wal.File lets one fail a
+// log's writes.
+var syncDir = wal.SyncDir
+
 // Save writes the snapshot to path atomically: the file is assembled in a
-// temporary sibling and renamed into place, so a crash mid-save leaves
-// either the old file or none — never a torn one. Saving the same
+// temporary sibling, fsynced, renamed into place, and the directory is
+// fsynced, so a crash mid-save leaves either the old file or the new one
+// — never a torn one — and once Save returns the new one survives a
+// crash: a caller may discard what the file replaces. Saving the same
 // snapshot twice produces byte-identical files (no timestamps, canonical
 // catalog order); the Cache's content addressing depends on it.
 func Save(path string, snap *derby.Snapshot) (err error) {
@@ -145,5 +153,8 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 	if err = tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }

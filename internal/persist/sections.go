@@ -159,7 +159,12 @@ func decodeRegistry(b []byte) (*object.RegistryState, error) {
 	return st, nil
 }
 
-// --- extents (plus roots and relationships) ---
+// --- extents (plus relationships) ---
+
+// The section keeps the named-roots list of the reachability collector
+// this engine no longer has: it is written empty, so files stay
+// byte-identical across that deletion, and a file that names a root is
+// refused, since no build ever wrote one from a generated database.
 
 func encodeExtents(e *codec.Enc, st *engine.SnapshotState) {
 	e.U32(uint32(len(st.Extents)))
@@ -175,11 +180,7 @@ func encodeExtents(e *codec.Enc, st *engine.SnapshotState) {
 			e.Bool(ix.Clustered)
 		}
 	}
-	e.U32(uint32(len(st.Roots)))
-	for _, r := range st.Roots {
-		e.Str(r.Name)
-		e.Rid(r.Rid)
-	}
+	e.U32(0) // named roots
 	e.U32(uint32(len(st.Rels)))
 	for _, r := range st.Rels {
 		e.Str(r.Parent)
@@ -209,9 +210,8 @@ func decodeExtents(b []byte, st *engine.SnapshotState) error {
 		}
 		st.Extents = append(st.Extents, ex)
 	}
-	nr := d.Count(10, "root")
-	for i := 0; i < nr; i++ {
-		st.Roots = append(st.Roots, engine.RootState{Name: d.Str(), Rid: d.Rid()})
+	if nr := d.U32(); nr != 0 {
+		return fmt.Errorf("%w: extents section: %d named roots, this build reads none", ErrFormat, nr)
 	}
 	nl := d.Count(16, "relationship")
 	for i := 0; i < nl; i++ {

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"time"
 
 	"treebench/internal/derby"
@@ -13,10 +15,11 @@ import (
 	"treebench/internal/wire"
 )
 
-// conn is one connection's protocol state over the frame server's Conn.
+// conn is one accepted connection and its protocol state.
 type conn struct {
-	*Conn
 	srv *Server
+	c   net.Conn
+	bw  *bufio.Writer
 
 	// sess is the connection's engine session, forked lazily from the
 	// shared snapshot on the first query. warmed reports whether the
@@ -31,24 +34,24 @@ type conn struct {
 func (c *conn) handle(typ byte, payload []byte) bool {
 	switch typ {
 	case wire.TypePing:
-		return c.Send(wire.TypePong, nil)
+		return c.send(wire.TypePong, nil)
 	case wire.TypeStatsReq:
-		return c.Send(wire.TypeStats, c.srv.Stats().Encode())
+		return c.send(wire.TypeStats, c.srv.Stats().Encode())
 	case wire.TypeQuery:
 		q, err := wire.DecodeQuery(payload)
 		if err != nil {
-			c.SendError(wire.CodeProto, err)
+			c.sendError(wire.CodeProto, err)
 			return false
 		}
 		return c.query(q)
 	case wire.TypeCommit:
 		if len(payload) != 0 {
-			c.SendError(wire.CodeProto, errors.New("commit payload must be empty"))
+			c.sendError(wire.CodeProto, errors.New("commit payload must be empty"))
 			return false
 		}
 		return c.commit()
 	default:
-		c.SendError(wire.CodeProto, errors.New("unknown frame type"))
+		c.sendError(wire.CodeProto, errors.New("unknown frame type"))
 		return false
 	}
 }
@@ -100,14 +103,14 @@ func (c *conn) run(exec func(ctx context.Context) error) (code byte, err error) 
 func (c *conn) fail(code byte, err error) bool {
 	switch {
 	case code != 0:
-		return c.SendError(code, err)
+		return c.sendError(code, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		c.sess = nil
 		c.warmed = false
-		c.srv.Metrics.timedOut.Add(1)
-		return c.SendError(wire.CodeTimeout, fmt.Errorf("server: query exceeded its %s budget", c.srv.cfg.QueryTimeout))
+		c.srv.metrics.timedOut.Add(1)
+		return c.sendError(wire.CodeTimeout, fmt.Errorf("server: query exceeded its %s budget", c.srv.cfg.QueryTimeout))
 	default:
-		return c.SendError(wire.CodeQuery, err)
+		return c.sendError(wire.CodeQuery, err)
 	}
 }
 
@@ -126,7 +129,7 @@ func (s *Server) measure(sess *session.Session, strategy byte, exec func() (*oql
 	res, err := exec()
 	hits, misses := sess.Planner.Cache.Stats()
 	backend := sess.DB.BackendCounters()
-	s.Metrics.recordDeltas(hits-hits0, misses-misses0, index.BackendCounters{
+	s.metrics.recordDeltas(hits-hits0, misses-misses0, index.BackendCounters{
 		BloomHits:    backend.BloomHits - backend0.BloomHits,
 		BloomMisses:  backend.BloomMisses - backend0.BloomMisses,
 		SSTablesRead: backend.SSTablesRead - backend0.SSTablesRead,
@@ -135,11 +138,11 @@ func (s *Server) measure(sess *session.Session, strategy byte, exec func() (*oql
 	})
 	if err != nil {
 		if !errors.Is(err, context.DeadlineExceeded) {
-			s.Metrics.Failed()
+			s.metrics.Failed()
 		}
 		return nil, err
 	}
-	s.Metrics.Served(res.Plan, time.Since(start), res.Elapsed)
+	s.metrics.Served(res.Plan, time.Since(start), res.Elapsed)
 	return res, nil
 }
 
@@ -148,8 +151,8 @@ func (c *conn) query(q *wire.Query) bool {
 	s := c.srv
 	sess, err := c.session()
 	if err != nil {
-		s.Metrics.rejected.Add(1)
-		return c.SendError(wire.CodeBusy, err)
+		s.metrics.rejected.Add(1)
+		return c.sendError(wire.CodeBusy, err)
 	}
 	// A connection's first warm query starts from a cold restart: the warm
 	// sequence is then a deterministic function of the connection's own
@@ -170,7 +173,7 @@ func (c *conn) query(q *wire.Query) bool {
 	if err != nil {
 		return c.fail(code, err)
 	}
-	return c.Send(wire.TypeResult, session.ToWire(res, int(q.MaxRows)).Encode())
+	return c.send(wire.TypeResult, session.ToWire(res, int(q.MaxRows)).Encode())
 }
 
 // commit applies and durably logs the next update wave on the chain store,
@@ -182,7 +185,7 @@ func (c *conn) query(q *wire.Query) bool {
 func (c *conn) commit() bool {
 	s := c.srv
 	if s.cfg.Store == nil {
-		return c.SendError(wire.CodeReadOnly, errors.New("server: read-only: no WAL-backed chain store configured"))
+		return c.sendError(wire.CodeReadOnly, errors.New("server: read-only: no WAL-backed chain store configured"))
 	}
 	var (
 		wave *derby.WaveReport
@@ -200,13 +203,13 @@ func (c *conn) commit() bool {
 	}
 	// Clone zeroes backend counters, so the new head carries exactly this
 	// wave's flushes, compactions and probes.
-	s.Metrics.recordDeltas(0, 0, sn.Engine.BackendCounters())
+	s.metrics.recordDeltas(0, 0, sn.Engine.BackendCounters())
 	// Drop the cached session so this connection's next query forks from
 	// the head it just committed. Other connections keep the version they
 	// forked, which their reference holds — that is the MVCC contract.
 	c.sess = nil
 	c.warmed = false
-	return c.Send(wire.TypeCommitResult, (&wire.CommitResult{
+	return c.send(wire.TypeCommitResult, (&wire.CommitResult{
 		Version:    sn.Engine.Version(),
 		Wave:       wave.Wave,
 		Reassigned: int64(wave.Reassigned),

@@ -68,12 +68,12 @@ func ServePprof(name, addr string) {
 // before it returns. name prefixes the lifecycle lines on stdout — the
 // "serving" line, printed once the address is bound, is what scripts wait
 // on.
-func (f *Frames) RunDaemon(name, addr string, grace time.Duration) error {
+func (s *Server) RunDaemon(name, addr string, grace time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: serving %s on %s\n", name, f.Hello.Label, addr)
+	fmt.Printf("%s: serving %s on %s\n", name, s.cfg.Label, addr)
 
 	sig, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -82,9 +82,9 @@ func (f *Frames) RunDaemon(name, addr string, grace time.Duration) error {
 		fmt.Printf("%s: signalled, draining...\n", name)
 		ctx, cancel := context.WithTimeout(context.Background(), grace)
 		defer cancel()
-		drained <- f.Shutdown(ctx)
+		drained <- s.Shutdown(ctx)
 	})()
-	if err := f.Serve(ln); err != ErrServerClosed {
+	if err := s.Serve(ln); err != ErrServerClosed {
 		return err
 	}
 	if err := <-drained; err != nil {

@@ -9,8 +9,8 @@
 //   - Each accepted connection is one session. A session speaks the
 //     internal/wire protocol: Hello handshake, then Query, Commit, Ping and
 //     StatsReq requests answered in order. The listener, the handshake,
-//     the request loop and the drain are the Frames core (frame.go); conn
-//     (conn.go) is the handler it runs.
+//     the request loop and the drain are in frame.go; conn.handle
+//     (conn.go) is what a request means.
 //   - The database is generated exactly once (singleflight) and frozen
 //     into an immutable engine snapshot. Each connection's queries run on
 //     a private session forked from that snapshot in O(1): fresh caches,
@@ -39,6 +39,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -84,10 +86,16 @@ type Config struct {
 
 // Server is a treebenchd instance: the frame server plus the query handler.
 type Server struct {
-	Frames
 	cfg     Config
 	sem     chan struct{}
 	waiters atomic.Int64
+	// metrics counts connections and what their requests cost.
+	metrics Metrics
+
+	mu      sync.Mutex
+	ln      net.Listener
+	conns   map[*conn]struct{}
+	drained chan struct{} // made as the drain begins, closed as the last connection goes
 
 	// snapFlight generates-and-freezes the database exactly once, however
 	// many sessions race to first use — the same singleflight discipline
@@ -121,13 +129,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueryTimeout == 0 {
 		cfg.QueryTimeout = 30 * time.Second
 	}
-	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.Sessions)}
-	s.Hello = wire.ServerHello{Label: cfg.Label}
-	s.Open = func(fc *Conn) (func(byte, []byte) bool, func()) {
-		return (&conn{Conn: fc, srv: s}).handle, nil
-	}
-	s.Logf = cfg.Logf
-	return s, nil
+	return &Server{cfg: cfg, sem: make(chan struct{}, cfg.Sessions)}, nil
 }
 
 // snapshot returns the shared database snapshot, generating and freezing
@@ -173,7 +175,7 @@ func (s *Server) Warm() error {
 // Stats snapshots the server's counters. Snapshot memory is reported once
 // the database has been generated (zero before).
 func (s *Server) Stats() *wire.Stats {
-	st := s.Metrics.Stats()
+	st := s.metrics.Stats()
 	st.QueueDepth = s.waiters.Load()
 	st.Sessions = int64(s.cfg.Sessions)
 	st.BusySessions = int64(len(s.sem))
@@ -224,7 +226,7 @@ func (s *Server) admit(ctx context.Context) (code byte, err error) {
 	}
 	if s.waiters.Add(1) > int64(s.cfg.MaxQueue) {
 		s.waiters.Add(-1)
-		s.Metrics.rejected.Add(1)
+		s.metrics.rejected.Add(1)
 		return wire.CodeBusy, fmt.Errorf("server: admission queue full (%d executing, %d queued)",
 			s.cfg.Sessions, s.cfg.MaxQueue)
 	}
@@ -233,7 +235,7 @@ func (s *Server) admit(ctx context.Context) (code byte, err error) {
 	case s.sem <- struct{}{}:
 		return 0, nil
 	case <-ctx.Done():
-		s.Metrics.timedOut.Add(1)
+		s.metrics.timedOut.Add(1)
 		return wire.CodeTimeout, fmt.Errorf("server: query timed out after %s in admission queue", s.cfg.QueryTimeout)
 	}
 }

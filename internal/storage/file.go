@@ -198,40 +198,6 @@ func (f *File) Update(p Pager, rid Rid, rec []byte) (relocated bool, err error) 
 	return true, p.Write(rid.Page)
 }
 
-// Delete removes the record at rid (and its relocated copy, if forwarded).
-func Delete(p Pager, rid Rid) error {
-	buf, err := p.Read(rid.Page)
-	if err != nil {
-		return err
-	}
-	page := LoadPage(buf)
-	rec, forwarded, err := page.Get(rid.Slot)
-	if err != nil {
-		return err
-	}
-	if forwarded {
-		target, err := DecodeRid(rec)
-		if err != nil {
-			return err
-		}
-		tbuf, err := p.Read(target.Page)
-		if err != nil {
-			return err
-		}
-		tpage := LoadPage(tbuf)
-		if err := tpage.Delete(target.Slot); err != nil {
-			return err
-		}
-		if err := p.Write(target.Page); err != nil {
-			return err
-		}
-	}
-	if err := page.Delete(rid.Slot); err != nil {
-		return err
-	}
-	return p.Write(rid.Page)
-}
-
 // Prefetcher is the optional Pager capability scan operators use to batch
 // their upcoming page fetches into fewer RPCs.
 type Prefetcher interface {

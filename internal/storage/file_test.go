@@ -158,30 +158,6 @@ func TestScanSkipsForwardingStubs(t *testing.T) {
 	}
 }
 
-func TestDeleteForwardedRecord(t *testing.T) {
-	s := NewStore(0)
-	f, _ := s.CreateFile("f")
-	var rids []Rid
-	for i := 0; i < 40; i++ {
-		rid, _ := f.Append(s.Disk, bytes.Repeat([]byte{1}, 200))
-		rids = append(rids, rid)
-	}
-	if reloc, err := f.Update(s.Disk, rids[3], make([]byte, 3000)); err != nil || !reloc {
-		t.Fatalf("setup relocation failed: %v %v", reloc, err)
-	}
-	if err := Delete(s.Disk, rids[3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Get(s.Disk, rids[3]); !errors.Is(err, ErrNoRecord) {
-		t.Fatalf("deleted forwarded record still readable: %v", err)
-	}
-	count := 0
-	f.Scan(s.Disk, func(Rid, []byte) (bool, error) { count++; return true, nil })
-	if count != 39 {
-		t.Fatalf("scan sees %d records after delete, want 39", count)
-	}
-}
-
 func TestScanEarlyStop(t *testing.T) {
 	s := NewStore(0)
 	f, _ := s.CreateFile("f")

@@ -98,9 +98,6 @@ func (m *Manager) Begin() *Txn {
 	return &Txn{mgr: m, active: true}
 }
 
-// Created returns the number of objects created so far in the transaction.
-func (t *Txn) Created() int { return t.created }
-
 // NoteCreate records the creation of one object of recBytes, charging lock
 // and log costs in standard mode and enforcing the creation budget.
 func (t *Txn) NoteCreate(recBytes int) error {

@@ -24,7 +24,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -95,8 +98,6 @@ type File interface {
 // Log is an open write-ahead log. All methods are safe for concurrent
 // use.
 type Log struct {
-	path string
-
 	mu     sync.Mutex // guards queue, buf, tail, closed, err
 	f      File
 	tail   int64 // durable + enqueued end offset; next record lands here
@@ -137,19 +138,55 @@ type Pending struct {
 // Open opens (or creates) the log at path. Existing records are replayed
 // in order through fn (which may be nil) and a torn tail, if any, is
 // truncated so appends resume at the last valid record. Replay errors
-// from fn abort the open.
+// from fn abort the open. A log Open creates is durable, header and
+// directory entry, before Open returns.
 func Open(path string, fn func(off int64, payload []byte) error) (*Log, *Recovery, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	created := err == nil
+	if errors.Is(err, fs.ErrExist) {
+		f, err = os.OpenFile(path, os.O_RDWR, 0o644)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return OpenFile(path, f, fn)
+	l, rec, err := OpenFile(f, fn)
+	if err != nil || !created {
+		return l, rec, err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		l.Close()
+		return nil, nil, err
+	}
+	return l, rec, nil
 }
 
-// OpenFile is Open over a file the caller already opened read-write at
-// path; the log owns f from here on and closes it, also when OpenFile
-// fails.
-func OpenFile(path string, f File, fn func(off int64, payload []byte) error) (*Log, *Recovery, error) {
+// syncDir is SyncDir behind a variable, so a test can record when Open
+// syncs, the way File lets one fail a log's writes.
+var syncDir = SyncDir
+
+// SyncDir fsyncs the directory dir. A file's own fsync makes its bytes
+// durable but not its name: after creating a file in dir, or renaming one
+// into it, the entry survives a crash only once dir is synced too.
+// Windows cannot fsync a directory opened for reading, so there SyncDir
+// does nothing.
+func SyncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// OpenFile is Open over a file the caller already opened read-write; the
+// log owns f from here on and closes it, also when OpenFile fails.
+func OpenFile(f File, fn func(off int64, payload []byte) error) (*Log, *Recovery, error) {
 	rec, err := replay(f, fn)
 	if err != nil {
 		f.Close()
@@ -159,7 +196,7 @@ func OpenFile(path string, f File, fn func(off int64, payload []byte) error) (*L
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 	}
-	l := &Log{path: path, f: f, tail: rec.Tail, flush: rec.Tail}
+	l := &Log{f: f, tail: rec.Tail, flush: rec.Tail}
 	return l, rec, nil
 }
 
@@ -198,6 +235,9 @@ func replay(f File, fn func(off int64, payload []byte) error) (*Recovery, error)
 		binary.BigEndian.PutUint32(hdr[0:4], Magic)
 		binary.BigEndian.PutUint32(hdr[4:8], Version)
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
+			return nil, err
+		}
+		if err := f.Sync(); err != nil {
 			return nil, err
 		}
 		return &Recovery{Tail: HeaderLen}, nil
@@ -414,9 +454,6 @@ func (l *Log) Tail() int64 {
 	defer l.mu.Unlock()
 	return l.tail
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Stats returns the log's counters.
 func (l *Log) Stats() Stats {

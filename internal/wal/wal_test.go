@@ -249,6 +249,55 @@ func TestBadHeader(t *testing.T) {
 	}
 }
 
+// TestOpenSyncsNewLogDir: a log Open creates is made durable, name
+// included, before Open returns — its directory is fsynced once — and
+// reopening an existing log syncs no directory. A directory fsync that
+// fails fails the Open.
+func TestOpenSyncsNewLogDir(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "commit.wal")
+	var synced []string
+	errDir := errors.New("directory fsync lost")
+	var failWith error
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		if failWith != nil {
+			return failWith
+		}
+		return SyncDir(d)
+	}
+	for _, c := range []struct {
+		name    string
+		fail    error
+		want    []string
+		wantErr error
+	}{
+		{"create", nil, []string{dir}, nil},
+		{"reopen", nil, nil, nil},
+		{"create, directory fsync fails", errDir, []string{dir}, errDir},
+	} {
+		synced, failWith = nil, c.fail
+		if c.fail != nil {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, _, err := Open(path, nil)
+		if !errors.Is(err, c.wantErr) {
+			t.Fatalf("%s: Open = %v, want %v", c.name, err, c.wantErr)
+		}
+		if err == nil {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fmt.Sprint(synced) != fmt.Sprint(c.want) {
+			t.Fatalf("%s: directories synced %q, want %q", c.name, synced, c.want)
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commit.wal")
 	l, _, _ := openCollect(t, path)
@@ -382,7 +431,7 @@ func TestSyncReportsBatchError(t *testing.T) {
 				t.Fatal(err)
 			}
 			ff := &faultyFile{File: f}
-			l, _, err := OpenFile(path, ff, nil)
+			l, _, err := OpenFile(ff, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -441,7 +490,7 @@ func TestFailedBatchPoisonsLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			ff := &faultyFile{File: f}
-			l, _, err := OpenFile(path, ff, nil)
+			l, _, err := OpenFile(ff, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

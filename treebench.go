@@ -94,10 +94,6 @@ type (
 	Rid = storage.Rid
 	// Pager is the page-access interface (the client cache implements it).
 	Pager = storage.Pager
-	// VersionInfo describes one saved object version.
-	VersionInfo = engine.VersionInfo
-	// SweepReport summarizes a reachability sweep or garbage collection.
-	SweepReport = engine.SweepReport
 	// Relationship is a declared 1-n inverse relationship whose two sides
 	// the engine maintains together.
 	Relationship = engine.Relationship
