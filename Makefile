@@ -45,23 +45,27 @@ bench-commit:
 
 # Buffer-pool layer benchmarks: what Handle.Get costs on a resident page
 # (one reader, and every CPU through one shared handle) and on a miss.
-# Watch ns/op and allocs/op — a hit must stay 0 allocs (EXPERIMENTS.md
-# records before/after the lock-free hit path).
+# Watch ns/op and allocs/op — a hit must stay 0 allocs and a miss 2, its
+# frame and its page (TestGetHitAllocatesNothing, TestGetMissAllocations;
+# EXPERIMENTS.md records before/after the lock-free hit path).
 bench-pool:
 	$(GO) test -run 'TestNothing^' -bench 'BenchmarkGet(Hit|HitParallel|Miss)$$' -benchmem ./internal/bufpool
 
 # What one measured query costs the Go program below the wire: the
 # simulated page caches (hit, miss with eviction, cold-restart drain and
-# refill — all 0 allocs/op) and one cold execution of each `analytic`
+# refill — all 0 allocs/op), one cold execution of each `analytic`
 # statement class on a long-lived session over the live benchmark's
-# database. Watch allocs/op and B/op — a query allocates by the query, not
-# by the page, the row or the chunk (EXPERIMENTS.md records before/after;
-# TestColdQueryAllocBudget and TestPageLRUSteadyStateAllocatesNothing
-# enforce it). A fixed 20 queries per class: the database takes longer to
-# generate than they take to run.
+# database (BenchmarkColdQuery), and the second run of each on a new
+# session (BenchmarkSecondQuery), which must cost what the long-lived
+# session's runs do: the batch, columns and scan buffers the first run
+# borrowed stay with the session. Watch allocs/op and B/op — a query
+# allocates by the query, not by the page, the row or the chunk
+# (EXPERIMENTS.md records before/after; TestColdQueryAllocBudget and
+# TestPageLRUSteadyStateAllocatesNothing enforce it). A fixed 20 queries
+# per class: the database takes longer to generate than they take to run.
 bench-exec:
 	$(GO) test -run 'TestNothing^' -bench 'BenchmarkPageLRU' -benchmem ./internal/cache
-	$(GO) test -run 'TestNothing^' -bench 'BenchmarkColdQuery' -benchtime 20x -benchmem ./internal/session
+	$(GO) test -run 'TestNothing^' -bench 'Benchmark(ColdQuery|SecondQuery)' -benchtime 20x -benchmem ./internal/session
 
 # The live query path, end to end and per layer: bench/ builds treebenchd,
 # drives the four BENCHMARK.json workloads over the real client and checks

@@ -29,7 +29,7 @@ func collect(t *testing.T, b index.Backend, p storage.Pager, lo, hi int64) []ind
 func collectBatched(t *testing.T, b index.Backend, p storage.Pager, lo, hi int64, cap int) []index.Entry {
 	t.Helper()
 	var out []index.Entry
-	if err := b.ScanBatched(p, lo, hi, cap, func(batch []index.Entry) (bool, error) {
+	if err := b.ScanBatched(p, lo, hi, make([]index.Entry, 0, cap), func(batch []index.Entry) (bool, error) {
 		out = append(out, batch...)
 		return true, nil
 	}); err != nil {

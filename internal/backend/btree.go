@@ -46,8 +46,8 @@ func (b *btree) Scan(p storage.Pager, lo, hi int64, fn func(index.Entry) (bool, 
 	return b.t.Scan(p, lo, hi, fn)
 }
 
-func (b *btree) ScanBatched(p storage.Pager, lo, hi int64, capacity int, fn func([]index.Entry) (bool, error)) error {
-	return b.t.ScanBatched(p, lo, hi, capacity, fn)
+func (b *btree) ScanBatched(p storage.Pager, lo, hi int64, scratch []index.Entry, fn func([]index.Entry) (bool, error)) error {
+	return b.t.ScanBatched(p, lo, hi, scratch, fn)
 }
 
 func (b *btree) Lookup(p storage.Pager, key int64) ([]storage.Rid, error) {

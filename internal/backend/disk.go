@@ -141,12 +141,12 @@ func (d *disk) Scan(p storage.Pager, lo, hi int64, fn func(index.Entry) (bool, e
 	return t.Scan(p, lo, hi, fn)
 }
 
-func (d *disk) ScanBatched(p storage.Pager, lo, hi int64, capacity int, fn func([]index.Entry) (bool, error)) error {
+func (d *disk) ScanBatched(p storage.Pager, lo, hi int64, scratch []index.Entry, fn func([]index.Entry) (bool, error)) error {
 	t, err := d.load(p)
 	if err != nil {
 		return err
 	}
-	return t.ScanBatched(p, lo, hi, capacity, fn)
+	return t.ScanBatched(p, lo, hi, scratch, fn)
 }
 
 func (d *disk) Lookup(p storage.Pager, key int64) ([]storage.Rid, error) {

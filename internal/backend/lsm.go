@@ -474,11 +474,11 @@ func (l *lsm) Scan(p storage.Pager, lo, hi int64, fn func(index.Entry) (bool, er
 	return err
 }
 
-func (l *lsm) ScanBatched(p storage.Pager, lo, hi int64, capacity int, fn func([]index.Entry) (bool, error)) error {
-	if capacity < 1 {
-		capacity = 1
+func (l *lsm) ScanBatched(p storage.Pager, lo, hi int64, scratch []index.Entry, fn func([]index.Entry) (bool, error)) error {
+	if cap(scratch) < 1 {
+		scratch = make([]index.Entry, 0, 1)
 	}
-	batch := make([]index.Entry, 0, capacity)
+	capacity, batch := cap(scratch), scratch[:0]
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil

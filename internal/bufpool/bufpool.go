@@ -185,8 +185,11 @@ func (l *list) remove(f *frame) {
 	l.n--
 }
 
-// inflight tracks one page read in progress, so concurrent faulters of
-// the same page share one backing read instead of issuing duplicates.
+// inflight is where the reader of a page in flight leaves its result for
+// the readers waiting on it, so concurrent faulters of the same page share
+// one backing read instead of issuing duplicates. It is made by the first
+// reader that waits, not by the faulter: a miss nobody else wants
+// allocates its frame and its page and nothing more.
 type inflight struct {
 	done chan struct{}
 	buf  []byte
@@ -198,7 +201,9 @@ type inflight struct {
 // pages are resident is recorded in the handles' page tables, written
 // only under this mutex.
 type shard struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// inflight holds a key for every page being read; its value is nil
+	// until a second reader waits on the read.
 	inflight  map[key]*inflight
 	probation list // first-touch pages; evicted first (scan resistance)
 	protected list // pages touched at least twice
@@ -510,13 +515,16 @@ func (h *Handle) fault(page int) ([]byte, error) {
 		sh.mu.Unlock()
 		return f.buf, nil
 	}
-	if c := sh.inflight[k]; c != nil {
+	if c, ok := sh.inflight[k]; ok {
+		if c == nil {
+			c = &inflight{done: make(chan struct{})}
+			sh.inflight[k] = c
+		}
 		sh.mu.Unlock()
 		<-c.done
 		return c.buf, c.err
 	}
-	c := &inflight{done: make(chan struct{})}
-	sh.inflight[k] = c
+	sh.inflight[k] = nil
 	sh.mu.Unlock()
 
 	var buf []byte
@@ -529,6 +537,7 @@ func (h *Handle) fault(page int) ([]byte, error) {
 	}
 
 	sh.mu.Lock()
+	c := sh.inflight[k]
 	delete(sh.inflight, k)
 	if err == nil {
 		if f := h.table[page].Load(); f == nil {
@@ -538,8 +547,10 @@ func (h *Handle) fault(page int) ([]byte, error) {
 		}
 	}
 	sh.mu.Unlock()
-	c.buf, c.err = buf, err
-	close(c.done)
+	if c != nil {
+		c.buf, c.err = buf, err
+		close(c.done)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -578,7 +589,7 @@ func (h *Handle) admitIfAbsent(page int, buf []byte, prefetched bool) bool {
 	sh := h.pool.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if h.table[page].Load() != nil || sh.inflight[k] != nil {
+	if _, faulting := sh.inflight[k]; faulting || h.table[page].Load() != nil {
 		return false
 	}
 	sh.admitLocked(h, page, buf, prefetched)

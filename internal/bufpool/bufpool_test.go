@@ -493,6 +493,59 @@ func TestConcurrentFaultDedupe(t *testing.T) {
 	}
 }
 
+// failingSource counts every ReadPage and fails each one, after the
+// gate is closed.
+type failingSource struct {
+	reads atomic.Int64
+	gate  chan struct{}
+}
+
+func (s *failingSource) ReadPage(i int, dst []byte) error {
+	s.reads.Add(1)
+	<-s.gate
+	return fmt.Errorf("failing: page %d", i)
+}
+
+func (s *failingSource) ReadPages(lo int, bufs [][]byte) error { return s.ReadPage(lo, bufs[0]) }
+
+// TestWaiterSharesReadError pins that a reader waiting on a page in
+// flight gets the faulter's result, its error included, and issues no
+// read of its own — the waiter, not the faulter, makes the record they
+// share.
+func TestWaiterSharesReadError(t *testing.T) {
+	src := &failingSource{gate: make(chan struct{})}
+	p := New(0, 4096, 0)
+	h := p.Register(src, 1)
+	errs := make(chan error, 2)
+	get := func() {
+		_, err := h.Get(0)
+		errs <- err
+	}
+	go get()
+	for src.reads.Load() == 0 { // the faulter is in its read
+		runtime.Gosched()
+	}
+	go get()
+	sh := p.shardFor(key{h.id, 0})
+	for waiting := false; !waiting; runtime.Gosched() {
+		sh.mu.Lock()
+		waiting = sh.inflight[key{h.id, 0}] != nil
+		sh.mu.Unlock()
+	}
+	close(src.gate)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("a Get of the failing page succeeded")
+		}
+	}
+	if got := src.reads.Load(); got != 1 {
+		t.Fatalf("a faulter and a waiter issued %d reads, want 1", got)
+	}
+	if _, ok := sh.inflight[key{h.id, 0}]; ok {
+		t.Fatal("the failed read left its in-flight entry")
+	}
+}
+
 func TestSetupActive(t *testing.T) {
 	t.Cleanup(func() { Setup(DefaultCapacityMB, DefaultReadahead) })
 	Setup(8, 4)

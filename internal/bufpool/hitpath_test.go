@@ -115,6 +115,31 @@ func TestGetHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestGetMissAllocations pins what a miss allocates: its frame and its
+// page buffer. The record concurrent faulters of one page share is made
+// only when a second reader waits (TestConcurrentFaultDedupe), so a miss
+// nobody races allocates no in-flight record and no channel. The walk
+// defeats readahead and the pool is a sixteenth of the file, so every Get
+// faults, admits and evicts.
+func TestGetMissAllocations(t *testing.T) {
+	const numPages = 4096
+	p := New(numPages/16*4096, 4096, 32)
+	h := p.Register(stampSource{4096}, numPages)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := h.Get(i * 37 % numPages); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if st := p.Stats(); st.Hits != 0 {
+		t.Fatalf("%d Gets hit; the walk must miss every time", st.Hits)
+	}
+	if allocs > 2 {
+		t.Fatalf("a miss allocates %.1f objects, want at most 2 (frame and page)", allocs)
+	}
+}
+
 // TestLockFreeHitsUnderEviction runs the lock-free hit path against
 // everything that changes residency at once: four readers over a pool a
 // sixteenth of the file, so nearly every frame a reader loads is being

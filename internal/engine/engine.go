@@ -131,6 +131,14 @@ type Session struct {
 	// independent of it — and it survives ColdRestart.
 	batch int
 
+	// scratch is the operator buffers the session lends (Borrow, Return);
+	// lent reports that they are out. Like chunkForks it outlives
+	// ColdRestart: a chunk fork keeps its own, so chunk i finds the
+	// buffers chunk i of the last query sized, whichever worker runs it.
+	// See scratch.go.
+	scratch *Scratch
+	lent    bool
+
 	// ctx is the execution's deadline and done its cached Done channel
 	// (nil: none); see SetContext.
 	ctx  context.Context

@@ -41,7 +41,9 @@ type Backend interface {
 	Height() int
 
 	Scan(p storage.Pager, lo, hi int64, fn func(Entry) (bool, error)) error
-	ScanBatched(p storage.Pager, lo, hi int64, capacity int, fn func([]Entry) (bool, error)) error
+	// ScanBatched delivers batches of at most cap(scratch) entries
+	// through the caller's scratch slice.
+	ScanBatched(p storage.Pager, lo, hi int64, scratch []Entry, fn func([]Entry) (bool, error)) error
 	Lookup(p storage.Pager, key int64) ([]storage.Rid, error)
 	Insert(p storage.Pager, e Entry) error
 	Delete(p storage.Pager, e Entry) (bool, error)

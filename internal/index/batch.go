@@ -3,24 +3,26 @@ package index
 import "treebench/internal/storage"
 
 // ScanBatched visits entries with lo ≤ key < hi in key order, delivering
-// them in slices of at most capacity entries. It performs exactly the page
-// reads Scan performs, in the same order: a sub-batch never spans a leaf
-// boundary, so every delivery happens while the leaf that produced it is
-// the most recently read page — batched consumers rely on that to keep
-// their record-fetch traffic identical to a per-entry Scan's. The slice passed
-// to fn is reused between calls; fn returning false stops the scan.
-func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, capacity int, fn func([]Entry) (bool, error)) error {
+// them in slices of at most cap(scratch) entries (minimum 1). It performs
+// exactly the page reads Scan performs, in the same order: a sub-batch
+// never spans a leaf boundary, so every delivery happens while the leaf
+// that produced it is the most recently read page — batched consumers rely
+// on that to keep their record-fetch traffic identical to a per-entry
+// Scan's. The slice passed to fn is scratch, reused between calls — the
+// caller's, like collection.ScanBatched's; fn returning false stops the
+// scan.
+func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, scratch []Entry, fn func([]Entry) (bool, error)) error {
 	if lo >= hi {
 		return nil
 	}
-	if capacity < 1 {
-		capacity = 1
+	if cap(scratch) < 1 {
+		scratch = make([]Entry, 0, 1)
 	}
 	id, buf, err := t.findLeaf(p, lo)
 	if err != nil {
 		return err
 	}
-	batch := make([]Entry, 0, capacity)
+	capacity, batch := cap(scratch), scratch[:0]
 	for {
 		n := nodeCount(buf)
 		for i := 0; i < n; i++ {

@@ -17,7 +17,8 @@
 // larger than the machine's memory budget swap via sim.Region.
 //
 // The chunked strategies (NL, PHJ, CHJ, SMJ) run over batches of
-// db.Batch() records: index scans deliver leaf-bounded entry batches,
+// db.Batch() records: index scans deliver leaf-bounded entry batches
+// through the buffers the chunk's session lends (engine.Session.Borrow),
 // record fetches go through run-reusing object.Fetchers instead of
 // materializing a handle per object, and the per-object CPU charges
 // accumulate into one sim.Counters delta added per batch. The
@@ -259,16 +260,17 @@ func runNL(env *Env, q Query) (*Result, error) {
 	if env.NumParents > 0 && env.NumChildren > env.NumParents {
 		fanout = int64(env.NumChildren / env.NumParents)
 	}
-	bsize := db.Batch()
 	ranges := chunkScan(1, q.K2, fanout)
 	parts := make([]*Result, len(ranges))
 	err = db.RunChunks(len(ranges), func(w *engine.Session, c int) error {
+		sc := w.Borrow()
+		defer w.Return(sc)
 		part := &Result{}
 		parts[c] = part
 		pf := w.Handles.Fetcher() // providers
 		cf := w.Handles.Fetcher() // patients
-		prids := make([]storage.Rid, 0, bsize)
-		return scanBatches(w, upinIdx, ranges[c], func(entries []index.Entry) (bool, error) {
+		prids := sc.RidBuf(w.Batch())
+		return scanBatches(w, sc, upinIdx, ranges[c], func(entries []index.Entry) (bool, error) {
 			var ch sim.Counters
 			for _, e := range entries {
 				pf.Invalidate() // chunk/patient reads intervened
@@ -443,11 +445,13 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 	tables := make([]providerSet, nb)
 	sizes := make([]int64, nb)
 	err = db.RunChunks(nb, func(w *engine.Session, c int) error {
+		sc := w.Borrow()
+		defer w.Return(sc)
 		region := sim.NewRegion(w.Meter, buildBudget)
 		table := make(providerSet)
 		tables[c] = table
 		f := w.Handles.Fetcher()
-		err := scanBatches(w, upinIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
+		err := scanBatches(w, sc, upinIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.Counters
 			for _, e := range entries {
@@ -495,12 +499,14 @@ func runPHJ(env *Env, q Query) (*Result, error) {
 	probeRanges := chunkScan(1, q.K1, 1)
 	parts := make([]*Result, len(probeRanges))
 	err = db.RunChunks(len(probeRanges), func(w *engine.Session, c int) error {
+		sc := w.Borrow()
+		defer w.Return(sc)
 		part := &Result{}
 		parts[c] = part
 		region := sim.NewRegion(w.Meter, db.Machine.HashBudget)
 		region.Grow(totalSize)
 		f := w.Handles.Fetcher()
-		return scanBatches(w, mrnIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, sc, mrnIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.Counters
 			for _, e := range entries {
@@ -575,11 +581,13 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 	buildBudget := db.Machine.HashBudget / int64(nb)
 	tables := make([]map[storage.Rid][]int64, nb)
 	err = db.RunChunks(nb, func(w *engine.Session, c int) error {
+		sc := w.Borrow()
+		defer w.Return(sc)
 		region := sim.NewRegion(w.Meter, buildBudget)
 		table := make(map[storage.Rid][]int64) // provider rid → patient ages
 		tables[c] = table
 		f := w.Handles.Fetcher()
-		return scanBatches(w, mrnIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, sc, mrnIdx, buildRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.Counters
 			for _, e := range entries {
@@ -638,12 +646,14 @@ func runCHJ(env *Env, q Query) (*Result, error) {
 	probeRanges := chunkScan(1, q.K2, 1)
 	parts := make([]*Result, len(probeRanges))
 	err = db.RunChunks(len(probeRanges), func(w *engine.Session, c int) error {
+		sc := w.Borrow()
+		defer w.Return(sc)
 		part := &Result{}
 		parts[c] = part
 		region := sim.NewRegion(w.Meter, db.Machine.HashBudget)
 		region.Grow(totalSize)
 		f := w.Handles.Fetcher()
-		return scanBatches(w, upinIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, sc, upinIdx, probeRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.Counters
 			for _, e := range entries {

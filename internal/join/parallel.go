@@ -49,9 +49,10 @@ func chunkScan(lo, hi, weight int64) []keyRange {
 }
 
 // scanBatches runs ix's batched scan of r on w, w.Batch() entries at a
-// time, and stops at w's deadline before each delivered batch.
-func scanBatches(w *engine.Session, ix *engine.Index, r keyRange, fn func([]index.Entry) (bool, error)) error {
-	return ix.Backend.ScanBatched(w.Client, r.Lo, r.Hi, w.Batch(), func(entries []index.Entry) (bool, error) {
+// time through the entry buffer of sc (w's borrowed scratch), and stops at
+// w's deadline before each delivered batch.
+func scanBatches(w *engine.Session, sc *engine.Scratch, ix *engine.Index, r keyRange, fn func([]index.Entry) (bool, error)) error {
+	return ix.Backend.ScanBatched(w.Client, r.Lo, r.Hi, sc.EntryBuf(w.Batch()), func(entries []index.Entry) (bool, error) {
 		if err := w.Err(); err != nil {
 			return false, err
 		}

@@ -54,8 +54,10 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	provRanges := chunkScan(1, q.K2, 1)
 	provParts := make([][]storage.Rid, len(provRanges))
 	err = db.RunChunks(len(provRanges), func(w *engine.Session, c int) error {
+		sc := w.Borrow()
+		defer w.Return(sc)
 		f := w.Handles.Fetcher()
-		return scanBatches(w, upinIdx, provRanges[c], func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, sc, upinIdx, provRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.Counters
 			for _, e := range entries {
@@ -87,8 +89,10 @@ func runSMJ(env *Env, q Query) (*Result, error) {
 	patRanges := chunkScan(1, q.K1, 1)
 	patParts := make([][]patTuple, len(patRanges))
 	err = db.RunChunks(len(patRanges), func(w *engine.Session, c int) error {
+		sc := w.Borrow()
+		defer w.Return(sc)
 		f := w.Handles.Fetcher()
-		return scanBatches(w, mrnIdx, patRanges[c], func(entries []index.Entry) (bool, error) {
+		return scanBatches(w, sc, mrnIdx, patRanges[c], func(entries []index.Entry) (bool, error) {
 			f.Invalidate()
 			var ch sim.Counters
 			for _, e := range entries {

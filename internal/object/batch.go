@@ -47,8 +47,15 @@ func (b *Batch) Len() int { return len(b.Rids) }
 // Full reports whether the batch reached its capacity.
 func (b *Batch) Full() bool { return len(b.Rids) >= b.cap }
 
-// Reset empties the batch, keeping its capacity.
+// Cap returns the batch's capacity in records.
+func (b *Batch) Cap() int { return b.cap }
+
+// Reset empties the batch, keeping its capacity. It clears the record
+// slices and classes it held, so a batch kept between queries holds no
+// page buffer alive after the pool evicts the page.
 func (b *Batch) Reset() {
+	clear(b.Recs)
+	clear(b.Classes)
 	b.Rids = b.Rids[:0]
 	b.Recs = b.Recs[:0]
 	b.Classes = b.Classes[:0]
@@ -57,8 +64,10 @@ func (b *Batch) Reset() {
 }
 
 // Append buffers one scanned row. Record buffers are sub-slices of page
-// buffers and stay valid across cache eviction, so holding them for the
-// batch's lifetime is safe (handles pin them the same way).
+// buffers and stay valid across cache eviction, so holding them until the
+// batch is next Reset is safe (handles pin them the same way). A batch
+// outlives its rows — the session that lends it keeps it between
+// queries — and Reset drops them, so the pin ends with the rows.
 func (b *Batch) Append(rid storage.Rid, rec []byte, cls *Class) {
 	b.Rids = append(b.Rids, rid)
 	b.Recs = append(b.Recs, rec)

@@ -85,6 +85,9 @@ type Plan struct {
 	JoinQuery join.Query
 
 	Estimates []Estimate
+
+	// explain is the Explain text, rendered once by Planner.Plan.
+	explain string
 }
 
 // OrderHidden reports whether the order-by column was appended as a hidden
@@ -92,8 +95,16 @@ type Plan struct {
 // sorted rows.
 func (p *Plan) OrderHidden() bool { return p.orderHidden }
 
-// Explain renders the plan and its costed alternatives.
+// Explain returns the plan and its costed alternatives as text: the
+// rendering Planner.Plan made, or a fresh one for a plan built by hand.
 func (p *Plan) Explain() string {
+	if p.explain != "" {
+		return p.explain
+	}
+	return p.render()
+}
+
+func (p *Plan) render() string {
 	var b strings.Builder
 	switch p.Kind {
 	case PlanSelection:
@@ -131,16 +142,26 @@ type Planner struct {
 	Cache *PlanCache
 }
 
-// Plan analyzes and optimizes q.
+// Plan analyzes and optimizes q. The plan's Explain text is rendered
+// here, once: a cached plan serves every later execution with it.
 func (pl *Planner) Plan(q *Query) (*Plan, error) {
+	var (
+		p   *Plan
+		err error
+	)
 	switch len(q.Bindings) {
 	case 1:
-		return pl.planSelection(q)
+		p, err = pl.planSelection(q)
 	case 2:
-		return pl.planTreeJoin(q)
+		p, err = pl.planTreeJoin(q)
 	default:
 		return nil, fmt.Errorf("oql: %d bindings unsupported (1 or 2)", len(q.Bindings))
 	}
+	if err != nil {
+		return nil, err
+	}
+	p.explain = p.render()
+	return p, nil
 }
 
 // resolveVar maps binding variables to extents.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -68,7 +69,10 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 	}
 
 	// All lengths are known, so the whole table is computable before a
-	// byte of payload is written — no seek-backs, one forward pass.
+	// byte of payload is written. Every CRC but the pages section's is
+	// too; that one is hashed while the pages are written, in the one
+	// pass that reads them, and patched into its table entry before the
+	// file is synced.
 	var hdr codec.Enc
 	hdr.U32(Magic)
 	hdr.U32(FormatVersion)
@@ -76,27 +80,15 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 	hdr.U32(0) // reserved
 	offset := uint64(headerLen + len(sections)*tableEntryLen)
 	table := make([]sectionEntry, len(sections))
+	pagesEntry := 0
 	for i, s := range sections {
 		table[i] = sectionEntry{id: s.id, offset: offset, length: s.len}
 		offset += s.len
-	}
-	for i, s := range sections {
 		if s.body != nil {
 			table[i].crc = crc32.Checksum(s.body, crcTable)
-			continue
+		} else {
+			pagesEntry = i
 		}
-		// Pages section: CRC over the streamed payload (header + raw
-		// pages), computed in the same order it will be written.
-		h := crc32.New(crcTable)
-		h.Write(ph.B)
-		for p := 0; p < numPages; p++ {
-			pg, err := base.Page(storage.PageID(p))
-			if err != nil {
-				return fmt.Errorf("persist: reading page %d: %w", p, err)
-			}
-			h.Write(pg)
-		}
-		table[i].crc = h.Sum32()
 	}
 	for _, t := range table {
 		hdr.U32(t.id)
@@ -123,6 +115,9 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 	if _, err = w.Write(hdr.B); err != nil {
 		return err
 	}
+	// Pages section: CRC over the streamed payload (header + raw pages),
+	// hashed as it is written.
+	pagesCRC := crc32.New(crcTable)
 	for _, s := range sections {
 		if s.body != nil {
 			if _, err = w.Write(s.body); err != nil {
@@ -130,21 +125,27 @@ func Save(path string, snap *derby.Snapshot) (err error) {
 			}
 			continue
 		}
-		if _, err = w.Write(ph.B); err != nil {
+		pw := io.MultiWriter(w, pagesCRC)
+		if _, err = pw.Write(ph.B); err != nil {
 			return err
 		}
 		for p := 0; p < numPages; p++ {
 			pg, perr := base.Page(storage.PageID(p))
 			if perr != nil {
-				err = perr
-				return err
+				return fmt.Errorf("persist: reading page %d: %w", p, perr)
 			}
-			if _, err = w.Write(pg); err != nil {
+			if _, err = pw.Write(pg); err != nil {
 				return err
 			}
 		}
 	}
 	if err = w.Flush(); err != nil {
+		return err
+	}
+	var crc codec.Enc // the last field of the pages section's table entry
+	crc.U32(pagesCRC.Sum32())
+	crcAt := int64(headerLen + (pagesEntry+1)*tableEntryLen - len(crc.B))
+	if _, err = tmp.WriteAt(crc.B, crcAt); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {

@@ -296,7 +296,8 @@ func flushBatch(w *engine.Session, b *object.Batch, req Request, whereIdx int, f
 // collection — the §4.3 cost the sorted index scan avoids — and fans out
 // over the ScanChunks page ranges.
 //
-// It runs over batches of db.Batch() records. Member records are captured
+// It runs over batches of db.Batch() records; each chunk fills the batch
+// its session lends (engine.Session.Borrow). Member records are captured
 // straight from the scan callback (record buffers outlive their page's cache
 // residency), so a batch performs zero page re-reads; materializing a handle
 // per object would re-read the page the scan is already holding — a
@@ -309,9 +310,10 @@ func runFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pro
 	ranges := ScanChunks(req.Extent)
 	res := &Result{Access: FullScan}
 	rows := make([]int, len(ranges))
-	bsize := db.Batch()
 	err := db.RunChunks(len(ranges), func(w *engine.Session, c int) error {
-		b := object.NewBatch(bsize)
+		sc := w.Borrow()
+		defer w.Return(sc)
+		b := sc.Batch
 		flush := func() error {
 			n := int64(b.Len())
 			if n == 0 {
@@ -363,7 +365,8 @@ func runFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pro
 //	for each r in T
 //	  get Handle h; add get_att(h, age) to the result; unreference h
 //
-// Handles are paid for only for the selected elements. Record fetches go
+// Handles are paid for only for the selected elements. Table T and the
+// batch are the session's scratch (engine.Session.Borrow). Record fetches go
 // through an object.Fetcher whose page-run reuse charges the client-cache
 // hits per-object reads would produce; the fetcher is invalidated whenever a
 // prefetch touches the pager in between.
@@ -382,11 +385,14 @@ func runIndexScan(db *engine.Database, req Request, filterIdxs, projIdxs []int, 
 	}
 	res := &Result{Access: access}
 
-	var rids []storage.Rid
+	sc := db.Borrow()
+	defer db.Return(sc)
+	rids := sc.Rids[:0]
 	err := ix.Backend.Scan(db.Client, lo, hi, func(e index.Entry) (bool, error) {
 		rids = append(rids, e.Rid)
 		return true, nil
 	})
+	sc.Rids = rids // keep the array the scan grew
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +417,7 @@ func runIndexScan(db *engine.Database, req Request, filterIdxs, projIdxs []int, 
 		}
 	}
 
-	b := object.NewBatch(db.Batch())
+	b := sc.Batch
 	f := db.Handles.Fetcher()
 	flush := func() error {
 		n := int64(b.Len())

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"treebench/internal/derby"
+	"treebench/internal/engine"
 	"treebench/internal/index"
 	"treebench/internal/oql"
 	"treebench/internal/session"
@@ -28,6 +29,9 @@ type conn struct {
 	// connection's goroutine touches either.
 	sess   *session.Session
 	warmed bool
+	// spare is the operator scratch of the session a commit dropped,
+	// kept for the session the connection forks next.
+	spare *engine.Scratch
 }
 
 // handle dispatches one request, reporting whether the session survives it.
@@ -70,11 +74,13 @@ func (c *conn) session() (*session.Session, error) {
 	// The plan cache is per session: plans hold references into the
 	// session's database fork. Hit/miss deltas roll up into the server's
 	// metrics after each query.
-	c.sess = session.NewWith(sn.Fork().DB, session.Config{
+	db := sn.Fork().DB
+	db.SwapScratch(c.spare)
+	c.sess = session.NewWith(db, session.Config{
 		QueryJobs: c.srv.cfg.QueryJobs,
 		PlanCache: oql.NewPlanCache(0),
 	})
-	c.warmed = false
+	c.warmed, c.spare = false, nil
 	return c.sess, nil
 }
 
@@ -207,6 +213,10 @@ func (c *conn) commit() bool {
 	// Drop the cached session so this connection's next query forks from
 	// the head it just committed. Other connections keep the version they
 	// forked, which their reference holds — that is the MVCC contract.
+	// The next session takes over this one's operator scratch.
+	if c.sess != nil {
+		c.spare = c.sess.DB.SwapScratch(nil)
+	}
 	c.sess = nil
 	c.warmed = false
 	return c.send(wire.TypeCommitResult, (&wire.CommitResult{

@@ -3,7 +3,9 @@ package session
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"treebench/internal/derby"
@@ -37,37 +39,61 @@ func coldSession(sn *derby.Snapshot) *Session {
 	return NewWith(sn.Fork().DB, Config{PlanCache: oql.NewPlanCache(0)})
 }
 
-// BenchmarkColdQuery prices one cold execution of each statement class on a
-// long-lived session, as a daemon connection runs it for a client that
-// shows 10 rows (ExecuteRows, then ToWire): the
-// database is the live benchmark's (Derby 2000×100, loaded from a saved
-// file so pages come through the buffer pool), the plan is cached, and
-// every iteration cold-restarts first. Watch allocs/op and B/op — the
-// steady state must allocate by the query, not by the page, row or chunk
-// (EXPERIMENTS.md records before/after; TestColdQueryAllocBudget pins it).
-func BenchmarkColdQuery(b *testing.B) {
-	const providers, avg = 2000, 100
-	d, err := derby.Generate(derby.DefaultConfig(providers, avg, derby.ClassCluster))
+// liveSnapshot loads the live benchmark's database once per test binary:
+// Derby 2000×100, saved and loaded back so pages come through the buffer
+// pool, statistics primed.
+func liveSnapshot(b *testing.B) *derby.Snapshot {
+	b.Helper()
+	live.once.Do(func() { live.sn, live.err = loadLive() })
+	if live.err != nil {
+		b.Fatal(live.err)
+	}
+	return live.sn
+}
+
+const liveProviders, liveAvg = 2000, 100
+
+var live struct {
+	once sync.Once
+	sn   *derby.Snapshot
+	err  error
+}
+
+func loadLive() (*derby.Snapshot, error) {
+	d, err := derby.Generate(derby.DefaultConfig(liveProviders, liveAvg, derby.ClassCluster))
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	mem, err := d.Freeze()
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
-	path := filepath.Join(b.TempDir(), "derby.tbsp")
+	dir, err := os.MkdirTemp("", "coldquery")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir) // the loaded snapshot reads through its open file
+	path := filepath.Join(dir, "derby.tbsp")
 	if err := persist.Save(path, mem); err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	sn, err := persist.Load(path)
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
-	if err := sn.Engine.PrimeStats(); err != nil {
-		b.Fatal(err)
-	}
-	s := coldSession(sn)
-	for _, q := range coldQueryStatements(providers, avg) {
+	return sn, sn.Engine.PrimeStats()
+}
+
+// BenchmarkColdQuery prices one cold execution of each statement class on a
+// long-lived session, as a daemon connection runs it for a client that
+// shows 10 rows (ExecuteRows, then ToWire): the database is the live
+// benchmark's (liveSnapshot), the plan is cached, and every iteration
+// cold-restarts first. Watch allocs/op and B/op — the steady state must
+// allocate by the query, not by the page, row or chunk (EXPERIMENTS.md
+// records before/after; TestColdQueryAllocBudget pins it).
+func BenchmarkColdQuery(b *testing.B) {
+	s := coldSession(liveSnapshot(b))
+	for _, q := range coldQueryStatements(liveProviders, liveAvg) {
 		b.Run(q.name, func(b *testing.B) {
 			if _, err := s.ExecuteRows(context.Background(), q.stmt, 10); err != nil { // plan, forks, slabs
 				b.Fatal(err)
@@ -75,6 +101,34 @@ func BenchmarkColdQuery(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				res, err := s.ExecuteRows(context.Background(), q.stmt, 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = ToWire(res, 10)
+			}
+		})
+	}
+}
+
+// BenchmarkSecondQuery prices the second run of each statement class on a
+// new session — a daemon connection's second query. Each iteration forks
+// a session and runs the statement once untimed, which plans it and
+// builds the chunk forks and the operator scratch; the timed second run
+// must already cost what BenchmarkColdQuery's steady state does. A gap
+// between the two is per-session state that is rebuilt, not kept.
+func BenchmarkSecondQuery(b *testing.B) {
+	sn := liveSnapshot(b)
+	for _, q := range coldQueryStatements(liveProviders, liveAvg) {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := coldSession(sn)
+				if _, err := s.ExecuteRows(context.Background(), q.stmt, 10); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				res, err := s.ExecuteRows(context.Background(), q.stmt, 10)
 				if err != nil {
 					b.Fatal(err)

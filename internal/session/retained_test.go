@@ -116,23 +116,28 @@ func TestRetainedForksFollowWrites(t *testing.T) {
 
 // TestColdQueryAllocBudget is the allocation budget of the query path: on
 // a long-lived session, the second cold run of each statement class (the
-// first builds chunk forks, cache slabs and the plan), executed for a
-// client that shows 10 rows as the daemon executes it, stays under a fixed
-// number of heap objects and kilobytes. The budgets are 1.25× what the
-// classes cost on Derby 200×100 at 4 workers today (47, 109, 107, 70, 72,
-// 66, 76 objects; 182, 664, 519, 189, 59, 100, 98 kB; -race adds up to
-// 11 %). Materializing every row up to SampleLimit and decoding every
-// projected value costs orderby 1 679 kB, range 549 kB and point 569
-// objects, and decoding each provider's name costs phj 251 objects — so
-// the next per-row make or decode fails here, not in a benchmark.
+// first builds chunk forks, cache slabs, the plan and the sessions'
+// operator scratch), executed for a client that shows 10 rows as the
+// daemon executes it, stays under a fixed number of heap objects and
+// kilobytes. The budgets are 1.25× what the classes cost on Derby 200×100
+// at 4 workers today (23, 61, 66, 32, 53, 42, 42 objects; 1.9, 3.3, 18.5,
+// 4.5, 9.9, 3.8, 4.6 kB). Before operators borrowed their batch, columns
+// and scan buffers from the session (engine.Session.Borrow) each class
+// cost 59–664 kB; materializing every row up to SampleLimit and decoding
+// every projected value costs orderby 1 679 kB, range 549 kB and point
+// 569 objects, and decoding each provider's name costs phj 251 objects —
+// so the next per-query buffer, per-row make or decode fails here, not in
+// a benchmark. A last row runs the point statement on a new session: its
+// second run must already find the scratch the first one left.
 func TestColdQueryAllocBudget(t *testing.T) {
 	sn := chunkedSnapshot(t)
 	budget := map[string]struct{ objects, kb float64 }{
-		"count": {58, 227}, "agg": {136, 829}, "orderby": {134, 648}, "range": {87, 235},
-		"phj": {90, 73}, "nl": {82, 125}, "point": {95, 122},
+		"count": {29, 2.4}, "agg": {76, 4.2}, "orderby": {83, 23.1}, "range": {40, 5.6},
+		"phj": {67, 12.4}, "nl": {53, 4.7}, "point": {53, 5.8},
 	}
 	s := coldSession(sn)
 	s.DB.SetQueryJobs(4) // the default's ceiling: chunk workers allocate, so pin them
+	var point string
 	for _, q := range coldQueryStatements(chunkedProviders, chunkedAvg) {
 		run := func() {
 			res, err := s.ExecuteRows(context.Background(), q.stmt, 10)
@@ -144,9 +149,27 @@ func TestColdQueryAllocBudget(t *testing.T) {
 		run()
 		objects, bytes := allocsPerRun(5, run)
 		if b := budget[q.name]; objects > b.objects || bytes/1024 > b.kb {
-			t.Errorf("%s: a cold run allocated %.0f objects and %.0f kB, budget %.0f and %.0f kB (%s)",
+			t.Errorf("%s: a cold run allocated %.0f objects and %.1f kB, budget %.0f and %.1f kB (%s)",
 				q.name, objects, bytes/1024, b.objects, b.kb, q.stmt)
 		}
+		if q.name == "point" {
+			point = q.stmt
+		}
+	}
+
+	// The daemon's first two queries on a new connection: the first forks
+	// the session, plans and lends the scratch; the second is as cheap as
+	// any later one.
+	const secondRunKB = 8
+	fresh := coldSession(sn)
+	run := func() {
+		if _, err := fresh.ExecuteRows(context.Background(), point, 10); err != nil {
+			t.Fatalf("%s: %v", point, err)
+		}
+	}
+	run()
+	if _, bytes := allocsPerRun(1, run); bytes/1024 > secondRunKB {
+		t.Errorf("point: the second run on a new session allocated %.1f kB, budget %d kB (%s)", bytes/1024, secondRunKB, point)
 	}
 }
 
