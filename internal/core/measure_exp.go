@@ -5,6 +5,7 @@ import (
 
 	"treebench/internal/derby"
 	"treebench/internal/join"
+	"treebench/internal/sim"
 )
 
 // MeasureElapsed validates §3.5's measurement lesson — "we discovered that
@@ -31,7 +32,7 @@ func (r *Runner) MeasureElapsed() (*Table, error) {
 					if err != nil {
 						return err
 					}
-					ioSec := float64(res.Counters.DiskReads) * d.DB.Meter.Model.PageRead.Seconds()
+					ioSec := sim.Seconds(d.DB.Meter, sim.Counters{DiskReads: res.Counters.DiskReads})
 					elapsed := res.Elapsed.Seconds()
 					ratio := elapsed / ioSec
 					reason := ""

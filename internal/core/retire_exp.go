@@ -6,6 +6,7 @@ import (
 	"treebench/internal/collection"
 	"treebench/internal/derby"
 	"treebench/internal/object"
+	"treebench/internal/sim"
 	"treebench/internal/storage"
 )
 
@@ -90,8 +91,7 @@ func (r *Runner) DoctorRetires() (*Table, error) {
 		// referencing the object — a full leaf scan per index per update,
 		// since an index on an arbitrary collection need not be keyed by
 		// anything the update knows.
-		naive := elapsed + float64(updates)*float64(allIndexPages)*
-			db.Meter.Model.PageRead.Seconds()
+		naive := elapsed + sim.Seconds(db.Meter, sim.Counters{DiskReads: int64(updates * allIndexPages)})
 		t.AddRow(fmt.Sprintf("%d (%d%%)", target, pct), updates, elapsed, pages, naive)
 		r.logf("  retire %d%%: %d updates in %.2fs (naive est %.0fs)", pct, updates, elapsed, naive)
 	}

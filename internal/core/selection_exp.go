@@ -5,6 +5,7 @@ import (
 
 	"treebench/internal/derby"
 	"treebench/internal/selection"
+	"treebench/internal/sim"
 	"treebench/internal/stats"
 )
 
@@ -145,13 +146,12 @@ func (r *Runner) Fig9() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := d.DB.Meter.Model
 	t := &Table{
 		ID:      "F9",
 		Title:   "Standard Scan vs Sorted Index Scan at 90%: cost difference breakdown",
 		Columns: []string{"component", "standard scan", "sorted index scan"},
 	}
-	ioSec := func(c int64) float64 { return (float64(c) * m.PageRead.Seconds()) }
+	ioSec := func(n int64) float64 { return sim.Seconds(d.DB.Meter, sim.Counters{DiskReads: n}) }
 	t.AddRow("pages read (I/O sec)",
 		fmt.Sprintf("%d (%.1fs)", scan.Counters.DiskReads, ioSec(scan.Counters.DiskReads)),
 		fmt.Sprintf("%d (%.1fs)", sorted.Counters.DiskReads, ioSec(sorted.Counters.DiskReads)))

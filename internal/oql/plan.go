@@ -5,12 +5,12 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"treebench/internal/engine"
 	"treebench/internal/index"
 	"treebench/internal/join"
 	"treebench/internal/selection"
+	"treebench/internal/sim"
 	"treebench/internal/storage"
 )
 
@@ -337,15 +337,13 @@ func (pl *Planner) planSelection(q *Query) (*Plan, error) {
 	for _, pr := range preds {
 		rows *= pl.predSelectivity(ext, pr)
 	}
-	full := pl.costFullScan(ext, rows)
-	plan.Estimates = append(plan.Estimates, Estimate{string(selection.FullScan), full})
+	plan.Estimates = append(plan.Estimates,
+		pl.estimate(string(selection.FullScan), pl.costFullScan(ext, rows)))
 	if bestIdx >= 0 {
 		matched := float64(ext.Count) * bestSel
-		unsorted := pl.costIndexScan(ext, matched, rows, false)
-		sorted := pl.costIndexScan(ext, matched, rows, true)
 		plan.Estimates = append(plan.Estimates,
-			Estimate{string(selection.IndexScan), unsorted},
-			Estimate{string(selection.SortedIndexScan), sorted})
+			pl.estimate(string(selection.IndexScan), pl.costIndexScan(ext, matched, rows, false)),
+			pl.estimate(string(selection.SortedIndexScan), pl.costIndexScan(ext, matched, rows, true)))
 	}
 
 	switch {
@@ -523,9 +521,10 @@ func childKeyLooksClustered(db *engine.Database, child *engine.Extent) bool {
 
 // ---- Cost model -----------------------------------------------------------
 //
-// The estimator the paper wanted to elicit: per-alternative analytic costs
-// in the units of the sim.CostModel, driven by page counts, cache geometry,
-// uniform-key selectivity estimates, and the hash-memory budget.
+// The estimator the paper wanted to elicit: each alternative predicts the
+// events it will charge (a sim.Expected, driven by page counts, cache
+// geometry, uniform-key selectivity estimates, and the hash-memory budget),
+// and sim prices that vector with the table it prices measured counters by.
 
 func (pl *Planner) estimateSelectivity(ix *engine.Index, pr selection.Pred) float64 {
 	lo, hi, ok := pr.KeyRange()
@@ -576,8 +575,6 @@ func (pl *Planner) cachePages() float64 {
 	return float64(pl.DB.Machine.ClientCache / storage.PageSize)
 }
 
-func (pl *Planner) sec(d time.Duration) float64 { return d.Seconds() }
-
 // randomFetchPages estimates page reads for n random object fetches over a
 // file of p pages with a cache of c pages: the distinct pages touched when
 // the file fits the cache, and the steady-state miss stream otherwise.
@@ -597,37 +594,38 @@ func leafPages(n float64) float64 {
 	return n/(float64(index.LeafFanout)*0.9) + 2
 }
 
-// costFullScan estimates the standard scan (Figure 8 left).
-func (pl *Planner) costFullScan(e *engine.Extent, rows float64) float64 {
-	m := pl.DB.Meter.Model
-	n := float64(e.Count)
-	io := pl.pagesOf(e) * pl.sec(m.PageRead)
-	cpu := n * pl.sec(m.ScanNext+m.HandleGet+m.HandleUnref+m.AttrGet+m.Compare)
-	return io + cpu + rows*pl.sec(m.ResultAppend)
+// estimate prices an expected counter vector the way the session's meter
+// prices counted ones.
+func (pl *Planner) estimate(choice string, v sim.Expected) Estimate {
+	return Estimate{choice, sim.Seconds(pl.DB.Meter, v)}
 }
 
-// costIndexScan estimates the (un)sorted index scan fetching `matched`
+// costFullScan predicts the standard scan (Figure 8 left).
+func (pl *Planner) costFullScan(e *engine.Extent, rows float64) sim.Expected {
+	n := float64(e.Count)
+	return sim.Expected{DiskReads: pl.pagesOf(e), ScanNexts: n, HandleGets: n, HandleUnrefs: n,
+		AttrGets: n, Compares: n, ResultAppends: rows}
+}
+
+// costIndexScan predicts the (un)sorted index scan fetching `matched`
 // objects of which `rows` survive residual filters.
-func (pl *Planner) costIndexScan(e *engine.Extent, matched, rows float64, sorted bool) float64 {
-	m := pl.DB.Meter.Model
+func (pl *Planner) costIndexScan(e *engine.Extent, matched, rows float64, sorted bool) sim.Expected {
 	p := pl.pagesOf(e)
-	io := leafPages(matched) * pl.sec(m.PageRead)
+	v := sim.Expected{DiskReads: leafPages(matched), HandleGets: matched, HandleUnrefs: matched,
+		AttrGets: 2 * matched, ResultAppends: rows}
 	if sorted {
-		distinct := p * (1 - math.Exp(-matched/p))
-		io += distinct * pl.sec(m.PageRead)
+		v.DiskReads += p * (1 - math.Exp(-matched/p))
 		if matched > 1 {
-			io += matched * math.Log2(matched) * pl.sec(m.SortPerCompare)
+			v.SortSteps = matched * math.Log2(matched)
 		}
 	} else {
-		io += randomFetchPages(matched, p, pl.cachePages()) * pl.sec(m.PageRead)
+		v.DiskReads += randomFetchPages(matched, p, pl.cachePages())
 	}
-	cpu := matched * pl.sec(m.HandleGet+m.HandleUnref+2*m.AttrGet)
-	return io + cpu + rows*pl.sec(m.ResultAppend)
+	return v
 }
 
 // costTreeJoin estimates every §5.1 algorithm for the query.
 func (pl *Planner) costTreeJoin(env *join.Env, q join.Query) []Estimate {
-	m := pl.DB.Meter.Model
 	np, nc := float64(env.NumParents), float64(env.NumChildren)
 	selP := math.Min(1, math.Max(0, float64(q.K2-1)/math.Max(np, 1)))
 	selC := math.Min(1, math.Max(0, float64(q.K1-1)/math.Max(nc, 1)))
@@ -636,9 +634,6 @@ func (pl *Planner) costTreeJoin(env *join.Env, q join.Query) []Estimate {
 	pc := pl.pagesOf(env.Child)
 	cache := pl.cachePages()
 	tuples := selP * selC * nc
-	page := pl.sec(m.PageRead)
-	handle := pl.sec(m.HandleGet + m.HandleUnref)
-	result := tuples * pl.sec(m.ResultAppend)
 	budget := float64(pl.DB.Machine.HashBudget)
 
 	parentClustered := false
@@ -649,9 +644,9 @@ func (pl *Planner) costTreeJoin(env *join.Env, q join.Query) []Estimate {
 	if ix := pl.DB.IndexOn(env.Child.Name, env.ChildKeyAttr); ix != nil {
 		childClustered = ix.Clustered
 	}
-	// fetch estimates reading a selected fraction of an extent, either
-	// streaming pages in order or faulting randomly. Which one applies
-	// depends on the access site, not just the index:
+	// fetch predicts the pages read for a selected fraction of an extent,
+	// either streaming pages in order or faulting randomly. Which one
+	// applies depends on the access site, not just the index:
 	//   - parents in parent-key order are sequential under class AND
 	//     composition clustering (the clustered file is in upin order);
 	//   - children in child-key order are sequential only when the child
@@ -660,37 +655,39 @@ func (pl *Planner) costTreeJoin(env *join.Env, q join.Query) []Estimate {
 	//     composition clustering.
 	fetch := func(sel, n, p float64, sequential bool) float64 {
 		if sequential {
-			return sel * p * page
+			return sel * p
 		}
-		return randomFetchPages(sel*n, p, cache) * page
+		return randomFetchPages(sel*n, p, cache)
 	}
 	parentSeq := parentClustered || env.Composition
 	childSeq := childClustered
 
 	// NL: parent index scan + parent fetch + navigate to every child of
 	// every selected parent (streams under composition, faults otherwise).
-	nl := leafPages(selP*np)*page + fetch(selP, np, pp, parentSeq)
+	nl := sim.Expected{DiskReads: leafPages(selP*np) + fetch(selP, np, pp, parentSeq),
+		HandleGets: selP*np + selP*nc, HandleUnrefs: selP*np + selP*nc,
+		AttrGets: 2 * selP * nc, Compares: selP * nc, ResultAppends: tuples}
 	if env.Composition {
-		nl += selP * pc * page // children stream in with their parents
+		nl.DiskReads += selP * pc // children stream in with their parents
 	} else {
-		nl += randomFetchPages(selP*nc, pc, cache) * page
+		nl.DiskReads += randomFetchPages(selP*nc, pc, cache)
 	}
-	nl += selP*np*handle + selP*nc*(handle+pl.sec(2*m.AttrGet+m.Compare)) + result
 
 	// NOJOIN: child index scan + child fetch + navigate to each child's
-	// parent.
-	nj := leafPages(selC*nc)*page + fetch(selC, nc, pc, childSeq)
-	if env.Composition {
-		// The parent shares pages with its children: no extra I/O.
-	} else {
-		nj += randomFetchPages(selC*nc, pp, cache) * page
+	// parent. Under composition the parent shares pages with its children:
+	// no extra I/O.
+	nj := sim.Expected{DiskReads: leafPages(selC*nc) + fetch(selC, nc, pc, childSeq),
+		HandleGets: 2 * selC * nc, HandleUnrefs: 2 * selC * nc,
+		AttrGets: 3 * selC * nc, Compares: selC * nc, ResultAppends: tuples}
+	if !env.Composition {
+		nj.DiskReads += randomFetchPages(selC*nc, pp, cache)
 	}
-	nj += selC*nc*(2*handle+pl.sec(3*m.AttrGet+m.Compare)) + result
 
 	// Hash joins: both index scans + both fetches + table costs.
-	base := leafPages(selP*np)*page + fetch(selP, np, pp, parentSeq) +
-		leafPages(selC*nc)*page + fetch(selC, nc, pc, childSeq) +
-		selP*np*handle + selC*nc*handle + result
+	base := sim.Expected{
+		DiskReads: leafPages(selP*np) + fetch(selP, np, pp, parentSeq) +
+			leafPages(selC*nc) + fetch(selC, nc, pc, childSeq),
+		HandleGets: selP*np + selC*nc, HandleUnrefs: selP*np + selC*nc, ResultAppends: tuples}
 
 	swapFrac := func(size float64) float64 {
 		if size <= budget {
@@ -700,29 +697,33 @@ func (pl *Planner) costTreeJoin(env *join.Env, q join.Query) []Estimate {
 	}
 	phjTable := selP * np * 64
 	fr := swapFrac(phjTable)
-	phj := base + selP*np*pl.sec(m.HashInsert) + selC*nc*pl.sec(m.HashProbe) +
-		fr*(selP*np*pl.sec(m.SwapWrite)+selC*nc*pl.sec(m.SwapRead))
+	phj := base
+	phj.HashInserts, phj.HashProbes = selP*np, selC*nc
+	phj.SwapWrites, phj.SwapReads = fr*selP*np, fr*selC*nc
 
 	groups := np * (1 - math.Pow(1-selC, math.Max(avg, 0.001)))
 	chjTable := groups*64 + selC*nc*8
 	fr = swapFrac(chjTable)
-	chj := base + selC*nc*pl.sec(m.HashInsert) + selP*np*pl.sec(m.HashProbe) +
-		fr*(selC*nc*pl.sec(m.SwapWrite)+(selP*np+selP*selC*nc)*pl.sec(m.SwapRead))
+	chj := base
+	chj.HashInserts, chj.HashProbes = selC*nc, selP*np
+	chj.SwapWrites, chj.SwapReads = fr*selC*nc, fr*(selP*np+selP*selC*nc)
 
 	ests := []Estimate{
-		{string(join.PHJ), phj},
-		{string(join.CHJ), chj},
-		{string(join.NOJOIN), nj},
-		{string(join.NL), nl},
+		pl.estimate(string(join.PHJ), phj),
+		pl.estimate(string(join.CHJ), chj),
+		pl.estimate(string(join.NOJOIN), nj),
+		pl.estimate(string(join.NL), nl),
 	}
 	if pl.EnableHHJ {
-		hhj := base + selP*np*pl.sec(m.HashInsert) + selC*nc*pl.sec(m.HashProbe)
+		hhj := base
+		hhj.HashInserts, hhj.HashProbes = selP*np, selC*nc
 		if phjTable > budget*0.8 {
 			spillFrac := 1 - budget*0.8/phjTable
 			spillPages := (selP*np*24 + selC*nc*12) * spillFrac / float64(storage.PageSize)
-			hhj += spillPages * pl.sec(m.PageWrite+m.PageRead)
+			hhj.DiskWrites = spillPages
+			hhj.DiskReads += spillPages
 		}
-		ests = append(ests, Estimate{string(join.HHJ), hhj})
+		ests = append(ests, pl.estimate(string(join.HHJ), hhj))
 	}
 	sort.SliceStable(ests, func(i, j int) bool { return ests[i].Seconds < ests[j].Seconds })
 	return ests
