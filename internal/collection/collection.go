@@ -226,16 +226,3 @@ func Remove(p storage.Pager, f *storage.File, head storage.Rid, elem storage.Rid
 	}
 	return false, nil
 }
-
-// Contains reports whether elem occurs in the collection.
-func Contains(p storage.Pager, head storage.Rid, elem storage.Rid) (bool, error) {
-	found := false
-	err := Scan(p, head, func(r storage.Rid) (bool, error) {
-		if r == elem {
-			found = true
-			return false, nil
-		}
-		return true, nil
-	})
-	return found, err
-}

@@ -183,9 +183,6 @@ func TestHandleAccessors(t *testing.T) {
 	rec, _, _ = AddIndexRef(rec, 11)
 	rid, _ := f.Append(store.Disk, rec)
 	tbl := NewTable(newTestMeter(), store.Disk, reg)
-	if tbl.Pager() != storage.Pager(store.Disk) || tbl.Classes() != reg || tbl.Meter() == nil {
-		t.Fatal("accessors broken")
-	}
 	h, err := tbl.Get(rid)
 	if err != nil {
 		t.Fatal(err)

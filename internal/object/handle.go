@@ -67,16 +67,6 @@ func NewTable(meter *sim.Meter, pager storage.Pager, classes *Registry) *Table {
 	}
 }
 
-// Pager exposes the table's page source (the object layer's view of the
-// client cache).
-func (t *Table) Pager() storage.Pager { return t.pager }
-
-// Classes exposes the class registry.
-func (t *Table) Classes() *Registry { return t.classes }
-
-// Meter exposes the session meter.
-func (t *Table) Meter() *sim.Meter { return t.meter }
-
 func (t *Table) handleBytes() int64 {
 	if t.meter.SlimHandles() {
 		return SlimHandleBytes
@@ -152,13 +142,4 @@ func (t *Table) AttrByName(h *Handle, name string) (Value, error) {
 		return Value{}, fmt.Errorf("object: class %s has no attribute %q", h.class.Name, name)
 	}
 	return t.Attr(h, i)
-}
-
-// SetAttr overwrites attribute i in place and marks the page dirty.
-func (t *Table) SetAttr(h *Handle, i int, v Value) error {
-	if err := EncodeAttrInPlace(h.class, h.rec, i, v); err != nil {
-		return err
-	}
-	t.meter.AttrGet() // symmetric CPU charge for the write path
-	return t.pager.Write(h.rid.Page)
 }

@@ -310,25 +310,6 @@ func TestSlimHandlesCheaper(t *testing.T) {
 	}
 }
 
-func TestSetAttr(t *testing.T) {
-	tbl, store, f, c, _ := newHandleEnv(t)
-	rec, _ := Encode(c, patientValues("x", 1, 2, 'M', 3, 4, storage.NilRid), 0)
-	rid, _ := f.Append(store.Disk, rec)
-	h, _ := tbl.Get(rid)
-	target := storage.Rid{Page: 3, Slot: 1}
-	if err := tbl.SetAttr(h, c.AttrIndex("primary_care_provider"), RefValue(target)); err != nil {
-		t.Fatal(err)
-	}
-	tbl.Unref(h)
-	// Re-read from storage.
-	h2, _ := tbl.Get(rid)
-	v, _ := tbl.AttrByName(h2, "primary_care_provider")
-	if v.Ref != target {
-		t.Fatalf("pcp = %v, want %v", v.Ref, target)
-	}
-	tbl.Unref(h2)
-}
-
 func TestValueStrings(t *testing.T) {
 	cases := map[string]Value{
 		"7":       IntValue(7),

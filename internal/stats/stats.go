@@ -18,7 +18,6 @@ import (
 	"treebench/internal/engine"
 	"treebench/internal/object"
 	"treebench/internal/oql"
-	"treebench/internal/selection"
 	"treebench/internal/sim"
 	"treebench/internal/storage"
 	"treebench/internal/txn"
@@ -314,21 +313,6 @@ func (s *DB) OQL(src string) (*oql.Result, error) {
 	defer s.mu.Unlock()
 	pl := &oql.Planner{DB: s.Engine, Strategy: oql.CostBased}
 	return pl.Query(src)
-}
-
-// Count returns the number of Stat rows matching a predicate via the
-// engine's selection machinery.
-func (s *DB) Count(attr string, op selection.Op, k int64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, err := selection.Run(s.Engine, selection.Request{
-		Extent: s.stats,
-		Where:  selection.Pred{Attr: attr, Op: op, K: k},
-	}, selection.FullScan)
-	if err != nil {
-		return 0, err
-	}
-	return res.Rows, nil
 }
 
 // ExportCSV writes all entries as CSV — the input format for "data

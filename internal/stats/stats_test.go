@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"treebench/internal/selection"
 	"treebench/internal/sim"
 )
 
@@ -105,14 +104,6 @@ func TestOQLOverResults(t *testing.T) {
 	}
 	if res.Rows != 10 {
 		t.Fatalf("OQL rows = %d, want 10", res.Rows)
-	}
-	// Count via the selection machinery.
-	n, err := db.Count("ElapsedTimeMs", selection.Gt, 15_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("Count = %d, want 5", n)
 	}
 }
 

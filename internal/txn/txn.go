@@ -146,18 +146,3 @@ func (t *Txn) Commit() error {
 	}
 	return nil
 }
-
-// Abort discards the transaction. In standard mode the log makes this free
-// of data-page I/O; in transaction-off mode aborting is not possible — the
-// paper's point that you "do not care so much about loosing the data you
-// are creating (you can always re-run the program)".
-func (t *Txn) Abort() error {
-	if !t.active {
-		return ErrNotActive
-	}
-	if t.mgr.mode == NoTransaction {
-		return errors.New("txn: cannot abort in transaction-off mode; re-run the load")
-	}
-	t.active = false
-	return nil
-}

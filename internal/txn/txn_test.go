@@ -111,23 +111,6 @@ func TestFinishedTxnRejectsOperations(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("double commit: %v", err)
 	}
-	if err := tx.Abort(); !errors.Is(err, ErrNotActive) {
-		t.Fatalf("abort after commit: %v", err)
-	}
-}
-
-func TestAbort(t *testing.T) {
-	m := NewManager(sim.NewMeter(sim.DefaultCostModel()), nil, Standard)
-	tx := m.Begin()
-	tx.NoteCreate(60)
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	mOff := NewManager(sim.NewMeter(sim.DefaultCostModel()), nil, NoTransaction)
-	txOff := mOff.Begin()
-	if err := txOff.Abort(); err == nil {
-		t.Fatal("abort in transaction-off mode must fail")
-	}
 }
 
 func TestModeString(t *testing.T) {
