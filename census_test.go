@@ -125,33 +125,29 @@ func censusRows(t *testing.T) map[string]bool {
 	return rows
 }
 
-// codeRoots are the programs whose reach decides what code stays: the five
+// codeRoots are the programs whose reach decides what code stays: the four
 // cmd/ mains, bench/'s main (the live benchmark, which alone calls
 // client.Ping, ChainStore.Update and Planner.Execute), and every example
-// kept, each with why it is kept. A new main without a line here fails.
+// kept, each with why it is kept: an example stays only while it shows
+// something no experiment, smoke or godoc Example does. A new main without
+// a line here fails.
 var codeRoots = map[string]string{
-	"cmd/treebench":           "the paper's experiments and tables",
-	"cmd/treebenchd":          "the query daemon the live benchmark drives",
-	"cmd/oqlsh":               "the OQL shell, local and against a daemon",
-	"cmd/derbygen":            "generates and describes Derby databases",
-	"cmd/treebench-snap":      "saves, verifies and inspects snapshot files and chains",
-	"bench":                   "the live query-path benchmark BENCHMARK.json runs",
-	"examples/quickstart":     "schema, load, index and OQL through the facade",
-	"examples/sessions":       "one frozen snapshot, many forked sessions: how treebenchd serves N clients",
-	"examples/clustering":     "Figure 2's three physical organizations under the same queries",
-	"examples/resultsdb":      "§3.3's results database in the Figure 3 schema",
-	"examples/evolution":      "class evolution and the relocation storm the update waves pay",
-	"examples/odmg":           "inheritance, relationships and reference-keyed indexes, the ODMG features of §4.4",
-	"examples/xmltree":        "the intro's XML motivation on a non-Derby schema",
-	"examples/joinstrategies": "the §5 tree query under every join strategy, in miniature",
+	"cmd/treebench":      "the paper's experiments and tables",
+	"cmd/treebenchd":     "the query daemon the live benchmark drives",
+	"cmd/oqlsh":          "the OQL shell, local and against a daemon",
+	"cmd/treebench-snap": "saves, verifies and inspects snapshot files and chains",
+	"bench":              "the live query-path benchmark BENCHMARK.json runs",
+	"examples/resultsdb": "§3.3's results database in the Figure 3 schema, the only caller of stats.(*DB).OQL and All",
+	"examples/odmg":      "inheritance, relationships and reference-keyed indexes, the ODMG features of §4.4 (the only caller of engine.RefKey)",
+	"examples/xmltree":   "the intro's XML motivation on a non-Derby schema",
 }
 
 // codeAllowed are the functions under internal/ that no root reaches but
-// that stay, each with why: test seams, and accessors only tests call.
-// What only these reach is allowed with them.
+// that stay, each with why: test seams, and accessors that other packages'
+// tests call. A helper only its own package's tests need lives in that
+// package's _test.go instead. What only these reach is allowed with them.
 var codeAllowed = map[string]string{
 	"persist.PageEqual":            "the recovery tests' page-image comparison, used across packages (server/commit_test.go)",
-	"object.(*Handle).Rid":         "tests check which record a handle pins",
 	"object.(*Handle).Class":       "the inheritance tests check which class a handle resolved",
 	"object.(*Class).Parent":       "the inheritance tests check the class graph",
 	"object.(*Class).Subclasses":   "the inheritance tests check the class graph",
@@ -170,19 +166,6 @@ var codeAllowed = map[string]string{
 	"core.(*Runner).Run":           "the tests run one experiment by id",
 	"core.(*Runner).RunAll":        "the determinism tests run every experiment in order",
 	"core.(*Table).String":         "the determinism tests compare rendered tables",
-	"core.(*Flight).Len":           "the scheduler tests count the datasets a runner generated",
-	"core.(*Runner).joinRunCount":  "the core tests check that Figure 15 reuses the memoized join runs",
-	"engine.(*Session).ReadOnly":   "the snapshot tests check which sessions refuse writes",
-	"engine.(*Session).IndexByID":  "the engine tests resolve a header's index ids",
-	"engine.(*Session).Pager":      "the engine tests check a session reads through its client cache",
-	"object.(*Handle).Indexes":     "the evolution tests check header index membership",
-	"object.(*Registry).Names":     "the object tests list the registered classes",
-	"join.SMJMemory":               "the join tests check SMJ's reported hash-table bytes",
-	"oql.(*PlanCache).Len":         "the plan-cache tests check its bound",
-	"cache.(*LRU).Cap":             "the cache tests check capacities in pages",
-	"storage.(*Page).Used":         "the page tests check space accounting",
-	"storage.(*Disk).PrivatePages": "the fork tests check that a read-only fork copies no page",
-	"sim.(*Region).Budget":         "the swap tests check a region's budget",
 }
 
 // TestCodeCensus holds the code under internal/ to the rule the options
@@ -277,19 +260,38 @@ func TestCostModelStaysInSim(t *testing.T) {
 	}
 }
 
-// determinismAllowed are the calls across the determinism boundary that
-// TestDeterminismBoundary lets through, keyed by file and callee, each with
-// why it cannot move an answer.
+// determinismAllowed are the calls and map ranges inside the determinism
+// boundary that TestDeterminismBoundary lets through, each with why it
+// cannot move an answer. A call is keyed by file and callee, a range by
+// file, enclosing function and ranged expression.
 var determinismAllowed = map[string]string{
 	"internal/engine/parallel.go runtime.NumCPU": "DefaultQueryJobs sizes the chunk worker pool; chunks and their charges do not depend on how many workers run them",
 	"internal/persist/cache.go os.Getenv":        "DefaultDir locates the snapshot cache; a loaded snapshot is byte-identical to the one its key generates",
+
+	"internal/engine/engine.go Extents range db.extents":           "collects the names, then sorts them",
+	"internal/engine/engine.go IndexBackend range db.indexes":      "runs only when no kind was set, so every index came from one snapshot built under one kind: any index answers",
+	"internal/engine/engine.go BackendCounters range db.indexes":   "integer sums commute; a per-query path, so no sort",
+	"internal/engine/snapshot.go IndexBackend range sn.indexes":    "a snapshot's indexes were built under its builder's one kind: any index answers",
+	"internal/engine/snapshot.go BackendCounters range sn.indexes": "integer sums commute; read around each commit, so no sort",
+	"internal/engine/snapshot.go fork range sn.extents":            "both loops fill the fork's maps by extent name, and each extent's indexes are cloned in its own slice's order",
+	"internal/engine/snapshot.go PrimeStats range sn.extents":      "each histogram depends on its index's entries alone; the order moves only the throwaway fork's meter",
+	"internal/engine/state.go State range sn.extents":              "collects the names, then sorts them",
+	"internal/object/class.go Clone range c.byName":                "copies a map into a map",
+	"internal/object/class.go Clone range r.byName":                "cloneClass is memoized and keeps each class's ID, so the clone graph is the same in any order",
+	"internal/join/join.go runPHJ range t":                         "a set union of the per-chunk build tables: the merged set is the same in any order",
+	"internal/join/join.go runCHJ range t":                         "per key, appends the chunks' groups in chunk order (tables[1:] is a slice); keys never interact",
+	"internal/join/join.go runCHJ range table":                     "sums group sizes: integer sums commute",
+	"internal/storage/delta.go OverlayIDs range d.overlay":         "collects the ids, then sorts them",
+	"internal/storage/delta.go NewDelta range overlay":             "validation: a delta is refused if and only if some page is bad, in any order; only which bad page the error names may vary",
+	"internal/storage/file.go Fork range s.files":                  "copies each file into a map by name; the creation order travels in s.order",
 }
 
 // TestDeterminismBoundary holds the code a query runs on, internal/session
 // and internal/persist and everything they import, to answers that depend
 // on their inputs alone: a call to the wall clock, the environment, the
-// machine's CPU count or math/rand's global source fails unless
-// determinismAllowed gives a reason. A seeded generator (rand.New…) is fine.
+// machine's CPU count or math/rand's global source, and a range over a map
+// (whose order Go randomizes), fail unless determinismAllowed gives a
+// reason. A seeded generator (rand.New…) is fine.
 func TestDeterminismBoundary(t *testing.T) {
 	l := loadCensus(t)
 	banned := map[string]bool{
@@ -327,10 +329,29 @@ func TestDeterminismBoundary(t *testing.T) {
 				t.Errorf("%s calls %s inside the determinism boundary: take it as an input, or give it a determinismAllowed line", pos, callee)
 			}
 		}
+		for _, f := range p.files {
+			var fn string
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					fn = n.Name.Name
+				case *ast.RangeStmt:
+					if _, ok := p.info.TypeOf(n.X).Underlying().(*types.Map); ok {
+						pos := l.fset.Position(n.Pos())
+						key := filepath.ToSlash(pos.Filename) + " " + fn + " range " + types.ExprString(n.X)
+						seen[key] = true
+						if _, ok := determinismAllowed[key]; !ok {
+							t.Errorf("%s: %s ranges over a map inside the determinism boundary: iterate in a fixed order, or give %q a determinismAllowed line", pos, fn, key)
+						}
+					}
+				}
+				return true
+			})
+		}
 	}
 	for key := range determinismAllowed {
 		if !seen[key] {
-			t.Errorf("determinismAllowed names %s, which is no longer called", key)
+			t.Errorf("determinismAllowed names %s, which the code no longer has", key)
 		}
 	}
 }

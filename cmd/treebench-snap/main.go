@@ -12,14 +12,15 @@
 //	treebench-snap ls     [-dir DIR]
 //	treebench-snap rm     [-dir DIR] [-all] [KEY|FILE ...]
 //
-// save generates the configured database and writes it — to -o, or into
-// the cache directory under its content address. load rebuilds a snapshot
-// from a file and proves it serves queries (a dry run of treebenchd's
-// warm boot). verify checks every section checksum without loading; for a
-// snapshot committed by the write path it also prints the lineage section
-// (chain version, parent, delta pages, WAL offset). ls lists the cache,
-// with lineage columns for chain-committed entries; rm removes entries by
-// key prefix or path.
+// save generates the configured database, prints §3.2's loading statistics
+// (simulated load time, commits, relocations, page and RPC traffic) and
+// writes it — to -o, or into the cache directory under its content
+// address. load rebuilds a snapshot from a file and proves it serves
+// queries (a dry run of treebenchd's warm boot). verify checks every
+// section checksum without loading; for a snapshot committed by the write
+// path it also prints the lineage section (chain version, parent, delta
+// pages, WAL offset). ls lists the cache, with lineage columns for
+// chain-committed entries; rm removes entries by key prefix or path.
 //
 // chain walks a treebenchd -wal store directory read-only: it verifies
 // the base snapshot's checksums, then scans the write-ahead log record by
@@ -129,6 +130,11 @@ func cmdSave(args []string) error {
 	if err != nil {
 		return err
 	}
+	n := ds.Load.Counters
+	fmt.Printf("load time (simulated): %.2fs  commits: %d  relocations: %d\n",
+		ds.Load.Elapsed.Seconds(), ds.Load.Commits, ds.Load.Relocations)
+	fmt.Printf("traffic: %d pages written, %d log pages, %d RPCs (%.1f MB)\n",
+		n.DiskWrites, n.LogPages, n.RPCs, float64(n.RPCBytes)/(1<<20))
 	snap, err := ds.Freeze()
 	if err != nil {
 		return err

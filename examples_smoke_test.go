@@ -14,14 +14,9 @@ func TestExamplesRun(t *testing.T) {
 		t.Skip("-short: not running the example programs")
 	}
 	cases := map[string]string{
-		"./examples/quickstart":     "forked from one",
-		"./examples/sessions":       "identical",
-		"./examples/clustering":     "composition",
-		"./examples/resultsdb":      "recorded 8 measurements",
-		"./examples/evolution":      "forwarding stubs",
-		"./examples/odmg":           "relationship verified consistent",
-		"./examples/xmltree":        "associative",
-		"./examples/joinstrategies": "spill partitions",
+		"./examples/resultsdb": "recorded 8 measurements",
+		"./examples/odmg":      "relationship verified consistent",
+		"./examples/xmltree":   "associative",
 	}
 	for dir, want := range cases {
 		dir, want := dir, want

@@ -201,11 +201,11 @@ func TestHierarchyGeometry(t *testing.T) {
 	disk := storage.NewDisk(0)
 	meter := sim.NewMeter(sim.DefaultCostModel())
 	srv, cli := Hierarchy(disk, meter, sim.DefaultMachine())
-	if srv.lru.Cap() != 1024 {
-		t.Fatalf("server capacity = %d pages, want 1024 (4MB)", srv.lru.Cap())
+	if srv.lru.capacity != 1024 {
+		t.Fatalf("server capacity = %d pages, want 1024 (4MB)", srv.lru.capacity)
 	}
-	if cli.lru.Cap() != 8192 {
-		t.Fatalf("client capacity = %d pages, want 8192 (32MB: 'it can hold 8000 pages')", cli.lru.Cap())
+	if cli.lru.capacity != 8192 {
+		t.Fatalf("client capacity = %d pages, want 8192 (32MB: 'it can hold 8000 pages')", cli.lru.capacity)
 	}
 }
 

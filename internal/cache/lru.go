@@ -86,9 +86,6 @@ func (l *LRU[K, V]) Put(k K, v V) (evKey K, evVal V, evicted bool) {
 // Len returns the number of entries.
 func (l *LRU[K, V]) Len() int { return len(l.nodes) }
 
-// Cap returns the capacity.
-func (l *LRU[K, V]) Cap() int { return l.capacity }
-
 // Each calls fn on every entry, least recently used first, without
 // touching recency. fn may change the value in place; it must not add or
 // remove entries.

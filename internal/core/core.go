@@ -406,11 +406,6 @@ func (r *Runner) withDataset(providers, avg int, cl derby.Clustering, fn func(d 
 	return fn(d)
 }
 
-// joinRunCount reports how many distinct cold join runs the memo holds.
-func (r *Runner) joinRunCount() int {
-	return r.shared.joinRuns.Len()
-}
-
 // coldJoin runs one algorithm cold on the caller's session, memoized
 // singleflight per (database, selectivities, algorithm) — Figure 15
 // re-reports Figure 11–14 numbers without rerunning them, and concurrent

@@ -411,12 +411,12 @@ func TestJoinRunCacheReused(t *testing.T) {
 	if _, err := r.Fig11(); err != nil {
 		t.Fatal(err)
 	}
-	runs := r.joinRunCount()
+	runs := r.shared.joinRuns.Len()
 	if _, err := r.Fig11(); err != nil {
 		t.Fatal(err)
 	}
-	if r.joinRunCount() != runs {
-		t.Fatalf("re-running Fig11 added runs: %d → %d", runs, r.joinRunCount())
+	if r.shared.joinRuns.Len() != runs {
+		t.Fatalf("re-running Fig11 added runs: %d → %d", runs, r.shared.joinRuns.Len())
 	}
 }
 

@@ -39,10 +39,3 @@ func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	c.once.Do(func() { c.v, c.err = fn() })
 	return c.v, c.err
 }
-
-// Len returns the number of keys ever flown (completed or in flight).
-func (f *Flight[K, V]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
-}

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// Len returns the number of keys ever flown (completed or in flight).
+func (f *Flight[K, V]) Len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.calls)
+}
+
 // TestFlightSingleflight hammers one key from many goroutines: fn runs
 // exactly once, everyone gets its result, and distinct keys fly
 // separately.

@@ -159,9 +159,6 @@ type Database = Session
 // session.
 var ErrReadOnlySession = errors.New("engine: read-only session (forked from a snapshot); use Snapshot.ForkMutable for writes")
 
-// ReadOnly reports whether the session rejects mutations.
-func (db *Session) ReadOnly() bool { return db.readOnly }
-
 // mutable fails with ErrReadOnlySession on a read-only session. Every
 // mutating engine operation calls it first: pages are mutated in place
 // before Write is ever called, so the check must run before any buffer is
@@ -194,9 +191,6 @@ func New(machine sim.Machine, model sim.CostModel, mode txn.Mode) *Session {
 		nextIdx: 1,
 	}
 }
-
-// Pager returns the session's page source (the client cache).
-func (db *Session) Pager() storage.Pager { return db.Client }
 
 // ColdRestart empties both caches and the handle-sharing table, simulating
 // the paper's server shutdown between measured queries, and resets the
@@ -482,9 +476,6 @@ func (db *Session) IndexOn(extent, attr string) *Index {
 	}
 	return nil
 }
-
-// IndexByID resolves an index id from an object header.
-func (db *Session) IndexByID(id uint32) *Index { return db.indexes[id] }
 
 // UpdateAttr overwrites one attribute of the object at rid, maintaining any
 // index on that attribute. This is the §4.4 scenario ("one doctor retires

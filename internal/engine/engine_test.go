@@ -275,11 +275,8 @@ func TestEngineAccessors(t *testing.T) {
 	if got := e.Indexes(); len(got) != 1 || got[0] != ix {
 		t.Fatalf("Indexes: %v", got)
 	}
-	if db.IndexByID(ix.Backend.ID()) != ix || db.IndexByID(9999) != nil {
-		t.Fatal("IndexByID broken")
-	}
-	if db.Pager() != storage.Pager(db.Client) {
-		t.Fatal("Pager broken")
+	if db.indexes[ix.Backend.ID()] != ix || db.indexes[9999] != nil {
+		t.Fatal("index not registered under its header id")
 	}
 	for i := 0; i < 100; i++ {
 		db.Insert(nil, e, itemValues(int64(i), int64(i%10), "x"))

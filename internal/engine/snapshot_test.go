@@ -40,7 +40,7 @@ func buildSnapshot(t *testing.T, n int) (*Snapshot, []storage.Rid) {
 func TestReadOnlySessionGuards(t *testing.T) {
 	sn, rids := buildSnapshot(t, 10)
 	db := sn.Fork()
-	if !db.ReadOnly() {
+	if !db.readOnly {
 		t.Fatal("fork not read-only")
 	}
 	e, err := db.Extent("Items")
@@ -104,7 +104,7 @@ func TestMutableForkIsolation(t *testing.T) {
 	basePages := sn.Pages()
 
 	m := sn.ForkMutable()
-	if m.ReadOnly() {
+	if m.readOnly {
 		t.Fatal("mutable fork claims read-only")
 	}
 	me, err := m.Extent("Items")

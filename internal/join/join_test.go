@@ -310,7 +310,7 @@ func TestSMJExternalSortCharged(t *testing.T) {
 	if res.Counters.DiskWrites == 0 {
 		t.Fatal("external sort charged no spill I/O")
 	}
-	if want := SMJMemory(int64(env.NumParents)*90/100, int64(env.NumChildren)*90/100); res.HashTableBytes != want {
+	if want := int64(env.NumParents)*90/100*provTupleBytes + int64(env.NumChildren)*90/100*patTupleBytes; res.HashTableBytes != want {
 		t.Fatalf("run bytes = %d, want %d", res.HashTableBytes, want)
 	}
 }

@@ -176,9 +176,3 @@ func smjMerge(db *engine.Database, res *Result, provRun []storage.Rid, patRun []
 		}
 	}
 }
-
-// SMJMemory reports the bytes the two sort runs occupy for the given
-// selected cardinalities (planning support and tests).
-func SMJMemory(selParents, selChildren int64) int64 {
-	return selParents*(8+16) + selChildren*(8+4)
-}

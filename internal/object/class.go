@@ -1,9 +1,6 @@
 package object
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Attr describes one attribute of a class.
 type Attr struct {
@@ -127,16 +124,6 @@ func (r *Registry) ByID(id uint16) *Class {
 
 // ByName returns the class with the given name, or nil.
 func (r *Registry) ByName(name string) *Class { return r.byName[name] }
-
-// Names returns registered class names, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Clone deep-copies the registry and its whole class graph (inheritance
 // links included) for a mutable forked session, which may evolve classes in

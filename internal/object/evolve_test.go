@@ -188,7 +188,7 @@ func TestHandleAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Unref(h)
-	if got := h.Indexes(); len(got) != 1 || got[0] != 11 {
+	if got := h.indexes; len(got) != 1 || got[0] != 11 {
 		t.Fatalf("handle Indexes: %v", got)
 	}
 }

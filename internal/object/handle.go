@@ -31,14 +31,8 @@ type Handle struct {
 	indexes  []uint32 // decoded index membership (duplicated from the record "to have it handy")
 }
 
-// Rid returns the physical identifier of the object.
-func (h *Handle) Rid() storage.Rid { return h.rid }
-
 // Class returns the object's class.
 func (h *Handle) Class() *Class { return h.class }
-
-// Indexes returns the index ids the object belongs to.
-func (h *Handle) Indexes() []uint32 { return h.indexes }
 
 // Table materializes and releases Handles, charging the cost model. It is
 // the seam where the paper's §4.4 improvements (slim handles, bulk

@@ -195,9 +195,8 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("duplicate name accepted")
 	}
 	reg.Register(NewClass("Provider", nil))
-	names := reg.Names()
-	if len(names) != 2 || names[0] != "Patient" || names[1] != "Provider" {
-		t.Fatalf("Names = %v", names)
+	if reg.ByName("Provider") == nil || reg.ByName("Patient") != c {
+		t.Fatal("second class not registered beside the first")
 	}
 }
 
@@ -225,7 +224,7 @@ func TestHandleGetAttrUnref(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Class() != c || h.Rid() != rid {
+	if h.Class() != c || h.rid != rid {
 		t.Fatal("handle identity broken")
 	}
 	v, err := tbl.AttrByName(h, "name")

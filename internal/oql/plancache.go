@@ -71,13 +71,6 @@ func (pc *PlanCache) Stats() (hits, misses int64) {
 	return pc.hits, pc.misses
 }
 
-// Len reports the number of cached plans.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.lru.Len()
-}
-
 // PlanSource parses and plans OQL text, consulting the planner's plan
 // cache when one is attached.
 func (pl *Planner) PlanSource(src string) (*Plan, error) {

@@ -6,6 +6,13 @@ import (
 	"treebench/internal/derby"
 )
 
+// Len reports the number of cached plans.
+func (pc *PlanCache) Len() int {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.lru.Len()
+}
+
 // TestPlanCacheHitsSkipReplanning checks the hot path: the second
 // PlanSource of the same text returns the identical *Plan without
 // reparsing, hit/miss counters advance, and executing a cached plan

@@ -337,8 +337,8 @@ func TestMeterAllChannels(t *testing.T) {
 	// Region accessors.
 	r := NewRegion(m, 100)
 	r.Grow(50)
-	if r.Size() != 50 || r.Budget() != 100 || r.Swapping() {
-		t.Fatalf("region accessors: size=%d budget=%d", r.Size(), r.Budget())
+	if r.Size() != 50 || r.budget != 100 || r.Swapping() {
+		t.Fatalf("region accessors: size=%d budget=%d", r.Size(), r.budget)
 	}
 }
 

@@ -30,9 +30,6 @@ func NewRegion(meter *Meter, budget int64) *Region {
 // Size returns the region's current size in bytes.
 func (r *Region) Size() int64 { return r.size }
 
-// Budget returns the resident budget in bytes.
-func (r *Region) Budget() int64 { return r.budget }
-
 // Swapping reports whether the region has outgrown its budget.
 func (r *Region) Swapping() bool { return r.size > r.budget }
 

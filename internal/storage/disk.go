@@ -235,11 +235,6 @@ func (d *Disk) baseLen() int {
 // NumPages returns the number of allocated pages, shared and private.
 func (d *Disk) NumPages() int { return d.baseLen() + len(d.pages) }
 
-// PrivatePages returns the number of pages this disk owns itself: all of
-// them for an exclusive disk, the COW overlay plus post-fork allocations
-// for a fork. It is what a fork physically costs beyond the shared base.
-func (d *Disk) PrivatePages() int { return len(d.overlay) + len(d.pages) }
-
 // Freeze seals an exclusive disk into an immutable Base and leaves the disk
 // itself a read-only fork of it, so the builder keeps working for queries
 // but can never mutate the now-shared buffers. Forked disks cannot freeze.

@@ -341,13 +341,6 @@ func (s *Store) File(name string) (*File, error) {
 	return f, nil
 }
 
-// Files returns the file names in creation order.
-func (s *Store) Files() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Freeze seals the store's disk into a shared immutable Base (see
 // Disk.Freeze). The store itself stays usable read-only; Fork builds
 // per-session stores over the returned base.

@@ -186,8 +186,8 @@ func TestStoreCatalog(t *testing.T) {
 		t.Fatalf("missing file: %v", err)
 	}
 	s.CreateFile("b")
-	if got := s.Files(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Files() = %v", got)
+	if got := s.State(); len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
+		t.Fatalf("State() = %v, want files a then b", got)
 	}
 }
 
@@ -251,12 +251,13 @@ func TestRepeatedRelocationRetargetsStub(t *testing.T) {
 
 func TestPageUsedAndDiskNumPages(t *testing.T) {
 	p := newTestPage()
-	if p.Used() != 0 {
-		t.Fatalf("fresh page Used = %d", p.Used())
+	free := p.FreeSpace()
+	if free != PageSize-pageHeaderLen-slotLen {
+		t.Fatalf("fresh page FreeSpace = %d", free)
 	}
 	p.Insert(bytes.Repeat([]byte{1}, 100))
-	if p.Used() != 104 { // record + slot
-		t.Fatalf("Used = %d, want 104", p.Used())
+	if used := free - p.FreeSpace(); used != 104 { // record + slot
+		t.Fatalf("insert used %d bytes, want 104", used)
 	}
 	d := NewDisk(0)
 	if d.NumPages() != 0 {

@@ -68,8 +68,9 @@ func TestReadOnlyForkSharesPages(t *testing.T) {
 	if buf[0] != 1 {
 		t.Fatalf("page 1 byte = %d, want 1", buf[0])
 	}
-	if f.PrivatePages() != 0 {
-		t.Fatalf("read-only fork holds %d private pages, want 0 (zero-copy)", f.PrivatePages())
+	// A fork owns its COW overlay and its post-fork allocations.
+	if n := len(f.overlay) + len(f.pages); n != 0 {
+		t.Fatalf("read-only fork holds %d private pages, want 0 (zero-copy)", n)
 	}
 	if err := f.Write(1); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Write on read-only fork = %v, want ErrReadOnly", err)

@@ -93,11 +93,6 @@ func (p *Page) FreeSpace() int {
 	return free
 }
 
-// Used returns the payload bytes consumed by records and slots.
-func (p *Page) Used() int {
-	return (PageSize - pageHeaderLen) - (p.freeEnd() - p.freeStart())
-}
-
 // Insert stores rec in the page and returns its slot number. Holes left by
 // deletions are reused for the directory entry, but record space is only
 // taken from the free area (no compaction here; see Compact).

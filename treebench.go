@@ -38,15 +38,12 @@
 package treebench
 
 import (
-	"treebench/internal/backend"
-	"treebench/internal/collection"
 	"treebench/internal/core"
 	"treebench/internal/derby"
 	"treebench/internal/engine"
 	"treebench/internal/join"
 	"treebench/internal/object"
 	"treebench/internal/oql"
-	"treebench/internal/persist"
 	"treebench/internal/selection"
 	"treebench/internal/sim"
 	"treebench/internal/stats"
@@ -68,10 +65,6 @@ type (
 	// Session in O(catalog); Snapshot.ForkMutable adds a private
 	// copy-on-write overlay for updates.
 	Snapshot = engine.Snapshot
-	// DerbySnapshot is a frozen Derby database: Dataset.Freeze produces
-	// one, and its Fork/ForkMutable return per-session Datasets that share
-	// one generation and one page image.
-	DerbySnapshot = derby.Snapshot
 	// Extent is a named collection of all objects of one class.
 	Extent = engine.Extent
 	// Index is a B+-tree index over an integer attribute of an extent.
@@ -92,8 +85,6 @@ type (
 	Counters = sim.Counters
 	// Rid is a physical record identifier.
 	Rid = storage.Rid
-	// Pager is the page-access interface (the client cache implements it).
-	Pager = storage.Pager
 	// Relationship is a declared 1-n inverse relationship whose two sides
 	// the engine maintains together.
 	Relationship = engine.Relationship
@@ -141,9 +132,6 @@ func RefIndexKey(r Rid) int64 { return engine.RefKey(r) }
 // IntValue returns an integer attribute value.
 func IntValue(v int64) Value { return object.IntValue(v) }
 
-// CharValue returns a char attribute value.
-func CharValue(c byte) Value { return object.CharValue(c) }
-
 // StringValue returns a string attribute value.
 func StringValue(s string) Value { return object.StringValue(s) }
 
@@ -152,28 +140,6 @@ func RefValue(r Rid) Value { return object.RefValue(r) }
 
 // SetValue returns a collection-reference attribute value.
 func SetValue(r Rid) Value { return object.SetValue(r) }
-
-// CreateCollection writes rids as a persistent collection into file f and
-// returns the head Rid to store in a KindSet attribute.
-func CreateCollection(p Pager, f *storage.File, rids []Rid) (Rid, error) {
-	return collection.Create(p, f, rids)
-}
-
-// CollectionElems reads a persistent collection back.
-func CollectionElems(p Pager, head Rid) ([]Rid, error) {
-	return collection.Elems(p, head)
-}
-
-// AddToCollection appends one element to a persistent collection.
-func AddToCollection(p Pager, f *storage.File, head, elem Rid) error {
-	return collection.Add(p, f, head, elem)
-}
-
-// RemoveFromCollection deletes one occurrence of elem, reporting whether it
-// was found.
-func RemoveFromCollection(p Pager, f *storage.File, head, elem Rid) (bool, error) {
-	return collection.Remove(p, f, head, elem)
-}
 
 // DefaultMachine returns the paper's tuned Sparc 20 configuration: 128 MB
 // RAM, 4 MB server cache, 32 MB client cache.
@@ -208,44 +174,6 @@ func DerbyConfig(providers, avgPatients int, clustering Clustering) GenConfig {
 
 // GenerateDerby builds a Derby database deterministically.
 func GenerateDerby(cfg GenConfig) (*Dataset, error) { return derby.Generate(cfg) }
-
-// FreezeDerby seals a generated Derby database into an immutable shared
-// snapshot: generate once, freeze, then Fork a private Dataset per
-// concurrent session — N sessions cost one generation and one page image.
-// The dataset's own session stays usable read-only.
-func FreezeDerby(d *Dataset) (*DerbySnapshot, error) { return d.Freeze() }
-
-// Snapshot persistence (internal/persist).
-type (
-	// SnapshotCache is the content-addressed on-disk snapshot store.
-	SnapshotCache = persist.Cache
-	// SnapshotManifest summarizes a snapshot file.
-	SnapshotManifest = persist.Manifest
-	// SnapshotOutcome reports where a cached snapshot came from.
-	SnapshotOutcome = persist.Outcome
-)
-
-// SaveSnapshot writes a frozen Derby snapshot to path atomically in the
-// versioned on-disk format (see DESIGN.md). Saving the same snapshot
-// twice produces byte-identical files.
-func SaveSnapshot(path string, snap *DerbySnapshot) error { return persist.Save(path, snap) }
-
-// LoadSnapshot verifies every section checksum and rebuilds the snapshot,
-// streaming data pages from the file lazily: sessions fork from it
-// exactly as from the freshly generated original.
-func LoadSnapshot(path string) (*DerbySnapshot, error) { return persist.Load(path) }
-
-// VerifySnapshot checks a snapshot file's integrity without loading it.
-func VerifySnapshot(path string) (*SnapshotManifest, error) { return persist.Verify(path) }
-
-// OpenSnapshotCache opens (creating if needed) the content-addressed
-// snapshot cache at dir; "" selects $TREEBENCH_SNAPSHOT_DIR or the
-// user-cache default.
-func OpenSnapshotCache(dir string) (*SnapshotCache, error) { return persist.Open(dir) }
-
-// SnapshotKey returns the content address a generation config caches
-// under: a hash of every generation parameter plus the format version.
-func SnapshotKey(cfg GenConfig) string { return persist.KeyFor(cfg) }
 
 // Query processing.
 type (
@@ -336,9 +264,6 @@ func RunnerConfigFromEnv() RunnerConfig { return core.ConfigFromEnv() }
 
 // DefaultJobs is the default experiment scheduler width: min(NumCPU, 8).
 func DefaultJobs() int { return core.DefaultJobs() }
-
-// IndexBackends lists the registered index backend kinds.
-func IndexBackends() []string { return backend.Kinds() }
 
 // ExperimentIDs lists the reproducible tables and figures.
 func ExperimentIDs() []string { return core.ExperimentIDs() }
