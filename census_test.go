@@ -166,6 +166,8 @@ var codeAllowed = map[string]string{
 	"core.(*Runner).Run":           "the tests run one experiment by id",
 	"core.(*Runner).RunAll":        "the determinism tests run every experiment in order",
 	"core.(*Table).String":         "the determinism tests compare rendered tables",
+	"backend.(*btree).Validate":    "the structural check the engine, derby and backend tests run",
+	"backend.(*lsm).Validate":      "the structural check the engine, derby and backend tests run",
 }
 
 // TestCodeCensus holds the code under internal/ to the rule the options
@@ -173,8 +175,11 @@ var codeAllowed = map[string]string{
 // a line in codeAllowed. It type-checks every package from source with the
 // standard library alone and walks a conservative reference graph: a
 // function is live if a live function calls it or takes its value (a
-// package's initializers count as live once a root imports it), and every
-// method of a type a live function converts to an interface is live.
+// package's initializers count as live once a root imports it). A method
+// of a type a live function converts to an interface of this module is
+// live if live code calls a method of that name through some interface;
+// converted to an empty or standard-library interface, every method of
+// the type is live, since fmt, sort or reflection may call any of them.
 func TestCodeCensus(t *testing.T) {
 	for _, pattern := range []string{"cmd/*", "examples/*"} {
 		dirs, err := filepath.Glob(pattern)
@@ -189,6 +194,7 @@ func TestCodeCensus(t *testing.T) {
 	}
 	l := loadCensus(t)
 	l.live, l.work = map[*types.Func]bool{}, nil
+	l.called, l.pending = maps.Clone(calledByStdlib), map[string][]*types.Func{}
 	for _, p := range l.pkgs {
 		p.marked = false
 	}
@@ -430,7 +436,17 @@ type censusLoader struct {
 	live map[*types.Func]bool
 	decl map[*types.Func]*censusFunc
 	work []*types.Func
+
+	// called holds the method names live code calls through an interface;
+	// pending, the methods of types converted to a module interface whose
+	// name nothing calls that way yet.
+	called  map[string]bool
+	pending map[string][]*types.Func
 }
+
+// calledByStdlib are the method names fmt calls on any value it prints,
+// where the census does not look.
+var calledByStdlib = map[string]bool{"String": true, "Error": true, "Format": true, "GoString": true}
 
 // Import resolves the module's own packages (bench/ included, whose module
 // path extends this one's) from their directories and the standard
@@ -557,11 +573,58 @@ func (l *censusLoader) convert(t types.Type) {
 }
 
 // convertTo records that a value of type from is stored where a value of
-// type to is expected.
+// type to is expected. Stored in an interface of this module, from's
+// methods become live as live code calls their names through an
+// interface; in an empty interface, or one with a method the standard
+// library declares, all of them are live at once, and so are the names of
+// that interface's methods wherever they are called from.
 func (l *censusLoader) convertTo(to, from types.Type) {
-	if to != nil && types.IsInterface(to) {
-		l.convert(from)
+	if to == nil {
+		return
 	}
+	iface, ok := to.Underlying().(*types.Interface)
+	if !ok {
+		return
+	}
+	stdlib := iface.NumMethods() == 0
+	for i := 0; i < iface.NumMethods(); i++ {
+		if m := iface.Method(i); !inModule(m.Pkg()) {
+			stdlib = true
+			l.callThrough(m.Name())
+		}
+	}
+	if stdlib || from == nil || types.IsInterface(from) {
+		l.convert(from)
+		return
+	}
+	ms := types.NewMethodSet(from)
+	for i := 0; i < ms.Len(); i++ {
+		fn := ms.At(i).Obj().(*types.Func)
+		if l.called[fn.Name()] {
+			l.mark(fn)
+		} else {
+			l.pending[fn.Name()] = append(l.pending[fn.Name()], fn)
+		}
+	}
+}
+
+// callThrough records that live code calls a method named name through an
+// interface, making that method of every type converted to a module
+// interface live.
+func (l *censusLoader) callThrough(name string) {
+	if l.called[name] {
+		return
+	}
+	l.called[name] = true
+	for _, fn := range l.pending[name] {
+		l.mark(fn)
+	}
+	delete(l.pending, name)
+}
+
+// inModule reports whether p is one of this module's packages.
+func inModule(p *types.Package) bool {
+	return p != nil && (p.Path() == "treebench" || strings.HasPrefix(p.Path(), "treebench/"))
 }
 
 // walk marks what node references: the functions it names and the methods
@@ -574,6 +637,9 @@ func (l *censusLoader) walk(p *censusPkg, node ast.Node) {
 		switch n := n.(type) {
 		case *ast.Ident:
 			if fn, ok := info.Uses[n].(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					l.callThrough(fn.Name())
+				}
 				l.mark(fn)
 			}
 			if inst, ok := info.Instances[n]; ok {

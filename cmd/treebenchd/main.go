@@ -31,7 +31,7 @@
 // (0 means min(NumCPU, 4)). Both change wall-clock speed only, never a
 // reported number; the vectorized batch size is engine.DefaultBatch.
 //
-// -index-backend selects the pluggable index structure ("btree", "disk",
+// -index-backend selects the pluggable index structure ("btree" or
 // "lsm"); an unknown kind is rejected at startup with the valid list.
 // Backends change physical layout and page-granular cost accounting, never
 // query results.

@@ -1,14 +1,14 @@
-// Package backend registers the pluggable index implementations behind
-// the index.Backend interface: the in-memory B+-tree (the meter oracle
-// every other backend must match table-for-table), a paged on-disk
-// B+-tree whose metadata page participates in .tbsp persistence, and an
-// LSM-tree with a memtable, bloom-filtered SSTables and deterministic
-// size-tiered compaction.
+// Package backend registers the two pluggable index implementations
+// behind the index.Backend interface: the B+-tree (index.Tree, whose nodes
+// are pages of the session's disk and so of the snapshot image; the meter
+// oracle the LSM must match table-for-table), and an LSM-tree with a
+// memtable, bloom-filtered SSTables and deterministic size-tiered
+// compaction.
 //
-// All three deliver entries in the same ascending (key, rid) order, so
-// query tables are byte-identical across backends; what differs — and
-// what the B1 ablation measures — is the page-granular cost each charges
-// through the pager it is handed.
+// Both deliver entries in the same ascending (key, rid) order, so query
+// tables are byte-identical across backends; what differs — and what the
+// B1 ablation measures — is the page-granular cost each charges through
+// the pager it is handed.
 package backend
 
 import (
@@ -24,14 +24,13 @@ import (
 // adding a single charge.
 const (
 	KindBTree = "btree"
-	KindDisk  = "disk"
 	KindLSM   = "lsm"
 
 	DefaultKind = KindBTree
 )
 
 // Kinds returns the registered backend names in presentation order.
-func Kinds() []string { return []string{KindBTree, KindDisk, KindLSM} }
+func Kinds() []string { return []string{KindBTree, KindLSM} }
 
 // Normalize maps the zero value to the default kind; every entry point
 // (engine, persist cache key, CLI flags) funnels through it so "" and
@@ -47,7 +46,7 @@ func Normalize(kind string) string {
 // the default).
 func Valid(kind string) bool {
 	switch Normalize(kind) {
-	case KindBTree, KindDisk, KindLSM:
+	case KindBTree, KindLSM:
 		return true
 	}
 	return false
@@ -76,8 +75,6 @@ func Build(kind string, p storage.Pager, id uint32, name string, entries []index
 	switch Normalize(kind) {
 	case KindBTree:
 		return buildBTree(p, id, name, entries)
-	case KindDisk:
-		return buildDisk(p, id, name, entries)
 	case KindLSM:
 		return buildLSM(p, id, name, entries)
 	}
@@ -92,8 +89,6 @@ func Restore(st index.BackendState, numPages int) (index.Backend, error) {
 	switch Normalize(st.Kind) {
 	case KindBTree:
 		return restoreBTree(st, numPages)
-	case KindDisk:
-		return restoreDisk(st, numPages)
 	case KindLSM:
 		return restoreLSM(st, numPages)
 	}

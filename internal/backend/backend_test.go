@@ -40,8 +40,8 @@ func collectBatched(t *testing.T, b index.Backend, p storage.Pager, lo, hi int64
 
 // TestBackendsMatchOracle drives every backend through the same random
 // build + insert + delete history and requires identical answers from
-// scans (scalar and batched, full and ranged) and lookups. The in-memory
-// B+-tree is the oracle: the other two must match it entry for entry.
+// scans (scalar and batched, full and ranged) and lookups. The B+-tree
+// is the oracle: the LSM must match it entry for entry.
 func TestBackendsMatchOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 1997} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

@@ -5,10 +5,12 @@ import (
 	"treebench/internal/storage"
 )
 
-// btree adapts the in-memory B+-tree to the Backend interface by pure
-// delegation: it adds no page touches and no CPU charges, so a session
-// on the "btree" backend reproduces the pre-refactor meters exactly —
-// it is the oracle the other backends' tables are diffed against.
+// btree adapts index.Tree to the Backend interface by pure delegation:
+// it adds no page touches and no CPU charges, so a session on the
+// "btree" backend reproduces the pre-refactor meters exactly — it is the
+// oracle the LSM's tables are diffed against. Its nodes are pages the
+// session's pager allocated, so a snapshot saves them with every other
+// page and a loaded one reads them through the buffer pool.
 // Mutations run through a countingPager only to surface PagesWritten;
 // the wrapper forwards every call, so the cache hierarchy charges the
 // identical sequence of events.
@@ -40,10 +42,9 @@ func (b *btree) ID() uint32   { return b.t.ID }
 func (b *btree) Name() string { return b.t.Name }
 func (b *btree) Len() int     { return b.t.Len() }
 func (b *btree) Pages() int   { return b.t.Pages() }
-func (b *btree) Height() int  { return b.t.Height() }
 
 func (b *btree) Scan(p storage.Pager, lo, hi int64, fn func(index.Entry) (bool, error)) error {
-	return b.t.Scan(p, lo, hi, fn)
+	return index.Scan(b, p, lo, hi, fn)
 }
 
 func (b *btree) ScanBatched(p storage.Pager, lo, hi int64, scratch []index.Entry, fn func([]index.Entry) (bool, error)) error {
@@ -73,5 +74,5 @@ func (b *btree) Clone() index.Backend {
 func (b *btree) Counters() index.BackendCounters { return b.ctr.snapshot() }
 
 func (b *btree) State() index.BackendState {
-	return index.BackendState{Kind: KindBTree, Tree: b.t.State(), Meta: storage.InvalidPage}
+	return index.BackendState{Kind: KindBTree, Tree: b.t.State()}
 }

@@ -133,16 +133,6 @@ func (l *lsm) Pages() int {
 	return n
 }
 
-// Height is the memtable plus the number of distinct occupied tiers —
-// the worst-case number of structures a point lookup may descend.
-func (l *lsm) Height() int {
-	tiers := map[int]bool{}
-	for _, t := range l.tables {
-		tiers[t.tier] = true
-	}
-	return 1 + len(tiers)
-}
-
 // chargeSearch bills a binary search over n elements as its comparison
 // count. The B+-tree oracle charges nothing CPU-wise inside the index —
 // its node searches ride on the page reads — but the LSM's memtable has
@@ -339,8 +329,8 @@ var errStopScan = errors.New("backend: stop scan")
 // lsmCursor walks one component (memtable or SSTable) in (key, rid)
 // order over [lo, hi). Table cursors load pages lazily through the
 // pager, calling beforeLoad first — that is the hook ScanBatched uses
-// to flush a pending batch before any component page read, which keeps
-// the Scan and ScanBatched charge sequences identical.
+// to flush a pending batch before any component page read, so every
+// batch reaches its consumer before a page read it could observe.
 type lsmCursor struct {
 	lo, hi int64
 	cur    sstEntry
@@ -375,10 +365,8 @@ func (c *lsmCursor) next(p storage.Pager, beforeLoad func() error) error {
 			if c.pageIdx >= c.tab.pages {
 				return nil
 			}
-			if beforeLoad != nil {
-				if err := beforeLoad(); err != nil {
-					return err
-				}
+			if err := beforeLoad(); err != nil {
+				return err
 			}
 			ents, err := c.tab.readPage(p, c.pageIdx)
 			if err != nil {
@@ -458,20 +446,7 @@ func (l *lsm) merge(p storage.Pager, lo, hi int64, beforeLoad func() error, emit
 }
 
 func (l *lsm) Scan(p storage.Pager, lo, hi int64, fn func(index.Entry) (bool, error)) error {
-	err := l.merge(p, lo, hi, nil, func(e index.Entry) error {
-		more, err := fn(e)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return errStopScan
-		}
-		return nil
-	})
-	if errors.Is(err, errStopScan) {
-		return nil
-	}
-	return err
+	return index.Scan(l, p, lo, hi, fn)
 }
 
 func (l *lsm) ScanBatched(p storage.Pager, lo, hi int64, scratch []index.Entry, fn func([]index.Entry) (bool, error)) error {
@@ -730,7 +705,6 @@ func (l *lsm) State() index.BackendState {
 		// A synthesized TreeState keeps the positionally aligned trees
 		// section well-formed for the LSM's slot.
 		Tree: index.TreeState{ID: l.id, Name: l.name, Root: 0, Height: 1, Pages: 1, Len: l.n},
-		Meta: storage.InvalidPage,
 		LSM:  ls,
 	}
 }

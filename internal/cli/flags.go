@@ -80,7 +80,7 @@ func SnapshotDirFlag(fs *flag.FlagSet) *string {
 // BackendFlag registers -index-backend on fs; resolve it with Backend.
 func BackendFlag(fs *flag.FlagSet) *string {
 	return fs.String("index-backend", "",
-		"index backend: btree, disk, or lsm (default btree; results identical across backends)")
+		"index backend: btree or lsm (default btree; results identical across backends)")
 }
 
 // Backend checks a parsed -index-backend value: an unknown kind is an

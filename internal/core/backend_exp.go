@@ -34,7 +34,7 @@ const backendPointReads = 64
 
 // backendSnapshot generates (or reuses) the selection database under one
 // specific index backend. Each backend gets its own dataset key, so one
-// Runner holds all three generations side by side.
+// Runner holds both generations side by side.
 func (r *Runner) backendSnapshot(kind string) (*derby.Snapshot, error) {
 	p, a := r.smallScale()
 	key := r.dsKeyFor(p, a, derby.ClassCluster)

@@ -45,8 +45,8 @@ type Config struct {
 	// roughly Jobs×QueryJobs goroutines, never Jobs·QueryJobs each.
 	// Simulated numbers are identical at any setting.
 	QueryJobs int
-	// IndexBackend selects the pluggable index structure ("btree", "disk",
-	// "lsm"; empty means the in-memory B+-tree default). It changes
+	// IndexBackend selects the pluggable index structure ("btree" or
+	// "lsm"; empty means the B+-tree default). It changes
 	// physical layout and page-granular cost accounting, never query
 	// results — the B1 ablation quantifies the difference.
 	IndexBackend string

@@ -94,9 +94,8 @@ type Config struct {
 	SkipNumIndex bool
 
 	// IndexBackend selects the pluggable index structure every CreateIndex
-	// uses ("btree", "disk", "lsm"; empty means the in-memory B+-tree
-	// default). It changes physical layout and cost accounting, never
-	// query results.
+	// uses ("btree" or "lsm"; empty means the B+-tree default). It changes
+	// physical layout and cost accounting, never query results.
 	IndexBackend string
 }
 

@@ -44,7 +44,7 @@ type Extent struct {
 func (e *Extent) Indexes() []*Index { return e.indexes }
 
 // Index is an index over one integer attribute of an extent. Backend is
-// the pluggable structure behind it (in-memory B+-tree by default; see
+// the pluggable structure behind it (the B+-tree by default; see
 // internal/backend) — every implementation delivers entries in the same
 // (key, rid) order, so which one is plugged in changes costs, never
 // results.
@@ -77,8 +77,10 @@ func (ix *Index) Stats(p storage.Pager) (*histogram.Histogram, error) {
 		return ix.stats, nil
 	}
 	keys := make([]int64, 0, ix.Backend.Len())
-	err := ix.Backend.Scan(p, -1<<62, 1<<62, func(e index.Entry) (bool, error) {
-		keys = append(keys, e.Key)
+	err := ix.Backend.ScanBatched(p, -1<<62, 1<<62, make([]index.Entry, 0, index.LeafFanout), func(entries []index.Entry) (bool, error) {
+		for _, e := range entries {
+			keys = append(keys, e.Key)
+		}
 		return true, nil
 	})
 	if err != nil {
@@ -113,7 +115,7 @@ type Session struct {
 	relationships []*Relationship
 
 	// indexBackend is the backend kind CreateIndex builds ("" = the
-	// default in-memory B+-tree). It is part of the database's identity:
+	// default B+-tree). It is part of the database's identity:
 	// Freeze records it and forks inherit it.
 	indexBackend string
 

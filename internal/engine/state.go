@@ -178,7 +178,7 @@ func RestoreSnapshot(base *storage.Base, st *SnapshotState) (*Snapshot, error) {
 			if bst.Kind == "" {
 				// State written before (or without) the backends
 				// section: the tree descriptor is the whole story.
-				bst = index.BackendState{Kind: backend.KindBTree, Tree: is.Tree, Meta: storage.InvalidPage}
+				bst = index.BackendState{Kind: backend.KindBTree, Tree: is.Tree}
 			}
 			be, err := backend.Restore(bst, base.NumPages())
 			if err != nil {

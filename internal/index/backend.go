@@ -20,14 +20,16 @@ import (
 // pager's meter via the CostSource hook. A Backend never holds a meter of
 // its own — the same instance serves many forks with private meters.
 //
-// Scan and ScanBatched deliver entries in ascending (key, rid) order for
-// the half-open key range lo ≤ key < hi, whatever the physical layout:
-// that shared order is what makes query tables byte-identical across
-// backends. ScanBatched must also deliver each batch before any page read
-// that the batch's consumer could observe out of order — the leaf-boundary
-// flush rule of the B+-tree, generalized (see DESIGN.md).
+// ScanBatched is a backend's one traversal: it delivers entries in
+// ascending (key, rid) order for the half-open key range lo ≤ key < hi,
+// whatever the physical layout — that shared order is what makes query
+// tables byte-identical across backends — and must deliver each batch
+// before any page read that the batch's consumer could observe out of
+// order: the leaf-boundary flush rule of the B+-tree, generalized (see
+// DESIGN.md). Scan is the package function Scan over it, one entry at a
+// time, so its charges are ScanBatched's by construction.
 type Backend interface {
-	// Kind names the registered implementation ("btree", "disk", "lsm").
+	// Kind names the registered implementation ("btree", "lsm").
 	Kind() string
 	// ID is the engine-assigned index id (what object headers reference).
 	ID() uint32
@@ -37,8 +39,6 @@ type Backend interface {
 	Len() int
 	// Pages is the number of pages the structure occupies.
 	Pages() int
-	// Height is the number of levels (tiers + memtable for an LSM).
-	Height() int
 
 	Scan(p storage.Pager, lo, hi int64, fn func(Entry) (bool, error)) error
 	// ScanBatched delivers batches of at most cap(scratch) entries
@@ -66,6 +66,19 @@ type Backend interface {
 	State() BackendState
 }
 
+// Scan visits the entries of b with lo ≤ key < hi in key order, one at a
+// time: it is b's ScanBatched with a one-entry batch, so a per-entry
+// consumer reads the same pages and is charged the same events, in the
+// same order, as a batched one. fn returning false stops the scan. It is
+// every backend's Backend.Scan; the hot paths call ScanBatched with a
+// buffer they own instead, since the one-entry batch is allocated per
+// call.
+func Scan(b Backend, p storage.Pager, lo, hi int64, fn func(Entry) (bool, error)) error {
+	return b.ScanBatched(p, lo, hi, make([]Entry, 0, 1), func(batch []Entry) (bool, error) {
+		return fn(batch[0])
+	})
+}
+
 // CostSource is implemented by pagers that expose their session meter
 // (cache.Client does). Backends assert it per call to charge CPU-level
 // events — comparisons, bloom probes — to whichever fork is driving them;
@@ -85,8 +98,8 @@ func MeterOf(p storage.Pager) *sim.Meter {
 }
 
 // BackendCounters is a snapshot of the per-backend event counters the
-// wire Stats and the ablation experiment surface. All five are zero for
-// the in-memory B+-tree oracle except PagesWritten.
+// wire Stats and the ablation experiment surface. The B+-tree counts only
+// PagesWritten; the other four are the LSM's.
 type BackendCounters struct {
 	// BloomHits counts bloom probes that passed (the SSTable had to be
 	// searched); BloomMisses counts probes that proved absence — each miss
@@ -119,11 +132,9 @@ func (c *BackendCounters) Add(o BackendCounters) {
 // implementation from it.
 type BackendState struct {
 	Kind string
-	// Tree carries the node bookkeeping for the "btree" and "disk" kinds.
+	// Tree carries the "btree" kind's node bookkeeping.
 	Tree TreeState
-	// Meta is the "disk" kind's metadata page (InvalidPage otherwise).
-	Meta storage.PageID
-	// LSM carries the "lsm" kind's state; nil for the B+-tree kinds.
+	// LSM carries the "lsm" kind's state; nil for the B+-tree.
 	LSM *LSMState
 }
 

@@ -3,14 +3,13 @@ package index
 import "treebench/internal/storage"
 
 // ScanBatched visits entries with lo ≤ key < hi in key order, delivering
-// them in slices of at most cap(scratch) entries (minimum 1). It performs
-// exactly the page reads Scan performs, in the same order: a sub-batch
+// them in slices of at most cap(scratch) entries (minimum 1). A sub-batch
 // never spans a leaf boundary, so every delivery happens while the leaf
-// that produced it is the most recently read page — batched consumers rely
-// on that to keep their record-fetch traffic identical to a per-entry
-// Scan's. The slice passed to fn is scratch, reused between calls — the
-// caller's, like collection.ScanBatched's; fn returning false stops the
-// scan.
+// that produced it is the most recently read page, and before the next
+// leaf is read: a consumer that fetches records per entry makes the same
+// page reads, in the same order, at any batch size. The slice passed to fn
+// is scratch, reused between calls — the caller's, like
+// collection.ScanBatched's; fn returning false stops the scan.
 func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, scratch []Entry, fn func([]Entry) (bool, error)) error {
 	if lo >= hi {
 		return nil

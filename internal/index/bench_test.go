@@ -49,7 +49,7 @@ func BenchmarkTreeRangeScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		tr.Scan(s.Disk, 0, 10000, func(Entry) (bool, error) { n++; return true, nil })
+		scan(tr, s.Disk, 0, 10000, func(Entry) (bool, error) { n++; return true, nil })
 		if n != 10000 {
 			b.Fatal(n)
 		}

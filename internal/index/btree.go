@@ -78,9 +78,6 @@ func (t *Tree) Len() int { return t.n }
 // Pages returns the number of pages the tree occupies.
 func (t *Tree) Pages() int { return t.pages }
 
-// Height returns the number of levels.
-func (t *Tree) Height() int { return t.height }
-
 func initNode(buf []byte, leaf bool) {
 	for i := 0; i < nodeHeaderLen; i++ {
 		buf[i] = 0
@@ -266,51 +263,14 @@ func (t *Tree) findLeaf(p storage.Pager, key int64) (storage.PageID, []byte, err
 	}
 }
 
-// Scan visits entries with lo ≤ key < hi in key order. fn returning false
-// stops the scan.
-func (t *Tree) Scan(p storage.Pager, lo, hi int64, fn func(Entry) (bool, error)) error {
-	if lo >= hi {
-		return nil
-	}
-	id, buf, err := t.findLeaf(p, lo)
-	if err != nil {
-		return err
-	}
-	for {
-		n := nodeCount(buf)
-		for i := 0; i < n; i++ {
-			e := leafEntry(buf, i)
-			if e.Key < lo {
-				continue
-			}
-			if e.Key >= hi {
-				return nil
-			}
-			ok, err := fn(e)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		next := nextLeaf(buf)
-		if next == storage.InvalidPage {
-			return nil
-		}
-		id = next
-		buf, err = p.Read(id)
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// Lookup returns the rids stored under key.
+// Lookup returns the rids stored under key: ScanBatched over [key, key+1),
+// one entry at a time.
 func (t *Tree) Lookup(p storage.Pager, key int64) ([]storage.Rid, error) {
 	var out []storage.Rid
-	err := t.Scan(p, key, key+1, func(e Entry) (bool, error) {
-		out = append(out, e.Rid)
+	err := t.ScanBatched(p, key, key+1, nil, func(entries []Entry) (bool, error) {
+		for _, e := range entries {
+			out = append(out, e.Rid)
+		}
 		return true, nil
 	})
 	return out, err

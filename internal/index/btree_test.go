@@ -28,10 +28,15 @@ func New(p storage.Pager, id uint32, name string) (*Tree, error) {
 	return &Tree{ID: id, Name: name, root: rootID, height: 1, pages: 1}, nil
 }
 
+// scan walks tr one entry at a time, as Backend.Scan walks a backend.
+func scan(tr *Tree, p storage.Pager, lo, hi int64, fn func(Entry) (bool, error)) error {
+	return tr.ScanBatched(p, lo, hi, nil, func(batch []Entry) (bool, error) { return fn(batch[0]) })
+}
+
 func collect(t *testing.T, tr *Tree, p storage.Pager, lo, hi int64) []Entry {
 	t.Helper()
 	var out []Entry
-	if err := tr.Scan(p, lo, hi, func(e Entry) (bool, error) {
+	if err := scan(tr, p, lo, hi, func(e Entry) (bool, error) {
 		out = append(out, e)
 		return true, nil
 	}); err != nil {
@@ -75,8 +80,8 @@ func TestBuildAndScan(t *testing.T) {
 		t.Fatalf("range scan: %d entries, first %d", len(got), got[0].Key)
 	}
 	// Tree must be shallow: 10k entries at 229/leaf ≈ 44 leaves, 2 levels.
-	if tr.Height() != 2 {
-		t.Fatalf("height = %d, want 2", tr.Height())
+	if tr.height != 2 {
+		t.Fatalf("height = %d, want 2", tr.height)
 	}
 }
 
@@ -111,8 +116,8 @@ func TestInsertSplitsGrowTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("height = %d after %d sequential inserts", tr.Height(), n)
+	if tr.height < 3 {
+		t.Fatalf("height = %d after %d sequential inserts", tr.height, n)
 	}
 	if err := tr.Validate(s.Disk); err != nil {
 		t.Fatal(err)
@@ -183,7 +188,7 @@ func TestScanEarlyStopAndEmptyRange(t *testing.T) {
 	}
 	tr, _ := Build(s.Disk, 1, "idx", entries)
 	count := 0
-	tr.Scan(s.Disk, 0, 1000, func(Entry) (bool, error) { count++; return count < 10, nil })
+	scan(tr, s.Disk, 0, 1000, func(Entry) (bool, error) { count++; return count < 10, nil })
 	if count != 10 {
 		t.Fatalf("early stop at %d", count)
 	}
@@ -252,7 +257,7 @@ func TestTreeMatchesShadowProperty(t *testing.T) {
 			return false
 		}
 		got := map[int64]int{}
-		tr.Scan(s.Disk, -1, 200, func(e Entry) (bool, error) {
+		scan(tr, s.Disk, -1, 200, func(e Entry) (bool, error) {
 			got[e.Key]++
 			return true, nil
 		})

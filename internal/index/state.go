@@ -36,11 +36,3 @@ func Restore(st TreeState, numPages int) (*Tree, error) {
 	}
 	return &Tree{ID: st.ID, Name: st.Name, root: st.Root, height: st.Height, pages: st.Pages, n: st.Len}, nil
 }
-
-// FromState rebuilds a tree descriptor without bounds validation, for
-// callers that already trust the source — the disk backend decoding the
-// metadata page it wrote itself. Restore remains the entry point for
-// untrusted snapshot state.
-func FromState(st TreeState) *Tree {
-	return &Tree{ID: st.ID, Name: st.Name, root: st.Root, height: st.Height, pages: st.Pages, n: st.Len}
-}

@@ -60,14 +60,23 @@ func scanBatches(w *engine.Session, sc *engine.Scratch, ix *engine.Index, r keyR
 	})
 }
 
-// scanRows runs ix's scan of [lo, hi) on db, one entry at a time, and stops
-// at db's deadline before each row.
+// scanRows runs ix's batched scan of [lo, hi) on db through the entry
+// buffer of db's borrowed scratch, hands fn one entry at a time, and stops
+// at db's deadline before each row. Its callers (NOJOIN, HHJ, VNOJOIN) hold
+// no borrow of their own.
 func scanRows(db *engine.Session, ix *engine.Index, lo, hi int64, fn func(index.Entry) (bool, error)) error {
-	return ix.Backend.Scan(db.Client, lo, hi, func(e index.Entry) (bool, error) {
-		if err := db.Err(); err != nil {
-			return false, err
+	sc := db.Borrow()
+	defer db.Return(sc)
+	return ix.Backend.ScanBatched(db.Client, lo, hi, sc.EntryBuf(db.Batch()), func(entries []index.Entry) (bool, error) {
+		for _, e := range entries {
+			if err := db.Err(); err != nil {
+				return false, err
+			}
+			if ok, err := fn(e); err != nil || !ok {
+				return false, err
+			}
 		}
-		return fn(e)
+		return true, nil
 	})
 }
 

@@ -154,7 +154,7 @@ type Manifest struct {
 	Patients   int
 	Clustering string
 
-	// Backend is the index-backend kind ("btree", "disk", "lsm"), from the
+	// Backend is the index-backend kind ("btree" or "lsm"), from the
 	// backends section's leading tag.
 	Backend string
 

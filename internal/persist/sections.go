@@ -346,7 +346,9 @@ func placeIndexes(st *engine.SnapshotState, have int, section string, fill func(
 // encodeBackends writes the pluggable-backend descriptor of every index,
 // aligned with the trees section (extent-major order). A leading kind tag
 // (the first index's kind — engines keep it uniform) lets Inspect report
-// the backend column without decoding the whole section.
+// the backend column without decoding the whole section. Each entry keeps
+// the u32 that held the removed "disk" kind's metadata page, always
+// InvalidPage, so files stay byte-identical across that removal.
 func encodeBackends(e *codec.Enc, st *engine.SnapshotState) {
 	var bks []index.BackendState
 	for _, ex := range st.Extents {
@@ -363,7 +365,7 @@ func encodeBackends(e *codec.Enc, st *engine.SnapshotState) {
 	for _, b := range bks {
 		e.Str(b.Kind)
 		encodeTree(e, b.Tree)
-		e.U32(uint32(b.Meta))
+		e.U32(uint32(storage.InvalidPage))
 		e.Bool(b.LSM != nil)
 		if l := b.LSM; l != nil {
 			e.U32(l.ID)
@@ -399,9 +401,15 @@ func encodeBackends(e *codec.Enc, st *engine.SnapshotState) {
 }
 
 // decodeBackendEntry reads one BackendState (the per-index body of the
-// backends section). Shared by decodeBackends and the WAL commit codec.
-func decodeBackendEntry(d *codec.Dec) index.BackendState {
-	b := index.BackendState{Kind: d.Str(), Tree: decodeTree(d), Meta: storage.PageID(d.U32())}
+// backends section, which snapshots and WAL commits share). An entry with a
+// metadata page is refused: only the removed "disk" kind wrote one. A kind
+// this build does not know decodes, and engine.RestoreSnapshot refuses it.
+func decodeBackendEntry(d *codec.Dec) (index.BackendState, error) {
+	b := index.BackendState{Kind: d.Str(), Tree: decodeTree(d)}
+	if meta := storage.PageID(d.U32()); meta != storage.InvalidPage && d.Err() == nil {
+		return b, fmt.Errorf("%w: backends section: %s index %s has metadata page %d, this build reads none",
+			ErrFormat, b.Kind, b.Tree.Name, meta)
+	}
 	if d.Bool() {
 		l := &index.LSMState{
 			ID:   d.U32(),
@@ -440,7 +448,7 @@ func decodeBackendEntry(d *codec.Dec) index.BackendState {
 		}
 		b.LSM = l
 	}
-	return b
+	return b, nil
 }
 
 func decodeBackends(b []byte, st *engine.SnapshotState) error {
@@ -449,7 +457,10 @@ func decodeBackends(b []byte, st *engine.SnapshotState) error {
 	n := d.Count(49, "backend")
 	bks := make([]index.BackendState, n)
 	for i := range bks {
-		bks[i] = decodeBackendEntry(d)
+		var err error
+		if bks[i], err = decodeBackendEntry(d); err != nil {
+			return err
+		}
 	}
 	if err := finish(d, "backends"); err != nil {
 		return err

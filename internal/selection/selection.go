@@ -388,8 +388,10 @@ func runIndexScan(db *engine.Database, req Request, filterIdxs, projIdxs []int, 
 	sc := db.Borrow()
 	defer db.Return(sc)
 	rids := sc.Rids[:0]
-	err := ix.Backend.Scan(db.Client, lo, hi, func(e index.Entry) (bool, error) {
-		rids = append(rids, e.Rid)
+	err := ix.Backend.ScanBatched(db.Client, lo, hi, sc.EntryBuf(db.Batch()), func(entries []index.Entry) (bool, error) {
+		for _, e := range entries {
+			rids = append(rids, e.Rid)
+		}
 		return true, nil
 	})
 	sc.Rids = rids // keep the array the scan grew

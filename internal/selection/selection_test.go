@@ -289,3 +289,32 @@ func TestOnRowReceivesValues(t *testing.T) {
 }
 
 var errStop = errors.New("stop")
+
+// TestScratchKeepsBoundedRidTable: an index scan grows the session's rid
+// table to its row count, and the session keeps that table between
+// borrows only up to 32 batches of rids. At batch 16 a 2 000-row scan's
+// table is dropped, and a 300-row scan's (under 512) is kept.
+func TestScratchKeepsBoundedRidTable(t *testing.T) {
+	d, db := dataset(t)
+	db.SetBatch(16)
+	ridCap := func(rows int) int {
+		t.Helper()
+		req := Request{Extent: d.Patients, Where: Pred{Attr: "mrn", Op: Lt, K: int64(rows + 1)}, Projects: []string{"age"}}
+		res, err := Run(db, req, IndexScan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows != rows {
+			t.Fatalf("mrn < %d: %d rows, want %d", rows+1, res.Rows, rows)
+		}
+		sc := db.Borrow()
+		defer db.Return(sc)
+		return cap(sc.Rids)
+	}
+	if c := ridCap(2000); c > 32*16 {
+		t.Errorf("after a 2000-row index scan the session keeps %d rids, want at most %d", c, 32*16)
+	}
+	if c := ridCap(300); c < 300 {
+		t.Errorf("after a 300-row index scan the session keeps %d rids, want its table of at least 300", c)
+	}
+}

@@ -39,7 +39,7 @@ type Config struct {
 	// database fork, so a cache must not be shared across forks.
 	PlanCache *oql.PlanCache
 	// IndexBackend selects the pluggable index structure indexes created
-	// through this session use ("btree", "disk", "lsm"; empty keeps the
+	// through this session use ("btree" or "lsm"; empty keeps the
 	// database's current kind). Indexes that already exist are unaffected.
 	IndexBackend string
 }

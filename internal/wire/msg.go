@@ -234,9 +234,9 @@ type Stats struct {
 	WalTail     int64 // current WAL end offset
 
 	// Index backend (v7): which pluggable index structure the server's
-	// sessions run ("btree", "disk", "lsm") and the cumulative backend
-	// counters across every executed query. All five counters are zero for
-	// the in-memory B+-tree except BackendPagesWritten.
+	// sessions run ("btree" or "lsm") and the cumulative backend counters
+	// across every executed query. All five counters are zero for the
+	// B+-tree except BackendPagesWritten.
 	IndexBackend        string
 	BackendBloomHits    int64
 	BackendBloomMisses  int64

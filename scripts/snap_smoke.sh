@@ -72,15 +72,20 @@ echo "snap-smoke: intact snapshot reloads and answers queries"
 }
 "$WORK/treebench-snap" load "$WORK/lsm.tbsp" > "$WORK/load-lsm.txt"
 cmp <(tail -n +2 "$WORK/load-btree.txt") <(tail -n +2 "$WORK/load-lsm.txt")
-if ! "$WORK/treebench-snap" save "${DB[@]}" -index-backend bogus -o "$WORK/bogus.tbsp" 2>"$WORK/bogus.txt"; then
-  grep -q "btree" "$WORK/bogus.txt" || {
-    echo "snap-smoke: unknown-backend error does not hint at valid kinds" >&2
+# An unknown kind, and the removed "disk" kind, are refused with a hint
+# that lists the valid kinds (btree, lsm) and not the removed one.
+for kind in bogus disk; do
+  if ! "$WORK/treebench-snap" save "${DB[@]}" -index-backend "$kind" -o "$WORK/$kind.tbsp" 2>"$WORK/$kind.txt"; then
+    hint=$(grep -o 'valid: [^)]*' "$WORK/$kind.txt" || true)
+    [ "$hint" = "valid: btree, lsm" ] || {
+      echo "snap-smoke: -index-backend $kind: hint '$hint' is not 'valid: btree, lsm'" >&2
+      exit 1
+    }
+  else
+    echo "snap-smoke: index backend $kind accepted" >&2
     exit 1
-  }
-else
-  echo "snap-smoke: unknown index backend accepted" >&2
-  exit 1
-fi
+  fi
+done
 echo "snap-smoke: lsm snapshot round-trips with byte-identical answers"
 
 # Warm boot: boot 1 populates the snapshot dir (source "generated"),
