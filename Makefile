@@ -43,13 +43,14 @@ bench-fork:
 bench-commit:
 	$(GO) test -run 'TestNothing^' -bench 'Benchmark(ChainCommit|ForkAfterCommit)$$' -benchtime 200x -benchmem ./internal/persist
 
-# Buffer-pool layer benchmarks: what Handle.Get costs on a resident page
+# Buffer-pool layer benchmarks: what Handle.GetAs costs on a resident page
 # (one reader, and every CPU through one shared handle) and on a miss.
-# Watch ns/op and allocs/op — a hit must stay 0 allocs and a miss 2, its
-# frame and its page (TestGetHitAllocatesNothing, TestGetMissAllocations;
-# EXPERIMENTS.md records before/after the lock-free hit path).
+# Watch ns/op and allocs/op — a hit must stay 0 allocs, a miss of a reader
+# that never quiesces 2 (its frame and its page) and a miss of a quiescing
+# reader 0, its frame reused (TestGetHitAllocatesNothing,
+# TestGetMissAllocations; EXPERIMENTS.md records before/after).
 bench-pool:
-	$(GO) test -run 'TestNothing^' -bench 'BenchmarkGet(Hit|HitParallel|Miss)$$' -benchmem ./internal/bufpool
+	$(GO) test -run 'TestNothing^' -bench 'BenchmarkGet(Hit|HitParallel|Miss|MissRecycled)$$' -benchmem ./internal/bufpool
 
 # What one measured query costs the Go program below the wire: the
 # simulated page caches (hit, miss with eviction, cold-restart drain and

@@ -151,11 +151,12 @@ var codeAllowed = map[string]string{
 	"object.(*Handle).Class":       "the inheritance tests check which class a handle resolved",
 	"object.(*Class).Parent":       "the inheritance tests check the class graph",
 	"object.(*Class).Subclasses":   "the inheritance tests check the class graph",
-	"object.(*Table).Live":         "the engine and join tests check that every handle is released",
 	"object.(*Table).MaxBytes":     "the join tests check the handle table's high-water mark",
 	"engine.(*Session).SetBatch":   "the seam the byte-identity tests vary the batch size through",
 	"cache.(*Server).Resident":     "the cache and engine tests check what a cold restart empties",
 	"storage.(*Disk).Write":        "makes the raw disk a Pager for tests that run files and indexes without caches",
+	"storage.(*Disk).Read":         "makes the raw disk a Pager for tests that run files and indexes without caches",
+	"bufpool.PoisonRecycled":       "the seam the pool tests of bufpool and persist poison reused frames through",
 	"storage.(*Base).Delta":        "the chain tests check a head's delta chain",
 	"storage.NewBase":              "the chain tests rebuild a flat base from a head's pages",
 	"sim.(*Meter).ScanNext":        "the charge of the handle-at-a-time reference loops in selection/scalar_test.go",

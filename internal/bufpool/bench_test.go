@@ -5,11 +5,13 @@ import (
 	"testing"
 )
 
-// The pool's two layer benchmarks (make bench-pool): what a Get costs
-// when the page is resident — the whole cost of a warm-booted daemon's
-// storage layer — and what it costs when it is not. The source only
-// stamps the page, so a miss measures the pool's own fault, admit and
-// evict work, not a disk.
+// The pool's layer benchmarks (make bench-pool): what a session's Get
+// costs when the page is resident — the whole cost of a warm-booted
+// daemon's storage layer — and what it costs when it is not, for a reader
+// that never quiesces (every miss allocates its frame and page) and for
+// one that quiesces between Gets (a miss reuses an evicted frame). The
+// source only stamps the page, so a miss measures the pool's own fault,
+// admit, evict and reuse work, not a disk.
 
 const benchPages = 8192 // the size of the live benchmark's image, about
 
@@ -39,10 +41,12 @@ func residentHandle(b *testing.B) *Handle {
 
 func BenchmarkGetHit(b *testing.B) {
 	h, order := residentHandle(b), benchOrder()
+	r := NewReader()
+	defer r.Offline()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _ = h.Get(order[i&(len(order)-1)])
+		benchSink, _ = h.GetAs(r, order[i&(len(order)-1)])
 	}
 }
 
@@ -53,23 +57,38 @@ func BenchmarkGetHitParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		r := NewReader()
+		defer r.Offline()
 		var buf []byte
 		for i := rand.Intn(len(order)); pb.Next(); i++ {
-			buf, _ = h.Get(order[i&(len(order)-1)])
+			buf, _ = h.GetAs(r, order[i&(len(order)-1)])
 		}
 		_ = buf
 	})
 }
 
 // BenchmarkGetMiss walks a file 64 times the pool with a stride that
-// defeats readahead, so every Get faults, admits and evicts.
-func BenchmarkGetMiss(b *testing.B) {
+// defeats readahead, so every Get faults, admits and evicts, for a reader
+// that never quiesces: no evicted frame is reused.
+func BenchmarkGetMiss(b *testing.B) { benchMiss(b, false) }
+
+// BenchmarkGetMissRecycled is BenchmarkGetMiss for a reader that quiesces
+// after every Get: in the steady state each miss reads into an evicted
+// frame's buffer and allocates nothing.
+func BenchmarkGetMissRecycled(b *testing.B) { benchMiss(b, true) }
+
+func benchMiss(b *testing.B, quiesce bool) {
 	p := New(128*4096, 4096, DefaultReadahead)
 	h := p.Register(stampSource{4096}, benchPages)
+	r := NewReader()
+	defer r.Offline()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _ = h.Get(i * 37 % benchPages)
+		benchSink, _ = h.GetAs(r, i*37%benchPages)
+		if quiesce {
+			r.Quiesce()
+		}
 	}
 	b.StopTimer()
 	if st := p.Stats(); st.Hits != 0 {

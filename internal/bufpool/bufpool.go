@@ -51,14 +51,15 @@
 // survive is unchanged, the order inside the protected queue follows
 // scan order rather than hit order.
 //
-// Frames are not recycled: evicting a frame drops the pool's reference
-// and the garbage collector reclaims the buffer once the last reader's
-// alias dies. That is what makes eviction safe under the engine's
-// pervasive buffer aliasing (record slices, simulated cache entries, COW
-// copies all alias page buffers) — an evicted frame's content can never
-// be scribbled over — and what makes the lock-free hit safe: a reader
-// that loaded a frame pointer just before its eviction still holds a
-// valid immutable buffer.
+// Frames are recycled (reclaim.go): an evicted frame waits out a grace
+// period and then serves a later miss, buffer and all. The engine aliases
+// page buffers everywhere — record slices, handles, batches, the fetcher's
+// page memo — so the grace period is what keeps eviction safe: a frame is
+// reused only once every reader that could have loaded it has announced
+// that it holds no buffer (Reader.Quiesce, Reader.Offline). Until then a
+// reader that loaded a frame pointer just before its eviction still holds
+// a valid, unchanged buffer, which is also what makes the lock-free hit
+// safe. A buffer handed to a caller that names no reader is never reused.
 //
 // Hits are counted in cache-line-padded stripes summed by Stats, so
 // parallel query chunks reading one handle do not bounce a shared
@@ -94,8 +95,9 @@ type Stats struct {
 	ReadaheadUsed   int64 // prefetched pages later consumed by a Get
 	ReadaheadWasted int64 // prefetched pages evicted or dropped before any Get
 
-	Adopted int64 // frames admitted by Adopt, with no source read
-	Dropped int64 // frames taken out by Drop
+	Adopted  int64 // frames admitted by Adopt, with no source read
+	Dropped  int64 // frames taken out by Drop
+	Recycled int64 // misses that reused an evicted frame and its buffer
 
 	ResidentPages int64 // frames resident right now
 	CapacityPages int64 // frame capacity (0 = unbounded)
@@ -133,9 +135,10 @@ type key struct {
 	page uint32
 }
 
-// frame is one resident page. buf and slot are immutable once the frame
-// is published; ref and prefetched are the only fields touched outside
-// the shard mutex.
+// frame is one resident page. buf and slot do not change while the frame
+// is published; ref, prefetched and pinned are the only fields touched
+// outside the shard mutex. A reused frame keeps its buf and gets a new
+// slot (reclaim.go).
 type frame struct {
 	buf  []byte
 	slot *atomic.Pointer[frame] // the owning handle's page-table entry
@@ -149,8 +152,14 @@ type frame struct {
 	// first Get (readahead used) or the eviction (readahead wasted).
 	prefetched atomic.Bool
 
-	hot        bool // protected (true) or probationary (false) queue
-	prev, next *frame
+	// pinned marks a frame whose buffer went to a caller that named no
+	// reader, or that shares its buffer with another file's frame: it is
+	// never reused. It is never cleared.
+	pinned atomic.Bool
+
+	hot        bool   // protected (true) or probationary (false) queue
+	stamp      uint64 // the epoch a retired frame waits for
+	prev, next *frame // its 2Q queue, or the retired list
 }
 
 // list is an intrusive LRU queue: head is LRU (eviction end), tail MRU.
@@ -207,6 +216,7 @@ type shard struct {
 	inflight  map[key]*inflight
 	probation list // first-touch pages; evicted first (scan resistance)
 	protected list // pages touched at least twice
+	retired   list // evicted frames in their grace period, oldest first
 	capFrames int  // 0 = unbounded
 }
 
@@ -239,7 +249,12 @@ type Pool struct {
 	hits                       stripedCounter
 	misses, evictions          atomic.Int64
 	raIssued, raUsed, raWasted atomic.Int64
-	adopted, dropped           atomic.Int64
+	adopted, dropped, recycled atomic.Int64
+
+	// safe is the highest epoch a scan of the readers found every online
+	// reader at or past, and scanned the eviction count that scan ran at
+	// (reclaim.go).
+	safe, scanned atomic.Uint64
 }
 
 // New returns a pool of capacityBytes (0 = unbounded) over pageSize
@@ -292,6 +307,7 @@ func (p *Pool) Stats() Stats {
 		Evictions: p.evictions.Load(),
 		Adopted:   p.adopted.Load(),
 		Dropped:   p.dropped.Load(),
+		Recycled:  p.recycled.Load(),
 		Sources:   int64(p.nextSrc.Load()),
 	}
 	// Outcomes before issues: a prefetch is issued before it can be used
@@ -359,15 +375,18 @@ func (sh *shard) demoteLocked() {
 	sh.probation.pushMRU(d)
 }
 
-// admitLocked publishes a new frame for page of h in probation and evicts
-// past capacity. Caller holds the shard mutex; the page must not be
+// admitLocked publishes f, whose buf holds page of h, in probation and
+// evicts past capacity. f is new or reused: every field but buf and
+// pinned is set here. Caller holds the shard mutex; the page must not be
 // resident.
-func (sh *shard) admitLocked(h *Handle, page int, buf []byte, prefetched bool) {
-	f := &frame{buf: buf, slot: &h.table[page]}
+func (sh *shard) admitLocked(h *Handle, page int, f *frame, prefetched bool) {
+	f.slot = &h.table[page]
+	f.ref.Store(false)
+	f.prefetched.Store(prefetched)
+	f.hot = false
 	if prefetched {
 		// Issued is counted before the frame is visible, so that used +
 		// wasted can never be seen ahead of it.
-		f.prefetched.Store(true)
 		h.pool.raIssued.Add(1)
 	}
 	sh.probation.pushMRU(f)
@@ -376,14 +395,16 @@ func (sh *shard) admitLocked(h *Handle, page int, buf []byte, prefetched bool) {
 }
 
 // evictLocked drops frames until the shard is within capacity, draining
-// probation before protected.
+// probation before protected, and retires them for reuse.
 func (sh *shard) evictLocked(p *Pool) {
 	if sh.capFrames == 0 {
 		return
 	}
 	for sh.resident() > sh.capFrames {
-		sh.removeLocked(p, sh.victimLocked())
+		f := sh.victimLocked()
+		sh.removeLocked(p, f)
 		p.evictions.Add(1)
+		sh.retireLocked(f)
 	}
 }
 
@@ -476,22 +497,47 @@ func (h *Handle) errRange(page int) error {
 	return fmt.Errorf("bufpool: page %d out of range (%d pages)", page, h.numPages)
 }
 
-// Get returns page's content, from a resident frame or by faulting it
-// in. The returned buffer is the shared resident copy — callers must
-// not mutate it. Concurrent Gets of one page share a single backing
-// read. A Get of a resident page takes no lock and allocates nothing.
-func (h *Handle) Get(page int) ([]byte, error) {
+// GetAs returns page's content for reader r, from a resident frame or by
+// faulting it in. The returned buffer is the shared resident copy —
+// callers must not mutate it — and stays page's content until r next
+// quiesces or goes offline. Concurrent Gets of one page share a single
+// backing read. A Get of a resident page takes no lock and allocates
+// nothing; a miss reuses a retired frame when one is past its grace
+// period.
+func (h *Handle) GetAs(r *Reader, page int) ([]byte, error) {
+	r.enter()
+	return h.get(r, page)
+}
+
+// Get is GetAs for a caller that names no reader: the frame it returns is
+// pinned, so its buffer stays page's content for good.
+func (h *Handle) Get(page int) ([]byte, error) { return h.get(nil, page) }
+
+// GetPage implements storage.PageCache.
+func (h *Handle) GetPage(i int) ([]byte, error) { return h.Get(i) }
+
+// GetPageAs implements storage.PageCache.
+func (h *Handle) GetPageAs(r *Reader, i int) ([]byte, error) { return h.GetAs(r, i) }
+
+// get serves a Get for online reader r, or for no reader when r is nil.
+func (h *Handle) get(r *Reader, page int) ([]byte, error) {
 	if !h.inRange(page) {
 		return nil, h.errRange(page)
 	}
-	if f := h.table[page].Load(); f != nil {
-		h.pool.hit(f)
-		h.pool.hits.add(page)
-		h.noteAccess(page)
-		return f.buf, nil
+	for {
+		f := h.table[page].Load()
+		if f == nil {
+			break
+		}
+		if r != nil || h.pin(page, f) {
+			h.pool.hit(f)
+			h.pool.hits.add(page)
+			h.noteAccess(page)
+			return f.buf, nil
+		}
 	}
 	h.pool.misses.Add(1)
-	buf, err := h.fault(page)
+	buf, err := h.fault(r, page)
 	if err != nil {
 		return nil, err
 	}
@@ -499,18 +545,20 @@ func (h *Handle) Get(page int) ([]byte, error) {
 	return buf, nil
 }
 
-// GetPage implements storage.PageCache.
-func (h *Handle) GetPage(i int) ([]byte, error) { return h.Get(i) }
-
 // fault reads page from the backing source, deduplicating concurrent
 // faulters through the shard's in-flight table, and admits the result.
 // A miss that continues an established sequential streak reads its whole
-// readahead window instead (faultRange).
-func (h *Handle) fault(page int) ([]byte, error) {
+// readahead window instead (faultRange); any other reads into a reused
+// frame when its shard has one past its grace period.
+func (h *Handle) fault(r *Reader, page int) ([]byte, error) {
 	k := key{h.id, uint32(page)}
 	sh := h.pool.shardFor(k)
+	hi := h.batchSpan(page)
 	sh.mu.Lock()
 	if f := h.table[page].Load(); f != nil { // raced in (another faulter, or the tail of its window)
+		if r == nil {
+			f.pinned.Store(true) // under the mutex, so f cannot be evicted first
+		}
 		h.pool.hit(f)
 		sh.mu.Unlock()
 		return f.buf, nil
@@ -522,16 +570,29 @@ func (h *Handle) fault(page int) ([]byte, error) {
 		}
 		sh.mu.Unlock()
 		<-c.done
+		if r == nil && c.err == nil {
+			// An online reader holds the faulter's frame back from reuse;
+			// a caller with no reader pins it under the mutex instead.
+			return h.fault(nil, page)
+		}
 		return c.buf, c.err
 	}
 	sh.inflight[k] = nil
+	var f *frame
+	if hi == page+1 {
+		f = sh.reuseLocked(h.pool)
+	}
 	sh.mu.Unlock()
 
 	var buf []byte
 	var err error
-	if hi := h.batchSpan(page); hi > page+1 {
+	switch {
+	case hi > page+1:
 		buf, err = h.faultRange(page, hi)
-	} else {
+	case f != nil:
+		buf = f.buf
+		err = h.src.ReadPage(page, buf)
+	default:
 		buf = make([]byte, h.pool.pageSize)
 		err = h.src.ReadPage(page, buf)
 	}
@@ -540,10 +601,21 @@ func (h *Handle) fault(page int) ([]byte, error) {
 	c := sh.inflight[k]
 	delete(sh.inflight, k)
 	if err == nil {
-		if f := h.table[page].Load(); f == nil {
-			sh.admitLocked(h, page, buf, false)
+		if g := h.table[page].Load(); g == nil {
+			if f == nil {
+				f = &frame{buf: buf}
+			}
+			if r == nil {
+				f.pinned.Store(true)
+			}
+			sh.admitLocked(h, page, f, false)
 		} else {
-			buf = f.buf // admitted while we read; share its frame
+			// Admitted while we read (an Adopt): share its frame, and
+			// leave ours, reused or not, to the garbage collector.
+			buf = g.buf
+			if r == nil {
+				g.pinned.Store(true)
+			}
 		}
 	}
 	sh.mu.Unlock()
@@ -557,34 +629,49 @@ func (h *Handle) fault(page int) ([]byte, error) {
 	return buf, nil
 }
 
+// resident reports whether page is resident, for the readahead clip.
+func (h *Handle) resident(page int) bool { return h.table[page].Load() != nil }
+
 // Resident implements storage.PageCache: page i's buffer if it is
 // resident. It is a peek: it never faults, counts no hit, sets no
-// reference bit and does not move the streak cursor.
+// reference bit and does not move the streak cursor. Like Get it names
+// no reader, so the frame is pinned.
 func (h *Handle) Resident(i int) ([]byte, bool) {
 	if !h.inRange(i) {
 		return nil, false
 	}
-	if f := h.table[i].Load(); f != nil {
-		return f.buf, true
+	for {
+		f := h.table[i].Load()
+		if f == nil {
+			return nil, false
+		}
+		if h.pin(i, f) {
+			return f.buf, true
+		}
 	}
-	return nil, false
 }
 
 // Adopt admits buf as page's frame without reading the source. The
 // caller guarantees buf holds exactly the page's bytes and is never
 // written again. The frame is an ordinary probationary one, so capacity
-// pressure may evict it like any other. Adopt is a no-op when the page
-// is out of range, resident, or being faulted: the fault's own read wins,
-// as it does over a prefetched tail page.
+// pressure may evict it like any other, but it is pinned: buf belongs to
+// the caller too. Adopt is a no-op when the page is out of range,
+// resident, or being faulted: the fault's own read wins, as it does over
+// a prefetched tail page.
 func (h *Handle) Adopt(page int, buf []byte) {
-	if h.inRange(page) && h.admitIfAbsent(page, buf, false) {
+	if !h.inRange(page) {
+		return
+	}
+	f := &frame{buf: buf}
+	f.pinned.Store(true)
+	if h.admitIfAbsent(page, f, false) {
 		h.pool.adopted.Add(1)
 	}
 }
 
-// admitIfAbsent admits buf as page's frame unless the page is resident
-// or a fault of it is in flight, and reports whether it did.
-func (h *Handle) admitIfAbsent(page int, buf []byte, prefetched bool) bool {
+// admitIfAbsent admits f as page's frame unless the page is resident or
+// a fault of it is in flight, and reports whether it did.
+func (h *Handle) admitIfAbsent(page int, f *frame, prefetched bool) bool {
 	k := key{h.id, uint32(page)}
 	sh := h.pool.shardFor(k)
 	sh.mu.Lock()
@@ -592,15 +679,15 @@ func (h *Handle) admitIfAbsent(page int, buf []byte, prefetched bool) bool {
 	if _, faulting := sh.inflight[k]; faulting || h.table[page].Load() != nil {
 		return false
 	}
-	sh.admitLocked(h, page, buf, prefetched)
+	sh.admitLocked(h, page, f, prefetched)
 	return true
 }
 
 // Drop takes every resident frame of the handle out of the pool: off its
 // 2Q queue and out of the page table, each under its page's shard mutex.
-// Like an eviction it drops only the pool's reference, so a reader that
-// holds a buffer keeps a valid one, and a later Get faults the page in
-// again. A fault in flight while Drop runs admits its page as usual.
+// It drops only the pool's reference and retires nothing, so a reader
+// that holds a buffer keeps a valid one, and a later Get faults the page
+// in again. A fault in flight while Drop runs admits its page as usual.
 func (h *Handle) Drop() {
 	for page := range h.table {
 		if h.table[page].Load() == nil {

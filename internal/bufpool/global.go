@@ -1,10 +1,6 @@
 package bufpool
 
-import (
-	"sync"
-
-	"treebench/internal/storage"
-)
+import "sync"
 
 // The process-wide pool. Every snapshot file opened by persist registers
 // with the active pool, so all sessions, forks, daemons' chain stores,
@@ -16,6 +12,11 @@ const (
 	DefaultCapacityMB = 256
 	DefaultReadahead  = 32
 )
+
+// FrameSize is the frame size of the process-wide pool: one page of a
+// snapshot file, FrameSize (storage reads through this package,
+// so it checks the two agree rather than this package importing it).
+const FrameSize = 4096
 
 var (
 	gmu   sync.Mutex
@@ -34,7 +35,7 @@ func Setup(capacityMB, readahead int) {
 	}
 	gmu.Lock()
 	defer gmu.Unlock()
-	gpool = New(int64(capacityMB)<<20, storage.PageSize, readahead)
+	gpool = New(int64(capacityMB)<<20, FrameSize, readahead)
 }
 
 // Active returns the process-wide pool, creating it with the defaults on
@@ -43,7 +44,7 @@ func Active() *Pool {
 	gmu.Lock()
 	defer gmu.Unlock()
 	if gpool == nil {
-		gpool = New(DefaultCapacityMB<<20, storage.PageSize, DefaultReadahead)
+		gpool = New(DefaultCapacityMB<<20, FrameSize, DefaultReadahead)
 	}
 	return gpool
 }

@@ -115,36 +115,65 @@ func TestGetHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestGetMissAllocations pins what a miss allocates: its frame and its
-// page buffer. The record concurrent faulters of one page share is made
-// only when a second reader waits (TestConcurrentFaultDedupe), so a miss
-// nobody races allocates no in-flight record and no channel. The walk
+// TestGetMissAllocations pins what a miss allocates. A reader that never
+// quiesces holds back the reuse of every frame evicted after it went
+// online, so its misses allocate a frame and a page, and nothing more:
+// the record concurrent faulters of one page share is made only when a
+// second reader waits (TestConcurrentFaultDedupe), so a miss nobody
+// races allocates no in-flight record and no channel. A reader that
+// quiesces between misses gets each miss a retired frame and its buffer
+// once the retired lists are warm, and allocates nothing. The walk
 // defeats readahead and the pool is a sixteenth of the file, so every Get
 // faults, admits and evicts.
 func TestGetMissAllocations(t *testing.T) {
 	const numPages = 4096
-	p := New(numPages/16*4096, 4096, 32)
-	h := p.Register(stampSource{4096}, numPages)
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := h.Get(i * 37 % numPages); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if st := p.Stats(); st.Hits != 0 {
-		t.Fatalf("%d Gets hit; the walk must miss every time", st.Hits)
-	}
-	if allocs > 2 {
-		t.Fatalf("a miss allocates %.1f objects, want at most 2 (frame and page)", allocs)
+	for _, tc := range []struct {
+		name    string
+		quiesce bool
+		max     float64
+	}{
+		{"reader that never quiesces", false, 2},
+		{"quiescing reader, warm retired lists", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(numPages/16*4096, 4096, 32)
+			h := p.Register(stampSource{4096}, numPages)
+			r := NewReader()
+			defer r.Offline()
+			i := 0
+			miss := func() {
+				if _, err := h.GetAs(r, i*37%numPages); err != nil {
+					t.Fatal(err)
+				}
+				i++
+				if tc.quiesce {
+					r.Quiesce()
+				}
+			}
+			for j := 0; j < numPages/4; j++ {
+				miss()
+			}
+			allocs := testing.AllocsPerRun(1000, miss)
+			st := p.Stats()
+			if st.Hits != 0 {
+				t.Fatalf("%d Gets hit; the walk must miss every time", st.Hits)
+			}
+			if allocs > tc.max {
+				t.Fatalf("a miss allocates %.1f objects, want at most %.0f", allocs, tc.max)
+			}
+			if tc.quiesce == (st.Recycled == 0) {
+				t.Fatalf("stats = %+v: recycled %d frames", st, st.Recycled)
+			}
+		})
 	}
 }
 
 // TestLockFreeHitsUnderEviction runs the lock-free hit path against
 // everything that changes residency at once: four readers over a pool a
 // sixteenth of the file, so nearly every frame a reader loads is being
-// evicted, re-faulted or prefetched by someone else. Run under -race.
-// Every buffer must be the page asked for, and the counters must add up.
+// evicted, re-faulted, prefetched or reused by someone else, and reused
+// frames are poisoned. Run under -race. Every buffer must be the page
+// asked for until its reader quiesces, and the counters must add up.
 func TestLockFreeHitsUnderEviction(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -154,6 +183,7 @@ func TestLockFreeHitsUnderEviction(t *testing.T) {
 		readers  = 4
 		perRead  = 20000
 	)
+	poisoned(t)
 	p := New(frames*4096, 4096, 16)
 	h := p.Register(stampSource{4096}, numPages)
 	gets := readStamped(t, h, readers, perRead)
@@ -163,21 +193,23 @@ func TestLockFreeHitsUnderEviction(t *testing.T) {
 		t.Errorf("hits %d + misses %d != %d Gets", st.Hits, st.Misses, gets)
 	}
 	checkBounds(t, p, h)
-	if st.Hits == 0 || st.Evictions == 0 || st.ReadaheadIssued == 0 {
-		t.Errorf("stats = %+v: want hits, evictions and readahead all exercised", st)
+	if st.Hits == 0 || st.Evictions == 0 || st.ReadaheadIssued == 0 || st.Recycled == 0 {
+		t.Errorf("stats = %+v: want hits, evictions, readahead and reuse all exercised", st)
 	}
 }
 
 // TestDropUnderReaders runs Drop against every path that makes a page
 // resident: four readers Get a stamped file through a bounded pool while
 // another goroutine drops the handle over and over, and then Adopt races
-// a fault of the same page. Run under -race. Every buffer must be the
-// page asked for, the pool must stay within capacity, and an adopted
-// page and a faulted one must end as exactly one frame.
+// a fault of the same page. Run under -race, with reused frames
+// poisoned. Every buffer must be the page asked for until its reader
+// quiesces, the pool must stay within capacity, and an adopted page and a
+// faulted one must end as exactly one frame.
 func TestDropUnderReaders(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	const numPages = 4096
+	poisoned(t)
 	p := New(256*4096, 4096, 16)
 	h := p.Register(stampSource{4096}, numPages)
 
@@ -249,7 +281,9 @@ func TestDropUnderReaders(t *testing.T) {
 // h, which must read a stampSource, waits for them and returns how many
 // Gets they made. Each reader mostly reads points over a hot eighth of
 // the file plus the odd cold page, and now and then a run long enough to
-// arm readahead.
+// arm readahead. Each reader is a quiescing one: it checks every buffer
+// when it gets it and again at the end of its run, and quiesces only
+// then, so a frame reused while its reader may hold it shows.
 func readStamped(t *testing.T, h *Handle, readers, perRead int) int64 {
 	t.Helper()
 	numPages := h.numPages
@@ -259,17 +293,21 @@ func readStamped(t *testing.T, h *Handle, readers, perRead int) int64 {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			r := NewReader()
+			defer r.Offline()
 			rng := rand.New(rand.NewSource(int64(g) + 1))
+			held := make([][]byte, 0, 48)
 			for n := 0; n < perRead; {
 				pg, run := rng.Intn(numPages/8), 1
-				switch r := rng.Intn(100); {
-				case r < 10:
+				switch roll := rng.Intn(100); {
+				case roll < 10:
 					pg = rng.Intn(numPages)
-				case r < 12:
+				case roll < 12:
 					pg, run = rng.Intn(numPages-64), 48
 				}
+				held = held[:0]
 				for i := 0; i < run; i++ {
-					buf, err := h.Get(pg + i)
+					buf, err := h.GetAs(r, pg+i)
 					n++
 					gets.Add(1)
 					if err != nil {
@@ -280,7 +318,15 @@ func readStamped(t *testing.T, h *Handle, readers, perRead int) int64 {
 						t.Error(errStamp(pg+i, buf))
 						return
 					}
+					held = append(held, buf)
 				}
+				for i, buf := range held {
+					if stampOf(buf) != pg+i {
+						t.Errorf("held to the end of its run: %v", errStamp(pg+i, buf))
+						return
+					}
+				}
+				r.Quiesce()
 			}
 		}(g)
 	}

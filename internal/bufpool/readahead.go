@@ -60,9 +60,9 @@ func (h *Handle) batchSpan(page int) int {
 	// to one stride's worth of already-resident pages.
 	const probeStride = 8
 	for j := page + probeStride; j < hi; j += probeStride {
-		if _, ok := h.Resident(j); ok {
+		if h.resident(j) {
 			for f := j - probeStride + 1; f <= j; f++ {
-				if _, ok := h.Resident(f); ok {
+				if h.resident(f) {
 					return f
 				}
 			}
@@ -87,7 +87,7 @@ func (h *Handle) faultRange(page, hi int) ([]byte, error) {
 	}
 	// A tail page already resident or in flight keeps the frame it has.
 	for i, buf := range frames[1:] {
-		h.admitIfAbsent(page+1+i, buf, true)
+		h.admitIfAbsent(page+1+i, &frame{buf: buf}, true)
 	}
 	return frames[0], nil
 }

@@ -10,10 +10,14 @@
 // residency/recency bookkeeping; a hit re-fetches the canonical buffer
 // from the storage layer below, meter-free. Keeping the entries
 // bufferless is what lets the process-wide buffer pool (internal/bufpool)
-// actually bound RSS: if every session's simulated LRU aliased page
-// buffers, an evicted pool frame would stay referenced and the GC could
-// never reclaim it. Eviction of a dirty page charges the write path
+// bound RSS and reuse evicted frames: if every session's simulated LRU
+// aliased page buffers, a pool frame could never be reused while any
+// session had it cached. Eviction of a dirty page charges the write path
 // below it.
+//
+// The server is where a session's reads reach the pool, so it owns the
+// session's bufpool.Reader: every read below it is named, and Quiesce and
+// Offline are how the session tells the pool it holds no page buffer.
 //
 // An entry is 16 bytes in the slab of one LRU (lru.go): admitting a page
 // is not an allocation, and a cold restart (Shutdown) empties both levels
@@ -25,6 +29,7 @@ package cache
 import (
 	"sync"
 
+	"treebench/internal/bufpool"
 	"treebench/internal/sim"
 	"treebench/internal/storage"
 )
@@ -45,10 +50,11 @@ func newPageLRU(capacityBytes int64) *pageLRU {
 // the same lock. The Client below stays single-owner — each session or
 // chunk fork builds its own.
 type Server struct {
-	disk  *storage.Disk
-	meter *sim.Meter
-	mu    sync.Mutex
-	lru   *pageLRU
+	disk   *storage.Disk
+	meter  *sim.Meter
+	reader bufpool.Reader // names every disk read to the buffer pool
+	mu     sync.Mutex
+	lru    *pageLRU
 }
 
 // NewServer returns a server cache of capacityBytes over disk, charging
@@ -61,6 +67,24 @@ func NewServer(disk *storage.Disk, meter *sim.Meter, capacityBytes int64) *Serve
 	}
 }
 
+// Quiesce tells the buffer pool that the server's owner holds no buffer
+// a read returned: the pool may reuse frames evicted before now. The
+// server has one reader, so the caller speaks for every goroutine that
+// reads through it.
+func (s *Server) Quiesce() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reader.Quiesce()
+}
+
+// Offline is Quiesce until the next read: the owner holds no buffer and
+// holds the pool back from no reuse while it reads nothing.
+func (s *Server) Offline() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reader.Offline()
+}
+
 // Read implements storage.Pager: a hit is free, a miss reads from disk.
 // The returned buffer is always the canonical storage-layer copy; on a
 // hit it is re-fetched meter-free (the entries are bufferless — see the
@@ -71,9 +95,9 @@ func (s *Server) Read(id storage.PageID) ([]byte, error) {
 	defer s.mu.Unlock()
 	if _, ok := s.lru.Get(id); ok {
 		s.meter.ServerHit()
-		return s.disk.Read(id)
+		return s.disk.ReadAs(&s.reader, id)
 	}
-	buf, err := s.disk.Read(id)
+	buf, err := s.disk.ReadAs(&s.reader, id)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +113,7 @@ func (s *Server) Read(id storage.PageID) ([]byte, error) {
 func (s *Server) Buffer(id storage.PageID) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.disk.Read(id)
+	return s.disk.ReadAs(&s.reader, id)
 }
 
 // Write implements storage.Pager: marks the page dirty in the cache.
@@ -102,7 +126,7 @@ func (s *Server) Write(id storage.PageID) error {
 	}
 	// Page not resident (e.g. handed straight down from a client
 	// eviction): pull it in dirty.
-	if _, err := s.disk.Read(id); err != nil {
+	if _, err := s.disk.ReadAs(&s.reader, id); err != nil {
 		return err
 	}
 	s.admit(id, true)

@@ -73,7 +73,7 @@ func (r *Runner) Backends() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"query results are byte-identical across backends; only where the pages and probes land differs",
-		"wave write pages: data+log+index pages written by the update waves — the LSM's memtable absorbs index maintenance the B+-trees pay per update",
+		"wave write pages: data+log+index pages written by the update waves — the LSM's memtable absorbs index maintenance the B+-tree pays per update",
 		"point scans (the Eq query path) merge every overlapping SSTable, so the LSM's post-wave read amplification is honestly higher; point lookups may skip tables by bloom probe",
 	)
 	return t, nil

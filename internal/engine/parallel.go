@@ -204,6 +204,44 @@ func (db *Session) Err() error {
 	}
 }
 
+// Quiesce tells the buffer pool that the session holds no page buffer,
+// so frames evicted before now may be reused (bufpool.Reader). The caller
+// vouches for the buffers it and the operators it runs inside hold; the
+// session checks what it keeps itself — its handle table (each handle
+// holds its record) and its kept batch — and announces nothing while
+// either holds a record. Operators call it at their audited quiescent
+// points (join.runNL, selection.runFullScan).
+func (db *Session) Quiesce() {
+	if db.holdsNoRecord() {
+		db.Server.Quiesce()
+	}
+}
+
+// Offline is Quiesce for the session and every chunk fork, leaving each
+// holding the pool back from nothing until it reads again: the end of a
+// statement or a commit, when nothing it read is held.
+func (db *Session) Offline() {
+	db.offline()
+	for _, f := range db.chunkForks {
+		if f != nil {
+			f.offline()
+		}
+	}
+}
+
+func (db *Session) offline() {
+	if db.holdsNoRecord() {
+		db.Server.Offline()
+	}
+}
+
+// holdsNoRecord reports whether the session's handle table and kept batch
+// are empty. A warm session keeps its handle table across statements
+// (ColdRestart replaces it), so this is checked, not assumed.
+func (db *Session) holdsNoRecord() bool {
+	return db.Handles.Live() == 0 && (db.scratch == nil || db.scratch.Batch == nil || db.scratch.Batch.Len() == 0)
+}
+
 // RunChunks executes fn once per chunk over up to QueryJobs goroutines and
 // merges the chunks' private meters into db.Meter in chunk-index order.
 //
@@ -221,6 +259,11 @@ func (db *Session) Err() error {
 // On error, the error of the lowest-indexed failed chunk is returned, so the
 // reported failure is deterministic too. A chunk whose turn comes after the
 // session's context is done does not run: it fails with Err.
+//
+// While forks run, the session goes offline in the buffer pool (its
+// callers hold rids and values across RunChunks, no page buffer), and
+// each fork goes offline when its chunk returns, so neither holds back
+// the reuse of frames the other chunks evict.
 func (db *Session) RunChunks(n int, fn func(w *Session, chunk int) error) error {
 	if n <= 1 {
 		if err := db.Err(); err != nil {
@@ -239,6 +282,7 @@ func (db *Session) RunChunks(n int, fn func(w *Session, chunk int) error) error 
 	for i := range forks {
 		forks[i] = db.chunkFork(i)
 	}
+	db.offline()
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -248,6 +292,7 @@ func (db *Session) RunChunks(n int, fn func(w *Session, chunk int) error) error 
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			if errs[i] = db.Err(); errs[i] == nil {
 				errs[i] = fn(forks[i], i)
+				forks[i].offline()
 			}
 		}
 	}

@@ -212,6 +212,7 @@ func (sn *Snapshot) PrimeStats() error {
 			}
 			if f == nil {
 				f = sn.fork(true)
+				defer f.Offline()
 			}
 			// The fork copied the nil, so this scans and builds.
 			h, err := f.extents[name].indexes[i].Stats(f.Client)

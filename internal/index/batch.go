@@ -10,6 +10,13 @@ import "treebench/internal/storage"
 // page reads, in the same order, at any batch size. The slice passed to fn
 // is scratch, reused between calls — the caller's, like
 // collection.ScanBatched's; fn returning false stops the scan.
+//
+// fn may tell the buffer pool that its reader holds no page buffer
+// (engine.Session.Quiesce), so the scan holds none while fn runs: a
+// delivery that ends a leaf is made once the scan is done reading it,
+// and one that falls inside a leaf first copies the leaf and reads on from
+// the copy. Deliveries at the default batch size end their leaf, so the
+// copy is paid only by small batches.
 func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, scratch []Entry, fn func([]Entry) (bool, error)) error {
 	if lo >= hi {
 		return nil
@@ -17,13 +24,14 @@ func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, scratch []Entry, fn fu
 	if cap(scratch) < 1 {
 		scratch = make([]Entry, 0, 1)
 	}
-	id, buf, err := t.findLeaf(p, lo)
+	_, buf, err := t.findLeaf(p, lo)
 	if err != nil {
 		return err
 	}
+	var own [storage.PageSize]byte // the current leaf, once a delivery falls inside it
 	capacity, batch := cap(scratch), scratch[:0]
 	for {
-		n := nodeCount(buf)
+		n, next, copied := nodeCount(buf), nextLeaf(buf), false
 		for i := 0; i < n; i++ {
 			e := leafEntry(buf, i)
 			if e.Key < lo {
@@ -34,6 +42,9 @@ func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, scratch []Entry, fn fu
 			}
 			batch = append(batch, e)
 			if len(batch) >= capacity {
+				if i+1 < n && !copied {
+					buf, copied = own[:copy(own[:], buf)], true
+				}
 				ok, err := fn(batch)
 				if err != nil || !ok {
 					return err
@@ -50,13 +61,10 @@ func (t *Tree) ScanBatched(p storage.Pager, lo, hi int64, scratch []Entry, fn fu
 			}
 			batch = batch[:0]
 		}
-		next := nextLeaf(buf)
 		if next == storage.InvalidPage {
 			return nil
 		}
-		id = next
-		buf, err = p.Read(id)
-		if err != nil {
+		if buf, err = p.Read(next); err != nil {
 			return err
 		}
 	}

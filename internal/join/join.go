@@ -244,6 +244,10 @@ func indexOrErr(env *Env, extent, attr string) (*engine.Index, error) {
 // intervene between providers); patient fetches reuse page runs within one
 // collection chunk's delivery — under composition clustering that is where
 // almost all of NL's per-object pager work collapses.
+//
+// A chunk of NL reads far more pages than a small buffer pool holds, so it
+// quiesces per provider: the frames one provider's navigation evicts
+// serve the next providers' misses.
 func runNL(env *Env, q Query) (*Result, error) {
 	db := env.DB
 	ai, err := attrs(env)
@@ -273,7 +277,14 @@ func runNL(env *Env, q Query) (*Result, error) {
 		return scanBatches(w, sc, upinIdx, ranges[c], func(entries []index.Entry) (bool, error) {
 			var ch sim.Counters
 			for _, e := range entries {
+				// Quiescent point, once per provider: the index scan reads
+				// a copy of its leaf, entries and prids hold rids, the last
+				// provider's record and clients are dead, and both page
+				// memos are dropped here — cf's would be at its next
+				// delivery anyway, so the drop changes no counter.
 				pf.Invalidate() // chunk/patient reads intervened
+				cf.Invalidate()
+				w.Quiesce()
 				prec, pcls, err := pf.Fetch(e.Rid)
 				if err != nil {
 					return false, err

@@ -149,6 +149,7 @@ func (s *ChainStore) UpdateContext(ctx context.Context) (*derby.WaveReport, *der
 	parent := s.chain.Head()
 	version := parent.Version() + 1
 	d := s.book.WithEngine(parent).ForkMutable()
+	defer d.DB.Offline()
 	rep, err := derby.ApplyWave(d, version, s.spec)
 	if err != nil {
 		s.applyMu.Unlock()

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -372,6 +374,103 @@ func TestCompactKeepsOneImageResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPageEqual(t, head, fresh, "adopted head vs the file read through a new pool")
+}
+
+// TestCompactUnderEvictionKeepsAdoptedBytes runs compactions through a
+// 1 MB pool, a fraction of the image, while three goroutines run cold
+// statements over the current head, with reused frames poisoned. A
+// compaction's adopted frames share their buffers with the frames of the
+// base it replaces, so neither may ever be reused: every buffer the head
+// had resident before each compaction must keep its bytes to the end,
+// while the readers' evictions reuse frames around them.
+func TestCompactUnderEvictionKeepsAdoptedBytes(t *testing.T) {
+	snapPath, walPath, _ := newChainFixtureAt(t, 200, 50)
+	defer bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
+	bufpool.Setup(1, bufpool.DefaultReadahead)
+	bufpool.PoisonRecycled(true)
+	defer bufpool.PoisonRecycled(false)
+	s, _, err := OpenChainStore(snapPath, walPath, derby.DefaultWaveSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sess := session.New(s.Head().Fork().DB)
+				for _, stmt := range poolEquivStatements {
+					if _, err := sess.Execute(stmt); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	type held struct {
+		page      int
+		buf, want []byte
+	}
+	var heldBufs []held
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 2; i++ {
+			if _, _, err := s.Update(); err != nil {
+				t.Fatalf("round %d: update: %v", round, err)
+			}
+		}
+		hb := s.Head().Engine.Base()
+		for p := 0; p < hb.NumPages(); p++ {
+			if buf, ok := hb.Resident(storage.PageID(p)); ok {
+				heldBufs = append(heldBufs, held{p, buf, append([]byte(nil), buf...)})
+			}
+		}
+		if _, err := s.Compact(); err != nil {
+			t.Fatalf("round %d: compact: %v", round, err)
+		}
+	}
+	// Let the readers evict and reuse around the last adopted frames too.
+	churn := session.New(s.Head().Fork().DB)
+	for i := 0; i < 3; i++ {
+		for _, stmt := range poolEquivStatements {
+			if _, err := churn.Execute(stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	for _, h := range heldBufs {
+		if !bytes.Equal(h.buf, h.want) {
+			t.Fatalf("page %d: a buffer a compaction adopted changed under eviction", h.page)
+		}
+	}
+	st := bufpool.Active().Stats()
+	if st.Adopted == 0 || st.Recycled == 0 {
+		t.Fatalf("stats = %+v: want adoption and reuse both exercised", st)
+	}
+	bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
+	fresh, err := Load(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPageEqual(t, s.Head(), fresh, "compacted head vs the file read through a new pool")
 }
 
 // TestCompactReleasesReplacedDescriptors: once no reader holds a

@@ -75,9 +75,12 @@ func renderPooled(t *testing.T, snap *derby.Snapshot, jobs, batch int) string {
 // what the generated snapshot rendered before it was ever saved: an
 // oracle with no file and no pool under it. Run under -race this also
 // exercises fault/readahead/evict interleavings at the parallel worker
-// counts.
+// counts. Reused frames are poisoned, so a frame reused while a session
+// could still read it shows as a diverged render.
 func TestPoolConfigEquivalence(t *testing.T) {
 	defer bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
+	bufpool.PoisonRecycled(true)
+	defer bufpool.PoisonRecycled(false)
 
 	snaps := map[string]*derby.Snapshot{"btree": bigSnapshot(t)}
 	if !testing.Short() {
@@ -95,7 +98,7 @@ func TestPoolConfigEquivalence(t *testing.T) {
 			t.Fatalf("save %s: %v", backend, err)
 		}
 
-		sawEviction := false
+		sawEviction, sawRecycle := false, false
 		for _, cfg := range [][2]int{{1, 0}, {1, 32}, {256, 0}, {256, 32}} {
 			poolMB, ra := cfg[0], cfg[1]
 			bufpool.Setup(poolMB, ra)
@@ -114,10 +117,14 @@ func TestPoolConfigEquivalence(t *testing.T) {
 			}
 			if st := bufpool.Active().Stats(); st.Evictions > 0 {
 				sawEviction = true
+				sawRecycle = sawRecycle || st.Recycled > 0
 			}
 		}
 		if backend == "btree" && !sawEviction {
 			t.Error("no config ran under eviction pressure; grow the test snapshot or shrink the small pool")
+		}
+		if backend == "btree" && !sawRecycle {
+			t.Error("no config reused an evicted frame: the poisoned oracle checked nothing")
 		}
 	}
 }
@@ -127,9 +134,14 @@ func TestPoolConfigEquivalence(t *testing.T) {
 // 1 MB pool under heavy eviction, and requires every session to render
 // exactly the single-session baseline. With -race this is the pool's
 // concurrency proof: faults, window reads and evictions from eight
-// goroutines on shared frames, with byte-identity as the oracle.
+// goroutines on shared frames, with byte-identity as the oracle. Reused
+// frames are poisoned, and each session's reader holds back the reuse of
+// what it may still read, so a frame one session reuses under another
+// shows as a diverged render.
 func TestPoolSharedConcurrentSessions(t *testing.T) {
 	defer bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
+	bufpool.PoisonRecycled(true)
+	defer bufpool.PoisonRecycled(false)
 
 	snap := bigSnapshot(t)
 	path := filepath.Join(t.TempDir(), "shared.tbsp")
@@ -207,6 +219,9 @@ func TestPoolSharedConcurrentSessions(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Error("eight sessions over one pool recorded zero hits — sharing is not happening")
+	}
+	if st.Recycled == 0 {
+		t.Error("no session reused an evicted frame: the poisoned oracle checked nothing")
 	}
 }
 

@@ -119,7 +119,7 @@ func scalarFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, 
 				rows[c]++
 			}
 			return true, nil
-		})
+		}, nil)
 	})
 	if err != nil {
 		return nil, err

@@ -329,16 +329,34 @@ func runFullScan(db *engine.Database, req Request, whereIdx int, filterIdxs, pro
 			rows[c] += selected
 			return err
 		}
+		onPage := 0 // rows the current page added to the batch
 		err := req.Extent.File.ScanRange(w.Client, ranges[c].From, ranges[c].To, func(rid storage.Rid, rec []byte) (bool, error) {
 			cls := w.Classes.ByID(object.ClassID(rec))
 			if cls == nil || !cls.IsSubclassOf(req.Extent.Class) {
 				return true, nil // shared file: other classes' objects
 			}
 			b.Append(rid, rec, cls)
+			onPage++
 			if b.Full() {
 				return true, flush()
 			}
 			return true, nil
+		}, func() error {
+			// Quiescent point. Between pages the scan holds no page
+			// buffer. When a next page like this one would overflow the
+			// batch, the batch is flushed now, and then the chunk holds
+			// none either. The rows are the same; only where a batch
+			// ends moves, and no number depends on that.
+			n := onPage
+			onPage = 0
+			if b.Len() == 0 || b.Len()+n <= b.Cap() {
+				return nil
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+			w.Quiesce()
+			return nil
 		})
 		if err != nil {
 			return err

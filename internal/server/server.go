@@ -209,6 +209,7 @@ func (s *Server) Stats() *wire.Stats {
 	st.PoolReadaheadWasted = ps.ReadaheadWasted
 	st.PoolAdopted = ps.Adopted
 	st.PoolDropped = ps.Dropped
+	st.PoolRecycled = ps.Recycled
 	st.PoolResidentPages = ps.ResidentPages
 	st.PoolCapacityPages = ps.CapacityPages
 	return st

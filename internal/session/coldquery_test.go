@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"treebench/internal/bufpool"
 	"treebench/internal/derby"
 	"treebench/internal/oql"
 	"treebench/internal/persist"
@@ -57,6 +58,45 @@ var live struct {
 	once sync.Once
 	sn   *derby.Snapshot
 	err  error
+}
+
+// TestPoolPressureByClass reproduces, and logs, what each statement class
+// of the live benchmark's pool_pressure workload asks of the buffer pool:
+// the live database through an 8 MB pool, a quarter of its image, each
+// class run once to warm its plan and forks and then measured. Its log is
+// EXPERIMENTS.md's per-class table ("The pool under pressure, class by
+// class"). What it asserts is the table's finding about readahead: no
+// class issues a prefetched page, because a Patients scan never reads
+// seqThreshold consecutive pages of the interleaved image.
+func TestPoolPressureByClass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the live benchmark's 2000×100 database")
+	}
+	defer bufpool.Setup(bufpool.DefaultCapacityMB, bufpool.DefaultReadahead)
+	bufpool.Setup(8, bufpool.DefaultReadahead)
+	sn, err := loadLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := coldSession(sn)
+	pool := bufpool.Active()
+	t.Logf("%-8s %8s %8s %8s %9s %9s", "class", "gets", "misses", "recycled", "ra issued", "ra used")
+	for _, q := range coldQueryStatements(liveProviders, liveAvg) {
+		if _, err := s.ExecuteRows(context.Background(), q.stmt, 10); err != nil {
+			t.Fatal(err)
+		}
+		before := pool.Stats()
+		if _, err := s.ExecuteRows(context.Background(), q.stmt, 10); err != nil {
+			t.Fatal(err)
+		}
+		st := pool.Stats()
+		gets := st.Hits + st.Misses - before.Hits - before.Misses
+		t.Logf("%-8s %8d %8d %8d %9d %9d", q.name, gets, st.Misses-before.Misses, st.Recycled-before.Recycled,
+			st.ReadaheadIssued-before.ReadaheadIssued, st.ReadaheadUsed-before.ReadaheadUsed)
+		if st.ReadaheadIssued != before.ReadaheadIssued {
+			t.Errorf("%s issued %d readahead pages", q.name, st.ReadaheadIssued-before.ReadaheadIssued)
+		}
+	}
 }
 
 func loadLive() (*derby.Snapshot, error) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"treebench/internal/derby"
+	"treebench/internal/join"
 )
 
 // exact renders one execution with everything a retained fork could leak
@@ -170,6 +171,41 @@ func TestColdQueryAllocBudget(t *testing.T) {
 	run()
 	if _, bytes := allocsPerRun(1, run); bytes/1024 > secondRunKB {
 		t.Errorf("point: the second run on a new session allocated %.1f kB, budget %d kB (%s)", bytes/1024, secondRunKB, point)
+	}
+}
+
+// TestStatementsEndHoldingNoRecord: a warm session keeps its handle table
+// across statements, and a statement's end takes the session offline in
+// the buffer pool only while that table holds no handle (each handle
+// holds its record, a page buffer). Every statement class, and every join
+// algorithm, must therefore end with the table empty — or a warm
+// connection would hold back frame reuse for good.
+func TestStatementsEndHoldingNoRecord(t *testing.T) {
+	sn := chunkedSnapshot(t)
+	s := coldSession(sn)
+	s.Cold = false
+	stmts := append([]string(nil), batchStatements...)
+	for _, q := range coldQueryStatements(chunkedProviders, chunkedAvg) {
+		stmts = append(stmts, q.stmt)
+	}
+	for _, stmt := range stmts {
+		if _, err := s.ExecuteRows(context.Background(), stmt, 10); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		if n := s.DB.Handles.Live(); n != 0 {
+			t.Errorf("%s: %d handles live at the statement's end", stmt, n)
+		}
+	}
+	for _, algo := range []join.Algorithm{join.NL, join.PHJ, join.CHJ, join.SMJ, join.NOJOIN, join.VNOJOIN, join.HHJ} {
+		f := sn.Fork()
+		f.DB.ColdRestart()
+		env := join.EnvForDerby(f)
+		if _, err := join.Run(env, algo, env.BySelectivity(10, 20)); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if n := f.DB.Handles.Live(); n != 0 {
+			t.Errorf("%s: %d handles live at the join's end", algo, n)
+		}
 	}
 }
 

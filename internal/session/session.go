@@ -68,6 +68,7 @@ func NewWith(db *engine.Database, cfg Config) *Session {
 		}
 	}
 	db.ColdRestart()
+	db.Offline() // an idle session holds no buffer-pool frame back from reuse
 	if cfg.QueryJobs != 0 {
 		db.SetQueryJobs(cfg.QueryJobs)
 	}
@@ -99,10 +100,13 @@ func (s *Session) Execute(stmt string) (*oql.Result, error) {
 // running session total). At ctx's deadline the engine stops at its next
 // chunk or batch boundary and the statement returns ctx's error and no
 // result; its caches are then mid-query, so treebenchd drops a stopped
-// session.
+// session. However the statement ends — done, failed, stopped or
+// panicking — the session and its chunk forks go offline in the buffer
+// pool: the result holds decoded values, no page buffer.
 func (s *Session) ExecuteRows(ctx context.Context, stmt string, maxRows int) (*oql.Result, error) {
 	s.DB.SetContext(ctx)
 	defer s.DB.SetContext(context.Background())
+	defer s.DB.Offline()
 	if s.Cold {
 		s.DB.ColdRestart()
 	} else {

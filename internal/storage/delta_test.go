@@ -5,7 +5,17 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"treebench/internal/bufpool"
 )
+
+// TestPageSizeIsPoolFrame: the process-wide buffer pool's frames are
+// pages of this package.
+func TestPageSizeIsPoolFrame(t *testing.T) {
+	if PageSize != bufpool.FrameSize {
+		t.Fatalf("PageSize %d, bufpool.FrameSize %d", PageSize, bufpool.FrameSize)
+	}
+}
 
 // mkBase builds a frozen base of n pages, page i filled with byte i.
 func mkBase(t *testing.T, n int) *Base {
@@ -36,6 +46,8 @@ func (c partialCache) GetPage(i int) ([]byte, error) {
 	}
 	return nil, ErrNoPage
 }
+
+func (c partialCache) GetPageAs(_ *bufpool.Reader, i int) ([]byte, error) { return c.GetPage(i) }
 
 func (c partialCache) Resident(i int) ([]byte, bool) {
 	buf, ok := c[i]

@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+
+	"treebench/internal/bufpool"
 )
 
 // ErrNoPage is returned for reads of unallocated pages.
@@ -33,24 +35,27 @@ type Pager interface {
 
 // PageCache serves pages of one backing file from a shared, bounded,
 // evicting cache. It is how the Base of a loaded snapshot plugs into the
-// process-wide buffer pool (internal/bufpool) without storage knowing
-// about pool mechanics: GetPage returns page i's canonical resident
-// buffer, faulting and evicting as the cache sees fit. The returned
-// buffer must stay immutable for its lifetime — evicting a page may drop
-// the cache's reference, but must never recycle the memory, so aliases
-// held by earlier readers stay valid (Go's GC enforces exactly this).
+// process-wide buffer pool (internal/bufpool): GetPageAs returns page i's
+// canonical resident buffer for a named reader, faulting and evicting as
+// the cache sees fit. The returned buffer must stay immutable while the
+// reader may hold it: the cache reuses an evicted page's memory only once
+// every reader that could hold it has quiesced or gone offline
+// (bufpool.Reader). GetPage is the same read for a caller that names no
+// reader; its buffer is never reused.
 //
 // Resident returns page i's buffer only if the cache holds it, and is a
 // pure peek: no fault, and nothing that counts or orders accesses moves.
+// Like GetPage it names no reader, so the buffer is never reused.
 // It is how residency passes from one file to the next. A compaction
 // saves a version to a new file, and every page that version had
 // resident is adopted as a frame of the new file's cache, since the file
 // holds those exact bytes. The cache of the base the compaction replaced
-// is then dropped. Adopting and dropping, like evicting, only move the
-// cache's references; a reader of the replaced base that still runs
-// keeps its buffers and faults from its own file.
+// is then dropped. Adopting and dropping only move the cache's
+// references; a reader of the replaced base that still runs keeps its
+// buffers and faults from its own file.
 type PageCache interface {
 	GetPage(i int) ([]byte, error)
+	GetPageAs(r *bufpool.Reader, i int) ([]byte, error)
 	Resident(i int) ([]byte, bool)
 }
 
@@ -110,9 +115,15 @@ func (b *Base) Bytes() int64 { return int64(b.n) * PageSize }
 func (b *Base) CapacityBytes() int64 { return int64(b.capacity) * PageSize }
 
 // Page returns the shared buffer of page id, through the page cache on
-// a pool-backed base. The returned slice is the canonical resident copy —
-// callers must never mutate it. Safe for concurrent use.
-func (b *Base) Page(id PageID) ([]byte, error) {
+// a pool-backed base, for a caller that names no reader. The returned
+// slice is the canonical resident copy — callers must never mutate it.
+// Safe for concurrent use.
+func (b *Base) Page(id PageID) ([]byte, error) { return b.PageAs(nil, id) }
+
+// PageAs is Page for reader r: on a pool-backed base the buffer stays the
+// page's content until r quiesces or goes offline. A nil r names no
+// reader.
+func (b *Base) PageAs(r *bufpool.Reader, id PageID) ([]byte, error) {
 	if int(id) >= b.n {
 		return nil, fmt.Errorf("%w: %d", ErrNoPage, id)
 	}
@@ -121,7 +132,12 @@ func (b *Base) Page(id PageID) ([]byte, error) {
 		return buf, nil
 	}
 	if flat.pcache != nil {
-		buf, err := flat.pcache.GetPage(int(id))
+		var err error
+		if r != nil {
+			buf, err = flat.pcache.GetPageAs(r, int(id))
+		} else {
+			buf, err = flat.pcache.GetPage(int(id))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("storage: page %d: %w", id, err)
 		}
@@ -249,19 +265,26 @@ func (d *Disk) Freeze() (*Base, error) {
 	return b, nil
 }
 
-// Read implements Pager. On a mutable fork, the first read of a base page
-// copies it into the private overlay so later in-place mutation cannot
-// reach the shared image; the copy happens on read, not write, because
-// callers mutate the returned buffer before calling Write.
-func (d *Disk) Read(id PageID) ([]byte, error) {
+// Read implements Pager for a caller that names no buffer-pool reader.
+// On a mutable fork, the first read of a base page copies it into the
+// private overlay so later in-place mutation cannot reach the shared
+// image; the copy happens on read, not write, because callers mutate the
+// returned buffer before calling Write.
+func (d *Disk) Read(id PageID) ([]byte, error) { return d.ReadAs(nil, id) }
+
+// ReadAs is Read for reader r (nil names none): a page of a pool-backed
+// base stays valid until r quiesces or goes offline. A mutable fork's
+// copy-on-write source is read for r and copied at once, so the fork
+// keeps no alias of it.
+func (d *Disk) ReadAs(r *bufpool.Reader, id PageID) ([]byte, error) {
 	if bl := d.baseLen(); int(id) < bl {
 		if d.readOnly {
-			return d.base.Page(id)
+			return d.base.PageAs(r, id)
 		}
 		if buf, ok := d.overlay[id]; ok {
 			return buf, nil
 		}
-		src, err := d.base.Page(id)
+		src, err := d.base.PageAs(r, id)
 		if err != nil {
 			return nil, err
 		}

@@ -212,15 +212,17 @@ type Prefetcher interface {
 // prefetching, upcoming file pages are batched into single RPCs. Scanning
 // stops early if fn returns false or an error.
 func (f *File) Scan(p Pager, fn func(rid Rid, rec []byte) (bool, error)) error {
-	return f.ScanRange(p, 0, len(f.Pages), fn)
+	return f.ScanRange(p, 0, len(f.Pages), fn, nil)
 }
 
 // ScanRange scans the contiguous page run Pages[from:to) exactly like Scan
 // scans the whole file: records in file order, holes and forwarding stubs
 // skipped, prefetch batches restarted at the range boundary. It is the read
 // path of one partitioned-scan chunk; chunking a file into disjoint ranges
-// visits every live record exactly once.
-func (f *File) ScanRange(p Pager, from, to int, fn func(rid Rid, rec []byte) (bool, error)) error {
+// visits every live record exactly once. pageDone, when not nil, runs
+// after the records of each page and before the next page is read: the
+// scan itself then holds no page buffer.
+func (f *File) ScanRange(p Pager, from, to int, fn func(rid Rid, rec []byte) (bool, error), pageDone func() error) error {
 	if from < 0 || to > len(f.Pages) || from > to {
 		return fmt.Errorf("storage: scan range [%d,%d) outside file of %d pages", from, to, len(f.Pages))
 	}
@@ -261,6 +263,11 @@ func (f *File) ScanRange(p Pager, from, to int, fn func(rid Rid, rec []byte) (bo
 			}
 			if !ok {
 				return nil
+			}
+		}
+		if pageDone != nil {
+			if err := pageDone(); err != nil {
+				return err
 			}
 		}
 	}

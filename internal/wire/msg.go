@@ -256,6 +256,7 @@ type Stats struct {
 	PoolReadaheadWasted int64 // prefetched pages evicted or dropped unconsumed
 	PoolAdopted         int64 // frames a compaction handed to the base it loaded, unread
 	PoolDropped         int64 // frames of bases a compaction replaced, taken out
+	PoolRecycled        int64 // misses that reused an evicted frame instead of allocating
 	PoolResidentPages   int64 // frames resident at snapshot time
 	PoolCapacityPages   int64 // frame capacity
 }

@@ -150,7 +150,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	pst := &Stats{
 		PoolHits: 9000, PoolMisses: 1000, PoolEvictions: 250,
 		PoolReadaheadIssued: 512, PoolReadaheadUsed: 480, PoolReadaheadWasted: 12,
-		PoolAdopted: 8384, PoolDropped: 8200,
+		PoolAdopted: 8384, PoolDropped: 8200, PoolRecycled: 7000,
 		PoolResidentPages: 4096, PoolCapacityPages: 65536,
 	}
 	if got, err := DecodeStats(pst.Encode()); err != nil || *got != *pst {
